@@ -52,7 +52,7 @@ from .surgery import (
     family_manifest,
     half_complement_group,
 )
-from .targets import resolve_suite
+from .targets import resolve_suite, suite_names
 
 SCHEMA_VERSION = 1
 WORKERS_ENV = "KNOTSURGERY_WORKERS"
@@ -149,6 +149,30 @@ def _cache_key(config: RunConfig, p: int, construction: str) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
+def pool_size(requested: int, pending: int, cpus: int | None) -> int:
+    """Worker processes to start: no more than requested, pending tasks or CPUs."""
+    return max(1, min(requested, pending, cpus or 1))
+
+
+def _read_cache_entry(path: Path, names: tuple[str, ...]) -> HomSpectrum | None:
+    """The cached spectrum, or None (a miss) if the entry is absent, unreadable or stale."""
+    try:
+        data = json.loads(path.read_text())
+        if data["schema_version"] != SCHEMA_VERSION:
+            return None
+        spectrum = HomSpectrum(tuple((str(name), int(count)) for name, count in data["counts"]))
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return spectrum if spectrum.target_names == names else None
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write through a temporary file so a reader never sees a partial entry."""
+    temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    temporary.write_text(text)
+    os.replace(temporary, path)
+
+
 def _spectrum_task(payload: tuple[dict, str, int]) -> list[list]:
     presentation_json, suite_spec, budget = payload
     presentation = presentation_from_json(presentation_json)
@@ -165,24 +189,24 @@ def compute_spectra(
     """Spectra in input order, using the file cache when enabled.
 
     cache_tags supplies (p, construction) per presentation; without it no
-    caching happens.  Returns (spectra, number of cache hits).
+    caching happens.  An entry that is unreadable, or whose schema or target
+    names do not match, counts as a miss and is recomputed.  Returns
+    (spectra, number of cache hits).
     """
     cache_dir = None
     if config.cache and config.out_dir is not None and cache_tags is not None:
         cache_dir = config.out_dir / ".cache"
         cache_dir.mkdir(parents=True, exist_ok=True)
+        names = suite_names(config.targets)
     results: dict[int, HomSpectrum] = {}
     hits = 0
     pending: list[tuple[int, Presentation]] = []
     for i, presentation in enumerate(presentations):
         if cache_dir is not None:
             key = _cache_key(config, cache_tags[i][0], cache_tags[i][1])
-            path = cache_dir / f"{key}.json"
-            if path.exists():
-                data = json.loads(path.read_text())
-                results[i] = HomSpectrum(
-                    tuple((name, int(count)) for name, count in data["counts"])
-                )
+            cached = _read_cache_entry(cache_dir / f"{key}.json", names)
+            if cached is not None:
+                results[i] = cached
                 hits += 1
                 continue
         pending.append((i, presentation))
@@ -191,8 +215,9 @@ def compute_spectra(
             (presentation_to_json(p), config.targets, config.budget)
             for _, p in pending
         ]
-        if config.workers > 1 and len(pending) > 1:
-            with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        workers = pool_size(config.workers, len(pending), os.cpu_count())
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 outcomes = list(pool.map(_spectrum_task, tasks))
         else:
             outcomes = [_spectrum_task(task) for task in tasks]
@@ -202,7 +227,7 @@ def compute_spectra(
             if cache_dir is not None:
                 key = _cache_key(config, cache_tags[i][0], cache_tags[i][1])
                 payload = {"schema_version": SCHEMA_VERSION, "counts": list(spectrum.entries)}
-                (cache_dir / f"{key}.json").write_text(json.dumps(payload, indent=2) + "\n")
+                _write_atomic(cache_dir / f"{key}.json", json.dumps(payload, indent=2) + "\n")
     return [results[i] for i in range(len(presentations))], hits
 
 

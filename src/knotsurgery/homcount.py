@@ -1,20 +1,26 @@
 """Exact homomorphism counting into finite permutation groups.
 
-The count is a depth-first assignment of generator images.  Generators are
-ordered so that relators acquire full support as early as possible (relators
-with the smallest support are scheduled first), and a branch is pruned the
-moment any fully assigned relator fails to evaluate to the identity.  The
-result equals naive enumeration over all |H|^n assignments.
+All counting and enumeration goes through one depth-first search,
+``weighted_homomorphisms``, which assigns generator images one generator at a
+time.  Generators are ordered so that relators acquire full support as early
+as possible (relators with the smallest support are scheduled first), and a
+branch is pruned the moment any fully assigned relator fails to evaluate to
+the identity.
 
-Generators appearing in no relator contribute an exact factor of |H| each.
-The search splits cleanly on the first generator's image, so partial counts
-from independent workers add up to the same total as a sequential run.
+Hom(G, H) is closed under conjugation by H, so the number of homomorphisms
+sending the first searched generator to c is the same for every c in one
+conjugacy class.  The search therefore tries one representative per class
+for that generator and weights each result by the class size; every later
+generator ranges over all of H.  The weighted total equals naive enumeration
+over all |H|^n assignments.  Generators appearing in no relator contribute an
+exact factor of |H| each.  The classes are independent branches, so partial
+counts from independent workers add up to the same total as a sequential run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import MismatchedTargetsError
 from .fpgroup import Letter, Presentation
@@ -60,85 +66,86 @@ def evaluate_word(
     return x
 
 
-def _count(p: Presentation, target: FiniteTarget, first_image: int | None) -> int:
+def weighted_homomorphisms(
+    p: Presentation,
+    target: FiniteTarget,
+    first: Iterable[tuple[int, int]] | None = None,
+    expand_free: bool = True,
+) -> Iterator[tuple[list[int], int]]:
+    """The one homomorphism search: yield ``(images, weight)`` pairs.
+
+    The first searched generator takes the ``(image, weight)`` pairs in
+    ``first``, by default the target's conjugacy classes as (representative,
+    class size); every later generator ranges over all of H.  Each pair
+    stands for ``weight`` homomorphisms, so with the default ``first`` the
+    weights sum to |Hom(G, H)|.  ``images`` is the live assignment, valid
+    until the next pair is drawn.  Without ``expand_free`` the generators in
+    no relator stay unassigned and their factor |H|^k is folded into the
+    weight.
+    """
     plan = _plan(p)
-    order, completes = plan.order, plan.completes
+    sequence = plan.order + plan.free if expand_free else plan.order
+    completes = plan.completes + tuple(() for _ in plan.free)
+    factor = 1 if expand_free else target.order ** len(plan.free)
+    if first is None:
+        first = target.conjugacy_classes
     mult = target.mult
     inv = target.inverse
     identity = target.identity_index
-    n_elements = target.order
+    everything = range(target.order)
     images = [0] * len(p.generators)
-    depth_count = len(order)
+    last = len(sequence) - 1
 
-    def dfs(depth: int) -> int:
-        if depth == depth_count:
-            return 1
-        g = order[depth]
+    def dfs(depth: int, candidates: Iterable[int], weight: int) -> Iterator[tuple[list[int], int]]:
+        g = sequence[depth]
         checks = completes[depth]
-        total = 0
-        if depth == 0 and first_image is not None:
-            candidates: Sequence[int] = (first_image,)
-        else:
-            candidates = range(n_elements)
         for h in candidates:
             images[g] = h
-            ok = True
             for relator in checks:
                 x = identity
                 for gen, e in relator:
                     y = images[gen]
                     x = mult[x][y if e == 1 else inv[y]]
                 if x != identity:
-                    ok = False
                     break
-            if ok:
-                total += dfs(depth + 1)
-        return total
+            else:
+                if depth == last:
+                    yield images, weight
+                else:
+                    yield from dfs(depth + 1, everything, weight)
 
-    return dfs(0) * n_elements ** len(plan.free)
+    if not sequence:
+        yield images, factor
+        return
+    for h, weight in first:
+        yield from dfs(0, (h,), weight * factor)
 
 
 def count_homomorphisms(p: Presentation, target: FiniteTarget) -> int:
     """Exact |Hom(G, H)| for the presented group G and finite target H."""
-    return _count(p, target, None)
+    return sum(weight for _, weight in weighted_homomorphisms(p, target, expand_free=False))
 
 
 def count_homomorphisms_split(p: Presentation, target: FiniteTarget) -> int:
-    """Same count, summed over the first searched generator's image.
+    """Same count, summed over one branch per conjugacy class of the first image.
 
-    Exercises the parallel contract: the branch sets partitioned by the first
-    image are independent, and exact integer addition of their counts must be
+    Exercises the parallel contract: the branches are independent, and exact
+    integer addition of their class-size-weighted counts must be
     schedule-independent.
     """
     if not _plan(p).order:
         return count_homomorphisms(p, target)
-    return sum(_count(p, target, h) for h in range(target.order))
+    return sum(
+        sum(weight for _, weight in weighted_homomorphisms(p, target, (branch,), False))
+        for branch in target.conjugacy_classes
+    )
 
 
 def iter_homomorphisms(p: Presentation, target: FiniteTarget) -> Iterator[tuple[int, ...]]:
     """Yield every homomorphism as a tuple of element indices per generator."""
-    plan = _plan(p)
-    sequence = plan.order + plan.free
-    completes = plan.completes + tuple(() for _ in plan.free)
-    identity = target.identity_index
-    images = [0] * len(p.generators)
-
-    def dfs(depth: int) -> Iterator[tuple[int, ...]]:
-        if depth == len(sequence):
-            yield tuple(images)
-            return
-        g = sequence[depth]
-        for h in range(target.order):
-            images[g] = h
-            if all(
-                evaluate_word(r, images, target) == identity for r in completes[depth]
-            ):
-                yield from dfs(depth + 1)
-
-    if not sequence:
-        yield ()
-        return
-    yield from dfs(0)
+    every = ((h, 1) for h in range(target.order))
+    for images, _ in weighted_homomorphisms(p, target, every):
+        yield tuple(images)
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .fpgroup import (
     word_from_json,
     word_to_json,
 )
-from .homcount import evaluate_word, iter_homomorphisms
+from .homcount import evaluate_word, weighted_homomorphisms
 from .smith import abelianization, relation_matrix, smith_normal_form
 from .targets import FiniteTarget
 
@@ -303,7 +303,10 @@ def validate_peripheral(
     1. The abelianization is infinite cyclic and the meridian generates it.
     2. The longitude is nullhomologous (0-framed).
     3. Meridian and longitude images commute under every homomorphism into
-       every given target (enumerated on a Tietze-simplified copy).
+       every given target (enumerated on a Tietze-simplified copy).  Each
+       conjugacy class of the first image is tried once: commutation is
+       invariant under simultaneous conjugation, so this is exact, and the
+       class size still counts every homomorphism in the reported total.
     """
     n = len(kp.group.generators)
     checks = []
@@ -346,8 +349,8 @@ def validate_peripheral(
     total = 0
     for target in targets:
         mult = target.mult
-        for images in iter_homomorphisms(simplified, target):
-            total += 1
+        for images, weight in weighted_homomorphisms(simplified, target):
+            total += weight
             m_img = evaluate_word(meridian.letters, images, target)
             l_img = evaluate_word(longitude.letters, images, target)
             if mult[m_img][l_img] != mult[l_img][m_img]:

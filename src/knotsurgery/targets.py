@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -103,6 +103,34 @@ class FiniteTarget:
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    @cached_property
+    def conjugacy_classes(self) -> tuple[tuple[int, int], ...]:
+        """(representative, class size) per conjugacy class, by first index.
+
+        A class is the orbit of its smallest element index under conjugation
+        by the generators, found breadth-first over the mult/inverse tables.
+        """
+        mult, inverse = self.mult, self.inverse
+        conjugators = []
+        for perm in self.generators:
+            g = self.elements.index(perm)
+            conjugators.append((mult[g], inverse[g]))
+        seen = bytearray(self.order)
+        classes = []
+        for rep in range(self.order):
+            if seen[rep]:
+                continue
+            seen[rep] = 1
+            orbit = [rep]
+            for x in orbit:
+                for row, g_inv in conjugators:
+                    y = mult[row[x]][g_inv]
+                    if not seen[y]:
+                        seen[y] = 1
+                        orbit.append(y)
+            classes.append((rep, len(orbit)))
+        return tuple(classes)
 
     def __repr__(self) -> str:
         return f"FiniteTarget({self.name}, order={self.order})"
@@ -256,15 +284,29 @@ def load_suite(path: str | Path, cap: int = DEFAULT_CLOSURE_CAP) -> tuple[Finite
         return suite_from_json(json.load(fh), cap=cap)
 
 
+def _escalation_entries() -> list[dict]:
+    text = resources.files("knotsurgery").joinpath("data/targets_extended.json").read_text()
+    return json.loads(text)
+
+
 @lru_cache(maxsize=None)
 def escalation_suite() -> tuple[FiniteTarget, ...]:
     """Bundled larger targets, cheapest first, for separating stubborn pairs."""
-    text = resources.files("knotsurgery").joinpath("data/targets_extended.json").read_text()
-    return suite_from_json(json.loads(text))
+    return suite_from_json(_escalation_entries())
 
 
 def extended_suite() -> tuple[FiniteTarget, ...]:
     return standard_suite() + escalation_suite()
+
+
+def suite_names(spec: str) -> tuple[str, ...]:
+    """Target names of a CLI suite spec, read without closing the large targets."""
+    if spec == "standard":
+        return tuple(t.name for t in standard_suite())
+    if spec == "extended":
+        return suite_names("standard") + tuple(str(e["name"]) for e in _escalation_entries())
+    with open(spec, encoding="utf-8") as fh:
+        return tuple(str(e["name"]) for e in json.load(fh))
 
 
 def resolve_suite(spec: str) -> tuple[FiniteTarget, ...]:

@@ -78,6 +78,41 @@ def test_criterion_1_figure_eight_distinction(fig8_family_run):
     print(f"elapsed: {run['elapsed']:.1f}s")
 
 
+# Escalation counts of the fig8 family q=1, p=1..6, frozen from the
+# unreduced search; each target lists the groups still tied when it is reached.
+FIG8_ESCALATION = {
+    "PSL2_7": {1: 337, 2: 337, 3: 337, 4: 1, 5: 673, 6: 1},
+    "A6": {1: 1, 2: 1441, 3: 1441, 4: 1, 6: 1},
+    "PSL2_8": {2: 1, 3: 1, 4: 1, 6: 1},
+    "PSL2_11": {2: 1, 3: 1, 4: 1, 6: 1},
+    "S6": {2: 1441, 3: 1441, 4: 1, 6: 1},
+    "PSL2_13": {2: 1, 3: 1, 4: 1, 6: 2185},
+    "PSL2_17": {2: 4897, 3: 4897},
+    "PSL2_19": {2: 6841, 3: 1},
+}
+FIG8_SEPARATIONS = {
+    **{pair: "PSL2_7" for pair in [(1, 4), (1, 5), (1, 6), (2, 4), (2, 5), (2, 6),
+                                   (3, 4), (3, 5), (3, 6), (4, 5), (5, 6)]},
+    (1, 2): "A6",
+    (1, 3): "A6",
+    (4, 6): "PSL2_13",
+    (2, 3): "PSL2_19",
+}
+
+
+def test_fig8_escalation_table_frozen(fig8_family_run):
+    run = fig8_family_run
+    for spectrum in run["standard_spectra"].values():
+        assert set(spectrum.counts) == {1}
+    by_target: dict[str, dict[int, int]] = {}
+    for p, counts in run["extra_counts"].items():
+        for target, count in counts.items():
+            by_target.setdefault(target, {})[p] = count
+    assert by_target == FIG8_ESCALATION
+    separated_at = {pair: target for pair, (target, _, _) in run["resolution"].items()}
+    assert separated_at == FIG8_SEPARATIONS
+
+
 @criterion(2, "half/surgery consistency, q <= 3, |p| <= 3")
 def test_criterion_2_half_surgery_consistency(spectrum_cache):
     suite = standard_suite()

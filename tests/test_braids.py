@@ -9,10 +9,13 @@ from knotsurgery import (
     Word,
     abelianization,
     parse_braid,
+    tietze_simplify,
     validate_peripheral,
     wirtinger_from_braid,
 )
 from knotsurgery.knots import KnotPresentation
+
+from conftest import naive_hom_count
 
 
 def test_parse_trefoil():
@@ -99,6 +102,10 @@ def test_knot_group_abelianization_is_z():
 def test_peripheral_validation_passes(trefoil, suite_small):
     report = validate_peripheral(trefoil, suite_small)
     assert report.ok, report.format()
+    # the reported total counts every homomorphism, not one per conjugacy class
+    group = tietze_simplify(trefoil.group)
+    total = sum(naive_hom_count(group, t) for t in suite_small)
+    assert f"({total} homomorphisms over {len(suite_small)} targets)" in report.format()
 
 
 def test_fig8_peripheral_validation_full_suite(fig8, suite_full):

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from knotsurgery import builtin_knot
-from knotsurgery.cli import main, parse_p_spec
+from knotsurgery.cli import main, parse_p_spec, pool_size
 from knotsurgery.knots import builtin_monodromy, fibered_knot_to_json
 
 
@@ -223,6 +223,36 @@ def test_workers_env_produces_identical_outputs(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("KNOTSURGERY_WORKERS", "2")
     run(argv + ["--out", str(out2), "--no-cache"], capsys)
     assert (out1 / "spectra.csv").read_bytes() == (out2 / "spectra.csv").read_bytes()
+
+
+def test_pool_size_is_clamped():
+    assert pool_size(2, 13, 2) == 2
+    assert pool_size(10**9, 13, 2) == 2
+    assert pool_size(64, 3, 8) == 3
+    assert pool_size(4, 13, None) == 1
+    assert pool_size(0, 5, 4) == 1
+    assert pool_size(4, 0, 4) == 1
+
+
+def test_damaged_cache_entry_is_a_miss(capsys, tmp_path):
+    argv = ["family", "--builtin", "fig8", "--q", "2", "--p", "1,3", "--out", str(tmp_path)]
+    assert run(argv, capsys)[0] == 0
+    spectra = (tmp_path / "spectra.csv").read_bytes()
+    entries = sorted((tmp_path / ".cache").glob("*.json"))
+    assert len(entries) == 2
+    text = entries[0].read_text()
+    entries[0].write_text(text[: len(text) // 2])
+    stale = json.loads(entries[1].read_text())
+    stale["counts"][0][0] = "C7"
+    entries[1].write_text(json.dumps(stale))
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
+    assert (tmp_path / "spectra.csv").read_bytes() == spectra
+    assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 0
+    assert json.loads(entries[0].read_text())["counts"] == json.loads(text)["counts"]
+    assert sorted(p.name for p in (tmp_path / ".cache").iterdir()) == [e.name for e in entries]
+    assert run(argv, capsys)[0] == 0
+    assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 2
 
 
 def test_knot_from_monodromy_file(capsys, tmp_path):

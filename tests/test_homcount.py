@@ -7,16 +7,18 @@ from knotsurgery import (
     MismatchedTargetsError,
     Presentation,
     Word,
+    alternating,
     count_homomorphisms,
     count_homomorphisms_split,
     cyclic,
+    dihedral,
     distinguish_report,
     hom_spectrum,
     iter_homomorphisms,
     symmetric,
     tietze_simplify,
 )
-from knotsurgery.homcount import HomSpectrum, evaluate_word
+from knotsurgery.homcount import HomSpectrum, evaluate_word, weighted_homomorphisms
 
 from conftest import naive_hom_count
 
@@ -111,11 +113,37 @@ small_presentations = st.builds(
 )
 
 
-@settings(max_examples=40)
-@given(small_presentations)
-def test_matches_naive_enumeration(p):
-    s3 = symmetric(3)
-    assert count_homomorphisms(p, s3) == naive_hom_count(p, s3)
+@st.composite
+def presentations_with_free_generators(draw):
+    """1-3 generators; the relators use only those outside a drawn free set."""
+    n_gens = draw(st.integers(min_value=1, max_value=3))
+    free = draw(st.sets(st.integers(min_value=0, max_value=n_gens - 1), max_size=n_gens))
+    used = [g for g in range(n_gens) if g not in free]
+    relators = []
+    if used:
+        letters = st.tuples(st.sampled_from(used), st.sampled_from((1, -1)))
+        relators = draw(st.lists(st.lists(letters, max_size=8), max_size=3))
+    return Presentation.from_names(
+        [f"g{i}" for i in range(n_gens)], [Word(tuple(r)) for r in relators]
+    )
+
+
+ORACLE_TARGETS = {
+    t.name: t for t in (symmetric(3), symmetric(4), alternating(4), dihedral(4), cyclic(6))
+}
+
+
+@settings(max_examples=120)
+@given(presentations_with_free_generators(), st.sampled_from(sorted(ORACLE_TARGETS)))
+def test_matches_naive_enumeration(p, name):
+    target = ORACLE_TARGETS[name]
+    count = count_homomorphisms(p, target)
+    assert count == naive_hom_count(p, target)
+    # the class-reduced weights, the full enumeration and the per-class
+    # branches all account for the same homomorphisms
+    assert sum(w for _, w in weighted_homomorphisms(p, target)) == count
+    assert len(list(iter_homomorphisms(p, target))) == count
+    assert count_homomorphisms_split(p, target) == count
 
 
 @settings(max_examples=30)

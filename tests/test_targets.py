@@ -122,3 +122,35 @@ def test_suite_json_round_trip():
     assert [t.name for t in rebuilt] == ["C3", "D4"]
     assert [t.order for t in rebuilt] == [3, 8]
     assert [t.elements for t in rebuilt] == [t.elements for t in suite]
+
+
+CLASS_NUMBERS = {
+    "S4": 5, "A5": 5, "S5": 7, "PSL2_7": 6, "A6": 7, "PSL2_8": 9,
+    "PSL2_11": 8, "S6": 11, "PSL2_13": 9, "PSL2_17": 11, "PSL2_19": 12,
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASS_NUMBERS))
+def test_conjugacy_classes_partition_the_group(name):
+    target = {t.name: t for t in standard_suite() + escalation_suite()}[name]
+    mult, inverse = target.mult, target.inverse
+    classes = target.conjugacy_classes
+    assert len(classes) == CLASS_NUMBERS[name]
+    covered: set[int] = set()
+    for rep, size in classes:
+        # the class by conjugating with every element, not only the generators
+        members = {mult[mult[h][rep]][inverse[h]] for h in range(target.order)}
+        assert len(members) == size
+        assert target.order % size == 0
+        assert not members & covered
+        covered |= members
+    assert covered == set(range(target.order))
+    assert sum(size for _, size in classes) == target.order
+    if name.startswith("PSL2_") and int(name[5:]) % 2:
+        assert len(classes) == (int(name[5:]) + 5) // 2
+
+
+def test_conjugacy_classes_of_abelian_and_trivial_groups():
+    assert cyclic(6).conjugacy_classes == tuple((i, 1) for i in range(6))
+    trivial = close_target("trivial", [], degree=3)
+    assert trivial.conjugacy_classes == ((0, 1),)
