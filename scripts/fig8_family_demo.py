@@ -22,8 +22,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from knotsurgery import (
     build_family,
     builtin_knot,
-    count_homomorphisms,
     distinguish_report,
+    escalate,
     escalation_suite,
     hom_spectrum,
     standard_suite,
@@ -46,19 +46,16 @@ def main() -> int:
         (int(pair.left.split("=")[1]), int(pair.right.split("=")[1]))
         for pair in report.unresolved_pairs
     }
-    for target in escalation_suite():
-        if not unresolved:
-            break
-        need = sorted({p for pair in unresolved for p in pair})
-        t0 = time.time()
-        counts = {p: count_homomorphisms(groups[p], target) for p in need}
+    steps = escalate(groups, unresolved, escalation_suite())
+    t0 = time.time()
+    for target, counts, separated in steps:
         print(f"escalating to {target.name} (order {target.order}) "
-              f"for {need}: {counts} [{time.time() - t0:.1f}s]")
-        for a, b in sorted(unresolved):
-            if counts[a] != counts[b]:
-                print(f"  p={a} vs p={b}: separated by {target.name} "
-                      f"({counts[a]} vs {counts[b]})")
-        unresolved = {(a, b) for a, b in unresolved if counts[a] == counts[b]}
+              f"for {sorted(counts)}: {counts} [{time.time() - t0:.1f}s]")
+        for a, b in separated:
+            print(f"  p={a} vs p={b}: separated by {target.name} "
+                  f"({counts[a]} vs {counts[b]})")
+        unresolved.difference_update(separated)
+        t0 = time.time()
 
     total_pairs = len(list(itertools.combinations(groups, 2)))
     print(f"\n{total_pairs - len(unresolved)}/{total_pairs} pairs distinguished "

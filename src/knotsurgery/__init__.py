@@ -11,28 +11,21 @@ from .errors import (
     MismatchedTargetsError,
     NotAKnotError,
     NotAKnotGroupError,
-    SubstitutionCycleError,
     UnknownGeneratorError,
 )
 from .fpgroup import (
     GeneratorSymbol,
     Presentation,
     Word,
-    adjoin_commuting_generator,
     apply_mapping,
     commutator,
-    cyclic_reduce,
-    free_product,
     parse_word,
     presentation_from_json,
     presentation_to_json,
     quotient_by_relators,
-    substitute,
     tietze_simplify,
     tietze_simplify_tracked,
     to_free_group_script,
-    word_inverse,
-    word_multiply,
     word_power,
 )
 from .smith import (
@@ -61,6 +54,7 @@ from .homcount import (
     count_homomorphisms,
     count_homomorphisms_split,
     distinguish_report,
+    escalate,
     hom_spectrum,
     iter_homomorphisms,
 )
@@ -72,7 +66,6 @@ from .knots import (
     apply_automorphism,
     builtin_knot,
     builtin_monodromy,
-    builtin_names,
     load_fibered_knot,
     mapping_torus_presentation,
     validate_peripheral,

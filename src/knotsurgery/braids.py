@@ -31,6 +31,12 @@ from .knots import KnotPresentation
 _HEADER = re.compile(r"^\s*n\s*=\s*(\d+)\s*;")
 _TOKEN = re.compile(r"^(?:(-?\d+)|([sS])(\d+))$")
 
+# Longest braid accepted.  Wirtinger labels can grow exponentially with the
+# length (1974 letters in the longest relator of (s1 S2)^8, about 2.6 times
+# more per further s1 S2), so the limit keeps every knot group small.  A knot
+# closure on n strands needs at least n - 1 letters, which bounds the strands.
+MAX_BRAID_LENGTH = 16
+
 
 @dataclass(frozen=True)
 class BraidWord:
@@ -42,6 +48,11 @@ class BraidWord:
     def __post_init__(self) -> None:
         if self.strands < 1:
             raise BraidSyntaxError(f"strand count must be >= 1, got {self.strands}")
+        if len(self.letters) > MAX_BRAID_LENGTH or self.strands > MAX_BRAID_LENGTH + 1:
+            raise BraidSyntaxError(
+                f"braid of {len(self.letters)} letters on {self.strands} strands is past"
+                f" the limits of {MAX_BRAID_LENGTH} letters and {MAX_BRAID_LENGTH + 1} strands"
+            )
         for k in self.letters:
             if k == 0:
                 raise BraidSyntaxError("braid letters must be nonzero")

@@ -34,6 +34,7 @@ from .fpgroup import (
     presentation_to_json,
     tietze_simplify,
     to_free_group_script,
+    word_to_json,
 )
 from .homcount import HomSpectrum, count_homomorphisms, distinguish_report
 from .knots import (
@@ -45,6 +46,8 @@ from .knots import (
 )
 from .smith import abelianization
 from .surgery import (
+    MAX_ABS_P,
+    MAX_Q,
     SurgerySlope,
     build_family,
     dehn_surgery_group,
@@ -56,6 +59,7 @@ from .targets import resolve_suite, suite_names
 
 SCHEMA_VERSION = 1
 WORKERS_ENV = "KNOTSURGERY_WORKERS"
+MAX_P_VALUES = 1000
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,11 @@ class RunConfig:
 
 
 def parse_p_spec(spec: str) -> tuple[int, ...]:
-    """Comma list of integers and inclusive a..b ranges, e.g. "1..4,7,-2"."""
+    """Comma list of integers and inclusive a..b ranges, e.g. "1..4,7,-2".
+
+    At most MAX_P_VALUES values, each with |p| <= MAX_ABS_P; both limits are
+    checked before a range is expanded.
+    """
     values: list[int] = []
     for chunk in spec.split(","):
         chunk = chunk.strip()
@@ -86,9 +94,13 @@ def parse_p_spec(spec: str) -> tuple[int, ...]:
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise ValueError(f"empty range {chunk!r}")
-            values.extend(range(lo, hi + 1))
         else:
-            values.append(int(chunk))
+            lo = hi = int(chunk)
+        if max(-lo, hi) > MAX_ABS_P:
+            raise KnotSurgeryError(f"p values must have |p| <= {MAX_ABS_P}, got {chunk!r}")
+        if len(values) + hi - lo + 1 > MAX_P_VALUES:
+            raise KnotSurgeryError(f"more than {MAX_P_VALUES} p values in {spec!r}")
+        values.extend(range(lo, hi + 1))
     if not values:
         raise ValueError(f"no p values in {spec!r}")
     return tuple(values)
@@ -264,8 +276,6 @@ def cmd_knot(config: RunConfig) -> int:
     if config.out_dir is not None:
         config.out_dir.mkdir(parents=True, exist_ok=True)
         names = kp.group.names
-        from .fpgroup import word_to_json
-
         _write_json(
             config.out_dir / "knot.json",
             {
@@ -309,8 +319,7 @@ def cmd_family(config: RunConfig) -> int:
     }
     _write_json(config.out_dir / "family_manifest.json", manifest)
 
-    suite_names = spectra[0].target_names
-    csv_lines = ["label," + ",".join(suite_names)]
+    csv_lines = ["label," + ",".join(spectra[0].target_names)]
     for label, spectrum in zip(labels, spectra):
         csv_lines.append(label + "," + ",".join(str(c) for c in spectrum.counts))
     (config.out_dir / "spectra.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
@@ -422,7 +431,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--construction",
         choices=("surgery", "half", "double", "knot"),
         default="surgery",
-        help="which group to export per slope",
+        help="which group to export per slope; 'double' writes the same"
+        " presentation as 'half'",
     )
     return parser
 
@@ -435,6 +445,8 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         p_values = parse_p_spec(args.p_spec)
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
+    if q > MAX_Q:
+        raise KnotSurgeryError(f"q must be <= {MAX_Q}, got {q}")
     workers = int(os.environ.get(WORKERS_ENV, "1"))
     return RunConfig(
         source_kind=kind,

@@ -9,10 +9,6 @@ class UnknownGeneratorError(KnotSurgeryError):
     """A word refers to a generator outside the presentation."""
 
 
-class SubstitutionCycleError(KnotSurgeryError):
-    """An eliminating substitution would reintroduce the eliminated generator."""
-
-
 class DuplicateGeneratorError(KnotSurgeryError):
     """Generator names collide where disjoint names were required."""
 
@@ -34,7 +30,7 @@ class InvalidMonodromyError(KnotSurgeryError):
 
 
 class InvalidSlopeError(KnotSurgeryError):
-    """Surgery slope with q < 1 or gcd(p, q) != 1."""
+    """Surgery slope with q < 1, gcd(p, q) != 1, or |p| or q past its limit."""
 
 
 class NotAKnotGroupError(KnotSurgeryError):

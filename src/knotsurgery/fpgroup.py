@@ -6,9 +6,9 @@ tuple of named generators with cyclically reduced relator words.  Everything
 here is a pure function over immutable data, so values can be shared between
 threads or worker processes without synchronization.
 
-Generators are never renamed implicitly: combinators that reindex generators
-return translation maps so callers can keep track of distinguished words
-(meridians, longitudes, ...) across constructions.
+Generators are never renamed implicitly: constructions that add generators
+append them after the existing ones, so distinguished words (meridians,
+longitudes, ...) keep their meaning across constructions.
 """
 
 from __future__ import annotations
@@ -16,13 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    DuplicateGeneratorError,
-    SubstitutionCycleError,
-    UnknownGeneratorError,
-)
+from .errors import DuplicateGeneratorError, KnotSurgeryError, UnknownGeneratorError
 
 Letter = tuple[int, int]
+
+# word_power (and so Word.generator and parse_word) refuses to build a word
+# longer than this many letters.
+MAX_WORD_LENGTH = 1_000_000
 
 
 def _reduced(letters: Iterable[Letter]) -> tuple[Letter, ...]:
@@ -69,10 +69,7 @@ class Word:
     @classmethod
     def generator(cls, index: int, exponent: int = 1) -> "Word":
         """The word g^exponent for a single generator g."""
-        if exponent == 0:
-            return cls()
-        sign = 1 if exponent > 0 else -1
-        return cls(((index, sign),) * abs(exponent))
+        return word_power(cls(((index, 1),)), exponent)
 
     def __mul__(self, other: "Word") -> "Word":
         return Word(self.letters + other.letters)
@@ -100,9 +97,6 @@ class Word:
         """Largest generator index used, or -1 for the empty word."""
         return max((g for g, _ in self.letters), default=-1)
 
-    def exponent_sum(self, index: int) -> int:
-        return sum(e for g, e in self.letters if g == index)
-
     def exponent_vector(self, n_generators: int) -> tuple[int, ...]:
         out = [0] * n_generators
         for g, e in self.letters:
@@ -113,48 +107,23 @@ class Word:
 IDENTITY = Word()
 
 
-def word_multiply(w1: Word, w2: Word) -> Word:
-    """Concatenate and freely reduce."""
-    return w1 * w2
-
-
-def word_inverse(w: Word) -> Word:
-    return w.inverse()
-
-
 def word_power(w: Word, n: int) -> Word:
     if n == 0:
         return IDENTITY
+    if abs(n) * len(w) > MAX_WORD_LENGTH:
+        raise KnotSurgeryError(
+            f"a word of {len(w)} letters to the power {n} exceeds {MAX_WORD_LENGTH} letters"
+        )
     base = w if n > 0 else w.inverse()
     return Word(base.letters * abs(n))
-
-
-def cyclic_reduce(w: Word) -> Word:
-    """Strip matching first/last letters until the word is cyclically reduced."""
-    return w.cyclically_reduced()
 
 
 def commutator(w1: Word, w2: Word) -> Word:
     return w1 * w2 * w1.inverse() * w2.inverse()
 
 
-def substitute(w: Word, g: "GeneratorSymbol | int", r: Word, *, eliminating: bool = True) -> Word:
-    """Replace every occurrence of g^{+-1} in w by r^{+-1} and reduce.
-
-    With ``eliminating=True`` (the default, used by Tietze elimination) the
-    replacement must not mention g itself; pass ``eliminating=False`` for a
-    general, possibly self-referential substitution.
-    """
-    index = g.index if isinstance(g, GeneratorSymbol) else int(g)
-    if eliminating and index in r.support():
-        raise SubstitutionCycleError(
-            f"replacement for generator {index} contains that same generator"
-        )
-    return apply_mapping(w, {index: r})
-
-
 def apply_mapping(w: Word, images: Mapping[int, Word]) -> Word:
-    """Simultaneously substitute images for generators (identity elsewhere)."""
+    """Replace each generator by its image, all at once (identity elsewhere)."""
     out: list[Letter] = []
     for g, e in w.letters:
         image = images.get(g)
@@ -176,12 +145,9 @@ def _min_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
     return best
 
 
-def cyclic_key(w: Word) -> tuple[Letter, ...]:
-    """Canonical form of a relator up to cyclic rotation and inversion."""
-    r = _cyclic_reduced(w.letters)
-    if not r:
-        return ()
-    return min(_min_rotation(r), _min_rotation(_inverse_letters(r)))
+def cyclic_key(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """Canonical form of a cyclically reduced relator up to rotation and inversion."""
+    return min(_min_rotation(letters), _min_rotation(_inverse_letters(letters)))
 
 
 def parse_word(text: str, names: Sequence[str]) -> Word:
@@ -255,16 +221,11 @@ class Presentation:
     def names(self) -> tuple[str, ...]:
         return tuple(g.name for g in self.generators)
 
-    def index_of(self, name: str) -> int:
-        for g in self.generators:
-            if g.name == name:
-                return g.index
-        raise UnknownGeneratorError(f"no generator named {name!r}")
-
     def word(self, text: str) -> Word:
         return parse_word(text, self.names)
 
-    def word_str(self, w: Word) -> str:
+    def word_str(self, w: Word, sep: str = " ") -> str:
+        """Render as runs like ``a^2 b^-1``; ``sep`` joins the runs."""
         if not w.letters:
             return "1"
         parts = []
@@ -278,7 +239,7 @@ class Presentation:
                 name = self.generators[run_g].name
                 parts.append(name if exp == 1 else f"{name}^{exp}")
             run_g, run_e, run_len = g, e, 1
-        return " ".join(parts)
+        return sep.join(parts)
 
     def __str__(self) -> str:
         gens = ", ".join(self.names)
@@ -297,71 +258,11 @@ def fresh_name(base: str, taken: Iterable[str]) -> str:
     return f"{base}{i}"
 
 
-def free_product(
-    p1: Presentation, p2: Presentation
-) -> tuple[Presentation, tuple[int, ...], tuple[int, ...]]:
-    """Disjoint union of generators and relators.
-
-    Returns (presentation, left_map, right_map) where the maps send old
-    generator indices of p1 and p2 to their indices in the result.  Name
-    collisions are an error; generators are never renamed implicitly.
-    """
-    n1 = len(p1.generators)
-    overlap = set(p1.names) & set(p2.names)
-    if overlap:
-        raise DuplicateGeneratorError(
-            f"free product requires disjoint generator names; shared: {sorted(overlap)}"
-        )
-    gens = p1.generators + tuple(
-        GeneratorSymbol(g.name, g.index + n1) for g in p2.generators
-    )
-    shifted = tuple(
-        Word(tuple((g + n1, e) for g, e in r.letters)) for r in p2.relators
-    )
-    combined = Presentation(gens, p1.relators + shifted)
-    left = tuple(range(n1))
-    right = tuple(range(n1, n1 + len(p2.generators)))
-    return combined, left, right
-
-
 def quotient_by_relators(p: Presentation, extra: Iterable[Word]) -> Presentation:
     """Append extra relators (cyclically reduced; duplicates and identities dropped)."""
-    n = len(p.generators)
-    seen = {cyclic_key(r) for r in p.relators}
-    new = list(p.relators)
-    for w in extra:
-        if w.max_index() >= n:
-            raise UnknownGeneratorError(
-                f"extra relator uses generator index {w.max_index()} out of range"
-            )
-        reduced = w.cyclically_reduced()
-        if not reduced.letters:
-            continue
-        key = cyclic_key(reduced)
-        if key in seen:
-            continue
-        seen.add(key)
-        new.append(reduced)
-    return Presentation(p.generators, tuple(new))
-
-
-def adjoin_commuting_generator(
-    p: Presentation, commuting: Iterable[int], name: str = "x"
-) -> Presentation:
-    """Adjoin one new generator x plus relators [x, s] for each chosen s.
-
-    The new generator is appended last (index = previous generator count);
-    its name gets a numeric suffix if the requested one is taken.
-    """
-    n = len(p.generators)
-    indices = sorted(set(commuting))
-    if indices and (indices[0] < 0 or indices[-1] >= n):
-        raise UnknownGeneratorError(f"commuting set {indices} out of range for {n} generators")
-    x_name = fresh_name(name, p.names)
-    gens = p.generators + (GeneratorSymbol(x_name, n),)
-    x = Word.generator(n)
-    new_relators = tuple(commutator(x, Word.generator(s)) for s in indices)
-    return Presentation(gens, p.relators + new_relators)
+    seen = {cyclic_key(r.letters) for r in p.relators}
+    added = _normalize_relators([w.letters for w in extra], seen)
+    return Presentation(p.generators, p.relators + tuple(Word(r) for r in added))
 
 
 def _substitute_letters(
@@ -379,14 +280,20 @@ def _substitute_letters(
     return _reduced(out)
 
 
-def _normalize_relators(rels: list[tuple[Letter, ...]]) -> list[tuple[Letter, ...]]:
-    seen: set[tuple[Letter, ...]] = set()
+def _normalize_relators(
+    rels: list[tuple[Letter, ...]], seen: set[tuple[Letter, ...]] | None = None
+) -> list[tuple[Letter, ...]]:
+    """Cyclically reduce each relator, dropping identities and repeats.
+
+    A relator repeats if its cyclic_key is in ``seen`` or equals an earlier one's.
+    """
+    seen = set() if seen is None else seen
     out = []
     for r in rels:
         r = _cyclic_reduced(_reduced(r))
         if not r:
             continue
-        key = min(_min_rotation(r), _min_rotation(_inverse_letters(r)))
+        key = cyclic_key(r)
         if key in seen:
             continue
         seen.add(key)
@@ -490,21 +397,6 @@ def presentation_from_json(data: Mapping) -> Presentation:
     return Presentation.from_names(names, relators)
 
 
-def _script_word(p: Presentation, w: Word) -> str:
-    parts = []
-    run_g, run_e, run_len = None, 0, 0
-    for g, e in w.letters + ((-1, 0),):
-        if g == run_g and e == run_e:
-            run_len += 1
-            continue
-        if run_g is not None and run_g >= 0:
-            exp = run_e * run_len
-            name = p.generators[run_g].name
-            parts.append(name if exp == 1 else f"{name}^{exp}")
-        run_g, run_e, run_len = g, e, 1
-    return "*".join(parts)
-
-
 def to_free_group_script(p: Presentation) -> str:
     """Render as a FreeGroup/relator script for computational algebra systems.
 
@@ -512,6 +404,6 @@ def to_free_group_script(p: Presentation) -> str:
     ``rels := [ a^5 ];``.
     """
     gens = ", ".join(f'"{name}"' for name in p.names)
-    rels = ", ".join(_script_word(p, r) for r in p.relators)
+    rels = ", ".join(p.word_str(r, "*") for r in p.relators)
     body = f" {rels} " if rels else " "
     return f"F := FreeGroup({gens});\nrels := [{body}];\n"

@@ -15,12 +15,15 @@ generator ranges over all of H.  The weighted total equals naive enumeration
 over all |H|^n assignments.  Generators appearing in no relator contribute an
 exact factor of |H| each.  The classes are independent branches, so partial
 counts from independent workers add up to the same total as a sequential run.
+
+``escalate`` is the escalation path for pairs a target suite leaves tied: it
+walks further targets, counting only for the groups still tied, until none is.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import MismatchedTargetsError
 from .fpgroup import Letter, Presentation
@@ -162,12 +165,33 @@ class HomSpectrum:
     def counts(self) -> tuple[int, ...]:
         return tuple(count for _, count in self.entries)
 
-    def extended(self, more: "HomSpectrum") -> "HomSpectrum":
-        return HomSpectrum(self.entries + more.entries)
-
 
 def hom_spectrum(p: Presentation, targets: Sequence[FiniteTarget]) -> HomSpectrum:
     return HomSpectrum(tuple((t.name, count_homomorphisms(p, t)) for t in targets))
+
+
+def escalate(
+    groups: Mapping[Hashable, Presentation],
+    tied_pairs: Iterable[tuple[Hashable, Hashable]],
+    targets: Iterable[FiniteTarget],
+) -> Iterator[tuple[FiniteTarget, dict[Hashable, int], list[tuple[Hashable, Hashable]]]]:
+    """Walk ``targets`` in order until no pair of groups is tied.
+
+    Each step counts homomorphisms into one target, only for the groups still
+    in a tied pair (in sorted key order), and yields ``(target, counts,
+    separated_pairs)``: the counts by group key and the tied pairs, sorted,
+    whose counts differ there.  Pairs never separated are the given pairs
+    minus every yielded ``separated_pairs``.
+    """
+    tied = set(tied_pairs)
+    for target in targets:
+        if not tied:
+            return
+        need = sorted({key for pair in tied for key in pair})
+        counts = {key: count_homomorphisms(groups[key], target) for key in need}
+        separated = [(a, b) for a, b in sorted(tied) if counts[a] != counts[b]]
+        tied.difference_update(separated)
+        yield target, counts, separated
 
 
 DISTINGUISHED = "DISTINGUISHED"

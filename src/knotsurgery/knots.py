@@ -22,7 +22,6 @@ from .fpgroup import (
     Word,
     apply_mapping,
     commutator,
-    cyclic_reduce,
     tietze_simplify_tracked,
     word_from_json,
     word_to_json,
@@ -121,7 +120,7 @@ def certify_monodromy(data: FiberedKnotData) -> None:
                 f"forward(backward) is not the identity map on generator {names[i]}"
             )
     boundary = boundary_word(data.genus)
-    image = cyclic_reduce(apply_automorphism(data, boundary, "forward"))
+    image = apply_automorphism(data, boundary, "forward").cyclically_reduced()
     rotations = {
         boundary.letters[i:] + boundary.letters[:i] for i in range(len(boundary.letters))
     }
@@ -226,10 +225,6 @@ BUILTIN_BRAIDS: dict[str, str] = {
 _BUILTIN_GENUS = {"unknot": 0, "trefoil": 1, "fig8": 1}
 
 _ALIASES = {"figure8": "fig8", "figure-eight": "fig8", "figure_eight": "fig8"}
-
-
-def builtin_names() -> tuple[str, ...]:
-    return tuple(BUILTIN_BRAIDS)
 
 
 def _canonical_builtin(name: str) -> str:

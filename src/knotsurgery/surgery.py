@@ -32,6 +32,11 @@ LONGITUDE = "longitude"
 CABLE_MERIDIAN = "cable_meridian"
 CABLE_LONGITUDE = "cable_longitude"
 
+# Largest |p| and q a slope may have: the filling relator is
+# meridian^q longitude^p, so its length grows with both.
+MAX_ABS_P = 1000
+MAX_Q = 1000
+
 
 @dataclass(frozen=True)
 class SurgerySlope:
@@ -43,6 +48,10 @@ class SurgerySlope:
     def __post_init__(self) -> None:
         if self.q < 1:
             raise InvalidSlopeError(f"q must be >= 1, got {self.q}")
+        if self.q > MAX_Q or abs(self.p) > MAX_ABS_P:
+            raise InvalidSlopeError(
+                f"slope p={self.p}, q={self.q} is past the limits |p| <= {MAX_ABS_P}, q <= {MAX_Q}"
+            )
         if gcd(self.p, self.q) != 1:
             raise InvalidSlopeError(f"gcd(p, q) must be 1, got p={self.p}, q={self.q}")
 
@@ -119,7 +128,10 @@ def half_complement_group(kp: KnotPresentation, slope: SurgerySlope) -> Presenta
     Dehn surgery quotient, and the test suite checks that the two routes have
     identical abelianizations and hom-spectra.
     """
-    cable = cable_link_group(kp, slope)
+    return _kill_peripheral_pair(cable_link_group(kp, slope))
+
+
+def _kill_peripheral_pair(cable: LabeledPresentation) -> Presentation:
     return quotient_by_relators(
         cable.presentation, [cable.label(MERIDIAN), cable.label(LONGITUDE)]
     )
@@ -165,10 +177,7 @@ def build_family(kp: KnotPresentation, q: int, p_values: Sequence[int]) -> Famil
             continue
         slope = SurgerySlope(p, q)
         cable = cable_link_group(kp, slope)
-        presentation = quotient_by_relators(
-            cable.presentation, [cable.label(MERIDIAN), cable.label(LONGITUDE)]
-        )
-        members.append(FamilyMember(slope, presentation, cable.labels))
+        members.append(FamilyMember(slope, _kill_peripheral_pair(cable), cable.labels))
     return FamilyResult(tuple(members), tuple(skipped))
 
 

@@ -156,15 +156,15 @@ def fig8_family_run():
     """One escalating distinction run for the fig8 family q=1, p=1..6.
 
     Computes standard-suite spectra for all six groups, then walks the
-    bundled escalation targets, counting only for groups still involved in
-    an unresolved pair.  Shared session-wide because the last pair needs
-    PSL(2,19).
+    bundled escalation targets with ``escalate``, which counts only for groups
+    still involved in an unresolved pair.  Shared session-wide because the
+    last pair needs PSL(2,19).
     """
     import time
 
     from knotsurgery import (
         build_family,
-        count_homomorphisms,
+        escalate,
         escalation_suite,
         hom_spectrum,
         tietze_simplify,
@@ -183,17 +183,12 @@ def fig8_family_run():
     }
     resolution: dict[tuple[int, int], tuple[str, int, int]] = {}
     extra_counts: dict[int, dict[str, int]] = {p: {} for p in groups}
-    for target in escalation_suite():
-        if not unresolved:
-            break
-        need = sorted({p for pair in unresolved for p in pair})
-        counts = {p: count_homomorphisms(groups[p], target) for p in need}
+    for target, counts, separated in escalate(groups, unresolved, escalation_suite()):
         for p, count in counts.items():
             extra_counts[p][target.name] = count
-        for a, b in sorted(unresolved):
-            if counts[a] != counts[b]:
-                resolution[(a, b)] = (target.name, counts[a], counts[b])
-        unresolved = {(a, b) for a, b in unresolved if counts[a] == counts[b]}
+        for a, b in separated:
+            resolution[(a, b)] = (target.name, counts[a], counts[b])
+        unresolved.difference_update(separated)
     return {
         "groups": groups,
         "standard_spectra": standard_spectra,

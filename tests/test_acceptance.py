@@ -5,9 +5,14 @@ comparisons are exact integer equalities; the only tolerance anywhere is the
 wall-clock target of criterion 1.
 """
 
+import ast
 import functools
+import importlib.util
 import math
 import random
+import re
+import sys
+from pathlib import Path
 
 from knotsurgery import (
     InvalidSlopeError,
@@ -111,6 +116,27 @@ def test_fig8_escalation_table_frozen(fig8_family_run):
     assert by_target == FIG8_ESCALATION
     separated_at = {pair: target for pair, (target, _, _) in run["resolution"].items()}
     assert separated_at == FIG8_SEPARATIONS
+
+
+def test_fig8_demo_prints_the_frozen_table(capsys, monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "fig8_family_demo.py"
+    spec = importlib.util.spec_from_file_location("fig8_family_demo", script)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    monkeypatch.setattr(sys, "argv", [str(script), "6"])
+    code = demo.main()
+    escalated: dict[str, dict[int, int]] = {}
+    separated: dict[tuple[int, int], str] = {}
+    for line in capsys.readouterr().out.splitlines():
+        match = re.match(r"escalating to (\S+) \(order \d+\) for \[[\d, ]*\]: (\{.*\}) \[", line)
+        if match:
+            escalated[match.group(1)] = ast.literal_eval(match.group(2))
+        match = re.match(r"  p=(\d+) vs p=(\d+): separated by (\S+) \(", line)
+        if match:
+            separated[(int(match.group(1)), int(match.group(2)))] = match.group(3)
+    assert escalated == FIG8_ESCALATION
+    assert separated == FIG8_SEPARATIONS
+    assert code == 0
 
 
 @criterion(2, "half/surgery consistency, q <= 3, |p| <= 3")

@@ -13,6 +13,7 @@ from knotsurgery import (
     validate_peripheral,
     wirtinger_from_braid,
 )
+from knotsurgery.braids import MAX_BRAID_LENGTH
 from knotsurgery.knots import KnotPresentation
 
 from conftest import naive_hom_count
@@ -48,6 +49,15 @@ def test_parse_errors():
         parse_braid("0")
     with pytest.raises(IndexOutOfRangeError):
         parse_braid("n=2; 2")
+
+
+def test_braid_limits():
+    with pytest.raises(BraidSyntaxError):
+        parse_braid(" ".join(["1"] * (MAX_BRAID_LENGTH + 1)))
+    with pytest.raises(BraidSyntaxError):
+        parse_braid(f"n={MAX_BRAID_LENGTH + 2};")
+    with pytest.raises(BraidSyntaxError):
+        parse_braid(f"{MAX_BRAID_LENGTH + 1}")
 
 
 def test_braidword_invariants_enforced():

@@ -4,9 +4,10 @@ import sys
 
 import pytest
 
-from knotsurgery import builtin_knot
-from knotsurgery.cli import main, parse_p_spec, pool_size
+from knotsurgery import KnotSurgeryError, builtin_knot, cli, fpgroup, homcount, surgery
+from knotsurgery.cli import MAX_P_VALUES, main, parse_p_spec, pool_size
 from knotsurgery.knots import builtin_monodromy, fibered_knot_to_json
+from knotsurgery.surgery import MAX_ABS_P, MAX_Q
 
 
 def run(argv, capsys):
@@ -23,6 +24,28 @@ def test_parse_p_spec():
         parse_p_spec("4..1")
     with pytest.raises(ValueError):
         parse_p_spec("")
+
+
+def test_p_and_q_limits_fail_before_expanding(capsys, tmp_path):
+    assert len(parse_p_spec(f"1..{MAX_P_VALUES}")) == MAX_P_VALUES
+    assert parse_p_spec(f"-{MAX_ABS_P},{MAX_ABS_P}") == (-MAX_ABS_P, MAX_ABS_P)
+    for spec in (
+        f"0..{MAX_P_VALUES}",
+        f"1..{MAX_P_VALUES // 2},-{MAX_P_VALUES // 2}..0",
+        f"{MAX_ABS_P + 1}",
+        f"-{MAX_ABS_P + 1}..0",
+        f"0..{MAX_ABS_P + 1}",
+    ):
+        with pytest.raises(KnotSurgeryError):
+            parse_p_spec(spec)
+    for argv in (
+        ["verify", "--builtin", "unknot", "--p", f"{MAX_ABS_P + 1}"],
+        ["verify", "--builtin", "unknot", "--q", f"{MAX_Q + 1}"],
+        ["export", "--builtin", "unknot", "--p", f"1..{MAX_P_VALUES + 1}", "--out", str(tmp_path)],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "", argv
+        assert "error:" in err
 
 
 def test_knot_builtin_unknot(capsys):
@@ -262,6 +285,23 @@ def test_knot_from_monodromy_file(capsys, tmp_path):
     assert code == 0
     assert "alexander: t^2 - t + 1" in out
     assert "meridian: m" in out
+
+
+def test_names_the_benchmark_binds_exist():
+    # bench/run.py and bench/workloads.py look these names up to trace, time
+    # or configure the program, so deleting one breaks the benchmark even
+    # where no code in the package calls it.
+    pinned = [
+        (cli, "WORKERS_ENV"),
+        (cli, "ProcessPoolExecutor"),
+        (cli, "_spectrum_task"),
+        (cli, "compute_spectra"),
+        (surgery, "double_complement_group"),
+        (homcount, "iter_homomorphisms"),
+        (fpgroup, "tietze_simplify_tracked"),
+    ]
+    for module, name in pinned:
+        assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_module_entry_point():

@@ -8,11 +8,11 @@ from knotsurgery import (
     UnknownGeneratorError,
     Word,
     abelianization,
-    adjoin_commuting_generator,
+    alternating,
     commutator,
     count_homomorphisms,
     cyclic,
-    free_product,
+    dihedral,
     presentation_from_json,
     presentation_to_json,
     quotient_by_relators,
@@ -22,6 +22,7 @@ from knotsurgery import (
     to_free_group_script,
     word_power,
 )
+from knotsurgery.fpgroup import fresh_name
 
 from conftest import naive_hom_count
 
@@ -29,6 +30,21 @@ from conftest import naive_hom_count
 def pres(names, *relator_texts):
     p = Presentation.from_names(names)
     return Presentation.from_names(names, [p.word(t) for t in relator_texts])
+
+
+def free_product(p1, p2):
+    """p1 * p2, p2's generators renamed h0, h1, ... and placed after p1's."""
+    n = len(p1.generators)
+    names = p1.names + tuple(f"h{i}" for i in range(len(p2.generators)))
+    shifted = tuple(Word(tuple((g + n, e) for g, e in r.letters)) for r in p2.relators)
+    return Presentation.from_names(names, p1.relators + shifted)
+
+
+def adjoin_central(p):
+    """p with one more generator x that commutes with every generator."""
+    x = Word.generator(len(p.generators))
+    commuting = tuple(commutator(x, Word.generator(i)) for i in range(len(p.generators)))
+    return Presentation.from_names(p.names + ("x",), p.relators + commuting)
 
 
 def test_generator_indices_validated():
@@ -46,26 +62,6 @@ def test_relators_validated_and_normalized():
     assert p.relators == (Word.generator(1),)
 
 
-def test_free_product_examples():
-    left = pres(["a"])
-    right = pres(["b"], "b^2")
-    combined, left_map, right_map = free_product(left, right)
-    assert combined.names == ("a", "b")
-    assert combined.relators == (word_power(Word.generator(1), 2),)
-    assert left_map == (0,)
-    assert right_map == (1,)
-
-    empty = Presentation.from_names([])
-    again, _, right_map = free_product(empty, right)
-    assert again.names == ("b",)
-    assert right_map == (0,)
-
-
-def test_free_product_name_collision():
-    with pytest.raises(DuplicateGeneratorError):
-        free_product(pres(["a"]), pres(["a"]))
-
-
 def test_free_product_hom_count_multiplicative():
     # brute-force oracle over S3: |{x : x^3 = 1}| * |{y : y^2 = 1}| = 3 * 4
     s3 = symmetric(3)
@@ -77,7 +73,7 @@ def test_free_product_hom_count_multiplicative():
 
     p1 = pres(["a"], "a^3")
     p2 = pres(["b"], "b^2")
-    combined, _, _ = free_product(p1, p2)
+    combined = free_product(p1, p2)
     assert count_homomorphisms(combined, s3) == 12
     assert count_homomorphisms(combined, s3) == (
         count_homomorphisms(p1, s3) * count_homomorphisms(p2, s3)
@@ -111,31 +107,27 @@ def test_quotient_drops_duplicates_up_to_rotation_and_inversion():
 
 
 def test_adjoin_commuting_examples():
-    p = pres(["a"])
-    extended = adjoin_commuting_generator(p, [0])
+    extended = adjoin_central(pres(["a"]))
     assert extended.names == ("a", "x")
     invariants = abelianization(extended)
     assert invariants.free_rank == 2 and not invariants.torsion
 
-    free_ext = adjoin_commuting_generator(p, [])
-    assert free_ext.relators == ()
-
-    torsion_case = adjoin_commuting_generator(pres(["a"], "a^2"), [0])
+    torsion_case = adjoin_central(pres(["a"], "a^2"))
     invariants = abelianization(torsion_case)
     assert invariants.free_rank == 1 and invariants.torsion == (2,)
 
 
 def test_adjoin_fresh_name():
-    p = pres(["x"])
-    extended = adjoin_commuting_generator(p, [0])
-    assert extended.names == ("x", "x1")
+    assert fresh_name("x", ["a"]) == "x"
+    assert fresh_name("x", ["x"]) == "x1"
+    assert fresh_name("x", ["x", "x1"]) == "x2"
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_adjoin_all_generators_multiplies_abelian_counts(n):
     target = cyclic(n)
     p = pres(["a", "b"], "a^2 b^-1")
-    extended = adjoin_commuting_generator(p, range(2))
+    extended = adjoin_central(p)
     assert count_homomorphisms(extended, target) == n * count_homomorphisms(p, target)
 
 
@@ -207,10 +199,7 @@ def test_serialization_round_trip(p):
 
 @given(small_presentations, small_presentations)
 def test_free_product_multiplicative_over_targets(p1, p2):
-    renamed = Presentation.from_names(
-        [f"h{i}" for i in range(len(p2.generators))], p2.relators
-    )
-    combined, _, _ = free_product(p1, renamed)
+    combined = free_product(p1, p2)
     for target in (cyclic(4), symmetric(3)):
         assert count_homomorphisms(combined, target) == (
             count_homomorphisms(p1, target) * count_homomorphisms(p2, target)
@@ -220,15 +209,15 @@ def test_free_product_multiplicative_over_targets(p1, p2):
 @given(small_presentations, st.integers(min_value=2, max_value=5))
 def test_adjoin_all_generators_abelian_multiplier(p, n):
     target = cyclic(n)
-    extended = adjoin_commuting_generator(p, range(len(p.generators)))
+    extended = adjoin_central(p)
     assert count_homomorphisms(extended, target) == n * count_homomorphisms(p, target)
 
 
 @given(small_presentations, st.integers(min_value=0, max_value=50))
 def test_tietze_preserves_hom_counts(p, budget):
     simplified = tietze_simplify(p, budget=budget)
-    s3 = symmetric(3)
-    assert count_homomorphisms(p, s3) == count_homomorphisms(simplified, s3)
+    for target in (symmetric(3), symmetric(4), alternating(4), dihedral(4), cyclic(6)):
+        assert count_homomorphisms(p, target) == count_homomorphisms(simplified, target)
 
 
 @given(small_presentations)

@@ -19,7 +19,14 @@ from knotsurgery import (
     standard_suite,
     tietze_simplify,
 )
-from knotsurgery.surgery import CABLE_LONGITUDE, CABLE_MERIDIAN, LONGITUDE, MERIDIAN
+from knotsurgery.surgery import (
+    CABLE_LONGITUDE,
+    CABLE_MERIDIAN,
+    LONGITUDE,
+    MAX_ABS_P,
+    MAX_Q,
+    MERIDIAN,
+)
 
 from conftest import naive_hom_count
 
@@ -33,6 +40,15 @@ def test_slope_validation():
         SurgerySlope(2, 4)
     with pytest.raises(InvalidSlopeError):
         SurgerySlope(0, 5)
+
+
+def test_slope_limits():
+    SurgerySlope(MAX_ABS_P, 1)
+    SurgerySlope(-MAX_ABS_P, 1)
+    SurgerySlope(1, MAX_Q)
+    for p, q in ((MAX_ABS_P + 1, 1), (-MAX_ABS_P - 1, 1), (1, MAX_Q + 1)):
+        with pytest.raises(InvalidSlopeError):
+            SurgerySlope(p, q)
 
 
 def test_unknot_surgery_is_lens_space(unknot):

@@ -2,17 +2,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from knotsurgery import (
-    SubstitutionCycleError,
+    KnotSurgeryError,
     Word,
     apply_mapping,
     commutator,
-    cyclic_reduce,
     parse_word,
-    substitute,
-    word_inverse,
-    word_multiply,
     word_power,
 )
+from knotsurgery.fpgroup import MAX_WORD_LENGTH
 
 a = Word.generator(0)
 b = Word.generator(1)
@@ -27,43 +24,39 @@ words = letters.map(lambda ls: Word(tuple(ls)))
 
 
 def test_multiply_inverse_cancellation():
-    assert word_multiply(a, a.inverse()).is_identity
+    assert (a * a.inverse()).is_identity
 
 
 def test_multiply_single_cascade():
-    assert word_multiply(a * b, b.inverse() * c) == a * c
+    assert (a * b) * (b.inverse() * c) == a * c
 
 
 def test_multiply_two_step_cascade():
     w1 = a * b * a * b.inverse()
     w2 = b * a.inverse()
-    assert word_multiply(w1, w2) == a * b
+    assert w1 * w2 == a * b
 
 
 def test_inverse_examples():
-    assert word_inverse(Word()).is_identity
-    assert word_inverse(a * b.inverse()) == b * a.inverse()
-    assert word_inverse(word_power(a, 3)) == word_power(a, -3)
+    assert Word().inverse().is_identity
+    assert (a * b.inverse()).inverse() == b * a.inverse()
+    assert word_power(a, 3).inverse() == word_power(a, -3)
 
 
 def test_cyclic_reduce_examples():
-    assert cyclic_reduce(a * b * a.inverse()) == b
+    assert (a * b * a.inverse()).cyclically_reduced() == b
     abab = a * b * a * b
-    assert cyclic_reduce(abab) == abab
-    assert cyclic_reduce(a.inverse() * b * c * b.inverse() * a) == c
+    assert abab.cyclically_reduced() == abab
+    assert (a.inverse() * b * c * b.inverse() * a).cyclically_reduced() == c
 
 
-def test_substitute_examples():
-    assert substitute(a * b, 1, a.inverse()).is_identity
-    assert substitute(word_power(b, 2), 1, c * a) == c * a * c * a
-    assert substitute(a, 1, c) == a
-
-
-def test_substitute_cycle_guard():
-    with pytest.raises(SubstitutionCycleError):
-        substitute(a * b, 1, b * c)
-    # the same substitution is fine when not eliminating
-    assert substitute(a * b, 1, b * c, eliminating=False) == a * b * c
+def test_word_power_length_limit():
+    with pytest.raises(KnotSurgeryError):
+        word_power(a, MAX_WORD_LENGTH + 1)
+    with pytest.raises(KnotSurgeryError):
+        word_power(a * b, -(MAX_WORD_LENGTH // 2 + 1))
+    with pytest.raises(KnotSurgeryError):
+        parse_word(f"a^{MAX_WORD_LENGTH + 1}", ("a",))
 
 
 def test_apply_mapping_is_simultaneous():
@@ -112,8 +105,8 @@ def test_inverse_law(w):
 @given(words)
 def test_cyclic_reduce_conjugation_invariant(w):
     conjugated = a * w * a.inverse()
-    reduced = cyclic_reduce(conjugated).letters
-    base = cyclic_reduce(w).letters
+    reduced = conjugated.cyclically_reduced().letters
+    base = w.cyclically_reduced().letters
     rotations = {base[i:] + base[:i] for i in range(max(1, len(base)))}
     assert reduced in rotations
 
