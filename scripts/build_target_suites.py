@@ -57,8 +57,9 @@ def psl2_8():
     return close_target("PSL2_8", [add_one, scale_w, invert], degree=9)
 
 
-def main() -> None:
-    suite = [
+def build_suite() -> list:
+    """The escalation targets, cheapest first, as written to the bundled file."""
+    return [
         psl2_prime(7),
         alternating(6),
         psl2_8(),
@@ -68,6 +69,10 @@ def main() -> None:
         psl2_prime(17),
         psl2_prime(19),
     ]
+
+
+def main() -> None:
+    suite = build_suite()
     expected = {
         "PSL2_7": 168,
         "A6": 360,

@@ -9,7 +9,8 @@ Exit codes: 0 success / all pairs distinguished, 1 verification failure,
 
 Primary outputs are byte-deterministic for a fixed config; wall-clock
 metadata goes to a run_meta.json sidecar.  Spectra are cached by content
-hash of (knot source, slope, suite, budget) under <out>/.cache.
+hash of (package version, knot source, slope, suite, budget) under
+<out>/.cache.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+from . import __version__
 from .alexander import fox_alexander
 from .braids import parse_braid, wirtinger_from_braid
 from .errors import ClosureCapExceededError, KnotSurgeryError
@@ -42,6 +44,7 @@ from .knots import (
     builtin_knot,
     load_fibered_knot,
     mapping_torus_presentation,
+    read_monodromy_file,
     validate_peripheral,
 )
 from .smith import abelianization
@@ -133,7 +136,7 @@ def load_knot(config: RunConfig) -> KnotPresentation:
 
 def _source_fingerprint(config: RunConfig) -> str:
     if config.source_kind == "monodromy":
-        content = Path(config.source).read_bytes()
+        content = read_monodromy_file(config.source)
         return f"monodromy:{hashlib.sha256(content).hexdigest()}"
     return f"{config.source_kind}:{config.source}"
 
@@ -149,6 +152,7 @@ def _cache_key(config: RunConfig, p: int, construction: str) -> str:
     payload = json.dumps(
         {
             "schema_version": SCHEMA_VERSION,
+            "version": __version__,
             "source": _source_fingerprint(config),
             "p": p,
             "q": config.q,

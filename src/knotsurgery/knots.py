@@ -11,6 +11,7 @@ invariants is the main cross-check of both.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -29,6 +30,12 @@ from .fpgroup import (
 from .homcount import evaluate_word, weighted_homomorphisms
 from .smith import abelianization, relation_matrix, smith_normal_form
 from .targets import FiniteTarget
+
+# Monodromy files are refused past these limits before anything of their size
+# is built or read.  The byte limit also bounds the certificate's
+# compositions, whose length is at most the product of two image lengths.
+MAX_GENUS = 100
+MAX_MONODROMY_BYTES = 16_384
 
 
 @dataclass(frozen=True)
@@ -169,6 +176,8 @@ def fibered_knot_from_json(payload: Mapping) -> FiberedKnotData:
         genus = int(payload["genus"])
     except (KeyError, TypeError, ValueError):
         raise InvalidMonodromyError("monodromy file needs an integer 'genus' field") from None
+    if genus > MAX_GENUS:
+        raise InvalidMonodromyError(f"genus {genus} is past the limit {MAX_GENUS}")
     names = fiber_generator_names(max(genus, 1))
     index = {name: i for i, name in enumerate(names)}
 
@@ -178,18 +187,31 @@ def fibered_knot_from_json(payload: Mapping) -> FiberedKnotData:
             raise InvalidMonodromyError(f"monodromy file needs a '{side}' mapping")
         words = []
         for name in names:
-            if name in table:
-                words.append(word_from_json(table[name], index))
-            else:
+            if name not in table:
                 raise InvalidMonodromyError(f"monodromy file missing image of {name!r} in '{side}'")
+            try:
+                words.append(word_from_json(table[name], index))
+            except (TypeError, ValueError):
+                raise InvalidMonodromyError(
+                    f"image of {name!r} in '{side}' is not a list of [generator, +1 or -1] letters"
+                ) from None
         return tuple(words)
 
     return FiberedKnotData(genus=genus, forward=load_side("forward"), backward=load_side("backward"))
 
 
+def read_monodromy_file(path: str | Path) -> bytes:
+    """The file's bytes, refused before reading if it exceeds MAX_MONODROMY_BYTES."""
+    size = os.stat(path).st_size
+    if size > MAX_MONODROMY_BYTES:
+        raise InvalidMonodromyError(
+            f"monodromy file of {size} bytes is past the limit {MAX_MONODROMY_BYTES}"
+        )
+    return Path(path).read_bytes()
+
+
 def load_fibered_knot(path: str | Path) -> FiberedKnotData:
-    with open(path, encoding="utf-8") as fh:
-        return fibered_knot_from_json(json.load(fh))
+    return fibered_knot_from_json(json.loads(read_monodromy_file(path).decode("utf-8")))
 
 
 TREFOIL_MONODROMY = FiberedKnotData(

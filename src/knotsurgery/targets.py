@@ -12,14 +12,21 @@ import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .errors import ClosureCapExceededError
+from .errors import ClosureCapExceededError, KnotSurgeryError
 
 Perm = tuple[int, ...]
 
-DEFAULT_CLOSURE_CAP = 100_000
+# A closed target keeps an order x order table of 8-byte references, so the
+# cap bounds it at 8 * 5000^2 bytes = 200 MB (PSL2_19, the largest bundled
+# target, has 3420 elements).
+DEFAULT_CLOSURE_CAP = 5000
+# Largest degree a target-suite file may give; checked before any
+# permutation of that degree is built.
+MAX_TARGET_DEGREE = 1000
 
 
 def identity_perm(degree: int) -> Perm:
@@ -144,10 +151,12 @@ def close_target(
 ) -> FiniteTarget:
     """Saturate the generators into a full element list and build tables.
 
-    Elements are discovered breadth-first as words in the generators; the
-    full multiplication table is then filled by index lookups alone (element
-    k factors as parent(k) * generator, so a*k = (a*parent(k)) * generator),
-    avoiding a quadratic number of permutation compositions.
+    Elements are discovered breadth-first as words in the generators, so each
+    element k > 0 is e_k = e_parent(k) * g for one generator g.  Then
+    e_k * e_j = e_parent(k) * (g * e_j), so row k of the multiplication table
+    is row parent(k) gathered through the left-multiplication permutation of
+    g on element indices.  Each row costs one C-level itemgetter call, and the
+    whole table |gens| * order permutation compositions.
     """
     gens = [tuple(int(x) for x in g) for g in generators]
     if degree is None:
@@ -159,40 +168,30 @@ def close_target(
     index: dict[Perm, int] = {identity: 0}
     elements: list[Perm] = [identity]
     parent: list[tuple[int, int]] = [(0, -1)]  # (parent index, generator letter)
-    by_gen: list[list[int]] = [[]]  # by_gen[i][g] = index(elements[i] * gens[g])
     frontier = [0]
     while frontier:
         next_frontier = []
         for i in frontier:
             x = elements[i]
-            row = [0] * len(gens)
             for g_idx, g in enumerate(gens):
                 y = compose(x, g)
-                j = index.get(y)
-                if j is None:
-                    if len(elements) >= cap:
-                        raise ClosureCapExceededError(
-                            f"closure of {name!r} exceeded cap {cap}"
-                        )
-                    j = len(elements)
-                    index[y] = j
-                    elements.append(y)
-                    parent.append((i, g_idx))
-                    by_gen.append([])
-                    next_frontier.append(j)
-                row[g_idx] = j
-            by_gen[i] = row
+                if y in index:
+                    continue
+                if len(elements) >= cap:
+                    raise ClosureCapExceededError(f"closure of {name!r} exceeded cap {cap}")
+                next_frontier.append(len(elements))
+                index[y] = len(elements)
+                elements.append(y)
+                parent.append((i, g_idx))
         frontier = next_frontier
     order = len(elements)
-    mult_rows = []
-    for i in range(order):
-        row = [0] * order
-        row[0] = i
-        for k in range(1, order):
-            pk, gk = parent[k]
-            row[k] = by_gen[row[pk]][gk]
-        mult_rows.append(tuple(row))
-    mult = tuple(mult_rows)
+    # With order 1, itemgetter of one index would return a scalar, but then
+    # the row loop below is empty and no gather is ever called.
+    left = [itemgetter(*[index[compose(g, e)] for e in elements]) for g in gens]
+    rows = [tuple(range(order))]
+    for pk, gk in parent[1:]:
+        rows.append(left[gk](rows[pk]))
+    mult = tuple(rows)
     inverse = tuple(index[invert_perm(a)] for a in elements)
     return FiniteTarget(
         name=name,
@@ -263,6 +262,8 @@ def suite_from_json(data: Sequence[dict], cap: int = DEFAULT_CLOSURE_CAP) -> tup
     out = []
     for entry in data:
         degree = int(entry["degree"])
+        if degree > MAX_TARGET_DEGREE:
+            raise KnotSurgeryError(f"target degree {degree} is past the limit {MAX_TARGET_DEGREE}")
         gens = [parse_cycles(text, degree) for text in entry["generators"]]
         out.append(close_target(str(entry["name"]), gens, degree=degree, cap=cap))
     return tuple(out)

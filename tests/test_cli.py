@@ -6,8 +6,14 @@ import pytest
 
 from knotsurgery import KnotSurgeryError, builtin_knot, cli, fpgroup, homcount, surgery
 from knotsurgery.cli import MAX_P_VALUES, main, parse_p_spec, pool_size
-from knotsurgery.knots import builtin_monodromy, fibered_knot_to_json
+from knotsurgery.knots import (
+    MAX_GENUS,
+    MAX_MONODROMY_BYTES,
+    builtin_monodromy,
+    fibered_knot_to_json,
+)
 from knotsurgery.surgery import MAX_ABS_P, MAX_Q
+from knotsurgery.targets import DEFAULT_CLOSURE_CAP, MAX_TARGET_DEGREE
 
 
 def run(argv, capsys):
@@ -226,6 +232,25 @@ def test_closure_cap_exit_4(capsys, tmp_path):
     assert "cap" in err
 
 
+def test_suite_just_past_the_cap_and_degree_limits(capsys, tmp_path):
+    # S7 has 5040 elements, just past the cap; its table would hold 5040^2 entries
+    assert DEFAULT_CLOSURE_CAP < 5040
+    s7 = tmp_path / "s7.json"
+    s7.write_text(
+        json.dumps([{"name": "S7", "degree": 7, "generators": ["(1 2)", "(1 2 3 4 5 6 7)"]}])
+    )
+    code, _, err = run(["knot", "--builtin", "unknot", "--targets", str(s7)], capsys)
+    assert code == 4
+    assert "cap" in err
+    wide = tmp_path / "wide.json"
+    wide.write_text(
+        json.dumps([{"name": "C2", "degree": MAX_TARGET_DEGREE + 1, "generators": ["(1 2)"]}])
+    )
+    code, _, err = run(["knot", "--builtin", "unknot", "--targets", str(wide)], capsys)
+    assert code == 2
+    assert "degree" in err
+
+
 def test_export_knot_group(capsys, tmp_path):
     code, _, _ = run(
         [
@@ -276,6 +301,37 @@ def test_damaged_cache_entry_is_a_miss(capsys, tmp_path):
     assert sorted(p.name for p in (tmp_path / ".cache").iterdir()) == [e.name for e in entries]
     assert run(argv, capsys)[0] == 0
     assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 2
+
+
+def test_cache_entry_of_another_version_is_a_miss(capsys, tmp_path, monkeypatch):
+    argv = ["family", "--builtin", "trefoil", "--q", "1", "--p", "1,2", "--out", str(tmp_path)]
+    assert run(argv, capsys)[0] == 0
+    monkeypatch.setattr(cli, "__version__", "0.0.0+other")
+    assert run(argv, capsys)[0] == 0
+    assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 0
+    assert len(list((tmp_path / ".cache").glob("*.json"))) == 4
+    assert run(argv, capsys)[0] == 0
+    assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 2
+
+
+def test_bad_monodromy_files_exit_2(capsys, tmp_path):
+    good = fibered_knot_to_json(builtin_monodromy("trefoil"))
+    cases = {
+        "image of 'a1'": dict(good, forward=dict(good["forward"], a1=[5])),
+        "genus": dict(good, genus=MAX_GENUS + 1),
+    }
+    for i, (message, payload) in enumerate(cases.items()):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(payload))
+        for command in (["knot"], ["family", "--out", str(tmp_path / str(i))]):
+            code, _, err = run(command + ["--monodromy", str(path)], capsys)
+            assert code == 2, (message, command)
+            assert err.startswith("error:") and message in err
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps(good).ljust(MAX_MONODROMY_BYTES + 1))
+    code, _, err = run(["knot", "--monodromy", str(big)], capsys)
+    assert code == 2
+    assert "bytes" in err
 
 
 def test_knot_from_monodromy_file(capsys, tmp_path):

@@ -19,6 +19,8 @@ from knotsurgery import (
     validate_peripheral,
 )
 from knotsurgery.knots import (
+    MAX_GENUS,
+    MAX_MONODROMY_BYTES,
     boundary_word,
     certify_monodromy,
     fibered_knot_from_json,
@@ -125,6 +127,11 @@ def test_fibered_json_round_trip(tmp_path):
     path = tmp_path / "fig8.json"
     path.write_text(json.dumps(payload))
     assert load_fibered_knot(path) == data
+    path.write_text(json.dumps(payload).ljust(MAX_MONODROMY_BYTES))
+    assert load_fibered_knot(path) == data
+    path.write_text(json.dumps(payload).ljust(MAX_MONODROMY_BYTES + 1))
+    with pytest.raises(InvalidMonodromyError):
+        load_fibered_knot(path)
 
 
 def test_fibered_json_errors():
@@ -136,6 +143,15 @@ def test_fibered_json_errors():
         fibered_knot_from_json(
             {"genus": 1, "forward": {"a1": [], "b1": []}, "backward": {"a1": []}}
         )
+    good = fibered_knot_to_json(builtin_monodromy("trefoil"))
+    for bad_image in ([5], "a1", [["a1"]], [["a1", 1, 1]], [[["a1"], 1]], [["a1", "x"]], 7):
+        with pytest.raises(InvalidMonodromyError):
+            fibered_knot_from_json(dict(good, backward=dict(good["backward"], b1=bad_image)))
+    names = [f"{c}{i}" for i in range(1, MAX_GENUS + 2) for c in "ab"]
+    identity = {name: [[name, 1]] for name in names}
+    assert fibered_knot_from_json({"genus": MAX_GENUS, "forward": identity, "backward": identity})
+    with pytest.raises(InvalidMonodromyError, match="genus"):
+        fibered_knot_from_json({"genus": MAX_GENUS + 1, "forward": identity, "backward": identity})
 
 
 def test_builtin_aliases():

@@ -1,3 +1,7 @@
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
 
 from knotsurgery import (
@@ -69,6 +73,27 @@ def test_mult_and_inverse_tables():
         assert t.elements[t.inverse[i]] == invert_perm(t.elements[i])
 
 
+TABLE_CASES = [
+    "C2", "C3", "C4", "C5", "C6", "S3", "S4", "S5", "A4", "A5", "D4", "D5",
+    "PSL2_7", "A6", "trivial", "order2",
+]
+
+
+@pytest.mark.parametrize("name", TABLE_CASES)
+def test_every_table_entry_is_the_composition(name):
+    if name == "trivial":
+        t = close_target("trivial", [], degree=3)
+    elif name == "order2":
+        t = close_target("swap", [(1, 0, 2)], degree=3)
+    else:
+        t = {t.name: t for t in standard_suite() + escalation_suite()}[name]
+    index = {p: i for i, p in enumerate(t.elements)}
+    assert len(index) == t.order
+    for i, a in enumerate(t.elements):
+        assert t.mult[i] == tuple(index[compose(a, b)] for b in t.elements)
+        assert t.inverse[i] == index[invert_perm(a)]
+
+
 def test_builders_have_expected_orders():
     assert cyclic(6).order == 6
     assert symmetric(5).order == 120
@@ -122,6 +147,16 @@ def test_suite_json_round_trip():
     assert [t.name for t in rebuilt] == ["C3", "D4"]
     assert [t.order for t in rebuilt] == [3, 8]
     assert [t.elements for t in rebuilt] == [t.elements for t in suite]
+
+
+def test_bundled_escalation_suite_matches_its_build_script():
+    root = Path(__file__).resolve().parents[1]
+    script = root / "scripts" / "build_target_suites.py"
+    spec = importlib.util.spec_from_file_location("build_target_suites", script)
+    builder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(builder)
+    bundled = root / "src" / "knotsurgery" / "data" / "targets_extended.json"
+    assert suite_to_json(builder.build_suite()) == json.loads(bundled.read_text())
 
 
 CLASS_NUMBERS = {
