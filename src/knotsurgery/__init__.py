@@ -66,7 +66,6 @@ from .knots import (
     apply_automorphism,
     builtin_knot,
     builtin_monodromy,
-    load_fibered_knot,
     mapping_torus_presentation,
     validate_peripheral,
 )

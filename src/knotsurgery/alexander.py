@@ -270,18 +270,9 @@ def fox_alexander(kp: KnotPresentation) -> LaurentPolynomial:
     exponents = abelianization_exponents(p)
     n = len(p.generators)
     rows = alexander_matrix(p, exponents)
-    if len(rows) < n - 1:
-        return LaurentPolynomial.zero()
     result = LaurentPolynomial.zero()
-    if len(rows) == n - 1:
+    for row_subset in combinations(range(len(rows)), n - 1):
         for j in range(n):
-            minor = [[row[c] for c in range(n) if c != j] for row in rows]
+            minor = [[rows[i][c] for c in range(n) if c != j] for i in row_subset]
             result = laurent_gcd(result, laurent_det(minor))
-    else:
-        for row_subset in combinations(range(len(rows)), n - 1):
-            for j in range(n):
-                minor = [
-                    [rows[i][c] for c in range(n) if c != j] for i in row_subset
-                ]
-                result = laurent_gcd(result, laurent_det(minor))
     return result.normalized()

@@ -25,6 +25,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Iterator, Sequence
 
 from . import __version__
 from .alexander import fox_alexander
@@ -38,11 +39,11 @@ from .fpgroup import (
     to_free_group_script,
     word_to_json,
 )
-from .homcount import HomSpectrum, count_homomorphisms, distinguish_report
+from .homcount import HomSpectrum, distinguish_report, hom_spectrum
 from .knots import (
     KnotPresentation,
     builtin_knot,
-    load_fibered_knot,
+    fibered_knot_from_json,
     mapping_torus_presentation,
     read_monodromy_file,
     validate_peripheral,
@@ -121,24 +122,26 @@ def _knot_source(args: argparse.Namespace) -> tuple[str, str]:
     return chosen[0]
 
 
-def load_knot(config: RunConfig) -> KnotPresentation:
+def load_knot(config: RunConfig) -> tuple[KnotPresentation, str]:
+    """The knot and the fingerprint of its source for the cache key.
+
+    A monodromy file is read once: the knot is parsed from the same bytes
+    whose sha256 is the fingerprint.
+    """
     if config.source_kind == "braid":
-        return wirtinger_from_braid(parse_braid(config.source))
-    if config.source_kind == "builtin":
+        kp = wirtinger_from_braid(parse_braid(config.source))
+    elif config.source_kind == "builtin":
         try:
-            return builtin_knot(config.source)
+            kp = builtin_knot(config.source)
         except KeyError as exc:
             raise KnotSurgeryError(str(exc)) from None
-    if config.source_kind == "monodromy":
-        return mapping_torus_presentation(load_fibered_knot(config.source))
-    raise ValueError(f"unknown source kind {config.source_kind!r}")
-
-
-def _source_fingerprint(config: RunConfig) -> str:
-    if config.source_kind == "monodromy":
+    elif config.source_kind == "monodromy":
         content = read_monodromy_file(config.source)
-        return f"monodromy:{hashlib.sha256(content).hexdigest()}"
-    return f"{config.source_kind}:{config.source}"
+        data = fibered_knot_from_json(json.loads(content.decode("utf-8")))
+        return mapping_torus_presentation(data), f"monodromy:{hashlib.sha256(content).hexdigest()}"
+    else:
+        raise ValueError(f"unknown source kind {config.source_kind!r}")
+    return kp, f"{config.source_kind}:{config.source}"
 
 
 def _suite_fingerprint(spec: str) -> str:
@@ -148,21 +151,21 @@ def _suite_fingerprint(spec: str) -> str:
     return f"file:{hashlib.sha256(content).hexdigest()}"
 
 
-def _cache_key(config: RunConfig, p: int, construction: str) -> str:
-    payload = json.dumps(
-        {
-            "schema_version": SCHEMA_VERSION,
-            "version": __version__,
-            "source": _source_fingerprint(config),
-            "p": p,
-            "q": config.q,
-            "suite": _suite_fingerprint(config.targets),
-            "budget": config.budget,
-            "construction": construction,
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode()).hexdigest()
+def _cache_keys(config: RunConfig, source: str, p_values: Sequence[int]) -> list[str]:
+    """The cache entry name of each slope's spectrum, in the order of p_values."""
+    fields = {
+        "schema_version": SCHEMA_VERSION,
+        "version": __version__,
+        "source": source,
+        "q": config.q,
+        "suite": _suite_fingerprint(config.targets),
+        "budget": config.budget,
+        "construction": "double",  # fixed, so existing cache entries keep their names
+    }
+    return [
+        hashlib.sha256(json.dumps(dict(fields, p=p), sort_keys=True).encode()).hexdigest()
+        for p in p_values
+    ]
 
 
 def pool_size(requested: int, pending: int, cpus: int | None) -> int:
@@ -189,47 +192,35 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(temporary, path)
 
 
-def _spectrum_task(payload: tuple[dict, str, int]) -> list[list]:
+def _spectrum_task(payload: tuple[dict, str, int]) -> HomSpectrum:
     presentation_json, suite_spec, budget = payload
-    presentation = presentation_from_json(presentation_json)
-    simplified = tietze_simplify(presentation, budget)
-    suite = resolve_suite(suite_spec)
-    return [[t.name, count_homomorphisms(simplified, t)] for t in suite]
+    simplified = tietze_simplify(presentation_from_json(presentation_json), budget)
+    return hom_spectrum(simplified, resolve_suite(suite_spec))
 
 
 def compute_spectra(
     presentations: list[Presentation],
     config: RunConfig,
-    cache_tags: list[tuple[int, str]] | None = None,
+    keys: list[str],
 ) -> tuple[list[HomSpectrum], int]:
-    """Spectra in input order, using the file cache when enabled.
+    """Spectra in input order, through the file cache under out_dir when enabled.
 
-    cache_tags supplies (p, construction) per presentation; without it no
-    caching happens.  An entry that is unreadable, or whose schema or target
-    names do not match, counts as a miss and is recomputed.  Returns
-    (spectra, number of cache hits).
+    keys[i] names the cache entry of presentations[i].  An entry that is
+    unreadable, or whose schema or target names do not match, counts as a
+    miss and is recomputed.  Returns (spectra, number of cache hits).
     """
-    cache_dir = None
-    if config.cache and config.out_dir is not None and cache_tags is not None:
+    spectra: list[HomSpectrum | None] = [None] * len(presentations)
+    if config.cache:
         cache_dir = config.out_dir / ".cache"
         cache_dir.mkdir(parents=True, exist_ok=True)
         names = suite_names(config.targets)
-    results: dict[int, HomSpectrum] = {}
-    hits = 0
-    pending: list[tuple[int, Presentation]] = []
-    for i, presentation in enumerate(presentations):
-        if cache_dir is not None:
-            key = _cache_key(config, cache_tags[i][0], cache_tags[i][1])
-            cached = _read_cache_entry(cache_dir / f"{key}.json", names)
-            if cached is not None:
-                results[i] = cached
-                hits += 1
-                continue
-        pending.append((i, presentation))
+        paths = [cache_dir / f"{key}.json" for key in keys]
+        spectra = [_read_cache_entry(path, names) for path in paths]
+    pending = [i for i, spectrum in enumerate(spectra) if spectrum is None]
     if pending:
         tasks = [
-            (presentation_to_json(p), config.targets, config.budget)
-            for _, p in pending
+            (presentation_to_json(presentations[i]), config.targets, config.budget)
+            for i in pending
         ]
         workers = pool_size(config.workers, len(pending), os.cpu_count())
         if workers > 1:
@@ -237,32 +228,31 @@ def compute_spectra(
                 outcomes = list(pool.map(_spectrum_task, tasks))
         else:
             outcomes = [_spectrum_task(task) for task in tasks]
-        for (i, _), counts in zip(pending, outcomes):
-            spectrum = HomSpectrum(tuple((name, int(c)) for name, c in counts))
-            results[i] = spectrum
-            if cache_dir is not None:
-                key = _cache_key(config, cache_tags[i][0], cache_tags[i][1])
+        for i, spectrum in zip(pending, outcomes):
+            spectra[i] = spectrum
+            if config.cache:
                 payload = {"schema_version": SCHEMA_VERSION, "counts": list(spectrum.entries)}
-                _write_atomic(cache_dir / f"{key}.json", json.dumps(payload, indent=2) + "\n")
-    return [results[i] for i in range(len(presentations))], hits
+                _write_atomic(paths[i], json.dumps(payload, indent=2) + "\n")
+    return spectra, len(presentations) - len(pending)
 
 
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _write_meta(out_dir: Path, started: float, extra: dict) -> None:
-    meta = {
-        "schema_version": SCHEMA_VERSION,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "elapsed_ms": int((time.time() - started) * 1000),
-    }
-    meta.update(extra)
-    _write_json(out_dir / "run_meta.json", meta)
+def _slopes(config: RunConfig) -> Iterator[SurgerySlope]:
+    """The config's slopes in order; prints a skip line for each p not coprime to q."""
+    for p in config.p_values:
+        try:
+            slope = SurgerySlope(p, config.q)
+        except KnotSurgeryError:
+            print(f"skip p={p}: gcd(p, {config.q}) != 1")
+            continue
+        yield slope
 
 
 def cmd_knot(config: RunConfig) -> int:
-    kp = load_knot(config)
+    kp, _ = load_knot(config)
     suite = resolve_suite(config.targets)
     print(f"knot: {config.source_kind} {config.source}")
     print(f"group: {kp.group}")
@@ -270,7 +260,8 @@ def cmd_knot(config: RunConfig) -> int:
     print(f"longitude: {kp.group.word_str(kp.longitude)}")
     if kp.genus_hint is not None:
         print(f"genus hint: {kp.genus_hint}")
-    print(f"abelianization: {abelianization(kp.group)}")
+    invariants = abelianization(kp.group)
+    print(f"abelianization: {invariants}")
     report = validate_peripheral(kp, suite, config.budget)
     print("peripheral checks:")
     for line in report.format().splitlines():
@@ -289,7 +280,7 @@ def cmd_knot(config: RunConfig) -> int:
                 "meridian": word_to_json(kp.meridian, names),
                 "longitude": word_to_json(kp.longitude, names),
                 "genus_hint": kp.genus_hint,
-                "abelianization": str(abelianization(kp.group)),
+                "abelianization": str(invariants),
                 "alexander": str(alexander),
                 "peripheral_ok": report.ok,
             },
@@ -301,7 +292,7 @@ def cmd_family(config: RunConfig) -> int:
     started = time.time()
     if config.out_dir is None:
         raise ValueError("family requires --out")
-    kp = load_knot(config)
+    kp, source = load_knot(config)
     family = build_family(kp, config.q, config.p_values)
     for p in family.skipped:
         print(f"skip p={p}: gcd(p, {config.q}) != 1")
@@ -311,8 +302,8 @@ def cmd_family(config: RunConfig) -> int:
 
     labels = [f"p={m.slope.p}" for m in family.members]
     presentations = [m.presentation for m in family.members]
-    tags = [(m.slope.p, "double") for m in family.members]
-    spectra, hits = compute_spectra(presentations, config, tags)
+    keys = _cache_keys(config, source, [m.slope.p for m in family.members])
+    spectra, hits = compute_spectra(presentations, config, keys)
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -331,12 +322,18 @@ def cmd_family(config: RunConfig) -> int:
     report = distinguish_report(list(zip(labels, spectra)))
     (config.out_dir / "distinguish_report.txt").write_text(report.format() + "\n", encoding="utf-8")
     print(report.format())
-    _write_meta(config.out_dir, started, {"cache_hits": hits})
+    meta = {
+        "schema_version": SCHEMA_VERSION,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "elapsed_ms": int((time.time() - started) * 1000),
+        "cache_hits": hits,
+    }
+    _write_json(config.out_dir / "run_meta.json", meta)
     return 0 if report.all_distinguished else 3
 
 
 def cmd_verify(config: RunConfig) -> int:
-    kp = load_knot(config)
+    kp, _ = load_knot(config)
     suite = resolve_suite(config.targets)
     peripheral = validate_peripheral(kp, suite, config.budget)
     if not peripheral.ok:
@@ -346,27 +343,16 @@ def cmd_verify(config: RunConfig) -> int:
         return 1
     lines = []
     all_ok = True
-    for p in config.p_values:
-        try:
-            slope = SurgerySlope(p, config.q)
-        except KnotSurgeryError:
-            print(f"skip p={p}: gcd(p, {config.q}) != 1")
-            continue
+    for slope in _slopes(config):
         surgery = tietze_simplify(dehn_surgery_group(kp, slope), config.budget)
         half = tietze_simplify(half_complement_group(kp, slope), config.budget)
         ab_surgery = abelianization(surgery)
         ab_half = abelianization(half)
-        ab_ok = ab_surgery == ab_half
-        spectra_ok = True
-        for target in suite:
-            if count_homomorphisms(surgery, target) != count_homomorphisms(half, target):
-                spectra_ok = False
-                break
-        ok = ab_ok and spectra_ok
+        ok = ab_surgery == ab_half and hom_spectrum(surgery, suite) == hom_spectrum(half, suite)
         all_ok = all_ok and ok
         status = "PASS" if ok else "FAIL"
         detail = f"H1 {ab_surgery} vs {ab_half}, spectra over {len(suite)} targets"
-        line = f"p={p} q={config.q}: {detail}: {status}"
+        line = f"p={slope.p} q={config.q}: {detail}: {status}"
         lines.append(line)
         print(line)
     if config.out_dir is not None:
@@ -378,27 +364,21 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_export(config: RunConfig) -> int:
     if config.out_dir is None:
         raise ValueError("export requires --out")
-    kp = load_knot(config)
+    kp, _ = load_knot(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    builders = {
-        "surgery": dehn_surgery_group,
-        "half": half_complement_group,
-        "double": double_complement_group,
-    }
     if config.construction == "knot":
         path = config.out_dir / "knot_group.g"
         path.write_text(to_free_group_script(kp.group), encoding="utf-8")
         print(f"wrote {path}")
         return 0
-    builder = builders[config.construction]
-    for p in config.p_values:
-        try:
-            slope = SurgerySlope(p, config.q)
-        except KnotSurgeryError:
-            print(f"skip p={p}: gcd(p, {config.q}) != 1")
-            continue
+    builder = {
+        "surgery": dehn_surgery_group,
+        "half": half_complement_group,
+        "double": double_complement_group,
+    }[config.construction]
+    for slope in _slopes(config):
         presentation = builder(kp, slope)
-        path = config.out_dir / f"{config.construction}_q{config.q}_p{p}.g"
+        path = config.out_dir / f"{config.construction}_q{config.q}_p{slope.p}.g"
         path.write_text(to_free_group_script(presentation), encoding="utf-8")
         print(f"wrote {path}")
     return 0
@@ -451,7 +431,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ValueError(f"q must be >= 1, got {q}")
     if q > MAX_Q:
         raise KnotSurgeryError(f"q must be <= {MAX_Q}, got {q}")
-    workers = int(os.environ.get(WORKERS_ENV, "1"))
     return RunConfig(
         source_kind=kind,
         source=source,
@@ -461,7 +440,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         out_dir=args.out,
         cache=not args.no_cache,
         budget=args.budget,
-        workers=max(1, workers),
+        workers=int(os.environ.get(WORKERS_ENV, "1")),
         construction=getattr(args, "construction", "surgery"),
     )
 

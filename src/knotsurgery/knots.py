@@ -10,7 +10,6 @@ invariants is the main cross-check of both.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -210,10 +209,6 @@ def read_monodromy_file(path: str | Path) -> bytes:
     return Path(path).read_bytes()
 
 
-def load_fibered_knot(path: str | Path) -> FiberedKnotData:
-    return fibered_knot_from_json(json.loads(read_monodromy_file(path).decode("utf-8")))
-
-
 TREFOIL_MONODROMY = FiberedKnotData(
     genus=1,
     forward=(
@@ -302,12 +297,9 @@ class PeripheralReport:
         return "\n".join(lines)
 
 
-def _lattices_match(base: Sequence[Sequence[int]], extra_row: Sequence[int]) -> bool:
+def _lattices_match(base: list[list[int]], extra_row: list[int]) -> bool:
     """True iff extra_row already lies in the integer row span of base."""
-    stacked = [list(row) for row in base] + [list(extra_row)]
-    a = smith_normal_form([row for row in base if any(row)] or [[0] * len(extra_row)])
-    b = smith_normal_form(stacked)
-    return a.rank == b.rank and a.factors == b.factors
+    return smith_normal_form(base).factors == smith_normal_form(base + [extra_row]).factors
 
 
 def validate_peripheral(
@@ -324,39 +316,41 @@ def validate_peripheral(
        conjugacy class of the first image is tried once: commutation is
        invariant under simultaneous conjugation, so this is exact, and the
        class size still counts every homomorphism in the reported total.
+       The search runs only when check 1 passes.  Otherwise the check is
+       reported failed without it: a group whose H1 is larger than Z can
+       have hundreds of millions of homomorphisms into the targets.
     """
     n = len(kp.group.generators)
     checks = []
 
+    rows = relation_matrix(kp.group)
     invariants = abelianization(kp.group)
     meridian_generates = False
     if invariants.is_infinite_cyclic:
-        rows = relation_matrix(kp.group)
-        stacked = rows + [list(kp.meridian.exponent_vector(n))]
-        snf = smith_normal_form(stacked)
+        snf = smith_normal_form(rows + [list(kp.meridian.exponent_vector(n))])
         meridian_generates = snf.rank == n and all(d == 1 for d in snf.factors)
+    knot_group = invariants.is_infinite_cyclic and meridian_generates
     checks.append(
         PeripheralCheck(
             "abelianization-is-Z",
-            invariants.is_infinite_cyclic and meridian_generates,
+            knot_group,
             f"H1 = {invariants}, meridian generates: {meridian_generates}",
         )
     )
 
-    rows = relation_matrix(kp.group)
     longitude_vector = list(kp.longitude.exponent_vector(n))
-    nullhomologous = (
-        not any(longitude_vector)
-        if not rows
-        else _lattices_match(rows, longitude_vector)
-    )
     checks.append(
         PeripheralCheck(
             "longitude-nullhomologous",
-            nullhomologous,
+            _lattices_match(rows, longitude_vector),
             f"longitude exponent vector {tuple(longitude_vector)}",
         )
     )
+    if not knot_group:
+        checks.append(
+            PeripheralCheck("peripheral-commutation", False, "not run: abelianization-is-Z failed")
+        )
+        return PeripheralReport(tuple(checks))
 
     simplified, (meridian, longitude) = tietze_simplify_tracked(
         kp.group, (kp.meridian, kp.longitude), budget

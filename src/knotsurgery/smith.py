@@ -190,7 +190,5 @@ def relation_matrix(p: Presentation) -> list[list[int]]:
 def abelianization(p: Presentation) -> AbelianInvariants:
     """Invariant factors of the abelianized presentation via Smith normal form."""
     n = len(p.generators)
-    if not p.relators:
-        return AbelianInvariants((), n)
     snf = smith_normal_form(relation_matrix(p))
     return AbelianInvariants(snf.cokernel_torsion, n - snf.rank)

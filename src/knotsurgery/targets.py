@@ -258,14 +258,37 @@ def standard_suite() -> tuple[FiniteTarget, ...]:
     )
 
 
-def suite_from_json(data: Sequence[dict], cap: int = DEFAULT_CLOSURE_CAP) -> tuple[FiniteTarget, ...]:
+def _checked_entries(data) -> list[dict]:
+    """The entries of a target-suite document, refused unless each has the right shape.
+
+    A suite is a list of objects, each with a ``name`` string, an integer
+    ``degree`` and a list of ``generators`` strings in cycle notation.
+    """
+    if not isinstance(data, list):
+        raise KnotSurgeryError("a target suite must be a list of target objects")
+    for i, entry in enumerate(data):
+        if not (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and type(entry.get("degree")) is int
+            and isinstance(entry.get("generators"), list)
+            and all(isinstance(text, str) for text in entry["generators"])
+        ):
+            raise KnotSurgeryError(
+                f"target-suite entry {i} needs a 'name' string, an integer 'degree'"
+                " and a list of 'generators' strings"
+            )
+    return data
+
+
+def suite_from_json(data: list[dict], cap: int = DEFAULT_CLOSURE_CAP) -> tuple[FiniteTarget, ...]:
     out = []
-    for entry in data:
-        degree = int(entry["degree"])
+    for entry in _checked_entries(data):
+        degree = entry["degree"]
         if degree > MAX_TARGET_DEGREE:
             raise KnotSurgeryError(f"target degree {degree} is past the limit {MAX_TARGET_DEGREE}")
         gens = [parse_cycles(text, degree) for text in entry["generators"]]
-        out.append(close_target(str(entry["name"]), gens, degree=degree, cap=cap))
+        out.append(close_target(entry["name"], gens, degree=degree, cap=cap))
     return tuple(out)
 
 
@@ -305,9 +328,9 @@ def suite_names(spec: str) -> tuple[str, ...]:
     if spec == "standard":
         return tuple(t.name for t in standard_suite())
     if spec == "extended":
-        return suite_names("standard") + tuple(str(e["name"]) for e in _escalation_entries())
+        return suite_names("standard") + tuple(e["name"] for e in _escalation_entries())
     with open(spec, encoding="utf-8") as fh:
-        return tuple(str(e["name"]) for e in json.load(fh))
+        return tuple(e["name"] for e in _checked_entries(json.load(fh)))
 
 
 def resolve_suite(spec: str) -> tuple[FiniteTarget, ...]:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -332,6 +333,39 @@ def test_bad_monodromy_files_exit_2(capsys, tmp_path):
     code, _, err = run(["knot", "--monodromy", str(big)], capsys)
     assert code == 2
     assert "bytes" in err
+
+
+def test_malformed_suite_files_exit_2(capsys, tmp_path):
+    shapes = {
+        "entry without a name": [{"degree": 2, "generators": ["(1 2)"]}],
+        "top-level object": {"name": "C2", "degree": 2, "generators": ["(1 2)"]},
+        "non-object entry": [["C2", 2, ["(1 2)"]]],
+    }
+    for i, (shape, payload) in enumerate(shapes.items()):
+        path = tmp_path / f"{i}.json"
+        path.write_text(json.dumps(payload))
+        for command in (["knot"], ["family", "--out", str(tmp_path / str(i))]):
+            code, _, err = run(command + ["--builtin", "fig8", "--targets", str(path)], capsys)
+            assert code == 2, (shape, command)
+            assert err.startswith("error:") and "target" in err, (shape, command)
+
+
+def test_family_reads_the_monodromy_file_once(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "fig8.json"
+    path.write_text(json.dumps(fibered_knot_to_json(builtin_monodromy("fig8"))))
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counting_read_bytes(self):
+        reads.append(self)
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    argv = ["family", "--monodromy", str(path), "--p=-3..3", "--out", str(tmp_path / "out")]
+    for _ in range(2):  # cold, then warm
+        reads.clear()
+        assert run(argv, capsys)[0] == 3
+        assert reads == [path]
 
 
 def test_knot_from_monodromy_file(capsys, tmp_path):

@@ -12,8 +12,8 @@ from knotsurgery import (
     builtin_knot,
     builtin_monodromy,
     count_homomorphisms,
-    load_fibered_knot,
     mapping_torus_presentation,
+    standard_suite,
     symmetric,
     tietze_simplify,
     validate_peripheral,
@@ -25,6 +25,7 @@ from knotsurgery.knots import (
     certify_monodromy,
     fibered_knot_from_json,
     fibered_knot_to_json,
+    read_monodromy_file,
 )
 
 a = Word.generator(0)
@@ -120,18 +121,35 @@ def test_identity_monodromy_fails_peripheral_validation():
     assert "abelianization-is-Z" in {check.name for check in report.failures}
 
 
+def test_commutation_check_skipped_on_non_knot_groups():
+    # genus 2 identity: H1 = Z^5; a search over its 221089730 homomorphisms
+    # into the standard suite takes about 25 s
+    generators = tuple(Word.generator(i) for i in range(4))
+    identity = FiberedKnotData(genus=2, forward=generators, backward=generators)
+    report = validate_peripheral(mapping_torus_presentation(identity), standard_suite())
+    assert report.format().splitlines() == [
+        "abelianization-is-Z: FAIL (H1 = Z^5, meridian generates: False)",
+        "longitude-nullhomologous: PASS (longitude exponent vector (0, 0, 0, 0, 0))",
+        "peripheral-commutation: FAIL (not run: abelianization-is-Z failed)",
+    ]
+
+
 def test_fibered_json_round_trip(tmp_path):
     data = builtin_monodromy("fig8")
     payload = fibered_knot_to_json(data)
     assert fibered_knot_from_json(payload) == data
+
+    def load(path):
+        return fibered_knot_from_json(json.loads(read_monodromy_file(path).decode("utf-8")))
+
     path = tmp_path / "fig8.json"
     path.write_text(json.dumps(payload))
-    assert load_fibered_knot(path) == data
+    assert load(path) == data
     path.write_text(json.dumps(payload).ljust(MAX_MONODROMY_BYTES))
-    assert load_fibered_knot(path) == data
+    assert load(path) == data
     path.write_text(json.dumps(payload).ljust(MAX_MONODROMY_BYTES + 1))
     with pytest.raises(InvalidMonodromyError):
-        load_fibered_knot(path)
+        read_monodromy_file(path)
 
 
 def test_fibered_json_errors():
