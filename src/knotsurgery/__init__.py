@@ -52,7 +52,6 @@ from .homcount import (
     DistinguishReport,
     HomSpectrum,
     count_homomorphisms,
-    count_homomorphisms_split,
     distinguish_report,
     escalate,
     hom_spectrum,

@@ -266,6 +266,9 @@ def cmd_knot(config: RunConfig) -> int:
     print("peripheral checks:")
     for line in report.format().splitlines():
         print(f"  {line}")
+    if not report.ok:
+        # the Alexander polynomial below is defined only for a knot group
+        return 1
     alexander = fox_alexander(kp)
     print(f"alexander: {alexander}")
     if config.out_dir is not None:
@@ -285,7 +288,7 @@ def cmd_knot(config: RunConfig) -> int:
                 "peripheral_ok": report.ok,
             },
         )
-    return 0 if report.ok else 1
+    return 0
 
 
 def cmd_family(config: RunConfig) -> int:

@@ -312,10 +312,11 @@ def validate_peripheral(
     1. The abelianization is infinite cyclic and the meridian generates it.
     2. The longitude is nullhomologous (0-framed).
     3. Meridian and longitude images commute under every homomorphism into
-       every given target (enumerated on a Tietze-simplified copy).  Each
-       conjugacy class of the first image is tried once: commutation is
-       invariant under simultaneous conjugation, so this is exact, and the
-       class size still counts every homomorphism in the reported total.
+       every given target (enumerated on a Tietze-simplified copy).  The
+       search tries one homomorphism per conjugation orbit of its first two
+       images: commutation is invariant under simultaneous conjugation, so
+       this is exact, and the orbit weights still count every homomorphism
+       in the reported total.
        The search runs only when check 1 passes.  Otherwise the check is
        reported failed without it: a group whose H1 is larger than Z can
        have hundreds of millions of homomorphisms into the targets.

@@ -139,6 +139,42 @@ class FiniteTarget:
             classes.append((rep, len(orbit)))
         return tuple(classes)
 
+    @cached_property
+    def _centralizer_orbit_cache(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        return {}
+
+    def centralizer_orbits(self, c: int) -> tuple[tuple[int, int], ...]:
+        """(representative, orbit size) per orbit of H under conjugation by C_H(c).
+
+        Each orbit is listed under its smallest element index, so for a
+        central c (the identity included) these are ``conjugacy_classes``.
+        Otherwise each orbit is the set {z x z^-1 : z in C_H(c)}, which costs
+        sum over z in C_H(c) of |C_H(z)| lookups by Burnside's lemma.  The
+        result is cached on this target, per c, on first use.
+        """
+        cache = self._centralizer_orbit_cache
+        if c in cache:
+            return cache[c]
+        mult, inverse = self.mult, self.inverse
+        row_c = mult[c]
+        centralizer = [z for z in range(self.order) if mult[z][c] == row_c[z]]
+        if len(centralizer) == self.order:
+            orbits = self.conjugacy_classes
+        else:
+            conjugators = [(mult[z], inverse[z]) for z in centralizer]
+            seen = bytearray(self.order)
+            found = []
+            for rep in range(self.order):
+                if seen[rep]:
+                    continue
+                orbit = {mult[row[rep]][z_inv] for row, z_inv in conjugators}
+                for x in orbit:
+                    seen[x] = 1
+                found.append((rep, len(orbit)))
+            orbits = tuple(found)
+        cache[c] = orbits
+        return orbits
+
     def __repr__(self) -> str:
         return f"FiniteTarget({self.name}, order={self.order})"
 

@@ -9,6 +9,7 @@ from knotsurgery import (
     Word,
     abelianization,
     parse_braid,
+    standard_suite,
     tietze_simplify,
     validate_peripheral,
     wirtinger_from_braid,
@@ -58,6 +59,16 @@ def test_braid_limits():
         parse_braid(f"n={MAX_BRAID_LENGTH + 2};")
     with pytest.raises(BraidSyntaxError):
         parse_braid(f"{MAX_BRAID_LENGTH + 1}")
+
+
+def test_peripheral_validation_of_the_long_alternating_braid():
+    # (1 -2)^7: its Tietze-reduced relators are hundreds of letters long, and
+    # a search that walks them letter by letter takes seconds.  6980 is the
+    # total such a search reports.
+    kp = wirtinger_from_braid(parse_braid(" ".join(["1 -2"] * 7)))
+    report = validate_peripheral(kp, standard_suite())
+    assert report.ok, report.format()
+    assert report.checks[-1].detail == "6980 homomorphisms over 12 targets"
 
 
 def test_braidword_invariants_enforced():

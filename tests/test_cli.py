@@ -5,7 +5,20 @@ from pathlib import Path
 
 import pytest
 
-from knotsurgery import KnotSurgeryError, builtin_knot, cli, fpgroup, homcount, surgery
+import knotsurgery
+from knotsurgery import (
+    KnotSurgeryError,
+    alexander,
+    braids,
+    builtin_knot,
+    cli,
+    fpgroup,
+    homcount,
+    knots,
+    smith,
+    surgery,
+    targets,
+)
 from knotsurgery.cli import MAX_P_VALUES, main, parse_p_spec, pool_size
 from knotsurgery.knots import (
     MAX_GENUS,
@@ -389,6 +402,33 @@ def test_names_the_benchmark_binds_exist():
         (surgery, "double_complement_group"),
         (homcount, "iter_homomorphisms"),
         (fpgroup, "tietze_simplify_tracked"),
+        (homcount, "count_homomorphisms"),
+        (knots, "validate_peripheral"),
+        (smith, "abelianization"),
+        (alexander, "fox_alexander"),
+        (braids, "wirtinger_from_braid"),
+        (surgery, "build_family"),
+        (surgery, "dehn_surgery_group"),
+        (surgery, "half_complement_group"),
+        (cli, "cmd_family"),
+        (cli, "cmd_verify"),
+        (cli, "cmd_export"),
+        (cli, "cmd_knot"),
+        (cli, "main"),
+        (targets, "close_target"),
+        (targets, "standard_suite"),
+        (targets, "escalation_suite"),
+        (knots, "fibered_knot_to_json"),
+    ]
+    # and these through the package itself
+    pinned += [
+        (knotsurgery, name)
+        for name in (
+            "BraidWord", "SurgerySlope", "abelianization", "build_family", "builtin_knot",
+            "builtin_monodromy", "dehn_surgery_group", "fox_alexander",
+            "half_complement_group", "hom_spectrum", "standard_suite", "tietze_simplify",
+            "validate_peripheral", "wirtinger_from_braid",
+        )
     ]
     for module, name in pinned:
         assert hasattr(module, name), f"{module.__name__}.{name}"

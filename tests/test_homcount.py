@@ -9,7 +9,6 @@ from knotsurgery import (
     Word,
     alternating,
     count_homomorphisms,
-    count_homomorphisms_split,
     cyclic,
     dihedral,
     distinguish_report,
@@ -91,10 +90,34 @@ def test_evaluate_word():
         assert evaluate_word(word.letters, [i, j], s3) == expected
 
 
+def per_class_total(p, target):
+    """Sum of the independent branches, one per conjugacy class of the first image."""
+    return sum(
+        sum(weight for _, weight in weighted_homomorphisms(p, target, (branch,), False))
+        for branch in target.conjugacy_classes
+    )
+
+
 def test_split_evaluation_matches_sequential():
     p = pres(["x", "y"], "x y x y^-1 x^-1 y^-1", "x^5 y^-3")
     for target in (symmetric(3), symmetric(4), cyclic(6)):
-        assert count_homomorphisms_split(p, target) == count_homomorphisms(p, target)
+        assert per_class_total(p, target) == count_homomorphisms(p, target)
+
+
+def test_fresh_targets_get_fresh_orbit_caches():
+    # targets of different orders are built and dropped in turn, so a new
+    # target soon reuses the id of a dropped one; orbits cached by id would
+    # then be served stale
+    trefoil = pres(["x", "y"], "x y x y^-1 x^-1 y^-1")
+    builders = (symmetric, cyclic, dihedral, alternating)
+    expected = {}
+    for round_ in range(40):
+        for build in builders:
+            target = build(4 + round_ % 2)
+            if target.name not in expected:
+                expected[target.name] = naive_hom_count(trefoil, target)
+            assert count_homomorphisms(trefoil, target) == expected[target.name]
+            del target
 
 
 small_presentations = st.builds(
@@ -139,11 +162,25 @@ def test_matches_naive_enumeration(p, name):
     target = ORACLE_TARGETS[name]
     count = count_homomorphisms(p, target)
     assert count == naive_hom_count(p, target)
-    # the class-reduced weights, the full enumeration and the per-class
-    # branches all account for the same homomorphisms
-    assert sum(w for _, w in weighted_homomorphisms(p, target)) == count
-    assert len(list(iter_homomorphisms(p, target))) == count
-    assert count_homomorphisms_split(p, target) == count
+    # the reduced weights, the full enumeration and the per-class branches
+    # all account for the same homomorphisms, and every yielded assignment
+    # satisfies every relator
+    def satisfied(images):
+        return all(
+            evaluate_word(r.letters, images, target) == target.identity_index for r in p.relators
+        )
+
+    weighted = 0
+    for images, weight in weighted_homomorphisms(p, target):
+        assert satisfied(images)
+        weighted += weight
+    assert weighted == count
+    enumerated = 0
+    for images in iter_homomorphisms(p, target):
+        assert satisfied(images)
+        enumerated += 1
+    assert enumerated == count
+    assert per_class_total(p, target) == count
 
 
 @settings(max_examples=30)

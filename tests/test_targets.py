@@ -189,3 +189,32 @@ def test_conjugacy_classes_of_abelian_and_trivial_groups():
     assert cyclic(6).conjugacy_classes == tuple((i, 1) for i in range(6))
     trivial = close_target("trivial", [], degree=3)
     assert trivial.conjugacy_classes == ((0, 1),)
+
+
+ORBIT_CASES = [
+    "C2", "C3", "C4", "C5", "C6", "S3", "S4", "S5", "A4", "A5", "D4", "D5", "PSL2_7",
+]
+
+
+@pytest.mark.parametrize("name", ORBIT_CASES)
+def test_centralizer_orbits_partition_the_group(name):
+    target = {t.name: t for t in standard_suite() + escalation_suite()}[name]
+    index = {p: i for i, p in enumerate(target.elements)}
+    for c, _ in target.conjugacy_classes:
+        # the centralizer and its orbits by composing permutations, not
+        # through the tables
+        a = target.elements[c]
+        centralizer = [z for z in target.elements if compose(z, a) == compose(a, z)]
+        orbits = target.centralizer_orbits(c)
+        assert sum(size for _, size in orbits) == target.order
+        covered: set[int] = set()
+        for rep, size in orbits:
+            x = target.elements[rep]
+            members = {index[compose(compose(z, x), invert_perm(z))] for z in centralizer}
+            assert len(members) == size
+            assert min(members) == rep
+            assert not members & covered
+            covered |= members
+        assert covered == set(range(target.order))
+        if c == target.identity_index:
+            assert orbits == target.conjugacy_classes
