@@ -14,7 +14,6 @@ from .errors import (
     UnknownGeneratorError,
 )
 from .fpgroup import (
-    GeneratorSymbol,
     Presentation,
     Word,
     apply_mapping,

@@ -25,7 +25,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import BraidSyntaxError, IndexOutOfRangeError, NotAKnotError
-from .fpgroup import GeneratorSymbol, Presentation, Word, word_power, _inverse_letters, _reduced
+from .fpgroup import Presentation, Word, word_power, _inverse_letters, _reduced
 from .knots import KnotPresentation
 
 _HEADER = re.compile(r"^\s*n\s*=\s*(\d+)\s*;")
@@ -171,7 +171,7 @@ def wirtinger_from_braid(braid: BraidWord) -> KnotPresentation:
             break
     longitude = Word(acc) * word_power(Word.generator(0), -braid.writhe)
 
-    gens = tuple(GeneratorSymbol(f"x{i + 1}", i) for i in range(n))
+    gens = tuple(f"x{i + 1}" for i in range(n))
     group = Presentation(gens, tuple(relators))
     return KnotPresentation(
         group=group,

@@ -9,7 +9,7 @@ Exit codes: 0 success / all pairs distinguished, 1 verification failure,
 
 Primary outputs are byte-deterministic for a fixed config; wall-clock
 metadata goes to a run_meta.json sidecar.  Spectra are cached by content
-hash of (package version, knot source, slope, suite, budget) under
+hash of (package version, knot source, slope, suite) under
 <out>/.cache.
 """
 
@@ -30,7 +30,7 @@ from typing import Iterator, Sequence
 from . import __version__
 from .alexander import fox_alexander
 from .braids import parse_braid, wirtinger_from_braid
-from .errors import ClosureCapExceededError, KnotSurgeryError
+from .errors import ClosureCapExceededError, InvalidMonodromyError, KnotSurgeryError
 from .fpgroup import (
     Presentation,
     presentation_from_json,
@@ -77,7 +77,6 @@ class RunConfig:
     targets: str = "standard"
     out_dir: Path | None = None
     cache: bool = True
-    budget: int = 10_000
     workers: int = 1
     construction: str = "surgery"
 
@@ -137,7 +136,11 @@ def load_knot(config: RunConfig) -> tuple[KnotPresentation, str]:
             raise KnotSurgeryError(str(exc)) from None
     elif config.source_kind == "monodromy":
         content = read_monodromy_file(config.source)
-        data = fibered_knot_from_json(json.loads(content.decode("utf-8")))
+        try:
+            payload = json.loads(content.decode("utf-8"))
+        except RecursionError:
+            raise InvalidMonodromyError("monodromy file is nested too deeply") from None
+        data = fibered_knot_from_json(payload)
         return mapping_torus_presentation(data), f"monodromy:{hashlib.sha256(content).hexdigest()}"
     else:
         raise ValueError(f"unknown source kind {config.source_kind!r}")
@@ -159,8 +162,10 @@ def _cache_keys(config: RunConfig, source: str, p_values: Sequence[int]) -> list
         "source": source,
         "q": config.q,
         "suite": _suite_fingerprint(config.targets),
-        "budget": config.budget,
-        "construction": "double",  # fixed, so existing cache entries keep their names
+        # both fixed, so existing cache entries keep their names; the Tietze
+        # step limit this field once named never bound (see tietze_simplify_tracked)
+        "budget": 10_000,
+        "construction": "double",
     }
     return [
         hashlib.sha256(json.dumps(dict(fields, p=p), sort_keys=True).encode()).hexdigest()
@@ -180,7 +185,7 @@ def _read_cache_entry(path: Path, names: tuple[str, ...]) -> HomSpectrum | None:
         if data["schema_version"] != SCHEMA_VERSION:
             return None
         spectrum = HomSpectrum(tuple((str(name), int(count)) for name, count in data["counts"]))
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return None
     return spectrum if spectrum.target_names == names else None
 
@@ -192,9 +197,9 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(temporary, path)
 
 
-def _spectrum_task(payload: tuple[dict, str, int]) -> HomSpectrum:
-    presentation_json, suite_spec, budget = payload
-    simplified = tietze_simplify(presentation_from_json(presentation_json), budget)
+def _spectrum_task(payload: tuple[dict, str]) -> HomSpectrum:
+    presentation_json, suite_spec = payload
+    simplified = tietze_simplify(presentation_from_json(presentation_json))
     return hom_spectrum(simplified, resolve_suite(suite_spec))
 
 
@@ -218,10 +223,7 @@ def compute_spectra(
         spectra = [_read_cache_entry(path, names) for path in paths]
     pending = [i for i, spectrum in enumerate(spectra) if spectrum is None]
     if pending:
-        tasks = [
-            (presentation_to_json(presentations[i]), config.targets, config.budget)
-            for i in pending
-        ]
+        tasks = [(presentation_to_json(presentations[i]), config.targets) for i in pending]
         workers = pool_size(config.workers, len(pending), os.cpu_count())
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -241,14 +243,21 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _slopes(config: RunConfig) -> Iterator[SurgerySlope]:
-    """The config's slopes in order; prints a skip line for each p not coprime to q."""
+    """The config's slopes in order; prints a skip line for each p not coprime to q.
+
+    Raises ValueError once the p values are exhausted if every one was skipped.
+    """
+    kept = 0
     for p in config.p_values:
         try:
             slope = SurgerySlope(p, config.q)
         except KnotSurgeryError:
             print(f"skip p={p}: gcd(p, {config.q}) != 1")
             continue
+        kept += 1
         yield slope
+    if not kept:
+        raise ValueError("no slope left after gcd filter")
 
 
 def cmd_knot(config: RunConfig) -> int:
@@ -262,7 +271,7 @@ def cmd_knot(config: RunConfig) -> int:
         print(f"genus hint: {kp.genus_hint}")
     invariants = abelianization(kp.group)
     print(f"abelianization: {invariants}")
-    report = validate_peripheral(kp, suite, config.budget)
+    report = validate_peripheral(kp, suite)
     print("peripheral checks:")
     for line in report.format().splitlines():
         print(f"  {line}")
@@ -273,7 +282,7 @@ def cmd_knot(config: RunConfig) -> int:
     print(f"alexander: {alexander}")
     if config.out_dir is not None:
         config.out_dir.mkdir(parents=True, exist_ok=True)
-        names = kp.group.names
+        names = kp.group.generators
         _write_json(
             config.out_dir / "knot.json",
             {
@@ -338,7 +347,7 @@ def cmd_family(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig) -> int:
     kp, _ = load_knot(config)
     suite = resolve_suite(config.targets)
-    peripheral = validate_peripheral(kp, suite, config.budget)
+    peripheral = validate_peripheral(kp, suite)
     if not peripheral.ok:
         print("peripheral validation FAILED:")
         for line in peripheral.format().splitlines():
@@ -347,8 +356,8 @@ def cmd_verify(config: RunConfig) -> int:
     lines = []
     all_ok = True
     for slope in _slopes(config):
-        surgery = tietze_simplify(dehn_surgery_group(kp, slope), config.budget)
-        half = tietze_simplify(half_complement_group(kp, slope), config.budget)
+        surgery = tietze_simplify(dehn_surgery_group(kp, slope))
+        half = tietze_simplify(half_complement_group(kp, slope))
         ab_surgery = abelianization(surgery)
         ab_half = abelianization(half)
         ok = ab_surgery == ab_half and hom_spectrum(surgery, suite) == hom_spectrum(half, suite)
@@ -401,8 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--targets", default="standard",
                        help="'standard', 'extended', or a target-suite JSON path")
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--budget", type=int, default=10_000,
-                       help="Tietze simplification step limit")
         p.add_argument("--no-cache", action="store_true", help="disable the spectra cache")
         if with_slopes:
             p.add_argument("--q", type=int, default=1, help="slope numerator q >= 1")
@@ -442,7 +449,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         targets=args.targets,
         out_dir=args.out,
         cache=not args.no_cache,
-        budget=args.budget,
         workers=int(os.environ.get(WORKERS_ENV, "1")),
         construction=getattr(args, "construction", "surgery"),
     )

@@ -2,7 +2,7 @@
 
 Words are immutable sequences of (generator index, exponent) letters with
 exponent +1 or -1, kept freely reduced at all times.  A presentation pairs a
-tuple of named generators with cyclically reduced relator words.  Everything
+tuple of generator names with cyclically reduced relator words.  Everything
 here is a pure function over immutable data, so values can be shared between
 threads or worker processes without synchronization.
 
@@ -174,31 +174,24 @@ def parse_word(text: str, names: Sequence[str]) -> Word:
 
 
 @dataclass(frozen=True)
-class GeneratorSymbol:
-    """A named generator; index is its position within one presentation."""
-
-    name: str
-    index: int
-
-
-@dataclass(frozen=True)
 class Presentation:
-    """Generators plus relators; relators are kept cyclically reduced."""
+    """Named generators plus relators; relators are kept cyclically reduced.
 
-    generators: tuple[GeneratorSymbol, ...]
-    relators: tuple[Word, ...]
+    A relator letter (g, e) refers to generators[g].
+    """
+
+    generators: tuple[str, ...]
+    relators: tuple[Word, ...] = ()
 
     def __post_init__(self) -> None:
         gens = tuple(self.generators)
         names = set()
-        for i, g in enumerate(gens):
-            if g.index != i:
-                raise ValueError(f"generator {g.name!r} has index {g.index}, expected {i}")
-            if not g.name:
+        for name in gens:
+            if not name:
                 raise ValueError("generator names must be nonempty")
-            if g.name in names:
-                raise DuplicateGeneratorError(f"duplicate generator name {g.name!r}")
-            names.add(g.name)
+            if name in names:
+                raise DuplicateGeneratorError(f"duplicate generator name {name!r}")
+            names.add(name)
         n = len(gens)
         relators = []
         for r in self.relators:
@@ -212,17 +205,8 @@ class Presentation:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", tuple(relators))
 
-    @classmethod
-    def from_names(cls, names: Sequence[str], relators: Sequence[Word] = ()) -> "Presentation":
-        gens = tuple(GeneratorSymbol(name, i) for i, name in enumerate(names))
-        return cls(gens, tuple(relators))
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(g.name for g in self.generators)
-
     def word(self, text: str) -> Word:
-        return parse_word(text, self.names)
+        return parse_word(text, self.generators)
 
     def word_str(self, w: Word, sep: str = " ") -> str:
         """Render as runs like ``a^2 b^-1``; ``sep`` joins the runs."""
@@ -236,13 +220,13 @@ class Presentation:
                 continue
             if run_g is not None and run_g >= 0:
                 exp = run_e * run_len
-                name = self.generators[run_g].name
+                name = self.generators[run_g]
                 parts.append(name if exp == 1 else f"{name}^{exp}")
             run_g, run_e, run_len = g, e, 1
         return sep.join(parts)
 
     def __str__(self) -> str:
-        gens = ", ".join(self.names)
+        gens = ", ".join(self.generators)
         rels = ", ".join(self.word_str(r) for r in self.relators)
         return f"< {gens} | {rels} >"
 
@@ -302,7 +286,7 @@ def _normalize_relators(
 
 
 def tietze_simplify_tracked(
-    p: Presentation, tracked: Sequence[Word] = (), budget: int = 10_000
+    p: Presentation, tracked: Sequence[Word] = ()
 ) -> tuple[Presentation, tuple[Word, ...]]:
     """Tietze simplification that also rewrites the given tracked words.
 
@@ -313,16 +297,14 @@ def tietze_simplify_tracked(
     generator is eliminated, which keeps early generators (meridians and
     friends) stable.  Relators longer than twice the input's maximum relator
     length never drive an elimination, preventing blowup.  Deterministic for
-    a fixed input and budget; each elimination costs one budget step.
+    a fixed input.  Each step eliminates one generator, so the number of steps
+    is at most the number of generators.
     """
-    if budget < 0:
-        raise ValueError("budget must be nonnegative")
-    names = list(p.names)
+    names = list(p.generators)
     rels = _normalize_relators([r.letters for r in p.relators])
     tracked_letters = [w.letters for w in tracked]
     cap = 2 * max((len(r) for r in rels), default=1)
-    steps = 0
-    while steps < budget:
+    while True:
         choice = None
         for pos, r in enumerate(rels):
             if len(r) > cap:
@@ -356,14 +338,13 @@ def tietze_simplify_tracked(
         rels = _normalize_relators([rewrite(s) for i, s in enumerate(rels) if i != pos])
         tracked_letters = [rewrite(t) for t in tracked_letters]
         names.pop(g)
-        steps += 1
-    simplified = Presentation.from_names(names, [Word(r) for r in rels])
+    simplified = Presentation(tuple(names), tuple(Word(r) for r in rels))
     return simplified, tuple(Word(t) for t in tracked_letters)
 
 
-def tietze_simplify(p: Presentation, budget: int = 10_000) -> Presentation:
+def tietze_simplify(p: Presentation) -> Presentation:
     """Simplify to an isomorphic presentation; see tietze_simplify_tracked."""
-    simplified, _ = tietze_simplify_tracked(p, (), budget)
+    simplified, _ = tietze_simplify_tracked(p)
     return simplified
 
 
@@ -383,18 +364,17 @@ def word_from_json(data: Sequence, name_to_index: Mapping[str, int]) -> Word:
 
 def presentation_to_json(p: Presentation) -> dict:
     """Canonical, order-preserving JSON form; round-trips exactly."""
-    names = p.names
     return {
-        "generators": list(names),
-        "relators": [word_to_json(r, names) for r in p.relators],
+        "generators": list(p.generators),
+        "relators": [word_to_json(r, p.generators) for r in p.relators],
     }
 
 
 def presentation_from_json(data: Mapping) -> Presentation:
-    names = list(data["generators"])
+    names = tuple(data["generators"])
     index = {name: i for i, name in enumerate(names)}
-    relators = [word_from_json(r, index) for r in data["relators"]]
-    return Presentation.from_names(names, relators)
+    relators = tuple(word_from_json(r, index) for r in data["relators"])
+    return Presentation(names, relators)
 
 
 def to_free_group_script(p: Presentation) -> str:
@@ -403,7 +383,7 @@ def to_free_group_script(p: Presentation) -> str:
     Deterministic and order-preserving, e.g. ``F := FreeGroup("a");`` then
     ``rels := [ a^5 ];``.
     """
-    gens = ", ".join(f'"{name}"' for name in p.names)
+    gens = ", ".join(f'"{name}"' for name in p.generators)
     rels = ", ".join(p.word_str(r, "*") for r in p.relators)
     body = f" {rels} " if rels else " "
     return f"F := FreeGroup({gens});\nrels := [{body}];\n"

@@ -17,7 +17,6 @@ from typing import Mapping, Sequence
 
 from .errors import InvalidMonodromyError, UnknownGeneratorError
 from .fpgroup import (
-    GeneratorSymbol,
     Presentation,
     Word,
     apply_mapping,
@@ -136,7 +135,7 @@ def certify_monodromy(data: FiberedKnotData) -> None:
         )
 
 
-def mapping_torus_presentation(data: FiberedKnotData, meridian_name: str = "m") -> KnotPresentation:
+def mapping_torus_presentation(data: FiberedKnotData) -> KnotPresentation:
     """Knot group of a fibered knot from its fiber automorphism.
 
     Generators are the 2g fiber generators plus the meridian m; relators say
@@ -145,8 +144,7 @@ def mapping_torus_presentation(data: FiberedKnotData, meridian_name: str = "m") 
     """
     certify_monodromy(data)
     n = 2 * data.genus
-    names = fiber_generator_names(data.genus) + (meridian_name,)
-    gens = tuple(GeneratorSymbol(name, i) for i, name in enumerate(names))
+    gens = fiber_generator_names(data.genus) + ("m",)
     m = Word.generator(n)
     relators = []
     for i in range(n):
@@ -305,7 +303,6 @@ def _lattices_match(base: list[list[int]], extra_row: list[int]) -> bool:
 def validate_peripheral(
     kp: KnotPresentation,
     targets: Sequence[FiniteTarget],
-    budget: int = 10_000,
 ) -> PeripheralReport:
     """Run the three peripheral-system checks and report which fail.
 
@@ -354,7 +351,7 @@ def validate_peripheral(
         return PeripheralReport(tuple(checks))
 
     simplified, (meridian, longitude) = tietze_simplify_tracked(
-        kp.group, (kp.meridian, kp.longitude), budget
+        kp.group, (kp.meridian, kp.longitude)
     )
     commuting = True
     witness = ""

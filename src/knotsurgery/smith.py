@@ -2,7 +2,9 @@
 
 Matrices are plain sequences of int rows (arbitrary precision; no floating
 point anywhere).  Pivots are chosen as the smallest nonzero absolute value,
-ties broken row-major, which bounds entry growth deterministically.
+ties broken row-major.  The rule is deterministic but does not bound entry
+growth: intermediate entries can reach millions of bits on a 36x36 input
+(ROADMAP, open item 4).
 """
 
 from __future__ import annotations

@@ -15,7 +15,6 @@ from typing import Mapping, Sequence
 
 from .errors import InvalidSlopeError
 from .fpgroup import (
-    GeneratorSymbol,
     Presentation,
     Word,
     commutator,
@@ -95,13 +94,10 @@ def cable_link_group(kp: KnotPresentation, slope: SurgerySlope) -> LabeledPresen
     """
     base = kp.group
     n = len(base.generators)
-    taken = list(base.names)
+    taken = list(base.generators)
     mu_name = fresh_name("mu", taken)
     lam_name = fresh_name("lam", taken + [mu_name])
-    gens = base.generators + (
-        GeneratorSymbol(mu_name, n),
-        GeneratorSymbol(lam_name, n + 1),
-    )
+    gens = base.generators + (mu_name, lam_name)
     mu = Word.generator(n)
     lam = Word.generator(n + 1)
     cable_relator = (
@@ -185,7 +181,7 @@ def family_manifest(result: FamilyResult) -> list[dict]:
     """JSON records {p, q, presentation, labels} for each family member."""
     records = []
     for member in result.members:
-        names = member.presentation.names
+        names = member.presentation.generators
         records.append(
             {
                 "p": member.slope.p,

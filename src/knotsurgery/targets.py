@@ -317,14 +317,14 @@ def _checked_entries(data) -> list[dict]:
     return data
 
 
-def suite_from_json(data: list[dict], cap: int = DEFAULT_CLOSURE_CAP) -> tuple[FiniteTarget, ...]:
+def suite_from_json(data: list[dict]) -> tuple[FiniteTarget, ...]:
     out = []
     for entry in _checked_entries(data):
         degree = entry["degree"]
         if degree > MAX_TARGET_DEGREE:
             raise KnotSurgeryError(f"target degree {degree} is past the limit {MAX_TARGET_DEGREE}")
         gens = [parse_cycles(text, degree) for text in entry["generators"]]
-        out.append(close_target(entry["name"], gens, degree=degree, cap=cap))
+        out.append(close_target(entry["name"], gens, degree=degree))
     return tuple(out)
 
 
@@ -339,9 +339,16 @@ def suite_to_json(suite: Iterable[FiniteTarget]) -> list[dict]:
     ]
 
 
-def load_suite(path: str | Path, cap: int = DEFAULT_CLOSURE_CAP) -> tuple[FiniteTarget, ...]:
+def _read_suite_file(path: str | Path):
     with open(path, encoding="utf-8") as fh:
-        return suite_from_json(json.load(fh), cap=cap)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise KnotSurgeryError(f"target-suite file {str(path)!r} is nested too deeply") from None
+
+
+def load_suite(path: str | Path) -> tuple[FiniteTarget, ...]:
+    return suite_from_json(_read_suite_file(path))
 
 
 def _escalation_entries() -> list[dict]:
@@ -365,8 +372,7 @@ def suite_names(spec: str) -> tuple[str, ...]:
         return tuple(t.name for t in standard_suite())
     if spec == "extended":
         return suite_names("standard") + tuple(e["name"] for e in _escalation_entries())
-    with open(spec, encoding="utf-8") as fh:
-        return tuple(e["name"] for e in _checked_entries(json.load(fh)))
+    return tuple(e["name"] for e in _checked_entries(_read_suite_file(spec)))
 
 
 def resolve_suite(spec: str) -> tuple[FiniteTarget, ...]:

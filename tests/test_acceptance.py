@@ -218,7 +218,7 @@ def test_criterion_5_oracle_equivalence(suite_small, trefoil, unknot):
                 )
             )
         cases.append(
-            Presentation.from_names([f"g{i}" for i in range(n_gens)], relators)
+            Presentation([f"g{i}" for i in range(n_gens)], relators)
         )
     # pipeline-produced small cases
     cases.append(tietze_simplify(dehn_surgery_group(trefoil, SurgerySlope(1, 1))))
@@ -294,7 +294,7 @@ def test_criterion_8_tietze_invariance(suite_small, spectrum_cache):
         for target in suite_small:
             assert cached_count(spectrum_cache, presentation, target) == cached_count(
                 spectrum_cache, simplified, target
-            ), (presentation.names, target.name)
+            ), (presentation.generators, target.name)
     # the raw knot groups are small enough for the full suite
     for presentation in pipeline[:2]:
         simplified = tietze_simplify(presentation)

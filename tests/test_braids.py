@@ -88,7 +88,7 @@ def test_writhe_and_permutation():
 
 def test_wirtinger_unknot():
     kp = wirtinger_from_braid(parse_braid("n=1;"))
-    assert kp.group.names == ("x1",)
+    assert kp.group.generators == ("x1",)
     assert kp.group.relators == ()
     assert kp.meridian == Word.generator(0)
     assert kp.longitude.is_identity

@@ -363,6 +363,83 @@ def test_malformed_suite_files_exit_2(capsys, tmp_path):
             assert err.startswith("error:") and "target" in err, (shape, command)
 
 
+def _deeply_nested(path):
+    # 16000 bytes, under MAX_MONODROMY_BYTES, but deeper than the JSON decoder recurses
+    path.write_text("[" * 8000 + "]" * 8000)
+    return path
+
+
+def test_deeply_nested_monodromy_file_exits_2(capsys, tmp_path):
+    path = _deeply_nested(tmp_path / "deep.json")
+    assert path.stat().st_size <= MAX_MONODROMY_BYTES
+    code, _, err = run(["knot", "--monodromy", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
+def test_deeply_nested_suite_file_exits_2_when_loaded(capsys, tmp_path):
+    path = _deeply_nested(tmp_path / "deep.json")
+    code, _, err = run(["knot", "--builtin", "fig8", "--targets", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
+def test_deeply_nested_suite_file_exits_2_when_named(capsys, tmp_path):
+    path = _deeply_nested(tmp_path / "deep.json")
+    argv = ["family", "--builtin", "fig8", "--targets", str(path), "--out", str(tmp_path / "out")]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
+def test_deeply_nested_cache_entry_is_a_miss(capsys, tmp_path):
+    argv = ["family", "--builtin", "fig8", "--q", "2", "--p", "1,3", "--out", str(tmp_path)]
+    assert run(argv, capsys)[0] == 0
+    spectra = (tmp_path / "spectra.csv").read_bytes()
+    entry = sorted((tmp_path / ".cache").glob("*.json"))[0]
+    _deeply_nested(entry)
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
+    assert (tmp_path / "spectra.csv").read_bytes() == spectra
+    assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 1
+
+
+def test_verify_and_export_with_no_slope_left_exit_2(capsys, tmp_path):
+    for command in ("verify", "export"):
+        argv = [command, "--builtin", "trefoil", "--q=2", "--p=2,4", "--out", str(tmp_path / command)]
+        code, out, err = run(argv, capsys)
+        assert code == 2, command
+        assert out == "skip p=2: gcd(p, 2) != 1\nskip p=4: gcd(p, 2) != 1\n"
+        assert err.startswith("error:") and "no slope" in err
+    assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+
+
+def test_option_strings_of_each_subcommand():
+    # a new option is a new setting: add one only when some caller varies it
+    parser = cli.build_parser()
+    (subcommands,) = (
+        action.choices for action in parser._actions if action.dest == "command"
+    )
+    common = ["--braid", "--builtin", "--monodromy", "--targets", "--out", "--no-cache"]
+    slopes = common + ["--q", "--p"]
+    expected = {
+        "knot": common,
+        "family": slopes,
+        "verify": slopes,
+        "export": slopes + ["--construction"],
+    }
+    found = {
+        name: [
+            option
+            for action in sub._actions
+            for option in action.option_strings
+            if option not in ("-h", "--help")
+        ]
+        for name, sub in subcommands.items()
+    }
+    assert found == expected
+
+
 def test_family_reads_the_monodromy_file_once(capsys, tmp_path, monkeypatch):
     path = tmp_path / "fig8.json"
     path.write_text(json.dumps(fibered_knot_to_json(builtin_monodromy("fig8"))))

@@ -23,8 +23,8 @@ from conftest import naive_hom_count
 
 
 def pres(names, *relator_texts):
-    base = Presentation.from_names(names)
-    return Presentation.from_names(names, [base.word(t) for t in relator_texts])
+    base = Presentation(names)
+    return Presentation(names, [base.word(t) for t in relator_texts])
 
 
 def test_order_two_elements_of_s3():
@@ -121,7 +121,7 @@ def test_fresh_targets_get_fresh_orbit_caches():
 
 
 small_presentations = st.builds(
-    lambda n_gens, rels: Presentation.from_names(
+    lambda n_gens, rels: Presentation(
         [f"g{i}" for i in range(n_gens)],
         [Word(tuple((g % n_gens, e) for g, e in rel)) for rel in rels],
     ),
@@ -146,7 +146,7 @@ def presentations_with_free_generators(draw):
     if used:
         letters = st.tuples(st.sampled_from(used), st.sampled_from((1, -1)))
         relators = draw(st.lists(st.lists(letters, max_size=8), max_size=3))
-    return Presentation.from_names(
+    return Presentation(
         [f"g{i}" for i in range(n_gens)], [Word(tuple(r)) for r in relators]
     )
 
@@ -199,8 +199,8 @@ def test_invariant_under_generator_permutation(p, rng):
     n = len(p.generators)
     perm = list(range(n))
     rng.shuffle(perm)
-    renamed = Presentation.from_names(
-        [p.names[perm[i]] for i in range(n)],
+    renamed = Presentation(
+        [p.generators[perm[i]] for i in range(n)],
         [
             Word(tuple((perm.index(g), e) for g, e in r.letters))
             for r in p.relators

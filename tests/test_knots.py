@@ -80,7 +80,7 @@ def test_certificates_reject_orientation_reversal():
 
 def test_identity_monodromy_mapping_torus():
     kp = mapping_torus_presentation(IDENTITY_MONODROMY)
-    assert kp.group.names == ("a1", "b1", "m")
+    assert kp.group.generators == ("a1", "b1", "m")
     assert len(kp.group.relators) == 2
     invariants = abelianization(kp.group)
     assert invariants.free_rank == 3 and not invariants.torsion

@@ -97,19 +97,19 @@ def test_kernel_of_empty_matrix():
 
 
 def test_abelianization_examples():
-    free2 = Presentation.from_names(["a", "b"])
+    free2 = Presentation(["a", "b"])
     invariants = abelianization(free2)
     assert invariants.free_rank == 2 and invariants.torsion == ()
 
-    lens = Presentation.from_names(["a"], [Word.generator(0) ** 4])
+    lens = Presentation(["a"], [Word.generator(0) ** 4])
     invariants = abelianization(lens)
     assert invariants.free_rank == 0 and invariants.torsion == (4,)
     assert str(invariants) == "Z/4"
 
-    trivial = Presentation.from_names(["a"], [Word.generator(0)])
+    trivial = Presentation(["a"], [Word.generator(0)])
     assert abelianization(trivial).is_trivial
 
 
 def test_relation_matrix_orientation():
-    p = Presentation.from_names(["a", "b"], [Word.generator(0) ** 2 * Word.generator(1) ** -1])
+    p = Presentation(["a", "b"], [Word.generator(0) ** 2 * Word.generator(1) ** -1])
     assert relation_matrix(p) == [[2, -1]]

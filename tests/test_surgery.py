@@ -75,7 +75,7 @@ def test_trefoil_surgery_count_against_naive_enumeration(trefoil, suite_small):
 def test_cable_link_group_unknot_hopf_shadow(unknot):
     labeled = cable_link_group(unknot, SurgerySlope(0, 1))
     p = labeled.presentation
-    assert p.names == ("x1", "mu", "lam")
+    assert p.generators == ("x1", "mu", "lam")
     # relators: [mu, lam] and x mu^-1
     assert len(p.relators) == 2
     invariants = abelianization(p)
