@@ -31,7 +31,6 @@ from .smith import (
     AbelianInvariants,
     SmithNormalForm,
     abelianization,
-    right_kernel_basis,
     smith_normal_form,
 )
 from .targets import (

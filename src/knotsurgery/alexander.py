@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 from .errors import NotAKnotGroupError
 from .fpgroup import Presentation, Word
 from .knots import KnotPresentation
-from .smith import abelianization, relation_matrix, right_kernel_basis
+from .smith import relation_matrix, smith_normal_form
 
 
 @dataclass(frozen=True)
@@ -253,15 +253,14 @@ def alexander_matrix(
 
 def abelianization_exponents(p: Presentation) -> tuple[int, ...]:
     """The map onto the infinite cyclic abelianization, as one exponent per generator."""
-    invariants = abelianization(p)
+    snf = smith_normal_form(relation_matrix(p), len(p.generators))
+    invariants = snf.cokernel()
     if not invariants.is_infinite_cyclic:
         raise NotAKnotGroupError(
             f"abelianization is {invariants}, expected infinite cyclic"
         )
-    n = len(p.generators)
-    basis = right_kernel_basis(relation_matrix(p), n_cols=n)
-    assert len(basis) == 1
-    return basis[0]
+    (phi,) = snf.kernel()
+    return phi
 
 
 def fox_alexander(kp: KnotPresentation) -> LaurentPolynomial:

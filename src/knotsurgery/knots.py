@@ -26,7 +26,7 @@ from .fpgroup import (
     word_to_json,
 )
 from .homcount import evaluate_word, weighted_homomorphisms
-from .smith import abelianization, relation_matrix, smith_normal_form
+from .smith import relation_matrix, smith_normal_form
 from .targets import FiniteTarget
 
 # Monodromy files are refused past these limits before anything of their size
@@ -295,19 +295,18 @@ class PeripheralReport:
         return "\n".join(lines)
 
 
-def _lattices_match(base: list[list[int]], extra_row: list[int]) -> bool:
-    """True iff extra_row already lies in the integer row span of base."""
-    return smith_normal_form(base).factors == smith_normal_form(base + [extra_row]).factors
-
-
 def validate_peripheral(
     kp: KnotPresentation,
     targets: Sequence[FiniteTarget],
 ) -> PeripheralReport:
     """Run the three peripheral-system checks and report which fail.
 
-    1. The abelianization is infinite cyclic and the meridian generates it.
-    2. The longitude is nullhomologous (0-framed).
+    Checks 1 and 2 read one Smith decomposition of the relation matrix.
+    1. The abelianization is infinite cyclic and the meridian generates it:
+       H1 = Z, and the meridian's exponent vector m has |m . phi| = 1, where
+       phi spans the kernel (the map onto H1 = Z is u -> u . phi).
+    2. The longitude is nullhomologous (0-framed): its exponent vector lies
+       in the row lattice of the relation matrix.
     3. Meridian and longitude images commute under every homomorphism into
        every given target (enumerated on a Tietze-simplified copy).  The
        search tries one homomorphism per conjugation orbit of its first two
@@ -321,12 +320,13 @@ def validate_peripheral(
     n = len(kp.group.generators)
     checks = []
 
-    rows = relation_matrix(kp.group)
-    invariants = abelianization(kp.group)
+    snf = smith_normal_form(relation_matrix(kp.group), n)
+    invariants = snf.cokernel()
     meridian_generates = False
     if invariants.is_infinite_cyclic:
-        snf = smith_normal_form(rows + [list(kp.meridian.exponent_vector(n))])
-        meridian_generates = snf.rank == n and all(d == 1 for d in snf.factors)
+        (phi,) = snf.kernel()
+        m_vector = kp.meridian.exponent_vector(n)
+        meridian_generates = abs(sum(x * y for x, y in zip(m_vector, phi))) == 1
     knot_group = invariants.is_infinite_cyclic and meridian_generates
     checks.append(
         PeripheralCheck(
@@ -336,12 +336,12 @@ def validate_peripheral(
         )
     )
 
-    longitude_vector = list(kp.longitude.exponent_vector(n))
+    longitude_vector = kp.longitude.exponent_vector(n)
     checks.append(
         PeripheralCheck(
             "longitude-nullhomologous",
-            _lattices_match(rows, longitude_vector),
-            f"longitude exponent vector {tuple(longitude_vector)}",
+            snf.in_row_lattice(longitude_vector),
+            f"longitude exponent vector {longitude_vector}",
         )
     )
     if not knot_group:

@@ -1,10 +1,17 @@
-"""Exact integer Smith normal form and abelianization invariants.
+"""Exact integer Smith normal form: one elimination answers every homology question.
 
 Matrices are plain sequences of int rows (arbitrary precision; no floating
-point anywhere).  Pivots are chosen as the smallest nonzero absolute value,
-ties broken row-major.  The rule is deterministic but does not bound entry
-growth: intermediate entries can reach millions of bits on a 36x36 input
-(ROADMAP, open item 4).
+point anywhere).  ``smith_normal_form`` diagonalizes M once, U·M·V = D, by
+unimodular row and column operations, and keeps the column transform V.
+That one decomposition gives the cokernel Z^n / (row lattice of M) from D,
+the right kernel {u : M u = 0} as the columns of V past the rank, and row
+lattice membership: r = x·M for an integer x exactly when (r·V)_k is a
+multiple of D_k below the rank and 0 past it.
+
+Pivots are chosen as the smallest nonzero absolute value, ties broken
+row-major.  The rule is deterministic but does not bound entry growth:
+intermediate entries can reach millions of bits on a 36x36 input (ROADMAP,
+open item 4).
 """
 
 from __future__ import annotations
@@ -18,26 +25,14 @@ from .fpgroup import Presentation
 IntMatrix = Sequence[Sequence[int]]
 
 
-def _copy_checked(matrix: IntMatrix) -> list[list[int]]:
-    rows = [list(map(int, row)) for row in matrix]
-    if rows:
-        width = len(rows[0])
-        for row in rows:
-            if len(row) != width:
-                raise ValueError("matrix rows have unequal lengths")
-    return rows
+def _diagonalize(a: list[list[int]], n_cols: int) -> tuple[list[int], list[list[int]]]:
+    """Diagonalize a in place by unimodular row/column operations.
 
-
-def _diagonalize(a: list[list[int]], track_cols: bool) -> tuple[list[int], list[list[int]], int]:
-    """Diagonalize by unimodular row/column operations.
-
-    Returns (diagonal entries, V, rank) where V records the column operations
-    (so the columns of V beyond rank span the right kernel).  The diagonal is
-    not yet divisibility-ordered.
+    Returns (diagonal entries, V by columns): after the call a = U·M·V is
+    diagonal.  The diagonal is not yet divisibility-ordered.
     """
     n_rows = len(a)
-    n_cols = len(a[0]) if a else 0
-    v = [[1 if i == j else 0 for j in range(n_cols)] for i in range(n_cols)] if track_cols else []
+    v = [[int(i == j) for i in range(n_cols)] for j in range(n_cols)]
     t = 0
     while t < n_rows and t < n_cols:
         pivot = None
@@ -55,9 +50,7 @@ def _diagonalize(a: list[list[int]], track_cols: bool) -> tuple[list[int], list[
         if pj != t:
             for row in a:
                 row[t], row[pj] = row[pj], row[t]
-            if track_cols:
-                for row in v:
-                    row[t], row[pj] = row[pj], row[t]
+            v[t], v[pj] = v[pj], v[t]
         while True:
             swapped = False
             for i in range(t + 1, n_rows):
@@ -74,21 +67,16 @@ def _diagonalize(a: list[list[int]], track_cols: bool) -> tuple[list[int], list[
                     if q:
                         for row in a:
                             row[j] -= q * row[t]
-                        if track_cols:
-                            for row in v:
-                                row[j] -= q * row[t]
+                        v[j] = [x - q * y for x, y in zip(v[j], v[t])]
                     if a[t][j]:
                         for row in a:
                             row[t], row[j] = row[j], row[t]
-                        if track_cols:
-                            for row in v:
-                                row[t], row[j] = row[j], row[t]
+                        v[t], v[j] = v[j], v[t]
                         swapped = True
             if not swapped:
                 break
         t += 1
-    diagonal = [abs(a[k][k]) for k in range(t)]
-    return diagonal, v, t
+    return [abs(a[k][k]) for k in range(t)], v
 
 
 def _divisibility_chain(diagonal: list[int]) -> list[int]:
@@ -106,56 +94,62 @@ def _divisibility_chain(diagonal: list[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class SmithNormalForm:
-    """Invariant factors d_1 | d_2 | ... | d_r of an integer matrix."""
+    """One decomposition U·M·V = D of an integer matrix M with n columns.
+
+    ``factors`` are the invariant factors d_1 | d_2 | ... | d_r.
+    ``diagonal`` holds D's nonzero entries in the order of V's columns, and
+    ``columns`` holds V, one column per entry.
+    """
 
     factors: tuple[int, ...]
-    rows: int
-    cols: int
+    diagonal: tuple[int, ...]
+    columns: tuple[tuple[int, ...], ...]
 
     @property
     def rank(self) -> int:
         return len(self.factors)
 
-    @property
-    def cokernel_free_rank(self) -> int:
-        return self.cols - self.rank
+    def cokernel(self) -> AbelianInvariants:
+        """Z^n modulo the row lattice of M."""
+        torsion = tuple(d for d in self.factors if d > 1)
+        return AbelianInvariants(torsion, len(self.columns) - self.rank)
 
-    @property
-    def cokernel_torsion(self) -> tuple[int, ...]:
-        return tuple(d for d in self.factors if d > 1)
+    def kernel(self) -> tuple[tuple[int, ...], ...]:
+        """Basis of {u : M u = 0}: V's columns past the rank, first nonzero entry positive.
 
-
-def smith_normal_form(matrix: IntMatrix) -> SmithNormalForm:
-    """Exact Smith normal form; factors satisfy the divisibility chain."""
-    a = _copy_checked(matrix)
-    diagonal, _, _ = _diagonalize(a, track_cols=False)
-    factors = tuple(_divisibility_chain(diagonal))
-    return SmithNormalForm(factors, len(a), len(a[0]) if a else 0)
-
-
-def right_kernel_basis(matrix: IntMatrix, n_cols: int | None = None) -> tuple[tuple[int, ...], ...]:
-    """Basis of {u : M u = 0} over the integers.
-
-    ``n_cols`` must be supplied for matrices with zero rows.
-    """
-    a = _copy_checked(matrix)
-    if a:
-        n_cols = len(a[0])
-    elif n_cols is None:
-        raise ValueError("n_cols required for an empty matrix")
-    else:
+        Each is primitive, being a column of the unimodular V.
+        """
         return tuple(
-            tuple(1 if i == j else 0 for i in range(n_cols)) for j in range(n_cols)
+            col if next(x for x in col if x) > 0 else tuple(-x for x in col)
+            for col in self.columns[self.rank:]
         )
-    _, v, rank = _diagonalize(a, track_cols=True)
-    basis = []
-    for j in range(rank, n_cols):
-        col = tuple(v[i][j] for i in range(n_cols))
-        lead = next((x for x in col if x), 1)
-        if lead < 0:
-            col = tuple(-x for x in col)
-        basis.append(col)
-    return tuple(basis)
+
+    def in_row_lattice(self, row: Sequence[int]) -> bool:
+        """True iff row is an integer combination of the rows of M.
+
+        M = U^-1·D·V^-1, so row = x·M exactly when row·V = (x·U^-1)·D.
+        """
+        if len(row) != len(self.columns):
+            raise ValueError(f"row has {len(row)} entries, the matrix {len(self.columns)} columns")
+        image = [sum(x * y for x, y in zip(row, col)) for col in self.columns]
+        return all(y % d == 0 for y, d in zip(image, self.diagonal)) and not any(
+            image[self.rank:]
+        )
+
+
+def smith_normal_form(matrix: IntMatrix, n_cols: int | None = None) -> SmithNormalForm:
+    """Exact Smith normal form; factors satisfy the divisibility chain.
+
+    ``n_cols`` gives the width of a matrix with no rows (0 if omitted); for
+    any other matrix it must match the rows when given.
+    """
+    a = [list(map(int, row)) for row in matrix]
+    width = len(a[0]) if a else (n_cols or 0)
+    if n_cols not in (None, width) or any(len(row) != width for row in a):
+        raise ValueError("matrix rows have unequal lengths or do not match n_cols")
+    diagonal, v = _diagonalize(a, width)
+    factors = tuple(_divisibility_chain(diagonal))
+    return SmithNormalForm(factors, tuple(diagonal), tuple(map(tuple, v)))
 
 
 @dataclass(frozen=True)
@@ -191,6 +185,4 @@ def relation_matrix(p: Presentation) -> list[list[int]]:
 
 def abelianization(p: Presentation) -> AbelianInvariants:
     """Invariant factors of the abelianized presentation via Smith normal form."""
-    n = len(p.generators)
-    snf = smith_normal_form(relation_matrix(p))
-    return AbelianInvariants(snf.cokernel_torsion, n - snf.rank)
+    return smith_normal_form(relation_matrix(p), len(p.generators)).cokernel()

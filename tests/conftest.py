@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the package's own evaluation machinery:
 naive_hom_count multiplies raw permutation tuples, seifert_alexander expands
-a determinant by permutation sums over dict-polynomials, and det_oracle is a
-cofactor expansion.  Tests freeze values computed by these.
+a determinant by permutation sums over dict-polynomials, det_oracle is a
+cofactor expansion, and row_lattice_oracle compares invariant factors
+instead of reading the column transform.  Tests freeze values computed by these.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import itertools
 import pytest
 from hypothesis import settings
 
-from knotsurgery import builtin_knot, standard_suite
+from knotsurgery import builtin_knot, smith_normal_form, standard_suite
 from knotsurgery.targets import FiniteTarget
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -110,6 +111,16 @@ def det_oracle(matrix) -> int:
         minor = [[row[c] for c in range(n) if c != j] for row in matrix[1:]]
         total += (-1) ** j * matrix[0][j] * det_oracle(minor)
     return total
+
+
+def row_lattice_oracle(matrix, row) -> bool:
+    """True iff row lies in the row lattice of matrix, by two factor lists.
+
+    Adding a row outside the lattice gives a proper quotient of the
+    cokernel, and a finitely generated abelian group is no proper quotient
+    of itself, so the invariant factors change exactly then.
+    """
+    return smith_normal_form(matrix).factors == smith_normal_form(list(matrix) + [row]).factors
 
 
 def laurent_terms(poly) -> dict:

@@ -1,18 +1,27 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from knotsurgery import (
     Presentation,
     Word,
     abelianization,
-    right_kernel_basis,
+    builtin_knot,
+    builtin_monodromy,
+    fox_alexander,
+    mapping_torus_presentation,
+    parse_braid,
+    smith,
     smith_normal_form,
+    standard_suite,
+    validate_peripheral,
+    wirtinger_from_braid,
 )
 from knotsurgery.smith import relation_matrix
 
-from conftest import det_oracle
+from conftest import det_oracle, row_lattice_oracle
 
 
 def test_identity_matrix():
@@ -29,7 +38,7 @@ def test_diagonal_2_3():
 def test_zero_matrix():
     snf = smith_normal_form([[0, 0], [0, 0]])
     assert snf.factors == ()
-    assert snf.cokernel_free_rank == 2
+    assert snf.cokernel().free_rank == 2
 
 
 def test_ragged_matrix_rejected():
@@ -83,17 +92,94 @@ def test_invariant_under_row_and_column_permutation(m, rng):
 
 @given(int_matrices)
 def test_right_kernel_is_annihilated(m):
-    basis = right_kernel_basis(m)
+    snf = smith_normal_form(m)
+    basis = snf.kernel()
     for vector in basis:
         for row in m:
             assert sum(x * y for x, y in zip(row, vector)) == 0
-    snf = smith_normal_form(m)
+        assert math.gcd(*vector) == 1
+        assert next(x for x in vector if x) > 0
     assert len(basis) == len(m[0]) - snf.rank
 
 
 def test_kernel_of_empty_matrix():
-    basis = right_kernel_basis([], n_cols=2)
+    basis = smith_normal_form([], n_cols=2).kernel()
     assert basis == ((1, 0), (0, 1))
+
+
+def test_n_cols_must_match_the_rows():
+    assert smith_normal_form([], n_cols=2).cokernel().free_rank == 2
+    assert smith_normal_form([[1, 2]], n_cols=2).rank == 1
+    with pytest.raises(ValueError):
+        smith_normal_form([[1, 2]], n_cols=3)
+
+
+# rows over {-3..3} so that lattice membership is often true as well as false
+small_matrices = st.integers(min_value=1, max_value=4).flatmap(
+    lambda rows: st.integers(min_value=1, max_value=4).flatmap(
+        lambda cols: st.tuples(
+            st.lists(
+                st.lists(st.integers(min_value=-3, max_value=3), min_size=cols, max_size=cols),
+                min_size=rows,
+                max_size=rows,
+            ),
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=rows, max_size=rows),
+            st.lists(st.integers(min_value=-3, max_value=3), min_size=cols, max_size=cols),
+        )
+    )
+)
+
+
+@settings(max_examples=200)
+@given(small_matrices)
+def test_in_row_lattice_matches_the_factor_oracle(case):
+    m, coefficients, row = case
+    snf = smith_normal_form(m)
+    assert snf.in_row_lattice(row) == row_lattice_oracle(m, row)
+    combination = [sum(c * r[j] for c, r in zip(coefficients, m)) for j in range(len(row))]
+    assert snf.in_row_lattice(combination)
+    assert row_lattice_oracle(m, combination)
+
+
+def test_in_row_lattice_examples():
+    snf = smith_normal_form([[2, 0], [0, 3]])
+    assert snf.in_row_lattice((4, -3))
+    assert not snf.in_row_lattice((1, 0))
+    assert not snf.in_row_lattice((0, 2))
+    rank_one = smith_normal_form([[1, 1]])
+    assert rank_one.in_row_lattice((-2, -2))
+    assert not rank_one.in_row_lattice((1, 0))
+    with pytest.raises(ValueError):
+        rank_one.in_row_lattice((1, 1, 0))
+
+
+def _count_diagonalizations(monkeypatch):
+    calls = []
+    original = smith._diagonalize
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(smith, "_diagonalize", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "kp",
+    [
+        builtin_knot("trefoil"),
+        wirtinger_from_braid(parse_braid("-2 -2 -2 -2 -1 -1 -2 -1")),
+        mapping_torus_presentation(builtin_monodromy("fig8")),
+    ],
+    ids=["trefoil", "braid", "fig8-monodromy"],
+)
+def test_one_decomposition_per_peripheral_check_and_alexander_polynomial(kp, monkeypatch):
+    calls = _count_diagonalizations(monkeypatch)
+    assert validate_peripheral(kp, standard_suite()[:2]).ok
+    assert len(calls) == 1
+    fox_alexander(kp)
+    assert len(calls) == 2
 
 
 def test_abelianization_examples():
