@@ -46,10 +46,6 @@ class LaurentPolynomial:
     def one(cls) -> "LaurentPolynomial":
         return cls(((0, 1),))
 
-    @classmethod
-    def monomial(cls, exponent: int, coefficient: int = 1) -> "LaurentPolynomial":
-        return cls(((exponent, coefficient),))
-
     @property
     def is_zero(self) -> bool:
         return not self.terms

@@ -59,7 +59,7 @@ from .surgery import (
     family_manifest,
     half_complement_group,
 )
-from .targets import resolve_suite, suite_names
+from .targets import read_suite_bytes, resolve_suite, suite_names
 
 SCHEMA_VERSION = 1
 WORKERS_ENV = "KNOTSURGERY_WORKERS"
@@ -150,8 +150,7 @@ def load_knot(config: RunConfig) -> tuple[KnotPresentation, str]:
 def _suite_fingerprint(spec: str) -> str:
     if spec in ("standard", "extended"):
         return spec
-    content = Path(spec).read_bytes()
-    return f"file:{hashlib.sha256(content).hexdigest()}"
+    return f"file:{hashlib.sha256(read_suite_bytes(spec)).hexdigest()}"
 
 
 def _cache_keys(config: RunConfig, source: str, p_values: Sequence[int]) -> list[str]:

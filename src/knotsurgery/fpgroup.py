@@ -86,13 +86,6 @@ class Word:
     def cyclically_reduced(self) -> "Word":
         return Word(_cyclic_reduced(self.letters))
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.letters
-
-    def support(self) -> frozenset[int]:
-        return frozenset(g for g, _ in self.letters)
-
     def max_index(self) -> int:
         """Largest generator index used, or -1 for the empty word."""
         return max((g for g, _ in self.letters), default=-1)
@@ -137,12 +130,29 @@ def apply_mapping(w: Word, images: Mapping[int, Word]) -> Word:
 
 
 def _min_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-    best = letters
-    for i in range(1, len(letters)):
-        rot = letters[i:] + letters[:i]
-        if rot < best:
-            best = rot
-    return best
+    """Least rotation in linear time by two competing start positions.
+
+    Rotations from i and j agree on their first k letters; where they first
+    differ, the larger one's start, and the k starts after it, cannot begin
+    a least rotation, so that pointer jumps past them.
+    """
+    n = len(letters)
+    doubled = letters + letters
+    i, j, k = 0, 1, 0
+    while i < n and j < n and k < n:
+        a, b = doubled[i + k], doubled[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    start = min(i, j)
+    return doubled[start:start + n]
 
 
 def cyclic_key(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:

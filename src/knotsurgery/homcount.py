@@ -301,14 +301,6 @@ class DistinguishReport:
     def unresolved_pairs(self) -> tuple[PairComparison, ...]:
         return tuple(pair for pair in self.pairs if pair.status == UNRESOLVED)
 
-    def status(self, left: str, right: str) -> str:
-        if left == right:
-            return UNRESOLVED
-        for pair in self.pairs:
-            if {pair.left, pair.right} == {left, right}:
-                return pair.status
-        raise KeyError(f"no pair ({left!r}, {right!r}) in report")
-
     def format(self) -> str:
         lines = [
             f"targets: {', '.join(self.target_names)}",

@@ -283,10 +283,6 @@ class PeripheralReport:
     def ok(self) -> bool:
         return all(check.passed for check in self.checks)
 
-    @property
-    def failures(self) -> tuple[PeripheralCheck, ...]:
-        return tuple(check for check in self.checks if not check.passed)
-
     def format(self) -> str:
         lines = []
         for check in self.checks:

@@ -71,9 +71,6 @@ class LabeledPresentation:
             if w.max_index() >= n:
                 raise ValueError(f"label {role!r} uses out-of-range generator")
 
-    def label(self, role: str) -> Word:
-        return self.labels[role]
-
 
 def dehn_surgery_group(kp: KnotPresentation, slope: SurgerySlope) -> Presentation:
     """Knot group modulo meridian^q longitude^p: the surgered manifold's group."""
@@ -129,7 +126,7 @@ def half_complement_group(kp: KnotPresentation, slope: SurgerySlope) -> Presenta
 
 def _kill_peripheral_pair(cable: LabeledPresentation) -> Presentation:
     return quotient_by_relators(
-        cable.presentation, [cable.label(MERIDIAN), cable.label(LONGITUDE)]
+        cable.presentation, [cable.labels[MERIDIAN], cable.labels[LONGITUDE]]
     )
 
 

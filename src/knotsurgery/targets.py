@@ -9,9 +9,11 @@ a pure table-lookup loop.  Cycle notation in files is 1-based, as usual.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from importlib import resources
+from math import isqrt
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -22,8 +24,11 @@ Perm = tuple[int, ...]
 
 # A closed target keeps an order x order table of 8-byte references, so the
 # cap bounds it at 8 * 5000^2 bytes = 200 MB (PSL2_19, the largest bundled
-# target, has 3420 elements).
+# target, has 3420 elements).  The targets of one suite file share that
+# bound: the sum of their squared orders is at most DEFAULT_CLOSURE_CAP^2.
 DEFAULT_CLOSURE_CAP = 5000
+# Suite files are refused past this size before they are read.
+MAX_SUITE_BYTES = 65_536
 # Largest degree a target-suite file may give; checked before any
 # permutation of that degree is built.
 MAX_TARGET_DEGREE = 1000
@@ -318,13 +323,17 @@ def _checked_entries(data) -> list[dict]:
 
 
 def suite_from_json(data: list[dict]) -> tuple[FiniteTarget, ...]:
+    """Close every entry; each closure is capped by the table budget left."""
     out = []
+    budget = DEFAULT_CLOSURE_CAP**2
     for entry in _checked_entries(data):
         degree = entry["degree"]
         if degree > MAX_TARGET_DEGREE:
             raise KnotSurgeryError(f"target degree {degree} is past the limit {MAX_TARGET_DEGREE}")
         gens = [parse_cycles(text, degree) for text in entry["generators"]]
-        out.append(close_target(entry["name"], gens, degree=degree))
+        target = close_target(entry["name"], gens, degree=degree, cap=isqrt(budget))
+        budget -= target.order**2
+        out.append(target)
     return tuple(out)
 
 
@@ -339,12 +348,19 @@ def suite_to_json(suite: Iterable[FiniteTarget]) -> list[dict]:
     ]
 
 
+def read_suite_bytes(path: str | Path) -> bytes:
+    """The file's bytes, refused before reading if it exceeds MAX_SUITE_BYTES."""
+    size = os.stat(path).st_size
+    if size > MAX_SUITE_BYTES:
+        raise KnotSurgeryError(f"target-suite file of {size} bytes is past the limit {MAX_SUITE_BYTES}")
+    return Path(path).read_bytes()
+
+
 def _read_suite_file(path: str | Path):
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh)
-        except RecursionError:
-            raise KnotSurgeryError(f"target-suite file {str(path)!r} is nested too deeply") from None
+    try:
+        return json.loads(read_suite_bytes(path).decode("utf-8"))
+    except RecursionError:
+        raise KnotSurgeryError(f"target-suite file {str(path)!r} is nested too deeply") from None
 
 
 def load_suite(path: str | Path) -> tuple[FiniteTarget, ...]:

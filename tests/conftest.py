@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the package's own evaluation machinery:
 naive_hom_count multiplies raw permutation tuples, seifert_alexander expands
 a determinant by permutation sums over dict-polynomials, det_oracle is a
-cofactor expansion, and row_lattice_oracle compares invariant factors
+cofactor expansion, min_rotation_oracle builds every rotation, and
+row_lattice_oracle compares invariant factors
 instead of reading the column transform.  Tests freeze values computed by these.
 """
 
@@ -121,6 +122,16 @@ def row_lattice_oracle(matrix, row) -> bool:
     of itself, so the invariant factors change exactly then.
     """
     return smith_normal_form(matrix).factors == smith_normal_form(list(matrix) + [row]).factors
+
+
+def min_rotation_oracle(letters: tuple) -> tuple:
+    """Least rotation by building and comparing every rotation (quadratic)."""
+    best = letters
+    for i in range(1, len(letters)):
+        rotation = letters[i:] + letters[:i]
+        if rotation < best:
+            best = rotation
+    return best
 
 
 def laurent_terms(poly) -> dict:

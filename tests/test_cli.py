@@ -27,7 +27,7 @@ from knotsurgery.knots import (
     fibered_knot_to_json,
 )
 from knotsurgery.surgery import MAX_ABS_P, MAX_Q
-from knotsurgery.targets import DEFAULT_CLOSURE_CAP, MAX_TARGET_DEGREE
+from knotsurgery.targets import DEFAULT_CLOSURE_CAP, MAX_SUITE_BYTES, MAX_TARGET_DEGREE
 
 
 def run(argv, capsys):
@@ -263,6 +263,38 @@ def test_suite_just_past_the_cap_and_degree_limits(capsys, tmp_path):
     code, _, err = run(["knot", "--builtin", "unknot", "--targets", str(wide)], capsys)
     assert code == 2
     assert "degree" in err
+
+
+def test_suite_just_past_the_table_budget(capsys, tmp_path):
+    # PSL2_19 has 3420 elements.  Two copies use 23 392 800 of the
+    # DEFAULT_CLOSURE_CAP^2 = 25 000 000 budget, so a third is capped at
+    # isqrt(1 607 200) = 1267 elements.
+    assert 2 * 3420**2 <= DEFAULT_CLOSURE_CAP**2 < 3 * 3420**2
+    psl = next(e for e in targets._escalation_entries() if e["name"] == "PSL2_19")
+    for copies, expected in ((2, 0), (3, 4)):
+        path = tmp_path / f"{copies}.json"
+        path.write_text(json.dumps([dict(psl, name=f"P{i}") for i in range(copies)]))
+        code, _, err = run(["knot", "--builtin", "unknot", "--targets", str(path)], capsys)
+        assert code == expected, err
+    assert "'P2' exceeded cap 1267" in err
+
+
+def test_suite_file_just_past_the_byte_limit(capsys, tmp_path):
+    c2 = json.dumps([{"name": "C2", "degree": 2, "generators": ["(1 2)"]}])
+    at_limit = tmp_path / "at.json"
+    at_limit.write_text(c2.ljust(MAX_SUITE_BYTES))
+    past = tmp_path / "past.json"
+    past.write_text(c2.ljust(MAX_SUITE_BYTES + 1))
+    code, _, _ = run(["knot", "--builtin", "unknot", "--targets", str(at_limit)], capsys)
+    assert code == 0
+    for command in (["knot"], ["family", "--out", str(tmp_path / "out")]):
+        code, _, err = run(command + ["--builtin", "unknot", "--targets", str(past)], capsys)
+        assert code == 2, command
+        assert f"past the limit {MAX_SUITE_BYTES}" in err, command
+    # the cache key reads the file through the same bounded reader
+    assert cli._suite_fingerprint(str(at_limit)).startswith("file:")
+    with pytest.raises(KnotSurgeryError, match="past the limit"):
+        cli._suite_fingerprint(str(past))
 
 
 def test_export_knot_group(capsys, tmp_path):

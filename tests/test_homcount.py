@@ -221,9 +221,9 @@ def test_distinguish_identical_spectra_unresolved():
     spectrum = HomSpectrum((("S3", 1), ("S4", 6)))
     report = distinguish_report([("u", spectrum), ("v", spectrum)])
     assert not report.all_distinguished
-    assert report.pairs[0].status == "UNRESOLVED"
-    assert report.status("u", "v") == "UNRESOLVED"
-    assert report.status("u", "u") == "UNRESOLVED"
+    pair = report.pairs[0]
+    assert (pair.left, pair.right, pair.status) == ("u", "v", "UNRESOLVED")
+    assert report.unresolved_pairs == (pair,)
 
 
 def test_distinguish_names_first_differing_target():
@@ -235,7 +235,7 @@ def test_distinguish_names_first_differing_target():
     assert pair.status == "DISTINGUISHED"
     assert pair.target == "S3"
     assert pair.counts == (6, 7)
-    assert report.status("v", "u") == "DISTINGUISHED"
+    assert (pair.left, pair.right) == ("u", "v")
     assert "DISTINGUISHED at S3" in report.format()
 
 

@@ -80,10 +80,10 @@ def test_cable_link_group_unknot_hopf_shadow(unknot):
     assert len(p.relators) == 2
     invariants = abelianization(p)
     assert invariants.free_rank == 2 and not invariants.torsion
-    assert labeled.label(MERIDIAN) == Word.generator(1)
-    assert labeled.label(LONGITUDE) == Word.generator(2)
-    assert labeled.label(CABLE_MERIDIAN) == unknot.meridian
-    assert labeled.label(CABLE_LONGITUDE) == unknot.longitude
+    assert labeled.labels[MERIDIAN] == Word.generator(1)
+    assert labeled.labels[LONGITUDE] == Word.generator(2)
+    assert labeled.labels[CABLE_MERIDIAN] == unknot.meridian
+    assert labeled.labels[CABLE_LONGITUDE] == unknot.longitude
 
 
 def test_cable_link_group_trefoil_linking(trefoil):
@@ -96,7 +96,7 @@ def test_cable_quotient_matches_surgery_spectra(fig8):
     slope = SurgerySlope(2, 3)
     labeled = cable_link_group(fig8, slope)
     collapsed = quotient_by_relators(
-        labeled.presentation, [labeled.label(MERIDIAN), labeled.label(LONGITUDE)]
+        labeled.presentation, [labeled.labels[MERIDIAN], labeled.labels[LONGITUDE]]
     )
     surgery = dehn_surgery_group(fig8, slope)
     suite = [t for t in standard_suite() if t.name in ("S3", "S4", "S5", "A5")]
@@ -114,7 +114,7 @@ def test_cable_of_unknot_is_torus_knot(unknot, suite_full, p, q, reference_braid
 
     labeled = cable_link_group(unknot, SurgerySlope(p, q))
     torus_knot = tietze_simplify(
-        quotient_by_relators(labeled.presentation, [labeled.label(MERIDIAN)])
+        quotient_by_relators(labeled.presentation, [labeled.labels[MERIDIAN]])
     )
     reference = tietze_simplify(wirtinger_from_braid(parse_braid(reference_braid)).group)
     for target in suite_full:

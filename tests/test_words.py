@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from knotsurgery import (
     KnotSurgeryError,
@@ -9,7 +9,9 @@ from knotsurgery import (
     parse_word,
     word_power,
 )
-from knotsurgery.fpgroup import MAX_WORD_LENGTH
+from knotsurgery.fpgroup import MAX_WORD_LENGTH, _inverse_letters, _min_rotation, cyclic_key
+
+from conftest import min_rotation_oracle
 
 a = Word.generator(0)
 b = Word.generator(1)
@@ -24,7 +26,7 @@ words = letters.map(lambda ls: Word(tuple(ls)))
 
 
 def test_multiply_inverse_cancellation():
-    assert (a * a.inverse()).is_identity
+    assert a * a.inverse() == Word()
 
 
 def test_multiply_single_cascade():
@@ -38,7 +40,7 @@ def test_multiply_two_step_cascade():
 
 
 def test_inverse_examples():
-    assert Word().inverse().is_identity
+    assert Word().inverse() == Word()
     assert (a * b.inverse()).inverse() == b * a.inverse()
     assert word_power(a, 3).inverse() == word_power(a, -3)
 
@@ -67,7 +69,7 @@ def test_apply_mapping_is_simultaneous():
 
 def test_commutator():
     assert commutator(a, b) == a * b * a.inverse() * b.inverse()
-    assert commutator(a, a).is_identity
+    assert commutator(a, a) == Word()
 
 
 def test_parse_word():
@@ -75,7 +77,7 @@ def test_parse_word():
     assert parse_word("a b^-1", names) == a * b.inverse()
     assert parse_word("a^3", names) == word_power(a, 3)
     assert parse_word("a*b*a^-1", names) == a * b * a.inverse()
-    assert parse_word("", names).is_identity
+    assert parse_word("", names) == Word()
 
 
 def test_word_rejects_bad_letters():
@@ -98,8 +100,8 @@ def test_multiplication_associative(w1, w2, w3):
 
 @given(words)
 def test_inverse_law(w):
-    assert (w * w.inverse()).is_identity
-    assert (w.inverse() * w).is_identity
+    assert w * w.inverse() == Word()
+    assert w.inverse() * w == Word()
 
 
 @given(words)
@@ -118,3 +120,25 @@ def test_power_matches_repeated_multiplication(w, n):
     for _ in range(abs(n)):
         expected = expected * step
     assert word_power(w, n) == expected
+
+
+# few distinct letters and repeated blocks, so rotations tie often
+periodic_letters = st.tuples(
+    st.lists(
+        st.tuples(st.integers(min_value=0, max_value=1), st.sampled_from((1, -1))),
+        max_size=6,
+    ),
+    st.integers(min_value=1, max_value=5),
+).map(lambda case: tuple(case[0]) * case[1])
+
+
+@settings(max_examples=300)
+@given(st.one_of(periodic_letters, letters.map(tuple)))
+@example(())
+@example(((0, 1),) * 7)
+@example(((1, 1), (0, 1), (1, 1), (0, 1)))
+@example(((1, 1), (0, 1), (0, 1), (1, 1), (0, 1)))
+def test_least_rotation_matches_the_quadratic_oracle(ls):
+    assert _min_rotation(ls) == min_rotation_oracle(ls)
+    expected_key = min(min_rotation_oracle(ls), min_rotation_oracle(_inverse_letters(ls)))
+    assert cyclic_key(ls) == expected_key
