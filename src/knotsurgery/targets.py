@@ -331,7 +331,8 @@ def suite_from_json(data: list[dict]) -> tuple[FiniteTarget, ...]:
         if degree > MAX_TARGET_DEGREE:
             raise KnotSurgeryError(f"target degree {degree} is past the limit {MAX_TARGET_DEGREE}")
         gens = [parse_cycles(text, degree) for text in entry["generators"]]
-        target = close_target(entry["name"], gens, degree=degree, cap=isqrt(budget))
+        # max: a trivial group still closes, and costs 1, with no budget left
+        target = close_target(entry["name"], gens, degree=degree, cap=isqrt(max(budget, 0)))
         budget -= target.order**2
         out.append(target)
     return tuple(out)

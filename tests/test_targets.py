@@ -13,6 +13,7 @@ from knotsurgery import (
     escalation_suite,
     standard_suite,
     symmetric,
+    targets,
 )
 from knotsurgery.targets import (
     compose,
@@ -138,6 +139,18 @@ def test_extended_suite_is_standard_plus_escalation():
     assert [t.name for t in suite[: len(standard_suite())]] == [
         t.name for t in standard_suite()
     ]
+
+
+def test_suite_budget_used_up_exactly(monkeypatch):
+    # with a budget of 6^2, S3 uses it all; a trivial group still closes
+    # (order 1), and the next nontrivial entry is past the cap
+    monkeypatch.setattr(targets, "DEFAULT_CLOSURE_CAP", 6)
+    s3 = {"name": "S3", "degree": 3, "generators": ["(1 2)", "(1 2 3)"]}
+    trivial = {"name": "1", "degree": 3, "generators": []}
+    c2 = {"name": "C2", "degree": 2, "generators": ["(1 2)"]}
+    assert [t.order for t in suite_from_json([s3, trivial, trivial])] == [6, 1, 1]
+    with pytest.raises(ClosureCapExceededError, match="'C2' exceeded cap 0"):
+        suite_from_json([s3, trivial, c2])
 
 
 def test_suite_json_round_trip():
