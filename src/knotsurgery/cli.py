@@ -16,6 +16,7 @@ hash of (package version, knot source, slope, suite) under
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -24,6 +25,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -233,12 +235,54 @@ def compute_spectra(
             spectra[i] = spectrum
             if config.cache:
                 payload = {"schema_version": SCHEMA_VERSION, "counts": list(spectrum.entries)}
-                _write_atomic(paths[i], json.dumps(payload, indent=2) + "\n")
+                _write_atomic(paths[i], _dumps(payload) + "\n")
     return spectra, len(presentations) - len(pending)
 
 
+# How _dumps writes each scalar type; keyed by exact type, so a bool is
+# never written as an int and an int subclass is refused.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _dumps(value, indent: str = "") -> str:
+    """The text of json.dumps(value, indent=2), for the types the CLI writes.
+
+    Those are dicts with str keys, lists, tuples, str, int, bool and None;
+    anything else raises TypeError.  json.dumps with an indent runs the
+    stdlib's pure-Python encoder; this writer formats the scalar items of a
+    list in place instead of through a recursive call.
+    """
+    scalar = _SCALARS.get(type(value))
+    if scalar is not None:
+        return scalar(value)
+    inner = indent + "  "
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        items = []
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(f"{encode_basestring_ascii(key)}: {_dumps(item, inner)}")
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if type(value) is list or type(value) is tuple:
+        if not value:
+            return "[]"
+        items = []
+        for item in value:
+            scalar = _SCALARS.get(type(item))
+            items.append(scalar(item) if scalar is not None else _dumps(item, inner))
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    path.write_text(_dumps(payload) + "\n", encoding="utf-8")
 
 
 def _slopes(config: RunConfig) -> Iterator[SurgerySlope]:
@@ -300,7 +344,7 @@ def cmd_knot(config: RunConfig) -> int:
 
 
 def cmd_family(config: RunConfig) -> int:
-    started = time.time()
+    started = time.perf_counter()
     if config.out_dir is None:
         raise ValueError("family requires --out")
     kp, source = load_knot(config)
@@ -336,7 +380,7 @@ def cmd_family(config: RunConfig) -> int:
     meta = {
         "schema_version": SCHEMA_VERSION,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "elapsed_ms": int((time.time() - started) * 1000),
+        "elapsed_ms": int((time.perf_counter() - started) * 1000),
         "cache_hits": hits,
     }
     _write_json(config.out_dir / "run_meta.json", meta)
@@ -393,6 +437,12 @@ def cmd_export(config: RunConfig) -> int:
         path.write_text(to_free_group_script(presentation), encoding="utf-8")
         print(f"wrote {path}")
     return 0
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of main; built on the first call, not at import."""
+    return build_parser()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -454,8 +504,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     commands = {
         "knot": cmd_knot,
         "family": cmd_family,

@@ -6,6 +6,20 @@ tuple of generator names with cyclically reduced relator words.  Everything
 here is a pure function over immutable data, so values can be shared between
 threads or worker processes without synchronization.
 
+A word built from outside input (``Word(letters)``, ``parse_word``,
+``word_from_json`` and so ``presentation_from_json``) is checked and reduced.
+Operations whose result is reduced by construction skip that second pass:
+
+- ``w * v`` cancels only at the junction, since w and v are each reduced;
+- ``w.inverse()`` reverses a reduced word, which stays reduced;
+- ``w.cyclically_reduced()`` is a subword of w (w itself if nothing is
+  trimmed), and a subword of a reduced word is reduced;
+- ``word_power`` writes the base as u c u^-1 with c cyclically reduced, and
+  u c^n u^-1 has no cancelling pair;
+- ``quotient_by_relators`` and ``tietze_simplify_tracked`` wrap letters that
+  ``_normalize_relators`` or ``_reduced`` just reduced (the generator
+  renumbering after an elimination is injective, so it keeps them reduced).
+
 Generators are never renamed implicitly: constructions that add generators
 append them after the existing ones, so distinguished words (meridians,
 longitudes, ...) keep their meaning across constructions.
@@ -67,12 +81,23 @@ class Word:
         object.__setattr__(self, "letters", _reduced(self.letters))
 
     @classmethod
+    def _of(cls, letters: tuple[Letter, ...]) -> "Word":
+        """A word on letters that are freely reduced by construction; no check."""
+        w = object.__new__(cls)
+        object.__setattr__(w, "letters", letters)
+        return w
+
+    @classmethod
     def generator(cls, index: int, exponent: int = 1) -> "Word":
         """The word g^exponent for a single generator g."""
         return word_power(cls(((index, 1),)), exponent)
 
     def __mul__(self, other: "Word") -> "Word":
-        return Word(self.letters + other.letters)
+        a, b = self.letters, other.letters
+        k, n = 0, min(len(a), len(b))
+        while k < n and a[-1 - k][0] == b[k][0] and a[-1 - k][1] == -b[k][1]:
+            k += 1
+        return Word._of(a[: len(a) - k] + b[k:])
 
     def __pow__(self, n: int) -> "Word":
         return word_power(self, n)
@@ -81,10 +106,11 @@ class Word:
         return len(self.letters)
 
     def inverse(self) -> "Word":
-        return Word(_inverse_letters(self.letters))
+        return Word._of(_inverse_letters(self.letters))
 
     def cyclically_reduced(self) -> "Word":
-        return Word(_cyclic_reduced(self.letters))
+        core = _cyclic_reduced(self.letters)
+        return self if len(core) == len(self.letters) else Word._of(core)
 
     def max_index(self) -> int:
         """Largest generator index used, or -1 for the empty word."""
@@ -107,8 +133,11 @@ def word_power(w: Word, n: int) -> Word:
         raise KnotSurgeryError(
             f"a word of {len(w)} letters to the power {n} exceeds {MAX_WORD_LENGTH} letters"
         )
-    base = w if n > 0 else w.inverse()
-    return Word(base.letters * abs(n))
+    base = (w if n > 0 else w.inverse()).letters
+    # base = u c u^-1 with c cyclically reduced, so base^|n| = u c^|n| u^-1
+    core = _cyclic_reduced(base)
+    k = (len(base) - len(core)) // 2
+    return Word._of(base[:k] + core * abs(n) + base[len(base) - k :])
 
 
 def commutator(w1: Word, w2: Word) -> Word:
@@ -205,9 +234,10 @@ class Presentation:
         n = len(gens)
         relators = []
         for r in self.relators:
-            if r.max_index() >= n:
+            top = r.max_index()
+            if top >= n:
                 raise UnknownGeneratorError(
-                    f"relator uses generator index {r.max_index()} but only {n} generators exist"
+                    f"relator uses generator index {top} but only {n} generators exist"
                 )
             reduced = r.cyclically_reduced()
             if reduced.letters:
@@ -256,7 +286,7 @@ def quotient_by_relators(p: Presentation, extra: Iterable[Word]) -> Presentation
     """Append extra relators (cyclically reduced; duplicates and identities dropped)."""
     seen = {cyclic_key(r.letters) for r in p.relators}
     added = _normalize_relators([w.letters for w in extra], seen)
-    return Presentation(p.generators, p.relators + tuple(Word(r) for r in added))
+    return Presentation(p.generators, p.relators + tuple(Word._of(r) for r in added))
 
 
 def _substitute_letters(
@@ -348,8 +378,8 @@ def tietze_simplify_tracked(
         rels = _normalize_relators([rewrite(s) for i, s in enumerate(rels) if i != pos])
         tracked_letters = [rewrite(t) for t in tracked_letters]
         names.pop(g)
-    simplified = Presentation(tuple(names), tuple(Word(r) for r in rels))
-    return simplified, tuple(Word(t) for t in tracked_letters)
+    simplified = Presentation(tuple(names), tuple(Word._of(r) for r in rels))
+    return simplified, tuple(Word._of(t) for t in tracked_letters)
 
 
 def tietze_simplify(p: Presentation) -> Presentation:

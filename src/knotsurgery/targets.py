@@ -326,13 +326,20 @@ def suite_from_json(data: list[dict]) -> tuple[FiniteTarget, ...]:
     """Close every entry; each closure is capped by the table budget left."""
     out = []
     budget = DEFAULT_CLOSURE_CAP**2
-    for entry in _checked_entries(data):
+    for i, entry in enumerate(_checked_entries(data)):
         degree = entry["degree"]
         if degree > MAX_TARGET_DEGREE:
             raise KnotSurgeryError(f"target degree {degree} is past the limit {MAX_TARGET_DEGREE}")
         gens = [parse_cycles(text, degree) for text in entry["generators"]]
-        # max: a trivial group still closes, and costs 1, with no budget left
-        target = close_target(entry["name"], gens, degree=degree, cap=isqrt(max(budget, 0)))
+        try:
+            # max: a trivial group still closes, and costs 1, with no budget left
+            target = close_target(entry["name"], gens, degree=degree, cap=isqrt(max(budget, 0)))
+        except ClosureCapExceededError as exc:
+            raise ClosureCapExceededError(
+                f"{exc}: the cap is what the {i} entries before it left of the suite's"
+                " table budget (the squared orders of its entries may sum to at most"
+                f" {DEFAULT_CLOSURE_CAP}^2 = {DEFAULT_CLOSURE_CAP**2})"
+            ) from None
         budget -= target.order**2
         out.append(target)
     return tuple(out)

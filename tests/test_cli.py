@@ -1,9 +1,11 @@
+import itertools
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 import knotsurgery
 from knotsurgery import (
@@ -277,6 +279,8 @@ def test_suite_just_past_the_table_budget(capsys, tmp_path):
         code, _, err = run(["knot", "--builtin", "unknot", "--targets", str(path)], capsys)
         assert code == expected, err
     assert "'P2' exceeded cap 1267" in err
+    assert "what the 2 entries before it left of the suite's table budget" in err
+    assert f"{DEFAULT_CLOSURE_CAP}^2 = {DEFAULT_CLOSURE_CAP**2}" in err
 
 
 def test_suite_file_just_past_the_byte_limit(capsys, tmp_path):
@@ -551,3 +555,53 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "alexander: 1" in result.stdout
+
+
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64 - 2, max_value=2**80)
+    | st.integers(min_value=-(2**80), max_value=-(2**64))
+    # non-ASCII, control and quote characters all need escaping
+    | st.text(alphabet=st.characters(codec="utf-8"))
+    | st.sampled_from(['"', "\\", "\n\t", "\x00", "é", " ", "😀"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=20,
+)
+
+
+@given(json_values)
+@example({"a": [[], {}, ()], "b": {"c": {}}, "": [None, True, False, 0, 2**70]})
+def test_json_writer_matches_json_dumps(value):
+    assert cli._dumps(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, [1.5], {"a": 1.5}, {1: 2}, {"a": [{None: 0}]}, {"a": {1, 2}}])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        cli._dumps(value)
+
+
+def test_elapsed_ms_survives_a_wall_clock_step_back(capsys, tmp_path, monkeypatch):
+    # every reading of the wall clock is an hour before the last
+    clock = itertools.count(2_000_000_000.0, -3600.0)
+    monkeypatch.setattr(cli.time, "time", lambda: next(clock))
+    argv = ["family", "--builtin", "trefoil", "--q", "1", "--p", "1,2", "--out", str(tmp_path)]
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
+    assert json.loads((tmp_path / "run_meta.json").read_text())["elapsed_ms"] >= 0
+
+
+def test_reused_parser_keeps_no_state_between_calls(capsys, tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    common = ["family", "--builtin", "trefoil", "--p", "1"]
+    assert run(common + ["--q=2", "--no-cache", "--out", str(first)], capsys)[0] == 0
+    assert run(common + ["--out", str(second)], capsys)[0] == 0
+    assert cli._parser() is cli._parser()
+    assert json.loads((first / "family_manifest.json").read_text())["q"] == 2
+    assert not (first / ".cache").exists()
+    assert json.loads((second / "family_manifest.json").read_text())["q"] == 1
+    assert len(list((second / ".cache").glob("*.json"))) == 1

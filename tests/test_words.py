@@ -9,7 +9,14 @@ from knotsurgery import (
     parse_word,
     word_power,
 )
-from knotsurgery.fpgroup import MAX_WORD_LENGTH, _inverse_letters, _min_rotation, cyclic_key
+from knotsurgery.fpgroup import (
+    MAX_WORD_LENGTH,
+    _cyclic_reduced,
+    _inverse_letters,
+    _min_rotation,
+    cyclic_key,
+    word_from_json,
+)
 
 from conftest import min_rotation_oracle
 
@@ -142,3 +149,49 @@ def test_least_rotation_matches_the_quadratic_oracle(ls):
     assert _min_rotation(ls) == min_rotation_oracle(ls)
     expected_key = min(min_rotation_oracle(ls), min_rotation_oracle(_inverse_letters(ls)))
     assert cyclic_key(ls) == expected_key
+
+
+# Words over 3 generators; the fast paths below are checked against the
+# reference Word(letters), which reduces the letters anew.
+letters3 = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=2), st.sampled_from((1, -1))),
+    max_size=16,
+).map(tuple)
+words3 = letters3.map(Word)
+
+
+@given(words3, st.integers(min_value=0, max_value=16), letters3)
+def test_product_matches_reference(w, k, tail):
+    # v starts by undoing the last k letters of w: full cancellation when
+    # k == len(w) and tail is empty, partial otherwise
+    v = Word(_inverse_letters(w.letters[len(w) - min(k, len(w)) :]) + tail)
+    assert (w * v).letters == Word(w.letters + v.letters).letters
+    assert (v * w).letters == Word(v.letters + w.letters).letters
+
+
+@given(words3)
+def test_inverse_and_cyclic_reduction_match_reference(w):
+    assert w.inverse().letters == Word(_inverse_letters(w.letters)).letters
+    trimmed = w.cyclically_reduced()
+    assert trimmed.letters == Word(_cyclic_reduced(w.letters)).letters
+    assert trimmed.cyclically_reduced() is trimmed
+
+
+@given(
+    st.one_of(
+        words3,
+        # u c u^-1: not cyclically reduced whenever u survives reduction
+        st.tuples(letters3, letters3).map(lambda uc: Word(uc[0] + uc[1] + _inverse_letters(uc[0]))),
+    ),
+    st.integers(min_value=-5, max_value=5),
+)
+def test_power_matches_reference(w, n):
+    base = w.letters if n >= 0 else _inverse_letters(w.letters)
+    assert word_power(w, n).letters == Word(base * abs(n)).letters
+
+
+def test_outside_input_is_still_checked():
+    with pytest.raises(ValueError, match="exponent"):
+        word_from_json([["a", 2]], {"a": 0})
+    with pytest.raises(ValueError, match="generator index"):
+        Word(((0, 1), (-2, -1)))
