@@ -1,7 +1,8 @@
 """Command-line front end: knot -> family -> spectra -> distinguishing report.
 
 Subcommands: knot (inspect a knot presentation), family (build a surgery
-family and distinguish it), verify (cross-check the two surgery routes),
+family and distinguish it), verify (cross-check the two surgery routes and
+the knot group's peripheral tables),
 export (write presentations as computational-algebra scripts).
 
 Exit codes: 0 success / all pairs distinguished, 1 verification failure,
@@ -22,7 +23,7 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor  # unused; bench/run.py's --trace 1 wraps it
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
@@ -34,19 +35,19 @@ from .alexander import fox_alexander
 from .braids import parse_braid, wirtinger_from_braid
 from .errors import ClosureCapExceededError, InvalidMonodromyError, KnotSurgeryError
 from .fpgroup import (
-    Presentation,
     presentation_from_json,
     presentation_to_json,
     tietze_simplify,
     to_free_group_script,
     word_to_json,
 )
-from .homcount import HomSpectrum, distinguish_report, hom_spectrum
+from .homcount import HomSpectrum, distinguish_report, hom_spectrum, slope_count
 from .knots import (
     KnotPresentation,
     builtin_knot,
     fibered_knot_from_json,
     mapping_torus_presentation,
+    peripheral_tables,
     read_monodromy_file,
     validate_peripheral,
 )
@@ -61,10 +62,10 @@ from .surgery import (
     family_manifest,
     half_complement_group,
 )
-from .targets import read_suite_bytes, resolve_suite, suite_names
+from .targets import FiniteTarget, read_suite_bytes, resolve_suite, suite_names
 
 SCHEMA_VERSION = 1
-WORKERS_ENV = "KNOTSURGERY_WORKERS"
+WORKERS_ENV = "KNOTSURGERY_WORKERS"  # no longer read; bench/workloads.py still sets it
 MAX_P_VALUES = 1000
 
 
@@ -79,7 +80,6 @@ class RunConfig:
     targets: str = "standard"
     out_dir: Path | None = None
     cache: bool = True
-    workers: int = 1
     construction: str = "surgery"
 
 
@@ -174,11 +174,6 @@ def _cache_keys(config: RunConfig, source: str, p_values: Sequence[int]) -> list
     ]
 
 
-def pool_size(requested: int, pending: int, cpus: int | None) -> int:
-    """Worker processes to start: no more than requested, pending tasks or CPUs."""
-    return max(1, min(requested, pending, cpus or 1))
-
-
 def _read_cache_entry(path: Path, names: tuple[str, ...]) -> HomSpectrum | None:
     """The cached spectrum, or None (a miss) if the entry is absent, unreadable or stale."""
     try:
@@ -198,24 +193,39 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(temporary, path)
 
 
+# Never called; bench/run.py's --trace 1 wraps it.
 def _spectrum_task(payload: tuple[dict, str]) -> HomSpectrum:
     presentation_json, suite_spec = payload
     simplified = tietze_simplify(presentation_from_json(presentation_json))
     return hom_spectrum(simplified, resolve_suite(suite_spec))
 
 
+def _filtered_spectrum(
+    suite: Sequence[FiniteTarget], tables: Sequence[dict], slope: SurgerySlope
+) -> HomSpectrum:
+    """The slope's spectrum read off the knot group's peripheral tables into the suite."""
+    return HomSpectrum(tuple(
+        (target.name, slope_count(table, target, slope.q, slope.p))
+        for target, table in zip(suite, tables)
+    ))
+
+
 def compute_spectra(
-    presentations: list[Presentation],
+    slopes: Sequence[SurgerySlope],
     config: RunConfig,
     keys: list[str],
+    kp: KnotPresentation,
 ) -> tuple[list[HomSpectrum], int]:
-    """Spectra in input order, through the file cache under out_dir when enabled.
+    """Spectra of kp's surgeries in slope order, through the file cache under
+    out_dir when enabled.
 
-    keys[i] names the cache entry of presentations[i].  An entry that is
+    keys[i] names the cache entry of slopes[i].  An entry that is
     unreadable, or whose schema or target names do not match, counts as a
-    miss and is recomputed.  Returns (spectra, number of cache hits).
+    miss.  All misses are filled from the knot group's peripheral tables:
+    one search per target of the suite, however many slopes miss.  Returns
+    (spectra, number of cache hits).
     """
-    spectra: list[HomSpectrum | None] = [None] * len(presentations)
+    spectra: list[HomSpectrum | None] = [None] * len(slopes)
     if config.cache:
         cache_dir = config.out_dir / ".cache"
         cache_dir.mkdir(parents=True, exist_ok=True)
@@ -224,19 +234,14 @@ def compute_spectra(
         spectra = [_read_cache_entry(path, names) for path in paths]
     pending = [i for i, spectrum in enumerate(spectra) if spectrum is None]
     if pending:
-        tasks = [(presentation_to_json(presentations[i]), config.targets) for i in pending]
-        workers = pool_size(config.workers, len(pending), os.cpu_count())
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_spectrum_task, tasks))
-        else:
-            outcomes = [_spectrum_task(task) for task in tasks]
-        for i, spectrum in zip(pending, outcomes):
-            spectra[i] = spectrum
+        suite = resolve_suite(config.targets)
+        tables = list(peripheral_tables(kp, suite))
+        for i in pending:
+            spectra[i] = _filtered_spectrum(suite, tables, slopes[i])
             if config.cache:
-                payload = {"schema_version": SCHEMA_VERSION, "counts": list(spectrum.entries)}
+                payload = {"schema_version": SCHEMA_VERSION, "counts": list(spectra[i].entries)}
                 _write_atomic(paths[i], _dumps(payload) + "\n")
-    return spectra, len(presentations) - len(pending)
+    return spectra, len(slopes) - len(pending)
 
 
 # How _dumps writes each scalar type; keyed by exact type, so a bool is
@@ -356,9 +361,9 @@ def cmd_family(config: RunConfig) -> int:
     config.out_dir.mkdir(parents=True, exist_ok=True)
 
     labels = [f"p={m.slope.p}" for m in family.members]
-    presentations = [m.presentation for m in family.members]
-    keys = _cache_keys(config, source, [m.slope.p for m in family.members])
-    spectra, hits = compute_spectra(presentations, config, keys)
+    slopes = [m.slope for m in family.members]
+    keys = _cache_keys(config, source, [slope.p for slope in slopes])
+    spectra, hits = compute_spectra(slopes, config, keys, kp)
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -396,6 +401,8 @@ def cmd_verify(config: RunConfig) -> int:
         for line in peripheral.format().splitlines():
             print(f"  {line}")
         return 1
+    # the third side: each slope's spectrum read off the knot group's tables
+    tables = list(peripheral_tables(kp, suite))
     lines = []
     all_ok = True
     for slope in _slopes(config):
@@ -403,7 +410,11 @@ def cmd_verify(config: RunConfig) -> int:
         half = tietze_simplify(half_complement_group(kp, slope))
         ab_surgery = abelianization(surgery)
         ab_half = abelianization(half)
-        ok = ab_surgery == ab_half and hom_spectrum(surgery, suite) == hom_spectrum(half, suite)
+        ok = ab_surgery == ab_half and (
+            hom_spectrum(surgery, suite)
+            == hom_spectrum(half, suite)
+            == _filtered_spectrum(suite, tables, slope)
+        )
         all_ok = all_ok and ok
         status = "PASS" if ok else "FAIL"
         detail = f"H1 {ab_surgery} vs {ab_half}, spectra over {len(suite)} targets"
@@ -498,7 +509,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         targets=args.targets,
         out_dir=args.out,
         cache=not args.no_cache,
-        workers=int(os.environ.get(WORKERS_ENV, "1")),
         construction=getattr(args, "construction", "surgery"),
     )
 

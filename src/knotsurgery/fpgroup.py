@@ -283,9 +283,16 @@ def fresh_name(base: str, taken: Iterable[str]) -> str:
 
 
 def quotient_by_relators(p: Presentation, extra: Iterable[Word]) -> Presentation:
-    """Append extra relators (cyclically reduced; duplicates and identities dropped)."""
-    seen = {cyclic_key(r.letters) for r in p.relators}
-    added = _normalize_relators([w.letters for w in extra], seen)
+    """Append extra relators (cyclically reduced; duplicates and identities dropped).
+
+    A relator of p can repeat an extra one only if their cyclic reductions
+    have the same length, so only those relators' cyclic keys are computed;
+    the long filling relators of a surgery family never are.
+    """
+    rels = [w.letters for w in extra]
+    lengths = {len(_cyclic_reduced(r)) for r in rels}
+    seen = {cyclic_key(r.letters) for r in p.relators if len(r.letters) in lengths}
+    added = _normalize_relators(rels, seen)
     return Presentation(p.generators, p.relators + tuple(Word._of(r) for r in added))
 
 

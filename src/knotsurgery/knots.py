@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import InvalidMonodromyError, UnknownGeneratorError
 from .fpgroup import (
@@ -25,7 +25,7 @@ from .fpgroup import (
     word_from_json,
     word_to_json,
 )
-from .homcount import evaluate_word, weighted_homomorphisms
+from .homcount import peripheral_table
 from .smith import relation_matrix, smith_normal_form
 from .targets import FiniteTarget
 
@@ -268,6 +268,21 @@ def builtin_monodromy(name: str) -> FiberedKnotData:
     return table[key]
 
 
+def peripheral_tables(
+    kp: KnotPresentation, targets: Sequence[FiniteTarget]
+) -> Iterator[dict[tuple[int, int], int]]:
+    """The knot group's ``peripheral_table`` into each target, in turn.
+
+    The search runs on a Tietze-simplified copy of the group, simplified
+    once, when the first table is drawn.
+    """
+    simplified, (meridian, longitude) = tietze_simplify_tracked(
+        kp.group, (kp.meridian, kp.longitude)
+    )
+    for target in targets:
+        yield peripheral_table(simplified, meridian, longitude, target)
+
+
 @dataclass(frozen=True)
 class PeripheralCheck:
     name: str
@@ -304,11 +319,11 @@ def validate_peripheral(
     2. The longitude is nullhomologous (0-framed): its exponent vector lies
        in the row lattice of the relation matrix.
     3. Meridian and longitude images commute under every homomorphism into
-       every given target (enumerated on a Tietze-simplified copy).  The
-       search tries one homomorphism per conjugation orbit of its first two
-       images: commutation is invariant under simultaneous conjugation, so
-       this is exact, and the orbit weights still count every homomorphism
-       in the reported total.
+       every given target: every pair in each target's ``peripheral_tables``
+       entry commutes.  A table files each conjugation orbit of
+       homomorphisms under one representative's pair; commutation is
+       invariant under simultaneous conjugation, so this is exact, and the
+       table's weights count every homomorphism in the reported total.
        The search runs only when check 1 passes.  Otherwise the check is
        reported failed without it: a group whose H1 is larger than Z can
        have hundreds of millions of homomorphisms into the targets.
@@ -346,23 +361,15 @@ def validate_peripheral(
         )
         return PeripheralReport(tuple(checks))
 
-    simplified, (meridian, longitude) = tietze_simplify_tracked(
-        kp.group, (kp.meridian, kp.longitude)
-    )
     commuting = True
     witness = ""
     total = 0
-    for target in targets:
+    for target, table in zip(targets, peripheral_tables(kp, targets)):
         mult = target.mult
-        for images, weight in weighted_homomorphisms(simplified, target):
-            total += weight
-            m_img = evaluate_word(meridian.letters, images, target)
-            l_img = evaluate_word(longitude.letters, images, target)
-            if mult[m_img][l_img] != mult[l_img][m_img]:
-                commuting = False
-                witness = f"violation in {target.name}"
-                break
-        if not commuting:
+        total += sum(table.values())
+        if any(mult[a][b] != mult[b][a] for a, b in table):
+            commuting = False
+            witness = f"violation in {target.name}"
             break
     detail = witness if witness else f"{total} homomorphisms over {len(targets)} targets"
     checks.append(PeripheralCheck("peripheral-commutation", commuting, detail))

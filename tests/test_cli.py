@@ -21,7 +21,7 @@ from knotsurgery import (
     surgery,
     targets,
 )
-from knotsurgery.cli import MAX_P_VALUES, main, parse_p_spec, pool_size
+from knotsurgery.cli import MAX_P_VALUES, main, parse_p_spec
 from knotsurgery.knots import (
     MAX_GENUS,
     MAX_MONODROMY_BYTES,
@@ -157,6 +157,15 @@ def test_verify_trefoil_multiple_slopes(capsys):
     code, out, _ = run(["verify", "--builtin", "trefoil", "--q", "1", "--p", "1,2,3"], capsys)
     assert code == 0
     assert out.count("PASS") == 3
+
+
+def test_verify_fails_when_the_table_side_disagrees(capsys, monkeypatch):
+    argv = ["verify", "--builtin", "trefoil", "--q", "1", "--p", "1,2"]
+    expected = run(argv, capsys)[1]
+    monkeypatch.setattr(cli, "slope_count", lambda table, target, q, p: -1)
+    code, out, _ = run(argv, capsys)
+    assert code == 1
+    assert out == expected.replace("PASS", "FAIL")
 
 
 def test_verify_rejects_broken_monodromy(capsys, tmp_path):
@@ -323,13 +332,34 @@ def test_workers_env_produces_identical_outputs(capsys, tmp_path, monkeypatch):
     assert (out1 / "spectra.csv").read_bytes() == (out2 / "spectra.csv").read_bytes()
 
 
-def test_pool_size_is_clamped():
-    assert pool_size(2, 13, 2) == 2
-    assert pool_size(10**9, 13, 2) == 2
-    assert pool_size(64, 3, 8) == 3
-    assert pool_size(4, 13, None) == 1
-    assert pool_size(0, 5, 4) == 1
-    assert pool_size(4, 0, 4) == 1
+def test_cold_family_starts_no_process(capsys, tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("family started a process pool")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", refuse)
+    monkeypatch.setenv("KNOTSURGERY_WORKERS", "2")
+    argv = ["family", "--builtin", "trefoil", "--q", "1", "--p", "1..6", "--out", str(tmp_path)]
+    assert run(argv, capsys)[0] == 3
+    assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 0
+    assert len((tmp_path / "spectra.csv").read_text().splitlines()) == 1 + 6
+
+
+def test_cold_and_warm_family_write_identical_spectra_and_cache(capsys, tmp_path):
+    argv = ["family", "--builtin", "trefoil", "--q", "2", "--p=-5..5", "--out", str(tmp_path)]
+
+    def snapshot():
+        files = {"spectra.csv": (tmp_path / "spectra.csv").read_bytes()}
+        for path in sorted((tmp_path / ".cache").glob("*")):
+            files[path.name] = path.read_bytes()
+        return files
+
+    assert run(argv, capsys)[0] == 3
+    cold = snapshot()
+    assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 0
+    assert run(argv, capsys)[0] == 3
+    assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 6
+    assert snapshot() == cold
+    assert len(cold) == 1 + 6
 
 
 def test_damaged_cache_entry_is_a_miss(capsys, tmp_path):

@@ -176,3 +176,19 @@ def test_builtin_aliases():
     assert builtin_knot("figure-eight").group == builtin_knot("fig8").group
     with pytest.raises(KeyError):
         builtin_knot("granny")
+
+
+def test_commutation_check_names_the_first_target_with_a_violation():
+    # [x1, x2] is nullhomologous but no peripheral word of the trefoil: in S3
+    # it maps to a 3-cycle whenever x1 and x2 map to distinct transpositions,
+    # and no transposition commutes with a 3-cycle; the cyclic targets before
+    # S3 are abelian
+    from knotsurgery import KnotPresentation, commutator
+
+    kp = builtin_knot("trefoil")
+    bad = KnotPresentation(kp.group, kp.meridian, commutator(a, b))
+    report = validate_peripheral(bad, standard_suite())
+    assert report.format().splitlines()[1:] == [
+        "longitude-nullhomologous: PASS (longitude exponent vector (0, 0))",
+        "peripheral-commutation: FAIL (violation in S3)",
+    ]

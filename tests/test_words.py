@@ -3,10 +3,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from knotsurgery import (
     KnotSurgeryError,
+    Presentation,
     Word,
     apply_mapping,
     commutator,
     parse_word,
+    quotient_by_relators,
     word_power,
 )
 from knotsurgery.fpgroup import (
@@ -195,3 +197,41 @@ def test_outside_input_is_still_checked():
         word_from_json([["a", 2]], {"a": 0})
     with pytest.raises(ValueError, match="generator index"):
         Word(((0, 1), (-2, -1)))
+
+
+def _reference_quotient(p, extra):
+    """Append extras, dropping identities and repeats up to rotation and
+    inversion, comparing the keys of every relator built by every rotation."""
+
+    def key(ls):
+        return min(min_rotation_oracle(ls), min_rotation_oracle(_inverse_letters(ls)))
+
+    seen = {key(r.letters) for r in p.relators}
+    added = []
+    for w in extra:
+        ls = _cyclic_reduced(w.letters)
+        if ls and key(ls) not in seen:
+            seen.add(key(ls))
+            added.append(Word(ls))
+    return Presentation(p.generators, p.relators + tuple(added))
+
+
+short_words = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=2), st.sampled_from((1, -1))),
+    max_size=6,
+).map(lambda ls: Word(tuple(ls)))
+
+
+@given(st.lists(short_words, max_size=5), st.lists(short_words, max_size=4), st.randoms())
+def test_quotient_matches_the_reference_on_all_relators(relators, extra, rng):
+    p = Presentation(("x", "y", "z"), tuple(relators))
+    # repeat some relators as rotations, inverses and conjugates
+    for r in p.relators:
+        if rng.random() < 0.5:
+            k = rng.randrange(len(r.letters))
+            rotated = Word(r.letters[k:] + r.letters[:k])
+            extra.append(rotated.inverse() if rng.random() < 0.5 else rotated)
+        if rng.random() < 0.3:
+            extra.append(Word.generator(1) * r * Word.generator(1).inverse())
+    rng.shuffle(extra)
+    assert quotient_by_relators(p, extra) == _reference_quotient(p, extra)
