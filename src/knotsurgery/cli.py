@@ -22,6 +22,7 @@ import hashlib
 import json
 import os
 import sys
+import textwrap
 import time
 from concurrent.futures import ProcessPoolExecutor  # unused; bench/run.py's --trace 1 wraps it
 from dataclasses import dataclass
@@ -33,7 +34,12 @@ from typing import Iterator, Sequence
 from . import __version__
 from .alexander import fox_alexander
 from .braids import parse_braid, wirtinger_from_braid
-from .errors import ClosureCapExceededError, InvalidMonodromyError, KnotSurgeryError
+from .errors import (
+    ClosureCapExceededError,
+    InvalidMonodromyError,
+    KnotSurgeryError,
+    PeripheralValidationError,
+)
 from .fpgroup import (
     presentation_from_json,
     presentation_to_json,
@@ -47,7 +53,6 @@ from .knots import (
     builtin_knot,
     fibered_knot_from_json,
     mapping_torus_presentation,
-    peripheral_tables,
     read_monodromy_file,
     validate_peripheral,
 )
@@ -87,7 +92,7 @@ def parse_p_spec(spec: str) -> tuple[int, ...]:
     """Comma list of integers and inclusive a..b ranges, e.g. "1..4,7,-2".
 
     At most MAX_P_VALUES values, each with |p| <= MAX_ABS_P; both limits are
-    checked before a range is expanded.
+    checked before a range is expanded.  A value given twice is refused.
     """
     values: list[int] = []
     for chunk in spec.split(","):
@@ -108,6 +113,9 @@ def parse_p_spec(spec: str) -> tuple[int, ...]:
         values.extend(range(lo, hi + 1))
     if not values:
         raise ValueError(f"no p values in {spec!r}")
+    if len(set(values)) < len(values):
+        repeated = next(p for i, p in enumerate(values) if p in values[:i])
+        raise ValueError(f"p={repeated} is given more than once in {spec!r}")
     return tuple(values)
 
 
@@ -200,6 +208,15 @@ def _spectrum_task(payload: tuple[dict, str]) -> HomSpectrum:
     return hom_spectrum(simplified, resolve_suite(suite_spec))
 
 
+def _peripheral_tables(kp: KnotPresentation, suite: Sequence[FiniteTarget]) -> tuple[dict, ...]:
+    """The tables of kp's peripheral report; a failed report stops the command with exit 1."""
+    report = validate_peripheral(kp, suite)
+    if not report.ok:
+        failed = textwrap.indent(report.format(), "  ")
+        raise PeripheralValidationError(f"peripheral validation FAILED:\n{failed}")
+    return report.tables
+
+
 def _filtered_spectrum(
     suite: Sequence[FiniteTarget], tables: Sequence[dict], slope: SurgerySlope
 ) -> HomSpectrum:
@@ -221,9 +238,9 @@ def compute_spectra(
 
     keys[i] names the cache entry of slopes[i].  An entry that is
     unreadable, or whose schema or target names do not match, counts as a
-    miss.  All misses are filled from the knot group's peripheral tables:
-    one search per target of the suite, however many slopes miss.  Returns
-    (spectra, number of cache hits).
+    miss.  All misses are filled from the tables of kp's peripheral report
+    (one search per target; no validation without a miss), which raises
+    before any entry is written if it fails.  Returns (spectra, hits).
     """
     spectra: list[HomSpectrum | None] = [None] * len(slopes)
     if config.cache:
@@ -235,7 +252,7 @@ def compute_spectra(
     pending = [i for i, spectrum in enumerate(spectra) if spectrum is None]
     if pending:
         suite = resolve_suite(config.targets)
-        tables = list(peripheral_tables(kp, suite))
+        tables = _peripheral_tables(kp, suite)
         for i in pending:
             spectra[i] = _filtered_spectrum(suite, tables, slopes[i])
             if config.cache:
@@ -317,12 +334,10 @@ def cmd_knot(config: RunConfig) -> int:
     print(f"longitude: {kp.group.word_str(kp.longitude)}")
     if kp.genus_hint is not None:
         print(f"genus hint: {kp.genus_hint}")
-    invariants = abelianization(kp.group)
-    print(f"abelianization: {invariants}")
     report = validate_peripheral(kp, suite)
+    print(f"abelianization: {report.h1}")
     print("peripheral checks:")
-    for line in report.format().splitlines():
-        print(f"  {line}")
+    print(textwrap.indent(report.format(), "  "))
     if not report.ok:
         # the Alexander polynomial below is defined only for a knot group
         return 1
@@ -340,7 +355,7 @@ def cmd_knot(config: RunConfig) -> int:
                 "meridian": word_to_json(kp.meridian, names),
                 "longitude": word_to_json(kp.longitude, names),
                 "genus_hint": kp.genus_hint,
-                "abelianization": str(invariants),
+                "abelianization": str(report.h1),
                 "alexander": str(alexander),
                 "peripheral_ok": report.ok,
             },
@@ -395,14 +410,8 @@ def cmd_family(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig) -> int:
     kp, _ = load_knot(config)
     suite = resolve_suite(config.targets)
-    peripheral = validate_peripheral(kp, suite)
-    if not peripheral.ok:
-        print("peripheral validation FAILED:")
-        for line in peripheral.format().splitlines():
-            print(f"  {line}")
-        return 1
     # the third side: each slope's spectrum read off the knot group's tables
-    tables = list(peripheral_tables(kp, suite))
+    tables = _peripheral_tables(kp, suite)
     lines = []
     all_ok = True
     for slope in _slopes(config):
@@ -493,10 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     kind, source = _knot_source(args)
-    p_values: tuple[int, ...] = ()
     q = getattr(args, "q", 1)
-    if hasattr(args, "p_spec"):
-        p_values = parse_p_spec(args.p_spec)
+    p_values = parse_p_spec(args.p_spec) if hasattr(args, "p_spec") else ()
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
     if q > MAX_Q:
@@ -524,10 +531,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = config_from_args(args)
         return commands[args.command](config)
+    except PeripheralValidationError as exc:
+        print(exc)
+        return 1
     except ClosureCapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (KnotSurgeryError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (KnotSurgeryError, ValueError, OSError) as exc:  # a JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -37,6 +37,10 @@ class NotAKnotGroupError(KnotSurgeryError):
     """Operation requires a group whose abelianization is infinite cyclic."""
 
 
+class PeripheralValidationError(KnotSurgeryError):
+    """A knot's peripheral checks failed; the message lists them."""
+
+
 class ClosureCapExceededError(KnotSurgeryError):
     """Permutation closure grew past the configured cap."""
 

@@ -41,14 +41,14 @@ Every surgery on one knot is read off one search.  The group of the q/p
 surgery is the knot group modulo m^q l^p, so Hom(K(q/p), H) is exactly the
 set of homomorphisms φ of the knot group with φ(m)^q φ(l)^p = 1 (Riley,
 Math. Comp. 25, 1971, reads surgeries off peripheral images the same way).
-``peripheral_table`` runs one search of the knot group into H and sums the
-weights by the pair (φ(m), φ(l)); ``slope_count`` sums the weights of the
-pairs (a, b) with a^q b^p = 1.  The filter is exact although each weight
-stands for a whole conjugation orbit of homomorphisms that the table files
-under one representative's pair: conjugating φ by z conjugates both images
-by z, and a^q b^p = 1 holds exactly when (z a z^-1)^q (z b z^-1)^p = 1.
-Powers are exact table walks: x^n is read off the cycle of powers of x at
-n mod ord(x).
+``peripheral_table``, called only by ``knots.validate_peripheral``, runs one
+search of the knot group into H and sums the weights by (φ(m), φ(l));
+``slope_count`` sums the weights of the pairs (a, b) with a^q b^p = 1.  The
+filter is exact although each weight stands for a whole conjugation orbit
+of homomorphisms that the table files under one representative's pair:
+conjugating φ by z conjugates both images by z, and a^q b^p = 1 holds
+exactly when (z a z^-1)^q (z b z^-1)^p = 1.  Powers are exact table walks:
+x^n is read off the cycle of powers of x at n mod ord(x).
 
 ``escalate`` is the escalation path for pairs a target suite leaves tied: it
 walks further targets, counting only for the groups still tied, until none is.

@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InvalidMonodromyError, UnknownGeneratorError
 from .fpgroup import (
@@ -26,7 +26,7 @@ from .fpgroup import (
     word_to_json,
 )
 from .homcount import peripheral_table
-from .smith import relation_matrix, smith_normal_form
+from .smith import AbelianInvariants, relation_matrix, smith_normal_form
 from .targets import FiniteTarget
 
 # Monodromy files are refused past these limits before anything of their size
@@ -268,21 +268,6 @@ def builtin_monodromy(name: str) -> FiberedKnotData:
     return table[key]
 
 
-def peripheral_tables(
-    kp: KnotPresentation, targets: Sequence[FiniteTarget]
-) -> Iterator[dict[tuple[int, int], int]]:
-    """The knot group's ``peripheral_table`` into each target, in turn.
-
-    The search runs on a Tietze-simplified copy of the group, simplified
-    once, when the first table is drawn.
-    """
-    simplified, (meridian, longitude) = tietze_simplify_tracked(
-        kp.group, (kp.meridian, kp.longitude)
-    )
-    for target in targets:
-        yield peripheral_table(simplified, meridian, longitude, target)
-
-
 @dataclass(frozen=True)
 class PeripheralCheck:
     name: str
@@ -292,18 +277,20 @@ class PeripheralCheck:
 
 @dataclass(frozen=True)
 class PeripheralReport:
+    """The checks, check 1's H1, and one peripheral table per target (none if check 1 fails)."""
+
     checks: tuple[PeripheralCheck, ...]
+    h1: AbelianInvariants
+    tables: tuple[dict[tuple[int, int], int], ...] = ()
 
     @property
     def ok(self) -> bool:
         return all(check.passed for check in self.checks)
 
     def format(self) -> str:
-        lines = []
-        for check in self.checks:
-            status = "PASS" if check.passed else "FAIL"
-            lines.append(f"{check.name}: {status} ({check.detail})")
-        return "\n".join(lines)
+        return "\n".join(
+            f"{c.name}: {'PASS' if c.passed else 'FAIL'} ({c.detail})" for c in self.checks
+        )
 
 
 def validate_peripheral(
@@ -319,59 +306,57 @@ def validate_peripheral(
     2. The longitude is nullhomologous (0-framed): its exponent vector lies
        in the row lattice of the relation matrix.
     3. Meridian and longitude images commute under every homomorphism into
-       every given target: every pair in each target's ``peripheral_tables``
-       entry commutes.  A table files each conjugation orbit of
-       homomorphisms under one representative's pair; commutation is
-       invariant under simultaneous conjugation, so this is exact, and the
-       table's weights count every homomorphism in the reported total.
+       every given target: every pair in each target's ``peripheral_table``
+       commutes.  A table files each conjugation orbit of homomorphisms
+       under one representative's pair; commutation is invariant under
+       simultaneous conjugation, so this is exact, and the table's weights
+       count every homomorphism in the reported total.
        The search runs only when check 1 passes.  Otherwise the check is
        reported failed without it: a group whose H1 is larger than Z can
        have hundreds of millions of homomorphisms into the targets.
+
+    This is the only place the knot group is searched.  The report keeps
+    check 1's H1 and check 3's tables, built on one Tietze-simplified copy
+    of the group, so every slope's count is read off them.
     """
     n = len(kp.group.generators)
-    checks = []
-
     snf = smith_normal_form(relation_matrix(kp.group), n)
-    invariants = snf.cokernel()
+    h1 = snf.cokernel()
+    # the meridian generates H1 only if H1 = Z
     meridian_generates = False
-    if invariants.is_infinite_cyclic:
+    if h1.is_infinite_cyclic:
         (phi,) = snf.kernel()
         m_vector = kp.meridian.exponent_vector(n)
         meridian_generates = abs(sum(x * y for x, y in zip(m_vector, phi))) == 1
-    knot_group = invariants.is_infinite_cyclic and meridian_generates
-    checks.append(
+    longitude_vector = kp.longitude.exponent_vector(n)
+    checks = [
         PeripheralCheck(
             "abelianization-is-Z",
-            knot_group,
-            f"H1 = {invariants}, meridian generates: {meridian_generates}",
-        )
-    )
-
-    longitude_vector = kp.longitude.exponent_vector(n)
-    checks.append(
+            meridian_generates,
+            f"H1 = {h1}, meridian generates: {meridian_generates}",
+        ),
         PeripheralCheck(
             "longitude-nullhomologous",
             snf.in_row_lattice(longitude_vector),
             f"longitude exponent vector {longitude_vector}",
-        )
-    )
-    if not knot_group:
+        ),
+    ]
+    if not meridian_generates:
         checks.append(
             PeripheralCheck("peripheral-commutation", False, "not run: abelianization-is-Z failed")
         )
-        return PeripheralReport(tuple(checks))
+        return PeripheralReport(tuple(checks), h1)
 
-    commuting = True
+    simplified, (meridian, longitude) = tietze_simplify_tracked(
+        kp.group, (kp.meridian, kp.longitude)
+    )
+    tables = tuple(peripheral_table(simplified, meridian, longitude, t) for t in targets)
     witness = ""
-    total = 0
-    for target, table in zip(targets, peripheral_tables(kp, targets)):
-        mult = target.mult
-        total += sum(table.values())
-        if any(mult[a][b] != mult[b][a] for a, b in table):
-            commuting = False
+    for target, table in zip(targets, tables):
+        if any(target.mult[a][b] != target.mult[b][a] for a, b in table):
             witness = f"violation in {target.name}"
             break
-    detail = witness if witness else f"{total} homomorphisms over {len(targets)} targets"
-    checks.append(PeripheralCheck("peripheral-commutation", commuting, detail))
-
-    return PeripheralReport(tuple(checks))
+    total = sum(sum(table.values()) for table in tables)
+    detail = witness or f"{total} homomorphisms over {len(targets)} targets"
+    checks.append(PeripheralCheck("peripheral-commutation", not witness, detail))
+    return PeripheralReport(tuple(checks), h1, tables)

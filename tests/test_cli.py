@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import subprocess
@@ -46,6 +47,18 @@ def test_parse_p_spec():
         parse_p_spec("4..1")
     with pytest.raises(ValueError):
         parse_p_spec("")
+    with pytest.raises(ValueError, match="p=0 is given more than once"):
+        parse_p_spec("-1..1,0")
+
+
+@pytest.mark.parametrize("command", ["family", "verify", "export"])
+def test_a_repeated_p_value_exits_2(capsys, tmp_path, command):
+    # p=2 against itself would be reported as an unresolved pair
+    argv = [command, "--builtin", "trefoil", "--p=2,2,1..3", "--out", str(tmp_path / "out")]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert "p=2 is given more than once" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_p_and_q_limits_fail_before_expanding(capsys, tmp_path):
@@ -191,6 +204,54 @@ def test_verify_flags_invalid_peripheral_system(capsys, tmp_path):
     code, out, _ = run(["verify", "--monodromy", str(path), "--q", "1", "--p", "1"], capsys)
     assert code == 1
     assert "abelianization-is-Z: FAIL" in out
+
+
+def identity_monodromy(genus: int) -> dict:
+    images = {name: [[name, 1]] for name in knots.fiber_generator_names(genus)}
+    return {"genus": genus, "forward": images, "backward": images}
+
+
+def test_family_fails_closed_on_a_non_knot_group(capsys, tmp_path, monkeypatch):
+    # the genus-3 identity's mapping torus has H1 = Z^7: a search of it into
+    # the standard suite runs for minutes, so the peripheral report must stop
+    # family before any search
+    def refuse(*args, **kwargs):
+        raise AssertionError("searched a group that is no knot group")
+
+    monkeypatch.setattr(homcount, "weighted_homomorphisms", refuse)
+    path = tmp_path / "identity3.json"
+    path.write_text(json.dumps(identity_monodromy(3)))
+    out = tmp_path / "out"
+    argv = ["--monodromy", str(path), "--p=-3..3"]
+    code, stdout, _ = run(["family", *argv, "--out", str(out)], capsys)
+    assert code == 1
+    assert stdout.startswith("peripheral validation FAILED:\n  abelianization-is-Z: FAIL (H1 = Z^7")
+    assert [path for path in out.rglob("*") if path.is_file()] == []
+    # verify prints the same lines
+    assert run(["verify", *argv], capsys)[:2] == (1, stdout)
+
+
+def counting(calls: list, original):
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    return wrapper
+
+
+def test_each_command_searches_the_knot_group_once_per_target(capsys, tmp_path, monkeypatch):
+    searches, validations = [], []
+    monkeypatch.setattr(knots, "peripheral_table", counting(searches, knots.peripheral_table))
+    monkeypatch.setattr(cli, "validate_peripheral", counting(validations, cli.validate_peripheral))
+    n = len(targets.standard_suite())
+    assert run(["verify", "--builtin", "fig8", "--p=-3..3"], capsys)[0] == 0
+    assert (len(searches), len(validations)) == (n, 1)
+    family = ["family", "--builtin", "fig8", "--p=-3..3", "--out", str(tmp_path)]
+    for expected in (n, 0):  # cold, then warm
+        searches.clear()
+        validations.clear()
+        assert run(family, capsys)[0] == 3
+        assert (len(searches), len(validations)) == (expected, expected // n)
 
 
 def test_export_unknot_lens_space(capsys, tmp_path):
@@ -575,6 +636,46 @@ def test_names_the_benchmark_binds_exist():
     ]
     for module, name in pinned:
         assert hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_what_the_benchmark_reads_off_results_exists(capsys, tmp_path):
+    # bench/run.py, bench/workloads.py and bench/checks.py also read these
+    # attributes off the program's results and call these methods, and
+    # replace the demo's escalation_suite by its global name
+    for closer in (targets.standard_suite, targets.escalation_suite):
+        assert callable(closer.cache_clear)
+    suite = targets.standard_suite()
+    kp = builtin_knot("fig8")
+    assert knots.validate_peripheral(kp, suite[:2]).ok is True
+    h1 = smith.abelianization(kp.group)
+    assert (h1.is_infinite_cyclic, h1.is_trivial) == (True, False)
+    poly = alexander.fox_alexander(kp)
+    assert (poly.min_exponent(), poly.max_exponent()) == (0, 2)
+    assert (poly.coefficient(1), poly.evaluate(1)) == (-3, -1)
+    family = surgery.build_family(kp, 1, [2, 3])
+    assert [member.slope.p for member in family.members] == [2, 3]
+    group = fpgroup.tietze_simplify(family.members[1].presentation)
+    assert smith.abelianization(group).is_trivial
+    direct = homcount.hom_spectrum(group, suite)
+    assert [name for name, _ in direct.entries] == [target.name for target in suite]
+
+    config = cli.RunConfig("builtin", "fig8", p_values=(2, 3), out_dir=tmp_path)
+    assert config.cache and config.out_dir == tmp_path
+    slopes = [member.slope for member in family.members]
+    keys = cli._cache_keys(config, "builtin:fig8", [2, 3])
+    for expected_hits in (0, 2):
+        spectra, hits = cli.compute_spectra(slopes, config, keys, kp)
+        assert (spectra[1], hits) == (direct, expected_hits)
+    argv = ["family", "--builtin", "fig8", "--p", "2,3", "--out", str(tmp_path)]
+    assert run(argv, capsys)[0] == 3
+    assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 2
+
+    script = Path(__file__).resolve().parents[1] / "scripts" / "fig8_family_demo.py"
+    spec = importlib.util.spec_from_file_location("fig8_family_demo", script)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    assert demo.escalation_suite is targets.escalation_suite
+    assert "escalation_suite" in demo.main.__code__.co_names
 
 
 def test_module_entry_point():

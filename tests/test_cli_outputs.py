@@ -68,12 +68,15 @@ def collect() -> dict:
                 outcomes[f"{source}/{name}/q{q}"] = _outcome(command + source_args + slopes, out)
         outcomes[f"{source}/knot"] = _outcome(["knot"] + source_args, f"{source}-knot")
     # a valid monodromy whose mapping torus is no knot group (H1 = Z^3):
-    # knot stops after the failed peripheral checks
+    # knot, family and verify stop after the failed peripheral checks
     identity = {"a1": [["a1", 1]], "b1": [["b1", 1]]}
     Path("identity.json").write_text(
         json.dumps({"genus": 1, "forward": identity, "backward": identity})
     )
     outcomes["identity/knot"] = _outcome(["knot", "--monodromy", "identity.json"], "identity-knot")
+    for command in ("family", "verify"):
+        argv = [command, "--monodromy", "identity.json", "--q", "1", "--p=-3..3"]
+        outcomes[f"identity/{command}/q1"] = _outcome(argv, f"identity-{command}-q1")
     return outcomes
 
 

@@ -2,7 +2,8 @@
 
 Hom(K(q/p), H) is the set of homomorphisms of the knot group whose meridian
 image a and longitude image b satisfy a^q b^p = 1, so ``slope_count`` over
-``peripheral_table`` must equal a direct count on the surgered group.
+``peripheral_table`` must equal a direct count on the surgered group.  The
+CLI reads the tables off ``validate_peripheral``'s report, as most tests here do.
 """
 
 from functools import cache
@@ -24,11 +25,12 @@ from knotsurgery import (
     standard_suite,
     symmetric,
     tietze_simplify,
+    validate_peripheral,
     wirtinger_from_braid,
 )
 from knotsurgery.fpgroup import tietze_simplify_tracked
 from knotsurgery.homcount import peripheral_table, slope_count
-from knotsurgery.knots import builtin_monodromy, peripheral_tables
+from knotsurgery.knots import builtin_monodromy
 
 from conftest import naive_hom_count
 
@@ -47,7 +49,7 @@ def knot(name: str):
 
 @cache
 def tables(name: str) -> tuple[dict, ...]:
-    return tuple(peripheral_tables(knot(name), standard_suite()))
+    return validate_peripheral(knot(name), standard_suite()).tables
 
 
 @st.composite
@@ -82,7 +84,7 @@ def test_powers_past_the_element_orders_are_exact():
     # #{h in H : h^q = 1}, whatever p is, and the unknot's longitude is trivial
     kp = builtin_knot("unknot")
     target = symmetric(4)
-    (table,) = peripheral_tables(kp, (target,))
+    (table,) = validate_peripheral(kp, (target,)).tables
     elements = target.elements
     for q in (1, 2, 3, 4, 6, 12, 999, 1000):
         expected = 0
