@@ -1,18 +1,18 @@
 """Laurent polynomials over the integers and Fox-calculus Alexander polynomials.
 
 Coefficients are exact integers throughout.  The Alexander polynomial of a
-knot group presentation is computed from the free-derivative matrix of its
-relators, evaluated under the abelianization map (generator -> t^exponent),
-then reduced to the gcd of the maximal minors.  For a presentation with one
-fewer relator than generators (Wirtinger and fibered presentations both land
-here) the minors are the single-column-deletion determinants.
+knot group presentation is read off one minor of the free-derivative matrix of
+its relators, evaluated under the abelianization map (generator j ->
+t^e_j).  The presentation must have one fewer relator than generators
+(Wirtinger and mapping-torus presentations both do).  By Fox's fundamental
+formula, deleting column j leaves a minor equal to
+Delta * (t^e_j - 1) / (t - 1) up to a unit +-t^k, so one determinant, for the
+column with the least nonzero |e_j|, gives Delta.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from math import gcd
 from typing import Mapping, Sequence
 
 from .errors import NotAKnotGroupError
@@ -121,71 +121,6 @@ class LaurentPolynomial:
         return " ".join(parts)
 
 
-def _as_int_poly(p: LaurentPolynomial) -> list[int]:
-    """Ascending coefficient list of p shifted so its lowest exponent is 0."""
-    if p.is_zero:
-        return []
-    shift = p.min_exponent()
-    out = [0] * (p.max_exponent() - shift + 1)
-    for e, c in p.terms:
-        out[e - shift] = c
-    return out
-
-
-def _strip(coeffs: list[int]) -> list[int]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _content(coeffs: Sequence[int]) -> int:
-    g = 0
-    for c in coeffs:
-        g = gcd(g, c)
-    return g
-
-
-def _primitive(coeffs: list[int]) -> list[int]:
-    g = _content(coeffs)
-    if g in (0, 1):
-        return list(coeffs)
-    return [c // g for c in coeffs]
-
-
-def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of a by b (b nonzero), exact over the integers."""
-    a = _strip(list(a))
-    lead = b[-1]
-    while len(a) >= len(b):
-        shift = len(a) - len(b)
-        coeff = a[-1]
-        a = [lead * x for x in a]
-        for i, bx in enumerate(b):
-            a[shift + i] -= coeff * bx
-        a = _strip(a)
-    return a
-
-
-def _int_poly_gcd(a: list[int], b: list[int]) -> list[int]:
-    a, b = _strip(list(a)), _strip(list(b))
-    if not a:
-        return b
-    if not b:
-        return a
-    content = gcd(_content(a), _content(b))
-    a, b = _primitive(a), _primitive(b)
-    while b:
-        r = _primitive(_strip(_pseudo_rem(a, b)))
-        a, b = b, r
-    return [content * c for c in a]
-
-
-def laurent_gcd(a: LaurentPolynomial, b: LaurentPolynomial) -> LaurentPolynomial:
-    """gcd up to units, returned unit-normalized."""
-    coeffs = _int_poly_gcd(_as_int_poly(a), _as_int_poly(b))
-    return LaurentPolynomial(tuple((e, c) for e, c in enumerate(coeffs))).normalized()
-
-
 def laurent_det(rows: Sequence[Sequence[LaurentPolynomial]]) -> LaurentPolynomial:
     """Determinant by column-subset dynamic programming (no division needed)."""
     n = len(rows)
@@ -240,13 +175,6 @@ def fox_derivative(w: Word, index: int, exponents: Sequence[int]) -> LaurentPoly
     return LaurentPolynomial.from_dict(out)
 
 
-def alexander_matrix(
-    p: Presentation, exponents: Sequence[int]
-) -> list[list[LaurentPolynomial]]:
-    n = len(p.generators)
-    return [[fox_derivative(r, j, exponents) for j in range(n)] for r in p.relators]
-
-
 def abelianization_exponents(p: Presentation) -> tuple[int, ...]:
     """The map onto the infinite cyclic abelianization, as one exponent per generator."""
     snf = smith_normal_form(relation_matrix(p), len(p.generators))
@@ -259,15 +187,35 @@ def abelianization_exponents(p: Presentation) -> tuple[int, ...]:
     return phi
 
 
+def _divided_by_t_power_minus_one(p: LaurentPolynomial, k: int) -> LaurentPolynomial:
+    """p / (t^k - 1) for k >= 1; raises ArithmeticError if it leaves a remainder."""
+    quotient: dict[int, int] = {}
+    if not p.is_zero:
+        # p = q t^k - q, so q_e = q_(e-k) - p_e from the lowest exponent up
+        coeffs = dict(p.terms)
+        for e in range(p.min_exponent(), p.max_exponent() - k + 1):
+            quotient[e] = quotient.get(e - k, 0) - coeffs.get(e, 0)
+    q = LaurentPolynomial.from_dict(quotient)
+    if q * LaurentPolynomial(((0, -1), (k, 1))) != p:
+        raise ArithmeticError(f"t^{k} - 1 does not divide {p}")
+    return q
+
+
 def fox_alexander(kp: KnotPresentation) -> LaurentPolynomial:
-    """Alexander polynomial, normalized to lowest exponent 0 and positive lead."""
+    """Alexander polynomial, normalized to lowest exponent 0 and positive lead.
+
+    Raises NotAKnotGroupError unless H1 = Z, and ValueError unless the
+    presentation has one relator fewer than generators.
+    """
     p = kp.group
     exponents = abelianization_exponents(p)
     n = len(p.generators)
-    rows = alexander_matrix(p, exponents)
-    result = LaurentPolynomial.zero()
-    for row_subset in combinations(range(len(rows)), n - 1):
-        for j in range(n):
-            minor = [[rows[i][c] for c in range(n) if c != j] for i in row_subset]
-            result = laurent_gcd(result, laurent_det(minor))
-    return result.normalized()
+    if len(p.relators) != n - 1:
+        raise ValueError(
+            f"Fox's formula needs n - 1 relators on n generators,"
+            f" got {len(p.relators)} relators on {n} generators"
+        )
+    j = min((i for i in range(n) if exponents[i]), key=lambda i: abs(exponents[i]))
+    minor = [[fox_derivative(r, c, exponents) for c in range(n) if c != j] for r in p.relators]
+    scaled = laurent_det(minor) * LaurentPolynomial(((0, -1), (1, 1)))  # times t - 1
+    return _divided_by_t_power_minus_one(scaled, abs(exponents[j])).normalized()

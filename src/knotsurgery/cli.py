@@ -244,8 +244,8 @@ def compute_spectra(
     """
     spectra: list[HomSpectrum | None] = [None] * len(slopes)
     if config.cache:
+        # a missing directory reads as all misses; it is made before the first write
         cache_dir = config.out_dir / ".cache"
-        cache_dir.mkdir(parents=True, exist_ok=True)
         names = suite_names(config.targets)
         paths = [cache_dir / f"{key}.json" for key in keys]
         spectra = [_read_cache_entry(path, names) for path in paths]
@@ -253,6 +253,8 @@ def compute_spectra(
     if pending:
         suite = resolve_suite(config.targets)
         tables = _peripheral_tables(kp, suite)
+        if config.cache:
+            cache_dir.mkdir(parents=True, exist_ok=True)
         for i in pending:
             spectra[i] = _filtered_spectrum(suite, tables, slopes[i])
             if config.cache:
@@ -373,12 +375,12 @@ def cmd_family(config: RunConfig) -> int:
         print(f"skip p={p}: gcd(p, {config.q}) != 1")
     if not family.members:
         raise ValueError("empty family after gcd filter")
-    config.out_dir.mkdir(parents=True, exist_ok=True)
 
     labels = [f"p={m.slope.p}" for m in family.members]
     slopes = [m.slope for m in family.members]
     keys = _cache_keys(config, source, [slope.p for slope in slopes])
     spectra, hits = compute_spectra(slopes, config, keys, kp)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -472,24 +474,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_slopes: bool) -> None:
+    knot = sub.add_parser("knot", help="inspect a knot presentation")
+    family = sub.add_parser("family", help="build and distinguish a surgery family")
+    verify = sub.add_parser("verify", help="cross-check surgery against the doubled route")
+    export = sub.add_parser("export", help="write presentations as algebra-system scripts")
+    for p in (knot, family, verify, export):
         p.add_argument("--braid", help="braid word, e.g. '1 1 1' or 'n=2; s1 s1 s1'")
         p.add_argument("--builtin", help="builtin knot name: unknot, trefoil, fig8")
         p.add_argument("--monodromy", help="path to a fibered-knot JSON file")
-        p.add_argument("--targets", default="standard",
-                       help="'standard', 'extended', or a target-suite JSON path")
+        if p is not export:  # export writes presentations and reads no target
+            p.add_argument("--targets", default="standard",
+                           help="'standard', 'extended', or a target-suite JSON path")
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        p.add_argument("--no-cache", action="store_true", help="disable the spectra cache")
-        if with_slopes:
+        if p is family:  # the only command with a spectra cache
+            p.add_argument("--no-cache", action="store_true", help="disable the spectra cache")
+        if p is not knot:
             p.add_argument("--q", type=int, default=1, help="slope numerator q >= 1")
             p.add_argument("--p", dest="p_spec", default="1",
                            help="p values: comma list and a..b ranges, e.g. '1..6'")
-
-    add_common(sub.add_parser("knot", help="inspect a knot presentation"), with_slopes=False)
-    add_common(sub.add_parser("family", help="build and distinguish a surgery family"), with_slopes=True)
-    add_common(sub.add_parser("verify", help="cross-check surgery against the doubled route"), with_slopes=True)
-    export = sub.add_parser("export", help="write presentations as algebra-system scripts")
-    add_common(export, with_slopes=True)
     export.add_argument(
         "--construction",
         choices=("surgery", "half", "double", "knot"),
@@ -513,9 +515,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         source=source,
         q=q,
         p_values=p_values,
-        targets=args.targets,
+        targets=getattr(args, "targets", "standard"),
         out_dir=args.out,
-        cache=not args.no_cache,
+        cache=not getattr(args, "no_cache", False),
         construction=getattr(args, "construction", "surgery"),
     )
 

@@ -245,9 +245,6 @@ class Presentation:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", tuple(relators))
 
-    def word(self, text: str) -> Word:
-        return parse_word(text, self.generators)
-
     def word_str(self, w: Word, sep: str = " ") -> str:
         """Render as runs like ``a^2 b^-1``; ``sep`` joins the runs."""
         if not w.letters:

@@ -19,6 +19,7 @@ from .errors import InvalidMonodromyError, UnknownGeneratorError
 from .fpgroup import (
     Presentation,
     Word,
+    _min_rotation,
     apply_mapping,
     commutator,
     tietze_simplify_tracked,
@@ -126,10 +127,7 @@ def certify_monodromy(data: FiberedKnotData) -> None:
             )
     boundary = boundary_word(data.genus)
     image = apply_automorphism(data, boundary, "forward").cyclically_reduced()
-    rotations = {
-        boundary.letters[i:] + boundary.letters[:i] for i in range(len(boundary.letters))
-    }
-    if image.letters not in rotations:
+    if _min_rotation(image.letters) != _min_rotation(boundary.letters):
         raise InvalidMonodromyError(
             "monodromy does not preserve the fiber boundary up to rotation"
         )

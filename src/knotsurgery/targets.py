@@ -302,11 +302,13 @@ def standard_suite() -> tuple[FiniteTarget, ...]:
 def _checked_entries(data) -> list[dict]:
     """The entries of a target-suite document, refused unless each has the right shape.
 
-    A suite is a list of objects, each with a ``name`` string, an integer
-    ``degree`` and a list of ``generators`` strings in cycle notation.
+    A suite is a list of objects, each with its own ``name`` string, an
+    integer ``degree`` of at least 1 and a list of ``generators`` strings in
+    cycle notation.
     """
     if not isinstance(data, list):
         raise KnotSurgeryError("a target suite must be a list of target objects")
+    seen: set[str] = set()
     for i, entry in enumerate(data):
         if not (
             isinstance(entry, dict)
@@ -319,6 +321,11 @@ def _checked_entries(data) -> list[dict]:
                 f"target-suite entry {i} needs a 'name' string, an integer 'degree'"
                 " and a list of 'generators' strings"
             )
+        if entry["degree"] < 1:
+            raise KnotSurgeryError(f"target-suite entry {i} has degree {entry['degree']}, below 1")
+        if entry["name"] in seen:
+            raise KnotSurgeryError(f"target-suite entry {i} repeats the name {entry['name']!r}")
+        seen.add(entry["name"])
     return data
 
 

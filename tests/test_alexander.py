@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,13 +14,16 @@ from knotsurgery import (
     dehn_surgery_group,
     fox_alexander,
     mapping_torus_presentation,
+    parse_braid,
+    wirtinger_from_braid,
 )
+from knotsurgery import alexander
 from knotsurgery.alexander import (
     abelianization_exponents,
     fox_derivative,
     laurent_det,
-    laurent_gcd,
 )
+from knotsurgery.fpgroup import parse_word
 from knotsurgery.knots import KnotPresentation
 
 from conftest import laurent_terms, seifert_alexander
@@ -71,22 +77,12 @@ def test_laurent_det_small_cases():
     assert laurent_det(zero_row).is_zero
 
 
-def test_laurent_gcd_cases():
-    t = LaurentPolynomial(((1, 1),))
-    one = LaurentPolynomial.one()
-    t2 = LaurentPolynomial(((2, 1),))
-    t3 = LaurentPolynomial(((3, 1),))
-    assert laurent_gcd(t2 - one, t3 - one) == t - one
-    assert laurent_gcd(lp({0: 4, 1: 4}), lp({0: 6, 1: 6})) == lp({0: 2, 1: 2})
-    assert laurent_gcd(LaurentPolynomial.zero(), t2 - one) == t2 - one
-
-
 def test_fox_derivative_product_rule_on_power():
     # d/da (a^3) = 1 + t + t^2 under a -> t
-    poly = fox_derivative(Presentation(["a"]).word("a^3"), 0, [1])
+    poly = fox_derivative(parse_word("a^3", ["a"]), 0, [1])
     assert laurent_terms(poly) == {0: 1, 1: 1, 2: 1}
     # d/da (a^-1) = -t^-1
-    poly = fox_derivative(Presentation(["a"]).word("a^-1"), 0, [1])
+    poly = fox_derivative(parse_word("a^-1", ["a"]), 0, [1])
     assert laurent_terms(poly) == {-1: -1}
 
 
@@ -129,20 +125,72 @@ def test_abelianization_exponents_wirtinger():
     assert abelianization_exponents(kp.group) == (1, 1, 1)
 
 
-def test_alexander_maximal_minor_fallback():
-    # adding the square of a relator leaves the group unchanged but gives the
-    # Alexander matrix more rows, so the gcd runs over several maximal minors
+def test_alexander_refuses_n_relators_on_n_generators():
+    # adding the square of a relator leaves the group unchanged, but Fox's
+    # formula reads the polynomial off one minor only with n - 1 relators
     kp = builtin_knot("trefoil")
     relator = kp.group.relators[0]
     padded = Presentation(kp.group.generators, kp.group.relators + (relator * relator,))
     assert len(padded.relators) == len(padded.generators)
     fattened = KnotPresentation(padded, kp.meridian, kp.longitude)
-    assert laurent_terms(fox_alexander(fattened)) == {0: 1, 1: -1, 2: 1}
+    n = len(padded.generators)
+    with pytest.raises(ValueError, match=f"got {n} relators on {n} generators"):
+        fox_alexander(fattened)
+
+
+def test_alexander_of_the_census_pool_matches_its_frozen_strings():
+    pool_path = Path(__file__).resolve().parent.parent / "bench" / "census_pool.json"
+    pool = json.loads(pool_path.read_text())["knots"]
+    assert len(pool) == 1200
+    for knot in pool:
+        kp = wirtinger_from_braid(parse_braid(knot["braid"]))
+        assert str(fox_alexander(kp)) == knot["alexander"], knot["braid"]
+
+
+def test_alexander_when_no_generator_has_exponent_one():
+    # the (2, 3) torus knot as <x, y | x^2 y^-3>: x -> t^3, y -> t^2, so the
+    # one minor is divided by t^2 - 1, not by t - 1
+    p = Presentation(["x", "y"], [parse_word("x^2 y^-3", ["x", "y"])])
+    assert sorted(map(abs, abelianization_exponents(p))) == [2, 3]
+    x, y = (parse_word(name, p.generators) for name in p.generators)
+    m = y.inverse() * x
+    kp = KnotPresentation(p, m, x**2 * m**-6)
+    assert laurent_terms(fox_alexander(kp)) == {0: 1, 1: -1, 2: 1}
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: builtin_knot("trefoil"),
+        lambda: wirtinger_from_braid(parse_braid("-1 -2 -2 1 1 -2 2 2")),
+        lambda: mapping_torus_presentation(builtin_monodromy("fig8")),
+    ],
+    ids=["trefoil", "census-braid", "fig8-monodromy"],
+)
+def test_fox_alexander_computes_one_determinant(make, monkeypatch):
+    kp = make()
+    calls = []
+
+    def counting_det(rows):
+        calls.append(len(rows))
+        return laurent_det(rows)
+
+    monkeypatch.setattr(alexander, "laurent_det", counting_det)
+    fox_alexander(kp)
+    assert calls == [len(kp.group.generators) - 1]
+
+
+def test_exact_division_refuses_a_remainder():
+    t = LaurentPolynomial(((1, 1),))
+    one = LaurentPolynomial.one()
+    assert alexander._divided_by_t_power_minus_one((t * t * t - one) * t, 3) == t
+    with pytest.raises(ArithmeticError):
+        alexander._divided_by_t_power_minus_one(t * t - t + one, 2)
 
 
 def test_fox_alexander_rejects_non_knot_groups():
     free2 = Presentation(["a", "b"])
-    fake = KnotPresentation(free2, free2.word("a"), free2.word(""))
+    fake = KnotPresentation(free2, parse_word("a", free2.generators), parse_word("", free2.generators))
     with pytest.raises(NotAKnotGroupError):
         fox_alexander(fake)
 

@@ -226,7 +226,7 @@ def test_family_fails_closed_on_a_non_knot_group(capsys, tmp_path, monkeypatch):
     code, stdout, _ = run(["family", *argv, "--out", str(out)], capsys)
     assert code == 1
     assert stdout.startswith("peripheral validation FAILED:\n  abelianization-is-Z: FAIL (H1 = Z^7")
-    assert [path for path in out.rglob("*") if path.is_file()] == []
+    assert not out.exists()
     # verify prints the same lines
     assert run(["verify", *argv], capsys)[:2] == (1, stdout)
 
@@ -480,11 +480,13 @@ def test_malformed_suite_files_exit_2(capsys, tmp_path):
         "entry without a name": [{"degree": 2, "generators": ["(1 2)"]}],
         "top-level object": {"name": "C2", "degree": 2, "generators": ["(1 2)"]},
         "non-object entry": [["C2", 2, ["(1 2)"]]],
+        "degree below 1": [{"name": "C1", "degree": -3, "generators": []}],
+        "repeated name": [{"name": "C2", "degree": 2, "generators": ["(1 2)"]}] * 2,
     }
     for i, (shape, payload) in enumerate(shapes.items()):
         path = tmp_path / f"{i}.json"
         path.write_text(json.dumps(payload))
-        for command in (["knot"], ["family", "--out", str(tmp_path / str(i))]):
+        for command in (["knot"], ["family", "--out", str(tmp_path / str(i))], ["verify"]):
             code, _, err = run(command + ["--builtin", "fig8", "--targets", str(path)], capsys)
             assert code == 2, (shape, command)
             assert err.startswith("error:") and "target" in err, (shape, command)
@@ -547,13 +549,13 @@ def test_option_strings_of_each_subcommand():
     (subcommands,) = (
         action.choices for action in parser._actions if action.dest == "command"
     )
-    common = ["--braid", "--builtin", "--monodromy", "--targets", "--out", "--no-cache"]
-    slopes = common + ["--q", "--p"]
+    source = ["--braid", "--builtin", "--monodromy"]
+    slopes = ["--q", "--p"]
     expected = {
-        "knot": common,
-        "family": slopes,
-        "verify": slopes,
-        "export": slopes + ["--construction"],
+        "knot": source + ["--targets", "--out"],
+        "family": source + ["--targets", "--out", "--no-cache"] + slopes,
+        "verify": source + ["--targets", "--out"] + slopes,
+        "export": source + ["--out"] + slopes + ["--construction"],
     }
     found = {
         name: [

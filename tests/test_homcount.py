@@ -14,6 +14,7 @@ from knotsurgery import (
     distinguish_report,
     hom_spectrum,
     iter_homomorphisms,
+    parse_word,
     symmetric,
     tietze_simplify,
 )
@@ -23,8 +24,7 @@ from conftest import naive_hom_count
 
 
 def pres(names, *relator_texts):
-    base = Presentation(names)
-    return Presentation(names, [base.word(t) for t in relator_texts])
+    return Presentation(names, [parse_word(t, names) for t in relator_texts])
 
 
 def test_order_two_elements_of_s3():
@@ -84,7 +84,7 @@ def test_iter_homomorphisms_enumerates_assignments():
 def test_evaluate_word():
     s3 = symmetric(3)
     p = pres(["a", "b"])
-    word = p.word("a b a^-1")
+    word = parse_word("a b a^-1", p.generators)
     for i, j in itertools.product(range(6), repeat=2):
         expected = s3.mult[s3.mult[i][j]][s3.inverse[i]]
         assert evaluate_word(word.letters, [i, j], s3) == expected

@@ -148,7 +148,7 @@ def test_suite_budget_used_up_exactly(monkeypatch):
     s3 = {"name": "S3", "degree": 3, "generators": ["(1 2)", "(1 2 3)"]}
     trivial = {"name": "1", "degree": 3, "generators": []}
     c2 = {"name": "C2", "degree": 2, "generators": ["(1 2)"]}
-    assert [t.order for t in suite_from_json([s3, trivial, trivial])] == [6, 1, 1]
+    assert [t.order for t in suite_from_json([s3, trivial, dict(trivial, name="1'")])] == [6, 1, 1]
     with pytest.raises(ClosureCapExceededError, match="'C2' exceeded cap 0"):
         suite_from_json([s3, trivial, c2])
 
