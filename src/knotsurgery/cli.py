@@ -28,6 +28,7 @@ from concurrent.futures import ProcessPoolExecutor  # unused; bench/run.py's --t
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -441,6 +442,10 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_export(config: RunConfig) -> int:
     if config.out_dir is None:
         raise ValueError("export requires --out")
+    # the knot group reads no slope, but a slope set with no p coprime to q
+    # is refused as the other constructions refuse it, before any write
+    if config.construction == "knot" and all(gcd(p, config.q) != 1 for p in config.p_values):
+        raise ValueError("no slope left after gcd filter")
     kp, _ = load_knot(config)
     config.out_dir.mkdir(parents=True, exist_ok=True)
     if config.construction == "knot":

@@ -18,7 +18,9 @@ Operations whose result is reduced by construction skip that second pass:
   u c^n u^-1 has no cancelling pair;
 - ``quotient_by_relators`` and ``tietze_simplify_tracked`` wrap letters that
   ``_normalize_relators`` or ``_reduced`` just reduced (the generator
-  renumbering after an elimination is injective, so it keeps them reduced).
+  renumbering after an elimination is injective, so it keeps them reduced);
+- ``Presentation.extended`` checks only the relators it adds, since the
+  relators already there stay valid over more generators.
 
 Generators are never renamed implicitly: constructions that add generators
 append them after the existing ones, so distinguished words (meridians,
@@ -212,6 +214,37 @@ def parse_word(text: str, names: Sequence[str]) -> Word:
     return Word(tuple(letters))
 
 
+def _checked_names(generators: Iterable[str]) -> tuple[str, ...]:
+    """The generator names as a tuple, refused if one is empty or repeated."""
+    gens = tuple(generators)
+    names = set()
+    for name in gens:
+        if not name:
+            raise ValueError("generator names must be nonempty")
+        if name in names:
+            raise DuplicateGeneratorError(f"duplicate generator name {name!r}")
+        names.add(name)
+    return gens
+
+
+def _checked_relators(relators: Iterable[Word], n: int) -> tuple[Word, ...]:
+    """The nonempty cyclic reductions of relators over n generators.
+
+    A relator using a generator index past n - 1 is refused.
+    """
+    out = []
+    for r in relators:
+        top = r.max_index()
+        if top >= n:
+            raise UnknownGeneratorError(
+                f"relator uses generator index {top} but only {n} generators exist"
+            )
+        reduced = r.cyclically_reduced()
+        if reduced.letters:
+            out.append(reduced)
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Presentation:
     """Named generators plus relators; relators are kept cyclically reduced.
@@ -223,27 +256,21 @@ class Presentation:
     relators: tuple[Word, ...] = ()
 
     def __post_init__(self) -> None:
-        gens = tuple(self.generators)
-        names = set()
-        for name in gens:
-            if not name:
-                raise ValueError("generator names must be nonempty")
-            if name in names:
-                raise DuplicateGeneratorError(f"duplicate generator name {name!r}")
-            names.add(name)
-        n = len(gens)
-        relators = []
-        for r in self.relators:
-            top = r.max_index()
-            if top >= n:
-                raise UnknownGeneratorError(
-                    f"relator uses generator index {top} but only {n} generators exist"
-                )
-            reduced = r.cyclically_reduced()
-            if reduced.letters:
-                relators.append(reduced)
+        gens = _checked_names(self.generators)
         object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "relators", tuple(relators))
+        object.__setattr__(self, "relators", _checked_relators(self.relators, len(gens)))
+
+    def extended(self, relators: Iterable[Word], generators: Sequence[str] = ()) -> "Presentation":
+        """This presentation with ``generators`` appended and ``relators`` after its own.
+
+        Its own relators are valid over the longer generator list as they
+        are, so only the added relators are checked and cyclically reduced.
+        """
+        gens = _checked_names(self.generators + tuple(generators))
+        out = object.__new__(Presentation)
+        object.__setattr__(out, "generators", gens)
+        object.__setattr__(out, "relators", self.relators + _checked_relators(relators, len(gens)))
+        return out
 
     def word_str(self, w: Word, sep: str = " ") -> str:
         """Render as runs like ``a^2 b^-1``; ``sep`` joins the runs."""
@@ -290,7 +317,7 @@ def quotient_by_relators(p: Presentation, extra: Iterable[Word]) -> Presentation
     lengths = {len(_cyclic_reduced(r)) for r in rels}
     seen = {cyclic_key(r.letters) for r in p.relators if len(r.letters) in lengths}
     added = _normalize_relators(rels, seen)
-    return Presentation(p.generators, p.relators + tuple(Word._of(r) for r in added))
+    return p.extended(Word._of(r) for r in added)
 
 
 def _substitute_letters(

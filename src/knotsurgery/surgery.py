@@ -94,7 +94,6 @@ def cable_link_group(kp: KnotPresentation, slope: SurgerySlope) -> LabeledPresen
     taken = list(base.generators)
     mu_name = fresh_name("mu", taken)
     lam_name = fresh_name("lam", taken + [mu_name])
-    gens = base.generators + (mu_name, lam_name)
     mu = Word.generator(n)
     lam = Word.generator(n + 1)
     cable_relator = (
@@ -103,7 +102,7 @@ def cable_link_group(kp: KnotPresentation, slope: SurgerySlope) -> LabeledPresen
         * word_power(lam, -slope.p)
         * word_power(mu, -slope.q)
     )
-    presentation = Presentation(gens, base.relators + (commutator(mu, lam), cable_relator))
+    presentation = base.extended((commutator(mu, lam), cable_relator), (mu_name, lam_name))
     labels = {
         MERIDIAN: mu,
         LONGITUDE: lam,

@@ -2,8 +2,13 @@
 
 Permutations act on 0..degree-1 and are stored as image tuples; composition
 is (a * b)(x) = a(b(x)).  A FiniteTarget carries its fully enumerated element
-list together with multiplication and inverse tables so that hom counting is
-a pure table-lookup loop.  Cycle notation in files is 1-based, as usual.
+list, an inverse table and ``mult``, read as ``mult[x][y]`` (the index of
+e_x * e_y), so that hom counting is a pure lookup loop.  A target of at most
+FULL_TABLE_MAX_ORDER elements stores every product in a tuple of tuples.  A
+larger one stores none when it is closed: its ``mult`` computes a product by
+composing the two permutations the first time it is read, and keeps it, up to
+order^2 // 12 products per target.  Cycle notation in files is 1-based, as
+usual.
 """
 
 from __future__ import annotations
@@ -22,11 +27,21 @@ from .errors import ClosureCapExceededError, KnotSurgeryError
 
 Perm = tuple[int, ...]
 
-# A closed target keeps an order x order table of 8-byte references, so the
-# cap bounds it at 8 * 5000^2 bytes = 200 MB (PSL2_19, the largest bundled
-# target, has 3420 elements).  The targets of one suite file share that
-# bound: the sum of their squared orders is at most DEFAULT_CLOSURE_CAP^2.
+# A target of up to FULL_TABLE_MAX_ORDER elements keeps an order x order
+# table of 8-byte references, and a larger one at most order^2 // 12 memoized
+# products, so the cap bounds what one target stores by 8 * 5000^2 bytes =
+# 200 MB (PSL2_19, the largest bundled target, has 3420 elements).  The
+# targets of one suite file share that bound: the sum of their squared orders
+# is at most DEFAULT_CLOSURE_CAP^2.
 DEFAULT_CLOSURE_CAP = 5000
+# Largest order whose full multiplication table is built at closing: 8 *
+# 1448^2 bytes is just under 16 MiB.  Measured on a 2-core machine (Python
+# 3.11), closing and then counting the six fig8 surgery groups (q=1,
+# p=1..6) took, with a full table against products computed on first use:
+# PSL2_13 61 ms against 98 ms, PSL2_17 266 ms against 275 ms, PSL2_19 482 ms
+# against 412 ms.  The full tables of PSL2_17 and PSL2_19 were 0.63 s of the
+# 0.76 s that closing the escalation suite took, and 141 MB.
+FULL_TABLE_MAX_ORDER = 1448
 # Suite files are refused past this size before they are read.
 MAX_SUITE_BYTES = 65_536
 # Largest degree a target-suite file may give; checked before any
@@ -100,7 +115,56 @@ def cycle_string(p: Perm) -> str:
     return "".join(cycles) if cycles else "()"
 
 
-@dataclass(frozen=True)
+class _ProductRow(dict):
+    """Row x of a ProductMemo: y -> the index of e_x * e_y, composed on first read."""
+
+    __slots__ = ("perm", "memo")
+
+    def __missing__(self, y: int) -> int:
+        memo = self.memo
+        # itemgetter(*b)(a) is a * b at C level; it returns a tuple because
+        # a group of order >= 2 has degree >= 2
+        product = memo.index[itemgetter(*memo.elements[y])(self.perm)]
+        if memo.room > 0:
+            memo.room -= 1
+            self[y] = product
+        return product
+
+
+class ProductMemo(dict):
+    """``mult`` of a target past FULL_TABLE_MAX_ORDER: ``memo[x][y]`` like a table.
+
+    Row x is made the first time it is read, and each product the first time
+    it is read.  Products are kept until ``room`` (order^2 // 12 at first) is
+    used up, and are recomputed on every read after that.  A kept product
+    costs up to about 80 bytes (its share of the row's dict and often its own
+    int key), so a memo stays under the 8 * order^2 bytes of the table it
+    stands for: PSL2_19 filled to order^2 // 8 products held 97-101 MB
+    against the 89 MB of its table.  Nothing is made per element at closing:
+    the rows appear during a search, spread over it.
+    ``room`` is not locked, so threads that share a target may overdraw it.
+    """
+
+    __slots__ = ("elements", "index", "room")
+
+    def __init__(self, elements: tuple[Perm, ...], index: dict[Perm, int]) -> None:
+        super().__init__()
+        self.elements = elements
+        self.index = index
+        self.room = len(elements) ** 2 // 12
+
+    def __missing__(self, x: int) -> _ProductRow:
+        row = _ProductRow()
+        row.perm = self.elements[x]  # IndexError past the order, as in a table
+        row.memo = self
+        self[x] = row
+        return row
+
+
+# eq=False: a target is equal only to itself.  The generated __eq__ and
+# __hash__ would compare and hash every product of a full table, and a
+# ProductMemo's stored products are a cache, which equality must not read.
+@dataclass(frozen=True, eq=False)
 class FiniteTarget:
     """A finite permutation group with enumerated elements and lookup tables."""
 
@@ -108,7 +172,7 @@ class FiniteTarget:
     degree: int
     generators: tuple[Perm, ...]
     elements: tuple[Perm, ...]
-    mult: tuple[tuple[int, ...], ...]
+    mult: tuple[tuple[int, ...], ...] | ProductMemo
     inverse: tuple[int, ...]
     identity_index: int
 
@@ -197,7 +261,9 @@ def close_target(
     e_k * e_j = e_parent(k) * (g * e_j), so row k of the multiplication table
     is row parent(k) gathered through the left-multiplication permutation of
     g on element indices.  Each row costs one C-level itemgetter call, and the
-    whole table |gens| * order permutation compositions.
+    whole table |gens| * order permutation compositions.  Past
+    FULL_TABLE_MAX_ORDER elements no table is built: ``mult`` is a
+    ProductMemo, which composes each product on first use.
     """
     gens = [tuple(int(x) for x in g) for g in generators]
     if degree is None:
@@ -226,19 +292,23 @@ def close_target(
                 parent.append((i, g_idx))
         frontier = next_frontier
     order = len(elements)
-    # With order 1, itemgetter of one index would return a scalar, but then
-    # the row loop below is empty and no gather is ever called.
-    left = [itemgetter(*[index[compose(g, e)] for e in elements]) for g in gens]
-    rows = [tuple(range(order))]
-    for pk, gk in parent[1:]:
-        rows.append(left[gk](rows[pk]))
-    mult = tuple(rows)
+    elements = tuple(elements)
+    if order > FULL_TABLE_MAX_ORDER:
+        mult = ProductMemo(elements, index)
+    else:
+        # With order 1, itemgetter of one index would return a scalar, but
+        # then the row loop below is empty and no gather is ever called.
+        left = [itemgetter(*[index[compose(g, e)] for e in elements]) for g in gens]
+        rows = [tuple(range(order))]
+        for pk, gk in parent[1:]:
+            rows.append(left[gk](rows[pk]))
+        mult = tuple(rows)
     inverse = tuple(index[invert_perm(a)] for a in elements)
     return FiniteTarget(
         name=name,
         degree=degree,
         generators=tuple(gens),
-        elements=tuple(elements),
+        elements=elements,
         mult=mult,
         inverse=inverse,
         identity_index=0,

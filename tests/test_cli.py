@@ -383,6 +383,19 @@ def test_export_knot_group(capsys, tmp_path):
     assert (tmp_path / "knot_group.g").read_text().startswith('F := FreeGroup("x1", "x2");')
 
 
+@pytest.mark.parametrize("construction", ["knot", "surgery"])
+def test_export_with_no_slope_coprime_to_q_exits_2(capsys, tmp_path, construction):
+    out = tmp_path / "out"
+    argv = ["export", "--builtin", "trefoil", "--construction", construction,
+            "--q", "7", "--p", "14", "--out", str(out)]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert "no slope left" in err
+    assert not any(out.glob("*"))
+    if construction == "knot":
+        assert not out.exists()
+
+
 def test_workers_env_produces_identical_outputs(capsys, tmp_path, monkeypatch):
     out1 = tmp_path / "serial"
     out2 = tmp_path / "parallel"

@@ -188,6 +188,18 @@ small_presentations = st.builds(
 
 
 @given(small_presentations)
+def test_extended_equals_the_checked_construction(p):
+    a, b = Word.generator(0), Word.generator(len(p.generators))
+    added = [a * b * a.inverse(), Word(), commutator(a, b)]
+    extended = p.extended(added, ["x"])
+    assert extended == Presentation(p.generators + ("x",), p.relators + tuple(added))
+    with pytest.raises(UnknownGeneratorError):
+        p.extended([b])
+    with pytest.raises(DuplicateGeneratorError):
+        p.extended([], ["x", "x"])
+
+
+@given(small_presentations)
 def test_serialization_round_trip(p):
     assert presentation_from_json(presentation_to_json(p)) == p
 
