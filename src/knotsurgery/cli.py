@@ -68,7 +68,7 @@ from .surgery import (
     family_manifest,
     half_complement_group,
 )
-from .targets import FiniteTarget, read_suite_bytes, resolve_suite, suite_names
+from .targets import FiniteTarget, SuiteSpec, read_suite, resolve_suite
 
 SCHEMA_VERSION = 1
 WORKERS_ENV = "KNOTSURGERY_WORKERS"  # no longer read; bench/workloads.py still sets it
@@ -87,6 +87,11 @@ class RunConfig:
     out_dir: Path | None = None
     cache: bool = True
     construction: str = "surgery"
+
+    @functools.cached_property
+    def suite(self) -> SuiteSpec:
+        """The suite that targets names, read on first use and then kept."""
+        return read_suite(self.targets)
 
 
 def parse_p_spec(spec: str) -> tuple[int, ...]:
@@ -158,12 +163,6 @@ def load_knot(config: RunConfig) -> tuple[KnotPresentation, str]:
     return kp, f"{config.source_kind}:{config.source}"
 
 
-def _suite_fingerprint(spec: str) -> str:
-    if spec in ("standard", "extended"):
-        return spec
-    return f"file:{hashlib.sha256(read_suite_bytes(spec)).hexdigest()}"
-
-
 def _cache_keys(config: RunConfig, source: str, p_values: Sequence[int]) -> list[str]:
     """The cache entry name of each slope's spectrum, in the order of p_values."""
     fields = {
@@ -171,7 +170,7 @@ def _cache_keys(config: RunConfig, source: str, p_values: Sequence[int]) -> list
         "version": __version__,
         "source": source,
         "q": config.q,
-        "suite": _suite_fingerprint(config.targets),
+        "suite": config.suite.fingerprint,
         # both fixed, so existing cache entries keep their names; the Tietze
         # step limit this field once named never bound (see tietze_simplify_tracked)
         "budget": 10_000,
@@ -247,12 +246,12 @@ def compute_spectra(
     if config.cache:
         # a missing directory reads as all misses; it is made before the first write
         cache_dir = config.out_dir / ".cache"
-        names = suite_names(config.targets)
+        names = config.suite.names
         paths = [cache_dir / f"{key}.json" for key in keys]
         spectra = [_read_cache_entry(path, names) for path in paths]
     pending = [i for i, spectrum in enumerate(spectra) if spectrum is None]
     if pending:
-        suite = resolve_suite(config.targets)
+        suite = config.suite.close()
         tables = _peripheral_tables(kp, suite)
         if config.cache:
             cache_dir.mkdir(parents=True, exist_ok=True)
@@ -330,7 +329,7 @@ def _slopes(config: RunConfig) -> Iterator[SurgerySlope]:
 
 def cmd_knot(config: RunConfig) -> int:
     kp, _ = load_knot(config)
-    suite = resolve_suite(config.targets)
+    suite = config.suite.close()
     print(f"knot: {config.source_kind} {config.source}")
     print(f"group: {kp.group}")
     print(f"meridian: {kp.group.word_str(kp.meridian)}")
@@ -412,7 +411,7 @@ def cmd_family(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     kp, _ = load_knot(config)
-    suite = resolve_suite(config.targets)
+    suite = config.suite.close()
     # the third side: each slope's spectrum read off the knot group's tables
     tables = _peripheral_tables(kp, suite)
     lines = []
@@ -447,8 +446,8 @@ def cmd_export(config: RunConfig) -> int:
     if config.construction == "knot" and all(gcd(p, config.q) != 1 for p in config.p_values):
         raise ValueError("no slope left after gcd filter")
     kp, _ = load_knot(config)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     if config.construction == "knot":
+        config.out_dir.mkdir(parents=True, exist_ok=True)
         path = config.out_dir / "knot_group.g"
         path.write_text(to_free_group_script(kp.group), encoding="utf-8")
         print(f"wrote {path}")
@@ -460,6 +459,8 @@ def cmd_export(config: RunConfig) -> int:
     }[config.construction]
     for slope in _slopes(config):
         presentation = builder(kp, slope)
+        # made before the first write, so a slope set that writes nothing leaves no directory
+        config.out_dir.mkdir(parents=True, exist_ok=True)
         path = config.out_dir / f"{config.construction}_q{config.q}_p{slope.p}.g"
         path.write_text(to_free_group_script(presentation), encoding="utf-8")
         print(f"wrote {path}")

@@ -10,8 +10,9 @@ multiple of D_k below the rank and 0 past it.
 
 Pivots are chosen as the smallest nonzero absolute value, ties broken
 row-major.  The rule is deterministic but does not bound entry growth:
-intermediate entries can reach millions of bits on a 36x36 input (ROADMAP,
-open item 4).
+intermediate entries can reach millions of bits on a 36x36 input, and a
+random 12x12 matrix over {0, 0, 1, -1, 2} (``random.Random(1)``) runs past
+30 s where the 10x10 one takes under 1 ms.
 """
 
 from __future__ import annotations

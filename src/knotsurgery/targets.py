@@ -7,8 +7,13 @@ e_x * e_y), so that hom counting is a pure lookup loop.  A target of at most
 FULL_TABLE_MAX_ORDER elements stores every product in a tuple of tuples.  A
 larger one stores none when it is closed: its ``mult`` computes a product by
 composing the two permutations the first time it is read, and keeps it, up to
-order^2 // 12 products per target.  Cycle notation in files is 1-based, as
-usual.
+order^2 // 12 products per target.
+
+Every bundled target is built here from its generators: the standard suite
+from the cyclic, symmetric, alternating and dihedral builders, and the
+escalation suite, cheapest first, from those and ``psl2``/``psl2_8``.  A
+custom suite is a JSON file of generators in cycle notation, 1-based as
+usual, read once per command by ``read_suite``.
 """
 
 from __future__ import annotations
@@ -16,12 +21,12 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from importlib import resources
+from functools import cached_property, lru_cache, partial
+from hashlib import sha256
 from math import isqrt
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ClosureCapExceededError, KnotSurgeryError
 
@@ -350,6 +355,36 @@ def dihedral(n: int) -> FiniteTarget:
     return close_target(f"D{n}", [rotation, reflection], degree=n)
 
 
+def psl2(q: int) -> FiniteTarget:
+    """PSL(2,q) for an odd prime q, on the q+1 points of the projective line.
+
+    Points 0..q-1 are the field elements and q is infinity; the generators
+    are z -> z + 1 and z -> -1/z.
+    """
+    if q < 3 or q % 2 == 0 or any(q % d == 0 for d in range(3, isqrt(q) + 1, 2)):
+        raise ValueError(f"psl2 target needs an odd prime q, got {q}")
+    translation = tuple((z + 1) % q for z in range(q)) + (q,)
+    inversion = (q,) + tuple(-pow(z, -1, q) % q for z in range(1, q)) + (0,)
+    return close_target(f"PSL2_{q}", [translation, inversion], degree=q + 1)
+
+
+def psl2_8() -> FiniteTarget:
+    """PSL(2,8) on the 9 points of the projective line over GF(8).
+
+    GF(8) is GF(2)[x]/(x^3 + x + 1), its elements 0..7 read as bit vectors in
+    x, and 8 is infinity; the generators are z -> z + 1, z -> xz and z -> 1/z.
+    """
+    powers = [1]  # powers[k] = x^k; x generates the 7 units, so 1/x^k = x^-k
+    for _ in range(6):
+        z = powers[-1] << 1
+        powers.append(z ^ 0b1011 if z & 0b1000 else z)
+    log = {z: k for k, z in enumerate(powers)}
+    add_one = tuple(z ^ 1 for z in range(8)) + (8,)
+    times_x = (0,) + tuple(powers[(log[z] + 1) % 7] for z in range(1, 8)) + (8,)
+    invert = (8,) + tuple(powers[-log[z] % 7] for z in range(1, 8)) + (0,)
+    return close_target("PSL2_8", [add_one, times_x, invert], degree=9)
+
+
 @lru_cache(maxsize=None)
 def standard_suite() -> tuple[FiniteTarget, ...]:
     """The fixed default target list: C2..C6, S3, S4, S5, A4, A5, D4, D5."""
@@ -422,17 +457,6 @@ def suite_from_json(data: list[dict]) -> tuple[FiniteTarget, ...]:
     return tuple(out)
 
 
-def suite_to_json(suite: Iterable[FiniteTarget]) -> list[dict]:
-    return [
-        {
-            "name": t.name,
-            "degree": t.degree,
-            "generators": [cycle_string(g) for g in t.generators],
-        }
-        for t in suite
-    ]
-
-
 def read_suite_bytes(path: str | Path) -> bytes:
     """The file's bytes, refused before reading if it exceeds MAX_SUITE_BYTES."""
     size = os.stat(path).st_size
@@ -441,45 +465,73 @@ def read_suite_bytes(path: str | Path) -> bytes:
     return Path(path).read_bytes()
 
 
-def _read_suite_file(path: str | Path):
-    try:
-        return json.loads(read_suite_bytes(path).decode("utf-8"))
-    except RecursionError:
-        raise KnotSurgeryError(f"target-suite file {str(path)!r} is nested too deeply") from None
-
-
 def load_suite(path: str | Path) -> tuple[FiniteTarget, ...]:
-    return suite_from_json(_read_suite_file(path))
+    return read_suite(str(path)).close()
 
 
-def _escalation_entries() -> list[dict]:
-    text = resources.files("knotsurgery").joinpath("data/targets_extended.json").read_text()
-    return json.loads(text)
+# The escalation targets, cheapest first: name -> builder.
+_ESCALATION = {
+    "PSL2_7": partial(psl2, 7),
+    "A6": partial(alternating, 6),
+    "PSL2_8": psl2_8,
+    "PSL2_11": partial(psl2, 11),
+    "S6": partial(symmetric, 6),
+    "PSL2_13": partial(psl2, 13),
+    "PSL2_17": partial(psl2, 17),
+    "PSL2_19": partial(psl2, 19),
+}
 
 
 @lru_cache(maxsize=None)
 def escalation_suite() -> tuple[FiniteTarget, ...]:
-    """Bundled larger targets, cheapest first, for separating stubborn pairs."""
-    return suite_from_json(_escalation_entries())
+    """Larger targets, cheapest first, for separating stubborn pairs."""
+    return tuple(build() for build in _ESCALATION.values())
 
 
 def extended_suite() -> tuple[FiniteTarget, ...]:
     return standard_suite() + escalation_suite()
 
 
+@dataclass(frozen=True)
+class SuiteSpec:
+    """A CLI suite spec, read once.
+
+    ``fingerprint`` names the suite in cache keys, ``names`` lists its targets
+    without closing them, and ``close()`` closes them.
+    """
+
+    fingerprint: str
+    names: tuple[str, ...]
+    close: Callable[[], tuple[FiniteTarget, ...]]
+
+
+def read_suite(spec: str) -> SuiteSpec:
+    """The suite of a CLI spec: "standard", "extended", or a file path.
+
+    A file is read once: its fingerprint, names and targets all come from the
+    same bytes.
+    """
+    if spec == "standard":
+        return SuiteSpec(spec, tuple(t.name for t in standard_suite()), standard_suite)
+    if spec == "extended":
+        return SuiteSpec(spec, suite_names("standard") + tuple(_ESCALATION), extended_suite)
+    content = read_suite_bytes(spec)
+    try:
+        entries = _checked_entries(json.loads(content.decode("utf-8")))
+    except RecursionError:
+        raise KnotSurgeryError(f"target-suite file {spec!r} is nested too deeply") from None
+    return SuiteSpec(
+        f"file:{sha256(content).hexdigest()}",
+        tuple(e["name"] for e in entries),
+        partial(suite_from_json, entries),
+    )
+
+
 def suite_names(spec: str) -> tuple[str, ...]:
     """Target names of a CLI suite spec, read without closing the large targets."""
-    if spec == "standard":
-        return tuple(t.name for t in standard_suite())
-    if spec == "extended":
-        return suite_names("standard") + tuple(e["name"] for e in _escalation_entries())
-    return tuple(e["name"] for e in _checked_entries(_read_suite_file(spec)))
+    return read_suite(spec).names
 
 
 def resolve_suite(spec: str) -> tuple[FiniteTarget, ...]:
     """Map a CLI suite spec ("standard", "extended", or a file path) to targets."""
-    if spec == "standard":
-        return standard_suite()
-    if spec == "extended":
-        return extended_suite()
-    return load_suite(spec)
+    return read_suite(spec).close()

@@ -342,7 +342,8 @@ def test_suite_just_past_the_table_budget(capsys, tmp_path):
     # DEFAULT_CLOSURE_CAP^2 = 25 000 000 budget, so a third is capped at
     # isqrt(1 607 200) = 1267 elements.
     assert 2 * 3420**2 <= DEFAULT_CLOSURE_CAP**2 < 3 * 3420**2
-    psl = next(e for e in targets._escalation_entries() if e["name"] == "PSL2_19")
+    generators = [targets.cycle_string(g) for g in targets.psl2(19).generators]
+    psl = {"degree": 20, "generators": generators}
     for copies, expected in ((2, 0), (3, 4)):
         path = tmp_path / f"{copies}.json"
         path.write_text(json.dumps([dict(psl, name=f"P{i}") for i in range(copies)]))
@@ -365,10 +366,66 @@ def test_suite_file_just_past_the_byte_limit(capsys, tmp_path):
         code, _, err = run(command + ["--builtin", "unknot", "--targets", str(past)], capsys)
         assert code == 2, command
         assert f"past the limit {MAX_SUITE_BYTES}" in err, command
-    # the cache key reads the file through the same bounded reader
-    assert cli._suite_fingerprint(str(at_limit)).startswith("file:")
+    # the cache key comes from the same bounded read as the targets
+    assert targets.read_suite(str(at_limit)).fingerprint.startswith("file:")
     with pytest.raises(KnotSurgeryError, match="past the limit"):
-        cli._suite_fingerprint(str(past))
+        targets.read_suite(str(past))
+
+
+A5 = ["(1 2 3 4 5)", "(1 2 3)"]
+
+
+def _suite_file(path, generators):
+    path.write_text(json.dumps([{"name": "T", "degree": 5, "generators": generators}]))
+
+
+def test_suite_rewritten_between_reads_stores_no_stale_counts(capsys, tmp_path, monkeypatch):
+    # T is A5 when the command starts and C5 once the file has been read, so
+    # the cache names and the counts must both come from that one read
+    suite = tmp_path / "suite.json"
+    _suite_file(suite, A5)
+    read_bytes = Path.read_bytes
+
+    def rewrite_after_read(self):
+        content = read_bytes(self)
+        if self == suite:
+            _suite_file(suite, ["(1 2 3 4 5)"])
+        return content
+
+    argv = ["family", "--builtin", "trefoil", "--p", "1..3", "--targets", str(suite), "--out"]
+    monkeypatch.setattr(Path, "read_bytes", rewrite_after_read)
+    run(argv + [str(tmp_path / "out")], capsys)
+    monkeypatch.undo()
+    _suite_file(suite, A5)
+    run(argv + [str(tmp_path / "out")], capsys)
+    run(argv + [str(tmp_path / "clean"), "--no-cache"], capsys)
+    rows = (tmp_path / "out" / "spectra.csv").read_text()
+    assert rows == (tmp_path / "clean" / "spectra.csv").read_text()
+    assert "p=1,121\n" in rows
+
+
+@pytest.mark.parametrize(
+    "command, warm",
+    [("family", True), ("family", False), ("knot", False), ("verify", False)],
+)
+def test_a_command_reads_its_suite_file_once(capsys, tmp_path, monkeypatch, command, warm):
+    suite = tmp_path / "suite.json"
+    _suite_file(suite, A5)
+    argv = [command, "--builtin", "trefoil", "--targets", str(suite), "--out", str(tmp_path)]
+    if warm:
+        run(argv, capsys)  # fills the cache that the counted call reads
+    reads = []
+    read_bytes = Path.read_bytes
+
+    def counted(self):
+        if self == suite:
+            reads.append(self)
+        return read_bytes(self)
+
+    monkeypatch.setattr(Path, "read_bytes", counted)
+    code, _, err = run(argv, capsys)
+    assert code == 0, err
+    assert reads == [suite]
 
 
 def test_export_knot_group(capsys, tmp_path):
@@ -391,9 +448,7 @@ def test_export_with_no_slope_coprime_to_q_exits_2(capsys, tmp_path, constructio
     code, _, err = run(argv, capsys)
     assert code == 2
     assert "no slope left" in err
-    assert not any(out.glob("*"))
-    if construction == "knot":
-        assert not out.exists()
+    assert not out.exists()
 
 
 def test_workers_env_produces_identical_outputs(capsys, tmp_path, monkeypatch):

@@ -67,6 +67,10 @@ def collect() -> dict:
                 out = f"{source}-{name.replace('-warm', '-cold')}-q{q}"
                 outcomes[f"{source}/{name}/q{q}"] = _outcome(command + source_args + slopes, out)
         outcomes[f"{source}/knot"] = _outcome(["knot"] + source_args, f"{source}-knot")
+    # the bundled escalation targets, on one family small enough to search them in about a second
+    extended = ["family", "--targets", "extended"] + SOURCES["fig8"] + ["--q", "1", "--p=-3..3"]
+    for name in ("family-cold", "family-warm"):
+        outcomes[f"fig8/extended/{name}/q1"] = _outcome(extended, "fig8-extended-q1")
     # a valid monodromy whose mapping torus is no knot group (H1 = Z^3):
     # knot, family and verify stop after the failed peripheral checks
     identity = {"a1": [["a1", 1]], "b1": [["b1", 1]]}

@@ -1,7 +1,3 @@
-import importlib.util
-import json
-from pathlib import Path
-
 import pytest
 
 from knotsurgery import (
@@ -11,6 +7,7 @@ from knotsurgery import (
     cyclic,
     dihedral,
     escalation_suite,
+    extended_suite,
     standard_suite,
     symmetric,
     targets,
@@ -22,7 +19,6 @@ from knotsurgery.targets import (
     invert_perm,
     parse_cycles,
     suite_from_json,
-    suite_to_json,
 )
 
 
@@ -132,8 +128,6 @@ def test_escalation_suite_orders():
 
 
 def test_extended_suite_is_standard_plus_escalation():
-    from knotsurgery import extended_suite
-
     suite = extended_suite()
     assert len(suite) == len(standard_suite()) + len(escalation_suite())
     assert [t.name for t in suite[: len(standard_suite())]] == [
@@ -155,21 +149,30 @@ def test_suite_budget_used_up_exactly(monkeypatch):
 
 def test_suite_json_round_trip():
     suite = (cyclic(3), dihedral(4))
-    data = suite_to_json(suite)
+    data = [
+        {"name": "C3", "degree": 3, "generators": ["(1 2 3)"]},
+        {"name": "D4", "degree": 4, "generators": ["(1 2 3 4)", "(2 4)"]},
+    ]
+    assert [[cycle_string(g) for g in t.generators] for t in suite] == [
+        entry["generators"] for entry in data
+    ]
     rebuilt = suite_from_json(data)
     assert [t.name for t in rebuilt] == ["C3", "D4"]
     assert [t.order for t in rebuilt] == [3, 8]
     assert [t.elements for t in rebuilt] == [t.elements for t in suite]
 
 
-def test_bundled_escalation_suite_matches_its_build_script():
-    root = Path(__file__).resolve().parents[1]
-    script = root / "scripts" / "build_target_suites.py"
-    spec = importlib.util.spec_from_file_location("build_target_suites", script)
-    builder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(builder)
-    bundled = root / "src" / "knotsurgery" / "data" / "targets_extended.json"
-    assert suite_to_json(builder.build_suite()) == json.loads(bundled.read_text())
+def test_extended_names_close_no_escalation_target():
+    escalation_suite.cache_clear()
+    names = targets.suite_names("extended")
+    assert escalation_suite.cache_info().currsize == 0
+    assert names == tuple(t.name for t in extended_suite())
+
+
+@pytest.mark.parametrize("q", [2, 9, 1])
+def test_psl2_refuses_q_that_is_not_an_odd_prime(q):
+    with pytest.raises(ValueError, match="odd prime"):
+        targets.psl2(q)
 
 
 CLASS_NUMBERS = {
