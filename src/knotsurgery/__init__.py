@@ -40,9 +40,6 @@ from .targets import (
     cyclic,
     dihedral,
     escalation_suite,
-    extended_suite,
-    load_suite,
-    resolve_suite,
     standard_suite,
     symmetric,
 )

@@ -12,6 +12,9 @@ Primary outputs are byte-deterministic for a fixed config; wall-clock
 metadata goes to a run_meta.json sidecar.  Spectra are cached by content
 hash of (package version, knot source, slope, suite) under
 <out>/.cache.
+
+This is the only module that touches files: input files are read by
+``_read_json`` and every file is written by ``_write``.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import __version__
 from .alexander import fox_alexander
@@ -54,7 +57,6 @@ from .knots import (
     builtin_knot,
     fibered_knot_from_json,
     mapping_torus_presentation,
-    read_monodromy_file,
     validate_peripheral,
 )
 from .smith import abelianization
@@ -68,11 +70,90 @@ from .surgery import (
     family_manifest,
     half_complement_group,
 )
-from .targets import FiniteTarget, SuiteSpec, read_suite, resolve_suite
+from .targets import (
+    ESCALATION,
+    FiniteTarget,
+    checked_entries,
+    escalation_suite,
+    standard_suite,
+    suite_from_json,
+)
 
 SCHEMA_VERSION = 1
 WORKERS_ENV = "KNOTSURGERY_WORKERS"  # no longer read; bench/workloads.py still sets it
 MAX_P_VALUES = 1000
+# Monodromy files are refused past this size before they are read.  The limit
+# also bounds the certificate's compositions, whose length is at most the
+# product of two image lengths.
+MAX_MONODROMY_BYTES = 16_384
+# Suite files are refused past this size before they are read.
+MAX_SUITE_BYTES = 65_536
+
+
+def _read_json(path: str, limit: int, what: str, error: type) -> tuple[object, bytes]:
+    """The JSON document in the file and the bytes it was parsed from, read once.
+
+    A file past limit bytes (checked before reading) or nested deeper than
+    the decoder recurses raises error; one that is not UTF-8 JSON, ValueError.
+    """
+    size = os.stat(path).st_size
+    if size > limit:
+        raise error(f"{what} file of {size} bytes is past the limit {limit}")
+    content = Path(path).read_bytes()
+    try:
+        return json.loads(content.decode("utf-8")), content
+    except RecursionError:
+        raise error(f"{what} file {path!r} is nested too deeply") from None
+
+
+def _write(path: Path, text: str, atomic: bool = False) -> None:
+    """Write text to path as UTF-8, making path's directory if it is missing.
+
+    Only cache entries are atomic (a temporary file, then a rename), so that a
+    reader never sees a partial entry; that costs more than an overwrite, and
+    a warm family call rewrites four outputs.
+    """
+    target = path.with_name(f"{path.name}.{os.getpid()}.tmp") if atomic else path
+    try:
+        target.write_text(text, encoding="utf-8")
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        target.write_text(text, encoding="utf-8")
+    if atomic:
+        os.replace(target, path)
+
+
+@dataclass(frozen=True)
+class SuiteSpec:
+    """A CLI suite spec, read once.
+
+    ``fingerprint`` names the suite in cache keys, ``names`` lists its targets
+    without closing them, and ``close()`` closes them.
+    """
+
+    fingerprint: str
+    names: tuple[str, ...]
+    close: Callable[[], tuple[FiniteTarget, ...]]
+
+
+def read_suite(spec: str) -> SuiteSpec:
+    """The suite of a CLI spec: "standard", "extended", or a file path.
+
+    A file is read once: its fingerprint, names and targets all come from the
+    same bytes.
+    """
+    if spec == "standard":
+        return SuiteSpec(spec, tuple(t.name for t in standard_suite()), standard_suite)
+    if spec == "extended":
+        names = tuple(t.name for t in standard_suite()) + tuple(ESCALATION)
+        return SuiteSpec(spec, names, lambda: standard_suite() + escalation_suite())
+    document, content = _read_json(spec, MAX_SUITE_BYTES, "target-suite", KnotSurgeryError)
+    entries = checked_entries(document)
+    return SuiteSpec(
+        f"file:{hashlib.sha256(content).hexdigest()}",
+        tuple(e["name"] for e in entries),
+        functools.partial(suite_from_json, entries),
+    )
 
 
 @dataclass(frozen=True)
@@ -151,11 +232,9 @@ def load_knot(config: RunConfig) -> tuple[KnotPresentation, str]:
         except KeyError as exc:
             raise KnotSurgeryError(str(exc)) from None
     elif config.source_kind == "monodromy":
-        content = read_monodromy_file(config.source)
-        try:
-            payload = json.loads(content.decode("utf-8"))
-        except RecursionError:
-            raise InvalidMonodromyError("monodromy file is nested too deeply") from None
+        payload, content = _read_json(
+            config.source, MAX_MONODROMY_BYTES, "monodromy", InvalidMonodromyError
+        )
         data = fibered_knot_from_json(payload)
         return mapping_torus_presentation(data), f"monodromy:{hashlib.sha256(content).hexdigest()}"
     else:
@@ -183,29 +262,33 @@ def _cache_keys(config: RunConfig, source: str, p_values: Sequence[int]) -> list
 
 
 def _read_cache_entry(path: Path, names: tuple[str, ...]) -> HomSpectrum | None:
-    """The cached spectrum, or None (a miss) if the entry is absent, unreadable or stale."""
+    """The cached spectrum, or None (a miss) if the entry is absent, unreadable,
+    stale or of the wrong shape.
+
+    Nothing is coerced: a schema version or count of another type (true, 1.0,
+    "1") is a miss, and so is a count below 1, since the trivial homomorphism
+    makes every true count at least 1.  A decoded name equal to a str is one.
+    """
     try:
-        data = json.loads(path.read_text())
-        if data["schema_version"] != SCHEMA_VERSION:
-            return None
-        spectrum = HomSpectrum(tuple((str(name), int(count)) for name, count in data["counts"]))
+        data = json.loads(path.read_text(encoding="utf-8"))
+        version = data["schema_version"]
+        entries = tuple((name, count) for name, count in data["counts"])
     except (OSError, ValueError, KeyError, TypeError, RecursionError):
         return None
-    return spectrum if spectrum.target_names == names else None
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write through a temporary file so a reader never sees a partial entry."""
-    temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    temporary.write_text(text)
-    os.replace(temporary, path)
+    valid = (
+        type(version) is int
+        and version == SCHEMA_VERSION
+        and tuple(name for name, _ in entries) == names
+        and all(type(count) is int and count >= 1 for _, count in entries)
+    )
+    return HomSpectrum(entries) if valid else None
 
 
 # Never called; bench/run.py's --trace 1 wraps it.
 def _spectrum_task(payload: tuple[dict, str]) -> HomSpectrum:
     presentation_json, suite_spec = payload
     simplified = tietze_simplify(presentation_from_json(presentation_json))
-    return hom_spectrum(simplified, resolve_suite(suite_spec))
+    return hom_spectrum(simplified, read_suite(suite_spec).close())
 
 
 def _peripheral_tables(kp: KnotPresentation, suite: Sequence[FiniteTarget]) -> tuple[dict, ...]:
@@ -244,22 +327,19 @@ def compute_spectra(
     """
     spectra: list[HomSpectrum | None] = [None] * len(slopes)
     if config.cache:
-        # a missing directory reads as all misses; it is made before the first write
-        cache_dir = config.out_dir / ".cache"
+        # a missing directory reads as all misses; _write makes it
         names = config.suite.names
-        paths = [cache_dir / f"{key}.json" for key in keys]
+        paths = [config.out_dir / ".cache" / f"{key}.json" for key in keys]
         spectra = [_read_cache_entry(path, names) for path in paths]
     pending = [i for i, spectrum in enumerate(spectra) if spectrum is None]
     if pending:
         suite = config.suite.close()
         tables = _peripheral_tables(kp, suite)
-        if config.cache:
-            cache_dir.mkdir(parents=True, exist_ok=True)
         for i in pending:
             spectra[i] = _filtered_spectrum(suite, tables, slopes[i])
             if config.cache:
                 payload = {"schema_version": SCHEMA_VERSION, "counts": list(spectra[i].entries)}
-                _write_atomic(paths[i], _dumps(payload) + "\n")
+                _write(paths[i], _dumps(payload) + "\n", atomic=True)
     return spectra, len(slopes) - len(pending)
 
 
@@ -305,10 +385,6 @@ def _dumps(value, indent: str = "") -> str:
     raise TypeError(f"cannot write {type(value).__name__} as JSON")
 
 
-def _write_json(path: Path, payload) -> None:
-    path.write_text(_dumps(payload) + "\n", encoding="utf-8")
-
-
 def _slopes(config: RunConfig) -> Iterator[SurgerySlope]:
     """The config's slopes in order; prints a skip line for each p not coprime to q.
 
@@ -346,22 +422,19 @@ def cmd_knot(config: RunConfig) -> int:
     alexander = fox_alexander(kp)
     print(f"alexander: {alexander}")
     if config.out_dir is not None:
-        config.out_dir.mkdir(parents=True, exist_ok=True)
         names = kp.group.generators
-        _write_json(
-            config.out_dir / "knot.json",
-            {
-                "schema_version": SCHEMA_VERSION,
-                "source": {"kind": config.source_kind, "value": config.source},
-                "presentation": presentation_to_json(kp.group),
-                "meridian": word_to_json(kp.meridian, names),
-                "longitude": word_to_json(kp.longitude, names),
-                "genus_hint": kp.genus_hint,
-                "abelianization": str(report.h1),
-                "alexander": str(alexander),
-                "peripheral_ok": report.ok,
-            },
-        )
+        document = {
+            "schema_version": SCHEMA_VERSION,
+            "source": {"kind": config.source_kind, "value": config.source},
+            "presentation": presentation_to_json(kp.group),
+            "meridian": word_to_json(kp.meridian, names),
+            "longitude": word_to_json(kp.longitude, names),
+            "genus_hint": kp.genus_hint,
+            "abelianization": str(report.h1),
+            "alexander": str(alexander),
+            "peripheral_ok": report.ok,
+        }
+        _write(config.out_dir / "knot.json", _dumps(document) + "\n")
     return 0
 
 
@@ -380,7 +453,6 @@ def cmd_family(config: RunConfig) -> int:
     slopes = [m.slope for m in family.members]
     keys = _cache_keys(config, source, [slope.p for slope in slopes])
     spectra, hits = compute_spectra(slopes, config, keys, kp)
-    config.out_dir.mkdir(parents=True, exist_ok=True)
 
     manifest = {
         "schema_version": SCHEMA_VERSION,
@@ -389,15 +461,15 @@ def cmd_family(config: RunConfig) -> int:
         "skipped_p": list(family.skipped),
         "members": family_manifest(family),
     }
-    _write_json(config.out_dir / "family_manifest.json", manifest)
+    _write(config.out_dir / "family_manifest.json", _dumps(manifest) + "\n")
 
     csv_lines = ["label," + ",".join(spectra[0].target_names)]
     for label, spectrum in zip(labels, spectra):
         csv_lines.append(label + "," + ",".join(str(c) for c in spectrum.counts))
-    (config.out_dir / "spectra.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    _write(config.out_dir / "spectra.csv", "\n".join(csv_lines) + "\n")
 
     report = distinguish_report(list(zip(labels, spectra)))
-    (config.out_dir / "distinguish_report.txt").write_text(report.format() + "\n", encoding="utf-8")
+    _write(config.out_dir / "distinguish_report.txt", report.format() + "\n")
     print(report.format())
     meta = {
         "schema_version": SCHEMA_VERSION,
@@ -405,7 +477,7 @@ def cmd_family(config: RunConfig) -> int:
         "elapsed_ms": int((time.perf_counter() - started) * 1000),
         "cache_hits": hits,
     }
-    _write_json(config.out_dir / "run_meta.json", meta)
+    _write(config.out_dir / "run_meta.json", _dumps(meta) + "\n")
     return 0 if report.all_distinguished else 3
 
 
@@ -433,8 +505,7 @@ def cmd_verify(config: RunConfig) -> int:
         lines.append(line)
         print(line)
     if config.out_dir is not None:
-        config.out_dir.mkdir(parents=True, exist_ok=True)
-        (config.out_dir / "verify_report.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write(config.out_dir / "verify_report.txt", "\n".join(lines) + "\n")
     return 0 if all_ok else 1
 
 
@@ -447,9 +518,8 @@ def cmd_export(config: RunConfig) -> int:
         raise ValueError("no slope left after gcd filter")
     kp, _ = load_knot(config)
     if config.construction == "knot":
-        config.out_dir.mkdir(parents=True, exist_ok=True)
         path = config.out_dir / "knot_group.g"
-        path.write_text(to_free_group_script(kp.group), encoding="utf-8")
+        _write(path, to_free_group_script(kp.group))
         print(f"wrote {path}")
         return 0
     builder = {
@@ -459,10 +529,8 @@ def cmd_export(config: RunConfig) -> int:
     }[config.construction]
     for slope in _slopes(config):
         presentation = builder(kp, slope)
-        # made before the first write, so a slope set that writes nothing leaves no directory
-        config.out_dir.mkdir(parents=True, exist_ok=True)
         path = config.out_dir / f"{config.construction}_q{config.q}_p{slope.p}.g"
-        path.write_text(to_free_group_script(presentation), encoding="utf-8")
+        _write(path, to_free_group_script(presentation))
         print(f"wrote {path}")
     return 0
 

@@ -424,12 +424,15 @@ def word_to_json(w: Word, names: Sequence[str]) -> list[list]:
 
 
 def word_from_json(data: Sequence, name_to_index: Mapping[str, int]) -> Word:
+    """The word of [name, exponent] letters; each exponent is the int 1 or -1, not coerced."""
     letters = []
     for item in data:
         name, e = item
         if name not in name_to_index:
             raise UnknownGeneratorError(f"unknown generator {name!r} in serialized word")
-        letters.append((name_to_index[name], int(e)))
+        if type(e) is not int:
+            raise ValueError(f"letter exponent must be +1 or -1, got {e!r}")
+        letters.append((name_to_index[name], e))
     return Word(tuple(letters))
 
 

@@ -5,14 +5,14 @@ longitude words.  The longitude is always 0-framed: its image in the (infinite
 cyclic) abelianization vanishes.  Two independent construction routes exist,
 the Wirtinger presentation of a braid closure (see braids.py) and the mapping
 torus of a fibered surface automorphism (this module); agreement of their
-invariants is the main cross-check of both.
+invariants is the main cross-check of both.  Nothing here reads a file: the
+CLI reads a monodromy file and hands its parsed JSON to
+``fibered_knot_from_json``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Mapping, Sequence
 
 from .errors import InvalidMonodromyError, UnknownGeneratorError
@@ -30,11 +30,8 @@ from .homcount import peripheral_table
 from .smith import AbelianInvariants, relation_matrix, smith_normal_form
 from .targets import FiniteTarget
 
-# Monodromy files are refused past these limits before anything of their size
-# is built or read.  The byte limit also bounds the certificate's
-# compositions, whose length is at most the product of two image lengths.
+# A monodromy is refused past this genus before anything of its size is built.
 MAX_GENUS = 100
-MAX_MONODROMY_BYTES = 16_384
 
 
 @dataclass(frozen=True)
@@ -167,10 +164,9 @@ def fibered_knot_to_json(data: FiberedKnotData) -> dict:
 
 
 def fibered_knot_from_json(payload: Mapping) -> FiberedKnotData:
-    try:
-        genus = int(payload["genus"])
-    except (KeyError, TypeError, ValueError):
-        raise InvalidMonodromyError("monodromy file needs an integer 'genus' field") from None
+    genus = payload.get("genus") if isinstance(payload, Mapping) else None
+    if type(genus) is not int:
+        raise InvalidMonodromyError("monodromy file needs an integer 'genus' field")
     if genus > MAX_GENUS:
         raise InvalidMonodromyError(f"genus {genus} is past the limit {MAX_GENUS}")
     names = fiber_generator_names(max(genus, 1))
@@ -193,16 +189,6 @@ def fibered_knot_from_json(payload: Mapping) -> FiberedKnotData:
         return tuple(words)
 
     return FiberedKnotData(genus=genus, forward=load_side("forward"), backward=load_side("backward"))
-
-
-def read_monodromy_file(path: str | Path) -> bytes:
-    """The file's bytes, refused before reading if it exceeds MAX_MONODROMY_BYTES."""
-    size = os.stat(path).st_size
-    if size > MAX_MONODROMY_BYTES:
-        raise InvalidMonodromyError(
-            f"monodromy file of {size} bytes is past the limit {MAX_MONODROMY_BYTES}"
-        )
-    return Path(path).read_bytes()
 
 
 TREFOIL_MONODROMY = FiberedKnotData(

@@ -12,21 +12,18 @@ order^2 // 12 products per target.
 Every bundled target is built here from its generators: the standard suite
 from the cyclic, symmetric, alternating and dihedral builders, and the
 escalation suite, cheapest first, from those and ``psl2``/``psl2_8``.  A
-custom suite is a JSON file of generators in cycle notation, 1-based as
-usual, read once per command by ``read_suite``.
+custom suite is a list of entries, each with generators in cycle notation,
+1-based as usual; ``suite_from_json`` closes a parsed one.  Nothing here reads
+a file: the CLI reads a suite file and hands over its parsed entries.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
-from hashlib import sha256
 from math import isqrt
 from operator import itemgetter
-from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ClosureCapExceededError, KnotSurgeryError
 
@@ -47,8 +44,6 @@ DEFAULT_CLOSURE_CAP = 5000
 # against 412 ms.  The full tables of PSL2_17 and PSL2_19 were 0.63 s of the
 # 0.76 s that closing the escalation suite took, and 141 MB.
 FULL_TABLE_MAX_ORDER = 1448
-# Suite files are refused past this size before they are read.
-MAX_SUITE_BYTES = 65_536
 # Largest degree a target-suite file may give; checked before any
 # permutation of that degree is built.
 MAX_TARGET_DEGREE = 1000
@@ -404,7 +399,7 @@ def standard_suite() -> tuple[FiniteTarget, ...]:
     )
 
 
-def _checked_entries(data) -> list[dict]:
+def checked_entries(data) -> list[dict]:
     """The entries of a target-suite document, refused unless each has the right shape.
 
     A suite is a list of objects, each with its own ``name`` string, an
@@ -438,7 +433,7 @@ def suite_from_json(data: list[dict]) -> tuple[FiniteTarget, ...]:
     """Close every entry; each closure is capped by the table budget left."""
     out = []
     budget = DEFAULT_CLOSURE_CAP**2
-    for i, entry in enumerate(_checked_entries(data)):
+    for i, entry in enumerate(checked_entries(data)):
         degree = entry["degree"]
         if degree > MAX_TARGET_DEGREE:
             raise KnotSurgeryError(f"target degree {degree} is past the limit {MAX_TARGET_DEGREE}")
@@ -457,20 +452,8 @@ def suite_from_json(data: list[dict]) -> tuple[FiniteTarget, ...]:
     return tuple(out)
 
 
-def read_suite_bytes(path: str | Path) -> bytes:
-    """The file's bytes, refused before reading if it exceeds MAX_SUITE_BYTES."""
-    size = os.stat(path).st_size
-    if size > MAX_SUITE_BYTES:
-        raise KnotSurgeryError(f"target-suite file of {size} bytes is past the limit {MAX_SUITE_BYTES}")
-    return Path(path).read_bytes()
-
-
-def load_suite(path: str | Path) -> tuple[FiniteTarget, ...]:
-    return read_suite(str(path)).close()
-
-
 # The escalation targets, cheapest first: name -> builder.
-_ESCALATION = {
+ESCALATION = {
     "PSL2_7": partial(psl2, 7),
     "A6": partial(alternating, 6),
     "PSL2_8": psl2_8,
@@ -485,53 +468,4 @@ _ESCALATION = {
 @lru_cache(maxsize=None)
 def escalation_suite() -> tuple[FiniteTarget, ...]:
     """Larger targets, cheapest first, for separating stubborn pairs."""
-    return tuple(build() for build in _ESCALATION.values())
-
-
-def extended_suite() -> tuple[FiniteTarget, ...]:
-    return standard_suite() + escalation_suite()
-
-
-@dataclass(frozen=True)
-class SuiteSpec:
-    """A CLI suite spec, read once.
-
-    ``fingerprint`` names the suite in cache keys, ``names`` lists its targets
-    without closing them, and ``close()`` closes them.
-    """
-
-    fingerprint: str
-    names: tuple[str, ...]
-    close: Callable[[], tuple[FiniteTarget, ...]]
-
-
-def read_suite(spec: str) -> SuiteSpec:
-    """The suite of a CLI spec: "standard", "extended", or a file path.
-
-    A file is read once: its fingerprint, names and targets all come from the
-    same bytes.
-    """
-    if spec == "standard":
-        return SuiteSpec(spec, tuple(t.name for t in standard_suite()), standard_suite)
-    if spec == "extended":
-        return SuiteSpec(spec, suite_names("standard") + tuple(_ESCALATION), extended_suite)
-    content = read_suite_bytes(spec)
-    try:
-        entries = _checked_entries(json.loads(content.decode("utf-8")))
-    except RecursionError:
-        raise KnotSurgeryError(f"target-suite file {spec!r} is nested too deeply") from None
-    return SuiteSpec(
-        f"file:{sha256(content).hexdigest()}",
-        tuple(e["name"] for e in entries),
-        partial(suite_from_json, entries),
-    )
-
-
-def suite_names(spec: str) -> tuple[str, ...]:
-    """Target names of a CLI suite spec, read without closing the large targets."""
-    return read_suite(spec).names
-
-
-def resolve_suite(spec: str) -> tuple[FiniteTarget, ...]:
-    """Map a CLI suite spec ("standard", "extended", or a file path) to targets."""
-    return read_suite(spec).close()
+    return tuple(build() for build in ESCALATION.values())

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import itertools
 import json
@@ -6,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import knotsurgery
 from knotsurgery import (
@@ -22,15 +23,16 @@ from knotsurgery import (
     surgery,
     targets,
 )
-from knotsurgery.cli import MAX_P_VALUES, main, parse_p_spec
-from knotsurgery.knots import (
-    MAX_GENUS,
+from knotsurgery.cli import (
     MAX_MONODROMY_BYTES,
-    builtin_monodromy,
-    fibered_knot_to_json,
+    MAX_P_VALUES,
+    MAX_SUITE_BYTES,
+    main,
+    parse_p_spec,
 )
+from knotsurgery.knots import MAX_GENUS, builtin_monodromy, fibered_knot_to_json
 from knotsurgery.surgery import MAX_ABS_P, MAX_Q
-from knotsurgery.targets import DEFAULT_CLOSURE_CAP, MAX_SUITE_BYTES, MAX_TARGET_DEGREE
+from knotsurgery.targets import DEFAULT_CLOSURE_CAP, MAX_TARGET_DEGREE
 
 
 def run(argv, capsys):
@@ -367,9 +369,9 @@ def test_suite_file_just_past_the_byte_limit(capsys, tmp_path):
         assert code == 2, command
         assert f"past the limit {MAX_SUITE_BYTES}" in err, command
     # the cache key comes from the same bounded read as the targets
-    assert targets.read_suite(str(at_limit)).fingerprint.startswith("file:")
+    assert cli.read_suite(str(at_limit)).fingerprint.startswith("file:")
     with pytest.raises(KnotSurgeryError, match="past the limit"):
-        targets.read_suite(str(past))
+        cli.read_suite(str(past))
 
 
 A5 = ["(1 2 3 4 5)", "(1 2 3)"]
@@ -543,6 +545,22 @@ def test_bad_monodromy_files_exit_2(capsys, tmp_path):
     assert "bytes" in err
 
 
+@pytest.mark.parametrize("value", [1.7, 1.0, True, "1"])
+@pytest.mark.parametrize("field", ["exponent", "genus"])
+def test_monodromy_numbers_that_only_convert_to_ints_exit_2(capsys, tmp_path, field, value):
+    # an exponent is the int +1 or -1 and the genus an int; neither is coerced
+    payload = fibered_knot_to_json(builtin_monodromy("fig8"))
+    if field == "genus":
+        payload["genus"] = value
+    else:
+        payload["forward"]["a1"][0][1] = value
+    path = tmp_path / "fig8.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(["knot", "--monodromy", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error:") and ("image of 'a1'" if field == "exponent" else "genus") in err
+
+
 def test_malformed_suite_files_exit_2(capsys, tmp_path):
     shapes = {
         "entry without a name": [{"degree": 2, "generators": ["(1 2)"]}],
@@ -599,6 +617,120 @@ def test_deeply_nested_cache_entry_is_a_miss(capsys, tmp_path):
     assert code == 0, err
     assert (tmp_path / "spectra.csv").read_bytes() == spectra
     assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("count", v) for v in ("1", 1.9, 1.0, True, 0, -1, None)]
+    + [("name", v) for v in (2, None, ["C2"])]
+    + [("schema_version", v) for v in (True, 1.0, "1")],
+)
+def test_cache_entry_of_the_wrong_types_is_a_miss(capsys, tmp_path, field, value):
+    # the true counts are at least 1 (the trivial homomorphism), so no entry
+    # with another type or a count below 1 was written by family
+    argv = ["family", "--builtin", "trefoil", "--p", "1..3", "--out", str(tmp_path)]
+    code = run(argv, capsys)[0]
+    spectra = (tmp_path / "spectra.csv").read_bytes()
+    for entry in (tmp_path / ".cache").glob("*.json"):
+        data = json.loads(entry.read_text())
+        if field == "schema_version":
+            data[field] = value
+        else:
+            data["counts"] = [
+                [value, count] if field == "name" else [name, value]
+                for name, count in data["counts"]
+            ]
+        entry.write_text(json.dumps(data))
+    assert run(argv, capsys)[0] == code
+    assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 0
+    assert (tmp_path / "spectra.csv").read_bytes() == spectra
+
+
+# a cache entry of the trefoil's standard spectra: one field or count away from it
+_ENTRY_FIELDS = ("schema_version", "counts")
+_WRONG_SCALARS = st.sampled_from([True, False, None, 0, -1, 1.0, 1.9, "1", "C2", [], {}])
+
+
+@st.composite
+def near_miss_entries(draw, entry: dict):
+    damaged = json.loads(json.dumps(entry))
+    edit = draw(st.sampled_from(["field", "drop", "count", "name", "pair", "truncate", "extra"]))
+    counts = damaged["counts"]
+    i = draw(st.integers(0, len(counts) - 1))
+    if edit == "field":
+        damaged[draw(st.sampled_from(_ENTRY_FIELDS))] = draw(_WRONG_SCALARS)
+    elif edit == "drop":
+        del damaged[draw(st.sampled_from(_ENTRY_FIELDS))]
+    elif edit in ("count", "name"):
+        counts[i][edit == "count"] = draw(_WRONG_SCALARS)
+    elif edit == "pair":
+        counts[i] = draw(st.sampled_from([counts[i][:1], counts[i] + [1], counts[i][::-1], None]))
+    elif edit == "truncate":
+        del counts[i:]
+    else:
+        counts.append(["C7", 1])
+    return damaged
+
+
+def test_damaged_cache_entry_reads_as_a_miss(capsys, tmp_path):
+    argv = ["family", "--builtin", "trefoil", "--p", "1..3", "--out", str(tmp_path)]
+    code = run(argv, capsys)[0]
+    clean = {name: (tmp_path / name).read_bytes() for name in ("spectra.csv", "distinguish_report.txt")}
+    entry = sorted((tmp_path / ".cache").glob("*.json"))[0]
+    written = json.loads(entry.read_text())
+    damaged_values = st.one_of(
+        json_values, near_miss_entries(written), st.binary(max_size=64), st.just(b"")
+    )
+
+    @settings(max_examples=60, derandomize=True, database=None)
+    @given(damaged_values)
+    def warm_call_over(damaged):
+        data = damaged if isinstance(damaged, bytes) else json.dumps(damaged).encode()
+        # an equal value of another type (1.0, true) still differs in its JSON text
+        assume(data != json.dumps(written).encode())
+        entry.write_bytes(data)
+        assert run(argv, capsys)[0] == code
+        assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 2
+        assert {name: (tmp_path / name).read_bytes() for name in clean} == clean
+        assert json.loads(entry.read_text()) == written
+
+    warm_call_over()
+
+
+def test_only_the_cli_imports_file_modules():
+    # every file is read and written in cli; the other modules are pure
+    # functions over parsed data
+    package = Path(knotsurgery.__file__).parent
+    importers = set()
+    for source in package.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] in ("os", "pathlib", "hashlib") for m in modules):
+                importers.add(source.name)
+    assert importers == {"cli.py"}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["knot", "--monodromy", "identity.json"], 1),
+        (["family", "--monodromy", "identity.json", "--p=-3..3"], 1),
+        (["verify", "--builtin", "trefoil", "--q", "7", "--p", "14"], 2),
+        (["export", "--builtin", "trefoil", "--construction", "surgery", "--q", "7", "--p", "14"], 2),
+        (["export", "--builtin", "trefoil", "--construction", "knot", "--q", "7", "--p", "14"], 2),
+    ],
+)
+def test_a_failed_command_makes_no_output_directory(capsys, tmp_path, monkeypatch, argv, expected):
+    monkeypatch.chdir(tmp_path)
+    Path("identity.json").write_text(json.dumps(identity_monodromy(1)))
+    out = tmp_path / "out"
+    assert run(argv + ["--out", str(out)], capsys)[0] == expected
+    assert not out.exists()
 
 
 def test_verify_and_export_with_no_slope_left_exit_2(capsys, tmp_path):

@@ -18,14 +18,13 @@ from knotsurgery import (
     tietze_simplify,
     validate_peripheral,
 )
+from knotsurgery.cli import MAX_MONODROMY_BYTES, _read_json
 from knotsurgery.knots import (
     MAX_GENUS,
-    MAX_MONODROMY_BYTES,
     boundary_word,
     certify_monodromy,
     fibered_knot_from_json,
     fibered_knot_to_json,
-    read_monodromy_file,
 )
 
 a = Word.generator(0)
@@ -139,17 +138,17 @@ def test_fibered_json_round_trip(tmp_path):
     payload = fibered_knot_to_json(data)
     assert fibered_knot_from_json(payload) == data
 
-    def load(path):
-        return fibered_knot_from_json(json.loads(read_monodromy_file(path).decode("utf-8")))
+    def read(path):
+        return _read_json(str(path), MAX_MONODROMY_BYTES, "monodromy", InvalidMonodromyError)
 
     path = tmp_path / "fig8.json"
     path.write_text(json.dumps(payload))
-    assert load(path) == data
+    assert fibered_knot_from_json(read(path)[0]) == data
     path.write_text(json.dumps(payload).ljust(MAX_MONODROMY_BYTES))
-    assert load(path) == data
+    assert fibered_knot_from_json(read(path)[0]) == data
     path.write_text(json.dumps(payload).ljust(MAX_MONODROMY_BYTES + 1))
     with pytest.raises(InvalidMonodromyError):
-        read_monodromy_file(path)
+        read(path)
 
 
 def test_fibered_json_errors():

@@ -3,11 +3,11 @@ import pytest
 from knotsurgery import (
     ClosureCapExceededError,
     alternating,
+    cli,
     close_target,
     cyclic,
     dihedral,
     escalation_suite,
-    extended_suite,
     standard_suite,
     symmetric,
     targets,
@@ -128,7 +128,8 @@ def test_escalation_suite_orders():
 
 
 def test_extended_suite_is_standard_plus_escalation():
-    suite = extended_suite()
+    suite = cli.read_suite("extended").close()
+    assert suite == standard_suite() + escalation_suite()
     assert len(suite) == len(standard_suite()) + len(escalation_suite())
     assert [t.name for t in suite[: len(standard_suite())]] == [
         t.name for t in standard_suite()
@@ -164,9 +165,9 @@ def test_suite_json_round_trip():
 
 def test_extended_names_close_no_escalation_target():
     escalation_suite.cache_clear()
-    names = targets.suite_names("extended")
+    names = cli.read_suite("extended").names
     assert escalation_suite.cache_info().currsize == 0
-    assert names == tuple(t.name for t in extended_suite())
+    assert names == tuple(t.name for t in standard_suite() + escalation_suite())
 
 
 @pytest.mark.parametrize("q", [2, 9, 1])
