@@ -31,35 +31,55 @@ from knotsurgery import (
 )
 
 
-def main() -> int:
-    max_p = int(sys.argv[1]) if len(sys.argv) > 1 else 6
-    started = time.time()
+def run(max_p: int, targets) -> dict:
+    """Distinguish the fig8 family q=1, p=1..max_p by the standard suite,
+    then the tied pairs by escalating through ``targets``.
+
+    Returns the ``standard_spectra`` by p, the escalation ``steps`` (target,
+    counts by p, separated pairs, seconds), each separated pair's
+    ``resolution`` (target name, both counts), the ``unresolved`` pairs and
+    the ``elapsed`` seconds.  The tests' ``fig8_family_run`` fixture runs it.
+    """
+    started = time.perf_counter()
     family = build_family(builtin_knot("fig8"), 1, range(1, max_p + 1))
     groups = {m.slope.p: tietze_simplify(m.presentation) for m in family.members}
-    print(f"built {len(groups)} doubled-complement groups (q=1, p=1..{max_p})")
-
     spectra = {p: hom_spectrum(g, standard_suite()) for p, g in groups.items()}
-    report = distinguish_report([(f"p={p}", spectra[p]) for p in sorted(groups)])
-    print(report.format())
-
-    unresolved = {
-        (int(pair.left.split("=")[1]), int(pair.right.split("=")[1]))
-        for pair in report.unresolved_pairs
+    pairs = itertools.combinations(sorted(groups), 2)
+    unresolved = {(a, b) for a, b in pairs if spectra[a].counts == spectra[b].counts}
+    steps, resolution = [], {}
+    t0 = time.perf_counter()
+    for target, counts, separated in escalate(groups, unresolved, targets):
+        steps.append((target, counts, separated, time.perf_counter() - t0))
+        for a, b in separated:
+            resolution[(a, b)] = (target.name, counts[a], counts[b])
+        unresolved.difference_update(separated)
+        t0 = time.perf_counter()
+    return {
+        "standard_spectra": spectra,
+        "steps": steps,
+        "resolution": resolution,
+        "unresolved": unresolved,
+        "elapsed": time.perf_counter() - started,
     }
-    steps = escalate(groups, unresolved, escalation_suite())
-    t0 = time.time()
-    for target, counts, separated in steps:
+
+
+def main() -> int:
+    max_p = int(sys.argv[1]) if len(sys.argv) > 1 else 6
+    walk = run(max_p, escalation_suite())
+    spectra = walk["standard_spectra"]
+    print(f"built {len(spectra)} doubled-complement groups (q=1, p=1..{max_p})")
+    print(distinguish_report([(f"p={p}", spectra[p]) for p in sorted(spectra)]).format())
+    for target, counts, separated, seconds in walk["steps"]:
         print(f"escalating to {target.name} (order {target.order}) "
-              f"for {sorted(counts)}: {counts} [{time.time() - t0:.1f}s]")
+              f"for {sorted(counts)}: {counts} [{seconds:.1f}s]")
         for a, b in separated:
             print(f"  p={a} vs p={b}: separated by {target.name} "
                   f"({counts[a]} vs {counts[b]})")
-        unresolved.difference_update(separated)
-        t0 = time.time()
 
-    total_pairs = len(list(itertools.combinations(groups, 2)))
+    unresolved = walk["unresolved"]
+    total_pairs = len(list(itertools.combinations(spectra, 2)))
     print(f"\n{total_pairs - len(unresolved)}/{total_pairs} pairs distinguished "
-          f"in {time.time() - started:.1f}s")
+          f"in {walk['elapsed']:.1f}s")
     if unresolved:
         print(f"unresolved: {sorted(unresolved)} (suite limitation, not an isomorphism)")
         return 3

@@ -20,6 +20,7 @@ This is the only module that touches files: input files are read by
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -111,16 +112,23 @@ def _write(path: Path, text: str, atomic: bool = False) -> None:
 
     Only cache entries are atomic (a temporary file, then a rename), so that a
     reader never sees a partial entry; that costs more than an overwrite, and
-    a warm family call rewrites four outputs.
+    a warm family call rewrites four outputs.  A failed atomic write removes
+    its temporary file.
     """
     target = path.with_name(f"{path.name}.{os.getpid()}.tmp") if atomic else path
     try:
-        target.write_text(text, encoding="utf-8")
-    except FileNotFoundError:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(text, encoding="utf-8")
-    if atomic:
-        os.replace(target, path)
+        try:
+            target.write_text(text, encoding="utf-8")
+        except FileNotFoundError:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            target.write_text(text, encoding="utf-8")
+        if atomic:
+            os.replace(target, path)
+    except OSError:
+        if atomic:
+            with contextlib.suppress(OSError):
+                target.unlink()
+        raise
 
 
 @dataclass(frozen=True)
@@ -323,7 +331,8 @@ def compute_spectra(
     unreadable, or whose schema or target names do not match, counts as a
     miss.  All misses are filled from the tables of kp's peripheral report
     (one search per target; no validation without a miss), which raises
-    before any entry is written if it fails.  Returns (spectra, hits).
+    before any entry is written if it fails.  An entry that cannot be
+    written stays a miss.  Returns (spectra, hits).
     """
     spectra: list[HomSpectrum | None] = [None] * len(slopes)
     if config.cache:
@@ -339,7 +348,8 @@ def compute_spectra(
             spectra[i] = _filtered_spectrum(suite, tables, slopes[i])
             if config.cache:
                 payload = {"schema_version": SCHEMA_VERSION, "counts": list(spectra[i].entries)}
-                _write(paths[i], _dumps(payload) + "\n", atomic=True)
+                with contextlib.suppress(OSError):
+                    _write(paths[i], _dumps(payload) + "\n", atomic=True)
     return spectra, len(slopes) - len(pending)
 
 

@@ -5,7 +5,7 @@ All counting and enumeration goes through one depth-first search,
 time.  Generators are ordered so that relators acquire full support as early
 as possible (relators with the smallest support are scheduled first), and a
 branch is pruned the moment any fully assigned relator fails to evaluate to
-the identity.  Three exact reductions keep the search small:
+the identity.  Two exact reductions keep the search small:
 
 * Segments.  Each relator is checked at the depth of its last generator g.
   It is rotated to start at g (a rotation is a conjugate, so it is trivial
@@ -13,9 +13,6 @@ the identity.  Three exact reductions keep the search small:
   in earlier generators.  Each u is evaluated once per search node, so a
   candidate image h costs two table lookups per occurrence of g instead of
   one per letter.
-* Forced images.  If a relator contains g exactly once, g u = 1 or
-  g^-1 u = 1 gives g = u^-1 or g = u, so g has a single candidate; the
-  other relators completing there still check it.
 * Conjugation orbits.  Hom(G, H) is closed under conjugation by H, so the
   number of homomorphisms sending the first searched generator to c is the
   same for every c in one conjugacy class: the search tries one
@@ -24,12 +21,16 @@ the identity.  Three exact reductions keep the search small:
   C_H(c), so the second searched generator tries one representative per
   C_H(c)-orbit of H and weights it by the orbit size (see Holt, Eick &
   O'Brien, *Handbook of Computational Group Theory*, 2005, on homomorphisms
-  up to conjugacy).  A forced image at that depth is tried alone, with
-  weight 1.
+  up to conjugacy).
 
-Every later generator ranges over all of H unless forced.  The weighted
-total equals naive enumeration over all |H|^n assignments.  Generators
-appearing in no relator contribute an exact factor of |H| each.
+Every later generator ranges over all of H.  The weighted total equals naive
+enumeration over all |H|^n assignments.  Generators appearing in no relator
+contribute an exact factor of |H| each.
+
+No image is solved for: a relator containing its completing generator once
+would fix it, but ``fpgroup.tietze_simplify`` eliminates every such
+generator except in relators past its cap (twice the input's longest
+cyclically reduced relator), and the pipeline searches simplified groups.
 
 Measured on a 2-core machine (Python 3.11), against the search with the
 class reduction alone: counting the six fig8 surgery groups (q=1, p=1..6)
@@ -77,7 +78,6 @@ _Step = tuple[int, tuple[Letter, ...]]
 class _SearchPlan:
     order: tuple[int, ...]
     steps: tuple[tuple[tuple[_Step, ...], ...], ...]
-    forcing: tuple[bool, ...]
     free: tuple[int, ...]
 
 
@@ -123,13 +123,7 @@ def _plan(p: Presentation) -> _SearchPlan:
         steps[depth].append(_steps(p.relators[i].letters, order[depth]))
     for checks in steps:
         checks.sort(key=len)  # the cheapest check rejects first
-    # A relator with a single occurrence of its completing generator, first
-    # after the sort, solves for that generator's image.  The first
-    # generator is never solved: its images come from ``first``.
-    forcing = tuple(
-        depth > 0 and bool(checks) and len(checks[0]) == 1 for depth, checks in enumerate(steps)
-    )
-    return _SearchPlan(tuple(order), tuple(tuple(s) for s in steps), forcing, free)
+    return _SearchPlan(tuple(order), tuple(tuple(s) for s in steps), free)
 
 
 def evaluate_word(
@@ -158,18 +152,17 @@ def weighted_homomorphisms(
     (representative, class size), and then the second searched generator
     ranges over ``target.centralizer_orbits(c)`` of the first image c, each
     weighted by orbit size.  Every later generator, and the second one when
-    ``first`` is given, ranges over all of H unless a relator forces its
-    image.  Each pair stands for ``weight`` homomorphisms, so with the
-    default ``first`` the weights sum to |Hom(G, H)|.  ``images`` is the live
-    assignment, valid until the next pair is drawn.  Without ``expand_free``
-    the generators in no relator stay unassigned and their factor |H|^k is
-    folded into the weight; if no generator is in a relator, one of them is
-    still searched, so that ``first`` applies.
+    ``first`` is given, ranges over all of H.  Each pair stands for
+    ``weight`` homomorphisms, so with the default ``first`` the weights sum
+    to |Hom(G, H)|.  ``images`` is the live assignment, valid until the next
+    pair is drawn.  Without ``expand_free`` the generators in no relator stay
+    unassigned and their factor |H|^k is folded into the weight; if no
+    generator is in a relator, one of them is still searched, so that
+    ``first`` applies.
     """
     plan = _plan(p)
     sequence = plan.order + plan.free if expand_free else plan.order or plan.free[:1]
     steps = plan.steps + ((),) * len(plan.free)
-    forcing = plan.forcing + (False,) * len(plan.free)
     factor = target.order ** (len(plan.order) + len(plan.free) - len(sequence))
     reduce_second = first is None
     if first is None:
@@ -199,11 +192,7 @@ def weighted_homomorphisms(
                     x = mult[x][y if e == 1 else inv[y]]
                 values.append((sign, x))
             checks.append(values)
-        if forcing[depth]:
-            ((sign, u),) = checks.pop(0)
-            # g u = 1 gives g = u^-1, and g^-1 u = 1 gives g = u
-            candidates = ((u if sign else inv[u], 1),)
-        elif candidates is None:
+        if candidates is None:
             candidates = zip(range(target.order), repeat(1))
         for h, size in candidates:
             pair = (h, inv[h])

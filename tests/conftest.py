@@ -10,12 +10,14 @@ instead of reading the column transform.  Tests freeze values computed by these.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
-from knotsurgery import builtin_knot, smith_normal_form, standard_suite
+from knotsurgery import builtin_knot, escalation_suite, smith_normal_form, standard_suite
 from knotsurgery.targets import FiniteTarget
 
 settings.register_profile("suite", deadline=None, max_examples=60)
@@ -138,6 +140,15 @@ def laurent_terms(poly) -> dict:
     return {e: c for e, c in poly.terms}
 
 
+def load_demo():
+    """A fresh module of ``scripts/fig8_family_demo.py``."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "fig8_family_demo.py"
+    spec = importlib.util.spec_from_file_location("fig8_family_demo", script)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    return demo
+
+
 # ---------------------------------------------------------------- fixtures
 
 
@@ -175,47 +186,16 @@ def spectrum_cache():
 
 @pytest.fixture(scope="session")
 def fig8_family_run():
-    """One escalating distinction run for the fig8 family q=1, p=1..6.
+    """The demo's escalating distinction of the fig8 family q=1, p=1..6.
 
-    Computes standard-suite spectra for all six groups, then walks the
-    bundled escalation targets with ``escalate``, which counts only for groups
-    still involved in an unresolved pair.  Shared session-wide because the
-    last pair needs PSL(2,19).
+    Loads ``scripts/fig8_family_demo.py`` and returns its
+    ``run(6, escalation_suite())``, the one copy of the walk, plus
+    ``extra_counts``: each group's escalation counts by target name.
+    Shared session-wide because the last pair needs PSL(2,19).
     """
-    import time
-
-    from knotsurgery import (
-        build_family,
-        escalate,
-        escalation_suite,
-        hom_spectrum,
-        tietze_simplify,
-    )
-
-    started = time.time()
-    family = build_family(builtin_knot("fig8"), 1, range(1, 7))
-    groups = {m.slope.p: tietze_simplify(m.presentation) for m in family.members}
-    standard_spectra = {
-        p: hom_spectrum(group, standard_suite()) for p, group in groups.items()
-    }
-    unresolved = {
-        (a, b)
-        for a, b in itertools.combinations(sorted(groups), 2)
-        if standard_spectra[a].counts == standard_spectra[b].counts
-    }
-    resolution: dict[tuple[int, int], tuple[str, int, int]] = {}
-    extra_counts: dict[int, dict[str, int]] = {p: {} for p in groups}
-    for target, counts, separated in escalate(groups, unresolved, escalation_suite()):
+    run = load_demo().run(6, escalation_suite())
+    extra_counts: dict[int, dict[str, int]] = {p: {} for p in run["standard_spectra"]}
+    for target, counts, _, _ in run["steps"]:
         for p, count in counts.items():
             extra_counts[p][target.name] = count
-        for a, b in separated:
-            resolution[(a, b)] = (target.name, counts[a], counts[b])
-        unresolved.difference_update(separated)
-    return {
-        "groups": groups,
-        "standard_spectra": standard_spectra,
-        "extra_counts": extra_counts,
-        "resolution": resolution,
-        "unresolved": unresolved,
-        "elapsed": time.time() - started,
-    }
+    return {**run, "extra_counts": extra_counts}

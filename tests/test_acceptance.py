@@ -12,8 +12,10 @@ import math
 import random
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
+import knotsurgery
 from knotsurgery import (
     InvalidSlopeError,
     Presentation,
@@ -22,20 +24,23 @@ from knotsurgery import (
     abelianization,
     builtin_knot,
     builtin_monodromy,
+    build_family,
     count_homomorphisms,
     cyclic,
     dehn_surgery_group,
     distinguish_report,
     double_complement_group,
+    escalation_suite,
     fox_alexander,
     half_complement_group,
+    homcount,
     mapping_torus_presentation,
     smith_normal_form,
     standard_suite,
     tietze_simplify,
 )
 
-from conftest import det_oracle, laurent_terms, naive_hom_count, seifert_alexander
+from conftest import det_oracle, laurent_terms, load_demo, naive_hom_count, seifert_alexander
 
 
 def criterion(number: int, title: str):
@@ -137,6 +142,31 @@ def test_fig8_demo_prints_the_frozen_table(capsys, monkeypatch):
     assert escalated == FIG8_ESCALATION
     assert separated == FIG8_SEPARATIONS
     assert code == 0
+
+
+def test_the_demo_keeps_the_benchmark_contract(monkeypatch):
+    # bench/workloads.py runs main() with escalation_suite replaced by its
+    # global name and count_homomorphisms wrapped in every namespace, and
+    # maps each counted presentation back to its p
+    demo = load_demo()
+    suite = escalation_suite()
+    walked = suite[: [t.name for t in suite].index("PSL2_13") + 1]
+    counted = []
+
+    def record(presentation, target, *args, **kwargs):
+        counted.append((presentation, target.name))
+        return count_homomorphisms(presentation, target, *args, **kwargs)
+
+    for module in (knotsurgery, homcount, demo):
+        monkeypatch.setattr(module, "count_homomorphisms", record, raising=False)
+    monkeypatch.setattr(demo, "escalation_suite", lambda: walked)
+    monkeypatch.setattr(sys, "argv", [demo.__file__, "6"])
+    assert demo.main() == 3  # p=2 and p=3 are still tied at PSL2_13
+    family = build_family(builtin_knot("fig8"), 1, range(1, 7))
+    members = {tietze_simplify(m.presentation) for m in family.members}
+    assert {presentation for presentation, _ in counted} == members
+    escalated = Counter(name for _, name in counted if name in {t.name for t in walked})
+    assert escalated == {"PSL2_7": 6, "A6": 5, "PSL2_8": 4, "PSL2_11": 4, "S6": 4, "PSL2_13": 4}
 
 
 @criterion(2, "half/surgery consistency, q <= 3, |p| <= 3")

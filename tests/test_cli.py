@@ -697,6 +697,29 @@ def test_damaged_cache_entry_reads_as_a_miss(capsys, tmp_path):
     warm_call_over()
 
 
+@pytest.mark.parametrize("damage", ["entry is a directory", "cache is a file"])
+def test_damaged_cache_directory_reads_as_a_miss(capsys, tmp_path, damage):
+    clean_dir, damaged_dir = tmp_path / "clean", tmp_path / "damaged"
+    argv = ["family", "--builtin", "trefoil", "--p", "1..3", "--out"]
+    code = run(argv + [str(clean_dir)], capsys)[0]
+    cache = damaged_dir / ".cache"
+    if damage == "entry is a directory":
+        run(argv + [str(damaged_dir)], capsys)
+        entry = sorted(cache.glob("*.json"))[0]
+        entry.unlink()
+        entry.mkdir()
+        hits = 2
+    else:
+        damaged_dir.mkdir()
+        cache.write_text("")
+        hits = 0
+    assert run(argv + [str(damaged_dir)], capsys)[0] == code
+    for name in ("spectra.csv", "distinguish_report.txt"):
+        assert (damaged_dir / name).read_bytes() == (clean_dir / name).read_bytes()
+    assert json.loads((damaged_dir / "run_meta.json").read_text())["cache_hits"] == hits
+    assert not list(damaged_dir.rglob("*.tmp"))
+
+
 def test_only_the_cli_imports_file_modules():
     # every file is read and written in cli; the other modules are pure
     # functions over parsed data

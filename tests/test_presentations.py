@@ -1,9 +1,14 @@
+import json
+from collections import Counter
+from pathlib import Path
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from knotsurgery import (
     DuplicateGeneratorError,
     Presentation,
+    SurgerySlope,
     UnknownGeneratorError,
     Word,
     abelianization,
@@ -11,7 +16,10 @@ from knotsurgery import (
     commutator,
     count_homomorphisms,
     cyclic,
+    dehn_surgery_group,
     dihedral,
+    half_complement_group,
+    parse_braid,
     parse_word,
     presentation_from_json,
     presentation_to_json,
@@ -20,6 +28,7 @@ from knotsurgery import (
     tietze_simplify,
     tietze_simplify_tracked,
     to_free_group_script,
+    wirtinger_from_braid,
     word_power,
 )
 from knotsurgery.fpgroup import fresh_name
@@ -232,6 +241,40 @@ def test_tietze_agrees_with_naive_oracle(p):
     simplified = tietze_simplify(p)
     s3 = symmetric(3)
     assert count_homomorphisms(simplified, s3) == naive_hom_count(p, s3)
+
+
+def assert_singles_only_past_the_cap(p):
+    """Tietze leaves a generator that a relator contains exactly once only
+    in a relator longer than twice the input's longest cyclically reduced
+    relator; the homomorphism search relies on this."""
+    simplified, _ = tietze_simplify_tracked(p)
+    cap = 2 * max((len(r) for r in p.relators if len(r)), default=1)
+    for r in simplified.relators:
+        if 1 in Counter(g for g, _ in r.letters).values():
+            assert len(r) > cap, (p, r)
+
+
+@settings(derandomize=True, max_examples=300, database=None)
+@given(small_presentations)
+# the first elimination leaves a second relator, c^-1 a^-3 and c b^-7, that
+# must still drive one: it is past the input's longest relator, but within
+# the cap, below it and at it
+@example(pres(["a", "b", "c"], "a b^-1 a", "c^-1 a^-1 b^-1"))
+@example(pres(["a", "b", "c"], "b^3 a", "b^-1 c a^2"))
+def test_tietze_leaves_single_occurrences_only_past_the_cap(p):
+    assert_singles_only_past_the_cap(p)
+
+
+def test_tietze_leaves_census_groups_no_single_occurrence_within_the_cap():
+    pool_path = Path(__file__).resolve().parent.parent / "bench" / "census_pool.json"
+    braids = [knot["braid"] for knot in json.loads(pool_path.read_text())["knots"][::60]]
+    # plus the two census knots left at 3 generators
+    for braid in braids + ["-1 -2 -2 1 1 -2 2 2", "1 -2 1 1 -2 2 1 2"]:
+        kp = wirtinger_from_braid(parse_braid(braid))
+        assert_singles_only_past_the_cap(kp.group)
+        for p in (1, 2, -3):
+            for build in (dehn_surgery_group, half_complement_group):
+                assert_singles_only_past_the_cap(build(kp, SurgerySlope(p, 1)))
 
 
 def test_free_group_script_format():
