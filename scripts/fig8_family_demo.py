@@ -12,7 +12,6 @@ Usage: python scripts/fig8_family_demo.py [max_p]
 
 from __future__ import annotations
 
-import itertools
 import sys
 import time
 from pathlib import Path
@@ -35,7 +34,8 @@ def run(max_p: int, targets) -> dict:
     """Distinguish the fig8 family q=1, p=1..max_p by the standard suite,
     then the tied pairs by escalating through ``targets``.
 
-    Returns the ``standard_spectra`` by p, the escalation ``steps`` (target,
+    Returns the ``standard_spectra`` by p, the standard suite's ``report``
+    (one item per p, in increasing p), the escalation ``steps`` (target,
     counts by p, separated pairs, seconds), each separated pair's
     ``resolution`` (target name, both counts), the ``unresolved`` pairs and
     the ``elapsed`` seconds.  The tests' ``fig8_family_run`` fixture runs it.
@@ -44,8 +44,9 @@ def run(max_p: int, targets) -> dict:
     family = build_family(builtin_knot("fig8"), 1, range(1, max_p + 1))
     groups = {m.slope.p: tietze_simplify(m.presentation) for m in family.members}
     spectra = {p: hom_spectrum(g, standard_suite()) for p, g in groups.items()}
-    pairs = itertools.combinations(sorted(groups), 2)
-    unresolved = {(a, b) for a, b in pairs if spectra[a].counts == spectra[b].counts}
+    ps = sorted(groups)
+    report = distinguish_report([(f"p={p}", spectra[p]) for p in ps])
+    unresolved = {(ps[i], ps[j]) for i, j, k in report.pairs if k is None}
     steps, resolution = [], {}
     t0 = time.perf_counter()
     for target, counts, separated in escalate(groups, unresolved, targets):
@@ -56,6 +57,7 @@ def run(max_p: int, targets) -> dict:
         t0 = time.perf_counter()
     return {
         "standard_spectra": spectra,
+        "report": report,
         "steps": steps,
         "resolution": resolution,
         "unresolved": unresolved,
@@ -66,9 +68,9 @@ def run(max_p: int, targets) -> dict:
 def main() -> int:
     max_p = int(sys.argv[1]) if len(sys.argv) > 1 else 6
     walk = run(max_p, escalation_suite())
-    spectra = walk["standard_spectra"]
-    print(f"built {len(spectra)} doubled-complement groups (q=1, p=1..{max_p})")
-    print(distinguish_report([(f"p={p}", spectra[p]) for p in sorted(spectra)]).format())
+    report = walk["report"]
+    print(f"built {len(report.labels)} doubled-complement groups (q=1, p=1..{max_p})")
+    print(report.format())
     for target, counts, separated, seconds in walk["steps"]:
         print(f"escalating to {target.name} (order {target.order}) "
               f"for {sorted(counts)}: {counts} [{seconds:.1f}s]")
@@ -77,7 +79,7 @@ def main() -> int:
                   f"({counts[a]} vs {counts[b]})")
 
     unresolved = walk["unresolved"]
-    total_pairs = len(list(itertools.combinations(spectra, 2)))
+    total_pairs = len(report.pairs)
     print(f"\n{total_pairs - len(unresolved)}/{total_pairs} pairs distinguished "
           f"in {walk['elapsed']:.1f}s")
     if unresolved:

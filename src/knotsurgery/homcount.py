@@ -314,50 +314,38 @@ def escalate(
         yield target, counts, separated
 
 
-DISTINGUISHED = "DISTINGUISHED"
-UNRESOLVED = "UNRESOLVED"
-
-
-@dataclass(frozen=True)
-class PairComparison:
-    left: str
-    right: str
-    status: str
-    target: str | None = None
-    counts: tuple[int, int] | None = None
-
-
 @dataclass(frozen=True)
 class DistinguishReport:
-    """Pairwise spectrum comparison; UNRESOLVED never asserts isomorphism."""
+    """Pairwise spectrum comparison; UNRESOLVED never asserts isomorphism.
+
+    ``counts[i]`` is item i's spectrum over ``target_names``.  Each entry of
+    ``pairs`` is ``(i, j, k)`` for items i < j, where k is the index of the
+    first target whose counts differ, or None if the suite does not separate
+    the two items.
+    """
 
     labels: tuple[str, ...]
     target_names: tuple[str, ...]
-    pairs: tuple[PairComparison, ...]
+    counts: tuple[tuple[int, ...], ...]
+    pairs: tuple[tuple[int, int, int | None], ...]
 
     @property
     def all_distinguished(self) -> bool:
-        return all(pair.status == DISTINGUISHED for pair in self.pairs)
-
-    @property
-    def unresolved_pairs(self) -> tuple[PairComparison, ...]:
-        return tuple(pair for pair in self.pairs if pair.status == UNRESOLVED)
+        return all(k is not None for _, _, k in self.pairs)
 
     def format(self) -> str:
-        lines = [
-            f"targets: {', '.join(self.target_names)}",
-            f"items: {', '.join(self.labels)}",
-        ]
-        for pair in self.pairs:
-            if pair.status == DISTINGUISHED:
-                a, b = pair.counts
-                lines.append(
-                    f"{pair.left} vs {pair.right}: DISTINGUISHED at {pair.target}"
-                    f" (counts {a} vs {b})"
-                )
+        labels, names, counts = self.labels, self.target_names, self.counts
+        lines = [f"targets: {', '.join(names)}", f"items: {', '.join(labels)}"]
+        n_dist = 0
+        for i, j, k in self.pairs:
+            if k is None:
+                lines.append(f"{labels[i]} vs {labels[j]}: UNRESOLVED")
             else:
-                lines.append(f"{pair.left} vs {pair.right}: UNRESOLVED")
-        n_dist = sum(1 for pair in self.pairs if pair.status == DISTINGUISHED)
+                n_dist += 1
+                lines.append(
+                    f"{labels[i]} vs {labels[j]}: DISTINGUISHED at {names[k]}"
+                    f" (counts {counts[i][k]} vs {counts[j][k]})"
+                )
         lines.append(f"summary: {n_dist}/{len(self.pairs)} pairs distinguished")
         if n_dist < len(self.pairs):
             lines.append(
@@ -370,26 +358,23 @@ class DistinguishReport:
 def distinguish_report(items: Sequence[tuple[str, HomSpectrum]]) -> DistinguishReport:
     """Compare spectra pairwise, naming the first separating target per pair."""
     if not items:
-        return DistinguishReport((), (), ())
+        return DistinguishReport((), (), (), ())
     names = items[0][1].target_names
     for label, spectrum in items:
         if spectrum.target_names != names:
             raise MismatchedTargetsError(
                 f"spectrum for {label!r} covers {spectrum.target_names}, expected {names}"
             )
-    counts = [spectrum.counts for _, spectrum in items]
+    counts = tuple(spectrum.counts for _, spectrum in items)
     pairs = []
-    for i in range(len(items)):
-        label_i = items[i][0]
-        for j in range(i + 1, len(items)):
-            label_j = items[j][0]
-            for name, a, b in zip(names, counts[i], counts[j]):
-                if a != b:
-                    pairs.append(
-                        PairComparison(label_i, label_j, DISTINGUISHED, name, (a, b))
-                    )
-                    break
-            else:
-                pairs.append(PairComparison(label_i, label_j, UNRESOLVED))
+    for i, left in enumerate(counts):
+        for j in range(i + 1, len(counts)):
+            right = counts[j]
+            k = None
+            if left != right:
+                k = 0
+                while left[k] == right[k]:
+                    k += 1
+            pairs.append((i, j, k))
     labels = tuple(label for label, _ in items)
-    return DistinguishReport(labels, names, tuple(pairs))
+    return DistinguishReport(labels, names, counts, tuple(pairs))

@@ -28,7 +28,6 @@ from knotsurgery import (
     count_homomorphisms,
     cyclic,
     dehn_surgery_group,
-    distinguish_report,
     double_complement_group,
     escalation_suite,
     fox_alexander,
@@ -72,15 +71,15 @@ def cached_count(cache, presentation, target) -> int:
 def test_criterion_1_figure_eight_distinction(fig8_family_run):
     run = fig8_family_run
     assert run["elapsed"] < 300, f"took {run['elapsed']:.0f}s, target is 300s"
-    standard_report = distinguish_report(
-        [(f"p={p}", run["standard_spectra"][p]) for p in sorted(run["standard_spectra"])]
-    )
+    ps = sorted(run["standard_spectra"])
+    report = run["report"]
+    assert report.labels == tuple(f"p={p}" for p in ps)
+    assert report.counts == tuple(run["standard_spectra"][p].counts for p in ps)
     # the standard suite alone does not separate these homology spheres;
     # the documented escalation path must finish the job
-    for pair in standard_report.unresolved_pairs:
-        a = int(pair.left.split("=")[1])
-        b = int(pair.right.split("=")[1])
-        assert (a, b) in run["resolution"], f"pair {pair} never separated"
+    for i, j, k in report.pairs:
+        if k is None:
+            assert (ps[i], ps[j]) in run["resolution"], f"pair {ps[i], ps[j]} never separated"
     assert not run["unresolved"]
     print("\nescalation resolutions:")
     for (a, b), (target, left, right) in sorted(run["resolution"].items()):

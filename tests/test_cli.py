@@ -78,6 +78,7 @@ def test_p_and_q_limits_fail_before_expanding(capsys, tmp_path):
     for argv in (
         ["verify", "--builtin", "unknot", "--p", f"{MAX_ABS_P + 1}"],
         ["verify", "--builtin", "unknot", "--q", f"{MAX_Q + 1}"],
+        ["verify", "--builtin", "unknot", "--q", "0"],
         ["export", "--builtin", "unknot", "--p", f"1..{MAX_P_VALUES + 1}", "--out", str(tmp_path)],
     ):
         code, out, err = run(argv, capsys)
@@ -181,6 +182,25 @@ def test_verify_fails_when_the_table_side_disagrees(capsys, monkeypatch):
     code, out, _ = run(argv, capsys)
     assert code == 1
     assert out == expected.replace("PASS", "FAIL")
+
+
+def test_verify_measures_each_distinct_route_once(capsys, monkeypatch):
+    argv = ["verify", "--builtin", "trefoil", "--q", "1", "--p", "1"]
+    measured = []
+
+    def abelianization(group):
+        measured.append(group)
+        return smith.abelianization(group)
+
+    monkeypatch.setattr(cli, "abelianization", abelianization)
+    assert run(argv, capsys)[0] == 0
+    assert len(measured) == 1  # both routes simplify to one presentation
+    # a route that simplifies to another group is measured and compared on its own
+    other = surgery.dehn_surgery_group(builtin_knot("trefoil"), surgery.SurgerySlope(2, 1))
+    monkeypatch.setattr(cli, "half_complement_group", lambda kp, slope: other)
+    code, out, _ = run(argv, capsys)
+    assert (code, len(measured)) == (1, 3)
+    assert out.endswith(": FAIL\n")
 
 
 def test_verify_rejects_broken_monodromy(capsys, tmp_path):
@@ -738,6 +758,24 @@ def test_only_the_cli_imports_file_modules():
     assert importers == {"cli.py"}
 
 
+def test_the_program_imports_only_the_standard_library():
+    # no runtime dependency: every absolute import of the package and the
+    # scripts names a standard-library module or the package itself
+    root = Path(__file__).resolve().parents[1]
+    allowed = sys.stdlib_module_names | {"knotsurgery"}
+    foreign = []
+    for source in [*(root / "src" / "knotsurgery").glob("*.py"), *(root / "scripts").glob("*.py")]:
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            foreign += [(source.name, m) for m in modules if m.split(".")[0] not in allowed]
+    assert foreign == []
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [
@@ -746,6 +784,7 @@ def test_only_the_cli_imports_file_modules():
         (["verify", "--builtin", "trefoil", "--q", "7", "--p", "14"], 2),
         (["export", "--builtin", "trefoil", "--construction", "surgery", "--q", "7", "--p", "14"], 2),
         (["export", "--builtin", "trefoil", "--construction", "knot", "--q", "7", "--p", "14"], 2),
+        (["family", "--builtin", "trefoil", "--q", "0"], 2),
     ],
 )
 def test_a_failed_command_makes_no_output_directory(capsys, tmp_path, monkeypatch, argv, expected):
@@ -754,6 +793,14 @@ def test_a_failed_command_makes_no_output_directory(capsys, tmp_path, monkeypatc
     out = tmp_path / "out"
     assert run(argv + ["--out", str(out)], capsys)[0] == expected
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["family", "export"])
+def test_a_command_that_writes_files_requires_out(capsys, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run([command, "--builtin", "trefoil"], capsys)
+    assert (code, out, err) == (2, "", f"error: {command} requires --out\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_and_export_with_no_slope_left_exit_2(capsys, tmp_path):

@@ -221,9 +221,9 @@ def test_distinguish_identical_spectra_unresolved():
     spectrum = HomSpectrum((("S3", 1), ("S4", 6)))
     report = distinguish_report([("u", spectrum), ("v", spectrum)])
     assert not report.all_distinguished
-    pair = report.pairs[0]
-    assert (pair.left, pair.right, pair.status) == ("u", "v", "UNRESOLVED")
-    assert report.unresolved_pairs == (pair,)
+    assert report.labels == ("u", "v")
+    assert report.pairs == ((0, 1, None),)
+    assert "u vs v: UNRESOLVED" in report.format()
 
 
 def test_distinguish_names_first_differing_target():
@@ -231,12 +231,12 @@ def test_distinguish_names_first_differing_target():
     right = HomSpectrum((("C2", 1), ("S3", 7)))
     report = distinguish_report([("u", left), ("v", right)])
     assert report.all_distinguished
-    pair = report.pairs[0]
-    assert pair.status == "DISTINGUISHED"
-    assert pair.target == "S3"
-    assert pair.counts == (6, 7)
-    assert (pair.left, pair.right) == ("u", "v")
-    assert "DISTINGUISHED at S3" in report.format()
+    assert report.pairs == ((0, 1, 1),)
+    i, j, k = report.pairs[0]
+    assert report.target_names[k] == "S3"
+    assert (report.counts[i][k], report.counts[j][k]) == (6, 7)
+    assert (report.labels[i], report.labels[j]) == ("u", "v")
+    assert "u vs v: DISTINGUISHED at S3 (counts 6 vs 7)" in report.format()
 
 
 def test_distinguish_mismatched_targets():
