@@ -72,7 +72,6 @@ from .surgery import (
     cable_link_group,
     dehn_surgery_group,
     double_complement_group,
-    family_manifest,
     half_complement_group,
 )
 

@@ -34,7 +34,7 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .alexander import fox_alexander
@@ -46,6 +46,8 @@ from .errors import (
     PeripheralValidationError,
 )
 from .fpgroup import (
+    Letter,
+    Word,
     presentation_from_json,
     presentation_to_json,
     tietze_simplify,
@@ -64,10 +66,10 @@ from .smith import abelianization
 from .surgery import (
     MAX_ABS_P,
     MAX_Q,
+    FamilyResult,
     SurgerySlope,
     build_family,
     dehn_surgery_group,
-    family_manifest,
     half_complement_group,
 )
 from .targets import (
@@ -106,21 +108,31 @@ def _read_json(path: str, limit: int, what: str, error: type) -> tuple[object, b
         raise error(f"{what} file {path!r} is nested too deeply") from None
 
 
-def _write(path: Path, text: str, atomic: bool = False) -> None:
-    """Write text to path as UTF-8, making path's directory if it is missing.
+def _write(path: Path, text: str | Iterable[str], atomic: bool = False) -> None:
+    """Write text, or its chunks in order, to path as UTF-8, making path's
+    directory if it is missing.
 
-    Only cache entries are atomic (a temporary file, then a rename), so that a
-    reader never sees a partial entry; that costs more than an overwrite, and
-    a warm family call rewrites four outputs.  A failed atomic write removes
-    its temporary file.
+    Chunks go to the open file one at a time, so a large document need not be
+    held in memory whole.  Only cache entries are atomic (a temporary file,
+    then a rename), so that a reader never sees a partial entry; that costs
+    more than an overwrite, and a warm family call rewrites four outputs.  A
+    failed atomic write removes its temporary file.
     """
     target = path.with_name(f"{path.name}.{os.getpid()}.tmp") if atomic else path
+
+    def put() -> None:
+        if isinstance(text, str):
+            target.write_text(text, encoding="utf-8")
+        else:
+            with target.open("w", encoding="utf-8") as handle:
+                handle.writelines(text)
+
     try:
         try:
-            target.write_text(text, encoding="utf-8")
+            put()
         except FileNotFoundError:
             path.parent.mkdir(parents=True, exist_ok=True)
-            target.write_text(text, encoding="utf-8")
+            put()
         if atomic:
             os.replace(target, path)
     except OSError:
@@ -207,9 +219,11 @@ def parse_p_spec(spec: str) -> tuple[int, ...]:
         values.extend(range(lo, hi + 1))
     if not values:
         raise ValueError(f"no p values in {spec!r}")
-    if len(set(values)) < len(values):
-        repeated = next(p for i, p in enumerate(values) if p in values[:i])
-        raise ValueError(f"p={repeated} is given more than once in {spec!r}")
+    seen: set[int] = set()
+    for p in values:
+        if p in seen:
+            raise ValueError(f"p={p} is given more than once in {spec!r}")
+        seen.add(p)
     return tuple(values)
 
 
@@ -352,6 +366,10 @@ def compute_spectra(
     return spectra, len(slopes) - len(pending)
 
 
+class _Json(str):
+    """Text already in JSON form, at the indent where _dumps places it."""
+
+
 # How _dumps writes each scalar type; keyed by exact type, so a bool is
 # never written as an int and an int subclass is refused.
 _SCALARS = {
@@ -359,6 +377,7 @@ _SCALARS = {
     int: int.__repr__,
     bool: lambda b: "true" if b else "false",
     type(None): lambda _: "null",
+    _Json: str,
 }
 
 
@@ -366,32 +385,98 @@ def _dumps(value, indent: str = "") -> str:
     """The text of json.dumps(value, indent=2), for the types the CLI writes.
 
     Those are dicts with str keys, lists, tuples, str, int, bool and None;
-    anything else raises TypeError.  json.dumps with an indent runs the
-    stdlib's pure-Python encoder; this writer formats the scalar items of a
-    list in place instead of through a recursive call.
+    anything else raises TypeError.  A _Json is written as it is.  json.dumps
+    with an indent runs the stdlib's pure-Python encoder; this writer formats
+    the scalar items of a list in place instead of through a recursive call.
     """
     scalar = _SCALARS.get(type(value))
     if scalar is not None:
         return scalar(value)
     inner = indent + "  "
     if type(value) is dict:
-        if not value:
-            return "{}"
         items = []
         for key, item in value.items():
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             items.append(f"{encode_basestring_ascii(key)}: {_dumps(item, inner)}")
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+        return _enclosed("{", items, "}", indent)
     if type(value) is list or type(value) is tuple:
-        if not value:
-            return "[]"
         items = []
         for item in value:
             scalar = _SCALARS.get(type(item))
             items.append(scalar(item) if scalar is not None else _dumps(item, inner))
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+        return _enclosed("[", items, "]", indent)
     raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+
+def _enclosed(opening: str, items: list[str], closing: str, indent: str) -> str:
+    """The items' texts between brackets, one item a line, as _dumps lays out
+    a container placed at indent."""
+    if not items:
+        return opening + closing
+    inner = indent + "  "
+    return opening + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + closing
+
+
+# In family_manifest.json each relator is an item at this indent, and each
+# label word a value at this one; their letters sit two spaces deeper.
+_RELATOR_INDENT = " " * 10
+_LABEL_INDENT = " " * 8
+
+
+def _letter_texts(names: tuple[str, ...], indent: str) -> dict[Letter, str]:
+    """The text of each letter [name, exponent] over names, placed at indent."""
+    return {
+        (g, e): _dumps([name, e], indent) for g, name in enumerate(names) for e in (1, -1)
+    }
+
+
+def _word_text(word: Word, letters: dict[Letter, str], indent: str) -> _Json:
+    """The text of word_to_json(word, names) placed at indent, from the texts
+    of its letters at two spaces deeper; no Python code runs per letter."""
+    return _Json(_enclosed("[", list(map(letters.__getitem__, word.letters)), "]", indent))
+
+
+def _manifest_chunks(config: RunConfig, family: FamilyResult) -> Iterator[str]:
+    """The text of family_manifest.json, one chunk per member.
+
+    The text is _dumps of {schema_version, source, q, skipped_p, members} and
+    a newline, with members the {p, q, presentation, labels} record of each
+    member of the family, which has at least one.  Each word's text joins the
+    texts of its letters, made once per generator tuple.
+    """
+    header = {
+        "schema_version": SCHEMA_VERSION,
+        "source": {"kind": config.source_kind, "value": config.source},
+        "q": config.q,
+        "skipped_p": list(family.skipped),
+    }
+    letter_texts = functools.cache(_letter_texts)
+    # the header's text ends with "\n}"; members is its last key
+    yield _dumps(header)[:-2] + ',\n  "members": ['
+    separator = "\n    "
+    for member in family.members:
+        names = member.presentation.generators
+        relator_letters = letter_texts(names, _RELATOR_INDENT + "  ")
+        label_letters = letter_texts(names, _LABEL_INDENT + "  ")
+        record = {
+            "p": member.slope.p,
+            "q": member.slope.q,
+            "presentation": {
+                "generators": list(names),
+                "relators": [
+                    _word_text(r, relator_letters, _RELATOR_INDENT)
+                    for r in member.presentation.relators
+                ],
+            },
+            "labels": {
+                role: _word_text(w, label_letters, _LABEL_INDENT)
+                for role, w in member.labels.items()
+            },
+        }
+        yield separator + _dumps(record, "    ")
+        separator = ",\n    "
+    yield "\n  ]\n}\n"
 
 
 def _slopes(config: RunConfig) -> Iterator[SurgerySlope]:
@@ -463,14 +548,7 @@ def cmd_family(config: RunConfig) -> int:
     keys = _cache_keys(config, source, [slope.p for slope in slopes])
     spectra, hits = compute_spectra(slopes, config, keys, kp)
 
-    manifest = {
-        "schema_version": SCHEMA_VERSION,
-        "source": {"kind": config.source_kind, "value": config.source},
-        "q": config.q,
-        "skipped_p": list(family.skipped),
-        "members": family_manifest(family),
-    }
-    _write(config.out_dir / "family_manifest.json", _dumps(manifest) + "\n")
+    _write(config.out_dir / "family_manifest.json", _manifest_chunks(config, family))
 
     csv_lines = ["label," + ",".join(spectra[0].target_names)]
     for label, spectrum in zip(labels, spectra):

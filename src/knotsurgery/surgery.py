@@ -18,10 +18,8 @@ from .fpgroup import (
     Presentation,
     Word,
     commutator,
-    presentation_to_json,
     quotient_by_relators,
     word_power,
-    word_to_json,
     fresh_name,
 )
 from .knots import KnotPresentation
@@ -171,21 +169,3 @@ def build_family(kp: KnotPresentation, q: int, p_values: Sequence[int]) -> Famil
         cable = cable_link_group(kp, slope)
         members.append(FamilyMember(slope, _kill_peripheral_pair(cable), cable.labels))
     return FamilyResult(tuple(members), tuple(skipped))
-
-
-def family_manifest(result: FamilyResult) -> list[dict]:
-    """JSON records {p, q, presentation, labels} for each family member."""
-    records = []
-    for member in result.members:
-        names = member.presentation.generators
-        records.append(
-            {
-                "p": member.slope.p,
-                "q": member.slope.q,
-                "presentation": presentation_to_json(member.presentation),
-                "labels": {
-                    role: word_to_json(w, names) for role, w in member.labels.items()
-                },
-            }
-        )
-    return records

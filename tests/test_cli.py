@@ -4,6 +4,7 @@ import itertools
 import json
 import subprocess
 import sys
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -30,8 +31,16 @@ from knotsurgery.cli import (
     main,
     parse_p_spec,
 )
+from knotsurgery.fpgroup import Presentation, Word, presentation_from_json, word_from_json
 from knotsurgery.knots import MAX_GENUS, builtin_monodromy, fibered_knot_to_json
-from knotsurgery.surgery import MAX_ABS_P, MAX_Q
+from knotsurgery.surgery import (
+    MAX_ABS_P,
+    MAX_Q,
+    FamilyMember,
+    FamilyResult,
+    SurgerySlope,
+    build_family,
+)
 from knotsurgery.targets import DEFAULT_CLOSURE_CAP, MAX_TARGET_DEGREE
 
 
@@ -160,6 +169,110 @@ def test_family_cache_round_trip(capsys, tmp_path):
     assert first == second
     meta = json.loads((tmp_path / "run_meta.json").read_text())
     assert meta["cache_hits"] == 2
+
+
+def test_family_manifest_round_trip(capsys, tmp_path):
+    argv = ["family", "--builtin", "trefoil", "--q", "2", "--p", "1,3", "--out", str(tmp_path)]
+    # the standard suite leaves these two slopes tied
+    assert run(argv, capsys)[0] == 3
+    records = json.loads((tmp_path / "family_manifest.json").read_text())["members"]
+    result = build_family(builtin_knot("trefoil"), 2, [1, 3])
+    assert [r["p"] for r in records] == [1, 3]
+    assert all(r["q"] == 2 for r in records)
+    for record, member in zip(records, result.members):
+        rebuilt = presentation_from_json(record["presentation"])
+        assert rebuilt == member.presentation
+        index = {name: i for i, name in enumerate(rebuilt.generators)}
+        labels = {role: word_from_json(w, index) for role, w in record["labels"].items()}
+        assert labels == member.labels
+        assert set(labels) == {
+            surgery.MERIDIAN,
+            surgery.LONGITUDE,
+            surgery.CABLE_MERIDIAN,
+            surgery.CABLE_LONGITUDE,
+        }
+
+
+def old_family_manifest(result):
+    """The manifest's member records, built as a list per letter."""
+    records = []
+    for member in result.members:
+        names = member.presentation.generators
+        records.append(
+            {
+                "p": member.slope.p,
+                "q": member.slope.q,
+                "presentation": fpgroup.presentation_to_json(member.presentation),
+                "labels": {
+                    role: fpgroup.word_to_json(w, names) for role, w in member.labels.items()
+                },
+            }
+        )
+    return records
+
+
+# monodromy files carry user-chosen generator names
+_names = st.text(st.characters(codec="utf-8"), min_size=1, max_size=4) | st.sampled_from(
+    ['"', "\\", 'a"b', "x\\1", "é", "😀", "\x00"]
+)
+
+
+@st.composite
+def families(draw):
+    """A config and a family of random presentations, some without relators."""
+    q = draw(st.integers(1, 6))
+    ps = draw(st.lists(
+        st.integers(-MAX_ABS_P, MAX_ABS_P).filter(lambda p: gcd(p, q) == 1),
+        min_size=1, max_size=5, unique=True,
+    ))
+    name_sets = draw(st.lists(st.lists(_names, min_size=1, max_size=4, unique=True), min_size=1, max_size=2))
+    members = []
+    for p in ps:
+        names = tuple(draw(st.sampled_from(name_sets)))
+        letters = st.tuples(st.integers(0, len(names) - 1), st.sampled_from([1, -1]))
+        words = st.lists(letters, max_size=8).map(lambda ls: Word(tuple(ls)))
+        presentation = Presentation(names, tuple(draw(st.lists(words, max_size=3))))
+        labels = draw(st.dictionaries(_names, words, max_size=4))
+        members.append(FamilyMember(SurgerySlope(p, q), presentation, labels))
+    skipped = tuple(draw(st.lists(st.integers(-MAX_ABS_P, MAX_ABS_P), max_size=3)))
+    kind = draw(st.sampled_from(["braid", "builtin", "monodromy"]))
+    config = cli.RunConfig(source_kind=kind, source=draw(_names), q=q)
+    return config, FamilyResult(tuple(members), skipped)
+
+
+@given(families())
+@example((
+    cli.RunConfig(source_kind="monodromy", source='d\\"é.json', q=2),
+    FamilyResult(
+        (FamilyMember(SurgerySlope(1, 2), Presentation(('"', "é")), {}),
+         FamilyMember(SurgerySlope(-3, 2), Presentation(('"', "é")), {"\\": Word(((1, -1),))})),
+        (2, 4),
+    ),
+))
+def test_streamed_manifest_matches_json_dumps_of_the_records(drawn):
+    config, family = drawn
+    document = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "source": {"kind": config.source_kind, "value": config.source},
+        "q": config.q,
+        "skipped_p": list(family.skipped),
+        "members": old_family_manifest(family),
+    }
+    streamed = "".join(cli._manifest_chunks(config, family))
+    assert streamed == json.dumps(document, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("cache", [[], ["--no-cache"]])
+def test_family_out_on_a_regular_file_exits_2_and_writes_nothing(capsys, tmp_path, cache):
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    argv = ["family", "--builtin", "trefoil", "--p", "1..3", "--out", str(out), *cache]
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert out.read_text() == "kept\n"
+    assert list(tmp_path.iterdir()) == [out]
 
 
 def test_verify_unknot(capsys):

@@ -12,9 +12,7 @@ from knotsurgery import (
     count_homomorphisms,
     dehn_surgery_group,
     double_complement_group,
-    family_manifest,
     half_complement_group,
-    presentation_from_json,
     quotient_by_relators,
     standard_suite,
     tietze_simplify,
@@ -201,19 +199,3 @@ def test_family_q1_members_have_trivial_h1(fig8):
     assert len(result.members) == 6
     for member in result.members:
         assert abelianization(member.presentation).is_trivial
-
-
-def test_family_manifest_round_trip(trefoil):
-    result = build_family(trefoil, 2, [1, 3])
-    records = family_manifest(result)
-    assert [r["p"] for r in records] == [1, 3]
-    assert all(r["q"] == 2 for r in records)
-    for record, member in zip(records, result.members):
-        rebuilt = presentation_from_json(record["presentation"])
-        assert rebuilt == member.presentation
-        assert set(record["labels"]) == {
-            MERIDIAN,
-            LONGITUDE,
-            CABLE_MERIDIAN,
-            CABLE_LONGITUDE,
-        }
