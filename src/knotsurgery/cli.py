@@ -13,8 +13,8 @@ metadata goes to a run_meta.json sidecar.  Spectra are cached by content
 hash of (package version, knot source, slope, suite) under
 <out>/.cache.
 
-This is the only module that touches files: input files are read by
-``_read_json`` and every file is written by ``_write``.
+This is the only module that touches files: every file is read by
+``_read_json`` and written by ``_write``.
 """
 
 from __future__ import annotations
@@ -84,24 +84,31 @@ from .targets import (
 SCHEMA_VERSION = 1
 WORKERS_ENV = "KNOTSURGERY_WORKERS"  # no longer read; bench/workloads.py still sets it
 MAX_P_VALUES = 1000
-# Monodromy files are refused past this size before they are read.  The limit
+# Monodromy files are refused past this size before they are parsed.  The limit
 # also bounds the certificate's compositions, whose length is at most the
 # product of two image lengths.
 MAX_MONODROMY_BYTES = 16_384
-# Suite files are refused past this size before they are read.
+# Suite files are refused past this size before they are parsed.
 MAX_SUITE_BYTES = 65_536
+# Cache entries past this size are a miss.  An entry holds one name and one
+# count per target; the names come from a suite file of at most
+# MAX_SUITE_BYTES, escaping grows a name at most threefold, and each count has
+# a few dozen digits at most, so no entry written for a legal suite reaches it.
+MAX_CACHE_ENTRY_BYTES = 4 * MAX_SUITE_BYTES
 
 
-def _read_json(path: str, limit: int, what: str, error: type) -> tuple[object, bytes]:
+def _read_json(path: str | Path, limit: int, what: str, error: type) -> tuple[object, bytes]:
     """The JSON document in the file and the bytes it was parsed from, read once.
 
-    A file past limit bytes (checked before reading) or nested deeper than
-    the decoder recurses raises error; one that is not UTF-8 JSON, ValueError.
+    At most limit + 1 bytes are read, so a file that is larger than it says
+    (a device, or one growing while it is read) is bounded too.  A file past
+    limit bytes or nested deeper than the decoder recurses raises error; one
+    that is not UTF-8 JSON, ValueError.
     """
-    size = os.stat(path).st_size
-    if size > limit:
-        raise error(f"{what} file of {size} bytes is past the limit {limit}")
-    content = Path(path).read_bytes()
+    with open(path, "rb") as handle:
+        content = handle.read(limit + 1)
+    if len(content) > limit:
+        raise error(f"{what} file {path!r} is past the limit {limit} bytes")
     try:
         return json.loads(content.decode("utf-8")), content
     except RecursionError:
@@ -284,17 +291,17 @@ def _cache_keys(config: RunConfig, source: str, p_values: Sequence[int]) -> list
 
 def _read_cache_entry(path: Path, names: tuple[str, ...]) -> HomSpectrum | None:
     """The cached spectrum, or None (a miss) if the entry is absent, unreadable,
-    stale or of the wrong shape.
+    past MAX_CACHE_ENTRY_BYTES, stale or of the wrong shape.
 
     Nothing is coerced: a schema version or count of another type (true, 1.0,
     "1") is a miss, and so is a count below 1, since the trivial homomorphism
     makes every true count at least 1.  A decoded name equal to a str is one.
     """
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data, _ = _read_json(path, MAX_CACHE_ENTRY_BYTES, "cache entry", KnotSurgeryError)
         version = data["schema_version"]
         entries = tuple((name, count) for name, count in data["counts"])
-    except (OSError, ValueError, KeyError, TypeError, RecursionError):
+    except (KnotSurgeryError, OSError, ValueError, KeyError, TypeError):
         return None
     valid = (
         type(version) is int
@@ -362,88 +369,47 @@ def compute_spectra(
             if config.cache:
                 payload = {"schema_version": SCHEMA_VERSION, "counts": list(spectra[i].entries)}
                 with contextlib.suppress(OSError):
-                    _write(paths[i], _dumps(payload) + "\n", atomic=True)
+                    _write(paths[i], json.dumps(payload, indent=2) + "\n", atomic=True)
     return spectra, len(slopes) - len(pending)
 
 
-class _Json(str):
-    """Text already in JSON form, at the indent where _dumps places it."""
-
-
-# How _dumps writes each scalar type; keyed by exact type, so a bool is
-# never written as an int and an int subclass is refused.
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: lambda b: "true" if b else "false",
-    type(None): lambda _: "null",
-    _Json: str,
-}
-
-
-def _dumps(value, indent: str = "") -> str:
-    """The text of json.dumps(value, indent=2), for the types the CLI writes.
-
-    Those are dicts with str keys, lists, tuples, str, int, bool and None;
-    anything else raises TypeError.  A _Json is written as it is.  json.dumps
-    with an indent runs the stdlib's pure-Python encoder; this writer formats
-    the scalar items of a list in place instead of through a recursive call.
-    """
-    scalar = _SCALARS.get(type(value))
-    if scalar is not None:
-        return scalar(value)
-    inner = indent + "  "
-    if type(value) is dict:
-        items = []
-        for key, item in value.items():
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            items.append(f"{encode_basestring_ascii(key)}: {_dumps(item, inner)}")
-        return _enclosed("{", items, "}", indent)
-    if type(value) is list or type(value) is tuple:
-        items = []
-        for item in value:
-            scalar = _SCALARS.get(type(item))
-            items.append(scalar(item) if scalar is not None else _dumps(item, inner))
-        return _enclosed("[", items, "]", indent)
-    raise TypeError(f"cannot write {type(value).__name__} as JSON")
-
-
 def _enclosed(opening: str, items: list[str], closing: str, indent: str) -> str:
-    """The items' texts between brackets, one item a line, as _dumps lays out
-    a container placed at indent."""
+    """The items' texts between brackets, one item a line, as
+    json.dumps(indent=2) lays out a container placed at indent."""
     if not items:
         return opening + closing
     inner = indent + "  "
     return opening + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + closing
 
 
-# In family_manifest.json each relator is an item at this indent, and each
-# label word a value at this one; their letters sit two spaces deeper.
-_RELATOR_INDENT = " " * 10
-_LABEL_INDENT = " " * 8
+# In family_manifest.json a member record is placed at indent 4, its fields at
+# 6, the fields of its presentation and labels at 8 (where a label word is
+# placed) and each relator at 10; a word's letters sit two spaces deeper.
+_MEMBER_INDENT, _FIELD_INDENT, _LABEL_INDENT, _RELATOR_INDENT = (" " * n for n in (4, 6, 8, 10))
 
 
 def _letter_texts(names: tuple[str, ...], indent: str) -> dict[Letter, str]:
     """The text of each letter [name, exponent] over names, placed at indent."""
     return {
-        (g, e): _dumps([name, e], indent) for g, name in enumerate(names) for e in (1, -1)
+        (g, e): _enclosed("[", [encode_basestring_ascii(name), str(e)], "]", indent)
+        for g, name in enumerate(names)
+        for e in (1, -1)
     }
 
 
-def _word_text(word: Word, letters: dict[Letter, str], indent: str) -> _Json:
+def _word_text(word: Word, letters: dict[Letter, str], indent: str) -> str:
     """The text of word_to_json(word, names) placed at indent, from the texts
     of its letters at two spaces deeper; no Python code runs per letter."""
-    return _Json(_enclosed("[", list(map(letters.__getitem__, word.letters)), "]", indent))
+    return _enclosed("[", list(map(letters.__getitem__, word.letters)), "]", indent)
 
 
 def _manifest_chunks(config: RunConfig, family: FamilyResult) -> Iterator[str]:
     """The text of family_manifest.json, one chunk per member.
 
-    The text is _dumps of {schema_version, source, q, skipped_p, members} and
-    a newline, with members the {p, q, presentation, labels} record of each
-    member of the family, which has at least one.  Each word's text joins the
-    texts of its letters, made once per generator tuple.
+    The text is json.dumps(indent=2) of {schema_version, source, q, skipped_p,
+    members} and a newline, with members the {p, q, presentation, labels}
+    record of each member of the family, which has at least one.  Each word's
+    text joins the texts of its letters, made once per generator tuple.
     """
     header = {
         "schema_version": SCHEMA_VERSION,
@@ -453,29 +419,32 @@ def _manifest_chunks(config: RunConfig, family: FamilyResult) -> Iterator[str]:
     }
     letter_texts = functools.cache(_letter_texts)
     # the header's text ends with "\n}"; members is its last key
-    yield _dumps(header)[:-2] + ',\n  "members": ['
-    separator = "\n    "
+    yield json.dumps(header, indent=2)[:-2] + ',\n  "members": ['
+    separator = "\n" + _MEMBER_INDENT
     for member in family.members:
         names = member.presentation.generators
         relator_letters = letter_texts(names, _RELATOR_INDENT + "  ")
         label_letters = letter_texts(names, _LABEL_INDENT + "  ")
-        record = {
-            "p": member.slope.p,
-            "q": member.slope.q,
-            "presentation": {
-                "generators": list(names),
-                "relators": [
-                    _word_text(r, relator_letters, _RELATOR_INDENT)
-                    for r in member.presentation.relators
-                ],
-            },
-            "labels": {
-                role: _word_text(w, label_letters, _LABEL_INDENT)
-                for role, w in member.labels.items()
-            },
-        }
-        yield separator + _dumps(record, "    ")
-        separator = ",\n    "
+        relators = [
+            _word_text(r, relator_letters, _RELATOR_INDENT) for r in member.presentation.relators
+        ]
+        presentation = [
+            '"generators": '
+            + _enclosed("[", list(map(encode_basestring_ascii, names)), "]", _LABEL_INDENT),
+            '"relators": ' + _enclosed("[", relators, "]", _LABEL_INDENT),
+        ]
+        labels = [
+            f"{encode_basestring_ascii(role)}: {_word_text(w, label_letters, _LABEL_INDENT)}"
+            for role, w in member.labels.items()
+        ]
+        record = [
+            f'"p": {member.slope.p}',
+            f'"q": {member.slope.q}',
+            '"presentation": ' + _enclosed("{", presentation, "}", _FIELD_INDENT),
+            '"labels": ' + _enclosed("{", labels, "}", _FIELD_INDENT),
+        ]
+        yield separator + _enclosed("{", record, "}", _MEMBER_INDENT)
+        separator = ",\n" + _MEMBER_INDENT
     yield "\n  ]\n}\n"
 
 
@@ -528,7 +497,7 @@ def cmd_knot(config: RunConfig) -> int:
             "alexander": str(alexander),
             "peripheral_ok": report.ok,
         }
-        _write(config.out_dir / "knot.json", _dumps(document) + "\n")
+        _write(config.out_dir / "knot.json", json.dumps(document, indent=2) + "\n")
     return 0
 
 
@@ -565,7 +534,7 @@ def cmd_family(config: RunConfig) -> int:
         "elapsed_ms": int((time.perf_counter() - started) * 1000),
         "cache_hits": hits,
     }
-    _write(config.out_dir / "run_meta.json", _dumps(meta) + "\n")
+    _write(config.out_dir / "run_meta.json", json.dumps(meta, indent=2) + "\n")
     return 0 if report.all_distinguished else 3
 
 

@@ -1,17 +1,19 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately avoid the package's own evaluation machinery:
-naive_hom_count multiplies raw permutation tuples, seifert_alexander expands
-a determinant by permutation sums over dict-polynomials, det_oracle is a
-cofactor expansion, min_rotation_oracle builds every rotation, and
-row_lattice_oracle compares invariant factors
-instead of reading the column transform.  Tests freeze values computed by these.
+naive_hom_count multiplies raw permutation tuples, torus_hom_count counts the
+roots of raw permutation powers, seifert_alexander expands a determinant by
+permutation sums over dict-polynomials, det_oracle is a cofactor expansion,
+min_rotation_oracle builds every rotation, and row_lattice_oracle compares
+invariant factors instead of reading the column transform.  Tests freeze
+values computed by these.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import itertools
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -57,6 +59,25 @@ def naive_hom_count(presentation, target: FiniteTarget) -> int:
         if ok:
             count += 1
     return count
+
+
+def torus_hom_count(r: int, s: int, target: FiniteTarget) -> int:
+    """|Hom(<x, y | x^r = y^s>, target)|, the count for the torus knot T(r, s).
+
+    It is the sum over z of N_r(z) * N_s(z), with N_k(z) = #{x : x^k = z},
+    from one pass of raw permutation powers over the target's elements.
+    """
+    identity = tuple(range(target.degree))
+
+    def power(a, k):
+        acc = identity
+        for _ in range(k):
+            acc = tuple(a[i] for i in acc)
+        return acc
+
+    roots_r = Counter(power(x, r) for x in target.elements)
+    roots_s = Counter(power(x, s) for x in target.elements)
+    return sum(n * roots_s[z] for z, n in roots_r.items())
 
 
 def _poly_mul(a: dict, b: dict) -> dict:

@@ -489,6 +489,10 @@ def test_suite_just_past_the_table_budget(capsys, tmp_path):
     assert f"{DEFAULT_CLOSURE_CAP}^2 = {DEFAULT_CLOSURE_CAP**2}" in err
 
 
+# an endless file that reports a size of 0, where the platform has one
+_DEV_ZERO = [Path("/dev/zero")] if Path("/dev/zero").exists() else []
+
+
 def test_suite_file_just_past_the_byte_limit(capsys, tmp_path):
     c2 = json.dumps([{"name": "C2", "degree": 2, "generators": ["(1 2)"]}])
     at_limit = tmp_path / "at.json"
@@ -497,14 +501,16 @@ def test_suite_file_just_past_the_byte_limit(capsys, tmp_path):
     past.write_text(c2.ljust(MAX_SUITE_BYTES + 1))
     code, _, _ = run(["knot", "--builtin", "unknot", "--targets", str(at_limit)], capsys)
     assert code == 0
-    for command in (["knot"], ["family", "--out", str(tmp_path / "out")]):
-        code, _, err = run(command + ["--builtin", "unknot", "--targets", str(past)], capsys)
-        assert code == 2, command
-        assert f"past the limit {MAX_SUITE_BYTES}" in err, command
+    # a device reports no size, so only the read itself can be bounded
+    for too_big in [past, *_DEV_ZERO]:
+        for command in (["knot"], ["family", "--out", str(tmp_path / "out")]):
+            code, _, err = run(command + ["--builtin", "unknot", "--targets", str(too_big)], capsys)
+            assert code == 2, (too_big, command)
+            assert f"past the limit {MAX_SUITE_BYTES}" in err, (too_big, command)
+        with pytest.raises(KnotSurgeryError, match="past the limit"):
+            cli.read_suite(str(too_big))
     # the cache key comes from the same bounded read as the targets
     assert cli.read_suite(str(at_limit)).fingerprint.startswith("file:")
-    with pytest.raises(KnotSurgeryError, match="past the limit"):
-        cli.read_suite(str(past))
 
 
 A5 = ["(1 2 3 4 5)", "(1 2 3)"]
@@ -514,21 +520,33 @@ def _suite_file(path, generators):
     path.write_text(json.dumps([{"name": "T", "degree": 5, "generators": generators}]))
 
 
+def _after_each_read(monkeypatch, action):
+    """Call action(path) after each file cli reads, whether or not the read
+    succeeds; cli reads every file through _read_json
+    (test_cli_reads_and_writes_files_in_one_place)."""
+    read_json = cli._read_json
+
+    def read_then_act(path, *args):
+        try:
+            return read_json(path, *args)
+        finally:
+            action(Path(path))
+
+    monkeypatch.setattr(cli, "_read_json", read_then_act)
+
+
 def test_suite_rewritten_between_reads_stores_no_stale_counts(capsys, tmp_path, monkeypatch):
     # T is A5 when the command starts and C5 once the file has been read, so
     # the cache names and the counts must both come from that one read
     suite = tmp_path / "suite.json"
     _suite_file(suite, A5)
-    read_bytes = Path.read_bytes
 
-    def rewrite_after_read(self):
-        content = read_bytes(self)
-        if self == suite:
+    def rewrite(path):
+        if path == suite:
             _suite_file(suite, ["(1 2 3 4 5)"])
-        return content
 
     argv = ["family", "--builtin", "trefoil", "--p", "1..3", "--targets", str(suite), "--out"]
-    monkeypatch.setattr(Path, "read_bytes", rewrite_after_read)
+    _after_each_read(monkeypatch, rewrite)
     run(argv + [str(tmp_path / "out")], capsys)
     monkeypatch.undo()
     _suite_file(suite, A5)
@@ -550,17 +568,10 @@ def test_a_command_reads_its_suite_file_once(capsys, tmp_path, monkeypatch, comm
     if warm:
         run(argv, capsys)  # fills the cache that the counted call reads
     reads = []
-    read_bytes = Path.read_bytes
-
-    def counted(self):
-        if self == suite:
-            reads.append(self)
-        return read_bytes(self)
-
-    monkeypatch.setattr(Path, "read_bytes", counted)
+    _after_each_read(monkeypatch, reads.append)
     code, _, err = run(argv, capsys)
     assert code == 0, err
-    assert reads == [suite]
+    assert [path for path in reads if path.parent.name != ".cache"] == [suite]
 
 
 def test_export_knot_group(capsys, tmp_path):
@@ -673,9 +684,10 @@ def test_bad_monodromy_files_exit_2(capsys, tmp_path):
             assert err.startswith("error:") and message in err
     big = tmp_path / "big.json"
     big.write_text(json.dumps(good).ljust(MAX_MONODROMY_BYTES + 1))
-    code, _, err = run(["knot", "--monodromy", str(big)], capsys)
-    assert code == 2
-    assert "bytes" in err
+    for too_big in [big, *_DEV_ZERO]:
+        code, _, err = run(["knot", "--monodromy", str(too_big)], capsys)
+        assert code == 2, too_big
+        assert "bytes" in err, too_big
 
 
 @pytest.mark.parametrize("value", [1.7, 1.0, True, "1"])
@@ -779,6 +791,22 @@ def test_cache_entry_of_the_wrong_types_is_a_miss(capsys, tmp_path, field, value
     assert (tmp_path / "spectra.csv").read_bytes() == spectra
 
 
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64 - 2, max_value=2**80)
+    | st.integers(min_value=-(2**80), max_value=-(2**64))
+    # non-ASCII, control and quote characters, which JSON escapes
+    | st.text(alphabet=st.characters(codec="utf-8"))
+    | st.sampled_from(['"', "\\", "\n\t", "\x00", "é", " ", "😀"]),
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=20,
+)
+
+
 # a cache entry of the trefoil's standard spectra: one field or count away from it
 _ENTRY_FIELDS = ("schema_version", "counts")
 _WRONG_SCALARS = st.sampled_from([True, False, None, 0, -1, 1.0, 1.9, "1", "C2", [], {}])
@@ -830,17 +858,22 @@ def test_damaged_cache_entry_reads_as_a_miss(capsys, tmp_path):
     warm_call_over()
 
 
-@pytest.mark.parametrize("damage", ["entry is a directory", "cache is a file"])
+@pytest.mark.parametrize("damage", ["entry is a directory", "entry is a device", "cache is a file"])
 def test_damaged_cache_directory_reads_as_a_miss(capsys, tmp_path, damage):
+    if damage == "entry is a device" and not _DEV_ZERO:
+        pytest.skip("no /dev/zero")
     clean_dir, damaged_dir = tmp_path / "clean", tmp_path / "damaged"
     argv = ["family", "--builtin", "trefoil", "--p", "1..3", "--out"]
     code = run(argv + [str(clean_dir)], capsys)[0]
     cache = damaged_dir / ".cache"
-    if damage == "entry is a directory":
+    if damage.startswith("entry"):
         run(argv + [str(damaged_dir)], capsys)
         entry = sorted(cache.glob("*.json"))[0]
         entry.unlink()
-        entry.mkdir()
+        if damage == "entry is a directory":
+            entry.mkdir()
+        else:
+            entry.symlink_to(_DEV_ZERO[0])
         hits = 2
     else:
         damaged_dir.mkdir()
@@ -869,6 +902,22 @@ def test_only_the_cli_imports_file_modules():
             if any(m.split(".")[0] in ("os", "pathlib", "hashlib") for m in modules):
                 importers.add(source.name)
     assert importers == {"cli.py"}
+
+
+def test_cli_reads_and_writes_files_in_one_place():
+    # one bounded reader and one writer: every call in cli that opens, reads
+    # or writes a file sits inside the top-level function _read_json or _write
+    file_calls = {"open", "read_bytes", "read_text", "write_text", "write_bytes"}
+    owners = set()
+    for statement in ast.parse(Path(cli.__file__).read_text(encoding="utf-8")).body:
+        owner = statement.name if isinstance(statement, ast.FunctionDef) else "<module>"
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Call):
+                callee = node.func
+                name = callee.id if isinstance(callee, ast.Name) else getattr(callee, "attr", None)
+                if name in file_calls:
+                    owners.add(owner)
+    assert owners == {"_read_json", "_write"}
 
 
 def test_the_program_imports_only_the_standard_library():
@@ -956,18 +1005,12 @@ def test_family_reads_the_monodromy_file_once(capsys, tmp_path, monkeypatch):
     path = tmp_path / "fig8.json"
     path.write_text(json.dumps(fibered_knot_to_json(builtin_monodromy("fig8"))))
     reads = []
-    read_bytes = Path.read_bytes
-
-    def counting_read_bytes(self):
-        reads.append(self)
-        return read_bytes(self)
-
-    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    _after_each_read(monkeypatch, reads.append)
     argv = ["family", "--monodromy", str(path), "--p=-3..3", "--out", str(tmp_path / "out")]
     for _ in range(2):  # cold, then warm
         reads.clear()
         assert run(argv, capsys)[0] == 3
-        assert reads == [path]
+        assert [read for read in reads if read.parent.name != ".cache"] == [path]
 
 
 def test_knot_from_monodromy_file(capsys, tmp_path):
@@ -1071,34 +1114,6 @@ def test_module_entry_point():
     )
     assert result.returncode == 0
     assert "alexander: 1" in result.stdout
-
-
-json_values = st.recursive(
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=2**64 - 2, max_value=2**80)
-    | st.integers(min_value=-(2**80), max_value=-(2**64))
-    # non-ASCII, control and quote characters all need escaping
-    | st.text(alphabet=st.characters(codec="utf-8"))
-    | st.sampled_from(['"', "\\", "\n\t", "\x00", "é", " ", "😀"]),
-    lambda children: st.lists(children, max_size=4)
-    | st.lists(children, max_size=4).map(tuple)
-    | st.dictionaries(st.text(max_size=6), children, max_size=4),
-    max_leaves=20,
-)
-
-
-@given(json_values)
-@example({"a": [[], {}, ()], "b": {"c": {}}, "": [None, True, False, 0, 2**70]})
-def test_json_writer_matches_json_dumps(value):
-    assert cli._dumps(value) == json.dumps(value, indent=2)
-
-
-@pytest.mark.parametrize("value", [1.5, [1.5], {"a": 1.5}, {1: 2}, {"a": [{None: 0}]}, {"a": {1, 2}}])
-def test_json_writer_refuses_other_types(value):
-    with pytest.raises(TypeError):
-        cli._dumps(value)
 
 
 def test_elapsed_ms_survives_a_wall_clock_step_back(capsys, tmp_path, monkeypatch):

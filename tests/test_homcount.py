@@ -12,15 +12,20 @@ from knotsurgery import (
     cyclic,
     dihedral,
     distinguish_report,
+    escalation_suite,
     hom_spectrum,
     iter_homomorphisms,
+    parse_braid,
     parse_word,
+    standard_suite,
     symmetric,
     tietze_simplify,
+    wirtinger_from_braid,
 )
 from knotsurgery.homcount import HomSpectrum, evaluate_word, weighted_homomorphisms
+from knotsurgery.targets import FULL_TABLE_MAX_ORDER
 
-from conftest import naive_hom_count
+from conftest import naive_hom_count, torus_hom_count
 
 
 def pres(names, *relator_texts):
@@ -181,6 +186,28 @@ def test_matches_naive_enumeration(p, name):
         enumerated += 1
     assert enumerated == count
     assert per_class_total(p, target) == count
+
+
+@pytest.mark.parametrize(
+    "braid, r, s, full_tables_only",
+    [
+        pytest.param("1 " * 3, 2, 3, False, id="T(2,3)"),
+        pytest.param("1 " * 5, 2, 5, False, id="T(2,5)"),
+        pytest.param("1 " * 7, 2, 7, False, id="T(2,7)"),
+        # its searches into PSL2_17 and PSL2_19, which keep no full table, take 30-60 s
+        pytest.param("1 2 " * 4, 3, 4, True, id="T(3,4)"),
+    ],
+)
+def test_torus_knot_counts_match_the_power_map_oracle(braid, r, s, full_tables_only):
+    # the closure of the braid is the torus knot T(r, s): the engine counts
+    # its simplified Wirtinger group, the oracle <x, y | x^r = y^s>
+    group = tietze_simplify(wirtinger_from_braid(parse_braid(braid)).group)
+    targets = standard_suite() + escalation_suite()
+    if full_tables_only:
+        targets = tuple(t for t in targets if t.order <= FULL_TABLE_MAX_ORDER)
+    assert len(targets) == (18 if full_tables_only else 20)
+    for target in targets:
+        assert count_homomorphisms(group, target) == torus_hom_count(r, s, target), target.name
 
 
 @settings(max_examples=30)
