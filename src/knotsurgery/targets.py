@@ -9,6 +9,12 @@ larger one stores none when it is closed: its ``mult`` computes a product by
 composing the two permutations the first time it is read, and keeps it, up to
 order^2 // 12 products per target.
 
+Closing a target composes each element with each generator once, at C level,
+while it finds the elements breadth-first.  Everything else is read off that
+breadth-first (Schreier) tree by integer walks: each generator's left
+multiplication on element indices, the inverse table, and the order of the
+row gathers of a full table.
+
 Every bundled target is built here from its generators: the standard suite
 from the cyclic, symmetric, alternating and dihedral builders, and the
 escalation suite, cheapest first, from those and ``psl2``/``psl2_8``.  A
@@ -51,18 +57,6 @@ MAX_TARGET_DEGREE = 1000
 
 def identity_perm(degree: int) -> Perm:
     return tuple(range(degree))
-
-
-def compose(a: Perm, b: Perm) -> Perm:
-    """Apply b first, then a."""
-    return tuple(a[b[i]] for i in range(len(a)))
-
-
-def invert_perm(a: Perm) -> Perm:
-    out = [0] * len(a)
-    for i, j in enumerate(a):
-        out[j] = i
-    return tuple(out)
 
 
 def _check_perm(p: Sequence[int], degree: int) -> Perm:
@@ -257,12 +251,21 @@ def close_target(
     """Saturate the generators into a full element list and build tables.
 
     Elements are discovered breadth-first as words in the generators, so each
-    element k > 0 is e_k = e_parent(k) * g for one generator g.  Then
-    e_k * e_j = e_parent(k) * (g * e_j), so row k of the multiplication table
-    is row parent(k) gathered through the left-multiplication permutation of
-    g on element indices.  Each row costs one C-level itemgetter call, and the
-    whole table |gens| * order permutation compositions.  Past
-    FULL_TABLE_MAX_ORDER elements no table is built: ``mult`` is a
+    element k > 0 is e_k = e_parent(k) * h_k for one generator h_k, its
+    letter.  The search composes each element with each generator once, at C
+    level, and records the index of e_i * g as ``right[g][i]``; nothing else
+    here composes or hashes a permutation.  The rest are integer walks down
+    that breadth-first tree, O(|gens| * order) steps each:
+
+    - left multiplication, ``left[g][k]`` = the index of g * e_k, is
+      ``right[h_k][left[g][parent(k)]]``;
+    - the inverse, e_k^-1 = h_k^-1 * e_parent(k)^-1, is the inverse of
+      parent(k) moved back through ``left[h_k]``;
+    - row k of the multiplication table, e_k * e_j = e_parent(k) * (h_k *
+      e_j), is row parent(k) gathered through ``left[h_k]``, one C-level
+      itemgetter call per row.
+
+    Past FULL_TABLE_MAX_ORDER elements no table is built: ``mult`` is a
     ProductMemo, which composes each product on first use.
     """
     gens = [tuple(int(x) for x in g) for g in generators]
@@ -274,43 +277,57 @@ def close_target(
     identity = identity_perm(degree)
     index: dict[Perm, int] = {identity: 0}
     elements: list[Perm] = [identity]
-    parent: list[tuple[int, int]] = [(0, -1)]  # (parent index, generator letter)
-    frontier = [0]
-    while frontier:
-        next_frontier = []
-        for i in frontier:
-            x = elements[i]
-            for g_idx, g in enumerate(gens):
-                y = compose(x, g)
-                if y in index:
-                    continue
-                if len(elements) >= cap:
+    tree: list[tuple[int, int]] = []  # (parent(k), h_k) for k = 1, 2, ...
+    # itemgetter(*g)(x) is x * g; at degree 1 it would return a scalar, and
+    # every permutation of degree 1 is the identity, so no generator is walked
+    actions = [itemgetter(*g) for g in gens] if degree > 1 else []
+    right: list[list[int]] = [[] for _ in actions]
+    moves = list(zip(range(len(actions)), actions, right))
+    order = 1
+    for i, x in enumerate(elements):
+        for h, act, row in moves:
+            y = act(x)
+            k = index.setdefault(y, order)
+            if k == order:
+                if order >= cap:
                     raise ClosureCapExceededError(f"closure of {name!r} exceeded cap {cap}")
-                next_frontier.append(len(elements))
-                index[y] = len(elements)
                 elements.append(y)
-                parent.append((i, g_idx))
-        frontier = next_frontier
-    order = len(elements)
+                tree.append((i, h))
+                order += 1
+            row.append(k)
     elements = tuple(elements)
+    left = []
+    for row in right:
+        walk = [row[0]]  # g * e_0 = e_0 * g
+        for p, h in tree:
+            walk.append(right[h][walk[p]])
+        left.append(walk)
+    undo = []
+    for walk in left:
+        back = [0] * order
+        for k, gk in enumerate(walk):
+            back[gk] = k
+        undo.append(back)
+    inverse = [0]
+    for p, h in tree:
+        inverse.append(undo[h][inverse[p]])
     if order > FULL_TABLE_MAX_ORDER:
         mult = ProductMemo(elements, index)
     else:
         # With order 1, itemgetter of one index would return a scalar, but
         # then the row loop below is empty and no gather is ever called.
-        left = [itemgetter(*[index[compose(g, e)] for e in elements]) for g in gens]
+        gathers = [itemgetter(*walk) for walk in left]
         rows = [tuple(range(order))]
-        for pk, gk in parent[1:]:
-            rows.append(left[gk](rows[pk]))
+        for p, h in tree:
+            rows.append(gathers[h](rows[p]))
         mult = tuple(rows)
-    inverse = tuple(index[invert_perm(a)] for a in elements)
     return FiniteTarget(
         name=name,
         degree=degree,
         generators=tuple(gens),
         elements=elements,
         mult=mult,
-        inverse=inverse,
+        inverse=tuple(inverse),
         identity_index=0,
     )
 

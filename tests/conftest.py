@@ -1,12 +1,13 @@
 """Shared fixtures and independent oracles.
 
 The oracles here deliberately avoid the package's own evaluation machinery:
-naive_hom_count multiplies raw permutation tuples, torus_hom_count counts the
-roots of raw permutation powers, seifert_alexander expands a determinant by
-permutation sums over dict-polynomials, det_oracle is a cofactor expansion,
-min_rotation_oracle builds every rotation, and row_lattice_oracle compares
-invariant factors instead of reading the column transform.  Tests freeze
-values computed by these.
+naive_hom_count multiplies raw permutation tuples (``compose`` and
+``invert_perm``), naive_closure closes generators by a frontier-by-frontier
+search over raw products, torus_hom_count counts the roots of raw permutation
+powers, seifert_alexander expands a determinant by permutation sums over
+dict-polynomials, det_oracle is a cofactor expansion, min_rotation_oracle
+builds every rotation, and row_lattice_oracle compares invariant factors
+instead of reading the column transform.  Tests freeze values computed by these.
 """
 
 from __future__ import annotations
@@ -31,28 +32,53 @@ settings.load_profile("suite")
 # ---------------------------------------------------------------- oracles
 
 
+def compose(a: tuple, b: tuple) -> tuple:
+    """The permutation a * b on image tuples: apply b first, then a."""
+    return tuple(a[b[i]] for i in range(len(a)))
+
+
+def invert_perm(a: tuple) -> tuple:
+    out = [0] * len(a)
+    for i, j in enumerate(a):
+        out[j] = i
+    return tuple(out)
+
+
+def naive_closure(generators, degree: int) -> list:
+    """The group the generators make, as a list in breadth-first order.
+
+    The search goes frontier by frontier; each element of a frontier is
+    multiplied on the right by each generator in turn, and a product not seen
+    before joins the list and the next frontier.
+    """
+    identity = tuple(range(degree))
+    elements = [identity]
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        next_frontier = []
+        for x in frontier:
+            for g in generators:
+                y = compose(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    elements.append(y)
+                    next_frontier.append(y)
+        frontier = next_frontier
+    return elements
+
+
 def naive_hom_count(presentation, target: FiniteTarget) -> int:
     """Count homomorphisms by full enumeration over raw permutations."""
     n = len(presentation.generators)
-    degree = target.degree
-    identity = tuple(range(degree))
-
-    def mul(a, b):  # apply b first, then a
-        return tuple(a[b[i]] for i in range(degree))
-
-    def inv(a):
-        out = [0] * degree
-        for i, j in enumerate(a):
-            out[j] = i
-        return tuple(out)
-
+    identity = tuple(range(target.degree))
     count = 0
     for assignment in itertools.product(target.elements, repeat=n):
         ok = True
         for relator in presentation.relators:
             acc = identity
             for g, e in relator.letters:
-                acc = mul(acc, assignment[g] if e == 1 else inv(assignment[g]))
+                acc = compose(acc, assignment[g] if e == 1 else invert_perm(assignment[g]))
             if acc != identity:
                 ok = False
                 break

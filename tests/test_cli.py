@@ -537,7 +537,9 @@ def _after_each_read(monkeypatch, action):
 
 def test_suite_rewritten_between_reads_stores_no_stale_counts(capsys, tmp_path, monkeypatch):
     # T is A5 when the command starts and C5 once the file has been read, so
-    # the cache names and the counts must both come from that one read
+    # the cache names and the counts must both come from that one read.  Each
+    # suite is then run warm, while its file is in place, against a clean run:
+    # stale counts would sit under the fingerprint of either suite.
     suite = tmp_path / "suite.json"
     _suite_file(suite, A5)
 
@@ -549,6 +551,11 @@ def test_suite_rewritten_between_reads_stores_no_stale_counts(capsys, tmp_path, 
     _after_each_read(monkeypatch, rewrite)
     run(argv + [str(tmp_path / "out")], capsys)
     monkeypatch.undo()
+    run(argv + [str(tmp_path / "out")], capsys)
+    run(argv + [str(tmp_path / "clean"), "--no-cache"], capsys)
+    rows = (tmp_path / "out" / "spectra.csv").read_text()
+    assert rows == (tmp_path / "clean" / "spectra.csv").read_text()
+    assert "p=1,1\n" in rows
     _suite_file(suite, A5)
     run(argv + [str(tmp_path / "out")], capsys)
     run(argv + [str(tmp_path / "clean"), "--no-cache"], capsys)

@@ -24,9 +24,9 @@ from knotsurgery import (
 )
 from knotsurgery.fpgroup import Presentation, Word, tietze_simplify_tracked
 from knotsurgery.homcount import peripheral_table, slope_count
-from knotsurgery.targets import DEFAULT_CLOSURE_CAP, ProductMemo, compose
+from knotsurgery.targets import DEFAULT_CLOSURE_CAP, ProductMemo
 
-from conftest import naive_hom_count
+from conftest import compose, naive_hom_count
 
 BUNDLED = {t.name: t for t in standard_suite() + escalation_suite()}
 

@@ -1,4 +1,7 @@
+import hashlib
+
 import pytest
+from hypothesis import example, given, strategies as st
 
 from knotsurgery import (
     ClosureCapExceededError,
@@ -13,13 +16,14 @@ from knotsurgery import (
     targets,
 )
 from knotsurgery.targets import (
-    compose,
+    ProductMemo,
     cycle_string,
     identity_perm,
-    invert_perm,
     parse_cycles,
     suite_from_json,
 )
+
+from conftest import compose, invert_perm, naive_closure
 
 
 def test_closure_order_2():
@@ -42,6 +46,13 @@ def test_closure_a5_standard_pair():
 def test_cap_exceeded():
     with pytest.raises(ClosureCapExceededError):
         close_target("S5", [parse_cycles("(1 2)", 5), parse_cycles("(1 2 3 4 5)", 5)], cap=50)
+
+
+def test_cap_boundary_is_the_order():
+    gens = [parse_cycles("(1 2)", 4), parse_cycles("(1 2 3 4)", 4)]
+    assert close_target("S4", gens, cap=24).order == 24
+    with pytest.raises(ClosureCapExceededError, match="'S4' exceeded cap 23"):
+        close_target("S4", gens, cap=23)
 
 
 def test_bad_permutation_rejected():
@@ -89,6 +100,36 @@ def test_every_table_entry_is_the_composition(name):
     for i, a in enumerate(t.elements):
         assert t.mult[i] == tuple(index[compose(a, b)] for b in t.elements)
         assert t.inverse[i] == index[invert_perm(a)]
+
+
+generator_sets = st.integers(min_value=1, max_value=6).flatmap(
+    lambda degree: st.tuples(
+        st.just(degree), st.lists(st.permutations(range(degree)), max_size=3)
+    )
+)
+
+
+@given(generator_sets)
+@example((1, [(0,), (0,)]))
+@example((3, [(1, 0, 2), (0, 1, 2), (1, 0, 2)]))
+def test_closure_matches_a_naive_breadth_first_search(case):
+    degree, gens = case
+    gens = [tuple(g) for g in gens]
+    expected = naive_closure(gens, degree)
+    index = {p: i for i, p in enumerate(expected)}
+    for memo in (False, True):
+        with pytest.MonkeyPatch.context() as mp:
+            # as test_product_memo.close_as does, to force memo rows
+            if memo:
+                mp.setattr(targets, "FULL_TABLE_MAX_ORDER", 1)
+            t = close_target("random", gens, degree=degree)
+        assert isinstance(t.mult, ProductMemo) == (memo and t.order > 1)
+        assert list(t.elements) == expected
+        assert t.generators == tuple(gens)
+        for i, a in enumerate(t.elements):
+            row = t.mult[i]
+            assert [row[j] for j in range(t.order)] == [index[compose(a, b)] for b in expected]
+            assert t.inverse[i] == index[invert_perm(a)]
 
 
 def test_builders_have_expected_orders():
@@ -235,3 +276,52 @@ def test_centralizer_orbits_partition_the_group(name):
         assert covered == set(range(target.order))
         if c == target.identity_index:
             assert orbits == target.conjugacy_classes
+
+
+# sha256 of each bundled target's elements, inverse table and, for a full
+# table, its rows, as ``target_digest`` writes them.  Element indices fix the
+# class representatives, the centralizer orbits and the peripheral-table keys,
+# so no closure may reorder the elements.
+BUNDLED_DIGESTS = {
+    "C2": "abfbd9ab8dae67102f5458bb22e2b6d88dcd5ce0f0ba74df09312a20dacac89c",
+    "C3": "968661ed0fd8e20c587f6063d9dea92fb6089d62011df61db1ada28c3c9cf376",
+    "C4": "cc84210fc5054f2326f5b9e706b40a3d0167de095ef494e1afbac33a371a2439",
+    "C5": "8797ad5bc1ec7433c932f00104cf78b219353d0b3ad5f3fb74680d3ca335647b",
+    "C6": "03993d0aadf4438e8c5cc060ea03e28f55151b13566f659022c1a78282c4d9d2",
+    "S3": "47b8f07f6f62943025440f7f8cbfc209656e62f2df75d20a5777baaa1dc487e5",
+    "S4": "5da5d42f523d480839c4119d4921413d8bed547739612e3da6636cdfc72109ea",
+    "S5": "d54fad22da143c8958f1031058d0b18ac0a9a4b525f63158ae62f8eaf5f1b6a4",
+    "A4": "9990893f8c4c2dac1f38cb1ac04f3dd9285381e40ba63820340528e5bd219bd3",
+    "A5": "d5c8a791b5c1ff19970a80016c1bb1c9499dda772fbb941840147b87d9994c22",
+    "D4": "d89b2cefa652c3b7738151604a2d2a2d735c5b65bbdcbf361a8223e22d773fb4",
+    "D5": "09cfc2fd12ad20d80117cce0f712f780d07316d56cb0e9cf1af53a9e9c5d7c49",
+    "PSL2_7": "0e595e1f83ecfe637f288926e89c05a1e8f8f7c20a225106bfea24356a9f4735",
+    "A6": "664097e2a1d64a34933cf0c7d4f6969af5066bbc02f9df1de2e2519814f08893",
+    "PSL2_8": "f05974f49d95e0b171f516ae31873b623ba7133a0dbba04291aab6d29832388c",
+    "PSL2_11": "e0e00256db03811bb0ba95e8fee695ed36ac3e33fac4a83c8919c9a3490529dd",
+    "S6": "8dafc420b8b37f612a791068eb657d394faef56dfe177560b6edde0c81bb9c79",
+    "PSL2_13": "042c03e48d87287c139e101c2d9d0a1e53d3146ee4669f0c283daab580b0365e",
+    "PSL2_17": "5a8b94880ba61e3f7f078bd3fdc97dc62c1a9426774eb0023c901302019c4ad5",
+    "PSL2_19": "457b8f9d002bd1c8f51f585a7154bdb854b6b917e7c03d4d70400069d057cc88",
+}
+
+
+def target_digest(target) -> str:
+    digest = hashlib.sha256()
+    digest.update(repr(target.elements).encode())
+    digest.update(repr(target.inverse).encode())
+    if isinstance(target.mult, tuple):
+        digest.update(repr(target.mult).encode())
+    return digest.hexdigest()
+
+
+def test_bundled_targets_keep_their_elements_inverses_and_tables():
+    suite = standard_suite() + escalation_suite()
+    assert {t.name: target_digest(t) for t in suite} == BUNDLED_DIGESTS
+
+
+@pytest.mark.parametrize("name", ["PSL2_17", "PSL2_19"])
+def test_every_inverse_of_the_largest_targets_is_the_inverse_permutation(name):
+    target = {t.name: t for t in escalation_suite()}[name]
+    index = {p: i for i, p in enumerate(target.elements)}
+    assert list(target.inverse) == [index[invert_perm(a)] for a in target.elements]
