@@ -48,7 +48,6 @@ from .homcount import (
     HomSpectrum,
     count_homomorphisms,
     distinguish_report,
-    escalate,
     hom_spectrum,
     iter_homomorphisms,
 )

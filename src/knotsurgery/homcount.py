@@ -50,9 +50,6 @@ of homomorphisms that the table files under one representative's pair:
 conjugating φ by z conjugates both images by z, and a^q b^p = 1 holds
 exactly when (z a z^-1)^q (z b z^-1)^p = 1.  Powers are exact table walks:
 x^n is read off the cycle of powers of x at n mod ord(x).
-
-``escalate`` is the escalation path for pairs a target suite leaves tied: it
-walks further targets, counting only for the groups still tied, until none is.
 """
 
 from __future__ import annotations
@@ -61,7 +58,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import MismatchedTargetsError
 from .fpgroup import Letter, Presentation, Word
@@ -288,30 +285,6 @@ class HomSpectrum:
 
 def hom_spectrum(p: Presentation, targets: Sequence[FiniteTarget]) -> HomSpectrum:
     return HomSpectrum(tuple((t.name, count_homomorphisms(p, t)) for t in targets))
-
-
-def escalate(
-    groups: Mapping[Hashable, Presentation],
-    tied_pairs: Iterable[tuple[Hashable, Hashable]],
-    targets: Iterable[FiniteTarget],
-) -> Iterator[tuple[FiniteTarget, dict[Hashable, int], list[tuple[Hashable, Hashable]]]]:
-    """Walk ``targets`` in order until no pair of groups is tied.
-
-    Each step counts homomorphisms into one target, only for the groups still
-    in a tied pair (in sorted key order), and yields ``(target, counts,
-    separated_pairs)``: the counts by group key and the tied pairs, sorted,
-    whose counts differ there.  Pairs never separated are the given pairs
-    minus every yielded ``separated_pairs``.
-    """
-    tied = set(tied_pairs)
-    for target in targets:
-        if not tied:
-            return
-        need = sorted({key for pair in tied for key in pair})
-        counts = {key: count_homomorphisms(groups[key], target) for key in need}
-        separated = [(a, b) for a, b in sorted(tied) if counts[a] != counts[b]]
-        tied.difference_update(separated)
-        yield target, counts, separated
 
 
 @dataclass(frozen=True)

@@ -223,33 +223,29 @@ BUILTIN_BRAIDS: dict[str, str] = {
 
 _BUILTIN_GENUS = {"unknot": 0, "trefoil": 1, "fig8": 1}
 
-_ALIASES = {"figure8": "fig8", "figure-eight": "fig8", "figure_eight": "fig8"}
 
-
-def _canonical_builtin(name: str) -> str:
-    key = name.strip().lower()
-    key = _ALIASES.get(key, key)
-    if key not in BUILTIN_BRAIDS:
+def _check_builtin(name: str) -> None:
+    """Refuse any name but a key of ``BUILTIN_BRAIDS``: one spelling per knot."""
+    if name not in BUILTIN_BRAIDS:
         raise KeyError(f"unknown builtin knot {name!r}; available: {sorted(BUILTIN_BRAIDS)}")
-    return key
 
 
 def builtin_knot(name: str) -> KnotPresentation:
     """Wirtinger-route presentation of a builtin knot."""
     from .braids import parse_braid, wirtinger_from_braid  # local import avoids a cycle
 
-    key = _canonical_builtin(name)
-    kp = wirtinger_from_braid(parse_braid(BUILTIN_BRAIDS[key]))
-    return KnotPresentation(kp.group, kp.meridian, kp.longitude, _BUILTIN_GENUS[key])
+    _check_builtin(name)
+    kp = wirtinger_from_braid(parse_braid(BUILTIN_BRAIDS[name]))
+    return KnotPresentation(kp.group, kp.meridian, kp.longitude, _BUILTIN_GENUS[name])
 
 
 def builtin_monodromy(name: str) -> FiberedKnotData:
     """Bundled fiber automorphisms; certified against the Wirtinger route in tests."""
-    key = _canonical_builtin(name)
+    _check_builtin(name)
     table = {"trefoil": TREFOIL_MONODROMY, "fig8": FIG8_MONODROMY}
-    if key not in table:
+    if name not in table:
         raise KeyError(f"no bundled monodromy for {name!r}")
-    return table[key]
+    return table[name]
 
 
 @dataclass(frozen=True)

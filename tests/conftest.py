@@ -12,15 +12,20 @@ instead of reading the column transform.  Tests freeze values computed by these.
 
 from __future__ import annotations
 
+import contextlib
+import csv
 import importlib.util
+import io
 import itertools
+import re
+import time
 from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import settings
 
-from knotsurgery import builtin_knot, escalation_suite, smith_normal_form, standard_suite
+from knotsurgery import builtin_knot, cli, smith_normal_form, standard_suite
 from knotsurgery.targets import FiniteTarget
 
 # derandomized and without the example database, so that every run draws the
@@ -234,17 +239,30 @@ def spectrum_cache():
 
 
 @pytest.fixture(scope="session")
-def fig8_family_run():
-    """The demo's escalating distinction of the fig8 family q=1, p=1..6.
+def fig8_family_run(tmp_path_factory):
+    """The fig8 family q=1, p=1..6 told apart by ``family --targets extended``.
 
-    Loads ``scripts/fig8_family_demo.py`` and returns its
-    ``run(6, escalation_suite())``, the one copy of the walk, plus
-    ``extra_counts``: each group's escalation counts by target name.
-    Shared session-wide because the last pair needs PSL(2,19).
+    Runs the CLI in-process without the cache and returns its ``exit`` code,
+    the ``counts`` of ``spectra.csv`` by p and then by target name, each
+    pair's ``resolution`` (target name, both counts) read off the
+    ``DISTINGUISHED at`` lines of ``distinguish_report.txt``, and the
+    ``elapsed`` seconds.  Shared session-wide because it searches PSL(2,19).
     """
-    run = load_demo().run(6, escalation_suite())
-    extra_counts: dict[int, dict[str, int]] = {p: {} for p in run["standard_spectra"]}
-    for target, counts, _, _ in run["steps"]:
-        for p, count in counts.items():
-            extra_counts[p][target.name] = count
-    return {**run, "extra_counts": extra_counts}
+    out = tmp_path_factory.mktemp("fig8-extended")
+    argv = ["family", "--builtin", "fig8", "--q", "1", "--p=1..6", "--targets", "extended",
+            "--no-cache", "--out", str(out)]
+    started = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    elapsed = time.perf_counter() - started
+    with open(out / "spectra.csv", newline="") as rows:
+        counts = {int(row.pop("label").removeprefix("p=")): {t: int(n) for t, n in row.items()}
+                  for row in csv.DictReader(rows)}
+    separated = re.compile(r"p=(\d+) vs p=(\d+): DISTINGUISHED at (\S+) \(counts (\d+) vs (\d+)\)")
+    resolution = {}
+    for line in (out / "distinguish_report.txt").read_text().splitlines():
+        match = separated.fullmatch(line)
+        if match:
+            a, b, target, left, right = match.groups()
+            resolution[(int(a), int(b))] = (target, int(left), int(right))
+    return {"exit": code, "counts": counts, "resolution": resolution, "elapsed": elapsed}

@@ -7,13 +7,12 @@ wall-clock target of criterion 1.
 
 import ast
 import functools
-import importlib.util
+import itertools
 import math
 import random
 import re
 import sys
 from collections import Counter
-from pathlib import Path
 
 import knotsurgery
 from knotsurgery import (
@@ -71,18 +70,17 @@ def cached_count(cache, presentation, target) -> int:
 def test_criterion_1_figure_eight_distinction(fig8_family_run):
     run = fig8_family_run
     assert run["elapsed"] < 300, f"took {run['elapsed']:.0f}s, target is 300s"
-    ps = sorted(run["standard_spectra"])
-    report = run["report"]
-    assert report.labels == tuple(f"p={p}" for p in ps)
-    assert report.counts == tuple(run["standard_spectra"][p].counts for p in ps)
+    assert run["exit"] == 0
+    ps = sorted(run["counts"])
+    assert ps == list(range(1, 7))
     # the standard suite alone does not separate these homology spheres;
-    # the documented escalation path must finish the job
-    for i, j, k in report.pairs:
-        if k is None:
-            assert (ps[i], ps[j]) in run["resolution"], f"pair {ps[i], ps[j]} never separated"
-    assert not run["unresolved"]
-    print("\nescalation resolutions:")
+    # the escalation targets of the extended suite must finish the job
+    for p in ps:
+        assert {run["counts"][p][t.name] for t in standard_suite()} == {1}, p
+    assert sorted(run["resolution"]) == list(itertools.combinations(ps, 2))
+    print("\nseparations:")
     for (a, b), (target, left, right) in sorted(run["resolution"].items()):
+        assert (left, right) == (run["counts"][a][target], run["counts"][b][target])
         print(f"  p={a} vs p={b}: {target} ({left} vs {right})")
     print(f"elapsed: {run['elapsed']:.1f}s")
 
@@ -110,24 +108,16 @@ FIG8_SEPARATIONS = {
 
 
 def test_fig8_escalation_table_frozen(fig8_family_run):
-    run = fig8_family_run
-    for spectrum in run["standard_spectra"].values():
-        assert set(spectrum.counts) == {1}
-    by_target: dict[str, dict[int, int]] = {}
-    for p, counts in run["extra_counts"].items():
-        for target, count in counts.items():
-            by_target.setdefault(target, {})[p] = count
-    assert by_target == FIG8_ESCALATION
-    separated_at = {pair: target for pair, (target, _, _) in run["resolution"].items()}
+    counts = fig8_family_run["counts"]
+    for target, frozen in FIG8_ESCALATION.items():
+        assert {p: counts[p][target] for p in frozen} == frozen, target
+    separated_at = {pair: target for pair, (target, _, _) in fig8_family_run["resolution"].items()}
     assert separated_at == FIG8_SEPARATIONS
 
 
 def test_fig8_demo_prints_the_frozen_table(capsys, monkeypatch):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "fig8_family_demo.py"
-    spec = importlib.util.spec_from_file_location("fig8_family_demo", script)
-    demo = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(demo)
-    monkeypatch.setattr(sys, "argv", [str(script), "6"])
+    demo = load_demo()
+    monkeypatch.setattr(sys, "argv", [demo.__file__, "6"])
     code = demo.main()
     escalated: dict[str, dict[int, int]] = {}
     separated: dict[tuple[int, int], str] = {}

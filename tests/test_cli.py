@@ -288,6 +288,17 @@ def test_verify_trefoil_multiple_slopes(capsys):
     assert out.count("PASS") == 3
 
 
+def test_verify_checks_the_fig8_family_over_the_extended_suite(capsys):
+    # both surgery routes of every member, counted directly, against the
+    # knot group's tables at all 20 targets, PSL2_17 and PSL2_19 included
+    argv = ["verify", "--builtin", "fig8", "--q", "1", "--p=1..6", "--targets", "extended"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    assert out.splitlines() == [
+        f"p={p} q=1: H1 0 vs 0, spectra over 20 targets: PASS" for p in range(1, 7)
+    ]
+
+
 def test_verify_fails_when_the_table_side_disagrees(capsys, monkeypatch):
     argv = ["verify", "--builtin", "trefoil", "--q", "1", "--p", "1,2"]
     expected = run(argv, capsys)[1]

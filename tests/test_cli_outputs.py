@@ -71,6 +71,10 @@ def collect() -> dict:
     extended = ["family", "--targets", "extended"] + SOURCES["fig8"] + ["--q", "1", "--p=-3..3"]
     for name in ("family-cold", "family-warm"):
         outcomes[f"fig8/extended/{name}/q1"] = _outcome(extended, "fig8-extended-q1")
+    # the paper's family, which only the escalation targets tell apart
+    distinction = ["family", "--targets", "extended"] + SOURCES["fig8"] + ["--q", "1", "--p=1..6"]
+    for name in ("family-cold", "family-warm"):
+        outcomes[f"fig8/extended/{name}/q1-p1..6"] = _outcome(distinction, "fig8-extended-q1-p1..6")
     # a valid monodromy whose mapping torus is no knot group (H1 = Z^3):
     # knot, family and verify stop after the failed peripheral checks
     identity = {"a1": [["a1", 1]], "b1": [["b1", 1]]}

@@ -18,7 +18,7 @@ from knotsurgery import (
     tietze_simplify,
     validate_peripheral,
 )
-from knotsurgery.cli import MAX_MONODROMY_BYTES, _read_json
+from knotsurgery.cli import MAX_MONODROMY_BYTES, _read_json, main
 from knotsurgery.knots import (
     MAX_GENUS,
     boundary_word,
@@ -171,8 +171,14 @@ def test_fibered_json_errors():
         fibered_knot_from_json({"genus": MAX_GENUS + 1, "forward": identity, "backward": identity})
 
 
-def test_builtin_aliases():
-    assert builtin_knot("figure-eight").group == builtin_knot("fig8").group
+def test_each_builtin_knot_has_one_spelling(capsys):
+    # the cache fingerprints the --builtin text, so a second spelling of one
+    # knot would store its spectra again under other names
+    for name in ("figure-eight", "FIG8", " fig8"):
+        assert main(["knot", "--builtin", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "available: ['fig8', 'trefoil', 'unknot']" in captured.err
     with pytest.raises(KeyError):
         builtin_knot("granny")
 
