@@ -258,7 +258,7 @@ def load_knot(config: RunConfig) -> tuple[KnotPresentation, str]:
         try:
             kp = builtin_knot(config.source)
         except KeyError as exc:
-            raise KnotSurgeryError(str(exc)) from None
+            raise KnotSurgeryError(exc.args[0]) from None
     elif config.source_kind == "monodromy":
         payload, content = _read_json(
             config.source, MAX_MONODROMY_BYTES, "monodromy", InvalidMonodromyError

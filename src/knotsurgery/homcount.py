@@ -21,7 +21,8 @@ the identity.  Two exact reductions keep the search small:
   C_H(c), so the second searched generator tries one representative per
   C_H(c)-orbit of H and weights it by the orbit size (see Holt, Eick &
   O'Brien, *Handbook of Computational Group Theory*, 2005, on homomorphisms
-  up to conjugacy).
+  up to conjugacy).  Both lists come from ``FiniteTarget.centralizer_orbits``:
+  the classes are its orbits at the identity, whose centralizer is H.
 
 Every later generator ranges over all of H.  The weighted total equals naive
 enumeration over all |H|^n assignments.  Generators appearing in no relator
@@ -129,7 +130,7 @@ def evaluate_word(
     """Element index of a word under the given generator-image assignment."""
     mult = target.mult
     inv = target.inverse
-    x = target.identity_index
+    x = 0  # the identity
     for g, e in letters:
         y = images[g]
         x = mult[x][y if e == 1 else inv[y]]
@@ -166,7 +167,6 @@ def weighted_homomorphisms(
         first = target.conjugacy_classes
     mult = target.mult
     inv = target.inverse
-    identity = target.identity_index
     images = [0] * len(p.generators)
     last = len(sequence) - 1
 
@@ -183,7 +183,7 @@ def weighted_homomorphisms(
         for relator in steps[depth]:
             values = []
             for sign, u in relator:
-                x = identity
+                x = 0  # the identity
                 for gen, e in u:
                     y = images[gen]
                     x = mult[x][y if e == 1 else inv[y]]
@@ -194,10 +194,10 @@ def weighted_homomorphisms(
         for h, size in candidates:
             pair = (h, inv[h])
             for relator in checks:
-                x = identity
+                x = 0
                 for sign, u in relator:
                     x = mult[mult[x][pair[sign]]][u]
-                if x != identity:
+                if x:
                     break
             else:
                 images[g] = h
@@ -251,17 +251,17 @@ def slope_count(
     The summed weight of the pairs (a, b) with a^q b^p = 1, tested as
     a^q = b^-p with each power read off the element's cycle of powers.
     """
-    mult, identity = target.mult, target.identity_index
+    mult = target.mult
     cycles: dict[int, list[int]] = {}
 
     def power(x: int, n: int) -> int:
         cycle = cycles.get(x)
         if cycle is None:
-            cycle = [identity]
+            cycle = [0]
             y = x
-            while y != identity:
+            while y:
                 cycle.append(y)
-                y = mult[y][x]
+                y = mult[x][y]
             cycles[x] = cycle
         return cycle[n % len(cycle)]
 

@@ -2,12 +2,12 @@
 
 Permutations act on 0..degree-1 and are stored as image tuples; composition
 is (a * b)(x) = a(b(x)).  A FiniteTarget carries its fully enumerated element
-list, an inverse table and ``mult``, read as ``mult[x][y]`` (the index of
-e_x * e_y), so that hom counting is a pure lookup loop.  A target of at most
-FULL_TABLE_MAX_ORDER elements stores every product in a tuple of tuples.  A
-larger one stores none when it is closed: its ``mult`` computes a product by
-composing the two permutations the first time it is read, and keeps it, up to
-order^2 // 12 products per target.
+list, whose element 0 is the identity, an inverse table and ``mult``, read as
+``mult[x][y]`` (the index of e_x * e_y), so that hom counting is a pure lookup
+loop.  A target of at most FULL_TABLE_MAX_ORDER elements stores every product
+in a tuple of tuples.  A larger one stores none when it is closed: its
+``mult`` computes a product by composing the two permutations the first time
+it is read, and keeps it, up to order^2 // 12 products per target.
 
 Closing a target composes each element with each generator once, at C level,
 while it finds the elements breadth-first.  Everything else is read off that
@@ -44,11 +44,12 @@ Perm = tuple[int, ...]
 DEFAULT_CLOSURE_CAP = 5000
 # Largest order whose full multiplication table is built at closing: 8 *
 # 1448^2 bytes is just under 16 MiB.  Measured on a 2-core machine (Python
-# 3.11), closing and then counting the six fig8 surgery groups (q=1,
+# 3.11.7), closing and then counting the six fig8 surgery groups (q=1,
 # p=1..6) took, with a full table against products computed on first use:
-# PSL2_13 61 ms against 98 ms, PSL2_17 266 ms against 275 ms, PSL2_19 482 ms
-# against 412 ms.  The full tables of PSL2_17 and PSL2_19 were 0.63 s of the
-# 0.76 s that closing the escalation suite took, and 141 MB.
+# PSL2_13 43-52 ms against 64-69 ms, PSL2_17 219-232 ms against 134-196 ms,
+# PSL2_19 361-438 ms against 259-326 ms.  Closing the escalation suite took
+# 0.07 s without the tables of PSL2_17 and PSL2_19, and 0.49-0.55 s with
+# them; they are 142 MB.
 FULL_TABLE_MAX_ORDER = 1448
 # Largest degree a target-suite file may give; checked before any
 # permutation of that degree is built.
@@ -88,25 +89,6 @@ def parse_cycles(text: str, degree: int) -> Perm:
         for i, x in enumerate(points):
             mapping[x] = points[(i + 1) % len(points)]
     return tuple(mapping)
-
-
-def cycle_string(p: Perm) -> str:
-    """1-based disjoint cycle notation; identity renders as ``()``."""
-    seen = [False] * len(p)
-    cycles = []
-    for start in range(len(p)):
-        if seen[start] or p[start] == start:
-            seen[start] = True
-            continue
-        cycle = [start]
-        seen[start] = True
-        x = p[start]
-        while x != start:
-            cycle.append(x)
-            seen[x] = True
-            x = p[x]
-        cycles.append("(" + " ".join(str(i + 1) for i in cycle) + ")")
-    return "".join(cycles) if cycles else "()"
 
 
 class _ProductRow(dict):
@@ -168,7 +150,6 @@ class FiniteTarget:
     elements: tuple[Perm, ...]
     mult: tuple[tuple[int, ...], ...] | ProductMemo
     inverse: tuple[int, ...]
-    identity_index: int
 
     @property
     def order(self) -> int:
@@ -176,66 +157,58 @@ class FiniteTarget:
 
     @cached_property
     def conjugacy_classes(self) -> tuple[tuple[int, int], ...]:
-        """(representative, class size) per conjugacy class, by first index.
-
-        A class is the orbit of its smallest element index under conjugation
-        by the generators, found breadth-first over the mult/inverse tables.
-        """
-        mult, inverse = self.mult, self.inverse
-        conjugators = []
-        for perm in self.generators:
-            g = self.elements.index(perm)
-            conjugators.append((mult[g], inverse[g]))
-        seen = bytearray(self.order)
-        classes = []
-        for rep in range(self.order):
-            if seen[rep]:
-                continue
-            seen[rep] = 1
-            orbit = [rep]
-            for x in orbit:
-                for row, g_inv in conjugators:
-                    y = mult[row[x]][g_inv]
-                    if not seen[y]:
-                        seen[y] = 1
-                        orbit.append(y)
-            classes.append((rep, len(orbit)))
-        return tuple(classes)
+        """(representative, class size) per conjugacy class: ``centralizer_orbits(0)``."""
+        return self.centralizer_orbits(0)
 
     @cached_property
-    def _centralizer_orbit_cache(self) -> dict[int, tuple[tuple[int, int], ...]]:
+    def _orbit_cache(self) -> dict[int, tuple[tuple[int, int], ...]]:
         return {}
 
     def centralizer_orbits(self, c: int) -> tuple[tuple[int, int], ...]:
         """(representative, orbit size) per orbit of H under conjugation by C_H(c).
 
-        Each orbit is listed under its smallest element index, so for a
-        central c (the identity included) these are ``conjugacy_classes``.
-        Otherwise each orbit is the set {z x z^-1 : z in C_H(c)}, which costs
-        sum over z in C_H(c) of |C_H(z)| lookups by Burnside's lemma.  The
-        result is cached on this target, per c, on first use.
+        Each orbit is listed under its smallest element index, so for c = 0,
+        the identity, these are the conjugacy classes.  Conjugation by z reads
+        row z alone, as z x z^-1 = z (z x^-1)^-1, and C_H(c) is the set of
+        elements that conjugation by c fixes, so only the rows of the
+        conjugators in use are read.  For a central c each orbit is found
+        breadth-first under conjugation by the generators; otherwise it is the
+        set {z x z^-1 : z in C_H(c)}, which costs sum over z in C_H(c) of
+        |C_H(z)| steps by Burnside's lemma.  The result is cached on this
+        target, per c, on first use.
         """
-        cache = self._centralizer_orbit_cache
+        cache = self._orbit_cache
         if c in cache:
             return cache[c]
-        mult, inverse = self.mult, self.inverse
+        mult, inverse, order = self.mult, self.inverse, self.order
         row_c = mult[c]
-        centralizer = [z for z in range(self.order) if mult[z][c] == row_c[z]]
-        if len(centralizer) == self.order:
-            orbits = self.conjugacy_classes
+        centralizer = [z for z in range(order) if row_c[inverse[row_c[inverse[z]]]] == z]
+        central = len(centralizer) == order
+        if central:
+            rows = [mult[self.elements.index(g)] for g in self.generators]
         else:
-            conjugators = [(mult[z], inverse[z]) for z in centralizer]
-            seen = bytearray(self.order)
-            found = []
-            for rep in range(self.order):
-                if seen[rep]:
-                    continue
-                orbit = {mult[row[rep]][z_inv] for row, z_inv in conjugators}
+            rows = [mult[z] for z in centralizer]
+        seen = bytearray(order)
+        found = []
+        for rep in range(order):
+            if seen[rep]:
+                continue
+            if central:
+                seen[rep] = 1
+                orbit = [rep]
                 for x in orbit:
-                    seen[x] = 1
-                found.append((rep, len(orbit)))
-            orbits = tuple(found)
-        cache[c] = orbits
+                    for row in rows:
+                        y = row[inverse[row[inverse[x]]]]
+                        if not seen[y]:
+                            seen[y] = 1
+                            orbit.append(y)
+            else:
+                x = inverse[rep]
+                orbit = {row[inverse[row[x]]] for row in rows}
+                for y in orbit:
+                    seen[y] = 1
+            found.append((rep, len(orbit)))
+        orbits = cache[c] = tuple(found)
         return orbits
 
     def __repr__(self) -> str:
@@ -250,12 +223,13 @@ def close_target(
 ) -> FiniteTarget:
     """Saturate the generators into a full element list and build tables.
 
-    Elements are discovered breadth-first as words in the generators, so each
-    element k > 0 is e_k = e_parent(k) * h_k for one generator h_k, its
-    letter.  The search composes each element with each generator once, at C
-    level, and records the index of e_i * g as ``right[g][i]``; nothing else
-    here composes or hashes a permutation.  The rest are integer walks down
-    that breadth-first tree, O(|gens| * order) steps each:
+    Elements are discovered breadth-first as words in the generators, so
+    index 0 is the identity and each element k > 0 is e_k = e_parent(k) *
+    h_k for one generator h_k, its letter.  The search composes each element
+    with each generator once, at C level, and records the index of e_i * g as
+    ``right[g][i]``; nothing else here composes or hashes a permutation.  The
+    rest are integer walks down that breadth-first tree, O(|gens| * order)
+    steps each:
 
     - left multiplication, ``left[g][k]`` = the index of g * e_k, is
       ``right[h_k][left[g][parent(k)]]``;
@@ -328,7 +302,6 @@ def close_target(
         elements=elements,
         mult=mult,
         inverse=tuple(inverse),
-        identity_index=0,
     )
 
 

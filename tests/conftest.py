@@ -4,7 +4,9 @@ The oracles here deliberately avoid the package's own evaluation machinery:
 naive_hom_count multiplies raw permutation tuples (``compose`` and
 ``invert_perm``), naive_closure closes generators by a frontier-by-frontier
 search over raw products, torus_hom_count counts the roots of raw permutation
-powers, seifert_alexander expands a determinant by permutation sums over
+powers, low_index_hom_count counts subgroups of small index by coset
+enumeration and uses no target, table or permutation at all,
+seifert_alexander expands a determinant by permutation sums over
 dict-polynomials, det_oracle is a cofactor expansion, min_rotation_oracle
 builds every rotation, and row_lattice_oracle compares invariant factors
 instead of reading the column transform.  Tests freeze values computed by these.
@@ -17,6 +19,7 @@ import csv
 import importlib.util
 import io
 import itertools
+import math
 import re
 import time
 from collections import Counter
@@ -47,6 +50,25 @@ def invert_perm(a: tuple) -> tuple:
     for i, j in enumerate(a):
         out[j] = i
     return tuple(out)
+
+
+def cycle_string(p: tuple) -> str:
+    """1-based disjoint cycle notation; identity renders as ``()``."""
+    seen = [False] * len(p)
+    cycles = []
+    for start in range(len(p)):
+        if seen[start] or p[start] == start:
+            seen[start] = True
+            continue
+        cycle = [start]
+        seen[start] = True
+        x = p[start]
+        while x != start:
+            cycle.append(x)
+            seen[x] = True
+            x = p[x]
+        cycles.append("(" + " ".join(str(i + 1) for i in cycle) + ")")
+    return "".join(cycles) if cycles else "()"
 
 
 def naive_closure(generators, degree: int) -> list:
@@ -90,6 +112,76 @@ def naive_hom_count(presentation, target: FiniteTarget) -> int:
         if ok:
             count += 1
     return count
+
+
+def low_index_hom_count(presentation, n: int) -> int:
+    """|Hom(G, S_n)| from the numbers a_k of subgroups of index k <= n in G.
+
+    a_k counts the standardized complete coset tables on k cosets.  The
+    search backtracks on the first undefined entry in row-major order: it is
+    either an existing coset whose inverse entry is free or the next new
+    coset.  After each definition every relator is traced from every coset,
+    forwards and backwards; a gap of one letter is filled, a clash drops the
+    table.  Then h_m = sum over k = 1..m of C(m-1, k-1) (k-1)! a_k h_{m-k},
+    with h_0 = 1, is |Hom(G, S_m)| (M. Hall, 1949): the orbit of the first
+    point is a transitive action on k points, the rest any action on m - k.
+    """
+    columns = 2 * len(presentation.generators)  # column 2g is g, 2g + 1 is g^-1
+    relators = [[2 * g + (e != 1) for g, e in r.letters] for r in presentation.relators]
+    subgroups = [0] * (n + 1)
+
+    def settled(table) -> bool:
+        changed = True
+        while changed:
+            changed = False
+            for relator in relators:
+                for start in range(len(table)):
+                    f, i = start, 0
+                    while i < len(relator) and table[f][relator[i]] is not None:
+                        f, i = table[f][relator[i]], i + 1
+                    if i == len(relator):
+                        if f != start:
+                            return False
+                        continue
+                    b, j = start, len(relator)
+                    while j > i and table[b][relator[j - 1] ^ 1] is not None:
+                        b, j = table[b][relator[j - 1] ^ 1], j - 1
+                    if j == i:  # b reaches start along relator[i:], f cannot
+                        return False
+                    if j == i + 1:
+                        x = relator[i]
+                        if table[b][x ^ 1] is not None:
+                            return False
+                        table[f][x], table[b][x ^ 1] = b, f
+                        changed = True
+        return True
+
+    def search(table) -> None:
+        if not settled(table):
+            return
+        gap = next(((k, row.index(None)) for k, row in enumerate(table) if None in row), None)
+        if gap is None:
+            subgroups[len(table)] += 1
+            return
+        k, x = gap
+        options = [t for t in range(len(table)) if table[t][x ^ 1] is None]
+        if len(table) < n:
+            options.append(len(table))
+        for t in options:
+            branch = [row[:] for row in table]
+            if t == len(table):
+                branch.append([None] * columns)
+            branch[k][x], branch[t][x ^ 1] = t, k
+            search(branch)
+
+    search([[None] * columns])
+    homs = [1]
+    for m in range(1, n + 1):
+        homs.append(sum(
+            math.comb(m - 1, k - 1) * math.factorial(k - 1) * subgroups[k] * homs[m - k]
+            for k in range(1, m + 1)
+        ))
+    return homs[n]
 
 
 def torus_hom_count(r: int, s: int, target: FiniteTarget) -> int:

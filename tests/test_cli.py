@@ -43,6 +43,8 @@ from knotsurgery.surgery import (
 )
 from knotsurgery.targets import DEFAULT_CLOSURE_CAP, MAX_TARGET_DEGREE
 
+from conftest import cycle_string
+
 
 def run(argv, capsys):
     code = main(argv)
@@ -488,7 +490,7 @@ def test_suite_just_past_the_table_budget(capsys, tmp_path):
     # DEFAULT_CLOSURE_CAP^2 = 25 000 000 budget, so a third is capped at
     # isqrt(1 607 200) = 1267 elements.
     assert 2 * 3420**2 <= DEFAULT_CLOSURE_CAP**2 < 3 * 3420**2
-    generators = [targets.cycle_string(g) for g in targets.psl2(19).generators]
+    generators = [cycle_string(g) for g in targets.psl2(19).generators]
     psl = {"degree": 20, "generators": generators}
     for copies, expected in ((2, 0), (3, 4)):
         path = tmp_path / f"{copies}.json"

@@ -8,6 +8,8 @@ from knotsurgery import (
     Presentation,
     Word,
     alternating,
+    build_family,
+    builtin_knot,
     count_homomorphisms,
     cyclic,
     dihedral,
@@ -25,7 +27,7 @@ from knotsurgery import (
 from knotsurgery.homcount import HomSpectrum, evaluate_word, weighted_homomorphisms
 from knotsurgery.targets import FULL_TABLE_MAX_ORDER
 
-from conftest import naive_hom_count, torus_hom_count
+from conftest import low_index_hom_count, naive_hom_count, torus_hom_count
 
 
 def pres(names, *relator_texts):
@@ -44,10 +46,10 @@ def test_cyclic_presentation_counts_match_element_orders(n, suite_small):
     for target in suite_small:
         expected = 0
         for i in range(target.order):
-            power = target.identity_index
+            power = 0
             for _ in range(n):
                 power = target.mult[power][i]
-            if power == target.identity_index:
+            if power == 0:
                 expected += 1
         assert count_homomorphisms(p, target) == expected
 
@@ -81,7 +83,7 @@ def test_iter_homomorphisms_enumerates_assignments():
     homs = list(iter_homomorphisms(p, s3))
     assert len(homs) == 4
     for (image,) in homs:
-        assert s3.mult[image][image] == s3.identity_index
+        assert s3.mult[image][image] == 0
     # free generators are enumerated too
     assert len(list(iter_homomorphisms(pres(["a", "b"], "a^2"), cyclic(3)))) == 3
 
@@ -172,7 +174,7 @@ def test_matches_naive_enumeration(p, name):
     # satisfies every relator
     def satisfied(images):
         return all(
-            evaluate_word(r.letters, images, target) == target.identity_index for r in p.relators
+            evaluate_word(r.letters, images, target) == 0 for r in p.relators
         )
 
     weighted = 0
@@ -208,6 +210,37 @@ def test_torus_knot_counts_match_the_power_map_oracle(braid, r, s, full_tables_o
     assert len(targets) == (18 if full_tables_only else 20)
     for target in targets:
         assert count_homomorphisms(group, target) == torus_hom_count(r, s, target), target.name
+
+
+LOW_INDEX_TARGETS = {5: symmetric(5), 6: symmetric(6)}
+
+two_generator_presentations = st.lists(
+    st.lists(st.tuples(st.integers(0, 1), st.sampled_from((1, -1))), min_size=1, max_size=8),
+    min_size=1,
+    max_size=2,
+).map(lambda rels: Presentation(["a", "b"], [Word(tuple(r)) for r in rels]))
+
+
+@given(two_generator_presentations)
+def test_low_index_oracle_matches_the_engine_at_s5_and_s6(p):
+    for n, target in LOW_INDEX_TARGETS.items():
+        assert count_homomorphisms(p, target) == low_index_hom_count(p, n)
+
+
+def test_low_index_oracle_matches_the_engine_on_knot_and_surgery_groups():
+    # (|Hom(G, S5)|, |Hom(G, S6)|) of each simplified group, fig8 surgeries at q = 1
+    expected = {
+        "trefoil": (600, 6480), "fig8": (600, 10080),
+        1: (1, 1), 2: (1, 1441), 3: (1, 1441), 4: (1, 1), 5: (1, 1), 6: (1, 1),
+    }
+    groups = {name: builtin_knot(name).group for name in ("trefoil", "fig8")}
+    for member in build_family(builtin_knot("fig8"), 1, range(1, 7)).members:
+        groups[member.slope.p] = member.presentation
+    for key, group in groups.items():
+        group = tietze_simplify(group)
+        counts = tuple(count_homomorphisms(group, LOW_INDEX_TARGETS[n]) for n in (5, 6))
+        assert counts == tuple(low_index_hom_count(group, n) for n in (5, 6)), key
+        assert counts == expected[key], key
 
 
 @settings(max_examples=30)

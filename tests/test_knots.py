@@ -178,7 +178,9 @@ def test_each_builtin_knot_has_one_spelling(capsys):
         assert main(["knot", "--builtin", name]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "available: ['fig8', 'trefoil', 'unknot']" in captured.err
+        assert captured.err == (
+            f"error: unknown builtin knot {name!r}; available: ['fig8', 'trefoil', 'unknot']\n"
+        )
     with pytest.raises(KeyError):
         builtin_knot("granny")
 

@@ -112,6 +112,26 @@ def test_large_bundled_targets_store_no_product_when_closed():
         assert isinstance(fresh[name].mult, tuple)
 
 
+def test_classes_of_a_memo_target_make_rows_for_the_generators_only():
+    target = targets.ESCALATION["PSL2_19"]()
+    assert isinstance(target.mult, ProductMemo)
+    assert len(target.conjugacy_classes) == 12
+    # row 0 tests centrality, and each generator's row conjugates
+    assert len(target.mult) <= 1 + len(target.generators)
+
+
+@pytest.mark.parametrize("k", [1, 6, 11])
+def test_centralizer_orbits_of_a_memo_target_make_rows_for_the_centralizer_only(k):
+    c = BUNDLED["PSL2_19"].conjugacy_classes[k][0]
+    target = targets.ESCALATION["PSL2_19"]()
+    a = target.elements[c]
+    centralizer = sum(compose(z, a) == compose(a, z) for z in target.elements)
+    assert centralizer < target.order
+    orbits = target.centralizer_orbits(c)
+    assert sum(size for _, size in orbits) == target.order
+    assert len(target.mult) <= centralizer + 2
+
+
 def test_a_memo_target_hashes_and_compares_without_reading_its_products():
     target = close_as(BUNDLED["S4"], True)
     twin = close_as(BUNDLED["S4"], True)
@@ -145,4 +165,4 @@ def test_sampled_rows_of_the_largest_targets_are_compositions(name):
         assert [row[j] for j in range(target.order)] == [
             index[compose(a, b)] for b in target.elements
         ]
-        assert target.mult[i][target.inverse[i]] == target.identity_index
+        assert target.mult[i][target.inverse[i]] == 0
