@@ -28,12 +28,11 @@ from .errors import BraidSyntaxError, IndexOutOfRangeError, NotAKnotError
 from .fpgroup import Presentation, Word, word_power, _inverse_letters, _reduced
 from .knots import KnotPresentation
 
-_HEADER = re.compile(r"^\s*n\s*=\s*(\d+)\s*;")
-_TOKEN = re.compile(r"^(?:(-?\d+)|([sS])(\d+))$")
+_LETTER = re.compile(r"-?[1-9][0-9]*")
 
 # Longest braid accepted.  Wirtinger labels can grow exponentially with the
-# length (1974 letters in the longest relator of (s1 S2)^8, about 2.6 times
-# more per further s1 S2), so the limit keeps every knot group small.  A knot
+# length (1974 letters in the longest relator of (1 -2)^8, about 2.6 times
+# more per further 1 -2), so the limit keeps every knot group small.  A knot
 # closure on n strands needs at least n - 1 letters, which bounds the strands.
 MAX_BRAID_LENGTH = 16
 
@@ -60,31 +59,19 @@ class BraidWord:
                 raise IndexOutOfRangeError(
                     f"letter {k} out of range for {self.strands} strands"
                 )
-        cycle = self.closure_cycle_containing_first()
-        if len(cycle) != self.strands:
-            raise NotAKnotError(
-                f"closure has {self.strands - len(cycle) + 1} components, expected a knot"
-            )
-
-    def permutation(self) -> tuple[int, ...]:
-        """Top position -> bottom position map of the braid."""
+        # walk the closure's cycle through position 0 (bottom to top, which
+        # has the same length as top to bottom); a knot's visits every strand
         position = list(range(self.strands))
         for k in self.letters:
             i = abs(k) - 1
             position[i], position[i + 1] = position[i + 1], position[i]
-        out = [0] * self.strands
-        for bottom, top in enumerate(position):
-            out[top] = bottom
-        return tuple(out)
-
-    def closure_cycle_containing_first(self) -> tuple[int, ...]:
-        perm = self.permutation()
-        cycle = [0]
-        x = perm[0]
+        visited, x = 1, position[0]
         while x != 0:
-            cycle.append(x)
-            x = perm[x]
-        return tuple(cycle)
+            visited, x = visited + 1, position[x]
+        if visited != self.strands:
+            raise NotAKnotError(
+                f"closure has {self.strands - visited + 1} components, expected a knot"
+            )
 
     @property
     def writhe(self) -> int:
@@ -92,35 +79,17 @@ class BraidWord:
 
 
 def parse_braid(text: str) -> BraidWord:
-    """Parse braid input: optional ``n=<int>;`` header, then letters.
+    """Parse whitespace-separated signed integers, such as ``"1 -2 1 -2"``.
 
-    Letters are whitespace-separated signed integers or tokens ``s<k>`` /
-    ``S<k>`` (capital S meaning the inverse crossing).  Without a header the
-    strand count is inferred as max|k| + 1 (1 for the empty braid).
+    A letter is written one way only: ASCII digits, no ``+`` and no leading
+    zero.  The strand count is max|k| + 1 (1 for the empty braid).
     """
-    body = text
-    strands = None
-    header = _HEADER.match(text)
-    if header:
-        strands = int(header.group(1))
-        body = text[header.end() :]
     letters = []
-    for token in body.split():
-        match = _TOKEN.match(token)
-        if not match:
+    for token in text.split():
+        if not _LETTER.fullmatch(token):
             raise BraidSyntaxError(f"bad braid token {token!r}")
-        if match.group(1) is not None:
-            k = int(match.group(1))
-        else:
-            k = int(match.group(3))
-            if match.group(2) == "S":
-                k = -k
-        if k == 0:
-            raise BraidSyntaxError("braid letters must be nonzero")
-        letters.append(k)
-    if strands is None:
-        strands = max((abs(k) for k in letters), default=0) + 1
-    return BraidWord(strands, tuple(letters))
+        letters.append(int(token))
+    return BraidWord(max((abs(k) for k in letters), default=0) + 1, tuple(letters))
 
 
 def wirtinger_from_braid(braid: BraidWord) -> KnotPresentation:
@@ -132,18 +101,20 @@ def wirtinger_from_braid(braid: BraidWord) -> KnotPresentation:
     """
     n = braid.strands
     labels: list[tuple] = [((i, 1),) for i in range(n)]
-    snapshots = [tuple(labels)]
+    # per letter, the over arc's label before the crossing, inverted at a
+    # negative one: what a walk passing under that crossing prepends
+    overs = []
     for k in braid.letters:
         i = abs(k) - 1
-        over_first = k > 0
         u_i, u_j = labels[i], labels[i + 1]
-        if over_first:
+        if k > 0:
+            overs.append(u_i)
             labels[i] = _reduced(u_i + u_j + _inverse_letters(u_i))
             labels[i + 1] = u_i
         else:
+            overs.append(_inverse_letters(u_j))
             labels[i] = u_j
-            labels[i + 1] = _reduced(_inverse_letters(u_j) + u_i + u_j)
-        snapshots.append(tuple(labels))
+            labels[i + 1] = _reduced(overs[-1] + u_i + u_j)
 
     relators = []
     for j in range(n):
@@ -157,15 +128,8 @@ def wirtinger_from_braid(braid: BraidWord) -> KnotPresentation:
             i = abs(k) - 1
             if position not in (i, i + 1):
                 continue
-            over_position = i if k > 0 else i + 1
-            if position == over_position:
-                position = 2 * i + 1 - position
-                continue
-            over_label = snapshots[t][over_position]
-            if k > 0:
-                acc = _reduced(over_label + acc)
-            else:
-                acc = _reduced(_inverse_letters(over_label) + acc)
+            if position != (i if k > 0 else i + 1):  # the walk passes under
+                acc = _reduced(overs[t] + acc)
             position = 2 * i + 1 - position
         if position == 0:
             break

@@ -59,6 +59,7 @@ from .knots import (
     KnotPresentation,
     builtin_knot,
     fibered_knot_from_json,
+    fibered_knot_to_json,
     mapping_torus_presentation,
     validate_peripheral,
 )
@@ -249,25 +250,26 @@ def _knot_source(args: argparse.Namespace) -> tuple[str, str]:
 def load_knot(config: RunConfig) -> tuple[KnotPresentation, str]:
     """The knot and the fingerprint of its source for the cache key.
 
-    A monodromy file is read once: the knot is parsed from the same bytes
-    whose sha256 is the fingerprint.
+    The fingerprint names the parsed knot, not the text it was typed as, so
+    one braid or monodromy is one key however it is spaced or indented.  A
+    monodromy file is read once.
     """
     if config.source_kind == "braid":
-        kp = wirtinger_from_braid(parse_braid(config.source))
-    elif config.source_kind == "builtin":
+        braid = parse_braid(config.source)
+        return wirtinger_from_braid(braid), "braid:" + " ".join(map(str, braid.letters))
+    if config.source_kind == "builtin":
         try:
-            kp = builtin_knot(config.source)
+            return builtin_knot(config.source), f"builtin:{config.source}"
         except KeyError as exc:
             raise KnotSurgeryError(exc.args[0]) from None
-    elif config.source_kind == "monodromy":
-        payload, content = _read_json(
+    if config.source_kind == "monodromy":
+        payload, _ = _read_json(
             config.source, MAX_MONODROMY_BYTES, "monodromy", InvalidMonodromyError
         )
         data = fibered_knot_from_json(payload)
-        return mapping_torus_presentation(data), f"monodromy:{hashlib.sha256(content).hexdigest()}"
-    else:
-        raise ValueError(f"unknown source kind {config.source_kind!r}")
-    return kp, f"{config.source_kind}:{config.source}"
+        canonical = json.dumps(fibered_knot_to_json(data)).encode()
+        return mapping_torus_presentation(data), f"monodromy:{hashlib.sha256(canonical).hexdigest()}"
+    raise ValueError(f"unknown source kind {config.source_kind!r}")
 
 
 def _cache_keys(config: RunConfig, source: str, p_values: Sequence[int]) -> list[str]:
@@ -609,7 +611,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="cross-check surgery against the doubled route")
     export = sub.add_parser("export", help="write presentations as algebra-system scripts")
     for p in (knot, family, verify, export):
-        p.add_argument("--braid", help="braid word, e.g. '1 1 1' or 'n=2; s1 s1 s1'")
+        p.add_argument("--braid", help="braid word of signed integers, e.g. '1 1 1' or '1 -2 1 -2'")
         p.add_argument("--builtin", help="builtin knot name: unknot, trefoil, fig8")
         p.add_argument("--monodromy", help="path to a fibered-knot JSON file")
         if p is not export:  # export writes presentations and reads no target

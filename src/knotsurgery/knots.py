@@ -216,7 +216,7 @@ FIG8_MONODROMY = FiberedKnotData(
 )
 
 BUILTIN_BRAIDS: dict[str, str] = {
-    "unknot": "n=1;",
+    "unknot": "",
     "trefoil": "1 1 1",
     "fig8": "1 -2 1 -2",
 }

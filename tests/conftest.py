@@ -37,6 +37,21 @@ settings.register_profile("suite", deadline=None, max_examples=60, derandomize=T
 settings.load_profile("suite")
 
 
+# ---------------------------------------------------------------- inputs
+# braids that spell a letter some other way than a plain signed integer (a
+# header, s/S tokens, a plus sign, a leading zero, a comma, a non-ASCII
+# digit), each with the token that is refused
+REFUSED_BRAIDS = {
+    "s1": "s1",
+    "S2 1": "S2",
+    "n=3; 1 -2 1 -2": "n=3;",
+    "+1 -2 1 -2": "+1",
+    "01 -2 1 -2": "01",
+    "1,-2": "1,-2",
+    "\u0661 -2 1 -2": "\u0661",
+}
+
+
 # ---------------------------------------------------------------- oracles
 
 

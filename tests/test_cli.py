@@ -43,7 +43,7 @@ from knotsurgery.surgery import (
 )
 from knotsurgery.targets import DEFAULT_CLOSURE_CAP, MAX_TARGET_DEGREE
 
-from conftest import cycle_string
+from conftest import REFUSED_BRAIDS, cycle_string
 
 
 def run(argv, capsys):
@@ -123,6 +123,60 @@ def test_knot_requires_one_source(capsys):
     code, _, err = run(["knot", "--braid", "1 1 1", "--builtin", "unknot"], capsys)
     assert code == 2
     assert "exactly one" in err
+
+
+@pytest.mark.parametrize("braid", sorted(REFUSED_BRAIDS))
+def test_knot_refuses_every_other_braid_spelling(capsys, braid):
+    code, out, err = run(["knot", "--braid", braid], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad braid token {REFUSED_BRAIDS[braid]!r}\n"
+
+
+def test_a_braid_spaced_another_way_reads_the_cache(capsys, tmp_path):
+    for braid, hits in (("1 -2 1 -2", 0), ("\t1  -2 1 -2 ", 7)):
+        argv = ["family", "--braid", braid, "--q", "1", "--p=-3..3", "--out", str(tmp_path)]
+        assert run(argv, capsys)[0] == 3
+        assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == hits
+    assert len(list((tmp_path / ".cache").glob("*.json"))) == 7
+
+
+def test_a_monodromy_indented_another_way_reads_the_cache(capsys, tmp_path):
+    document = fibered_knot_to_json(builtin_monodromy("fig8"))
+    out = tmp_path / "out"
+    for indent, hits in ((None, 0), (1, 7)):
+        path = tmp_path / f"fig8-{indent}.json"
+        path.write_text(json.dumps(document, indent=indent))
+        argv = ["family", "--monodromy", str(path), "--q", "1", "--p=-3..3", "--out", str(out)]
+        assert run(argv, capsys)[0] == 3
+        assert json.loads((out / "run_meta.json").read_text())["cache_hits"] == hits
+    assert len(list((out / ".cache").glob("*.json"))) == 7
+
+
+_WHITESPACE = " \t\n\r\x0b\x0c"
+
+
+@st.composite
+def spaced_knot_braids(draw):
+    """The letters of a knot braid (at most 8, |k| <= 3) and a rendering of
+    them with random whitespace around and between the letters."""
+    letters = draw(st.lists(st.sampled_from((1, -1, 2, -2, 3, -3)), max_size=8))
+    try:
+        braids.BraidWord(max(map(abs, letters), default=0) + 1, tuple(letters))
+    except knotsurgery.NotAKnotError:
+        assume(False)
+    gap = st.text(_WHITESPACE, min_size=1, max_size=3)
+    end = st.text(_WHITESPACE, max_size=2)
+    text = draw(end) + "".join((draw(gap) if i else "") + str(k) for i, k in enumerate(letters))
+    return letters, text + draw(end)
+
+
+@given(spaced_knot_braids())
+def test_a_braid_spaced_any_way_parses_and_keys_alike(drawn):
+    letters, text = drawn
+    single = " ".join(map(str, letters))
+    assert braids.parse_braid(text) == braids.parse_braid(single)
+    key = cli.load_knot(cli.RunConfig("braid", text))[1]
+    assert key == cli.load_knot(cli.RunConfig("braid", single))[1] == f"braid:{single}"
 
 
 def test_family_unknot_unresolved_exit_3(capsys, tmp_path):
