@@ -13,8 +13,10 @@ metadata goes to a run_meta.json sidecar.  Spectra are cached by content
 hash of (package version, knot source, slope, suite) under
 <out>/.cache.
 
-This is the only module that touches files: every file is read by
-``_read_json`` and written by ``_write``.
+This is the only module that touches files: every input file is read by
+``_read_json``, at its size, and every output is written by ``_write``,
+which first reads back the old output (up to the new text's length + 1
+bytes) and leaves an unchanged one alone.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import io
 import json
 import os
+import stat
 import sys
 import textwrap
 import time
@@ -34,7 +38,7 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .alexander import fox_alexander
@@ -101,13 +105,17 @@ MAX_CACHE_ENTRY_BYTES = 4 * MAX_SUITE_BYTES
 def _read_json(path: str | Path, limit: int, what: str, error: type) -> tuple[object, bytes]:
     """The JSON document in the file and the bytes it was parsed from, read once.
 
-    At most limit + 1 bytes are read, so a file that is larger than it says
-    (a device, or one growing while it is read) is bounded too.  A file past
-    limit bytes or nested deeper than the decoder recurses raises error; one
-    that is not UTF-8 JSON, ValueError.
+    A regular file is read in one read of its size + 1 bytes.  A file that
+    yields more than its size (a device, or one growing while it is read) is
+    read on, to at most limit + 1 bytes in all.  A file past limit bytes or
+    nested deeper than the decoder recurses raises error; one that is not
+    UTF-8 JSON, ValueError.
     """
     with open(path, "rb") as handle:
-        content = handle.read(limit + 1)
+        size = os.fstat(handle.fileno()).st_size
+        content = handle.read(min(size, limit) + 1)
+        if len(content) > size:
+            content += handle.read(limit + 1 - len(content))
     if len(content) > limit:
         raise error(f"{what} file {path!r} is past the limit {limit} bytes")
     try:
@@ -116,16 +124,62 @@ def _read_json(path: str | Path, limit: int, what: str, error: type) -> tuple[ob
         raise error(f"{what} file {path!r} is nested too deeply") from None
 
 
+def _first_change(handle: BinaryIO, chunks: Iterator[bytes]) -> tuple[int, bytes] | None:
+    """Where the file first differs from the bytes of chunks, read alongside them.
+
+    None if it holds exactly those bytes.  Otherwise the offset of the first
+    byte that differs, or where the file or the chunks end, and the rest of
+    the chunk at that offset; chunks is left at the chunk after it.  At most
+    the chunks' length + 1 bytes are read.  A short read only moves the
+    offset earlier.
+    """
+    offset = 0
+    for chunk in chunks:
+        old = handle.read(len(chunk))
+        if old != chunk:
+            same = 0
+            while same < len(old) and old[same] == chunk[same]:
+                same += 1
+            return offset + same, chunk[same:]
+        offset += len(chunk)
+    return (offset, b"") if handle.read(1) else None
+
+
 def _write(path: Path, text: str | Iterable[str], atomic: bool = False) -> None:
     """Write text, or its chunks in order, to path as UTF-8, making path's
     directory if it is missing.
 
-    Chunks go to the open file one at a time, so a large document need not be
-    held in memory whole.  Only cache entries are atomic (a temporary file,
-    then a rename), so that a reader never sees a partial entry; that costs
-    more than an overwrite, and a warm family call rewrites four outputs.  A
-    failed atomic write removes its temporary file.
+    Chunks go to the file one at a time, so a large document need not be held
+    in memory whole.  Only cache entries are atomic (a temporary file, then a
+    rename), so that a reader never sees a partial entry.  A failed atomic
+    write removes its temporary file.
+
+    Any other write first reads back the regular file at path, at most the
+    new text's length + 1 bytes, and leaves it alone if it already holds the
+    text, so an unchanged output keeps its mtime.  Otherwise a str is written
+    whole by Path.write_text; chunks are written from the first byte that
+    differs, after truncating there.  A path that is not a regular file, or
+    that cannot be opened to read and write, is written without reading it.
     """
+    old = None
+    if not atomic:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.stat(path).st_mode):
+                old = open(path, "r+b", buffering=0)
+    if old is not None:
+        chunks = (chunk.encode("utf-8") for chunk in ([text] if isinstance(text, str) else text))
+        with old:
+            change = _first_change(old, chunks)
+            if change is None:
+                return
+            if not isinstance(text, str):
+                offset, rest = change
+                old.truncate(offset)
+                old.seek(offset)
+                with io.BufferedWriter(old) as out:
+                    out.write(rest)
+                    out.writelines(chunks)
+                return
     target = path.with_name(f"{path.name}.{os.getpid()}.tmp") if atomic else path
 
     def put() -> None:
@@ -241,7 +295,7 @@ def _knot_source(args: argparse.Namespace) -> tuple[str, str]:
         ("builtin", args.builtin),
         ("monodromy", args.monodromy),
     ]
-    chosen = [(kind, value) for kind, value in picked if value]
+    chosen = [(kind, value) for kind, value in picked if value is not None]
     if len(chosen) != 1:
         raise ValueError("exactly one of --braid, --builtin, --monodromy is required")
     return chosen[0]

@@ -20,7 +20,10 @@ Operations whose result is reduced by construction skip that second pass:
   ``_normalize_relators`` or ``_reduced`` just reduced (the generator
   renumbering after an elimination is injective, so it keeps them reduced);
 - ``Presentation.extended`` checks only the relators it adds, since the
-  relators already there stay valid over more generators.
+  relators already there stay valid over more generators;
+- ``Presentation._of`` checks nothing; the cable-link groups of ``surgery``
+  append through it relators made of the knot's checked peripheral words and
+  fresh generators.
 
 Generators are never renamed implicitly: constructions that add generators
 append them after the existing ones, so distinguished words (meridians,
@@ -267,9 +270,15 @@ class Presentation:
         are, so only the added relators are checked and cyclically reduced.
         """
         gens = _checked_names(self.generators + tuple(generators))
-        out = object.__new__(Presentation)
-        object.__setattr__(out, "generators", gens)
-        object.__setattr__(out, "relators", self.relators + _checked_relators(relators, len(gens)))
+        return Presentation._of(gens, self.relators + _checked_relators(relators, len(gens)))
+
+    @classmethod
+    def _of(cls, generators: tuple[str, ...], relators: tuple[Word, ...]) -> "Presentation":
+        """A presentation on distinct nonempty names and on nonempty, cyclically
+        reduced relators over them, all by construction; no check."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "generators", generators)
+        object.__setattr__(out, "relators", relators)
         return out
 
     def word_str(self, w: Word, sep: str = " ") -> str:

@@ -18,9 +18,10 @@ from .fpgroup import (
     Presentation,
     Word,
     commutator,
+    cyclic_key,
+    fresh_name,
     quotient_by_relators,
     word_power,
-    fresh_name,
 )
 from .knots import KnotPresentation
 
@@ -76,6 +77,63 @@ def dehn_surgery_group(kp: KnotPresentation, slope: SurgerySlope) -> Presentatio
     return quotient_by_relators(kp.group, [relator])
 
 
+class _CableLinks:
+    """The cable-link groups of one knot for one q, built around their shared part.
+
+    Everything but the filling relator depends only on (knot, q) and is built
+    once: the fresh generators mu, lam and their commutator, the checked
+    labels, meridian^q and mu^-q.  Each p then adds its filling relator
+    meridian^q longitude^p lam^-p mu^-q in one presentation.
+    """
+
+    def __init__(self, kp: KnotPresentation, q: int) -> None:
+        base = kp.group
+        n = len(base.generators)
+        mu_name = fresh_name("mu", base.generators)
+        lam_name = fresh_name("lam", base.generators + (mu_name,))
+        self.mu, self.lam = Word.generator(n), Word.generator(n + 1)
+        labels = {
+            MERIDIAN: self.mu,
+            LONGITUDE: self.lam,
+            CABLE_MERIDIAN: kp.meridian,
+            CABLE_LONGITUDE: kp.longitude,
+        }
+        linked = base.extended((commutator(self.mu, self.lam),), (mu_name, lam_name))
+        self.linked = LabeledPresentation(linked, labels)
+        self.longitude = kp.longitude
+        self.meridian_q = word_power(kp.meridian, q)
+        self.mu_inverse_q = word_power(self.mu, -q)
+
+    def filling(self, p: int) -> Word:
+        return (
+            self.meridian_q
+            * word_power(self.longitude, p)
+            * word_power(self.lam, -p)
+            * self.mu_inverse_q
+        ).cyclically_reduced()
+
+    def _appended(self, relators: tuple[Word, ...]) -> Presentation:
+        # the relators are over the checked peripheral words and mu, lam, and
+        # the filling relator is cyclically reduced and holds mu^-q
+        linked = self.linked.presentation
+        return Presentation._of(linked.generators, linked.relators + relators)
+
+    def cable(self, p: int) -> LabeledPresentation:
+        return LabeledPresentation(self._appended((self.filling(p),)), self.linked.labels)
+
+    def half(self, p: int) -> Presentation:
+        """The cable-link group with the knot's peripheral pair mu, lam killed."""
+        filling = self.filling(p)
+        killed = (self.mu, self.lam)
+        if len(filling) == 1:
+            # As quotient_by_relators does, a killed word that repeats a relator
+            # is dropped.  Only a one-letter filling relator can repeat one:
+            # mu^-1, from an empty meridian at p = 0, q = 1.
+            key = cyclic_key(filling.letters)
+            killed = tuple(w for w in killed if cyclic_key(w.letters) != key)
+        return self._appended((filling, *killed))
+
+
 def cable_link_group(kp: KnotPresentation, slope: SurgerySlope) -> LabeledPresentation:
     """Group of the complement of the knot together with its (p, q)-cable.
 
@@ -87,27 +145,7 @@ def cable_link_group(kp: KnotPresentation, slope: SurgerySlope) -> LabeledPresen
     cable lives on (cable_meridian, cable_longitude = the knot group's own
     peripheral words).
     """
-    base = kp.group
-    n = len(base.generators)
-    taken = list(base.generators)
-    mu_name = fresh_name("mu", taken)
-    lam_name = fresh_name("lam", taken + [mu_name])
-    mu = Word.generator(n)
-    lam = Word.generator(n + 1)
-    cable_relator = (
-        word_power(kp.meridian, slope.q)
-        * word_power(kp.longitude, slope.p)
-        * word_power(lam, -slope.p)
-        * word_power(mu, -slope.q)
-    )
-    presentation = base.extended((commutator(mu, lam), cable_relator), (mu_name, lam_name))
-    labels = {
-        MERIDIAN: mu,
-        LONGITUDE: lam,
-        CABLE_MERIDIAN: kp.meridian,
-        CABLE_LONGITUDE: kp.longitude,
-    }
-    return LabeledPresentation(presentation, labels)
+    return _CableLinks(kp, slope.q).cable(slope.p)
 
 
 def half_complement_group(kp: KnotPresentation, slope: SurgerySlope) -> Presentation:
@@ -118,13 +156,7 @@ def half_complement_group(kp: KnotPresentation, slope: SurgerySlope) -> Presenta
     Dehn surgery quotient, and the test suite checks that the two routes have
     identical abelianizations and hom-spectra.
     """
-    return _kill_peripheral_pair(cable_link_group(kp, slope))
-
-
-def _kill_peripheral_pair(cable: LabeledPresentation) -> Presentation:
-    return quotient_by_relators(
-        cable.presentation, [cable.labels[MERIDIAN], cable.labels[LONGITUDE]]
-    )
+    return _CableLinks(kp, slope.q).half(slope.p)
 
 
 def double_complement_group(kp: KnotPresentation, slope: SurgerySlope) -> Presentation:
@@ -155,17 +187,21 @@ class FamilyResult:
 def build_family(kp: KnotPresentation, q: int, p_values: Sequence[int]) -> FamilyResult:
     """One double-complement group per p coprime to q, in input order.
 
-    Non-coprime p values are skipped and reported, never fatal.
+    Non-coprime p values are skipped and reported, never fatal.  The part
+    of the groups that does not depend on p is built once, at the first
+    member, so a family with no member builds nothing.
     """
     if q < 1:
         raise InvalidSlopeError(f"q must be >= 1, got {q}")
     members = []
     skipped = []
+    links = None
     for p in p_values:
         if gcd(p, q) != 1:
             skipped.append(p)
             continue
         slope = SurgerySlope(p, q)
-        cable = cable_link_group(kp, slope)
-        members.append(FamilyMember(slope, _kill_peripheral_pair(cable), cable.labels))
+        if links is None:
+            links = _CableLinks(kp, q)
+        members.append(FamilyMember(slope, links.half(p), links.linked.labels))
     return FamilyResult(tuple(members), tuple(skipped))

@@ -125,6 +125,31 @@ def test_knot_requires_one_source(capsys):
     assert "exactly one" in err
 
 
+def test_an_empty_braid_is_the_unknot(capsys, tmp_path):
+    # a given option is a source even when its value is empty
+    outputs = {}
+    for braid in ("", " "):
+        code, out, err = run(["knot", "--braid", braid], capsys)
+        assert (code, err) == (0, "")
+        first, rest = out.split("\n", 1)
+        assert first == f"knot: braid {braid}"
+        outputs[braid] = rest
+    assert outputs[""] == outputs[" "]
+    for braid, hits in ((" ", 0), ("", 4)):
+        argv = ["family", "--braid", braid, "--q", "2", "--p=-3..3", "--out", str(tmp_path)]
+        assert run(argv, capsys)[0] == 3
+        assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == hits
+    assert len(list((tmp_path / ".cache").glob("*.json"))) == 4
+
+
+@pytest.mark.parametrize("option", ["--builtin", "--monodromy"])
+def test_an_empty_builtin_or_monodromy_exits_2(capsys, option):
+    code, out, err = run(["knot", option, ""], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("braid", sorted(REFUSED_BRAIDS))
 def test_knot_refuses_every_other_braid_spelling(capsys, braid):
     code, out, err = run(["knot", "--braid", braid], capsys)
@@ -580,6 +605,105 @@ def test_suite_file_just_past_the_byte_limit(capsys, tmp_path):
     assert cli.read_suite(str(at_limit)).fingerprint.startswith("file:")
 
 
+def test_a_file_that_yields_more_than_its_size_is_read_on_to_the_limit(tmp_path, monkeypatch):
+    small = tmp_path / "small.json"
+    small.write_text('{"counts": [["C2", 2]]}')
+    past = tmp_path / "past.json"
+    past.write_text("[]".ljust(MAX_SUITE_BYTES + 1))
+    real_fstat = cli.os.fstat
+
+    def sizeless(fd):
+        # st_size is field 6 of a stat result
+        found = real_fstat(fd)
+        return cli.os.stat_result((*found[:6], 0, *found[7:10]))
+
+    monkeypatch.setattr(cli.os, "fstat", sizeless)
+    document, content = cli._read_json(small, MAX_SUITE_BYTES, "test", KnotSurgeryError)
+    assert document == {"counts": [["C2", 2]]}
+    assert content == small.read_bytes()
+    with pytest.raises(KnotSurgeryError, match=f"past the limit {MAX_SUITE_BYTES}"):
+        cli._read_json(past, MAX_SUITE_BYTES, "test", KnotSurgeryError)
+
+
+_OUTPUTS = ("family_manifest.json", "spectra.csv", "distinguish_report.txt")
+
+
+def test_a_warm_family_call_leaves_unchanged_outputs_alone(capsys, tmp_path):
+    argv = ["family", "--builtin", "fig8", "--q", "1", "--p=-3..3", "--out", str(tmp_path)]
+    assert run(argv, capsys)[0] == 3
+    written = [tmp_path / name for name in (*_OUTPUTS, "run_meta.json")]
+    # an mtime no call can give, so that a rewrite shows however coarse the clock
+    for path in written:
+        cli.os.utime(path, ns=(10**9, 10**9))
+    before = {path.name: path.stat() for path in written}
+    assert run(argv, capsys)[0] == 3
+    after = {path.name: path.stat() for path in written}
+    for name in _OUTPUTS:
+        assert after[name].st_ino == before[name].st_ino, name
+        assert after[name].st_mtime_ns == before[name].st_mtime_ns, name
+    assert after["run_meta.json"].st_mtime_ns != before["run_meta.json"].st_mtime_ns
+    assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 7
+
+
+def _flip_middle(data: bytes) -> bytes:
+    middle = len(data) // 2
+    return data[:middle] + bytes([data[middle] ^ 1]) + data[middle + 1:]
+
+
+@pytest.mark.parametrize(
+    "name, damage",
+    [
+        ("family_manifest.json", _flip_middle),
+        ("family_manifest.json", lambda data: data + b"trailing"),
+        ("family_manifest.json", lambda data: data[: len(data) // 3]),
+        ("family_manifest.json", lambda data: b""),
+        ("spectra.csv", lambda data: data + b"p=9,1\n"),
+        ("spectra.csv", _flip_middle),
+        ("distinguish_report.txt", lambda data: data[:-5]),
+        ("distinguish_report.txt", lambda data: b""),
+    ],
+)
+def test_a_damaged_output_comes_back_as_a_clean_run_writes_it(capsys, tmp_path, name, damage):
+    clean_dir, damaged_dir = tmp_path / "clean", tmp_path / "damaged"
+    argv = ["family", "--builtin", "fig8", "--q", "1", "--p=-3..3", "--out"]
+    code = run(argv + [str(clean_dir)], capsys)[0]
+    assert run(argv + [str(damaged_dir)], capsys)[0] == code
+    path = damaged_dir / name
+    path.write_bytes(damage(path.read_bytes()))
+    assert run(argv + [str(damaged_dir)], capsys)[0] == code
+    for output in _OUTPUTS:
+        assert (damaged_dir / output).read_bytes() == (clean_dir / output).read_bytes(), output
+
+
+@pytest.mark.parametrize("name", [*_OUTPUTS, "run_meta.json"])
+def test_an_output_path_that_is_a_directory_exits_2(capsys, tmp_path, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    with pytest.raises(OSError) as refused:
+        (out / name).write_text("")
+    argv = ["family", "--builtin", "trefoil", "--p", "1..3", "--out", str(out)]
+    for _ in range(2):  # cold, then warm
+        code, _, err = run(argv, capsys)
+        assert (code, err) == (2, f"error: {refused.value}\n")
+        assert (out / name).is_dir()
+
+
+@pytest.mark.skipif(not _DEV_ZERO, reason="no /dev/zero")
+@pytest.mark.parametrize("name", _OUTPUTS)
+def test_an_output_path_that_is_a_device_is_written_to_it(capsys, tmp_path, name):
+    clean_dir, out = tmp_path / "clean", tmp_path / "out"
+    argv = ["family", "--builtin", "trefoil", "--p", "1..3", "--out"]
+    code = run(argv + [str(clean_dir)], capsys)[0]
+    out.mkdir()
+    (out / name).symlink_to(_DEV_ZERO[0])
+    for _ in range(2):  # cold, then warm
+        assert run(argv + [str(out)], capsys)[0::2] == (code, "")
+        assert (out / name).resolve() == _DEV_ZERO[0]
+        for output in _OUTPUTS:
+            if output != name:
+                assert (out / output).read_bytes() == (clean_dir / output).read_bytes()
+
+
 A5 = ["(1 2 3 4 5)", "(1 2 3)"]
 
 
@@ -588,9 +712,10 @@ def _suite_file(path, generators):
 
 
 def _after_each_read(monkeypatch, action):
-    """Call action(path) after each file cli reads, whether or not the read
-    succeeds; cli reads every file through _read_json
-    (test_cli_reads_and_writes_files_in_one_place)."""
+    """Call action(path) after each input file cli reads (a suite, a
+    monodromy or a cache entry), whether or not the read succeeds.  cli reads
+    every input through _read_json (test_cli_reads_and_writes_files_in_one_place);
+    _write's reading back of an old output is not seen here."""
     read_json = cli._read_json
 
     def read_then_act(path, *args):

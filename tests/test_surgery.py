@@ -1,21 +1,32 @@
+import hashlib
 import itertools
+import json
+import math
+from pathlib import Path
 
 import pytest
 
 from knotsurgery import (
     InvalidSlopeError,
+    KnotPresentation,
+    Presentation,
     SurgerySlope,
     Word,
     abelianization,
     build_family,
+    builtin_knot,
+    builtin_monodromy,
     cable_link_group,
     count_homomorphisms,
     dehn_surgery_group,
     double_complement_group,
     half_complement_group,
+    mapping_torus_presentation,
+    parse_braid,
     quotient_by_relators,
     standard_suite,
     tietze_simplify,
+    wirtinger_from_braid,
 )
 from knotsurgery.surgery import (
     CABLE_LONGITUDE,
@@ -199,3 +210,95 @@ def test_family_q1_members_have_trivial_h1(fig8):
     assert len(result.members) == 6
     for member in result.members:
         assert abelianization(member.presentation).is_trivial
+
+
+FAMILY_DIGESTS = Path(__file__).with_name("family_digests.json")
+# the knots whose families are pinned: the builtins, the bundled fig8
+# monodromy's mapping torus, the benchmark's two slowest census braids and
+# three more census braids
+PINNED_KNOTS = (
+    "unknot", "trefoil", "fig8", "fig8-monodromy",
+    "-1 -2 -2 1 1 -2 2 2", "1 -2 1 1 -2 2 1 2",
+    "1 -2 1 2 1 1 1 -1 -1 1", "-2 -2 1 -1 -2 1", "-2 -1 -1 1 -1 -1 2 2",
+)
+PINNED_Q = (1, 2, 3, 7)
+PINNED_P = range(-12, 13)
+
+
+def _pinned_knot(name: str):
+    if name == "fig8-monodromy":
+        return mapping_torus_presentation(builtin_monodromy("fig8"))
+    if name in ("unknot", "trefoil", "fig8"):
+        return builtin_knot(name)
+    return wirtinger_from_braid(parse_braid(name))
+
+
+def _member_repr(p: int, presentation, labels) -> str:
+    return repr((
+        p,
+        presentation.generators,
+        tuple(r.letters for r in presentation.relators),
+        tuple((role, w.letters) for role, w in labels.items()),
+    ))
+
+
+def family_digests() -> dict[str, str]:
+    """sha256 of the members of each pinned knot's family, by construction and q.
+
+    A key is "<knot> <construction> q=<q>"; its digest hashes the reprs of
+    the members' p, generators, relator letters and labels, one line each, for
+    every p in PINNED_P coprime to q.
+    """
+    digests = {}
+    for name in PINNED_KNOTS:
+        kp = _pinned_knot(name)
+        for q in PINNED_Q:
+            slopes = [SurgerySlope(p, q) for p in PINNED_P if math.gcd(p, q) == 1]
+            family = build_family(kp, q, PINNED_P)
+            cables = [cable_link_group(kp, s) for s in slopes]
+            lines = {
+                "build_family": [_member_repr(m.slope.p, m.presentation, m.labels)
+                                 for m in family.members],
+                "half_complement_group": [_member_repr(s.p, half_complement_group(kp, s), {})
+                                          for s in slopes],
+                "cable_link_group": [_member_repr(s.p, c.presentation, c.labels)
+                                     for s, c in zip(slopes, cables)],
+            }
+            for construction, texts in lines.items():
+                text = "\n".join(texts).encode()
+                digests[f"{name} {construction} q={q}"] = hashlib.sha256(text).hexdigest()
+    return digests
+
+
+def test_family_members_match_the_pinned_digests():
+    expected = json.loads(FAMILY_DIGESTS.read_text())
+    assert len(expected) == len(PINNED_KNOTS) * len(PINNED_Q) * 3
+    assert family_digests() == expected
+
+
+@pytest.mark.parametrize("name", ["trefoil", "fig8-monodromy", "-2 -2 1 -1 -2 1"])
+def test_half_complement_group_is_the_family_member(name):
+    kp = _pinned_knot(name)
+    for q in PINNED_Q:
+        for p in PINNED_P:
+            if math.gcd(p, q) == 1:
+                s = SurgerySlope(p, q)
+                (member,) = build_family(kp, s.q, [s.p]).members
+                assert half_complement_group(kp, s) == member.presentation
+
+
+def test_half_complement_group_kills_the_peripheral_pair_as_a_quotient():
+    # the quotient of the cable-link group by mu and lam, which drops a killed
+    # word that repeats a relator: with an empty meridian at p = 0, q = 1 the
+    # filling relator is mu^-1, and mu is not added again
+    empty = KnotPresentation(Presentation(("a",)), Word(), Word.generator(0))
+    for kp in (empty, _pinned_knot("trefoil")):
+        for q in (1, 2):
+            for p in range(-3, 4):
+                if math.gcd(p, q) == 1:
+                    s = SurgerySlope(p, q)
+                    cable = cable_link_group(kp, s)
+                    killed = [cable.labels[MERIDIAN], cable.labels[LONGITUDE]]
+                    expected = quotient_by_relators(cable.presentation, killed)
+                    assert half_complement_group(kp, s) == expected, (kp, s)
+    assert len(half_complement_group(empty, SurgerySlope(0, 1)).relators) == 3
