@@ -16,7 +16,7 @@ hash of (package version, knot source, slope, suite) under
 This is the only module that touches files: every input file is read by
 ``_read_json``, at its size, and every output is written by ``_write``,
 which first reads back the old output (up to the new text's length + 1
-bytes) and leaves an unchanged one alone.
+bytes), leaves an unchanged one alone and writes a changed one whole.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ import argparse
 import contextlib
 import functools
 import hashlib
-import io
 import json
 import os
 import stat
@@ -38,7 +37,7 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import __version__
 from .alexander import fox_alexander
@@ -124,30 +123,9 @@ def _read_json(path: str | Path, limit: int, what: str, error: type) -> tuple[ob
         raise error(f"{what} file {path!r} is nested too deeply") from None
 
 
-def _first_change(handle: BinaryIO, chunks: Iterator[bytes]) -> tuple[int, bytes] | None:
-    """Where the file first differs from the bytes of chunks, read alongside them.
-
-    None if it holds exactly those bytes.  Otherwise the offset of the first
-    byte that differs, or where the file or the chunks end, and the rest of
-    the chunk at that offset; chunks is left at the chunk after it.  At most
-    the chunks' length + 1 bytes are read.  A short read only moves the
-    offset earlier.
-    """
-    offset = 0
-    for chunk in chunks:
-        old = handle.read(len(chunk))
-        if old != chunk:
-            same = 0
-            while same < len(old) and old[same] == chunk[same]:
-                same += 1
-            return offset + same, chunk[same:]
-        offset += len(chunk)
-    return (offset, b"") if handle.read(1) else None
-
-
-def _write(path: Path, text: str | Iterable[str], atomic: bool = False) -> None:
-    """Write text, or its chunks in order, to path as UTF-8, making path's
-    directory if it is missing.
+def _write(path: Path, text: str | Callable[[], Iterable[str]], atomic: bool = False) -> None:
+    """Write text, or the chunks that a call of text returns, to path as
+    UTF-8, making path's directory if it is missing.
 
     Chunks go to the file one at a time, so a large document need not be held
     in memory whole.  Only cache entries are atomic (a temporary file, then a
@@ -155,31 +133,19 @@ def _write(path: Path, text: str | Iterable[str], atomic: bool = False) -> None:
     write removes its temporary file.
 
     Any other write first reads back the regular file at path, at most the
-    new text's length + 1 bytes, and leaves it alone if it already holds the
-    text, so an unchanged output keeps its mtime.  Otherwise a str is written
-    whole by Path.write_text; chunks are written from the first byte that
-    differs, after truncating there.  A path that is not a regular file, or
-    that cannot be opened to read and write, is written without reading it.
+    new text's length + 1 bytes, and leaves it alone (mtime kept) if it
+    already holds the text.  A changed or missing output is written whole: a
+    str by Path.write_text, chunks from a second call of text.  A path that
+    is not a regular file is written without being read.
     """
-    old = None
+    chunks = (lambda: (text,)) if isinstance(text, str) else text
     if not atomic:
         with contextlib.suppress(OSError):
             if stat.S_ISREG(os.stat(path).st_mode):
-                old = open(path, "r+b", buffering=0)
-    if old is not None:
-        chunks = (chunk.encode("utf-8") for chunk in ([text] if isinstance(text, str) else text))
-        with old:
-            change = _first_change(old, chunks)
-            if change is None:
-                return
-            if not isinstance(text, str):
-                offset, rest = change
-                old.truncate(offset)
-                old.seek(offset)
-                with io.BufferedWriter(old) as out:
-                    out.write(rest)
-                    out.writelines(chunks)
-                return
+                with open(path, "rb") as old:
+                    new = (chunk.encode("utf-8") for chunk in chunks())
+                    if all(old.read(len(chunk)) == chunk for chunk in new) and not old.read(1):
+                        return
     target = path.with_name(f"{path.name}.{os.getpid()}.tmp") if atomic else path
 
     def put() -> None:
@@ -187,7 +153,7 @@ def _write(path: Path, text: str | Iterable[str], atomic: bool = False) -> None:
             target.write_text(text, encoding="utf-8")
         else:
             with target.open("w", encoding="utf-8") as handle:
-                handle.writelines(text)
+                handle.writelines(text())
 
     try:
         try:
@@ -301,6 +267,13 @@ def _knot_source(args: argparse.Namespace) -> tuple[str, str]:
     return chosen[0]
 
 
+def _spelling(config: RunConfig) -> str:
+    """The source as outputs and cache keys spell it: a braid as its parsed
+    letters joined by single spaces, a builtin name or monodromy path as given."""
+    braid = config.source_kind == "braid"
+    return " ".join(map(str, parse_braid(config.source).letters)) if braid else config.source
+
+
 def load_knot(config: RunConfig) -> tuple[KnotPresentation, str]:
     """The knot and the fingerprint of its source for the cache key.
 
@@ -309,8 +282,8 @@ def load_knot(config: RunConfig) -> tuple[KnotPresentation, str]:
     monodromy file is read once.
     """
     if config.source_kind == "braid":
-        braid = parse_braid(config.source)
-        return wirtinger_from_braid(braid), "braid:" + " ".join(map(str, braid.letters))
+        spelling = _spelling(config)
+        return wirtinger_from_braid(parse_braid(spelling)), f"braid:{spelling}"
     if config.source_kind == "builtin":
         try:
             return builtin_knot(config.source), f"builtin:{config.source}"
@@ -469,7 +442,7 @@ def _manifest_chunks(config: RunConfig, family: FamilyResult) -> Iterator[str]:
     """
     header = {
         "schema_version": SCHEMA_VERSION,
-        "source": {"kind": config.source_kind, "value": config.source},
+        "source": {"kind": config.source_kind, "value": _spelling(config)},
         "q": config.q,
         "skipped_p": list(family.skipped),
     }
@@ -504,28 +477,31 @@ def _manifest_chunks(config: RunConfig, family: FamilyResult) -> Iterator[str]:
     yield "\n  ]\n}\n"
 
 
-def _slopes(config: RunConfig) -> Iterator[SurgerySlope]:
-    """The config's slopes in order; prints a skip line for each p not coprime to q.
+def _skip(p: int, q: int) -> None:
+    print(f"skip p={p}: gcd(p, {q}) != 1")
 
-    Raises ValueError once the p values are exhausted if every one was skipped.
-    """
-    kept = 0
-    for p in config.p_values:
-        try:
-            slope = SurgerySlope(p, config.q)
-        except KnotSurgeryError:
-            print(f"skip p={p}: gcd(p, {config.q}) != 1")
-            continue
-        kept += 1
-        yield slope
-    if not kept:
+
+def _refuse_no_slope(config: RunConfig) -> None:
+    """Raises ValueError, after a skip line for each p, if no p is coprime to q."""
+    if all(gcd(p, config.q) != 1 for p in config.p_values):
+        for p in config.p_values:
+            _skip(p, config.q)
         raise ValueError("no slope left after gcd filter")
+
+
+def _slopes(config: RunConfig) -> Iterator[SurgerySlope]:
+    """The config's slopes in order; prints a skip line for each p not coprime to q."""
+    for p in config.p_values:
+        if gcd(p, config.q) == 1:
+            yield SurgerySlope(p, config.q)
+        else:
+            _skip(p, config.q)
 
 
 def cmd_knot(config: RunConfig) -> int:
     kp, _ = load_knot(config)
     suite = config.suite.close()
-    print(f"knot: {config.source_kind} {config.source}")
+    print(f"knot: {config.source_kind} {_spelling(config)}")
     print(f"group: {kp.group}")
     print(f"meridian: {kp.group.word_str(kp.meridian)}")
     print(f"longitude: {kp.group.word_str(kp.longitude)}")
@@ -544,7 +520,7 @@ def cmd_knot(config: RunConfig) -> int:
         names = kp.group.generators
         document = {
             "schema_version": SCHEMA_VERSION,
-            "source": {"kind": config.source_kind, "value": config.source},
+            "source": {"kind": config.source_kind, "value": _spelling(config)},
             "presentation": presentation_to_json(kp.group),
             "meridian": word_to_json(kp.meridian, names),
             "longitude": word_to_json(kp.longitude, names),
@@ -561,19 +537,19 @@ def cmd_family(config: RunConfig) -> int:
     started = time.perf_counter()
     if config.out_dir is None:
         raise ValueError("family requires --out")
+    _refuse_no_slope(config)
     kp, source = load_knot(config)
     family = build_family(kp, config.q, config.p_values)
     for p in family.skipped:
-        print(f"skip p={p}: gcd(p, {config.q}) != 1")
-    if not family.members:
-        raise ValueError("empty family after gcd filter")
+        _skip(p, config.q)
 
     labels = [f"p={m.slope.p}" for m in family.members]
     slopes = [m.slope for m in family.members]
     keys = _cache_keys(config, source, [slope.p for slope in slopes])
     spectra, hits = compute_spectra(slopes, config, keys, kp)
 
-    _write(config.out_dir / "family_manifest.json", _manifest_chunks(config, family))
+    manifest = functools.partial(_manifest_chunks, config, family)
+    _write(config.out_dir / "family_manifest.json", manifest)
 
     csv_lines = ["label," + ",".join(spectra[0].target_names)]
     for label, spectrum in zip(labels, spectra):
@@ -595,6 +571,7 @@ def cmd_family(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
+    _refuse_no_slope(config)
     kp, _ = load_knot(config)
     suite = config.suite.close()
     # the third side: each slope's spectrum read off the knot group's tables
@@ -624,10 +601,7 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_export(config: RunConfig) -> int:
     if config.out_dir is None:
         raise ValueError("export requires --out")
-    # the knot group reads no slope, but a slope set with no p coprime to q
-    # is refused as the other constructions refuse it, before any write
-    if config.construction == "knot" and all(gcd(p, config.q) != 1 for p in config.p_values):
-        raise ValueError("no slope left after gcd filter")
+    _refuse_no_slope(config)  # the knot group reads no slope, but is refused alike
     kp, _ = load_knot(config)
     if config.construction == "knot":
         path = config.out_dir / "knot_group.g"

@@ -131,10 +131,9 @@ def test_an_empty_braid_is_the_unknot(capsys, tmp_path):
     for braid in ("", " "):
         code, out, err = run(["knot", "--braid", braid], capsys)
         assert (code, err) == (0, "")
-        first, rest = out.split("\n", 1)
-        assert first == f"knot: braid {braid}"
-        outputs[braid] = rest
+        outputs[braid] = out.splitlines()
     assert outputs[""] == outputs[" "]
+    assert outputs[""][0] == "knot: braid "
     for braid, hits in ((" ", 0), ("", 4)):
         argv = ["family", "--braid", braid, "--q", "2", "--p=-3..3", "--out", str(tmp_path)]
         assert run(argv, capsys)[0] == 3
@@ -163,6 +162,21 @@ def test_a_braid_spaced_another_way_reads_the_cache(capsys, tmp_path):
         assert run(argv, capsys)[0] == 3
         assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == hits
     assert len(list((tmp_path / ".cache").glob("*.json"))) == 7
+
+
+def test_a_braid_spaced_another_way_gives_the_same_outputs(capsys, tmp_path):
+    # outputs spell a braid as its cache key does: its letters, single-spaced
+    outputs = []
+    for i, braid in enumerate((" 1  -2 1 -2", "1 -2 1 -2")):
+        out = tmp_path / str(i)
+        knot = run(["knot", "--braid", braid, "--out", str(out)], capsys)
+        family = run(["family", "--braid", braid, "--p=-3..3", "--out", str(out)], capsys)
+        files = [(out / name).read_bytes() for name in ("knot.json", "family_manifest.json")]
+        outputs.append((knot, family, files))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0][1].startswith("knot: braid 1 -2 1 -2\n")
+    for document in outputs[0][2]:
+        assert json.loads(document)["source"] == {"kind": "braid", "value": "1 -2 1 -2"}
 
 
 def test_a_monodromy_indented_another_way_reads_the_cache(capsys, tmp_path):
@@ -236,7 +250,7 @@ def test_family_empty_after_filter(capsys, tmp_path):
         capsys,
     )
     assert code == 2
-    assert "empty family" in err
+    assert err == "error: no slope left after gcd filter\n"
 
 
 def test_family_cache_round_trip(capsys, tmp_path):
@@ -317,7 +331,9 @@ def families(draw):
         members.append(FamilyMember(SurgerySlope(p, q), presentation, labels))
     skipped = tuple(draw(st.lists(st.integers(-MAX_ABS_P, MAX_ABS_P), max_size=3)))
     kind = draw(st.sampled_from(["braid", "builtin", "monodromy"]))
-    config = cli.RunConfig(source_kind=kind, source=draw(_names), q=q)
+    # a braid reaches the manifest only once it parses
+    source = draw(spaced_knot_braids())[1] if kind == "braid" else draw(_names)
+    config = cli.RunConfig(source_kind=kind, source=source, q=q)
     return config, FamilyResult(tuple(members), skipped)
 
 
@@ -332,9 +348,12 @@ def families(draw):
 ))
 def test_streamed_manifest_matches_json_dumps_of_the_records(drawn):
     config, family = drawn
+    value = config.source
+    if config.source_kind == "braid":
+        value = " ".join(map(str, braids.parse_braid(value).letters))
     document = {
         "schema_version": cli.SCHEMA_VERSION,
-        "source": {"kind": config.source_kind, "value": config.source},
+        "source": {"kind": config.source_kind, "value": value},
         "q": config.q,
         "skipped_p": list(family.skipped),
         "members": old_family_manifest(family),
@@ -673,6 +692,47 @@ def test_a_damaged_output_comes_back_as_a_clean_run_writes_it(capsys, tmp_path, 
     assert run(argv + [str(damaged_dir)], capsys)[0] == code
     for output in _OUTPUTS:
         assert (damaged_dir / output).read_bytes() == (clean_dir / output).read_bytes(), output
+
+
+def test_an_output_far_larger_than_its_text_is_replaced_reading_little(capsys, tmp_path, monkeypatch):
+    clean_dir, out = tmp_path / "clean", tmp_path / "out"
+    argv = ["family", "--builtin", "fig8", "--q", "1", "--p=-3..3", "--out"]
+    code = run(argv + [str(clean_dir)], capsys)[0]
+    out.mkdir()
+    for name in _OUTPUTS:
+        (out / name).touch()
+        cli.os.truncate(out / name, 2**30)  # sparse: no disk block holds the zeros
+    read = dict.fromkeys(_OUTPUTS, 0)
+
+    def counting_open(path, *args, **kwargs):
+        handle = open(path, *args, **kwargs)
+        if Path(path).name in read:
+            whole = handle.read
+
+            def counted(*size):
+                data = whole(*size)
+                read[Path(path).name] += len(data)
+                return data
+
+            handle.read = counted
+        return handle
+
+    monkeypatch.setattr(cli, "open", counting_open, raising=False)
+    assert run(argv + [str(out)], capsys)[0] == code
+    for name in _OUTPUTS:
+        expected = (clean_dir / name).read_bytes()
+        assert (out / name).read_bytes() == expected, name
+        assert 0 < read[name] <= len(expected) + 1, name
+
+
+def test_a_rerun_whose_p_range_grows_writes_the_manifest_a_clean_run_writes(capsys, tmp_path):
+    clean_dir, out = tmp_path / "clean", tmp_path / "out"
+    argv = ["family", "--builtin", "fig8", "--q", "1", "--out"]
+    run([*argv, str(out), "--p=-3..3"], capsys)
+    code = run([*argv, str(out), "--p=-3..4"], capsys)[0]
+    assert run([*argv, str(clean_dir), "--p=-3..4"], capsys)[0] == code
+    for name in _OUTPUTS:
+        assert (out / name).read_bytes() == (clean_dir / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("name", [*_OUTPUTS, "run_meta.json"])
@@ -1164,14 +1224,22 @@ def test_a_command_that_writes_files_requires_out(capsys, tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_verify_and_export_with_no_slope_left_exit_2(capsys, tmp_path):
-    for command in ("verify", "export"):
-        argv = [command, "--builtin", "trefoil", "--q=2", "--p=2,4", "--out", str(tmp_path / command)]
-        code, out, err = run(argv, capsys)
-        assert code == 2, command
-        assert out == "skip p=2: gcd(p, 2) != 1\nskip p=4: gcd(p, 2) != 1\n"
-        assert err.startswith("error:") and "no slope" in err
-    assert [path for path in tmp_path.rglob("*") if path.is_file()] == []
+def test_a_slope_set_with_no_p_coprime_to_q_is_refused_before_the_knot_loads(
+    capsys, tmp_path, monkeypatch
+):
+    loads = []
+    load_knot = cli.load_knot
+    monkeypatch.setattr(cli, "load_knot", lambda config: loads.append(config) or load_knot(config))
+    commands = [["family"], ["verify"]] + [
+        ["export", "--construction", c] for c in ("surgery", "half", "double", "knot")
+    ]
+    for argv in commands:
+        out = tmp_path / "out"
+        code, stdout, err = run([*argv, "--builtin", "fig8", "--q=2", "--p=2,4", "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "skip p=2: gcd(p, 2) != 1\nskip p=4: gcd(p, 2) != 1\n"), argv
+        assert err == "error: no slope left after gcd filter\n", argv
+        assert not out.exists(), argv
+    assert loads == []
 
 
 def test_option_strings_of_each_subcommand():
