@@ -65,7 +65,6 @@ from .knots import (
 from .braids import BraidWord, parse_braid, wirtinger_from_braid
 from .surgery import (
     FamilyResult,
-    LabeledPresentation,
     SurgerySlope,
     build_family,
     cable_link_group,

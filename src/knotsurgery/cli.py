@@ -53,6 +53,7 @@ from .fpgroup import (
     Word,
     presentation_from_json,
     presentation_to_json,
+    refuse_long_power,
     tietze_simplify,
     to_free_group_script,
     word_to_json,
@@ -78,6 +79,7 @@ from .surgery import (
 )
 from .targets import (
     ESCALATION,
+    STANDARD,
     FiniteTarget,
     checked_entries,
     escalation_suite,
@@ -186,13 +188,13 @@ class SuiteSpec:
 def read_suite(spec: str) -> SuiteSpec:
     """The suite of a CLI spec: "standard", "extended", or a file path.
 
-    A file is read once: its fingerprint, names and targets all come from the
-    same bytes.
+    A bundled suite's names are the keys of its tables in targets.  A file is
+    read once: its fingerprint, names and targets all come from the same bytes.
     """
     if spec == "standard":
-        return SuiteSpec(spec, tuple(t.name for t in standard_suite()), standard_suite)
+        return SuiteSpec(spec, tuple(STANDARD), standard_suite)
     if spec == "extended":
-        names = tuple(t.name for t in standard_suite()) + tuple(ESCALATION)
+        names = tuple(STANDARD) + tuple(ESCALATION)
         return SuiteSpec(spec, names, lambda: standard_suite() + escalation_suite())
     document, content = _read_json(spec, MAX_SUITE_BYTES, "target-suite", KnotSurgeryError)
     entries = checked_entries(document)
@@ -489,6 +491,13 @@ def _refuse_no_slope(config: RunConfig) -> None:
         raise ValueError("no slope left after gcd filter")
 
 
+def _refuse_long_slope(config: RunConfig, kp: KnotPresentation) -> None:
+    """Raises at the first kept p whose power of kp's longitude word_power refuses."""
+    for p in config.p_values:
+        if gcd(p, config.q) == 1:
+            refuse_long_power(len(kp.longitude), p)
+
+
 def _slopes(config: RunConfig) -> Iterator[SurgerySlope]:
     """The config's slopes in order; prints a skip line for each p not coprime to q."""
     for p in config.p_values:
@@ -539,6 +548,7 @@ def cmd_family(config: RunConfig) -> int:
         raise ValueError("family requires --out")
     _refuse_no_slope(config)
     kp, source = load_knot(config)
+    _refuse_long_slope(config, kp)
     family = build_family(kp, config.q, config.p_values)
     for p in family.skipped:
         _skip(p, config.q)
@@ -573,6 +583,7 @@ def cmd_family(config: RunConfig) -> int:
 def cmd_verify(config: RunConfig) -> int:
     _refuse_no_slope(config)
     kp, _ = load_knot(config)
+    _refuse_long_slope(config, kp)
     suite = config.suite.close()
     # the third side: each slope's spectrum read off the knot group's tables
     tables = _peripheral_tables(kp, suite)
@@ -608,6 +619,7 @@ def cmd_export(config: RunConfig) -> int:
         _write(path, to_free_group_script(kp.group))
         print(f"wrote {path}")
         return 0
+    _refuse_long_slope(config, kp)
     builder = {
         "surgery": dehn_surgery_group,
         "half": half_complement_group,
@@ -622,12 +634,8 @@ def cmd_export(config: RunConfig) -> int:
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of main; built on the first call, not at import."""
-    return build_parser()
-
-
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of main; built on the first call, not at import, and then kept."""
     parser = argparse.ArgumentParser(
         prog="knotsurgery",
         description="Knot groups, surgery quotients, and finite-quotient invariants.",
@@ -683,7 +691,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     commands = {
         "knot": cmd_knot,
         "family": cmd_family,

@@ -39,8 +39,8 @@ from .errors import DuplicateGeneratorError, KnotSurgeryError, UnknownGeneratorE
 
 Letter = tuple[int, int]
 
-# word_power (and so Word.generator and parse_word) refuses to build a word
-# longer than this many letters.
+# word_power (and so parse_word) refuses to build a word longer than this
+# many letters; refuse_long_power says which powers that is.
 MAX_WORD_LENGTH = 1_000_000
 
 
@@ -93,9 +93,9 @@ class Word:
         return w
 
     @classmethod
-    def generator(cls, index: int, exponent: int = 1) -> "Word":
-        """The word g^exponent for a single generator g."""
-        return word_power(cls(((index, 1),)), exponent)
+    def generator(cls, index: int) -> "Word":
+        """The one-letter word of generator index."""
+        return cls(((index, 1),))
 
     def __mul__(self, other: "Word") -> "Word":
         a, b = self.letters, other.letters
@@ -131,13 +131,18 @@ class Word:
 IDENTITY = Word()
 
 
+def refuse_long_power(length: int, n: int) -> None:
+    """Raises if a word of length letters to the power n is past MAX_WORD_LENGTH."""
+    if abs(n) * length > MAX_WORD_LENGTH:
+        raise KnotSurgeryError(
+            f"a word of {length} letters to the power {n} exceeds {MAX_WORD_LENGTH} letters"
+        )
+
+
 def word_power(w: Word, n: int) -> Word:
     if n == 0:
         return IDENTITY
-    if abs(n) * len(w) > MAX_WORD_LENGTH:
-        raise KnotSurgeryError(
-            f"a word of {len(w)} letters to the power {n} exceeds {MAX_WORD_LENGTH} letters"
-        )
+    refuse_long_power(len(w), n)
     base = (w if n > 0 else w.inverse()).letters
     # base = u c u^-1 with c cyclically reduced, so base^|n| = u c^|n| u^-1
     core = _cyclic_reduced(base)
@@ -213,7 +218,7 @@ def parse_word(text: str, names: Sequence[str]) -> Word:
             exp = int(exp_text) if exp_text else 1
         except ValueError:
             raise UnknownGeneratorError(f"bad exponent {exp_text!r} in word {text!r}") from None
-        letters.extend(Word.generator(index[name], exp).letters)
+        letters.extend(word_power(Word.generator(index[name]), exp).letters)
     return Word(tuple(letters))
 
 

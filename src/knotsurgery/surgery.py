@@ -53,22 +53,14 @@ class SurgerySlope:
         if gcd(self.p, self.q) != 1:
             raise InvalidSlopeError(f"gcd(p, q) must be 1, got p={self.p}, q={self.q}")
 
-    def __str__(self) -> str:
-        return f"q/p = {self.q}/{self.p}"
-
 
 @dataclass(frozen=True)
-class LabeledPresentation:
-    """A presentation with role-labelled words (all valid over its generators)."""
+class FamilyMember:
+    """A group of one slope, with role-labelled words over its generators."""
 
+    slope: SurgerySlope
     presentation: Presentation
     labels: Mapping[str, Word]
-
-    def __post_init__(self) -> None:
-        n = len(self.presentation.generators)
-        for role, w in self.labels.items():
-            if w.max_index() >= n:
-                raise ValueError(f"label {role!r} uses out-of-range generator")
 
 
 def dehn_surgery_group(kp: KnotPresentation, slope: SurgerySlope) -> Presentation:
@@ -81,8 +73,8 @@ class _CableLinks:
     """The cable-link groups of one knot for one q, built around their shared part.
 
     Everything but the filling relator depends only on (knot, q) and is built
-    once: the fresh generators mu, lam and their commutator, the checked
-    labels, meridian^q and mu^-q.  Each p then adds its filling relator
+    once: the fresh generators mu, lam and their commutator, the labels,
+    meridian^q and mu^-q.  Each p then adds its filling relator
     meridian^q longitude^p lam^-p mu^-q in one presentation.
     """
 
@@ -92,14 +84,13 @@ class _CableLinks:
         mu_name = fresh_name("mu", base.generators)
         lam_name = fresh_name("lam", base.generators + (mu_name,))
         self.mu, self.lam = Word.generator(n), Word.generator(n + 1)
-        labels = {
+        self.labels = {
             MERIDIAN: self.mu,
             LONGITUDE: self.lam,
             CABLE_MERIDIAN: kp.meridian,
             CABLE_LONGITUDE: kp.longitude,
         }
-        linked = base.extended((commutator(self.mu, self.lam),), (mu_name, lam_name))
-        self.linked = LabeledPresentation(linked, labels)
+        self.linked = base.extended((commutator(self.mu, self.lam),), (mu_name, lam_name))
         self.longitude = kp.longitude
         self.meridian_q = word_power(kp.meridian, q)
         self.mu_inverse_q = word_power(self.mu, -q)
@@ -115,11 +106,7 @@ class _CableLinks:
     def _appended(self, relators: tuple[Word, ...]) -> Presentation:
         # the relators are over the checked peripheral words and mu, lam, and
         # the filling relator is cyclically reduced and holds mu^-q
-        linked = self.linked.presentation
-        return Presentation._of(linked.generators, linked.relators + relators)
-
-    def cable(self, p: int) -> LabeledPresentation:
-        return LabeledPresentation(self._appended((self.filling(p),)), self.linked.labels)
+        return Presentation._of(self.linked.generators, self.linked.relators + relators)
 
     def half(self, p: int) -> Presentation:
         """The cable-link group with the knot's peripheral pair mu, lam killed."""
@@ -134,7 +121,7 @@ class _CableLinks:
         return self._appended((filling, *killed))
 
 
-def cable_link_group(kp: KnotPresentation, slope: SurgerySlope) -> LabeledPresentation:
+def cable_link_group(kp: KnotPresentation, slope: SurgerySlope) -> FamilyMember:
     """Group of the complement of the knot together with its (p, q)-cable.
 
     Two fresh commuting generators mu, lam are adjoined: the peripheral pair
@@ -145,7 +132,8 @@ def cable_link_group(kp: KnotPresentation, slope: SurgerySlope) -> LabeledPresen
     cable lives on (cable_meridian, cable_longitude = the knot group's own
     peripheral words).
     """
-    return _CableLinks(kp, slope.q).cable(slope.p)
+    links = _CableLinks(kp, slope.q)
+    return FamilyMember(slope, links._appended((links.filling(slope.p),)), links.labels)
 
 
 def half_complement_group(kp: KnotPresentation, slope: SurgerySlope) -> Presentation:
@@ -169,13 +157,6 @@ def double_complement_group(kp: KnotPresentation, slope: SurgerySlope) -> Presen
     presentation rather than a redundant amalgam.
     """
     return half_complement_group(kp, slope)
-
-
-@dataclass(frozen=True)
-class FamilyMember:
-    slope: SurgerySlope
-    presentation: Presentation
-    labels: Mapping[str, Word]
 
 
 @dataclass(frozen=True)
@@ -203,5 +184,5 @@ def build_family(kp: KnotPresentation, q: int, p_values: Sequence[int]) -> Famil
         slope = SurgerySlope(p, q)
         if links is None:
             links = _CableLinks(kp, q)
-        members.append(FamilyMember(slope, links.half(p), links.linked.labels))
+        members.append(FamilyMember(slope, links.half(p), links.labels))
     return FamilyResult(tuple(members), tuple(skipped))

@@ -15,12 +15,13 @@ breadth-first (Schreier) tree by integer walks: each generator's left
 multiplication on element indices, the inverse table, and the order of the
 row gathers of a full table.
 
-Every bundled target is built here from its generators: the standard suite
-from the cyclic, symmetric, alternating and dihedral builders, and the
-escalation suite, cheapest first, from those and ``psl2``/``psl2_8``.  A
-custom suite is a list of entries, each with generators in cycle notation,
-1-based as usual; ``suite_from_json`` closes a parsed one.  Nothing here reads
-a file: the CLI reads a suite file and hands over its parsed entries.
+Every bundled target is built here from its generators, and each bundled
+suite is a table from name to builder: ``STANDARD`` of the cyclic, symmetric,
+alternating and dihedral builders, and ``ESCALATION``, cheapest first, of
+those and ``psl2``/``psl2_8``.  A custom suite is a list of entries, each with
+generators in cycle notation, 1-based as usual; ``suite_from_json`` closes a
+parsed one.  Nothing here reads a file: the CLI reads a suite file and hands
+over its parsed entries.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ class FiniteTarget:
     def order(self) -> int:
         return len(self.elements)
 
-    @cached_property
+    @property
     def conjugacy_classes(self) -> tuple[tuple[int, int], ...]:
         """(representative, class size) per conjugacy class: ``centralizer_orbits(0)``."""
         return self.centralizer_orbits(0)
@@ -370,23 +371,27 @@ def psl2_8() -> FiniteTarget:
     return close_target("PSL2_8", [add_one, times_x, invert], degree=9)
 
 
+# The standard targets, in suite order: name -> builder.
+STANDARD = {
+    "C2": partial(cyclic, 2),
+    "C3": partial(cyclic, 3),
+    "C4": partial(cyclic, 4),
+    "C5": partial(cyclic, 5),
+    "C6": partial(cyclic, 6),
+    "S3": partial(symmetric, 3),
+    "S4": partial(symmetric, 4),
+    "S5": partial(symmetric, 5),
+    "A4": partial(alternating, 4),
+    "A5": partial(alternating, 5),
+    "D4": partial(dihedral, 4),
+    "D5": partial(dihedral, 5),
+}
+
+
 @lru_cache(maxsize=None)
 def standard_suite() -> tuple[FiniteTarget, ...]:
     """The fixed default target list: C2..C6, S3, S4, S5, A4, A5, D4, D5."""
-    return (
-        cyclic(2),
-        cyclic(3),
-        cyclic(4),
-        cyclic(5),
-        cyclic(6),
-        symmetric(3),
-        symmetric(4),
-        symmetric(5),
-        alternating(4),
-        alternating(5),
-        dihedral(4),
-        dihedral(5),
-    )
+    return tuple(build() for build in STANDARD.values())
 
 
 def checked_entries(data) -> list[dict]:

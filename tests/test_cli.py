@@ -2,6 +2,7 @@ import ast
 import importlib.util
 import itertools
 import json
+import os
 import subprocess
 import sys
 from math import gcd
@@ -1242,6 +1243,46 @@ def test_a_slope_set_with_no_p_coprime_to_q_is_refused_before_the_knot_loads(
     assert loads == []
 
 
+# a legal braid whose longitude has 7134 letters, so 140 is the largest |p|
+# whose filling relator word_power builds
+LONG_LONGITUDE_BRAID = "-1 2 -1 2 -1 2 -1 2 -1 2 -1 2 -1 2 -1 -1"
+
+
+@pytest.mark.parametrize(
+    "argv, power",
+    [
+        (["family", "--p=1..200"], 141),
+        (["verify", "--p=139..142"], 141),
+        (["export", "--construction", "surgery", "--p=1..1000"], 141),
+        (["export", "--construction", "half", "--p=1..1000"], 141),
+        (["export", "--construction", "double", "--p=1..1000"], 141),
+        # the first p kept after the gcd filter, in input order
+        (["family", "--q=2", "--p=1,142,-143,141"], -143),
+        (["verify", "--q=2", "--p=1,142,-143,141"], -143),
+    ],
+)
+def test_a_slope_past_the_word_limit_is_refused_before_anything_is_built(
+    capsys, tmp_path, monkeypatch, argv, power
+):
+    calls = []
+    for name in ("build_family", "validate_peripheral", "dehn_surgery_group", "half_complement_group"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+    out = tmp_path / "out"
+    code, stdout, err = run([*argv, "--braid", LONG_LONGITUDE_BRAID, "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: a word of 7134 letters to the power {power} exceeds 1000000 letters\n"
+    assert not out.exists()
+    assert calls == []
+
+
+def test_the_largest_slope_under_the_word_limit_still_exports(capsys, tmp_path):
+    argv = ["export", "--braid", LONG_LONGITUDE_BRAID, "--construction", "half", "--p=140"]
+    code, stdout, err = run([*argv, "--out", str(tmp_path)], capsys)
+    assert (code, err) == (0, "")
+    assert stdout == f"wrote {tmp_path / 'half_q1_p140.g'}\n"
+    assert (tmp_path / "half_q1_p140.g").stat().st_size > 140 * 7134
+
+
 def test_option_strings_of_each_subcommand():
     # a new option is a new setting: add one only when some caller varies it
     parser = cli.build_parser()
@@ -1374,13 +1415,26 @@ def test_what_the_benchmark_reads_off_results_exists(capsys, tmp_path):
 
 
 def test_module_entry_point():
+    src = Path(knotsurgery.__file__).resolve().parents[1]
     result = subprocess.run(
-        [sys.executable, "-m", "knotsurgery", "knot", "--builtin", "unknot"],
+        [sys.executable, "-m", "knotsurgery", "knot", "--builtin", "trefoil"],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
     )
-    assert result.returncode == 0
-    assert "alexander: 1" in result.stdout
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == "knot: builtin trefoil"
+    assert "alexander: t^2 - t + 1" in result.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, expected", [(["--builtin", "trefoil"], 0), (["--braid", "1 x"], 2)]
+)
+def test_console_main_exits_with_the_code_of_main(capsys, monkeypatch, argv, expected):
+    monkeypatch.setattr(sys, "argv", ["knotsurgery", "knot", *argv])
+    with pytest.raises(SystemExit) as exited:
+        cli.console_main()
+    assert exited.value.code == expected
 
 
 def test_elapsed_ms_survives_a_wall_clock_step_back(capsys, tmp_path, monkeypatch):
@@ -1398,7 +1452,7 @@ def test_reused_parser_keeps_no_state_between_calls(capsys, tmp_path):
     common = ["family", "--builtin", "trefoil", "--p", "1"]
     assert run(common + ["--q=2", "--no-cache", "--out", str(first)], capsys)[0] == 0
     assert run(common + ["--out", str(second)], capsys)[0] == 0
-    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is cli.build_parser()
     assert json.loads((first / "family_manifest.json").read_text())["q"] == 2
     assert not (first / ".cache").exists()
     assert json.loads((second / "family_manifest.json").read_text())["q"] == 1

@@ -204,10 +204,14 @@ def test_suite_json_round_trip():
 
 
 def test_extended_names_close_no_escalation_target():
+    standard_suite.cache_clear()
     escalation_suite.cache_clear()
-    names = cli.read_suite("extended").names
+    standard = cli.read_suite("standard").names
+    extended = cli.read_suite("extended").names
+    assert standard_suite.cache_info().currsize == 0
     assert escalation_suite.cache_info().currsize == 0
-    assert names == tuple(t.name for t in standard_suite() + escalation_suite())
+    assert standard == tuple(t.name for t in standard_suite())
+    assert extended == tuple(t.name for t in standard_suite() + escalation_suite())
 
 
 @pytest.mark.parametrize("q", [2, 9, 1])
