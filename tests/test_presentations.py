@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -13,12 +15,15 @@ from knotsurgery import (
     Word,
     abelianization,
     alternating,
+    builtin_knot,
+    builtin_monodromy,
     commutator,
     count_homomorphisms,
     cyclic,
     dehn_surgery_group,
     dihedral,
     half_complement_group,
+    mapping_torus_presentation,
     parse_braid,
     parse_word,
     presentation_from_json,
@@ -275,6 +280,62 @@ def test_tietze_leaves_census_groups_no_single_occurrence_within_the_cap():
                 assert_singles_only_past_the_cap(build(kp, SurgerySlope(p, 1)))
 
 
+TIETZE_DIGESTS = Path(__file__).with_name("tietze_digests.json")
+WIRTINGER_DIGESTS = Path(__file__).with_name("wirtinger_digests.json")
+
+
+def _sha256(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def tietze_digests() -> dict:
+    """sha256 of repr of Tietze's output, for knot groups and surgery quotients.
+
+    Each braid of wirtinger_digests.json gives its knot group simplified with
+    the meridian and longitude tracked.  The unknot, trefoil, figure eight,
+    the bundled figure-eight monodromy and the two census knots left at three
+    generators give both surgery routes, simplified, at q in {1, 2} and every
+    p in -3..3 coprime to q.
+    """
+    knots = {}
+    for text in json.loads(WIRTINGER_DIGESTS.read_text()):
+        kp = wirtinger_from_braid(parse_braid(text))
+        knots[text] = _sha256(tietze_simplify_tracked(kp.group, (kp.meridian, kp.longitude)))
+    sources = {name: builtin_knot(name) for name in ("unknot", "trefoil", "fig8")}
+    sources["fig8 monodromy"] = mapping_torus_presentation(builtin_monodromy("fig8"))
+    for braid in ("-1 -2 -2 1 1 -2 2 2", "1 -2 1 1 -2 2 1 2"):
+        sources[braid] = wirtinger_from_braid(parse_braid(braid))
+    quotients = {}
+    for name, kp in sources.items():
+        for q in (1, 2):
+            for p in range(-3, 4):
+                if math.gcd(p, q) != 1:
+                    continue
+                for build in (dehn_surgery_group, half_complement_group):
+                    key = f"{build.__name__} {name} q={q} p={p}"
+                    quotients[key] = _sha256(tietze_simplify(build(kp, SurgerySlope(p, q))))
+    return {"knots": knots, "quotients": quotients}
+
+
+def test_tietze_output_matches_the_pinned_digests():
+    """Tietze's output is byte-for-byte the pinned one.
+
+    After an intended change of output, regenerate the table from the
+    repository root with
+
+        PYTHONPATH=src python tests/test_presentations.py > tests/tietze_digests.json
+
+    and review the entries that changed.
+    """
+    expected = json.loads(TIETZE_DIGESTS.read_text())
+    assert len(expected["knots"]) >= 60 and len(expected["quotients"]) >= 100
+    found = tietze_digests()
+    for table in ("knots", "quotients"):
+        assert found[table].keys() == expected[table].keys()
+        for key, digest in expected[table].items():
+            assert found[table][key] == digest, key
+
+
 def test_free_group_script_format():
     p = pres(["a"], "a^5")
     assert to_free_group_script(p) == 'F := FreeGroup("a");\nrels := [ a^5 ];\n'
@@ -292,3 +353,7 @@ words_over_three = st.lists(
 def test_word_str_parse_round_trip(w):
     p = Presentation(["a", "b", "c"])
     assert parse_word(p.word_str(w), p.generators) == w
+
+
+if __name__ == "__main__":
+    print(json.dumps(tietze_digests(), indent=1))
