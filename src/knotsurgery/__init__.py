@@ -49,7 +49,6 @@ from .homcount import (
     count_homomorphisms,
     distinguish_report,
     hom_spectrum,
-    iter_homomorphisms,
 )
 from .alexander import LaurentPolynomial, fox_alexander
 from .knots import (
@@ -69,7 +68,6 @@ from .surgery import (
     build_family,
     cable_link_group,
     dehn_surgery_group,
-    double_complement_group,
     half_complement_group,
 )
 

@@ -16,9 +16,14 @@ Operations whose result is reduced by construction skip that second pass:
   trimmed), and a subword of a reduced word is reduced;
 - ``word_power`` writes the base as u c u^-1 with c cyclically reduced, and
   u c^n u^-1 has no cancelling pair;
-- ``quotient_by_relators`` and ``tietze_simplify_tracked`` wrap letters that
-  ``_normalize_relators`` or ``_reduced`` just reduced (the generator
-  renumbering after an elimination is injective, so it keeps them reduced);
+- ``_normalize_relators`` takes freely reduced letters and only cyclically
+  reduces them; ``quotient_by_relators`` and ``tietze_simplify_tracked`` wrap
+  its output, and Tietze returns through ``Presentation._of``, since its
+  generator names are a subset of checked ones;
+- a Tietze elimination rewrites each relator and tracked word in one pass
+  (the image of the eliminated generator, renumbered, is a rotation of the
+  cyclically reduced relator less one letter, or its inverse) followed by one
+  ``_reduced``;
 - ``Presentation.extended`` checks only the relators it adds, since the
   relators already there stay valid over more generators;
 - ``Presentation._of`` checks nothing; the cable-link groups of ``surgery``
@@ -32,6 +37,7 @@ longitudes, ...) keep their meaning across constructions.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -63,7 +69,8 @@ def _inverse_letters(letters: Sequence[Letter]) -> tuple[Letter, ...]:
     return tuple((g, -e) for g, e in reversed(letters))
 
 
-def _cyclic_reduced(letters: Sequence[Letter]) -> tuple[Letter, ...]:
+def _cyclic_reduced(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """The cyclic reduction of freely reduced letters (letters itself if nothing is trimmed)."""
     lo, hi = 0, len(letters)
     while hi - lo >= 2:
         g1, e1 = letters[lo]
@@ -73,7 +80,7 @@ def _cyclic_reduced(letters: Sequence[Letter]) -> tuple[Letter, ...]:
             hi -= 1
         else:
             break
-    return tuple(letters[lo:hi])
+    return letters if hi - lo == len(letters) else letters[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -321,51 +328,34 @@ def fresh_name(base: str, taken: Iterable[str]) -> str:
 
 
 def quotient_by_relators(p: Presentation, extra: Iterable[Word]) -> Presentation:
-    """Append extra relators (cyclically reduced; duplicates and identities dropped).
-
-    A relator of p can repeat an extra one only if their cyclic reductions
-    have the same length, so only those relators' cyclic keys are computed;
-    the long filling relators of a surgery family never are.
-    """
-    rels = [w.letters for w in extra]
-    lengths = {len(_cyclic_reduced(r)) for r in rels}
-    seen = {cyclic_key(r.letters) for r in p.relators if len(r.letters) in lengths}
-    added = _normalize_relators(rels, seen)
+    """Append extra relators (cyclically reduced; identities and repeats of p's
+    relators or of each other dropped, see _normalize_relators)."""
+    added = _normalize_relators((w.letters for w in extra), p.relators)
     return p.extended(Word._of(r) for r in added)
 
 
-def _substitute_letters(
-    letters: tuple[Letter, ...], g: int, image: tuple[Letter, ...]
-) -> tuple[Letter, ...]:
-    out: list[Letter] = []
-    inv = _inverse_letters(image)
-    for h, e in letters:
-        if h != g:
-            out.append((h, e))
-        elif e == 1:
-            out.extend(image)
-        else:
-            out.extend(inv)
-    return _reduced(out)
-
-
 def _normalize_relators(
-    rels: list[tuple[Letter, ...]], seen: set[tuple[Letter, ...]] | None = None
+    rels: Iterable[tuple[Letter, ...]], kept: Iterable[Word] = ()
 ) -> list[tuple[Letter, ...]]:
-    """Cyclically reduce each relator, dropping identities and repeats.
+    """The cyclic reductions of freely reduced relators, less identities and repeats.
 
-    A relator repeats if its cyclic_key is in ``seen`` or equals an earlier one's.
+    A relator repeats if it equals a kept relator or an earlier one up to
+    rotation and inversion.  Only relators of equal length can repeat each
+    other, so a cyclic_key is computed only for a relator whose length another
+    kept or new relator shares; a long filling relator is never keyed.
     """
-    seen = set() if seen is None else seen
+    rels = [r for r in map(_cyclic_reduced, rels) if r]
+    counts = Counter(len(r) for r in rels)
+    shared = [w.letters for w in kept if len(w.letters) in counts]
+    counts.update(map(len, shared))
+    seen = set(map(cyclic_key, shared))
     out = []
     for r in rels:
-        r = _cyclic_reduced(_reduced(r))
-        if not r:
-            continue
-        key = cyclic_key(r)
-        if key in seen:
-            continue
-        seen.add(key)
+        if counts[len(r)] > 1:
+            key = cyclic_key(r)
+            if key in seen:
+                continue
+            seen.add(key)
         out.append(r)
     return out
 
@@ -375,55 +365,54 @@ def tietze_simplify_tracked(
 ) -> tuple[Presentation, tuple[Word, ...]]:
     """Tietze simplification that also rewrites the given tracked words.
 
-    Repeatedly drops empty/duplicate relators (duplicates up to rotation and
-    inversion) and eliminates a generator whenever some relator contains it
-    exactly once.  The eliminating relator is chosen shortest first, ties
-    broken by relator position; within a relator the highest-index eligible
-    generator is eliminated, which keeps early generators (meridians and
-    friends) stable.  Relators longer than twice the input's maximum relator
-    length never drive an elimination, preventing blowup.  Deterministic for
-    a fixed input.  Each step eliminates one generator, so the number of steps
-    is at most the number of generators.
+    Repeatedly drops empty and repeated relators (see _normalize_relators)
+    and eliminates a generator whenever some relator contains it exactly once
+    (Havas, Kenne, Richardson and Robertson, "A Tietze transformation program",
+    1984).  The eliminating relator is the first in (length, position) order
+    that has such a generator; within it the highest-index one is eliminated,
+    which keeps early generators (meridians and friends) stable.  Relators
+    longer than twice the input's maximum relator length never drive an
+    elimination, preventing blowup.  Each elimination renumbers the
+    generators above the eliminated one down by one and rewrites every
+    relator and tracked word in one pass.  Deterministic for a fixed input;
+    the number of steps is at most the number of generators.
     """
     names = list(p.generators)
-    rels = _normalize_relators([r.letters for r in p.relators])
+    rels = _normalize_relators(r.letters for r in p.relators)
     tracked_letters = [w.letters for w in tracked]
-    cap = 2 * max((len(r) for r in rels), default=1)
+    cap = 2 * max(map(len, rels), default=1)
     while True:
-        choice = None
-        for pos, r in enumerate(rels):
-            if len(r) > cap:
-                continue
-            counts: dict[int, int] = {}
-            for g, _ in r:
-                counts[g] = counts.get(g, 0) + 1
-            singles = [g for g, c in counts.items() if c == 1]
-            if not singles:
-                continue
-            key = (len(r), pos)
-            if choice is None or key < choice[0]:
-                choice = (key, pos, max(singles))
-        if choice is None:
-            break
-        _, pos, g = choice
-        r = rels[pos]
-        at = next(i for i, (h, _) in enumerate(r) if h == g)
-        alpha, (_, e), beta = r[:at], r[at], r[at + 1 :]
-        if e == 1:
-            image = _reduced(_inverse_letters(alpha) + _inverse_letters(beta))
+        for _, pos in sorted((len(r), pos) for pos, r in enumerate(rels) if len(r) <= cap):
+            counts = Counter(h for h, _ in rels[pos])
+            singles = [h for h, c in counts.items() if c == 1]
+            if singles:
+                break
         else:
-            image = _reduced(beta + alpha)
-        remap = {j: (j if j < g else j - 1) for j in range(len(names))}
-        del remap[g]
+            break
+        g = max(singles)
+        r = rels.pop(pos)
+        at = next(i for i, (h, _) in enumerate(r) if h == g)
+        # r = alpha g^e beta, so g^-e = beta alpha, reduced since r is cyclically reduced
+        image = r[at + 1 :] + r[:at]
+        if r[at][1] == 1:
+            image = _inverse_letters(image)
+        # generators above g shift down by one
+        image = tuple((h - (h > g), e) for h, e in image)
+        inverse = _inverse_letters(image)
 
         def rewrite(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
-            substituted = _substitute_letters(letters, g, image)
-            return tuple((remap[h], e2) for h, e2 in substituted)
+            out: list[Letter] = []
+            for h, e in letters:
+                if h == g:
+                    out.extend(image if e == 1 else inverse)
+                else:
+                    out.append((h - (h > g), e))
+            return _reduced(out)
 
-        rels = _normalize_relators([rewrite(s) for i, s in enumerate(rels) if i != pos])
-        tracked_letters = [rewrite(t) for t in tracked_letters]
+        rels = _normalize_relators(map(rewrite, rels))
+        tracked_letters = list(map(rewrite, tracked_letters))
         names.pop(g)
-    simplified = Presentation(tuple(names), tuple(Word._of(r) for r in rels))
+    simplified = Presentation._of(tuple(names), tuple(Word._of(r) for r in rels))
     return simplified, tuple(Word._of(t) for t in tracked_letters)
 
 

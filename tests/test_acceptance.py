@@ -27,7 +27,6 @@ from knotsurgery import (
     count_homomorphisms,
     cyclic,
     dehn_surgery_group,
-    double_complement_group,
     escalation_suite,
     fox_alexander,
     half_complement_group,
@@ -37,6 +36,7 @@ from knotsurgery import (
     standard_suite,
     tietze_simplify,
 )
+from knotsurgery.surgery import double_complement_group
 
 from conftest import det_oracle, laurent_terms, load_demo, naive_hom_count, seifert_alexander
 

@@ -1198,6 +1198,47 @@ def test_the_program_imports_only_the_standard_library():
     assert foreign == []
 
 
+def test_the_program_keeps_no_unused_import_or_private_name():
+    # every module uses what it imports (the package's __init__ re-exports),
+    # and every module-level private name is referenced somewhere in the
+    # package; the two exceptions are bound only by bench/run.py
+    trees = {
+        source.stem: ast.parse(source.read_text(encoding="utf-8"))
+        for source in Path(knotsurgery.__file__).parent.glob("*.py")
+    }
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    leftovers = set()
+    for module, tree in trees.items():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for statement in tree.body:
+            if isinstance(statement, (ast.Import, ast.ImportFrom)):
+                if module == "__init__" or getattr(statement, "module", None) == "__future__":
+                    continue
+                imported = [(alias.asname or alias.name).split(".")[0] for alias in statement.names]
+                leftovers.update(f"{module}.{name}" for name in imported if name not in used)
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+                defined = [statement.name]
+            elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+                targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            leftovers.update(
+                f"{module}.{name}"
+                for name in defined
+                if name.startswith("_") and not name.startswith("__") and name not in referenced
+            )
+    assert leftovers == {"cli.ProcessPoolExecutor", "cli._spectrum_task"}
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [

@@ -16,7 +16,6 @@ from knotsurgery import (
     distinguish_report,
     escalation_suite,
     hom_spectrum,
-    iter_homomorphisms,
     parse_braid,
     parse_word,
     standard_suite,
@@ -24,7 +23,7 @@ from knotsurgery import (
     tietze_simplify,
     wirtinger_from_braid,
 )
-from knotsurgery.homcount import HomSpectrum, evaluate_word, weighted_homomorphisms
+from knotsurgery.homcount import HomSpectrum, evaluate_word, iter_homomorphisms, weighted_homomorphisms
 from knotsurgery.targets import FULL_TABLE_MAX_ORDER
 
 from conftest import low_index_hom_count, naive_hom_count, torus_hom_count

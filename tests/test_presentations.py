@@ -22,6 +22,7 @@ from knotsurgery import (
     cyclic,
     dehn_surgery_group,
     dihedral,
+    fpgroup,
     half_complement_group,
     mapping_torus_presentation,
     parse_braid,
@@ -115,6 +116,40 @@ def test_quotient_drops_duplicates_up_to_rotation_and_inversion():
     inverted = (Word.generator(0) * Word.generator(1)).inverse()
     assert quotient_by_relators(p, [rotated]) == p
     assert quotient_by_relators(p, [inverted]) == p
+
+
+@pytest.fixture
+def key_calls(monkeypatch):
+    """The relators passed to fpgroup.cyclic_key while the test runs."""
+    calls = []
+    key = fpgroup.cyclic_key
+
+    def counting(letters):
+        calls.append(letters)
+        return key(letters)
+
+    monkeypatch.setattr(fpgroup, "cyclic_key", counting)
+    return calls
+
+
+def test_a_filling_relator_of_a_new_length_is_not_keyed(key_calls):
+    fig8 = builtin_knot("fig8")
+    lengths = {len(r) for r in fig8.group.relators}
+    unshared = []
+    for p in range(1, 7):
+        filling = (fig8.meridian * word_power(fig8.longitude, p)).cyclically_reduced()
+        if len(filling) not in lengths:
+            unshared.append(p)
+            dehn_surgery_group(fig8, SurgerySlope(p, 1))
+    assert unshared and key_calls == []
+
+
+def test_tietze_keys_no_relator_of_a_length_no_other_has(key_calls):
+    # the (2, 3, 5) triangle group with c = (a b a b)^-1 adjoined: c goes, and the
+    # relators left are still of three lengths
+    p = pres(["a", "b", "c"], "a^2", "b^3", "a b a b a b a b a b", "c a b a b")
+    assert tietze_simplify(p) == pres(["a", "b"], "a^2", "b^3", "a b a b a b a b a b")
+    assert key_calls == []
 
 
 def test_adjoin_commuting_examples():

@@ -19,7 +19,6 @@ from knotsurgery import (
     cable_link_group,
     count_homomorphisms,
     dehn_surgery_group,
-    double_complement_group,
     half_complement_group,
     mapping_torus_presentation,
     parse_braid,
@@ -35,6 +34,7 @@ from knotsurgery.surgery import (
     MAX_ABS_P,
     MAX_Q,
     MERIDIAN,
+    double_complement_group,
 )
 
 from conftest import naive_hom_count
