@@ -5,7 +5,7 @@ All counting and enumeration goes through one depth-first search,
 time.  Generators are ordered so that relators acquire full support as early
 as possible (relators with the smallest support are scheduled first), and a
 branch is pruned the moment any fully assigned relator fails to evaluate to
-the identity.  Two exact reductions keep the search small:
+the identity.  Three exact reductions keep the search small:
 
 * Segments.  Each relator is checked at the depth of its last generator g.
   It is rotated to start at g (a rotation is a conjugate, so it is trivial
@@ -19,14 +19,29 @@ the identity.  Two exact reductions keep the search small:
   representative per class and weights it by the class size.  With c fixed,
   the homomorphisms are still closed under conjugation by the centralizer
   C_H(c), so the second searched generator tries one representative per
-  C_H(c)-orbit of H and weights it by the orbit size (see Holt, Eick &
-  O'Brien, *Handbook of Computational Group Theory*, 2005, on homomorphisms
-  up to conjugacy).  Both lists come from ``FiniteTarget.centralizer_orbits``:
+  C_H(c)-orbit and weights it by the orbit size (see Holt, Eick & O'Brien,
+  *Handbook of Computational Group Theory*, 2005, on homomorphisms up to
+  conjugacy).  Both lists come from ``FiniteTarget.centralizer_orbits``:
   the classes are its orbits at the identity, whose centralizer is H.
+* Conjugate generators.  A relator that reads cyclically as U x^e U^-1 y^d
+  makes y^d conjugate to x^-e, so every homomorphism sends y into the class
+  of φ(x) or of φ(x)^-1; a homomorphism maps conjugates to conjugates.
+  ``_plan`` finds these relators with a linear scan (``_conjugate_pairs``)
+  and links the generators by a union-find that keeps each one's parity to
+  the first generator of its component in search order, its anchor.  A
+  linked generator then ranges over the members of its anchor's image's
+  class (or of the inverse's class) instead of all of H, and in the second
+  place over the C_H(c)-orbits of that class alone, which conjugation by
+  C_H(c) preserves.  Every Wirtinger relator has this shape, since every
+  generator is a meridian (Riley, Math. Comp. 25, 1971, sends meridians to
+  one class of PSL(2,p) the same way).  In the first 400 knots of the
+  benchmark's census pool, each knot group and both surgery routes at p=2
+  that Tietze left with two or more searched generators (678 groups) had all
+  of them in one component; the fig8 monodromy's mapping torus has none.
 
-Every later generator ranges over all of H.  The weighted total equals naive
-enumeration over all |H|^n assignments.  Generators appearing in no relator
-contribute an exact factor of |H| each.
+Every other generator ranges over all of H.  Every relator is still checked,
+so the weighted total equals naive enumeration over all |H|^n assignments.
+Generators appearing in no relator contribute an exact factor of |H| each.
 
 No image is solved for: a relator containing its completing generator once
 would fix it, but ``fpgroup.tietze_simplify`` eliminates every such
@@ -37,7 +52,11 @@ Measured on a 2-core machine (Python 3.11), against the search with the
 class reduction alone: counting the six fig8 surgery groups (q=1, p=1..6)
 into the eight escalation targets takes 0.15 s instead of 1.0 s, and
 ``validate_peripheral`` on the braid (1 -2)^7 over the standard suite 0.56 s
-instead of 6.6 s.
+instead of 6.6 s.  Against the search without conjugate generators: T(3,4)
+(braid (1 2)^4) into PSL2_17 takes 0.3-0.5 s instead of 30 s and into
+PSL2_19 0.5-0.8 s instead of 62 s, the braid (-1 2)^7 -1 -1 into S6
+0.9-1.2 s instead of 62 s, and ``knotsurgery knot`` on T(3,4) over the 20
+extended targets 1.2-1.7 s at 71 MB instead of 82 s at 104 MB.
 
 Every surgery on one knot is read off one search.  The group of the q/p
 surgery is the knot group modulo m^q l^p, so Hom(K(q/p), H) is exactly the
@@ -77,6 +96,10 @@ class _SearchPlan:
     order: tuple[int, ...]
     steps: tuple[tuple[tuple[_Step, ...], ...], ...]
     free: tuple[int, ...]
+    # per search position: None for the first generator of its component,
+    # else (that anchor, whether the image lies in the class of the inverse
+    # of the anchor's image rather than in the class of that image)
+    links: tuple[tuple[int, bool] | None, ...]
 
 
 def _steps(letters: tuple[Letter, ...], g: int) -> tuple[_Step, ...]:
@@ -93,6 +116,79 @@ def _steps(letters: tuple[Letter, ...], g: int) -> tuple[_Step, ...]:
         else:
             steps[-1][1].append((gen, e))
     return tuple((sign, tuple(u)) for sign, u in steps)
+
+
+def _conjugate_pairs(letters: tuple[Letter, ...]) -> list[tuple[Letter, Letter]]:
+    """Each (a, b) such that a cyclic rotation of the relator reads U a U^-1 b.
+
+    Then b = U a^-1 U^-1, so b is conjugate to a^-1.  Such a rotation is an
+    inverse palindrome of radius |U| = n/2 - 1 around a: for j = 1..|U| the
+    letters j places after a and j places before it are inverse.  Manacher's
+    scan of the relator written twice, with inversion as the mirror, finds
+    the radius at every centre in O(n) steps; a rotation is found at both of
+    its letters a and b.  The mirror has no fixed letter, so a centre's own
+    letter breaks the reflection: a mirrored radius that reaches the centre
+    C of the enclosing palindrome gives the radius i - C - 1 at i exactly,
+    since there the letter 2i - C equals the letter at C, not its inverse.
+    The exponent sums of U a U^-1 b are those of a and b, so a relator of odd
+    length, or whose exponent sums have absolute values adding up to more
+    than 2, is skipped first.
+    """
+    n = len(letters)
+    if n % 2:
+        return []
+    counts = Counter(letters)
+    if sum(abs(counts[g, 1] - counts[g, -1]) for g in {g for g, _ in counts}) > 2:
+        return []
+    k = n // 2 - 1
+    s = [2 * g + (e < 0) for g, e in letters] * 2  # code c ^ 1 is the inverse of code c
+    m = 2 * n
+    radius = [0] * m
+    centre = right = 0  # the centre whose palindrome reaches furthest right, and its reach
+    for i in range(m):
+        r = min(radius[2 * centre - i], right - i, i - centre - 1) if i < right else 0
+        while i - r > 0 and i + r + 1 < m and s[i + r + 1] == s[i - r - 1] ^ 1:
+            r += 1
+        radius[i] = r
+        if i + r > right:
+            centre, right = i, i + r
+    return [
+        (letters[i % n], letters[(i + k + 1) % n]) for i in range(k, k + n) if radius[i] >= k
+    ]
+
+
+def _links(relators: Sequence[Word], order: Sequence[int]) -> tuple[tuple[int, bool] | None, ...]:
+    """The conjugacy links of ``_SearchPlan.links`` that the relators prove.
+
+    A pair (x^e, y^d) of ``_conjugate_pairs`` puts the image of y in the class
+    of the image of x, or of its inverse when e = d.  A union-find over the
+    search positions, with each generator's parity to its parent, roots each
+    component at its first generator in search order; a pair within one
+    component adds nothing.
+    """
+    position = {g: k for k, g in enumerate(order)}
+    parent = list(range(len(order)))
+    odd = [False] * len(order)
+
+    def root(k: int) -> tuple[int, bool]:
+        flip = False
+        while parent[k] != k:
+            flip ^= odd[k]
+            k = parent[k]
+        return k, flip
+
+    for r in relators:
+        for (x, e), (y, d) in _conjugate_pairs(r.letters):
+            (a, fa), (b, fb) = root(position[x]), root(position[y])
+            if a != b:
+                a, b = min(a, b), max(a, b)
+                parent[b] = a
+                odd[b] = fa ^ fb ^ (e == d)
+    links = []
+    for k in range(len(order)):
+        a, flip = root(k)
+        links.append(None if a == k else (order[a], flip))
+    return tuple(links)
 
 
 # hom_spectrum and validate_peripheral search one presentation into each
@@ -121,7 +217,9 @@ def _plan(p: Presentation) -> _SearchPlan:
         steps[depth].append(_steps(p.relators[i].letters, order[depth]))
     for checks in steps:
         checks.sort(key=len)  # the cheapest check rejects first
-    return _SearchPlan(tuple(order), tuple(tuple(s) for s in steps), free)
+    return _SearchPlan(
+        tuple(order), tuple(tuple(s) for s in steps), free, _links(p.relators, order)
+    )
 
 
 def evaluate_word(
@@ -148,25 +246,30 @@ def weighted_homomorphisms(
     The first searched generator takes the ``(image, weight)`` pairs in
     ``first``.  By default these are the target's conjugacy classes as
     (representative, class size), and then the second searched generator
-    ranges over ``target.centralizer_orbits(c)`` of the first image c, each
-    weighted by orbit size.  Every later generator, and the second one when
-    ``first`` is given, ranges over all of H.  Each pair stands for
-    ``weight`` homomorphisms, so with the default ``first`` the weights sum
-    to |Hom(G, H)|.  ``images`` is the live assignment, valid until the next
-    pair is drawn.  Without ``expand_free`` the generators in no relator stay
-    unassigned and their factor |H|^k is folded into the weight; if no
-    generator is in a relator, one of them is still searched, so that
-    ``first`` applies.
+    ranges over ``target.centralizer_orbits`` of the first image c, each
+    weighted by orbit size.  A generator that the relators link to an earlier
+    one (``_SearchPlan.links``) ranges over the class of its anchor's image,
+    or of that image's inverse: over the C_H(c)-orbits of that class in the
+    second place, and over its members elsewhere.  Every other generator, and
+    the second one when ``first`` is given, ranges over all of H.  Each pair
+    stands for ``weight`` homomorphisms, so with the default ``first`` the
+    weights sum to |Hom(G, H)|.  ``images`` is the live assignment, valid
+    until the next pair is drawn.  Without ``expand_free`` the generators in
+    no relator stay unassigned and their factor |H|^k is folded into the
+    weight; if no generator is in a relator, one of them is still searched,
+    so that ``first`` applies.
     """
     plan = _plan(p)
     sequence = plan.order + plan.free if expand_free else plan.order or plan.free[:1]
     steps = plan.steps + ((),) * len(plan.free)
+    links = plan.links + (None,) * len(plan.free)
     factor = target.order ** (len(plan.order) + len(plan.free) - len(sequence))
     reduce_second = first is None
     if first is None:
         first = target.conjugacy_classes
     mult = target.mult
     inv = target.inverse
+    class_of, members = target.class_table if any(links) else ((), ())
     images = [0] * len(p.generators)
     last = len(sequence) - 1
 
@@ -174,7 +277,7 @@ def weighted_homomorphisms(
         depth: int, candidates: Iterable[tuple[int, int]] | None, weight: int
     ) -> Iterator[tuple[list[int], int]]:
         """Extend the assignment at ``depth`` by each (image, weight factor)
-        in ``candidates``, or by every element of H when it is None."""
+        in ``candidates``, or by every element it may take when it is None."""
         g = sequence[depth]
         # each u is evaluated once for this node, so that a candidate h costs
         # two lookups per occurrence of g; evaluate_word is inlined because a
@@ -190,7 +293,12 @@ def weighted_homomorphisms(
                 values.append((sign, x))
             checks.append(values)
         if candidates is None:
-            candidates = zip(range(target.order), repeat(1))
+            link = links[depth]
+            if link is None:
+                candidates = zip(range(target.order), repeat(1))
+            else:
+                x = images[link[0]]
+                candidates = zip(members[class_of[inv[x] if link[1] else x]], repeat(1))
         for h, size in candidates:
             pair = (h, inv[h])
             for relator in checks:
@@ -204,7 +312,10 @@ def weighted_homomorphisms(
                 if depth == last:
                     yield images, weight * size
                 elif depth == 0 and reduce_second:
-                    yield from dfs(1, target.centralizer_orbits(h), weight * size)
+                    # the second generator's only possible anchor is the first
+                    link = links[1]
+                    k = None if link is None else class_of[pair[link[1]]]
+                    yield from dfs(1, target.centralizer_orbits(h, k), weight * size)
                 else:
                     yield from dfs(depth + 1, None, weight * size)
 

@@ -161,55 +161,78 @@ class FiniteTarget:
         """(representative, class size) per conjugacy class: ``centralizer_orbits(0)``."""
         return self.centralizer_orbits(0)
 
+    @property
+    def class_table(self) -> tuple[list[int], list[tuple[int, ...]]]:
+        """(the index in ``conjugacy_classes`` of each element's class, the
+        members of each class in increasing index order)."""
+        self.centralizer_orbits(0)
+        return self._classes
+
     @cached_property
-    def _orbit_cache(self) -> dict[int, tuple[tuple[int, int], ...]]:
+    def _classes(self) -> tuple[list[int], list[tuple[int, ...]]]:
+        # filled by the breadth-first pass of the first centralizer_orbits
+        # call at a central element
+        return [0] * self.order, []
+
+    @cached_property
+    def _orbit_cache(self) -> dict[tuple[int, int | None], tuple[tuple[int, int], ...]]:
         return {}
 
-    def centralizer_orbits(self, c: int) -> tuple[tuple[int, int], ...]:
-        """(representative, orbit size) per orbit of H under conjugation by C_H(c).
+    def centralizer_orbits(self, c: int, k: int | None = None) -> tuple[tuple[int, int], ...]:
+        """(representative, orbit size) per orbit under conjugation by C_H(c).
 
-        Each orbit is listed under its smallest element index, so for c = 0,
-        the identity, these are the conjugacy classes.  Conjugation by z reads
-        row z alone, as z x z^-1 = z (z x^-1)^-1, and C_H(c) is the set of
-        elements that conjugation by c fixes, so only the rows of the
-        conjugators in use are read.  For a central c each orbit is found
-        breadth-first under conjugation by the generators; otherwise it is the
-        set {z x z^-1 : z in C_H(c)}, which costs sum over z in C_H(c) of
-        |C_H(z)| steps by Burnside's lemma.  The result is cached on this
-        target, per c, on first use.
+        The orbits are those of H, or with a class index k, those of the k-th
+        conjugacy class alone, which conjugation preserves.  Each orbit is
+        listed under its smallest element index, so for c = 0, the identity,
+        these are the conjugacy classes.  Conjugation by z reads row z alone,
+        as z x z^-1 = z (z x^-1)^-1, and C_H(c) is the set of elements that
+        conjugation by c fixes, so only the rows of the conjugators in use are
+        read.  For a central c the orbits are the classes: the first such call
+        finds them breadth-first under conjugation by the generators, and
+        keeps each element's class index and each class's members
+        (``class_table``).  Otherwise an orbit is the set {z x z^-1 : z in
+        C_H(c)}, which costs sum over z in C_H(c) of |C_H(z)| steps over H by
+        Burnside's lemma.  The result is cached on this target, per (c, k), on
+        first use.
         """
         cache = self._orbit_cache
-        if c in cache:
-            return cache[c]
+        if (c, k) in cache:
+            return cache[c, k]
         mult, inverse, order = self.mult, self.inverse, self.order
         row_c = mult[c]
         centralizer = [z for z in range(order) if row_c[inverse[row_c[inverse[z]]]] == z]
-        central = len(centralizer) == order
-        if central:
-            rows = [mult[self.elements.index(g)] for g in self.generators]
+        class_of, members = self._classes
+        if len(centralizer) == order:
+            if not members:
+                rows = [mult[self.elements.index(g)] for g in self.generators]
+                seen = bytearray(order)
+                for rep in range(order):
+                    if seen[rep]:
+                        continue
+                    seen[rep] = 1
+                    orbit = [rep]
+                    for x in orbit:
+                        class_of[x] = len(members)
+                        for row in rows:
+                            y = row[inverse[row[inverse[x]]]]
+                            if not seen[y]:
+                                seen[y] = 1
+                                orbit.append(y)
+                    members.append(tuple(sorted(orbit)))
+            found = [(m[0], len(m)) for m in (members if k is None else members[k : k + 1])]
         else:
             rows = [mult[z] for z in centralizer]
-        seen = bytearray(order)
-        found = []
-        for rep in range(order):
-            if seen[rep]:
-                continue
-            if central:
-                seen[rep] = 1
-                orbit = [rep]
-                for x in orbit:
-                    for row in rows:
-                        y = row[inverse[row[inverse[x]]]]
-                        if not seen[y]:
-                            seen[y] = 1
-                            orbit.append(y)
-            else:
+            seen = bytearray(order)
+            found = []
+            for rep in range(order) if k is None else members[k]:
+                if seen[rep]:
+                    continue
                 x = inverse[rep]
                 orbit = {row[inverse[row[x]]] for row in rows}
                 for y in orbit:
                     seen[y] = 1
-            found.append((rep, len(orbit)))
-        orbits = cache[c] = tuple(found)
+                found.append((rep, len(orbit)))
+        orbits = cache[c, k] = tuple(found)
         return orbits
 
     def __repr__(self) -> str:

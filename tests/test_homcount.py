@@ -10,12 +10,14 @@ from knotsurgery import (
     alternating,
     build_family,
     builtin_knot,
+    builtin_monodromy,
     count_homomorphisms,
     cyclic,
     dihedral,
     distinguish_report,
     escalation_suite,
     hom_spectrum,
+    mapping_torus_presentation,
     parse_braid,
     parse_word,
     standard_suite,
@@ -23,8 +25,14 @@ from knotsurgery import (
     tietze_simplify,
     wirtinger_from_braid,
 )
-from knotsurgery.homcount import HomSpectrum, evaluate_word, iter_homomorphisms, weighted_homomorphisms
-from knotsurgery.targets import FULL_TABLE_MAX_ORDER
+from knotsurgery.homcount import (
+    HomSpectrum,
+    _conjugate_pairs,
+    _plan,
+    evaluate_word,
+    iter_homomorphisms,
+    weighted_homomorphisms,
+)
 
 from conftest import low_index_hom_count, naive_hom_count, torus_hom_count
 
@@ -157,13 +165,40 @@ def presentations_with_free_generators(draw):
     )
 
 
+def inverse_of(word):
+    return [(g, -e) for g, e in reversed(word)]
+
+
+@st.composite
+def conjugating_presentations(draw, max_gens=3):
+    """2..max_gens generators; one or two relators U x^e U^-1 y^d, and maybe one more.
+
+    U has up to 6 letters, x = y is allowed, and e and d are drawn apart, so
+    the search links y to the class of x or of its inverse.
+    """
+    n_gens = draw(st.integers(min_value=2, max_value=max_gens))
+    letters = st.tuples(st.integers(min_value=0, max_value=n_gens - 1), st.sampled_from((1, -1)))
+    relators = []
+    for _ in range(draw(st.integers(min_value=1, max_value=2))):
+        u = draw(st.lists(letters, max_size=6))
+        x, y = draw(letters), draw(letters)
+        relators.append(u + [x] + inverse_of(u) + [y])
+    relators += draw(st.lists(st.lists(letters, min_size=1, max_size=6), max_size=1))
+    return Presentation(
+        [f"g{i}" for i in range(n_gens)], [Word(tuple(r)) for r in relators]
+    )
+
+
 ORACLE_TARGETS = {
     t.name: t for t in (symmetric(3), symmetric(4), alternating(4), dihedral(4), cyclic(6))
 }
 
 
 @settings(max_examples=120)
-@given(presentations_with_free_generators(), st.sampled_from(sorted(ORACLE_TARGETS)))
+@given(
+    st.one_of(presentations_with_free_generators(), conjugating_presentations()),
+    st.sampled_from(sorted(ORACLE_TARGETS)),
+)
 def test_matches_naive_enumeration(p, name):
     target = ORACLE_TARGETS[name]
     count = count_homomorphisms(p, target)
@@ -190,23 +225,20 @@ def test_matches_naive_enumeration(p, name):
 
 
 @pytest.mark.parametrize(
-    "braid, r, s, full_tables_only",
+    "braid, r, s",
     [
-        pytest.param("1 " * 3, 2, 3, False, id="T(2,3)"),
-        pytest.param("1 " * 5, 2, 5, False, id="T(2,5)"),
-        pytest.param("1 " * 7, 2, 7, False, id="T(2,7)"),
-        # its searches into PSL2_17 and PSL2_19, which keep no full table, take 30-60 s
-        pytest.param("1 2 " * 4, 3, 4, True, id="T(3,4)"),
+        pytest.param("1 " * 3, 2, 3, id="T(2,3)"),
+        pytest.param("1 " * 5, 2, 5, id="T(2,5)"),
+        pytest.param("1 " * 7, 2, 7, id="T(2,7)"),
+        pytest.param("1 2 " * 4, 3, 4, id="T(3,4)"),
     ],
 )
-def test_torus_knot_counts_match_the_power_map_oracle(braid, r, s, full_tables_only):
+def test_torus_knot_counts_match_the_power_map_oracle(braid, r, s):
     # the closure of the braid is the torus knot T(r, s): the engine counts
     # its simplified Wirtinger group, the oracle <x, y | x^r = y^s>
     group = tietze_simplify(wirtinger_from_braid(parse_braid(braid)).group)
     targets = standard_suite() + escalation_suite()
-    if full_tables_only:
-        targets = tuple(t for t in targets if t.order <= FULL_TABLE_MAX_ORDER)
-    assert len(targets) == (18 if full_tables_only else 20)
+    assert len(targets) == 20
     for target in targets:
         assert count_homomorphisms(group, target) == torus_hom_count(r, s, target), target.name
 
@@ -220,7 +252,9 @@ two_generator_presentations = st.lists(
 ).map(lambda rels: Presentation(["a", "b"], [Word(tuple(r)) for r in rels]))
 
 
-@given(two_generator_presentations)
+# two generators: the coset enumeration of a 3-generator group with a free
+# generator took 6-56 s at index 6
+@given(st.one_of(two_generator_presentations, conjugating_presentations(max_gens=2)))
 def test_low_index_oracle_matches_the_engine_at_s5_and_s6(p):
     for n, target in LOW_INDEX_TARGETS.items():
         assert count_homomorphisms(p, target) == low_index_hom_count(p, n)
@@ -240,6 +274,66 @@ def test_low_index_oracle_matches_the_engine_on_knot_and_surgery_groups():
         counts = tuple(count_homomorphisms(group, LOW_INDEX_TARGETS[n]) for n in (5, 6))
         assert counts == tuple(low_index_hom_count(group, n) for n in (5, 6)), key
         assert counts == expected[key], key
+
+
+def rotation_pairs(letters):
+    """(a, b) for every rotation of the letters that reads U a U^-1 b, by
+    building each rotation and comparing it letter by letter."""
+    n = len(letters)
+    k = (n - 2) // 2
+    pairs = []
+    for start in range(n):
+        t = letters[start:] + letters[:start]
+        if 2 * k + 2 == n and all(
+            t[k + 1 + j] == (t[k - 1 - j][0], -t[k - 1 - j][1]) for j in range(k)
+        ):
+            pairs.append((t[k], t[n - 1]))
+    return pairs
+
+
+two_letters = st.tuples(st.integers(min_value=0, max_value=1), st.sampled_from((1, -1)))
+short_words = st.lists(two_letters, max_size=5)
+
+relators_to_scan = st.one_of(
+    # random letters, of any length and parity
+    st.lists(two_letters, min_size=1, max_size=16),
+    # U a U^-1 b, where U holds a conjugate W c W^-1 of its own, written
+    # whole or inside a further conjugation V ... V^-1
+    st.builds(
+        lambda w, c, v, a, b, outer: (
+            (v if outer else [])
+            + w + [c] + inverse_of(w) + [a] + w + [(c[0], -c[1])] + inverse_of(w) + [b]
+            + (inverse_of(v) if outer else [])
+        ),
+        short_words, two_letters, short_words, two_letters, two_letters, st.booleans(),
+    ),
+    # a centre a of radius |U| whose partner is not the antipodal letter:
+    # U a U^-1 V with |V| >= 2
+    st.builds(
+        lambda u, a, v: u + [a] + inverse_of(u) + v,
+        short_words, two_letters, st.lists(two_letters, min_size=2, max_size=5),
+    ),
+)
+
+
+@settings(max_examples=200)
+@given(relators_to_scan)
+def test_the_link_finder_matches_a_scan_of_every_rotation(letters):
+    letters = tuple(letters)
+    assert sorted(_conjugate_pairs(letters)) == sorted(rotation_pairs(letters))
+
+
+def test_knot_groups_are_linked_and_the_fig8_mapping_torus_is_not():
+    # every simplified generator of a braid's knot group is a meridian, and
+    # the relators prove it: one component
+    for braid in ("1 1 1", "1 -2 1 -2", "1 2 1 2 1 2 1 2", "-1 2 " * 7 + "-1 -1"):
+        plan = _plan(tietze_simplify(wirtinger_from_braid(parse_braid(braid)).group))
+        assert len(plan.order) >= 2
+        assert plan.links[0] is None and None not in plan.links[1:], braid
+    # the mapping-torus group of the fig8 monodromy has no relator of that
+    # shape, so both of its generators keep the search over all of H
+    group = tietze_simplify(mapping_torus_presentation(builtin_monodromy("fig8")).group)
+    assert _plan(group).links == (None, None)
 
 
 @settings(max_examples=30)

@@ -232,11 +232,14 @@ def test_conjugacy_classes_partition_the_group(name):
     mult, inverse = target.mult, target.inverse
     classes = target.conjugacy_classes
     assert len(classes) == CLASS_NUMBERS[name]
+    class_of, class_members = target.class_table
     covered: set[int] = set()
-    for rep, size in classes:
+    for k, (rep, size) in enumerate(classes):
         # the class by conjugating with every element, not only the generators
         members = {mult[mult[h][rep]][inverse[h]] for h in range(target.order)}
         assert len(members) == size
+        assert class_members[k] == tuple(sorted(members))
+        assert {class_of[x] for x in members} == {k}
         assert target.order % size == 0
         assert not members & covered
         covered |= members
@@ -279,6 +282,12 @@ def test_centralizer_orbits_partition_the_group(name):
         assert covered == set(range(target.order))
         if c == 0:
             assert orbits == target.conjugacy_classes
+        # restricted to one class, the orbits are those whose members lie in it
+        class_of, _ = target.class_table
+        for k in range(len(target.conjugacy_classes)):
+            assert target.centralizer_orbits(c, k) == tuple(
+                (rep, size) for rep, size in orbits if class_of[rep] == k
+            )
 
 
 # sha256 of each bundled target's elements, inverse table and, for a full
