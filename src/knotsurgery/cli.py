@@ -49,6 +49,7 @@ from .errors import (
     PeripheralValidationError,
 )
 from .fpgroup import (
+    MAX_WORD_LENGTH,
     Letter,
     Word,
     presentation_from_json,
@@ -101,6 +102,10 @@ MAX_SUITE_BYTES = 65_536
 # MAX_SUITE_BYTES, escaping grows a name at most threefold, and each count has
 # a few dozen digits at most, so no entry written for a legal suite reaches it.
 MAX_CACHE_ENTRY_BYTES = 4 * MAX_SUITE_BYTES
+# export refuses a slope set whose filling relators' longitude powers would
+# total more letters: sum over the kept p of |p| * |longitude|.  Ten times the
+# one-word limit still lets the largest single slope through.
+MAX_EXPORT_LETTERS = 10 * MAX_WORD_LENGTH
 
 
 def _read_json(path: str | Path, limit: int, what: str, error: type) -> tuple[object, bytes]:
@@ -620,6 +625,12 @@ def cmd_export(config: RunConfig) -> int:
         print(f"wrote {path}")
         return 0
     _refuse_long_slope(config, kp)
+    letters = len(kp.longitude) * sum(abs(p) for p in config.p_values if gcd(p, config.q) == 1)
+    if letters > MAX_EXPORT_LETTERS:
+        raise KnotSurgeryError(
+            f"the slopes' longitude powers would total {letters} letters,"
+            f" past the export limit {MAX_EXPORT_LETTERS}"
+        )
     builder = {
         "surgery": dehn_surgery_group,
         "half": half_complement_group,

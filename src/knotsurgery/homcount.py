@@ -22,7 +22,10 @@ the identity.  Three exact reductions keep the search small:
   C_H(c)-orbit and weights it by the orbit size (see Holt, Eick & O'Brien,
   *Handbook of Computational Group Theory*, 2005, on homomorphisms up to
   conjugacy).  Both lists come from ``FiniteTarget.centralizer_orbits``:
-  the classes are its orbits at the identity, whose centralizer is H.
+  the classes are its orbits at the identity, whose centralizer is H, found
+  by one breadth-first class pass per target, and C_H(c) is closed from the
+  Schreier generators that pass yields (Schreier's lemma, ibid.), with no
+  scan of H per class.
 * Conjugate generators.  A relator that reads cyclically as U x^e U^-1 y^d
   makes y^d conjugate to x^-e, so every homomorphism sends y into the class
   of φ(x) or of φ(x)^-1; a homomorphism maps conjugates to conjugates.

@@ -165,14 +165,96 @@ class FiniteTarget:
     def class_table(self) -> tuple[list[int], list[tuple[int, ...]]]:
         """(the index in ``conjugacy_classes`` of each element's class, the
         members of each class in increasing index order)."""
-        self.centralizer_orbits(0)
-        return self._classes
+        return self._classes[:2]
 
     @cached_property
-    def _classes(self) -> tuple[list[int], list[tuple[int, ...]]]:
-        # filled by the breadth-first pass of the first centralizer_orbits
-        # call at a central element
-        return [0] * self.order, []
+    def _generator_indices(self) -> list[int]:
+        return [self.elements.index(g) for g in self.generators]
+
+    @cached_property
+    def _classes(self) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
+        """The class pass: (class index, class members, letter) per element.
+
+        Each class is found breadth-first from its smallest element, its
+        representative rep, under conjugation by the generators, reading
+        their rows alone.  An element y first reached as g x g^-1 keeps the
+        position of g as its letter, and x = g^-1 y g is its parent; rep has
+        letter -1.  So the letters up from y spell a conjugator t_y = g ...,
+        with t_y rep t_y^-1 = y.
+        """
+        mult, inverse, order = self.mult, self.inverse, self.order
+        moves = list(enumerate(mult[g] for g in self._generator_indices))
+        class_of, letter = [-1] * order, [-1] * order
+        members: list[tuple[int, ...]] = []
+        for rep in range(order):
+            if class_of[rep] >= 0:
+                continue
+            k, orbit = len(members), [rep]
+            class_of[rep] = k
+            for x in orbit:
+                for j, row in moves:
+                    y = row[inverse[row[inverse[x]]]]
+                    if class_of[y] < 0:
+                        class_of[y] = k
+                        letter[y] = j
+                        orbit.append(y)
+            members.append(tuple(sorted(orbit)))
+        return class_of, members, letter
+
+    @cached_property
+    def _centralizers(self) -> dict[int, list[int]]:
+        return {}
+
+    def _centralizer(self, c: int) -> list[int]:
+        """C_H(c) = t C_H(rep) t^-1, with rep c's class's representative and
+        t = t_c; C_H(rep) is kept per class.
+
+        By Schreier's lemma C_H(rep) is generated by t_y^-1 g t_x for x in
+        the class and g a generator, with y = g x g^-1; it is the identity
+        where g is y's letter, since x is then y's parent.  Each is found by
+        climbing up the parents through the inverse generators' rows, and
+        one not yet in the subgroup joins its generators; the subgroup is
+        closed under left multiplication by their rows until it has
+        |H| / |class| elements.
+        """
+        mult, inverse = self.mult, self.inverse
+        class_of, members, letter = self._classes
+        back = [mult[inverse[g]] for g in self._generator_indices]
+
+        def climb(y: int, z: int) -> int:
+            """t_y^-1 z."""
+            while letter[y] >= 0:
+                row = back[letter[y]]
+                z, y = row[z], row[inverse[row[inverse[y]]]]
+            return z
+
+        k = class_of[c]
+        group = self._centralizers.get(k)
+        if group is None:
+            rows = [mult[g] for g in self._generator_indices]
+            size = self.order // len(members[k])
+            group, inside, added = [0], {0}, []
+            for x in members[k]:
+                if len(group) == size:
+                    break
+                for j, row in enumerate(rows):
+                    y = row[inverse[row[inverse[x]]]]
+                    if letter[y] == j:
+                        continue
+                    s = climb(y, row[inverse[climb(x, 0)]])
+                    if s not in inside:
+                        added.append(mult[s])
+                        for z in group:
+                            for row_s in added:
+                                w = row_s[z]
+                                if w not in inside:
+                                    inside.add(w)
+                                    group.append(w)
+            self._centralizers[k] = group
+        if letter[c] < 0:
+            return group
+        row_t = mult[inverse[climb(c, 0)]]
+        return [row_t[inverse[row_t[inverse[z]]]] for z in group]
 
     @cached_property
     def _orbit_cache(self) -> dict[tuple[int, int | None], tuple[tuple[int, int], ...]]:
@@ -185,43 +267,27 @@ class FiniteTarget:
         conjugacy class alone, which conjugation preserves.  Each orbit is
         listed under its smallest element index, so for c = 0, the identity,
         these are the conjugacy classes.  Conjugation by z reads row z alone,
-        as z x z^-1 = z (z x^-1)^-1, and C_H(c) is the set of elements that
-        conjugation by c fixes, so only the rows of the conjugators in use are
-        read.  For a central c the orbits are the classes: the first such call
-        finds them breadth-first under conjugation by the generators, and
-        keeps each element's class index and each class's members
-        (``class_table``).  Otherwise an orbit is the set {z x z^-1 : z in
-        C_H(c)}, which costs sum over z in C_H(c) of |C_H(z)| steps over H by
-        Burnside's lemma.  The result is cached on this target, per (c, k), on
-        first use.
+        as z x z^-1 = z (z x^-1)^-1.  The first call on this target runs the
+        class pass, which finds the classes (``class_table``) breadth-first
+        under conjugation by the generators in O(|H| * #generators) steps.
+        For a central c the orbits are the classes.  Otherwise C_H(c) is
+        t C_H(rep) t^-1, where rep is the representative of c's class and t
+        the conjugator that the class pass spells, and the first call in
+        rep's class closes C_H(rep) from its Schreier generators (a few
+        suffice: at most 66 for all the classes of a bundled target).
+        An orbit is the set {z x z^-1 : z in C_H(c)}, which costs sum over z
+        in C_H(c) of |C_H(z)| steps over H by Burnside's lemma.  The result
+        is cached on this target, per (c, k), on first use.
         """
         cache = self._orbit_cache
         if (c, k) in cache:
             return cache[c, k]
-        mult, inverse, order = self.mult, self.inverse, self.order
-        row_c = mult[c]
-        centralizer = [z for z in range(order) if row_c[inverse[row_c[inverse[z]]]] == z]
-        class_of, members = self._classes
-        if len(centralizer) == order:
-            if not members:
-                rows = [mult[self.elements.index(g)] for g in self.generators]
-                seen = bytearray(order)
-                for rep in range(order):
-                    if seen[rep]:
-                        continue
-                    seen[rep] = 1
-                    orbit = [rep]
-                    for x in orbit:
-                        class_of[x] = len(members)
-                        for row in rows:
-                            y = row[inverse[row[inverse[x]]]]
-                            if not seen[y]:
-                                seen[y] = 1
-                                orbit.append(y)
-                    members.append(tuple(sorted(orbit)))
+        class_of, members, _ = self._classes
+        if len(members[class_of[c]]) == 1:
             found = [(m[0], len(m)) for m in (members if k is None else members[k : k + 1])]
         else:
-            rows = [mult[z] for z in centralizer]
+            mult, inverse, order = self.mult, self.inverse, self.order
+            rows = [mult[z] for z in self._centralizer(c)]
             seen = bytearray(order)
             found = []
             for rep in range(order) if k is None else members[k]:

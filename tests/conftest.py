@@ -140,9 +140,14 @@ def low_index_hom_count(presentation, n: int) -> int:
     table.  Then h_m = sum over k = 1..m of C(m-1, k-1) (k-1)! a_k h_{m-k},
     with h_0 = 1, is |Hom(G, S_m)| (M. Hall, 1949): the orbit of the first
     point is a transitive action on k points, the rest any action on m - k.
+    The tables are over the generators that some relator reads, renumbered
+    in order; each of the r others is a free factor, and |Hom(G * F_r, S_n)|
+    = |Hom(G, S_n)| (n!)^r.
     """
-    columns = 2 * len(presentation.generators)  # column 2g is g, 2g + 1 is g^-1
-    relators = [[2 * g + (e != 1) for g, e in r.letters] for r in presentation.relators]
+    used = sorted({g for r in presentation.relators for g, _ in r.letters})
+    position = {g: i for i, g in enumerate(used)}
+    columns = 2 * len(used)  # column 2i is used[i], 2i + 1 its inverse
+    relators = [[2 * position[g] + (e != 1) for g, e in r.letters] for r in presentation.relators]
     subgroups = [0] * (n + 1)
 
     def settled(table) -> bool:
@@ -196,7 +201,7 @@ def low_index_hom_count(presentation, n: int) -> int:
             math.comb(m - 1, k - 1) * math.factorial(k - 1) * subgroups[k] * homs[m - k]
             for k in range(1, m + 1)
         ))
-    return homs[n]
+    return homs[n] * math.factorial(n) ** (len(presentation.generators) - len(used))
 
 
 def torus_hom_count(r: int, s: int, target: FiniteTarget) -> int:

@@ -1324,6 +1324,30 @@ def test_the_largest_slope_under_the_word_limit_still_exports(capsys, tmp_path):
     assert (tmp_path / "half_q1_p140.g").stat().st_size > 140 * 7134
 
 
+@pytest.mark.parametrize("construction", ["surgery", "half", "double"])
+def test_export_refuses_slopes_whose_longitude_powers_total_past_its_limit(
+    capsys, tmp_path, monkeypatch, construction
+):
+    # each p in 1..140 is under the word limit, but together they come to
+    # 9870 * 7134 letters, about 310 MB of scripts
+    calls = []
+    for name in ("dehn_surgery_group", "half_complement_group"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+    out = tmp_path / "out"
+    argv = ["export", "--braid", LONG_LONGITUDE_BRAID, "--construction", construction]
+    code, stdout, err = run([*argv, "--p=1..140", "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == (
+        "error: the slopes' longitude powers would total 70412580 letters,"
+        " past the export limit 10000000\n"
+    )
+    assert not out.exists()
+    assert calls == []
+    # the gcd filter runs first: at q = 2 only the odd p count
+    code, _, err = run([*argv, "--q=2", "--p=1..140", "--out", str(out)], capsys)
+    assert code == 2 and "total 34956600 letters" in err
+
+
 def test_option_strings_of_each_subcommand():
     # a new option is a new setting: add one only when some caller varies it
     parser = cli.build_parser()

@@ -129,7 +129,9 @@ def test_centralizer_orbits_of_a_memo_target_make_rows_for_the_centralizer_only(
     assert centralizer < target.order
     orbits = target.centralizer_orbits(c)
     assert sum(size for _, size in orbits) == target.order
-    assert len(target.mult) <= centralizer + 2
+    # the class pass reads the generators' rows, the climbs up its tree
+    # those of their inverses, and the orbits the centralizer's
+    assert len(target.mult) <= centralizer + 2 * len(target.generators)
 
 
 def test_a_memo_target_hashes_and_compares_without_reading_its_products():

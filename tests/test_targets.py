@@ -1,7 +1,7 @@
 import hashlib
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from knotsurgery import (
     ClosureCapExceededError,
@@ -255,39 +255,87 @@ def test_conjugacy_classes_of_abelian_and_trivial_groups():
     assert trivial.conjugacy_classes == ((0, 1),)
 
 
-ORBIT_CASES = [
-    "C2", "C3", "C4", "C5", "C6", "S3", "S4", "S5", "A4", "A5", "D4", "D5", "PSL2_7",
-]
+def brute_centralizer(target, c: int) -> set[int]:
+    """C_H(c) by composing permutations, not through the tables."""
+    a = target.elements[c]
+    points = range(target.degree)
+    return {
+        i for i, z in enumerate(target.elements) if all(z[a[x]] == a[z[x]] for x in points)
+    }
 
 
-@pytest.mark.parametrize("name", ORBIT_CASES)
+def brute_orbits(target, centralizer: set[int], members) -> list[tuple[int, int]]:
+    """(least member, size) per C_H(c)-orbit on members, by composing permutations."""
+    index = {p: i for i, p in enumerate(target.elements)}
+    perms = [(target.elements[z], invert_perm(target.elements[z])) for z in centralizer]
+    covered: set[int] = set()
+    orbits = []
+    for rep in sorted(members):
+        if rep in covered:
+            continue
+        x = target.elements[rep]
+        # z x z^-1 in one pass: compose(compose(z, x), z_inv)
+        orbit = {index[tuple([z[x[w]] for w in z_inv])] for z, z_inv in perms}
+        covered |= orbit
+        orbits.append((min(orbit), len(orbit)))
+    return orbits
+
+
+@pytest.mark.parametrize("name", [t.name for t in standard_suite() + escalation_suite()])
 def test_centralizer_orbits_partition_the_group(name):
     target = {t.name: t for t in standard_suite() + escalation_suite()}[name]
-    index = {p: i for i, p in enumerate(target.elements)}
+    class_of, members = target.class_table
     for c, _ in target.conjugacy_classes:
-        # the centralizer and its orbits by composing permutations, not
-        # through the tables
-        a = target.elements[c]
-        centralizer = [z for z in target.elements if compose(z, a) == compose(a, z)]
+        centralizer = brute_centralizer(target, c)
+        if len(members[class_of[c]]) > 1:
+            assert set(target._centralizer(c)) == centralizer
         orbits = target.centralizer_orbits(c)
+        assert list(orbits) == brute_orbits(target, centralizer, range(target.order))
         assert sum(size for _, size in orbits) == target.order
-        covered: set[int] = set()
-        for rep, size in orbits:
-            x = target.elements[rep]
-            members = {index[compose(compose(z, x), invert_perm(z))] for z in centralizer}
-            assert len(members) == size
-            assert min(members) == rep
-            assert not members & covered
-            covered |= members
-        assert covered == set(range(target.order))
         if c == 0:
             assert orbits == target.conjugacy_classes
         # restricted to one class, the orbits are those whose members lie in it
-        class_of, _ = target.class_table
         for k in range(len(target.conjugacy_classes)):
             assert target.centralizer_orbits(c, k) == tuple(
                 (rep, size) for rep, size in orbits if class_of[rep] == k
             )
+
+
+@given(
+    st.integers(min_value=1, max_value=7).flatmap(
+        lambda degree: st.lists(st.permutations(range(degree)), min_size=1, max_size=3)
+    ),
+    st.integers(min_value=0),
+)
+def test_the_class_pass_gives_conjugators_and_centralizers_of_random_groups(generators, pick):
+    degree = len(generators[0])
+    try:  # A7 and S7 would take most of the test's time
+        target = close_target("random", [tuple(g) for g in generators], degree=degree, cap=720)
+    except ClosureCapExceededError:
+        assume(False)
+    index = {p: i for i, p in enumerate(target.elements)}
+    class_of, members, letter = target._classes
+    for x, perm in enumerate(target.elements):
+        # t_x = g_1 g_2 ..., the letters up x's parents (y's parent is
+        # g^-1 y g for its letter g), conjugates its class's representative
+        # to x
+        t, y = identity_perm(degree), perm
+        while letter[index[y]] >= 0:
+            g = target.generators[letter[index[y]]]
+            t, y = compose(t, g), compose(compose(invert_perm(g), y), g)
+        assert index[y] == members[class_of[x]][0]
+        assert compose(compose(t, y), invert_perm(t)) == perm
+    for m in members:
+        assert set(target._centralizer(m[0])) == brute_centralizer(target, m[0])
+    # at an element that need not be its class's representative
+    c = pick % target.order
+    k = class_of[(pick // target.order) % target.order]
+    centralizer = brute_centralizer(target, c)
+    assert set(target._centralizer(c)) == centralizer
+    assert list(target.centralizer_orbits(c, k)) == brute_orbits(target, centralizer, members[k])
+    if target.order <= 120:
+        orbits = brute_orbits(target, centralizer, range(target.order))
+        assert list(target.centralizer_orbits(c)) == orbits
 
 
 # sha256 of each bundled target's elements, inverse table and, for a full
