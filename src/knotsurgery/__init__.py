@@ -55,7 +55,6 @@ from .knots import (
     FiberedKnotData,
     KnotPresentation,
     PeripheralReport,
-    apply_automorphism,
     builtin_knot,
     builtin_monodromy,
     mapping_torus_presentation,

@@ -31,7 +31,6 @@ import stat
 import sys
 import textwrap
 import time
-from concurrent.futures import ProcessPoolExecutor  # unused; bench/run.py's --trace 1 wraps it
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
@@ -90,6 +89,9 @@ from .targets import (
 
 SCHEMA_VERSION = 1
 WORKERS_ENV = "KNOTSURGERY_WORKERS"  # no longer read; bench/workloads.py still sets it
+# A placeholder that bench/run.py --trace 1 replaces with a timed pool class;
+# nothing here starts a pool, so importing this module loads no process pool.
+ProcessPoolExecutor = None
 MAX_P_VALUES = 1000
 # Monodromy files are refused past this size before they are parsed.  The limit
 # also bounds the certificate's compositions, whose length is at most the

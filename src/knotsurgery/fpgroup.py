@@ -161,17 +161,12 @@ def commutator(w1: Word, w2: Word) -> Word:
     return w1 * w2 * w1.inverse() * w2.inverse()
 
 
-def apply_mapping(w: Word, images: Mapping[int, Word]) -> Word:
-    """Replace each generator by its image, all at once (identity elsewhere)."""
+def apply_mapping(w: Word, images: Sequence[Word]) -> Word:
+    """Replace each generator g by ``images[g]``, all at once; one image per generator."""
     out: list[Letter] = []
     for g, e in w.letters:
-        image = images.get(g)
-        if image is None:
-            out.append((g, e))
-        elif e == 1:
-            out.extend(image.letters)
-        else:
-            out.extend(_inverse_letters(image.letters))
+        image = images[g].letters
+        out.extend(image if e == 1 else _inverse_letters(image))
     return Word(tuple(out))
 
 

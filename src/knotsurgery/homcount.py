@@ -21,11 +21,12 @@ the identity.  Three exact reductions keep the search small:
   C_H(c), so the second searched generator tries one representative per
   C_H(c)-orbit and weights it by the orbit size (see Holt, Eick & O'Brien,
   *Handbook of Computational Group Theory*, 2005, on homomorphisms up to
-  conjugacy).  Both lists come from ``FiniteTarget.centralizer_orbits``:
-  the classes are its orbits at the identity, whose centralizer is H, found
-  by one breadth-first class pass per target, and C_H(c) is closed from the
-  Schreier generators that pass yields (Schreier's lemma, ibid.), with no
-  scan of H per class.
+  conjugacy).  Both lists come from ``FiniteTarget.centralizer_orbits``,
+  which takes a class index, since c is always a class representative: the
+  classes are its orbits for class 0, the identity's, whose centralizer is
+  H, found by one breadth-first class pass per target, and C_H(c) is closed
+  once per class from the Schreier generators that pass yields (Schreier's
+  lemma, ibid.), with no scan of H per class.
 * Conjugate generators.  A relator that reads cyclically as U x^e U^-1 y^d
   makes y^d conjugate to x^-e, so every homomorphism sends y into the class
   of φ(x) or of φ(x)^-1; a homomorphism maps conjugates to conjugates.
@@ -249,18 +250,19 @@ def weighted_homomorphisms(
     The first searched generator takes the ``(image, weight)`` pairs in
     ``first``.  By default these are the target's conjugacy classes as
     (representative, class size), and then the second searched generator
-    ranges over ``target.centralizer_orbits`` of the first image c, each
-    weighted by orbit size.  A generator that the relators link to an earlier
-    one (``_SearchPlan.links``) ranges over the class of its anchor's image,
-    or of that image's inverse: over the C_H(c)-orbits of that class in the
-    second place, and over its members elsewhere.  Every other generator, and
-    the second one when ``first`` is given, ranges over all of H.  Each pair
-    stands for ``weight`` homomorphisms, so with the default ``first`` the
-    weights sum to |Hom(G, H)|.  ``images`` is the live assignment, valid
-    until the next pair is drawn.  Without ``expand_free`` the generators in
-    no relator stay unassigned and their factor |H|^k is folded into the
-    weight; if no generator is in a relator, one of them is still searched,
-    so that ``first`` applies.
+    ranges over ``target.centralizer_orbits`` of the class of the first
+    image c, its representative, each weighted by orbit size.  A generator
+    that the relators link to an earlier one (``_SearchPlan.links``) ranges
+    over the class of its anchor's image, or of that image's inverse: over
+    the C_H(c)-orbits of that class in the second place, and over its
+    members elsewhere.  Every other generator, and the second one when
+    ``first`` is given, ranges over all of H.  Each pair stands for
+    ``weight`` homomorphisms, so with the default ``first`` the weights sum
+    to |Hom(G, H)|.  ``images`` is the live assignment, valid until the next
+    pair is drawn.  Without ``expand_free`` the generators in no relator
+    stay unassigned and their factor |H|^k is folded into the weight; if no
+    generator is in a relator, one of them is still searched, so that
+    ``first`` applies.
     """
     plan = _plan(p)
     sequence = plan.order + plan.free if expand_free else plan.order or plan.free[:1]
@@ -272,7 +274,7 @@ def weighted_homomorphisms(
         first = target.conjugacy_classes
     mult = target.mult
     inv = target.inverse
-    class_of, members = target.class_table if any(links) else ((), ())
+    class_of, members = target.class_table
     images = [0] * len(p.generators)
     last = len(sequence) - 1
 
@@ -318,7 +320,7 @@ def weighted_homomorphisms(
                     # the second generator's only possible anchor is the first
                     link = links[1]
                     k = None if link is None else class_of[pair[link[1]]]
-                    yield from dfs(1, target.centralizer_orbits(h, k), weight * size)
+                    yield from dfs(1, target.centralizer_orbits(class_of[h], k), weight * size)
                 else:
                     yield from dfs(depth + 1, None, weight * size)
 

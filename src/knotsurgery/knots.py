@@ -93,16 +93,6 @@ def boundary_word(genus: int) -> Word:
     return w
 
 
-def apply_automorphism(data: FiberedKnotData, w: Word, direction: str = "forward") -> Word:
-    """Image of a fiber word under the automorphism or its inverse."""
-    if direction not in ("forward", "backward"):
-        raise ValueError(f"direction must be 'forward' or 'backward', not {direction!r}")
-    if w.max_index() >= 2 * data.genus:
-        raise UnknownGeneratorError("word uses generators outside the fiber group")
-    images = data.forward if direction == "forward" else data.backward
-    return apply_mapping(w, dict(enumerate(images)))
-
-
 def certify_monodromy(data: FiberedKnotData) -> None:
     """Check the automorphism and boundary certificates; raise on failure.
 
@@ -114,16 +104,16 @@ def certify_monodromy(data: FiberedKnotData) -> None:
     names = fiber_generator_names(data.genus)
     for i in range(n):
         g = Word.generator(i)
-        if apply_automorphism(data, data.forward[i], "backward") != g:
+        if apply_mapping(data.forward[i], data.backward) != g:
             raise InvalidMonodromyError(
                 f"backward(forward) is not the identity map on generator {names[i]}"
             )
-        if apply_automorphism(data, data.backward[i], "forward") != g:
+        if apply_mapping(data.backward[i], data.forward) != g:
             raise InvalidMonodromyError(
                 f"forward(backward) is not the identity map on generator {names[i]}"
             )
     boundary = boundary_word(data.genus)
-    image = apply_automorphism(data, boundary, "forward").cyclically_reduced()
+    image = apply_mapping(boundary, data.forward).cyclically_reduced()
     if _min_rotation(image.letters) != _min_rotation(boundary.letters):
         raise InvalidMonodromyError(
             "monodromy does not preserve the fiber boundary up to rotation"

@@ -205,9 +205,8 @@ class FiniteTarget:
     def _centralizers(self) -> dict[int, list[int]]:
         return {}
 
-    def _centralizer(self, c: int) -> list[int]:
-        """C_H(c) = t C_H(rep) t^-1, with rep c's class's representative and
-        t = t_c; C_H(rep) is kept per class.
+    def _centralizer(self, j: int) -> list[int]:
+        """C_H(rep), with rep class j's representative; kept per class.
 
         By Schreier's lemma C_H(rep) is generated by t_y^-1 g t_x for x in
         the class and g a generator, with y = g x g^-1; it is the identity
@@ -217,8 +216,11 @@ class FiniteTarget:
         closed under left multiplication by their rows until it has
         |H| / |class| elements.
         """
+        group = self._centralizers.get(j)
+        if group is not None:
+            return group
         mult, inverse = self.mult, self.inverse
-        class_of, members, letter = self._classes
+        _, members, letter = self._classes
         back = [mult[inverse[g]] for g in self._generator_indices]
 
         def climb(y: int, z: int) -> int:
@@ -228,66 +230,60 @@ class FiniteTarget:
                 z, y = row[z], row[inverse[row[inverse[y]]]]
             return z
 
-        k = class_of[c]
-        group = self._centralizers.get(k)
-        if group is None:
-            rows = [mult[g] for g in self._generator_indices]
-            size = self.order // len(members[k])
-            group, inside, added = [0], {0}, []
-            for x in members[k]:
-                if len(group) == size:
-                    break
-                for j, row in enumerate(rows):
-                    y = row[inverse[row[inverse[x]]]]
-                    if letter[y] == j:
-                        continue
-                    s = climb(y, row[inverse[climb(x, 0)]])
-                    if s not in inside:
-                        added.append(mult[s])
-                        for z in group:
-                            for row_s in added:
-                                w = row_s[z]
-                                if w not in inside:
-                                    inside.add(w)
-                                    group.append(w)
-            self._centralizers[k] = group
-        if letter[c] < 0:
-            return group
-        row_t = mult[inverse[climb(c, 0)]]
-        return [row_t[inverse[row_t[inverse[z]]]] for z in group]
+        rows = [mult[g] for g in self._generator_indices]
+        size = self.order // len(members[j])
+        group, inside, added = [0], {0}, []
+        for x in members[j]:
+            if len(group) == size:
+                break
+            for g, row in enumerate(rows):
+                y = row[inverse[row[inverse[x]]]]
+                if letter[y] == g:
+                    continue
+                s = climb(y, row[inverse[climb(x, 0)]])
+                if s not in inside:
+                    added.append(mult[s])
+                    for z in group:
+                        for row_s in added:
+                            w = row_s[z]
+                            if w not in inside:
+                                inside.add(w)
+                                group.append(w)
+        self._centralizers[j] = group
+        return group
 
     @cached_property
     def _orbit_cache(self) -> dict[tuple[int, int | None], tuple[tuple[int, int], ...]]:
         return {}
 
-    def centralizer_orbits(self, c: int, k: int | None = None) -> tuple[tuple[int, int], ...]:
-        """(representative, orbit size) per orbit under conjugation by C_H(c).
+    def centralizer_orbits(self, j: int, k: int | None = None) -> tuple[tuple[int, int], ...]:
+        """(representative, orbit size) per orbit under conjugation by C_H(c),
+        with c the representative of the j-th conjugacy class.
 
         The orbits are those of H, or with a class index k, those of the k-th
         conjugacy class alone, which conjugation preserves.  Each orbit is
-        listed under its smallest element index, so for c = 0, the identity,
-        these are the conjugacy classes.  Conjugation by z reads row z alone,
-        as z x z^-1 = z (z x^-1)^-1.  The first call on this target runs the
-        class pass, which finds the classes (``class_table``) breadth-first
-        under conjugation by the generators in O(|H| * #generators) steps.
-        For a central c the orbits are the classes.  Otherwise C_H(c) is
-        t C_H(rep) t^-1, where rep is the representative of c's class and t
-        the conjugator that the class pass spells, and the first call in
-        rep's class closes C_H(rep) from its Schreier generators (a few
-        suffice: at most 66 for all the classes of a bundled target).
-        An orbit is the set {z x z^-1 : z in C_H(c)}, which costs sum over z
-        in C_H(c) of |C_H(z)| steps over H by Burnside's lemma.  The result
-        is cached on this target, per (c, k), on first use.
+        listed under its smallest element index, so for j = 0, the identity's
+        class, these are the conjugacy classes.  Conjugation by z reads row z
+        alone, as z x z^-1 = z (z x^-1)^-1.  The first call on this target
+        runs the class pass, which finds the classes (``class_table``)
+        breadth-first under conjugation by the generators in O(|H| *
+        #generators) steps.  For a central c the orbits are the classes.
+        Otherwise the first call for class j closes C_H(c) from its Schreier
+        generators (a few suffice: at most 66 for all the classes of a
+        bundled target).  An orbit is the set {z x z^-1 : z in C_H(c)},
+        which costs sum over z in C_H(c) of |C_H(z)| steps over H by
+        Burnside's lemma.  The result is cached on this target, per (j, k),
+        on first use.
         """
         cache = self._orbit_cache
-        if (c, k) in cache:
-            return cache[c, k]
-        class_of, members, _ = self._classes
-        if len(members[class_of[c]]) == 1:
+        if (j, k) in cache:
+            return cache[j, k]
+        _, members, _ = self._classes
+        if len(members[j]) == 1:
             found = [(m[0], len(m)) for m in (members if k is None else members[k : k + 1])]
         else:
             mult, inverse, order = self.mult, self.inverse, self.order
-            rows = [mult[z] for z in self._centralizer(c)]
+            rows = [mult[z] for z in self._centralizer(j)]
             seen = bytearray(order)
             found = []
             for rep in range(order) if k is None else members[k]:
@@ -298,7 +294,7 @@ class FiniteTarget:
                 for y in orbit:
                     seen[y] = 1
                 found.append((rep, len(orbit)))
-        orbits = cache[c, k] = tuple(found)
+        orbits = cache[j, k] = tuple(found)
         return orbits
 
     def __repr__(self) -> str:
@@ -308,7 +304,7 @@ class FiniteTarget:
 def close_target(
     name: str,
     generators: Iterable[Sequence[int]],
-    degree: int | None = None,
+    degree: int,
     cap: int = DEFAULT_CLOSURE_CAP,
 ) -> FiniteTarget:
     """Saturate the generators into a full element list and build tables.
@@ -332,12 +328,7 @@ def close_target(
     Past FULL_TABLE_MAX_ORDER elements no table is built: ``mult`` is a
     ProductMemo, which composes each product on first use.
     """
-    gens = [tuple(int(x) for x in g) for g in generators]
-    if degree is None:
-        if not gens:
-            raise ValueError("degree required when no generators are given")
-        degree = len(gens[0])
-    gens = [_check_perm(g, degree) for g in gens]
+    gens = [_check_perm(g, degree) for g in generators]
     identity = identity_perm(degree)
     index: dict[Perm, int] = {identity: 0}
     elements: list[Perm] = [identity]

@@ -1201,7 +1201,7 @@ def test_the_program_imports_only_the_standard_library():
 def test_the_program_keeps_no_unused_import_or_private_name():
     # every module uses what it imports (the package's __init__ re-exports),
     # and every module-level private name is referenced somewhere in the
-    # package; the two exceptions are bound only by bench/run.py
+    # package; the one exception is bound only by bench/run.py
     trees = {
         source.stem: ast.parse(source.read_text(encoding="utf-8"))
         for source in Path(knotsurgery.__file__).parent.glob("*.py")
@@ -1236,7 +1236,7 @@ def test_the_program_keeps_no_unused_import_or_private_name():
                 for name in defined
                 if name.startswith("_") and not name.startswith("__") and name not in referenced
             )
-    assert leftovers == {"cli.ProcessPoolExecutor", "cli._spectrum_task"}
+    assert leftovers == {"cli._spectrum_task"}
 
 
 @pytest.mark.parametrize(
@@ -1393,6 +1393,64 @@ def test_knot_from_monodromy_file(capsys, tmp_path):
     assert code == 0
     assert "alexander: t^2 - t + 1" in out
     assert "meridian: m" in out
+
+
+T25_MONODROMY = Path(__file__).resolve().parent / "torus_2_5_monodromy.json"
+
+
+def test_the_genus_2_monodromy_of_t25_reads_as_its_braid(capsys):
+    # the paper's genus > 1 case through the mapping torus: every check
+    # passes and agrees with the Wirtinger route of the braid 1^5
+    code, out, _ = run(["knot", "--monodromy", str(T25_MONODROMY)], capsys)
+    assert code == 0
+    assert "genus hint: 2" in out
+    shared = [
+        "  abelianization-is-Z: PASS (H1 = Z, meridian generates: True)",
+        "  peripheral-commutation: PASS (1240 homomorphisms over 12 targets)",
+        "alexander: t^4 - t^3 + t^2 - t + 1",
+    ]
+    assert set(shared) <= set(out.splitlines())
+    assert "  longitude-nullhomologous: PASS" in out
+    code, braid_out, _ = run(["knot", "--braid", "1 1 1 1 1"], capsys)
+    assert code == 0
+    assert set(shared) <= set(braid_out.splitlines())
+
+
+def test_the_genus_2_monodromy_of_t25_has_the_spectra_of_its_braid(capsys, tmp_path):
+    # slope p on the monodromy is slope p on the braid, with no relabelling;
+    # the inverse monodromy gives the mirror, where p reads as -p
+    inverse = json.loads(T25_MONODROMY.read_text())
+    inverse["forward"], inverse["backward"] = inverse["backward"], inverse["forward"]
+    (tmp_path / "inverse.json").write_text(json.dumps(inverse))
+    spectra = {}
+    for name, source in [
+        ("monodromy", ["--monodromy", str(T25_MONODROMY)]),
+        ("braid", ["--braid", "1 1 1 1 1"]),
+        ("inverse", ["--monodromy", str(tmp_path / "inverse.json")]),
+    ]:
+        out = tmp_path / name
+        argv = ["family", *source, "--q", "1", "--p=-3..3", "--no-cache", "--out", str(out)]
+        assert run(argv, capsys)[0] == 3
+        spectra[name] = (out / "spectra.csv").read_text()
+    assert spectra["monodromy"] == spectra["braid"]
+    rows = spectra["braid"].splitlines()
+    assert rows[5] == "p=1,1,1,1,1,1,1,1,121,1,121,1,1"
+    assert rows[3] == "p=-1,1,1,1,1,1,1,1,1,1,1,1,1"
+    counts = [row.partition(",")[2] for row in rows[1:]]
+    assert [row.partition(",")[2] for row in spectra["inverse"].splitlines()[1:]] == counts[::-1]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    src = Path(knotsurgery.__file__).resolve().parents[1]
+    code = "import sys, knotsurgery.cli; print('concurrent.futures' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 def test_names_the_benchmark_binds_exist():

@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -8,7 +9,7 @@ from knotsurgery import (
     InvalidMonodromyError,
     Word,
     abelianization,
-    apply_automorphism,
+    apply_mapping,
     builtin_knot,
     builtin_monodromy,
     count_homomorphisms,
@@ -33,18 +34,18 @@ b = Word.generator(1)
 IDENTITY_MONODROMY = FiberedKnotData(genus=1, forward=(a, b), backward=(a, b))
 
 
-def test_apply_automorphism_examples():
+def test_monodromy_images_examples():
     data = builtin_monodromy("trefoil")
-    assert apply_automorphism(data, Word(), "forward") == Word()
-    image = apply_automorphism(data, a, "forward")
-    assert apply_automorphism(data, image, "backward") == a
+    assert apply_mapping(Word(), data.forward) == Word()
+    image = apply_mapping(a, data.forward)
+    assert apply_mapping(image, data.backward) == a
 
 
 def test_boundary_preserved_up_to_rotation():
     for name in ("trefoil", "fig8"):
         data = builtin_monodromy(name)
         boundary = boundary_word(data.genus)
-        image = apply_automorphism(data, boundary, "forward").cyclically_reduced()
+        image = apply_mapping(boundary, data.forward).cyclically_reduced()
         rotations = {
             boundary.letters[i:] + boundary.letters[:i]
             for i in range(len(boundary.letters))
@@ -60,8 +61,19 @@ def test_forward_backward_random_words():
             (rng.randrange(2), rng.choice((1, -1))) for _ in range(rng.randrange(9))
         )
         w = Word(letters)
-        assert apply_automorphism(data, apply_automorphism(data, w, "forward"), "backward") == w
-        assert apply_automorphism(data, apply_automorphism(data, w, "backward"), "forward") == w
+        assert apply_mapping(apply_mapping(w, data.forward), data.backward) == w
+        assert apply_mapping(apply_mapping(w, data.backward), data.forward) == w
+
+
+def test_the_genus_2_monodromy_of_t25_is_certified():
+    path = Path(__file__).resolve().parent / "torus_2_5_monodromy.json"
+    data = fibered_knot_from_json(json.loads(path.read_text()))
+    assert data.genus == 2
+    certify_monodromy(data)
+    # both ways the monodromy fixes the boundary [a1,b1][a2,b2] as a word
+    boundary = boundary_word(2)
+    assert apply_mapping(boundary, data.forward) == boundary
+    assert apply_mapping(boundary, data.backward) == boundary
 
 
 def test_certificates_reject_non_automorphism():

@@ -127,7 +127,7 @@ def test_centralizer_orbits_of_a_memo_target_make_rows_for_the_centralizer_only(
     a = target.elements[c]
     centralizer = sum(compose(z, a) == compose(a, z) for z in target.elements)
     assert centralizer < target.order
-    orbits = target.centralizer_orbits(c)
+    orbits = target.centralizer_orbits(k)
     assert sum(size for _, size in orbits) == target.order
     # the class pass reads the generators' rows, the climbs up its tree
     # those of their inverses, and the orbits the centralizer's

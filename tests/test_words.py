@@ -72,7 +72,7 @@ def test_word_power_length_limit():
 
 def test_apply_mapping_is_simultaneous():
     # a -> b, b -> a must swap, not chain
-    swapped = apply_mapping(a * b, {0: b, 1: a})
+    swapped = apply_mapping(a * b, (b, a))
     assert swapped == b * a
 
 
