@@ -17,9 +17,10 @@ Operations whose result is reduced by construction skip that second pass:
 - ``word_power`` writes the base as u c u^-1 with c cyclically reduced, and
   u c^n u^-1 has no cancelling pair;
 - ``_normalize_relators`` takes freely reduced letters and only cyclically
-  reduces them; ``quotient_by_relators`` and ``tietze_simplify_tracked`` wrap
-  its output, and Tietze returns through ``Presentation._of``, since its
-  generator names are a subset of checked ones;
+  reduces them; ``quotient_by_relators``, ``tietze_simplify_tracked`` and the
+  cable-link groups of ``surgery`` wrap its output, and Tietze returns
+  through ``Presentation._of``, since its generator names are a subset of
+  checked ones;
 - a Tietze elimination rewrites each relator and tracked word in one pass
   (the image of the eliminated generator, renumbered, is a rotation of the
   cyclically reduced relator less one letter, or its inverse) followed by one

@@ -17,8 +17,8 @@ from .errors import InvalidSlopeError
 from .fpgroup import (
     Presentation,
     Word,
+    _normalize_relators,
     commutator,
-    cyclic_key,
     fresh_name,
     quotient_by_relators,
     word_power,
@@ -110,15 +110,10 @@ class _CableLinks:
 
     def half(self, p: int) -> Presentation:
         """The cable-link group with the knot's peripheral pair mu, lam killed."""
-        filling = self.filling(p)
-        killed = (self.mu, self.lam)
-        if len(filling) == 1:
-            # As quotient_by_relators does, a killed word that repeats a relator
-            # is dropped.  Only a one-letter filling relator can repeat one:
-            # mu^-1, from an empty meridian at p = 0, q = 1.
-            key = cyclic_key(filling.letters)
-            killed = tuple(w for w in killed if cyclic_key(w.letters) != key)
-        return self._appended((filling, *killed))
+        # as in quotient_by_relators, a repeat is dropped: mu, where an empty
+        # meridian makes the filling relator mu^-1 at p = 0, q = 1
+        added = _normalize_relators(w.letters for w in (self.filling(p), self.mu, self.lam))
+        return self._appended(tuple(map(Word._of, added)))
 
 
 def cable_link_group(kp: KnotPresentation, slope: SurgerySlope) -> FamilyMember:

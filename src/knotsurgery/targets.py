@@ -12,8 +12,8 @@ it is read, and keeps it, up to order^2 // 12 products per target.
 Closing a target composes each element with each generator once, at C level,
 while it finds the elements breadth-first.  Everything else is read off that
 breadth-first (Schreier) tree by integer walks: each generator's left
-multiplication on element indices, the inverse table, and the order of the
-row gathers of a full table.
+multiplication on element indices (kept for the class pass), the inverse
+table, and the order of the row gathers of a full table.
 
 Every bundled target is built here from its generators, and each bundled
 suite is a table from name to builder: ``STANDARD`` of the cyclic, symmetric,
@@ -151,6 +151,8 @@ class FiniteTarget:
     elements: tuple[Perm, ...]
     mult: tuple[tuple[int, ...], ...] | ProductMemo
     inverse: tuple[int, ...]
+    # generator_rows[h][k] is the index of g_h * e_k (no rows at degree 1)
+    generator_rows: tuple[Sequence[int], ...]
 
     @property
     def order(self) -> int:
@@ -168,23 +170,17 @@ class FiniteTarget:
         return self._classes[:2]
 
     @cached_property
-    def _generator_indices(self) -> list[int]:
-        return [self.elements.index(g) for g in self.generators]
-
-    @cached_property
     def _classes(self) -> tuple[list[int], list[tuple[int, ...]], list[int]]:
-        """The class pass: (class index, class members, letter) per element.
+        """The class pass: (class index, class members, conjugator) per element.
 
         Each class is found breadth-first from its smallest element, its
         representative rep, under conjugation by the generators, reading
-        their rows alone.  An element y first reached as g x g^-1 keeps the
-        position of g as its letter, and x = g^-1 y g is its parent; rep has
-        letter -1.  So the letters up from y spell a conjugator t_y = g ...,
-        with t_y rep t_y^-1 = y.
+        ``generator_rows`` alone.  Each element x keeps the index of a
+        conjugator t_x with t_x rep t_x^-1 = x: t_rep is the identity, and
+        t_y = g t_x when y is first reached as g x g^-1.
         """
-        mult, inverse, order = self.mult, self.inverse, self.order
-        moves = list(enumerate(mult[g] for g in self._generator_indices))
-        class_of, letter = [-1] * order, [-1] * order
+        rows, inverse, order = self.generator_rows, self.inverse, self.order
+        class_of, conjugator = [-1] * order, [0] * order
         members: list[tuple[int, ...]] = []
         for rep in range(order):
             if class_of[rep] >= 0:
@@ -192,14 +188,14 @@ class FiniteTarget:
             k, orbit = len(members), [rep]
             class_of[rep] = k
             for x in orbit:
-                for j, row in moves:
+                for row in rows:
                     y = row[inverse[row[inverse[x]]]]
                     if class_of[y] < 0:
                         class_of[y] = k
-                        letter[y] = j
+                        conjugator[y] = row[conjugator[x]]
                         orbit.append(y)
             members.append(tuple(sorted(orbit)))
-        return class_of, members, letter
+        return class_of, members, conjugator
 
     @cached_property
     def _centralizers(self) -> dict[int, list[int]]:
@@ -209,38 +205,26 @@ class FiniteTarget:
         """C_H(rep), with rep class j's representative; kept per class.
 
         By Schreier's lemma C_H(rep) is generated by t_y^-1 g t_x for x in
-        the class and g a generator, with y = g x g^-1; it is the identity
-        where g is y's letter, since x is then y's parent.  Each is found by
-        climbing up the parents through the inverse generators' rows, and
-        one not yet in the subgroup joins its generators; the subgroup is
-        closed under left multiplication by their rows until it has
-        |H| / |class| elements.
+        the class and g a generator, with y = g x g^-1 and t the class
+        pass's conjugators; each is one product, of t_y^-1 and the entry
+        t_x of g's row.  One not yet in the subgroup (the identity, where
+        y was first reached from x, always is) joins its generators; the
+        subgroup is closed under left multiplication by their rows until
+        it has |H| / |class| elements.
         """
         group = self._centralizers.get(j)
         if group is not None:
             return group
         mult, inverse = self.mult, self.inverse
-        _, members, letter = self._classes
-        back = [mult[inverse[g]] for g in self._generator_indices]
-
-        def climb(y: int, z: int) -> int:
-            """t_y^-1 z."""
-            while letter[y] >= 0:
-                row = back[letter[y]]
-                z, y = row[z], row[inverse[row[inverse[y]]]]
-            return z
-
-        rows = [mult[g] for g in self._generator_indices]
+        _, members, conjugator = self._classes
         size = self.order // len(members[j])
         group, inside, added = [0], {0}, []
         for x in members[j]:
             if len(group) == size:
                 break
-            for g, row in enumerate(rows):
+            for row in self.generator_rows:
                 y = row[inverse[row[inverse[x]]]]
-                if letter[y] == g:
-                    continue
-                s = climb(y, row[inverse[climb(x, 0)]])
+                s = mult[inverse[conjugator[y]]][row[conjugator[x]]]
                 if s not in inside:
                     added.append(mult[s])
                     for z in group:
@@ -265,12 +249,13 @@ class FiniteTarget:
         listed under its smallest element index, so for j = 0, the identity's
         class, these are the conjugacy classes.  Conjugation by z reads row z
         alone, as z x z^-1 = z (z x^-1)^-1.  The first call on this target
-        runs the class pass, which finds the classes (``class_table``)
-        breadth-first under conjugation by the generators in O(|H| *
-        #generators) steps.  For a central c the orbits are the classes.
-        Otherwise the first call for class j closes C_H(c) from its Schreier
-        generators (a few suffice: at most 66 for all the classes of a
-        bundled target).  An orbit is the set {z x z^-1 : z in C_H(c)},
+        runs the class pass, which finds the classes (``class_table``) and a
+        conjugator per element breadth-first under conjugation by the
+        generators, reading their rows, in O(|H| * #generators) steps.  For
+        a central c the orbits are the classes.  Otherwise the first call
+        for class j closes C_H(c) from its Schreier generators, one product
+        each (a few suffice: at most 66 for all the classes of a bundled
+        target).  An orbit is the set {z x z^-1 : z in C_H(c)},
         which costs sum over z in C_H(c) of |C_H(z)| steps over H by
         Burnside's lemma.  The result is cached on this target, per (j, k),
         on first use.
@@ -317,8 +302,8 @@ def close_target(
     rest are integer walks down that breadth-first tree, O(|gens| * order)
     steps each:
 
-    - left multiplication, ``left[g][k]`` = the index of g * e_k, is
-      ``right[h_k][left[g][parent(k)]]``;
+    - left multiplication, ``left[g][k]`` = the index of g * e_k, kept as
+      ``generator_rows``, is ``right[h_k][left[g][parent(k)]]``;
     - the inverse, e_k^-1 = h_k^-1 * e_parent(k)^-1, is the inverse of
       parent(k) moved back through ``left[h_k]``;
     - row k of the multiplication table, e_k * e_j = e_parent(k) * (h_k *
@@ -326,7 +311,8 @@ def close_target(
       itemgetter call per row.
 
     Past FULL_TABLE_MAX_ORDER elements no table is built: ``mult`` is a
-    ProductMemo, which composes each product on first use.
+    ProductMemo, which composes each product on first use, and the target
+    keeps ``left`` itself; a full table's generator rows are its own.
     """
     gens = [_check_perm(g, degree) for g in generators]
     identity = identity_perm(degree)
@@ -367,7 +353,7 @@ def close_target(
     for p, h in tree:
         inverse.append(undo[h][inverse[p]])
     if order > FULL_TABLE_MAX_ORDER:
-        mult = ProductMemo(elements, index)
+        mult, generator_rows = ProductMemo(elements, index), left
     else:
         # With order 1, itemgetter of one index would return a scalar, but
         # then the row loop below is empty and no gather is ever called.
@@ -376,6 +362,7 @@ def close_target(
         for p, h in tree:
             rows.append(gathers[h](rows[p]))
         mult = tuple(rows)
+        generator_rows = [mult[walk[0]] for walk in left]  # walk[0]: g * e_0 = g
     return FiniteTarget(
         name=name,
         degree=degree,
@@ -383,6 +370,7 @@ def close_target(
         elements=elements,
         mult=mult,
         inverse=tuple(inverse),
+        generator_rows=tuple(generator_rows),
     )
 
 

@@ -1440,6 +1440,19 @@ def test_the_genus_2_monodromy_of_t25_has_the_spectra_of_its_braid(capsys, tmp_p
     assert [row.partition(",")[2] for row in spectra["inverse"].splitlines()[1:]] == counts[::-1]
 
 
+@pytest.mark.parametrize("q, passes", [(1, 7), (2, 4)])
+def test_the_genus_2_monodromy_of_t25_verifies_as_its_braid(capsys, q, passes):
+    # both surgery routes and the peripheral tables of the mapping torus,
+    # slope by slope, print what the braid 1^5 prints
+    outs = []
+    for source in (["--monodromy", str(T25_MONODROMY)], ["--braid", "1 1 1 1 1"]):
+        code, out, _ = run(["verify", *source, "--q", str(q), "--p=-3..3"], capsys)
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert outs[0].count("spectra over 12 targets: PASS\n") == passes
+
+
 def test_importing_the_cli_loads_no_process_pool():
     src = Path(knotsurgery.__file__).resolve().parents[1]
     code = "import sys, knotsurgery.cli; print('concurrent.futures' in sys.modules)"

@@ -116,8 +116,8 @@ def test_classes_of_a_memo_target_make_rows_for_the_generators_only():
     target = targets.ESCALATION["PSL2_19"]()
     assert isinstance(target.mult, ProductMemo)
     assert len(target.conjugacy_classes) == 12
-    # row 0 tests centrality, and each generator's row conjugates
-    assert len(target.mult) <= 1 + len(target.generators)
+    # the class pass reads the generator rows kept at closing, not the memo
+    assert len(target.mult) == 0
 
 
 @pytest.mark.parametrize("k", [1, 6, 11])
@@ -129,9 +129,13 @@ def test_centralizer_orbits_of_a_memo_target_make_rows_for_the_centralizer_only(
     assert centralizer < target.order
     orbits = target.centralizer_orbits(k)
     assert sum(size for _, size in orbits) == target.order
-    # the class pass reads the generators' rows, the climbs up its tree
-    # those of their inverses, and the orbits the centralizer's
-    assert len(target.mult) <= centralizer + 2 * len(target.generators)
+    # the orbits read the centralizer's rows, and each Schreier generator
+    # t_y^-1 (g t_x) one row of an inverse conjugator t_y^-1, until C_H(c)
+    # is full: 14 of them for class 6, whose centralizer has 10 elements
+    _, members, conjugator = target._classes
+    made = set(target.mult)
+    assert made <= set(target._centralizer(k)) | {target.inverse[conjugator[y]] for y in members[k]}
+    assert len(made) <= 2 * centralizer + 2 * len(target.generators)
 
 
 def test_a_memo_target_hashes_and_compares_without_reading_its_products():

@@ -315,18 +315,12 @@ def test_the_class_pass_gives_conjugators_and_centralizers_of_random_groups(gene
         target = close_target("random", [tuple(g) for g in generators], degree=degree, cap=720)
     except ClosureCapExceededError:
         assume(False)
-    index = {p: i for i, p in enumerate(target.elements)}
-    class_of, members, letter = target._classes
+    class_of, members, conjugator = target._classes
     for x, perm in enumerate(target.elements):
-        # t_x = g_1 g_2 ..., the letters up x's parents (y's parent is
-        # g^-1 y g for its letter g), conjugates its class's representative
-        # to x
-        t, y = identity_perm(degree), perm
-        while letter[index[y]] >= 0:
-            g = target.generators[letter[index[y]]]
-            t, y = compose(t, g), compose(compose(invert_perm(g), y), g)
-        assert index[y] == members[class_of[x]][0]
-        assert compose(compose(t, y), invert_perm(t)) == perm
+        # t_x conjugates its class's representative to x
+        t = target.elements[conjugator[x]]
+        rep = target.elements[members[class_of[x]][0]]
+        assert compose(compose(t, rep), invert_perm(t)) == perm
     for j, m in enumerate(members):
         assert set(target._centralizer(j)) == brute_centralizer(target, m[0])
     # the orbits of a drawn class j's centralizer on a drawn class k
