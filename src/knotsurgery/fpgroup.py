@@ -199,6 +199,8 @@ def _min_rotation(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
 
 def cyclic_key(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
     """Canonical form of a cyclically reduced relator up to rotation and inversion."""
+    if len(letters) == 1:  # g^±1: the least of g and g^-1
+        return ((letters[0][0], -1),)
     return min(_min_rotation(letters), _min_rotation(_inverse_letters(letters)))
 
 
@@ -341,10 +343,14 @@ def _normalize_relators(
     kept or new relator shares; a long filling relator is never keyed.
     """
     rels = [r for r in map(_cyclic_reduced, rels) if r]
-    counts = Counter(len(r) for r in rels)
-    shared = [w.letters for w in kept if len(w.letters) in counts]
-    counts.update(map(len, shared))
-    seen = set(map(cyclic_key, shared))
+    counts: dict[int, int] = {}
+    for r in rels:
+        counts[len(r)] = counts.get(len(r), 0) + 1
+    seen = set()
+    for w in kept:
+        if len(w.letters) in counts:
+            counts[len(w.letters)] += 1
+            seen.add(cyclic_key(w.letters))
     out = []
     for r in rels:
         if counts[len(r)] > 1:

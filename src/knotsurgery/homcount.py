@@ -1,11 +1,12 @@
 """Exact homomorphism counting into finite permutation groups.
 
 All counting and enumeration goes through one depth-first search,
-``weighted_homomorphisms``, which assigns generator images one generator at a
-time.  Generators are ordered so that relators acquire full support as early
-as possible (relators with the smallest support are scheduled first), and a
-branch is pruned the moment any fully assigned relator fails to evaluate to
-the identity.  Three exact reductions keep the search small:
+``weighted_homomorphisms`` (``_search`` on the presentation's cached plan),
+which assigns generator images one generator at a time.  Generators are
+ordered so that relators acquire full support as early as possible
+(relators with the smallest support are scheduled first), and a branch is
+pruned the moment any fully assigned relator fails to evaluate to the
+identity.  Three exact reductions keep the search small:
 
 * Segments.  Each relator is checked at the depth of its last generator g.
   It is rotated to start at g (a rotation is a conjugate, so it is trivial
@@ -74,15 +75,31 @@ of homomorphisms that the table files under one representative's pair:
 conjugating φ by z conjugates both images by z, and a^q b^p = 1 holds
 exactly when (z a z^-1)^q (z b z^-1)^p = 1.  Powers are exact table walks:
 x^n is read off the cycle of powers of x at n mod ord(x).
+
+Counts are kept.  ``count_homomorphisms`` files each |Hom(G, H)| in
+``_SearchPlan.counts``, on the plan that ``_plan`` caches for the
+presentation (the 64 most recently used, keyed by presentation equality),
+under the identity of the target.  Counting a group into a target again then
+costs a dictionary read, and two equal presentations built by different
+routes share one count: the surgery quotient and the half of the double,
+which Tietze takes to one presentation in every op of the benchmark's knot
+census, are searched once.  The memo is a ``WeakKeyDictionary``, so a count
+lasts while its plan stays cached and its target lives, and no target, nor
+its tables, is kept alive by it.  It is keyed by identity, not by name: a
+target closed afresh is searched afresh, whatever its name.  The hash of the
+presentation is taken once per count, by the ``_plan`` lookup.
+``weighted_homomorphisms``, ``iter_homomorphisms`` and ``peripheral_table``
+keep nothing.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Iterator, Mapping, Sequence
+from weakref import WeakKeyDictionary
 
 from .errors import MismatchedTargetsError
 from .fpgroup import Letter, Presentation, Word
@@ -104,6 +121,11 @@ class _SearchPlan:
     # else (that anchor, whether the image lies in the class of the inverse
     # of the anchor's image rather than in the class of that image)
     links: tuple[tuple[int, bool] | None, ...]
+    # |Hom(G, H)| per target counted so far, by target identity; see
+    # count_homomorphisms
+    counts: WeakKeyDictionary[FiniteTarget, int] = field(
+        default_factory=WeakKeyDictionary, compare=False, repr=False
+    )
 
 
 def _steps(letters: tuple[Letter, ...], g: int) -> tuple[_Step, ...]:
@@ -264,7 +286,16 @@ def weighted_homomorphisms(
     generator is in a relator, one of them is still searched, so that
     ``first`` applies.
     """
-    plan = _plan(p)
+    return _search(_plan(p), target, first, expand_free)
+
+
+def _search(
+    plan: _SearchPlan,
+    target: FiniteTarget,
+    first: Iterable[tuple[int, int]] | None = None,
+    expand_free: bool = True,
+) -> Iterator[tuple[list[int], int]]:
+    """``weighted_homomorphisms`` of the presentation that ``plan`` was made for."""
     sequence = plan.order + plan.free if expand_free else plan.order or plan.free[:1]
     steps = plan.steps + ((),) * len(plan.free)
     links = plan.links + (None,) * len(plan.free)
@@ -275,7 +306,7 @@ def weighted_homomorphisms(
     mult = target.mult
     inv = target.inverse
     class_of, members = target.class_table
-    images = [0] * len(p.generators)
+    images = [0] * (len(plan.order) + len(plan.free))
     last = len(sequence) - 1
 
     def dfs(
@@ -331,8 +362,23 @@ def weighted_homomorphisms(
 
 
 def count_homomorphisms(p: Presentation, target: FiniteTarget) -> int:
-    """Exact |Hom(G, H)| for the presented group G and finite target H."""
-    return sum(weight for _, weight in weighted_homomorphisms(p, target, expand_free=False))
+    """Exact |Hom(G, H)| for the presented group G and finite target H.
+
+    The count is kept in ``_SearchPlan.counts`` of the presentation's cached
+    plan, so counting a group into a target again costs a dictionary read.
+    Plans are cached by presentation equality: the surgery and half-double
+    routes, which Tietze usually takes to one presentation, share an entry.
+    The target is held by a weak reference and the memo is keyed by its
+    identity, not its name, so a count lives as long as both its target and
+    the plan's place in the cache, keeps no target alive, and a target closed
+    afresh is searched afresh.
+    """
+    plan = _plan(p)
+    count = plan.counts.get(target)
+    if count is None:
+        count = sum(weight for _, weight in _search(plan, target, expand_free=False))
+        plan.counts[target] = count
+    return count
 
 
 def iter_homomorphisms(p: Presentation, target: FiniteTarget) -> Iterator[tuple[int, ...]]:

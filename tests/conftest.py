@@ -345,12 +345,6 @@ def unknot():
 
 
 @pytest.fixture(scope="session")
-def spectrum_cache():
-    """Shared (presentation, target name) -> count memo across the session."""
-    return {}
-
-
-@pytest.fixture(scope="session")
 def fig8_family_run(tmp_path_factory):
     """The fig8 family q=1, p=1..6 told apart by ``family --targets extended``.
 

@@ -465,7 +465,7 @@ def test_family_fails_closed_on_a_non_knot_group(capsys, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("searched a group that is no knot group")
 
-    monkeypatch.setattr(homcount, "weighted_homomorphisms", refuse)
+    monkeypatch.setattr(homcount, "_search", refuse)
     path = tmp_path / "identity3.json"
     path.write_text(json.dumps(identity_monodromy(3)))
     out = tmp_path / "out"

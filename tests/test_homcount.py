@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,17 +8,22 @@ from hypothesis import given, settings, strategies as st
 from knotsurgery import (
     MismatchedTargetsError,
     Presentation,
+    SurgerySlope,
     Word,
     alternating,
     build_family,
     builtin_knot,
     builtin_monodromy,
+    close_target,
     count_homomorphisms,
     cyclic,
+    dehn_surgery_group,
     dihedral,
     distinguish_report,
     escalation_suite,
+    half_complement_group,
     hom_spectrum,
+    homcount,
     mapping_torus_presentation,
     parse_braid,
     parse_word,
@@ -382,6 +389,81 @@ def test_invariant_under_generator_permutation(p, rng):
 def test_invariant_under_tietze(p):
     s4 = symmetric(4)
     assert count_homomorphisms(tietze_simplify(p), s4) == count_homomorphisms(p, s4)
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The target of each search run while the test runs."""
+    calls = []
+    search = homcount._search
+
+    def counting(plan, target, *args, **kwargs):
+        calls.append(target)
+        return search(plan, target, *args, **kwargs)
+
+    monkeypatch.setattr(homcount, "_search", counting)
+    return calls
+
+
+def test_a_repeated_count_runs_no_second_search(searches):
+    p = pres(["x", "y"], "x y x y^-1 x^-1 y^-1", "x^5 y^-3")
+    s4 = symmetric(4)  # closed here, so never counted before
+    counts = [count_homomorphisms(p, s4) for _ in range(3)]
+    assert counts == [naive_hom_count(p, s4)] * 3
+    assert searches == [s4]
+
+
+def test_equal_presentations_built_separately_share_one_entry(searches):
+    trefoil, slope = builtin_knot("trefoil"), SurgerySlope(2, 1)
+    surgery = tietze_simplify(dehn_surgery_group(trefoil, slope))
+    half = tietze_simplify(half_complement_group(trefoil, slope))
+    assert surgery == half and surgery is not half
+    s4 = symmetric(4)
+    assert count_homomorphisms(surgery, s4) == count_homomorphisms(half, s4)
+    assert _plan(surgery) is _plan(half)
+    assert searches == [s4]
+
+
+def test_a_target_closed_again_is_searched_again(searches):
+    p = pres(["x", "y"], "x y x y^-1 x^-1 y^-1")
+    first = symmetric(4)
+    again = close_target(first.name, first.generators, degree=first.degree)
+    assert count_homomorphisms(p, first) == count_homomorphisms(p, again) == 96
+    assert searches == [first, again]
+
+
+def test_the_memo_keeps_no_target_alive():
+    p = pres(["x", "y"], "x y x y^-1 x^-1 y^-1")
+    target = symmetric(4)
+    count_homomorphisms(p, target)
+    ref = weakref.ref(target)
+    assert target in _plan(p).counts
+    del target
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_plan_pushed_out_of_the_cache_is_searched_again(searches):
+    p = pres(["x", "y"], "x y x y^-1 x^-1 y^-1")
+    s3 = symmetric(3)
+    expected = count_homomorphisms(p, s3)
+    others = [pres(["a"], f"a^{n}") for n in range(100, 100 + _plan.cache_info().maxsize)]
+    for other in others:
+        count_homomorphisms(other, s3)
+    assert count_homomorphisms(p, s3) == expected
+    assert len(searches) == len(others) + 2
+
+
+@settings(derandomize=True, max_examples=60)
+@given(
+    st.one_of(presentations_with_free_generators(), conjugating_presentations()),
+    st.sampled_from(sorted(ORACLE_TARGETS)),
+)
+def test_a_count_and_its_repeat_both_equal_naive_enumeration(p, name):
+    target = ORACLE_TARGETS[name]
+    expected = naive_hom_count(p, target)
+    assert count_homomorphisms(p, target) == expected
+    assert count_homomorphisms(p, target) == expected
 
 
 def test_distinguish_identical_spectra_unresolved():
