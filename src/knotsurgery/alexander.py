@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 from .errors import NotAKnotGroupError
 from .fpgroup import Presentation, Word
 from .knots import KnotPresentation
-from .smith import relation_matrix, smith_normal_form
+from .smith import relation_smith_form
 
 
 @dataclass(frozen=True)
@@ -177,7 +177,7 @@ def fox_derivative(w: Word, index: int, exponents: Sequence[int]) -> LaurentPoly
 
 def abelianization_exponents(p: Presentation) -> tuple[int, ...]:
     """The map onto the infinite cyclic abelianization, as one exponent per generator."""
-    snf = smith_normal_form(relation_matrix(p), len(p.generators))
+    snf = relation_smith_form(p)
     invariants = snf.cokernel()
     if not invariants.is_infinite_cyclic:
         raise NotAKnotGroupError(

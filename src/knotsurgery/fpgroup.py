@@ -273,6 +273,21 @@ class Presentation:
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "relators", _checked_relators(self.relators, len(gens)))
 
+    # The search plan and the Smith form are cached by presentation, so a
+    # presentation is hashed on every count; its hash is taken once and kept.
+    # String hashes differ between processes, so the kept hash is left out of
+    # pickled and copied state and taken afresh on the other side.
+    def __hash__(self) -> int:
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.generators, self.relators))
+        return h
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_hash", None)
+        return state
+
     def extended(self, relators: Iterable[Word], generators: Sequence[str] = ()) -> "Presentation":
         """This presentation with ``generators`` appended and ``relators`` after its own.
 

@@ -1,12 +1,13 @@
 """Exact homomorphism counting into finite permutation groups.
 
-All counting and enumeration goes through one depth-first search,
+Counts and peripheral tables into an abelian target are solved for from
+H1 (below).  Everything else goes through one depth-first search,
 ``weighted_homomorphisms`` (``_search`` on the presentation's cached plan),
 which assigns generator images one generator at a time.  Generators are
 ordered so that relators acquire full support as early as possible
 (relators with the smallest support are scheduled first), and a branch is
 pruned the moment any fully assigned relator fails to evaluate to the
-identity.  Three exact reductions keep the search small:
+identity.  Four exact reductions keep the search small:
 
 * Segments.  Each relator is checked at the depth of its last generator g.
   It is rotated to start at g (a rotation is a conjugate, so it is trivial
@@ -43,15 +44,48 @@ identity.  Three exact reductions keep the search small:
   benchmark's census pool, each knot group and both surgery routes at p=2
   that Tietze left with two or more searched generators (678 groups) had all
   of them in one component; the fig8 monodromy's mapping torus has none.
+* Solved generators.  A relator cut at its completing generator g into
+  exactly two steps, of opposite signs, rotates to g u1 g^-1 u2, so
+  g X g^-1 = Y with X = φ(u1) and Y = φ(u2)^-1, both known when g is
+  reached.  No g solves this unless X and Y share a class; if they do, with
+  representative r, the solutions are exactly the coset t_Y C_H(r) t_X^-1,
+  where t_x is the class pass's conjugator from r to x
+  (``FiniteTarget.conjugators``).  So past the second depth, where the
+  candidates are not already classes or orbits, g tries |C_H(r)| images
+  instead of all of H (a linked g keeps those in its link's class), and
+  none when the classes differ.  The mapping-torus relators m^-1 s m φ(s)^-1
+  have this shape.  Tietze leaves the genus-2 monodromy of T(2,5)
+  (``tests/torus_2_5_monodromy.json``) three generators that no relator
+  links, and solving the third took its ``family --targets extended`` from
+  77.7 s to 0.4 s, and T(3,4) into PSL2_17 from 0.14 s to 0.016 s.  Two
+  generators leave nothing to solve: the second keeps its C_H(c)-orbits.
 
 Every other generator ranges over all of H.  Every relator is still checked,
 so the weighted total equals naive enumeration over all |H|^n assignments.
 Generators appearing in no relator contribute an exact factor of |H| each.
 
-No image is solved for: a relator containing its completing generator once
-would fix it, but ``fpgroup.tietze_simplify`` eliminates every such
-generator except in relators past its cap (twice the input's longest
-cyclically reduced relator), and the pipeline searches simplified groups.
+A relator containing its completing generator once would fix it outright,
+but ``fpgroup.tietze_simplify`` eliminates every such generator except in
+relators past its cap (twice the input's longest cyclically reduced
+relator), and the pipeline searches simplified groups, so that is not
+solved for.
+
+Abelian targets are not searched.  When the generators of the target A
+commute (``FiniteTarget.is_abelian``), every homomorphism factors through
+H1(G), and ``count_homomorphisms`` solves for Hom(G, A) from the Smith form
+U·M·V = D of the relation matrix M, which ``smith.relation_smith_form``
+keeps per presentation.  A homomorphism is an x in A^n, written additively,
+with M x = 0.  Put x = V y: U is unimodular, so M x = 0 exactly when D y = 0,
+and V is unimodular, so y -> V y permutes A^n.  Hence y_k ranges over
+A[d_k] = {a : a^d_k = 1} for the k-th diagonal entry d_k and over all of A
+past the rank, and |Hom(G, A)| = |A|^(n - rank) · Π_k |A[d_k]|.
+``peripheral_table`` lists the same homomorphisms through V's columns and
+returns the dict the search would.  The paper's families are homologous by
+construction, so H1 fixes every abelian count, and searching for it is
+waste: solving for C2..C6, with one decomposition per presentation, took
+the benchmark's knot-census ``op_p50_ms`` from 1.87 to 1.60 ms (medians of
+14 runs a side, 2 cores, Python 3.11).  ``weighted_homomorphisms`` and
+``iter_homomorphisms`` search every target.
 
 Measured on a 2-core machine (Python 3.11), against the search with the
 class reduction alone: counting the six fig8 surgery groups (q=1, p=1..6)
@@ -74,7 +108,8 @@ filter is exact although each weight stands for a whole conjugation orbit
 of homomorphisms that the table files under one representative's pair:
 conjugating φ by z conjugates both images by z, and a^q b^p = 1 holds
 exactly when (z a z^-1)^q (z b z^-1)^p = 1.  Powers are exact table walks:
-x^n is read off the cycle of powers of x at n mod ord(x).
+x^n is read off a cycle of powers that the target keeps
+(``FiniteTarget.power``), the one the abelian route reads too.
 
 Counts are kept.  ``count_homomorphisms`` files each |Hom(G, H)| in
 ``_SearchPlan.counts``, on the plan that ``_plan`` caches for the
@@ -103,6 +138,7 @@ from weakref import WeakKeyDictionary
 
 from .errors import MismatchedTargetsError
 from .fpgroup import Letter, Presentation, Word
+from .smith import relation_smith_form
 from .targets import FiniteTarget
 
 
@@ -121,6 +157,9 @@ class _SearchPlan:
     # else (that anchor, whether the image lies in the class of the inverse
     # of the anchor's image rather than in the class of that image)
     links: tuple[tuple[int, bool] | None, ...]
+    # per search position: the index in its steps of a relator g^±1 u1 g^∓1 u2
+    # that solves for its generator g, or None
+    solve: tuple[int | None, ...]
     # |Hom(G, H)| per target counted so far, by target identity; see
     # count_homomorphisms
     counts: WeakKeyDictionary[FiniteTarget, int] = field(
@@ -243,8 +282,12 @@ def _plan(p: Presentation) -> _SearchPlan:
         steps[depth].append(_steps(p.relators[i].letters, order[depth]))
     for checks in steps:
         checks.sort(key=len)  # the cheapest check rejects first
+    solve = tuple(
+        next((i for i, s in enumerate(checks) if len(s) == 2 and s[0][0] != s[1][0]), None)
+        for checks in steps
+    )
     return _SearchPlan(
-        tuple(order), tuple(tuple(s) for s in steps), free, _links(p.relators, order)
+        tuple(order), tuple(tuple(s) for s in steps), free, _links(p.relators, order), solve
     )
 
 
@@ -277,14 +320,17 @@ def weighted_homomorphisms(
     that the relators link to an earlier one (``_SearchPlan.links``) ranges
     over the class of its anchor's image, or of that image's inverse: over
     the C_H(c)-orbits of that class in the second place, and over its
-    members elsewhere.  Every other generator, and the second one when
-    ``first`` is given, ranges over all of H.  Each pair stands for
-    ``weight`` homomorphisms, so with the default ``first`` the weights sum
-    to |Hom(G, H)|.  ``images`` is the live assignment, valid until the next
-    pair is drawn.  Without ``expand_free`` the generators in no relator
-    stay unassigned and their factor |H|^k is folded into the weight; if no
-    generator is in a relator, one of them is still searched, so that
-    ``first`` applies.
+    members elsewhere.  A generator that a relator solves for
+    (``_SearchPlan.solve``) ranges over the solutions of that relator
+    instead, past the second place or, when ``first`` is given, past the
+    first; a linked one over those in its class.  Every other generator, and
+    the second one when ``first`` is given, ranges over all of H.  Each pair
+    stands for ``weight`` homomorphisms, so with the default ``first`` the
+    weights sum to |Hom(G, H)|.  ``images`` is the live assignment, valid
+    until the next pair is drawn.  Without ``expand_free`` the generators
+    in no relator stay unassigned and their factor |H|^k is folded into the
+    weight; if no generator is in a relator, one of them is still searched,
+    so that ``first`` applies.
     """
     return _search(_plan(p), target, first, expand_free)
 
@@ -299,6 +345,7 @@ def _search(
     sequence = plan.order + plan.free if expand_free else plan.order or plan.free[:1]
     steps = plan.steps + ((),) * len(plan.free)
     links = plan.links + (None,) * len(plan.free)
+    solve = plan.solve + (None,) * len(plan.free)
     factor = target.order ** (len(plan.order) + len(plan.free) - len(sequence))
     reduce_second = first is None
     if first is None:
@@ -329,12 +376,22 @@ def _search(
                 values.append((sign, x))
             checks.append(values)
         if candidates is None:
-            link = links[depth]
-            if link is None:
-                candidates = zip(range(target.order), repeat(1))
-            else:
+            link, rule = links[depth], solve[depth]
+            k = None
+            if link is not None:
                 x = images[link[0]]
-                candidates = zip(members[class_of[inv[x] if link[1] else x]], repeat(1))
+                k = class_of[inv[x] if link[1] else x]
+            if rule is not None:
+                # g u1 g^-1 u2 = 1 reads g X g^-1 = Y with X = u1 and Y = u2^-1,
+                # and g^-1 u1 g u2 rotates to g u2 g^-1 u1
+                (sign, a), (_, b) = checks[rule]
+                solved = target.conjugators(b, inv[a]) if sign else target.conjugators(a, inv[b])
+                candidates = solved if k is None else [h for h in solved if class_of[h] == k]
+            elif k is None:
+                candidates = range(target.order)
+            else:
+                candidates = members[k]
+            candidates = zip(candidates, repeat(1))
         for h, size in candidates:
             pair = (h, inv[h])
             for relator in checks:
@@ -364,6 +421,7 @@ def _search(
 def count_homomorphisms(p: Presentation, target: FiniteTarget) -> int:
     """Exact |Hom(G, H)| for the presented group G and finite target H.
 
+    An abelian H is counted from G's Smith form, any other by the search.
     The count is kept in ``_SearchPlan.counts`` of the presentation's cached
     plan, so counting a group into a target again costs a dictionary read.
     Plans are cached by presentation equality: the surgery and half-double
@@ -376,8 +434,32 @@ def count_homomorphisms(p: Presentation, target: FiniteTarget) -> int:
     plan = _plan(p)
     count = plan.counts.get(target)
     if count is None:
-        count = sum(weight for _, weight in _search(plan, target, expand_free=False))
+        if target.is_abelian:
+            count = _abelian_count(p, target)
+        else:
+            count = sum(weight for _, weight in _search(plan, target, expand_free=False))
         plan.counts[target] = count
+    return count
+
+
+def _torsion(target: FiniteTarget, d: int) -> list[int]:
+    """The elements a of the target with a^d = 1."""
+    power = target.power
+    return [a for a in range(target.order) if power(a, d) == 0]
+
+
+def _abelian_count(p: Presentation, target: FiniteTarget) -> int:
+    """|Hom(G, A)| for an abelian target A, from the Smith form U·M·V = D of G.
+
+    Hom(G, A) is the set of x in A^n with M x = 0, written additively.  With
+    x = V y this reads D y = 0, so y_k ranges over A[d_k] = {a : a^d_k = 1}
+    below the rank and over all of A past it.
+    """
+    snf = relation_smith_form(p)
+    count = target.order ** (len(snf.columns) - snf.rank)
+    for d in snf.diagonal:
+        if d > 1:
+            count *= len(_torsion(target, d))
     return count
 
 
@@ -395,13 +477,50 @@ def peripheral_table(
 
     One ``weighted_homomorphisms`` search with the default ``first``, so the
     weights sum to |Hom(G, H)|; each pair carries the weight of the
-    conjugation orbit of its representative homomorphism.
+    conjugation orbit of its representative homomorphism.  An abelian H is
+    not searched: the table is read off G's Smith form (``_abelian_table``),
+    and each homomorphism, its own conjugation orbit there, weighs 1.
     """
+    if target.is_abelian:
+        return _abelian_table(p, meridian, longitude, target)
     m, l = meridian.letters, longitude.letters
     table: dict[tuple[int, int], int] = {}
     for images, weight in weighted_homomorphisms(p, target):
         key = (evaluate_word(m, images, target), evaluate_word(l, images, target))
         table[key] = table.get(key, 0) + weight
+    return table
+
+
+def _abelian_table(
+    p: Presentation, meridian: Word, longitude: Word, target: FiniteTarget
+) -> dict[tuple[int, int], int]:
+    """``peripheral_table`` into an abelian target, from the Smith form of G.
+
+    Each homomorphism is x = V y as in ``_abelian_count``, so a word with
+    exponent vector w goes to the product of y_k^((w·V)_k) over V's columns
+    k.  The table is built column by column: the pairs that column k's
+    y_k gives, each counted, are multiplied into the pairs so far.
+    """
+    snf = relation_smith_form(p)
+    n, mult, power = len(p.generators), target.mult, target.power
+    m, l = meridian.exponent_vector(n), longitude.exponent_vector(n)
+    table = {(0, 0): 1}
+    for k, column in enumerate(snf.columns):
+        if k < snf.rank and snf.diagonal[k] == 1:
+            continue  # y_k = 1
+        values = range(target.order) if k >= snf.rank else _torsion(target, snf.diagonal[k])
+        mk = sum(x * y for x, y in zip(m, column))
+        lk = sum(x * y for x, y in zip(l, column))
+        step: dict[tuple[int, int], int] = {}
+        for y in values:
+            key = (power(y, mk), power(y, lk))
+            step[key] = step.get(key, 0) + 1
+        grown: dict[tuple[int, int], int] = {}
+        for (a, b), weight in table.items():
+            for (c, e), size in step.items():
+                key = (mult[a][c], mult[b][e])
+                grown[key] = grown.get(key, 0) + weight * size
+        table = grown
     return table
 
 
@@ -411,22 +530,10 @@ def slope_count(
     """|Hom(K(q/p), H)| from the knot group's ``peripheral_table`` into H.
 
     The summed weight of the pairs (a, b) with a^q b^p = 1, tested as
-    a^q = b^-p with each power read off the element's cycle of powers.
+    a^q = b^-p with each power read off the target's cycles of powers
+    (``FiniteTarget.power``).
     """
-    mult = target.mult
-    cycles: dict[int, list[int]] = {}
-
-    def power(x: int, n: int) -> int:
-        cycle = cycles.get(x)
-        if cycle is None:
-            cycle = [0]
-            y = x
-            while y:
-                cycle.append(y)
-                y = mult[x][y]
-            cycles[x] = cycle
-        return cycle[n % len(cycle)]
-
+    power = target.power
     return sum(weight for (a, b), weight in table.items() if power(a, q) == power(b, -p))
 
 

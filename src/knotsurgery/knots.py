@@ -27,7 +27,7 @@ from .fpgroup import (
     word_to_json,
 )
 from .homcount import peripheral_table
-from .smith import AbelianInvariants, relation_matrix, smith_normal_form
+from .smith import AbelianInvariants, relation_smith_form
 from .targets import FiniteTarget
 
 # A monodromy is refused past this genus before anything of its size is built.
@@ -269,7 +269,8 @@ def validate_peripheral(
 ) -> PeripheralReport:
     """Run the three peripheral-system checks and report which fail.
 
-    Checks 1 and 2 read one Smith decomposition of the relation matrix.
+    Checks 1 and 2 read the group's one Smith decomposition
+    (``relation_smith_form``), which H1 and the Alexander polynomial share.
     1. The abelianization is infinite cyclic and the meridian generates it:
        H1 = Z, and the meridian's exponent vector m has |m . phi| = 1, where
        phi spans the kernel (the map onto H1 = Z is u -> u . phi).
@@ -290,7 +291,7 @@ def validate_peripheral(
     of the group, so every slope's count is read off them.
     """
     n = len(kp.group.generators)
-    snf = smith_normal_form(relation_matrix(kp.group), n)
+    snf = relation_smith_form(kp.group)
     h1 = snf.cokernel()
     # the meridian generates H1 only if H1 = Z
     meridian_generates = False

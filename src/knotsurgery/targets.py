@@ -158,6 +158,36 @@ class FiniteTarget:
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def is_abelian(self) -> bool:
+        """Whether the generators commute, so that the whole group does."""
+        rows = self.generator_rows
+        return all(a[b[0]] == b[a[0]] for i, a in enumerate(rows) for b in rows[:i])
+
+    @cached_property
+    def _cycles(self) -> dict[int, tuple[list[int], int]]:
+        return {}
+
+    def power(self, x: int, n: int) -> int:
+        """The index of e_x^n, for any integer n, read off a kept cycle of powers.
+
+        The first power of an element z walks its cycle [1, z, z^2, ...] and
+        files every element on it, z^i as (that cycle, i), so the powers of
+        z^i are read at i * n mod ord(z) from the same list, and a cyclic
+        subgroup is walked once however many of its elements are powered.
+        """
+        entry = self._cycles.get(x)
+        if entry is None:
+            cycle, y, mult = [0], x, self.mult
+            while y:
+                cycle.append(y)
+                y = mult[x][y]
+            for i, y in enumerate(cycle):
+                self._cycles.setdefault(y, (cycle, i))
+            entry = self._cycles[x]
+        cycle, i = entry
+        return cycle[i * n % len(cycle)]
+
     @property
     def conjugacy_classes(self) -> tuple[tuple[int, int], ...]:
         """(representative, class size) per conjugacy class: ``centralizer_orbits(0)``."""
@@ -235,6 +265,22 @@ class FiniteTarget:
                                 group.append(w)
         self._centralizers[j] = group
         return group
+
+    def conjugators(self, x: int, y: int) -> list[int]:
+        """Every g with g x g^-1 = y: none unless x and y share a class.
+
+        With rep their class's representative and t the class pass's
+        conjugators, t_x^-1 x t_x = rep = t_y^-1 y t_y, so the solutions are
+        the coset t_y C_H(rep) t_x^-1, made as t_y (c t_x^-1) from the rows
+        of t_y and of the centralizer's elements.
+        """
+        class_of, _, conjugator = self._classes
+        j = class_of[x]
+        if class_of[y] != j:
+            return []
+        mult = self.mult
+        left, back = mult[conjugator[y]], self.inverse[conjugator[x]]
+        return [left[mult[c][back]] for c in self._centralizer(j)]
 
     @cached_property
     def _orbit_cache(self) -> dict[tuple[int, int | None], tuple[tuple[int, int], ...]]:

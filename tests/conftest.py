@@ -4,9 +4,10 @@ The oracles here deliberately avoid the package's own evaluation machinery:
 naive_hom_count multiplies raw permutation tuples (``compose`` and
 ``invert_perm``), naive_closure closes generators by a frontier-by-frontier
 search over raw products, torus_hom_count counts the roots of raw permutation
-powers, low_index_hom_count counts subgroups of small index by coset
-enumeration and uses no target, table or permutation at all,
-seifert_alexander expands a determinant by permutation sums over
+powers, pair_hom_count checks every (class representative, element) pair of a
+two-generator group letter by letter, low_index_hom_count counts subgroups of
+small index by coset enumeration and uses no target, table or permutation at
+all, seifert_alexander expands a determinant by permutation sums over
 dict-polynomials, det_oracle is a cofactor expansion, min_rotation_oracle
 builds every rotation, and row_lattice_oracle compares invariant factors
 instead of reading the column transform.  Tests freeze values computed by these.
@@ -19,6 +20,7 @@ import csv
 import importlib.util
 import io
 import itertools
+import json
 import math
 import re
 import time
@@ -29,7 +31,7 @@ import pytest
 from hypothesis import settings
 
 from knotsurgery import builtin_knot, cli, smith_normal_form, standard_suite
-from knotsurgery.targets import FiniteTarget
+from knotsurgery.targets import FiniteTarget, suite_from_json
 
 # derandomized and without the example database, so that every run draws the
 # same examples and no run replays another's stored failures
@@ -204,6 +206,34 @@ def low_index_hom_count(presentation, n: int) -> int:
     return homs[n] * math.factorial(n) ** (len(presentation.generators) - len(used))
 
 
+def pair_hom_count(presentation, target: FiniteTarget) -> int:
+    """|Hom(G, target)| for G on two generators, by (class representative, any element) pairs.
+
+    Hom(G, H) is closed under conjugation, so as many homomorphisms send the
+    first generator to each member of a class as to its representative: each
+    pair (representative, h) that satisfies every relator counts the class
+    size.  Relators are evaluated letter by letter through the target's
+    tables; only ``conjugacy_classes`` and the tables are shared with the
+    engine.
+    """
+    assert len(presentation.generators) == 2
+    mult, inverse = target.mult, target.inverse
+    relators = [r.letters for r in presentation.relators]
+    count = 0
+    for rep, size in target.conjugacy_classes:
+        for h in range(target.order):
+            images = (rep, h)
+            for letters in relators:
+                x = 0
+                for g, e in letters:
+                    x = mult[x][images[g] if e == 1 else inverse[images[g]]]
+                if x:
+                    break
+            else:
+                count += size
+    return count
+
+
 def torus_hom_count(r: int, s: int, target: FiniteTarget) -> int:
     """|Hom(<x, y | x^r = y^s>, target)|, the count for the torus knot T(r, s).
 
@@ -313,6 +343,13 @@ def load_demo():
     demo = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(demo)
     return demo
+
+
+def abelian_suite() -> tuple[FiniteTarget, ...]:
+    """C6, V4 and C2 x C4, closed from ``tests/abelian_suite.json``, which CI's
+    ``verify`` step reads too."""
+    path = Path(__file__).resolve().parent / "abelian_suite.json"
+    return suite_from_json(json.loads(path.read_text(encoding="utf-8")))
 
 
 # ---------------------------------------------------------------- fixtures

@@ -1440,6 +1440,25 @@ def test_the_genus_2_monodromy_of_t25_has_the_spectra_of_its_braid(capsys, tmp_p
     assert [row.partition(",")[2] for row in spectra["inverse"].splitlines()[1:]] == counts[::-1]
 
 
+def test_the_genus_2_monodromy_of_t25_has_the_extended_spectra_of_its_braid(capsys, tmp_path):
+    # the search solves the mapping-torus relator for the monodromy group's
+    # third generator, which no relator links, so this takes under a second
+    spectra = {}
+    for name, source in [
+        ("monodromy", ["--monodromy", str(T25_MONODROMY)]),
+        ("braid", ["--braid", "1 1 1 1 1"]),
+    ]:
+        out = tmp_path / name
+        argv = ["family", *source, "--q", "1", "--p=-3..3", "--targets", "extended",
+                "--no-cache", "--out", str(out)]
+        assert run(argv, capsys)[0] == 3
+        spectra[name] = (out / "spectra.csv").read_text()
+    assert spectra["monodromy"] == spectra["braid"]
+    assert spectra["braid"].splitlines()[5] == (
+        "p=1,1,1,1,1,1,1,1,121,1,121,1,1,1,1441,1,2641,1441,1,1,54721"
+    )
+
+
 @pytest.mark.parametrize("q, passes", [(1, 7), (2, 4)])
 def test_the_genus_2_monodromy_of_t25_verifies_as_its_braid(capsys, q, passes):
     # both surgery routes and the peripheral tables of the mapping torus,

@@ -1,9 +1,11 @@
 import gc
 import itertools
+import json
 import weakref
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from knotsurgery import (
     MismatchedTargetsError,
@@ -40,8 +42,15 @@ from knotsurgery.homcount import (
     iter_homomorphisms,
     weighted_homomorphisms,
 )
+from knotsurgery.knots import fibered_knot_from_json
 
-from conftest import low_index_hom_count, naive_hom_count, torus_hom_count
+from conftest import (
+    abelian_suite,
+    low_index_hom_count,
+    naive_hom_count,
+    pair_hom_count,
+    torus_hom_count,
+)
 
 
 def pres(names, *relator_texts):
@@ -231,6 +240,69 @@ def test_matches_naive_enumeration(p, name):
     assert per_class_total(p, target) == count
 
 
+# C2..C6 and the non-cyclic V4 and C2 x C4
+ABELIAN_TARGETS = {t.name: t for t in standard_suite()[:5] + abelian_suite()}
+
+
+@settings(max_examples=120)
+@given(
+    st.one_of(presentations_with_free_generators(), conjugating_presentations(), small_presentations),
+    st.sampled_from(sorted(ABELIAN_TARGETS)),
+)
+@example(Presentation([]), "V4")
+@example(Presentation(["a", "b", "c"]), "C2xC4")
+def test_abelian_targets_are_counted_through_h1(p, name):
+    # a count into an abelian target is read off the presentation's Smith
+    # form, with no search, free generators and relator-free presentations
+    # included
+    target = ABELIAN_TARGETS[name]
+    assert target.is_abelian
+    expected = naive_hom_count(p, target)
+    assert homcount._abelian_count(p, target) == expected
+    assert count_homomorphisms(p, target) == expected
+
+
+@st.composite
+def solving_presentations(draw):
+    """g0, g1, g2: a relator over g0 and g1 alone, then a rotation of
+    g2^s u1 g2^-s u2 with u1 and u2 over g0 and g1.
+
+    The first relator uses both g0 and g1 (it alternates them), so the plan
+    places them first and g2 third, where the second relator completes and
+    solves g2 X g2^-1 = Y for g2 (reading X = u1 and Y = u2^-1 when s = 1).
+    """
+    signs = st.sampled_from((1, -1))
+    pairs = draw(st.lists(st.tuples(signs, signs), min_size=1, max_size=3))
+    first = [letter for e, f in pairs for letter in ((0, e), (1, f))]
+    words = st.lists(st.tuples(st.integers(0, 1), signs), min_size=1, max_size=4)
+    u1, u2 = (draw(words.filter(lambda u: Word(tuple(u)).letters)) for _ in range(2))
+    s = draw(signs)
+    second = [(2, s)] + u1 + [(2, -s)] + u2
+    cut = draw(st.integers(0, len(second) - 1))
+    second = second[cut:] + second[:cut]
+    return Presentation(["g0", "g1", "g2"], [Word(tuple(first)), Word(tuple(second))])
+
+
+@settings(max_examples=80)
+@given(solving_presentations(), st.sampled_from(["A4", "D4", "S3", "S4"]))
+def test_a_generator_solved_at_the_third_depth_matches_naive_enumeration(p, name):
+    plan = _plan(p)
+    assert plan.order[2] == 2 and plan.solve[2] is not None
+    target = ORACLE_TARGETS[name]
+    expected = naive_hom_count(p, target)
+    assert sum(weight for _, weight in weighted_homomorphisms(p, target)) == expected
+    assert count_homomorphisms(p, target) == expected
+
+
+def test_the_pair_oracle_matches_the_engine_at_psl2_17_and_psl2_19():
+    group = tietze_simplify(builtin_knot("fig8").group)
+    assert len(group.generators) == 2
+    targets = {t.name: t for t in escalation_suite()}
+    for name, expected in (("PSL2_17", 36720), ("PSL2_19", 58140)):
+        target = targets[name]
+        assert pair_hom_count(group, target) == count_homomorphisms(group, target) == expected
+
+
 @pytest.mark.parametrize(
     "braid, r, s",
     [
@@ -355,6 +427,20 @@ def test_knot_groups_are_linked_and_the_fig8_mapping_torus_is_not():
     # shape, so both of its generators keep the search over all of H
     group = tietze_simplify(mapping_torus_presentation(builtin_monodromy("fig8")).group)
     assert _plan(group).links == (None, None)
+
+
+def test_the_genus_2_mapping_torus_solves_for_its_third_generator():
+    # no relator of the T(2,5) monodromy's simplified group links its three
+    # generators, but one reads g u1 g^-1 u2 at the third, which is solved
+    # for; the counts into PSL2_17 are pinned by the torus oracle's T(2,5)
+    payload = json.loads((Path(__file__).parent / "torus_2_5_monodromy.json").read_text())
+    kp = mapping_torus_presentation(fibered_knot_from_json(payload))
+    group = tietze_simplify(kp.group)
+    plan = _plan(group)
+    assert len(plan.order) == 3 and plan.links == (None, None, None)
+    assert plan.solve[:2] == (None, None) and plan.solve[2] is not None
+    target = {t.name: t for t in escalation_suite()}["PSL2_17"]
+    assert count_homomorphisms(group, target) == torus_hom_count(2, 5, target)
 
 
 @settings(max_examples=30)

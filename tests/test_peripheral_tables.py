@@ -6,8 +6,10 @@ image a and longitude image b satisfy a^q b^p = 1, so ``slope_count`` over
 CLI reads the tables off ``validate_peripheral``'s report, as most tests here do.
 """
 
+import json
 from functools import cache
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -29,10 +31,15 @@ from knotsurgery import (
     wirtinger_from_braid,
 )
 from knotsurgery.fpgroup import tietze_simplify_tracked
-from knotsurgery.homcount import peripheral_table, slope_count
+from knotsurgery.homcount import (
+    evaluate_word,
+    peripheral_table,
+    slope_count,
+    weighted_homomorphisms,
+)
 from knotsurgery.knots import builtin_monodromy
 
-from conftest import naive_hom_count
+from conftest import abelian_suite, naive_hom_count
 
 # three 3-strand braids whose closures are knots
 BRAIDS = ("1 -2 1 -2 1 -2 1 -2", "1 1 1 2 -1 2", "-2 -2 -2 -2 -1 -1 -2 -1")
@@ -96,3 +103,32 @@ def test_powers_past_the_element_orders_are_exact():
         for p in (1, -1, 997, -999):
             if gcd(p, q) == 1:
                 assert slope_count(table, target, q, p) == expected
+
+
+def searched_table(group, meridian, longitude, target) -> dict[tuple[int, int], int]:
+    """The peripheral table summed from the one search, whatever the target."""
+    table: dict[tuple[int, int], int] = {}
+    for images, weight in weighted_homomorphisms(group, target):
+        key = (
+            evaluate_word(meridian.letters, images, target),
+            evaluate_word(longitude.letters, images, target),
+        )
+        table[key] = table.get(key, 0) + weight
+    return table
+
+
+def test_abelian_tables_equal_the_searched_tables_on_the_census_pool():
+    # an abelian target's table is read off the Smith form of the simplified
+    # knot group, with no search; on the first 200 knots of the benchmark's
+    # census pool it equals the search's table, pair for pair and weight for
+    # weight
+    pool = Path(__file__).resolve().parent.parent / "bench" / "census_pool.json"
+    knots = json.loads(pool.read_text(encoding="utf-8"))["knots"][:200]
+    targets = standard_suite()[:5] + abelian_suite()
+    assert all(t.is_abelian for t in targets)
+    for entry in knots:
+        kp = wirtinger_from_braid(parse_braid(entry["braid"]))
+        group, words = tietze_simplify_tracked(kp.group, (kp.meridian, kp.longitude))
+        for target in targets:
+            expected = searched_table(group, *words, target)
+            assert peripheral_table(group, *words, target) == expected, (entry["braid"], target.name)

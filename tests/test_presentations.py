@@ -1,6 +1,11 @@
+import copy
 import hashlib
 import json
 import math
+import os
+import pickle
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -249,6 +254,34 @@ def test_extended_equals_the_checked_construction(p):
 @given(small_presentations)
 def test_serialization_round_trip(p):
     assert presentation_from_json(presentation_to_json(p)) == p
+
+
+def test_a_kept_hash_does_not_travel_with_a_pickle_or_a_copy():
+    # the hash is kept on first use, but string hashes differ between
+    # processes, so a presentation unpickled under another PYTHONHASHSEED
+    # must hash as one built there does
+    names = ["a", "b"]
+    p = pres(names, "a b a^-1 b^-1", "a^3 b^-2")
+    hash(p)
+    assert hash(copy.copy(p)) == hash(copy.deepcopy(p)) == hash(p)
+    code = (
+        "import pickle, sys\n"
+        "from knotsurgery import Presentation, parse_word\n"
+        "p = pickle.loads(sys.stdin.buffer.read())\n"
+        "names = ['a', 'b']\n"
+        "fresh = Presentation(names, [parse_word(t, names) for t in ('a b a^-1 b^-1', 'a^3 b^-2')])\n"
+        "print(p == fresh, hash(p) == hash(fresh))\n"
+    )
+    src = Path(fpgroup.__file__).resolve().parents[1]
+    for seed in ("1", "2"):
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            input=pickle.dumps(p),
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed),
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [b"True", b"True"]
 
 
 @given(small_presentations, small_presentations)

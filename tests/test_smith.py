@@ -11,11 +11,13 @@ from knotsurgery import (
     builtin_knot,
     builtin_monodromy,
     fox_alexander,
+    hom_spectrum,
     mapping_torus_presentation,
     parse_braid,
     smith,
     smith_normal_form,
     standard_suite,
+    tietze_simplify,
     validate_peripheral,
     wirtinger_from_braid,
 )
@@ -174,12 +176,21 @@ def _count_diagonalizations(monkeypatch):
     ],
     ids=["trefoil", "braid", "fig8-monodromy"],
 )
-def test_one_decomposition_per_peripheral_check_and_alexander_polynomial(kp, monkeypatch):
+def test_one_decomposition_per_presentation(kp, monkeypatch):
+    # H1, the peripheral checks, the Alexander polynomial and the counts and
+    # peripheral tables into abelian targets (C2 and C3 here) all read one
+    # decomposition per presentation: the knot group's, and that of the
+    # simplified group the tables are built on
+    smith.relation_smith_form.cache_clear()
     calls = _count_diagonalizations(monkeypatch)
-    assert validate_peripheral(kp, standard_suite()[:2]).ok
-    assert len(calls) == 1
-    fox_alexander(kp)
-    assert len(calls) == 2
+    suite = standard_suite()[:2]
+    simplified = tietze_simplify(kp.group)
+    for _ in range(2):
+        assert abelianization(kp.group).is_infinite_cyclic
+        assert validate_peripheral(kp, suite).ok
+        fox_alexander(kp)
+        hom_spectrum(simplified, suite)
+    assert len(calls) == len({kp.group, simplified})
 
 
 def test_abelianization_examples():

@@ -333,6 +333,56 @@ def test_the_class_pass_gives_conjugators_and_centralizers_of_random_groups(gene
         assert list(target.centralizer_orbits(j)) == orbits
 
 
+def perm_power(perm: tuple, n: int) -> tuple:
+    """perm^n by repeated composition, for any integer n."""
+    base = perm if n >= 0 else invert_perm(perm)
+    out = tuple(range(len(perm)))
+    for _ in range(abs(n)):
+        out = compose(out, base)
+    return out
+
+
+@given(
+    st.integers(min_value=1, max_value=7).flatmap(
+        lambda degree: st.lists(st.permutations(range(degree)), min_size=1, max_size=3)
+    ),
+    st.integers(min_value=0),
+)
+@example([(1, 0, 3, 2), (2, 3, 0, 1)], 5)  # V4
+@example([(1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 5, 2)], 11)  # C2 x C4
+def test_powers_conjugators_and_commutativity_of_random_groups(generators, pick):
+    degree = len(generators[0])
+    try:
+        target = close_target("random", [tuple(g) for g in generators], degree=degree, cap=720)
+    except ClosureCapExceededError:
+        assume(False)
+    elements, order = target.elements, target.order
+    gens = [tuple(g) for g in generators]
+    assert target.is_abelian == all(compose(a, b) == compose(b, a) for a in gens for b in gens)
+    if order <= 120:
+        assert target.is_abelian == all(
+            compose(a, b) == compose(b, a) for a in elements for b in elements
+        )
+    x = pick % order
+    for n in (-order - 1, -7, -2, -1, 0, 1, 2, 3, 7, order, 2 * order + 1):
+        assert elements[target.power(x, n)] == perm_power(elements[x], n)
+    # every g with g x g^-1 = y, for y a drawn conjugate of x and a drawn element
+    z = elements[(pick // order) % order]
+    conjugate = target.elements.index(compose(compose(z, elements[x]), invert_perm(z)))
+    for y in (conjugate, (pick // order**2) % order):
+        brute = [
+            g for g, perm in enumerate(elements)
+            if compose(compose(perm, elements[x]), invert_perm(perm)) == elements[y]
+        ]
+        assert sorted(target.conjugators(x, y)) == brute
+
+
+def test_the_bundled_abelian_targets_are_the_cyclic_ones():
+    abelian = [t.name for t in standard_suite() + escalation_suite() if t.is_abelian]
+    assert abelian == ["C2", "C3", "C4", "C5", "C6"]
+    assert close_target("trivial", [], degree=3).is_abelian
+
+
 # sha256 of each bundled target's elements, inverse table and, for a full
 # table, its rows, as ``target_digest`` writes them.  Element indices fix the
 # class representatives, the centralizer orbits and the peripheral-table keys,
