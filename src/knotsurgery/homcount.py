@@ -1,7 +1,7 @@
 """Exact homomorphism counting into finite permutation groups.
 
-Counts and peripheral tables into an abelian target are solved for from
-H1 (below).  Everything else goes through one depth-first search,
+Counts into an abelian target are solved for from H1 (below).  Everything
+else goes through one depth-first search,
 ``weighted_homomorphisms`` (``_search`` on the presentation's cached plan),
 which assigns generator images one generator at a time.  Generators are
 ordered so that relators acquire full support as early as possible
@@ -78,14 +78,15 @@ keeps per presentation.  A homomorphism is an x in A^n, written additively,
 with M x = 0.  Put x = V y: U is unimodular, so M x = 0 exactly when D y = 0,
 and V is unimodular, so y -> V y permutes A^n.  Hence y_k ranges over
 A[d_k] = {a : a^d_k = 1} for the k-th diagonal entry d_k and over all of A
-past the rank, and |Hom(G, A)| = |A|^(n - rank) · Π_k |A[d_k]|.
-``peripheral_table`` lists the same homomorphisms through V's columns and
-returns the dict the search would.  The paper's families are homologous by
-construction, so H1 fixes every abelian count, and searching for it is
-waste: solving for C2..C6, with one decomposition per presentation, took
-the benchmark's knot-census ``op_p50_ms`` from 1.87 to 1.60 ms (medians of
-14 runs a side, 2 cores, Python 3.11).  ``weighted_homomorphisms`` and
-``iter_homomorphisms`` search every target.
+past the rank, and |Hom(G, A)| = |A|^(n - rank) · Π_k |A[d_k]|.  The
+paper's families are homologous by construction, so H1 fixes every abelian
+count, and searching for it is waste: solving for C2..C6, with one
+decomposition per presentation, took the benchmark's knot-census
+``op_p50_ms`` from 1.87 to 1.60 ms (medians of 14 runs a side, 2 cores,
+Python 3.11).  A knot group's abelian peripheral tables are read off its
+H1 = Z by ``knots.validate_peripheral``, with no decomposition of their own.
+``peripheral_table``, ``weighted_homomorphisms`` and ``iter_homomorphisms``
+search every target.
 
 Measured on a 2-core machine (Python 3.11), against the search with the
 class reduction alone: counting the six fig8 surgery groups (q=1, p=1..6)
@@ -442,12 +443,6 @@ def count_homomorphisms(p: Presentation, target: FiniteTarget) -> int:
     return count
 
 
-def _torsion(target: FiniteTarget, d: int) -> list[int]:
-    """The elements a of the target with a^d = 1."""
-    power = target.power
-    return [a for a in range(target.order) if power(a, d) == 0]
-
-
 def _abelian_count(p: Presentation, target: FiniteTarget) -> int:
     """|Hom(G, A)| for an abelian target A, from the Smith form U·M·V = D of G.
 
@@ -459,7 +454,7 @@ def _abelian_count(p: Presentation, target: FiniteTarget) -> int:
     count = target.order ** (len(snf.columns) - snf.rank)
     for d in snf.diagonal:
         if d > 1:
-            count *= len(_torsion(target, d))
+            count *= sum(target.power(a, d) == 0 for a in range(target.order))
     return count
 
 
@@ -478,49 +473,13 @@ def peripheral_table(
     One ``weighted_homomorphisms`` search with the default ``first``, so the
     weights sum to |Hom(G, H)|; each pair carries the weight of the
     conjugation orbit of its representative homomorphism.  An abelian H is
-    not searched: the table is read off G's Smith form (``_abelian_table``),
-    and each homomorphism, its own conjugation orbit there, weighs 1.
+    searched too, but ``knots.validate_peripheral`` reads those off H1.
     """
-    if target.is_abelian:
-        return _abelian_table(p, meridian, longitude, target)
     m, l = meridian.letters, longitude.letters
     table: dict[tuple[int, int], int] = {}
     for images, weight in weighted_homomorphisms(p, target):
         key = (evaluate_word(m, images, target), evaluate_word(l, images, target))
         table[key] = table.get(key, 0) + weight
-    return table
-
-
-def _abelian_table(
-    p: Presentation, meridian: Word, longitude: Word, target: FiniteTarget
-) -> dict[tuple[int, int], int]:
-    """``peripheral_table`` into an abelian target, from the Smith form of G.
-
-    Each homomorphism is x = V y as in ``_abelian_count``, so a word with
-    exponent vector w goes to the product of y_k^((w·V)_k) over V's columns
-    k.  The table is built column by column: the pairs that column k's
-    y_k gives, each counted, are multiplied into the pairs so far.
-    """
-    snf = relation_smith_form(p)
-    n, mult, power = len(p.generators), target.mult, target.power
-    m, l = meridian.exponent_vector(n), longitude.exponent_vector(n)
-    table = {(0, 0): 1}
-    for k, column in enumerate(snf.columns):
-        if k < snf.rank and snf.diagonal[k] == 1:
-            continue  # y_k = 1
-        values = range(target.order) if k >= snf.rank else _torsion(target, snf.diagonal[k])
-        mk = sum(x * y for x, y in zip(m, column))
-        lk = sum(x * y for x, y in zip(l, column))
-        step: dict[tuple[int, int], int] = {}
-        for y in values:
-            key = (power(y, mk), power(y, lk))
-            step[key] = step.get(key, 0) + 1
-        grown: dict[tuple[int, int], int] = {}
-        for (a, b), weight in table.items():
-            for (c, e), size in step.items():
-                key = (mult[a][c], mult[b][e])
-                grown[key] = grown.get(key, 0) + weight * size
-        table = grown
     return table
 
 

@@ -277,18 +277,23 @@ def validate_peripheral(
     2. The longitude is nullhomologous (0-framed): its exponent vector lies
        in the row lattice of the relation matrix.
     3. Meridian and longitude images commute under every homomorphism into
-       every given target: every pair in each target's ``peripheral_table``
-       commutes.  A table files each conjugation orbit of homomorphisms
-       under one representative's pair; commutation is invariant under
-       simultaneous conjugation, so this is exact, and the table's weights
-       count every homomorphism in the reported total.
+       every given target: every pair in each target's table commutes.  A
+       table files each conjugation orbit of homomorphisms under one
+       representative's pair; commutation is invariant under simultaneous
+       conjugation, so this is exact, and the table's weights count every
+       homomorphism in the reported total.
+       An abelian target is not searched: a homomorphism f to it is
+       w -> c^(w . phi), so f(m) = c^(m . phi) takes each value once as c
+       does, and f(l) = f(m)^k with k = (l . phi)(m . phi).  Any other
+       target's table is its ``peripheral_table``.
        The search runs only when check 1 passes.  Otherwise the check is
        reported failed without it: a group whose H1 is larger than Z can
        have hundreds of millions of homomorphisms into the targets.
 
     This is the only place the knot group is searched.  The report keeps
-    check 1's H1 and check 3's tables, built on one Tietze-simplified copy
-    of the group, so every slope's count is read off them.
+    check 1's H1 and check 3's tables, the searched ones built on one
+    Tietze-simplified copy of the group, so every slope's count is read off
+    them.
     """
     n = len(kp.group.generators)
     snf = relation_smith_form(kp.group)
@@ -298,7 +303,8 @@ def validate_peripheral(
     if h1.is_infinite_cyclic:
         (phi,) = snf.kernel()
         m_vector = kp.meridian.exponent_vector(n)
-        meridian_generates = abs(sum(x * y for x, y in zip(m_vector, phi))) == 1
+        m_phi = sum(x * y for x, y in zip(m_vector, phi))
+        meridian_generates = abs(m_phi) == 1
     longitude_vector = kp.longitude.exponent_vector(n)
     checks = [
         PeripheralCheck(
@@ -321,7 +327,13 @@ def validate_peripheral(
     simplified, (meridian, longitude) = tietze_simplify_tracked(
         kp.group, (kp.meridian, kp.longitude)
     )
-    tables = tuple(peripheral_table(simplified, meridian, longitude, t) for t in targets)
+    k = sum(x * y for x, y in zip(longitude_vector, phi)) * m_phi
+    tables = tuple(
+        {(a, t.power(a, k)): 1 for a in range(t.order)}
+        if t.is_abelian
+        else peripheral_table(simplified, meridian, longitude, t)
+        for t in targets
+    )
     witness = ""
     for target, table in zip(targets, tables):
         if any(target.mult[a][b] != target.mult[b][a] for a, b in table):

@@ -7,6 +7,7 @@ CLI reads the tables off ``validate_peripheral``'s report, as most tests here do
 """
 
 import json
+from dataclasses import replace
 from functools import cache
 from math import gcd
 from pathlib import Path
@@ -118,17 +119,25 @@ def searched_table(group, meridian, longitude, target) -> dict[tuple[int, int], 
 
 
 def test_abelian_tables_equal_the_searched_tables_on_the_census_pool():
-    # an abelian target's table is read off the Smith form of the simplified
-    # knot group, with no search; on the first 200 knots of the benchmark's
-    # census pool it equals the search's table, pair for pair and weight for
-    # weight
+    # an abelian target's table is read off the knot group's H1 = Z, with no
+    # search; on the first 200 knots of the benchmark's census pool it equals
+    # the search's table on the simplified group, pair for pair and weight
+    # for weight, for three peripheral pairs per knot: (m, l), whose longitude
+    # maps to 0 in H1, (m, l·m) and (m^-1, l·m^-3), so that both signs of
+    # the meridian's image in H1 and a longitude off the kernel are met
     pool = Path(__file__).resolve().parent.parent / "bench" / "census_pool.json"
     knots = json.loads(pool.read_text(encoding="utf-8"))["knots"][:200]
     targets = standard_suite()[:5] + abelian_suite()
     assert all(t.is_abelian for t in targets)
+    compared = 0
     for entry in knots:
         kp = wirtinger_from_braid(parse_braid(entry["braid"]))
-        group, words = tietze_simplify_tracked(kp.group, (kp.meridian, kp.longitude))
-        for target in targets:
-            expected = searched_table(group, *words, target)
-            assert peripheral_table(group, *words, target) == expected, (entry["braid"], target.name)
+        m, l = kp.meridian, kp.longitude
+        for meridian, longitude in ((m, l), (m, l * m), (m.inverse(), l * m ** -3)):
+            pair = replace(kp, meridian=meridian, longitude=longitude)
+            group, words = tietze_simplify_tracked(kp.group, (meridian, longitude))
+            tables = validate_peripheral(pair, targets).tables
+            for target, table in zip(targets, tables):
+                assert table == searched_table(group, *words, target), (entry["braid"], target.name)
+                compared += 1
+    assert compared == 200 * 3 * len(targets)

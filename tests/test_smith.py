@@ -177,13 +177,17 @@ def _count_diagonalizations(monkeypatch):
     ids=["trefoil", "braid", "fig8-monodromy"],
 )
 def test_one_decomposition_per_presentation(kp, monkeypatch):
-    # H1, the peripheral checks, the Alexander polynomial and the counts and
-    # peripheral tables into abelian targets (C2 and C3 here) all read one
-    # decomposition per presentation: the knot group's, and that of the
-    # simplified group the tables are built on
+    # H1, the peripheral checks, the Alexander polynomial and the counts into
+    # abelian targets (C2 and C3 here) all read one decomposition per
+    # presentation: the knot group's, and that of the simplified group the
+    # counts are made on
     smith.relation_smith_form.cache_clear()
     calls = _count_diagonalizations(monkeypatch)
     suite = standard_suite()[:2]
+    # the peripheral tables into abelian targets are read off the knot
+    # group's H1, so the simplified group is not decomposed for them
+    assert validate_peripheral(kp, suite).ok
+    assert len(calls) == 1
     simplified = tietze_simplify(kp.group)
     for _ in range(2):
         assert abelianization(kp.group).is_infinite_cyclic
