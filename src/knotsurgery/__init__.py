@@ -65,7 +65,6 @@ from .surgery import (
     FamilyResult,
     SurgerySlope,
     build_family,
-    cable_link_group,
     dehn_surgery_group,
     half_complement_group,
 )

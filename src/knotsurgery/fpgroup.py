@@ -18,7 +18,7 @@ Operations whose result is reduced by construction skip that second pass:
   u c^n u^-1 has no cancelling pair;
 - ``_normalize_relators`` takes freely reduced letters and only cyclically
   reduces them; ``quotient_by_relators``, ``tietze_simplify_tracked`` and the
-  cable-link groups of ``surgery`` wrap its output, and Tietze returns
+  doubled-complement halves of ``surgery`` wrap its output, and Tietze returns
   through ``Presentation._of``, since its generator names are a subset of
   checked ones;
 - a Tietze elimination rewrites each relator and tracked word in one pass
@@ -27,9 +27,9 @@ Operations whose result is reduced by construction skip that second pass:
   ``_reduced``;
 - ``Presentation.extended`` checks only the relators it adds, since the
   relators already there stay valid over more generators;
-- ``Presentation._of`` checks nothing; the cable-link groups of ``surgery``
-  append through it relators made of the knot's checked peripheral words and
-  fresh generators.
+- ``Presentation._of`` checks nothing; the doubled-complement halves of
+  ``surgery`` append through it relators made of the knot's checked
+  peripheral words and fresh generators.
 
 Generators are never renamed implicitly: constructions that add generators
 append them after the existing ones, so distinguished words (meridians,

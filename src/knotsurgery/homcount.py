@@ -1,13 +1,12 @@
 """Exact homomorphism counting into finite permutation groups.
 
 Counts into an abelian target are solved for from H1 (below).  Everything
-else goes through one depth-first search,
-``weighted_homomorphisms`` (``_search`` on the presentation's cached plan),
-which assigns generator images one generator at a time.  Generators are
-ordered so that relators acquire full support as early as possible
-(relators with the smallest support are scheduled first), and a branch is
-pruned the moment any fully assigned relator fails to evaluate to the
-identity.  Four exact reductions keep the search small:
+else goes through one depth-first search, ``weighted_homomorphisms`` on the
+presentation's cached plan, which assigns generator images one generator at
+a time.  Generators are ordered so that relators acquire full support as
+early as possible (relators with the smallest support are scheduled first),
+and a branch is pruned the moment any fully assigned relator fails to
+evaluate to the identity.  Four exact reductions keep the search small:
 
 * Segments.  Each relator is checked at the depth of its last generator g.
   It is rotated to start at g (a rotation is a conjugate, so it is trivial
@@ -333,16 +332,7 @@ def weighted_homomorphisms(
     weight; if no generator is in a relator, one of them is still searched,
     so that ``first`` applies.
     """
-    return _search(_plan(p), target, first, expand_free)
-
-
-def _search(
-    plan: _SearchPlan,
-    target: FiniteTarget,
-    first: Iterable[tuple[int, int]] | None = None,
-    expand_free: bool = True,
-) -> Iterator[tuple[list[int], int]]:
-    """``weighted_homomorphisms`` of the presentation that ``plan`` was made for."""
+    plan = _plan(p)
     sequence = plan.order + plan.free if expand_free else plan.order or plan.free[:1]
     steps = plan.steps + ((),) * len(plan.free)
     links = plan.links + (None,) * len(plan.free)
@@ -438,7 +428,8 @@ def count_homomorphisms(p: Presentation, target: FiniteTarget) -> int:
         if target.is_abelian:
             count = _abelian_count(p, target)
         else:
-            count = sum(weight for _, weight in _search(plan, target, expand_free=False))
+            homs = weighted_homomorphisms(p, target, expand_free=False)
+            count = sum(weight for _, weight in homs)
         plan.counts[target] = count
     return count
 

@@ -293,7 +293,7 @@ def validate_peripheral(
     This is the only place the knot group is searched.  The report keeps
     check 1's H1 and check 3's tables, the searched ones built on one
     Tietze-simplified copy of the group, so every slope's count is read off
-    them.
+    them.  The copy is made only when some target is not abelian.
     """
     n = len(kp.group.generators)
     snf = relation_smith_form(kp.group)
@@ -324,9 +324,10 @@ def validate_peripheral(
         )
         return PeripheralReport(tuple(checks), h1)
 
-    simplified, (meridian, longitude) = tietze_simplify_tracked(
-        kp.group, (kp.meridian, kp.longitude)
-    )
+    if not all(t.is_abelian for t in targets):
+        simplified, (meridian, longitude) = tietze_simplify_tracked(
+            kp.group, (kp.meridian, kp.longitude)
+        )
     k = sum(x * y for x, y in zip(longitude_vector, phi)) * m_phi
     tables = tuple(
         {(a, t.power(a, k)): 1 for a in range(t.order)}

@@ -1,4 +1,4 @@
-"""Surgery quotients, cable-link amalgams, and surface-complement groups.
+"""Surgery quotients and the doubled-complement groups built from cable links.
 
 The slope convention: filling along meridian^q * longitude^p, q >= 1 and
 gcd(p, q) = 1.  Note that much of the literature writes the same filling with
@@ -70,12 +70,16 @@ def dehn_surgery_group(kp: KnotPresentation, slope: SurgerySlope) -> Presentatio
 
 
 class _CableLinks:
-    """The cable-link groups of one knot for one q, built around their shared part.
+    """The doubled-complement halves of one knot for one q, built around their shared part.
 
-    Everything but the filling relator depends only on (knot, q) and is built
-    once: the fresh generators mu, lam and their commutator, the labels,
-    meridian^q and mu^-q.  Each p then adds its filling relator
-    meridian^q longitude^p lam^-p mu^-q in one presentation.
+    A half is the cable-link group (the knot group plus a commuting pair mu,
+    lam, the knot's peripheral pair inside the complement of the knot and
+    its (p, q)-cable, with the cable meridian^q longitude^p identified with
+    mu^q lam^p) with mu and lam killed.  Everything but the filling relator
+    depends only on (knot, q) and is built once: the fresh generators mu,
+    lam and their commutator, the labels, meridian^q and mu^-q.  Each p then
+    adds its filling relator meridian^q longitude^p lam^-p mu^-q, mu and lam
+    in one presentation.
     """
 
     def __init__(self, kp: KnotPresentation, q: int) -> None:
@@ -95,40 +99,20 @@ class _CableLinks:
         self.meridian_q = word_power(kp.meridian, q)
         self.mu_inverse_q = word_power(self.mu, -q)
 
-    def filling(self, p: int) -> Word:
-        return (
-            self.meridian_q
-            * word_power(self.longitude, p)
-            * word_power(self.lam, -p)
-            * self.mu_inverse_q
-        ).cyclically_reduced()
-
-    def _appended(self, relators: tuple[Word, ...]) -> Presentation:
-        # the relators are over the checked peripheral words and mu, lam, and
-        # the filling relator is cyclically reduced and holds mu^-q
-        return Presentation._of(self.linked.generators, self.linked.relators + relators)
-
     def half(self, p: int) -> Presentation:
-        """The cable-link group with the knot's peripheral pair mu, lam killed."""
+        """The cable-link group of slope (p, q) with the knot's peripheral pair mu, lam killed."""
+        filling = (
+            self.meridian_q * word_power(self.longitude, p) * word_power(self.lam, -p)
+            * self.mu_inverse_q
+        )
         # as in quotient_by_relators, a repeat is dropped: mu, where an empty
-        # meridian makes the filling relator mu^-1 at p = 0, q = 1
-        added = _normalize_relators(w.letters for w in (self.filling(p), self.mu, self.lam))
-        return self._appended(tuple(map(Word._of, added)))
-
-
-def cable_link_group(kp: KnotPresentation, slope: SurgerySlope) -> FamilyMember:
-    """Group of the complement of the knot together with its (p, q)-cable.
-
-    Two fresh commuting generators mu, lam are adjoined: the peripheral pair
-    of the knot inside the link complement.  The cable, which is homotopic on
-    the companion torus to cable_meridian^q cable_longitude^p, is identified
-    with mu^q lam^p.  The labels carry the peripheral pair of the knot
-    (meridian, longitude = the new generators) and of the companion torus the
-    cable lives on (cable_meridian, cable_longitude = the knot group's own
-    peripheral words).
-    """
-    links = _CableLinks(kp, slope.q)
-    return FamilyMember(slope, links._appended((links.filling(slope.p),)), links.labels)
+        # meridian makes the filling relator mu^-1 at p = 0, q = 1; nothing
+        # is checked, since the relators are over the checked peripheral
+        # words and mu, lam
+        added = _normalize_relators(w.letters for w in (filling, self.mu, self.lam))
+        return Presentation._of(
+            self.linked.generators, self.linked.relators + tuple(map(Word._of, added))
+        )
 
 
 def half_complement_group(kp: KnotPresentation, slope: SurgerySlope) -> Presentation:

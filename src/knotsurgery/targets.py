@@ -513,7 +513,9 @@ def checked_entries(data) -> list[dict]:
 
     A suite is a list of objects, each with its own ``name`` string, an
     integer ``degree`` of at least 1 and a list of ``generators`` strings in
-    cycle notation.
+    cycle notation.  A name is nonempty and holds no comma, double quote,
+    whitespace or non-printable character, since it is written unescaped as
+    a column of spectra.csv and into the report's lines.
     """
     if not isinstance(data, list):
         raise KnotSurgeryError("a target suite must be a list of target objects")
@@ -530,11 +532,17 @@ def checked_entries(data) -> list[dict]:
                 f"target-suite entry {i} needs a 'name' string, an integer 'degree'"
                 " and a list of 'generators' strings"
             )
+        name = entry["name"]
+        if not name or any(c in ',"' or c.isspace() or not c.isprintable() for c in name):
+            raise KnotSurgeryError(
+                f"target-suite entry {i} has the name {name!r}: a name is nonempty and holds"
+                " no comma, double quote, whitespace or non-printable character"
+            )
         if entry["degree"] < 1:
             raise KnotSurgeryError(f"target-suite entry {i} has degree {entry['degree']}, below 1")
-        if entry["name"] in seen:
-            raise KnotSurgeryError(f"target-suite entry {i} repeats the name {entry['name']!r}")
-        seen.add(entry["name"])
+        if name in seen:
+            raise KnotSurgeryError(f"target-suite entry {i} repeats the name {name!r}")
+        seen.add(name)
     return data
 
 

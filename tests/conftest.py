@@ -2,8 +2,10 @@
 
 The oracles here deliberately avoid the package's own evaluation machinery:
 naive_hom_count multiplies raw permutation tuples (``compose`` and
-``invert_perm``), naive_closure closes generators by a frontier-by-frontier
-search over raw products, torus_hom_count counts the roots of raw permutation
+``invert_perm``), cable_link_group builds the cable-link group by
+``Presentation.extended`` rather than through ``surgery``'s halves,
+naive_closure closes generators by a frontier-by-frontier search over raw
+products, torus_hom_count counts the roots of raw permutation
 powers, pair_hom_count checks every (class representative, element) pair of a
 two-generator group letter by letter, low_index_hom_count counts subgroups of
 small index by coset enumeration and uses no target, table or permutation at
@@ -30,7 +32,15 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from knotsurgery import builtin_knot, cli, smith_normal_form, standard_suite
+from knotsurgery import Word, builtin_knot, cli, commutator, smith_normal_form, standard_suite
+from knotsurgery.fpgroup import fresh_name
+from knotsurgery.surgery import (
+    CABLE_LONGITUDE,
+    CABLE_MERIDIAN,
+    LONGITUDE,
+    MERIDIAN,
+    FamilyMember,
+)
 from knotsurgery.targets import FiniteTarget, suite_from_json
 
 # derandomized and without the example database, so that every run draws the
@@ -129,6 +139,33 @@ def naive_hom_count(presentation, target: FiniteTarget) -> int:
         if ok:
             count += 1
     return count
+
+
+def cable_link_group(kp, slope) -> FamilyMember:
+    """The group of the complement of the knot together with its (p, q)-cable.
+
+    The knot group is extended by two fresh generators mu, lam, the
+    peripheral pair of the knot inside the link complement, with the relator
+    [mu, lam] and the filling relator meridian^q longitude^p lam^-p mu^-q:
+    the cable, homotopic on the companion torus to cable_meridian^q
+    cable_longitude^p, is identified with mu^q lam^p.  The labels carry the
+    peripheral pair of the knot (meridian, longitude = mu, lam) and of the
+    companion torus the cable lives on (cable_meridian, cable_longitude =
+    the knot group's own peripheral words).
+    """
+    base = kp.group
+    mu_name = fresh_name("mu", base.generators)
+    lam_name = fresh_name("lam", base.generators + (mu_name,))
+    mu, lam = Word.generator(len(base.generators)), Word.generator(len(base.generators) + 1)
+    filling = kp.meridian ** slope.q * kp.longitude ** slope.p * lam ** -slope.p * mu ** -slope.q
+    presentation = base.extended((commutator(mu, lam), filling), (mu_name, lam_name))
+    labels = {
+        MERIDIAN: mu,
+        LONGITUDE: lam,
+        CABLE_MERIDIAN: kp.meridian,
+        CABLE_LONGITUDE: kp.longitude,
+    }
+    return FamilyMember(slope, presentation, labels)
 
 
 def low_index_hom_count(presentation, n: int) -> int:

@@ -3,6 +3,7 @@ import importlib.util
 import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 from math import gcd
@@ -465,7 +466,7 @@ def test_family_fails_closed_on_a_non_knot_group(capsys, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("searched a group that is no knot group")
 
-    monkeypatch.setattr(homcount, "_search", refuse)
+    monkeypatch.setattr(homcount, "weighted_homomorphisms", refuse)
     path = tmp_path / "identity3.json"
     path.write_text(json.dumps(identity_monodromy(3)))
     out = tmp_path / "out"
@@ -975,13 +976,20 @@ def test_malformed_suite_files_exit_2(capsys, tmp_path):
         "degree below 1": [{"name": "C1", "degree": -3, "generators": []}],
         "repeated name": [{"name": "C2", "degree": 2, "generators": ["(1 2)"]}] * 2,
     }
+    # a name is written unescaped into spectra.csv and the report, so one
+    # that could forge a column or a line is refused
+    forged = "a,b\nsummary: 99/99 pairs distinguished"
+    for name in ["", forged, "a,b", 'S"3', "S 3", "S3\n", "\tS3", "S\x003", "S\u20283"]:
+        shapes[f"name {name!r}"] = [{"name": name, "degree": 3, "generators": ["(1 2)", "(1 2 3)"]}]
     for i, (shape, payload) in enumerate(shapes.items()):
         path = tmp_path / f"{i}.json"
         path.write_text(json.dumps(payload))
-        for command in (["knot"], ["family", "--out", str(tmp_path / str(i))], ["verify"]):
+        out = tmp_path / str(i)
+        for command in (["knot"], ["family", "--p=1..3", "--out", str(out)], ["verify"]):
             code, _, err = run(command + ["--builtin", "fig8", "--targets", str(path)], capsys)
             assert code == 2, (shape, command)
             assert err.startswith("error:") and "target" in err, (shape, command)
+        assert not out.exists(), shape
 
 
 def _deeply_nested(path):
@@ -1238,6 +1246,38 @@ def test_the_program_keeps_no_unused_import_or_private_name():
                 if name.startswith("_") and not name.startswith("__") and name not in referenced
             )
     assert leftovers == {"cli._spectrum_task"}
+
+
+def test_the_package_exports_only_what_the_pipeline_calls():
+    # every name the package's __init__ exports is referenced by one of its
+    # other modules or named in a script or the benchmark; the one exception
+    # is parse_word, the library's word parser, which tests build
+    # presentations with
+    package = Path(knotsurgery.__file__).parent
+    root = package.parents[1]
+    exported = set()
+    referenced = set()
+    for source in package.glob("*.py"):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        if source.name == "__init__.py":
+            exported.update(
+                alias.asname or alias.name
+                for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                for alias in node.names
+            )
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced.update(alias.name for alias in node.names)
+    named = set()
+    for source in [*(root / "scripts").glob("*.py"), *(root / "bench").glob("*.py")]:
+        named.update(re.findall(r"\w+", source.read_text(encoding="utf-8")))
+    assert exported - referenced - named == {"parse_word"}
 
 
 @pytest.mark.parametrize(

@@ -481,13 +481,13 @@ def test_invariant_under_tietze(p):
 def searches(monkeypatch):
     """The target of each search run while the test runs."""
     calls = []
-    search = homcount._search
+    search = homcount.weighted_homomorphisms
 
-    def counting(plan, target, *args, **kwargs):
+    def counting(p, target, *args, **kwargs):
         calls.append(target)
-        return search(plan, target, *args, **kwargs)
+        return search(p, target, *args, **kwargs)
 
-    monkeypatch.setattr(homcount, "_search", counting)
+    monkeypatch.setattr(homcount, "weighted_homomorphisms", counting)
     return calls
 
 

@@ -141,3 +141,22 @@ def test_abelian_tables_equal_the_searched_tables_on_the_census_pool():
                 assert table == searched_table(group, *words, target), (entry["braid"], target.name)
                 compared += 1
     assert compared == 200 * 3 * len(targets)
+
+
+@pytest.mark.parametrize("name", ["fig8", "fig8-monodromy", BRAIDS[0]])
+def test_only_a_non_abelian_target_needs_the_simplified_group(monkeypatch, name):
+    # the searched tables are built on one Tietze-simplified copy of the knot
+    # group; an abelian target's table is read off H1, so a suite of abelian
+    # targets alone simplifies nothing
+    calls = []
+
+    def counting(group, words):
+        calls.append(group)
+        return tietze_simplify_tracked(group, words)
+
+    monkeypatch.setattr("knotsurgery.knots.tietze_simplify_tracked", counting)
+    suites = {(cyclic(2), cyclic(3)): 0, abelian_suite(): 0, standard_suite(): 1}
+    for suite, expected in suites.items():
+        calls.clear()
+        assert validate_peripheral(knot(name), suite).ok
+        assert len(calls) == expected, [t.name for t in suite]

@@ -16,7 +16,6 @@ from knotsurgery import (
     build_family,
     builtin_knot,
     builtin_monodromy,
-    cable_link_group,
     count_homomorphisms,
     dehn_surgery_group,
     half_complement_group,
@@ -38,7 +37,7 @@ from knotsurgery.surgery import (
     double_complement_group,
 )
 
-from conftest import naive_hom_count
+from conftest import cable_link_group, naive_hom_count
 
 
 def test_slope_validation():
@@ -85,17 +84,24 @@ def test_trefoil_surgery_count_against_naive_enumeration(trefoil):
 
 
 def test_cable_link_group_unknot_hopf_shadow(unknot):
-    labeled = cable_link_group(unknot, SurgerySlope(0, 1))
-    p = labeled.presentation
+    p = cable_link_group(unknot, SurgerySlope(0, 1)).presentation
     assert p.generators == ("x1", "mu", "lam")
     # relators: [mu, lam] and x mu^-1
     assert len(p.relators) == 2
     invariants = abelianization(p)
     assert invariants.free_rank == 2 and not invariants.torsion
-    assert labeled.labels[MERIDIAN] == Word.generator(1)
-    assert labeled.labels[LONGITUDE] == Word.generator(2)
-    assert labeled.labels[CABLE_MERIDIAN] == unknot.meridian
-    assert labeled.labels[CABLE_LONGITUDE] == unknot.longitude
+
+
+def test_family_member_labels_both_peripheral_pairs(unknot):
+    # the labels the manifest writes: the knot's peripheral pair inside the
+    # link complement is the fresh pair mu, lam, and the companion torus's
+    # is the knot group's own
+    (member,) = build_family(unknot, 1, [0]).members
+    assert member.presentation.generators == ("x1", "mu", "lam")
+    assert member.labels[MERIDIAN] == Word.generator(1)
+    assert member.labels[LONGITUDE] == Word.generator(2)
+    assert member.labels[CABLE_MERIDIAN] == unknot.meridian
+    assert member.labels[CABLE_LONGITUDE] == unknot.longitude
 
 
 def test_cable_link_group_trefoil_linking(trefoil):
