@@ -31,11 +31,12 @@ evaluate to the identity.  Four exact reductions keep the search small:
 * Conjugate generators.  A relator that reads cyclically as U x^e U^-1 y^d
   makes y^d conjugate to x^-e, so every homomorphism sends y into the class
   of φ(x) or of φ(x)^-1; a homomorphism maps conjugates to conjugates.
-  ``_plan`` finds these relators with a linear scan (``_conjugate_pairs``)
-  and links the generators by a union-find that keeps each one's parity to
-  the first generator of its component in search order, its anchor.  A
-  linked generator then ranges over the members of its anchor's image's
-  class (or of the inverse's class) instead of all of H, and in the second
+  ``_plan`` finds these relators with a direct scan (``_conjugate_pairs``)
+  and links the generators by a walk over the pairs found (``_links``),
+  which gives each generator its component's first generator in search
+  order, its anchor, and its parity to it.  A linked generator then ranges
+  over the members of its anchor's image's class (or of the inverse's
+  class) instead of all of H, and in the second
   place over the C_H(c)-orbits of that class alone, which conjugation by
   C_H(c) preserves.  Every Wirtinger relator has this shape, since every
   generator is a meridian (Riley, Math. Comp. 25, 1971, sends meridians to
@@ -53,15 +54,15 @@ evaluate to the identity.  Four exact reductions keep the search small:
   candidates are not already classes or orbits, g tries |C_H(r)| images
   instead of all of H (a linked g keeps those in its link's class), and
   none when the classes differ.  The mapping-torus relators m^-1 s m φ(s)^-1
-  have this shape.  Tietze leaves the genus-2 monodromy of T(2,5)
+  have this shape: Tietze leaves the genus-2 monodromy of T(2,5)
   (``tests/torus_2_5_monodromy.json``) three generators that no relator
-  links, and solving the third took its ``family --targets extended`` from
-  77.7 s to 0.4 s, and T(3,4) into PSL2_17 from 0.14 s to 0.016 s.  Two
-  generators leave nothing to solve: the second keeps its C_H(c)-orbits.
+  links, and the third is solved for.  Two generators leave nothing to
+  solve: the second keeps its C_H(c)-orbits.
 
 Every other generator ranges over all of H.  Every relator is still checked,
 so the weighted total equals naive enumeration over all |H|^n assignments.
-Generators appearing in no relator contribute an exact factor of |H| each.
+Generators appearing in no relator come last in the plan's order, past its
+``bound``, and contribute an exact factor of |H| each.
 
 A relator containing its completing generator once would fix it outright,
 but ``fpgroup.tietze_simplify`` eliminates every such generator except in
@@ -79,23 +80,11 @@ and V is unimodular, so y -> V y permutes A^n.  Hence y_k ranges over
 A[d_k] = {a : a^d_k = 1} for the k-th diagonal entry d_k and over all of A
 past the rank, and |Hom(G, A)| = |A|^(n - rank) · Π_k |A[d_k]|.  The
 paper's families are homologous by construction, so H1 fixes every abelian
-count, and searching for it is waste: solving for C2..C6, with one
-decomposition per presentation, took the benchmark's knot-census
-``op_p50_ms`` from 1.87 to 1.60 ms (medians of 14 runs a side, 2 cores,
-Python 3.11).  A knot group's abelian peripheral tables are read off its
-H1 = Z by ``knots.validate_peripheral``, with no decomposition of their own.
+count, and searching for it is waste.  A knot group's abelian peripheral
+tables are read off its H1 = Z by ``knots.validate_peripheral``, with no
+decomposition of their own.
 ``peripheral_table``, ``weighted_homomorphisms`` and ``iter_homomorphisms``
 search every target.
-
-Measured on a 2-core machine (Python 3.11), against the search with the
-class reduction alone: counting the six fig8 surgery groups (q=1, p=1..6)
-into the eight escalation targets takes 0.15 s instead of 1.0 s, and
-``validate_peripheral`` on the braid (1 -2)^7 over the standard suite 0.56 s
-instead of 6.6 s.  Against the search without conjugate generators: T(3,4)
-(braid (1 2)^4) into PSL2_17 takes 0.3-0.5 s instead of 30 s and into
-PSL2_19 0.5-0.8 s instead of 62 s, the braid (-1 2)^7 -1 -1 into S6
-0.9-1.2 s instead of 62 s, and ``knotsurgery knot`` on T(3,4) over the 20
-extended targets 1.2-1.7 s at 71 MB instead of 82 s at 104 MB.
 
 Every surgery on one knot is read off one search.  The group of the q/p
 surgery is the knot group modulo m^q l^p, so Hom(K(q/p), H) is exactly the
@@ -150,9 +139,12 @@ _Step = tuple[int, tuple[Letter, ...]]
 
 @dataclass(frozen=True)
 class _SearchPlan:
+    # every generator: those that some relator reads, then the others
     order: tuple[int, ...]
+    # how many generators some relator reads: the others, past this position
+    # in order, have no steps, no link and no solve
+    bound: int
     steps: tuple[tuple[tuple[_Step, ...], ...], ...]
-    free: tuple[int, ...]
     # per search position: None for the first generator of its component,
     # else (that anchor, whether the image lies in the class of the inverse
     # of the anchor's image rather than in the class of that image)
@@ -186,18 +178,18 @@ def _steps(letters: tuple[Letter, ...], g: int) -> tuple[_Step, ...]:
 def _conjugate_pairs(letters: tuple[Letter, ...]) -> list[tuple[Letter, Letter]]:
     """Each (a, b) such that a cyclic rotation of the relator reads U a U^-1 b.
 
-    Then b = U a^-1 U^-1, so b is conjugate to a^-1.  Such a rotation is an
-    inverse palindrome of radius |U| = n/2 - 1 around a: for j = 1..|U| the
-    letters j places after a and j places before it are inverse.  Manacher's
-    scan of the relator written twice, with inversion as the mirror, finds
-    the radius at every centre in O(n) steps; a rotation is found at both of
-    its letters a and b.  The mirror has no fixed letter, so a centre's own
-    letter breaks the reflection: a mirrored radius that reaches the centre
-    C of the enclosing palindrome gives the radius i - C - 1 at i exactly,
-    since there the letter 2i - C equals the letter at C, not its inverse.
-    The exponent sums of U a U^-1 b are those of a and b, so a relator of odd
-    length, or whose exponent sums have absolute values adding up to more
-    than 2, is skipped first.
+    Then b = U a^-1 U^-1, so b is conjugate to a^-1.  Such a rotation has
+    |U| = n/2 - 1, and the letters j places after a are the inverses of the
+    letters j places before it for j = 1..|U|.  A direct scan tries every
+    letter as a and stops at its first mismatch; a rotation is found at both
+    of its letters a and b.  That is quadratic at worst, but the first
+    mismatch comes early: about 3 comparisons a letter over the knot and
+    surgery groups of the benchmark's census pool, under 8 on the 5166- and
+    7138-letter relators of the longest legal braid.  The exponent sums of
+    U a U^-1 b are those of a and b, so a relator of odd length, or whose
+    exponent sums have absolute values adding up to more than 2, is skipped
+    first, as is the 991,628-letter filling relator of that braid's surgery
+    at q=2, p=139.
     """
     n = len(letters)
     if n % 2:
@@ -207,53 +199,44 @@ def _conjugate_pairs(letters: tuple[Letter, ...]) -> list[tuple[Letter, Letter]]
         return []
     k = n // 2 - 1
     s = [2 * g + (e < 0) for g, e in letters] * 2  # code c ^ 1 is the inverse of code c
-    m = 2 * n
-    radius = [0] * m
-    centre = right = 0  # the centre whose palindrome reaches furthest right, and its reach
-    for i in range(m):
-        r = min(radius[2 * centre - i], right - i, i - centre - 1) if i < right else 0
-        while i - r > 0 and i + r + 1 < m and s[i + r + 1] == s[i - r - 1] ^ 1:
-            r += 1
-        radius[i] = r
-        if i + r > right:
-            centre, right = i, i + r
-    return [
-        (letters[i % n], letters[(i + k + 1) % n]) for i in range(k, k + n) if radius[i] >= k
-    ]
+    pairs = []
+    for i in range(k, k + n):
+        j = 1
+        while j <= k and s[i + j] == s[i - j] ^ 1:
+            j += 1
+        if j > k:
+            pairs.append((letters[i % n], letters[(i + k + 1) % n]))
+    return pairs
 
 
 def _links(relators: Sequence[Word], order: Sequence[int]) -> tuple[tuple[int, bool] | None, ...]:
     """The conjugacy links of ``_SearchPlan.links`` that the relators prove.
 
     A pair (x^e, y^d) of ``_conjugate_pairs`` puts the image of y in the class
-    of the image of x, or of its inverse when e = d.  A union-find over the
-    search positions, with each generator's parity to its parent, roots each
-    component at its first generator in search order; a pair within one
-    component adds nothing.
+    of the image of x, or of its inverse when e = d, and the image of x in
+    the class of the image of y, or of its inverse, likewise.  A walk over
+    this pair graph starts from each generator in search order that no walk
+    has reached yet, its anchor; every generator it reaches is linked to that
+    anchor with the parity of its path.
     """
-    position = {g: k for k, g in enumerate(order)}
-    parent = list(range(len(order)))
-    odd = [False] * len(order)
-
-    def root(k: int) -> tuple[int, bool]:
-        flip = False
-        while parent[k] != k:
-            flip ^= odd[k]
-            k = parent[k]
-        return k, flip
-
+    neighbours: dict[int, list[tuple[int, bool]]] = {g: [] for g in order}
     for r in relators:
         for (x, e), (y, d) in _conjugate_pairs(r.letters):
-            (a, fa), (b, fb) = root(position[x]), root(position[y])
-            if a != b:
-                a, b = min(a, b), max(a, b)
-                parent[b] = a
-                odd[b] = fa ^ fb ^ (e == d)
-    links = []
-    for k in range(len(order)):
-        a, flip = root(k)
-        links.append(None if a == k else (order[a], flip))
-    return tuple(links)
+            neighbours[x].append((y, e == d))
+            neighbours[y].append((x, e == d))
+    link: dict[int, tuple[int, bool] | None] = {}
+    for anchor in order:
+        if anchor in link:
+            continue
+        link[anchor] = None
+        walk = [(anchor, False)]
+        while walk:
+            x, odd = walk.pop()
+            for y, flip in neighbours[x]:
+                if y not in link:
+                    link[y] = (anchor, odd ^ flip)
+                    walk.append((y, odd ^ flip))
+    return tuple(link[g] for g in order)
 
 
 # hom_spectrum and validate_peripheral search one presentation into each
@@ -274,7 +257,8 @@ def _plan(p: Presentation) -> _SearchPlan:
             if g not in placed:
                 placed.add(g)
                 order.append(g)
-    free = tuple(g for g in range(len(p.generators)) if g not in placed)
+    bound = len(order)
+    order += [g for g in range(len(p.generators)) if g not in placed]
     position = {g: k for k, g in enumerate(order)}
     steps: list[list[tuple[_Step, ...]]] = [[] for _ in order]
     for i, support in enumerate(supports):
@@ -287,7 +271,7 @@ def _plan(p: Presentation) -> _SearchPlan:
         for checks in steps
     )
     return _SearchPlan(
-        tuple(order), tuple(tuple(s) for s in steps), free, _links(p.relators, order), solve
+        tuple(order), bound, tuple(tuple(s) for s in steps), _links(p.relators, order), solve
     )
 
 
@@ -327,24 +311,23 @@ def weighted_homomorphisms(
     the second one when ``first`` is given, ranges over all of H.  Each pair
     stands for ``weight`` homomorphisms, so with the default ``first`` the
     weights sum to |Hom(G, H)|.  ``images`` is the live assignment, valid
-    until the next pair is drawn.  Without ``expand_free`` the generators
-    in no relator stay unassigned and their factor |H|^k is folded into the
-    weight; if no generator is in a relator, one of them is still searched,
+    until the next pair is drawn.  Without ``expand_free`` the search stops
+    at the plan's ``bound``: the k generators in no relator, which the plan
+    orders last, stay unassigned and their factor |H|^k is folded into the
+    weight; if no generator is in a relator, the first is still searched,
     so that ``first`` applies.
     """
     plan = _plan(p)
-    sequence = plan.order + plan.free if expand_free else plan.order or plan.free[:1]
-    steps = plan.steps + ((),) * len(plan.free)
-    links = plan.links + (None,) * len(plan.free)
-    solve = plan.solve + (None,) * len(plan.free)
-    factor = target.order ** (len(plan.order) + len(plan.free) - len(sequence))
+    sequence = plan.order if expand_free else plan.order[: plan.bound or 1]
+    steps, links, solve = plan.steps, plan.links, plan.solve
+    factor = target.order ** (len(plan.order) - len(sequence))
     reduce_second = first is None
     if first is None:
         first = target.conjugacy_classes
     mult = target.mult
     inv = target.inverse
     class_of, members = target.class_table
-    images = [0] * (len(plan.order) + len(plan.free))
+    images = [0] * len(plan.order)
     last = len(sequence) - 1
 
     def dfs(

@@ -515,7 +515,8 @@ def checked_entries(data) -> list[dict]:
     integer ``degree`` of at least 1 and a list of ``generators`` strings in
     cycle notation.  A name is nonempty and holds no comma, double quote,
     whitespace or non-printable character, since it is written unescaped as
-    a column of spectra.csv and into the report's lines.
+    a column of spectra.csv and into the report's lines, and it is not
+    ``label``, the name of spectra.csv's first column.
     """
     if not isinstance(data, list):
         raise KnotSurgeryError("a target suite must be a list of target objects")
@@ -537,6 +538,10 @@ def checked_entries(data) -> list[dict]:
             raise KnotSurgeryError(
                 f"target-suite entry {i} has the name {name!r}: a name is nonempty and holds"
                 " no comma, double quote, whitespace or non-printable character"
+            )
+        if name == "label":
+            raise KnotSurgeryError(
+                f"target-suite entry {i} has the name 'label', the first column of spectra.csv"
             )
         if entry["degree"] < 1:
             raise KnotSurgeryError(f"target-suite entry {i} has degree {entry['degree']}, below 1")

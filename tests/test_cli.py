@@ -977,9 +977,11 @@ def test_malformed_suite_files_exit_2(capsys, tmp_path):
         "repeated name": [{"name": "C2", "degree": 2, "generators": ["(1 2)"]}] * 2,
     }
     # a name is written unescaped into spectra.csv and the report, so one
-    # that could forge a column or a line is refused
+    # that could forge a column or a line is refused, and so is the name of
+    # spectra.csv's label column
     forged = "a,b\nsummary: 99/99 pairs distinguished"
-    for name in ["", forged, "a,b", 'S"3', "S 3", "S3\n", "\tS3", "S\x003", "S\u20283"]:
+    names = ["", forged, "a,b", 'S"3', "S 3", "S3\n", "\tS3", "S\x003", "S\u20283", "label"]
+    for name in names:
         shapes[f"name {name!r}"] = [{"name": name, "degree": 3, "generators": ["(1 2)", "(1 2 3)"]}]
     for i, (shape, payload) in enumerate(shapes.items()):
         path = tmp_path / f"{i}.json"

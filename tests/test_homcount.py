@@ -429,6 +429,24 @@ def test_knot_groups_are_linked_and_the_fig8_mapping_torus_is_not():
     assert _plan(group).links == (None, None)
 
 
+def test_a_link_parity_composes_along_its_path():
+    # a b puts b in the class of a^-1, and b c puts c in the class of
+    # b^-1, so in the class of a: c's parity to its anchor a is the sum of
+    # the two on its path.  The group is Z, so it has |H| homomorphisms
+    # into H; a wrong parity shows in A4 and PSL2_7, whose classes of
+    # elements of order 3 and 7 are not closed under inversion
+    p = pres(["a", "b", "c"], "a b", "b c")
+    plan = _plan(p)
+    assert plan.order == (0, 1, 2)
+    assert plan.links == (None, (0, True), (0, False))
+    a4 = alternating(4)
+    psl2_7 = {t.name: t for t in escalation_suite()}["PSL2_7"]
+    assert count_homomorphisms(p, a4) == naive_hom_count(p, a4) == 12
+    # naive enumeration of the three generators into PSL2_7 is 168^3
+    # assignments; Z's own presentation gives the same count
+    assert count_homomorphisms(p, psl2_7) == naive_hom_count(pres(["a"]), psl2_7) == 168
+
+
 def test_the_genus_2_mapping_torus_solves_for_its_third_generator():
     # no relator of the T(2,5) monodromy's simplified group links its three
     # generators, but one reads g u1 g^-1 u2 at the third, which is solved
