@@ -9,9 +9,9 @@ Exit codes: 0 success / all pairs distinguished, 1 verification failure,
 2 input error, 3 unresolved pairs remain, 4 resource cap exceeded.
 
 Primary outputs are byte-deterministic for a fixed config; wall-clock
-metadata goes to a run_meta.json sidecar.  Spectra are cached by content
-hash of (package version, knot source, slope, suite) under
-<out>/.cache.
+metadata goes to a run_meta.json sidecar.  family caches one entry per
+(package version, knot source, suite) under <out>/.cache: each target's
+slope lattices of the knot group, off which every slope's spectrum is read.
 
 This is the only module that touches files: every input file is read by
 ``_read_json``, at its size, and every output is written by ``_write``,
@@ -58,7 +58,7 @@ from .fpgroup import (
     to_free_group_script,
     word_to_json,
 )
-from .homcount import HomSpectrum, distinguish_report, hom_spectrum, slope_count
+from .homcount import HomSpectrum, distinguish_report, hom_spectrum, slope_count, slope_lattices
 from .knots import (
     KnotPresentation,
     builtin_knot,
@@ -99,10 +99,10 @@ MAX_P_VALUES = 1000
 MAX_MONODROMY_BYTES = 16_384
 # Suite files are refused past this size before they are parsed.
 MAX_SUITE_BYTES = 65_536
-# Cache entries past this size are a miss.  An entry holds one name and one
-# count per target; the names come from a suite file of at most
-# MAX_SUITE_BYTES, escaping grows a name at most threefold, and each count has
-# a few dozen digits at most, so no entry written for a legal suite reaches it.
+# Cache entries past this size are a miss, and their knot is searched again.
+# An entry holds each target's name and slope lattices; their number is not
+# bounded by the suite file's size, but the largest bundled case measured,
+# "1 -2 1 -2 1 -2 1 -2 1 -2" over extended (126 lattices), takes 1804 bytes.
 MAX_CACHE_ENTRY_BYTES = 4 * MAX_SUITE_BYTES
 # export refuses a slope set whose filling relators' longitude powers would
 # total more letters: sum over the kept p of |p| * |longitude|.  Ten times the
@@ -308,46 +308,35 @@ def load_knot(config: RunConfig) -> tuple[KnotPresentation, str]:
     raise ValueError(f"unknown source kind {config.source_kind!r}")
 
 
-def _cache_keys(config: RunConfig, source: str, p_values: Sequence[int]) -> list[str]:
-    """The cache entry name of each slope's spectrum, in the order of p_values."""
-    fields = {
-        "schema_version": SCHEMA_VERSION,
-        "version": __version__,
-        "source": source,
-        "q": config.q,
-        "suite": config.suite.fingerprint,
-        # both fixed, so existing cache entries keep their names; the Tietze
-        # step limit this field once named never bound (see tietze_simplify_tracked)
-        "budget": 10_000,
-        "construction": "double",
-    }
-    return [
-        hashlib.sha256(json.dumps(dict(fields, p=p), sort_keys=True).encode()).hexdigest()
-        for p in p_values
-    ]
+def _read_cache_entry(path: Path, names: tuple[str, ...]) -> tuple[dict, ...] | None:
+    """Each named target's slope lattices in the cached entry, or None (a miss)
+    if the entry is absent, unreadable, past MAX_CACHE_ENTRY_BYTES, stale or of
+    the wrong shape.
 
-
-def _read_cache_entry(path: Path, names: tuple[str, ...]) -> HomSpectrum | None:
-    """The cached spectrum, or None (a miss) if the entry is absent, unreadable,
-    past MAX_CACHE_ENTRY_BYTES, stale or of the wrong shape.
-
-    Nothing is coerced: a schema version or count of another type (true, 1.0,
-    "1") is a miss, and so is a count below 1, since the trivial homomorphism
-    makes every true count at least 1.  A decoded name equal to a str is one.
+    Nothing is coerced: a schema version or lattice field of another type
+    (true, 1.0, "1") is a miss, as is a lattice (m, c, n) of weight w that
+    ``slope_lattices`` does not make: m < 1, n < 1, c outside 0..m-1, w < 1,
+    or one given twice.  A decoded name equal to a str is one.
     """
     try:
         data, _ = _read_json(path, MAX_CACHE_ENTRY_BYTES, "cache entry", KnotSurgeryError)
-        version = data["schema_version"]
-        entries = tuple((name, count) for name, count in data["counts"])
+        version, targets = data["schema_version"], data["lattices"]
+        rows = [[tuple(row) for row in target_rows] for _, target_rows in targets]
+        lattices = tuple({(m, c, n): w for m, c, n, w in target} for target in rows)
     except (KnotSurgeryError, OSError, ValueError, KeyError, TypeError):
         return None
     valid = (
         type(version) is int
         and version == SCHEMA_VERSION
-        and tuple(name for name, _ in entries) == names
-        and all(type(count) is int and count >= 1 for _, count in entries)
+        and tuple(name for name, _ in targets) == names
+        and list(map(len, lattices)) == list(map(len, rows))
+        and all(
+            all(type(v) is int for v in (m, c, n, w)) and 0 <= c < m and min(n, w) >= 1
+            for lattice in lattices
+            for (m, c, n), w in lattice.items()
+        )
     )
-    return HomSpectrum(entries) if valid else None
+    return lattices if valid else None
 
 
 # Never called; bench/run.py's --trace 1 wraps it.
@@ -357,58 +346,57 @@ def _spectrum_task(payload: tuple[dict, str]) -> HomSpectrum:
     return hom_spectrum(simplified, read_suite(suite_spec).close())
 
 
-def _peripheral_tables(kp: KnotPresentation, suite: Sequence[FiniteTarget]) -> tuple[dict, ...]:
-    """The tables of kp's peripheral report; a failed report stops the command with exit 1."""
+def _slope_lattices(kp: KnotPresentation, suite: Sequence[FiniteTarget]) -> tuple[dict, ...]:
+    """Each target's slope lattices of kp's peripheral tables; a failed
+    peripheral report stops the command with exit 1."""
     report = validate_peripheral(kp, suite)
     if not report.ok:
         failed = textwrap.indent(report.format(), "  ")
         raise PeripheralValidationError(f"peripheral validation FAILED:\n{failed}")
-    return report.tables
+    return tuple(map(slope_lattices, report.tables, suite))
 
 
-def _filtered_spectrum(
-    suite: Sequence[FiniteTarget], tables: Sequence[dict], slope: SurgerySlope
-) -> HomSpectrum:
-    """The slope's spectrum read off the knot group's peripheral tables into the suite."""
+def _spectrum(names: Sequence[str], lattices: Sequence[dict], slope: SurgerySlope) -> HomSpectrum:
+    """The slope's spectrum read off the knot group's slope lattices into the named targets."""
     return HomSpectrum(tuple(
-        (target.name, slope_count(table, target, slope.q, slope.p))
-        for target, table in zip(suite, tables)
+        (name, slope_count(lattice, slope.q, slope.p)) for name, lattice in zip(names, lattices)
     ))
 
 
 def compute_spectra(
     slopes: Sequence[SurgerySlope],
     config: RunConfig,
-    keys: list[str],
+    source: str,
     kp: KnotPresentation,
 ) -> tuple[list[HomSpectrum], int]:
-    """Spectra of kp's surgeries in slope order, through the file cache under
-    out_dir when enabled.
+    """Spectra of kp's surgeries in slope order, and how many of them were
+    read off the file cache under out_dir (all or none).
 
-    keys[i] names the cache entry of slopes[i].  An entry that is
-    unreadable, or whose schema or target names do not match, counts as a
-    miss.  All misses are filled from the tables of kp's peripheral report
-    (one search per target; no validation without a miss), which raises
-    before any entry is written if it fails.  An entry that cannot be
-    written stays a miss.  Returns (spectra, hits).
+    The cache keeps one entry per (package version, knot source, suite): each
+    target's slope lattices of the knot group.  A miss (see _read_cache_entry)
+    is filled from the tables of kp's peripheral report, one search per
+    target, which raises before anything is written if it fails; an entry
+    that cannot be written stays a miss.  Hit or miss, every slope is counted
+    off the lattices.
     """
-    spectra: list[HomSpectrum | None] = [None] * len(slopes)
+    names = config.suite.names
+    lattices = None
     if config.cache:
-        # a missing directory reads as all misses; _write makes it
-        names = config.suite.names
-        paths = [config.out_dir / ".cache" / f"{key}.json" for key in keys]
-        spectra = [_read_cache_entry(path, names) for path in paths]
-    pending = [i for i, spectrum in enumerate(spectra) if spectrum is None]
-    if pending:
-        suite = config.suite.close()
-        tables = _peripheral_tables(kp, suite)
-        for i in pending:
-            spectra[i] = _filtered_spectrum(suite, tables, slopes[i])
-            if config.cache:
-                payload = {"schema_version": SCHEMA_VERSION, "counts": list(spectra[i].entries)}
-                with contextlib.suppress(OSError):
-                    _write(paths[i], json.dumps(payload, indent=2) + "\n", atomic=True)
-    return spectra, len(slopes) - len(pending)
+        fields = [SCHEMA_VERSION, __version__, source, config.suite.fingerprint]
+        digest = hashlib.sha256(json.dumps(fields).encode()).hexdigest()
+        # a missing directory reads as a miss; _write makes it
+        path = config.out_dir / ".cache" / f"{digest}.json"
+        lattices = _read_cache_entry(path, names)
+    hits = 0 if lattices is None else len(slopes)
+    if lattices is None:
+        lattices = _slope_lattices(kp, config.suite.close())
+        if config.cache:
+            rows = [[name, [[m, c, n, w] for (m, c, n), w in lattice.items()]]
+                    for name, lattice in zip(names, lattices)]
+            payload = {"schema_version": SCHEMA_VERSION, "lattices": rows}
+            with contextlib.suppress(OSError):
+                _write(path, json.dumps(payload, separators=(",", ":")) + "\n", atomic=True)
+    return [_spectrum(names, lattices, slope) for slope in slopes], hits
 
 
 def _enclosed(opening: str, items: list[str], closing: str, indent: str) -> str:
@@ -562,8 +550,7 @@ def cmd_family(config: RunConfig) -> int:
 
     labels = [f"p={m.slope.p}" for m in family.members]
     slopes = [m.slope for m in family.members]
-    keys = _cache_keys(config, source, [slope.p for slope in slopes])
-    spectra, hits = compute_spectra(slopes, config, keys, kp)
+    spectra, hits = compute_spectra(slopes, config, source, kp)
 
     manifest = functools.partial(_manifest_chunks, config, family)
     _write(config.out_dir / "family_manifest.json", manifest)
@@ -592,8 +579,8 @@ def cmd_verify(config: RunConfig) -> int:
     kp, _ = load_knot(config)
     _refuse_long_slope(config, kp)
     suite = config.suite.close()
-    # the third side: each slope's spectrum read off the knot group's tables
-    tables = _peripheral_tables(kp, suite)
+    # the third side: each slope's spectrum read off the knot group's slope lattices
+    lattices = _slope_lattices(kp, suite)
     lines = []
     all_ok = True
     for slope in _slopes(config):
@@ -605,7 +592,7 @@ def cmd_verify(config: RunConfig) -> int:
         ab_surgery, ab_half = map(h1.get, routes)
         spec_surgery, spec_half = (hom_spectrum(g, suite) for g in routes)
         ok = ab_surgery == ab_half and (
-            spec_surgery == spec_half == _filtered_spectrum(suite, tables, slope)
+            spec_surgery == spec_half == _spectrum(config.suite.names, lattices, slope)
         )
         all_ok = all_ok and ok
         status = "PASS" if ok else "FAIL"
@@ -669,8 +656,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--targets", default="standard",
                            help="'standard', 'extended', or a target-suite JSON path")
         p.add_argument("--out", type=Path, default=None, help="output directory")
-        if p is family:  # the only command with a spectra cache
-            p.add_argument("--no-cache", action="store_true", help="disable the spectra cache")
+        if p is family:  # the only command with a cache
+            p.add_argument("--no-cache", action="store_true", help="disable the slope-lattice cache")
         if p is not knot:
             p.add_argument("--q", type=int, default=1, help="slope numerator q >= 1")
             p.add_argument("--p", dest="p_spec", default="1",

@@ -91,14 +91,16 @@ surgery is the knot group modulo m^q l^p, so Hom(K(q/p), H) is exactly the
 set of homomorphisms φ of the knot group with φ(m)^q φ(l)^p = 1 (Riley,
 Math. Comp. 25, 1971, reads surgeries off peripheral images the same way).
 ``peripheral_table``, called only by ``knots.validate_peripheral``, runs one
-search of the knot group into H and sums the weights by (φ(m), φ(l));
-``slope_count`` sums the weights of the pairs (a, b) with a^q b^p = 1.  The
-filter is exact although each weight stands for a whole conjugation orbit
-of homomorphisms that the table files under one representative's pair:
-conjugating φ by z conjugates both images by z, and a^q b^p = 1 holds
-exactly when (z a z^-1)^q (z b z^-1)^p = 1.  Powers are exact table walks:
-x^n is read off a cycle of powers that the target keeps
-(``FiniteTarget.power``), the one the abelian route reads too.
+search of the knot group into H and sums the weights by (φ(m), φ(l)).
+``slope_lattices`` files each pair (a, b) under its slope lattice: the
+(x, y) with a^x = b^-y form a subgroup of Z^2 (powers of one element
+commute), spanned by (m, 0) and (c, n), where m is the order of a, n the
+least y > 0 with b^-y in <a>, and a^c = b^-n with 0 <= c < m.
+``slope_count`` sums the weights of the lattices holding (q, p), n | p and
+q = c·(p/n) mod m: integer arithmetic with no target.  The weighted count
+is exact although each weight stands for a whole conjugation orbit of
+homomorphisms that the table files under one representative's pair:
+conjugating φ by z conjugates both images by z, which keeps their lattice.
 
 Counts are kept.  ``count_homomorphisms`` files each |Hom(G, H)| in
 ``_SearchPlan.counts``, on the plan that ``_plan`` caches for the
@@ -457,17 +459,27 @@ def peripheral_table(
     return table
 
 
-def slope_count(
-    table: Mapping[tuple[int, int], int], target: FiniteTarget, q: int, p: int
-) -> int:
-    """|Hom(K(q/p), H)| from the knot group's ``peripheral_table`` into H.
+def slope_lattices(
+    table: Mapping[tuple[int, int], int], target: FiniteTarget
+) -> dict[tuple[int, int, int], int]:
+    """The weights of a ``peripheral_table`` into H summed by the slope
+    lattice (m, c, n) of each pair (see the module docstring)."""
+    lattices: Counter[tuple[int, int, int]] = Counter()
+    for (a, b), weight in table.items():
+        powers = [0]  # a^0, ..., a^(m-1)
+        while x := target.mult[powers[-1]][a]:
+            powers.append(x)
+        n = 1
+        while (x := target.power(b, -n)) not in powers:
+            n += 1
+        lattices[len(powers), powers.index(x), n] += weight
+    return lattices
 
-    The summed weight of the pairs (a, b) with a^q b^p = 1, tested as
-    a^q = b^-p with each power read off the target's cycles of powers
-    (``FiniteTarget.power``).
-    """
-    power = target.power
-    return sum(weight for (a, b), weight in table.items() if power(a, q) == power(b, -p))
+
+def slope_count(lattices: Mapping[tuple[int, int, int], int], q: int, p: int) -> int:
+    """|Hom(K(q/p), H)|: the summed weight of the knot group's ``slope_lattices``
+    into H that hold (q, p), those with n | p and q = c·(p/n) mod m."""
+    return sum(w for (m, c, n), w in lattices.items() if p % n == 0 and (q - c * p // n) % m == 0)
 
 
 @dataclass(frozen=True)

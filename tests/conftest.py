@@ -6,6 +6,7 @@ naive_hom_count multiplies raw permutation tuples (``compose`` and
 ``Presentation.extended`` rather than through ``surgery``'s halves,
 naive_closure closes generators by a frontier-by-frontier search over raw
 products, torus_hom_count counts the roots of raw permutation
+powers, filter_slope_count filters a peripheral table by raw permutation
 powers, pair_hom_count checks every (class representative, element) pair of a
 two-generator group letter by letter, low_index_hom_count counts subgroups of
 small index by coset enumeration and uses no target, table or permutation at
@@ -288,6 +289,25 @@ def torus_hom_count(r: int, s: int, target: FiniteTarget) -> int:
     roots_r = Counter(power(x, r) for x in target.elements)
     roots_s = Counter(power(x, s) for x in target.elements)
     return sum(n * roots_s[z] for z, n in roots_r.items())
+
+
+def filter_slope_count(table, target: FiniteTarget, q: int, p: int) -> int:
+    """|Hom(K(q/p), H)| off the knot group's peripheral table into H: the
+    summed weight of the pairs (a, b) with a^q = b^-p.
+
+    Each power is read off the element's cycle of raw permutation powers, so
+    an exponent past the element's order costs no more than the order.
+    """
+    identity = tuple(range(target.degree))
+
+    def power(x: int, k: int) -> tuple:
+        a = target.elements[x]
+        cycle = [identity]
+        while (y := compose(cycle[-1], a)) != identity:
+            cycle.append(y)
+        return cycle[k % len(cycle)]
+
+    return sum(weight for (a, b), weight in table.items() if power(a, q) == power(b, -p))
 
 
 def _poly_mul(a: dict, b: dict) -> dict:

@@ -140,7 +140,7 @@ def test_an_empty_braid_is_the_unknot(capsys, tmp_path):
         argv = ["family", "--braid", braid, "--q", "2", "--p=-3..3", "--out", str(tmp_path)]
         assert run(argv, capsys)[0] == 3
         assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == hits
-    assert len(list((tmp_path / ".cache").glob("*.json"))) == 4
+    assert len(list((tmp_path / ".cache").glob("*.json"))) == 1
 
 
 @pytest.mark.parametrize("option", ["--builtin", "--monodromy"])
@@ -163,7 +163,7 @@ def test_a_braid_spaced_another_way_reads_the_cache(capsys, tmp_path):
         argv = ["family", "--braid", braid, "--q", "1", "--p=-3..3", "--out", str(tmp_path)]
         assert run(argv, capsys)[0] == 3
         assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == hits
-    assert len(list((tmp_path / ".cache").glob("*.json"))) == 7
+    assert len(list((tmp_path / ".cache").glob("*.json"))) == 1
 
 
 def test_a_braid_spaced_another_way_gives_the_same_outputs(capsys, tmp_path):
@@ -190,7 +190,7 @@ def test_a_monodromy_indented_another_way_reads_the_cache(capsys, tmp_path):
         argv = ["family", "--monodromy", str(path), "--q", "1", "--p=-3..3", "--out", str(out)]
         assert run(argv, capsys)[0] == 3
         assert json.loads((out / "run_meta.json").read_text())["cache_hits"] == hits
-    assert len(list((out / ".cache").glob("*.json"))) == 7
+    assert len(list((out / ".cache").glob("*.json"))) == 1
 
 
 _WHITESPACE = " \t\n\r\x0b\x0c"
@@ -404,7 +404,7 @@ def test_verify_checks_the_fig8_family_over_the_extended_suite(capsys):
 def test_verify_fails_when_the_table_side_disagrees(capsys, monkeypatch):
     argv = ["verify", "--builtin", "trefoil", "--q", "1", "--p", "1,2"]
     expected = run(argv, capsys)[1]
-    monkeypatch.setattr(cli, "slope_count", lambda table, target, q, p: -1)
+    monkeypatch.setattr(cli, "slope_count", lambda lattices, q, p: -1)
     code, out, _ = run(argv, capsys)
     assert code == 1
     assert out == expected.replace("PASS", "FAIL")
@@ -501,6 +501,37 @@ def test_each_command_searches_the_knot_group_once_per_target(capsys, tmp_path, 
         validations.clear()
         assert run(family, capsys)[0] == 3
         assert (len(searches), len(validations)) == (expected * n, expected)
+
+
+def test_a_new_slope_range_on_a_cached_knot_searches_and_closes_nothing(
+    capsys, tmp_path, monkeypatch
+):
+    # the cache keeps the knot's slope lattices per suite, so once one run
+    # has filled it every q and p is read off them
+    common = ["family", "--builtin", "fig8", "--targets", "extended"]
+    later = [["--q", "2", "--p=-6..6"], ["--q", "1", "--p=7..12"]]
+    outputs = ("spectra.csv", "distinguish_report.txt")
+    clean = {}
+    for i, argv in enumerate(later):
+        out = tmp_path / f"clean-{i}"
+        code = run(common + argv + ["--no-cache", "--out", str(out)], capsys)[0]
+        clean[i] = (code, [(out / name).read_bytes() for name in outputs])
+    out = tmp_path / "out"
+    assert run(common + ["--q", "1", "--p=1..6", "--out", str(out)], capsys)[0] == 0
+    searches = []
+    monkeypatch.setattr(knots, "peripheral_table", counting(searches, knots.peripheral_table))
+
+    def refuse():
+        raise AssertionError("closed a target")
+
+    monkeypatch.setattr(cli, "standard_suite", refuse)
+    monkeypatch.setattr(cli, "escalation_suite", refuse)
+    for i, argv in enumerate(later):
+        code = run(common + argv + ["--out", str(out)], capsys)[0]
+        assert (code, [(out / name).read_bytes() for name in outputs]) == clean[i]
+        members = (out / "spectra.csv").read_text().count("\n") - 1
+        assert json.loads((out / "run_meta.json").read_text())["cache_hits"] == members == 6
+        assert searches == []
 
 
 def test_export_unknot_lens_space(capsys, tmp_path):
@@ -896,26 +927,25 @@ def test_cold_and_warm_family_write_identical_spectra_and_cache(capsys, tmp_path
     assert run(argv, capsys)[0] == 3
     assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 6
     assert snapshot() == cold
-    assert len(cold) == 1 + 6
+    assert len(cold) == 1 + 1  # one entry for the knot and suite, whatever the slopes
 
 
 def test_damaged_cache_entry_is_a_miss(capsys, tmp_path):
     argv = ["family", "--builtin", "fig8", "--q", "2", "--p", "1,3", "--out", str(tmp_path)]
     assert run(argv, capsys)[0] == 0
     spectra = (tmp_path / "spectra.csv").read_bytes()
-    entries = sorted((tmp_path / ".cache").glob("*.json"))
-    assert len(entries) == 2
-    text = entries[0].read_text()
-    entries[0].write_text(text[: len(text) // 2])
-    stale = json.loads(entries[1].read_text())
-    stale["counts"][0][0] = "C7"
-    entries[1].write_text(json.dumps(stale))
-    code, _, err = run(argv, capsys)
-    assert code == 0, err
-    assert (tmp_path / "spectra.csv").read_bytes() == spectra
-    assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 0
-    assert json.loads(entries[0].read_text())["counts"] == json.loads(text)["counts"]
-    assert sorted(p.name for p in (tmp_path / ".cache").iterdir()) == [e.name for e in entries]
+    (entry,) = (tmp_path / ".cache").glob("*.json")
+    text = entry.read_text()
+    stale = json.loads(text)
+    stale["lattices"][0][0] = "C7"
+    for damaged in (text[: len(text) // 2], json.dumps(stale)):
+        entry.write_text(damaged)
+        code, _, err = run(argv, capsys)
+        assert code == 0, err
+        assert (tmp_path / "spectra.csv").read_bytes() == spectra
+        assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 0
+        assert entry.read_text() == text
+        assert [p.name for p in (tmp_path / ".cache").iterdir()] == [entry.name]
     assert run(argv, capsys)[0] == 0
     assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 2
 
@@ -926,7 +956,7 @@ def test_cache_entry_of_another_version_is_a_miss(capsys, tmp_path, monkeypatch)
     monkeypatch.setattr(cli, "__version__", "0.0.0+other")
     assert run(argv, capsys)[0] == 0
     assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 0
-    assert len(list((tmp_path / ".cache").glob("*.json"))) == 4
+    assert len(list((tmp_path / ".cache").glob("*.json"))) == 2
     assert run(argv, capsys)[0] == 0
     assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 2
 
@@ -1027,39 +1057,56 @@ def test_deeply_nested_cache_entry_is_a_miss(capsys, tmp_path):
     argv = ["family", "--builtin", "fig8", "--q", "2", "--p", "1,3", "--out", str(tmp_path)]
     assert run(argv, capsys)[0] == 0
     spectra = (tmp_path / "spectra.csv").read_bytes()
-    entry = sorted((tmp_path / ".cache").glob("*.json"))[0]
+    (entry,) = (tmp_path / ".cache").glob("*.json")
+    written = entry.read_bytes()
     _deeply_nested(entry)
     code, _, err = run(argv, capsys)
     assert code == 0, err
     assert (tmp_path / "spectra.csv").read_bytes() == spectra
-    assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 1
+    assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 0
+    assert entry.read_bytes() == written
+
+
+_LATTICE_FIELDS = ("m", "c", "n", "count")  # a lattice's count is its weight
 
 
 @pytest.mark.parametrize(
     "field, value",
     [("count", v) for v in ("1", 1.9, 1.0, True, 0, -1, None)]
     + [("name", v) for v in (2, None, ["C2"])]
-    + [("schema_version", v) for v in (True, 1.0, "1")],
+    + [("schema_version", v) for v in (True, 1.0, "1")]
+    + [("m", v) for v in (0, -1, False, 1.0)]
+    + [("c", v) for v in (-1, "m", False, 0.0)]
+    + [("n", v) for v in (0, -1, True, 1.0)]
+    + [("name", "C7")]
+    + [("targets", v) for v in ("drop", "extra", "swap")],
 )
 def test_cache_entry_of_the_wrong_types_is_a_miss(capsys, tmp_path, field, value):
-    # the true counts are at least 1 (the trivial homomorphism), so no entry
-    # with another type or a count below 1 was written by family
+    # slope_lattices makes only int fields with m >= 1, 0 <= c < m, n >= 1 and
+    # count >= 1, one entry per suite target in suite order, so no entry off
+    # by one field was written by family; "m" puts c at m, just past its range
     argv = ["family", "--builtin", "trefoil", "--p", "1..3", "--out", str(tmp_path)]
     code = run(argv, capsys)[0]
     spectra = (tmp_path / "spectra.csv").read_bytes()
-    for entry in (tmp_path / ".cache").glob("*.json"):
-        data = json.loads(entry.read_text())
-        if field == "schema_version":
-            data[field] = value
-        else:
-            data["counts"] = [
-                [value, count] if field == "name" else [name, value]
-                for name, count in data["counts"]
-            ]
-        entry.write_text(json.dumps(data))
+    (entry,) = (tmp_path / ".cache").glob("*.json")
+    written = entry.read_bytes()
+    data = json.loads(written)
+    lattices = data["lattices"]
+    if field == "schema_version":
+        data[field] = value
+    elif field == "name":
+        lattices[0][0] = value
+    elif field == "targets":
+        {"drop": lattices.pop, "extra": lambda: lattices.append(["C7", [[1, 0, 1, 1]]]),
+         "swap": lambda: lattices.insert(0, lattices.pop(1))}[value]()
+    else:
+        row = lattices[-1][1][-1]
+        row[_LATTICE_FIELDS.index(field)] = row[0] if value == "m" else value
+    entry.write_text(json.dumps(data))
     assert run(argv, capsys)[0] == code
     assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 0
     assert (tmp_path / "spectra.csv").read_bytes() == spectra
+    assert entry.read_bytes() == written
 
 
 json_values = st.recursive(
@@ -1078,29 +1125,40 @@ json_values = st.recursive(
 )
 
 
-# a cache entry of the trefoil's standard spectra: one field or count away from it
-_ENTRY_FIELDS = ("schema_version", "counts")
+# a cache entry of the trefoil's standard slope lattices: one field, name,
+# lattice or target away from it
+_ENTRY_FIELDS = ("schema_version", "lattices")
 _WRONG_SCALARS = st.sampled_from([True, False, None, 0, -1, 1.0, 1.9, "1", "C2", [], {}])
 
 
 @st.composite
 def near_miss_entries(draw, entry: dict):
     damaged = json.loads(json.dumps(entry))
-    edit = draw(st.sampled_from(["field", "drop", "count", "name", "pair", "truncate", "extra"]))
-    counts = damaged["counts"]
-    i = draw(st.integers(0, len(counts) - 1))
+    edit = draw(st.sampled_from(
+        ["field", "drop", "value", "name", "target", "row", "truncate", "extra"]
+    ))
+    targets = damaged["lattices"]
+    i = draw(st.integers(0, len(targets) - 1))
+    rows = targets[i][1]
+    j = draw(st.integers(0, len(rows) - 1))
     if edit == "field":
         damaged[draw(st.sampled_from(_ENTRY_FIELDS))] = draw(_WRONG_SCALARS)
     elif edit == "drop":
         del damaged[draw(st.sampled_from(_ENTRY_FIELDS))]
-    elif edit in ("count", "name"):
-        counts[i][edit == "count"] = draw(_WRONG_SCALARS)
-    elif edit == "pair":
-        counts[i] = draw(st.sampled_from([counts[i][:1], counts[i] + [1], counts[i][::-1], None]))
+    elif edit == "value":
+        k, value = draw(st.integers(0, 3)), draw(_WRONG_SCALARS)
+        assume(not (k == 1 and type(value) is int and value == 0))  # c = 0 may be a lattice
+        rows[j][k] = value
+    elif edit == "name":
+        targets[i][0] = draw(_WRONG_SCALARS)
+    elif edit == "target":
+        targets[i] = draw(st.sampled_from([targets[i][:1], targets[i] + [1], targets[i][::-1], None]))
+    elif edit == "row":
+        rows[j] = draw(st.sampled_from([rows[j][:3], rows[j] + [1], None, rows[j] * 2]))
     elif edit == "truncate":
-        del counts[i:]
+        del targets[i:]
     else:
-        counts.append(["C7", 1])
+        targets.append(["C7", [[1, 0, 1, 1]]])
     return damaged
 
 
@@ -1108,7 +1166,7 @@ def test_damaged_cache_entry_reads_as_a_miss(capsys, tmp_path):
     argv = ["family", "--builtin", "trefoil", "--p", "1..3", "--out", str(tmp_path)]
     code = run(argv, capsys)[0]
     clean = {name: (tmp_path / name).read_bytes() for name in ("spectra.csv", "distinguish_report.txt")}
-    entry = sorted((tmp_path / ".cache").glob("*.json"))[0]
+    (entry,) = (tmp_path / ".cache").glob("*.json")
     written = json.loads(entry.read_text())
     damaged_values = st.one_of(
         json_values, near_miss_entries(written), st.binary(max_size=64), st.just(b"")
@@ -1122,7 +1180,7 @@ def test_damaged_cache_entry_reads_as_a_miss(capsys, tmp_path):
         assume(data != json.dumps(written).encode())
         entry.write_bytes(data)
         assert run(argv, capsys)[0] == code
-        assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 2
+        assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 0
         assert {name: (tmp_path / name).read_bytes() for name in clean} == clean
         assert json.loads(entry.read_text()) == written
 
@@ -1139,21 +1197,19 @@ def test_damaged_cache_directory_reads_as_a_miss(capsys, tmp_path, damage):
     cache = damaged_dir / ".cache"
     if damage.startswith("entry"):
         run(argv + [str(damaged_dir)], capsys)
-        entry = sorted(cache.glob("*.json"))[0]
+        (entry,) = cache.glob("*.json")
         entry.unlink()
         if damage == "entry is a directory":
             entry.mkdir()
         else:
             entry.symlink_to(_DEV_ZERO[0])
-        hits = 2
     else:
         damaged_dir.mkdir()
         cache.write_text("")
-        hits = 0
     assert run(argv + [str(damaged_dir)], capsys)[0] == code
     for name in ("spectra.csv", "distinguish_report.txt"):
         assert (damaged_dir / name).read_bytes() == (clean_dir / name).read_bytes()
-    assert json.loads((damaged_dir / "run_meta.json").read_text())["cache_hits"] == hits
+    assert json.loads((damaged_dir / "run_meta.json").read_text())["cache_hits"] == 0
     assert not list(damaged_dir.rglob("*.tmp"))
 
 
@@ -1596,9 +1652,8 @@ def test_what_the_benchmark_reads_off_results_exists(capsys, tmp_path):
     config = cli.RunConfig("builtin", "fig8", p_values=(2, 3), out_dir=tmp_path)
     assert config.cache and config.out_dir == tmp_path
     slopes = [member.slope for member in family.members]
-    keys = cli._cache_keys(config, "builtin:fig8", [2, 3])
     for expected_hits in (0, 2):
-        spectra, hits = cli.compute_spectra(slopes, config, keys, kp)
+        spectra, hits = cli.compute_spectra(slopes, config, "builtin:fig8", kp)
         assert (spectra[1], hits) == (direct, expected_hits)
     argv = ["family", "--builtin", "fig8", "--p", "2,3", "--out", str(tmp_path)]
     assert run(argv, capsys)[0] == 3

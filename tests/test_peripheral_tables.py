@@ -2,8 +2,9 @@
 
 Hom(K(q/p), H) is the set of homomorphisms of the knot group whose meridian
 image a and longitude image b satisfy a^q b^p = 1, so ``slope_count`` over
-``peripheral_table`` must equal a direct count on the surgered group.  The
-CLI reads the tables off ``validate_peripheral``'s report, as most tests here do.
+the ``slope_lattices`` of a ``peripheral_table`` must equal a direct count on
+the surgered group, and the filter a^q = b^-p over the table itself.  The CLI
+reads the tables off ``validate_peripheral``'s report, as most tests here do.
 """
 
 import json
@@ -23,6 +24,7 @@ from knotsurgery import (
     cyclic,
     dehn_surgery_group,
     dihedral,
+    escalation_suite,
     mapping_torus_presentation,
     parse_braid,
     standard_suite,
@@ -36,11 +38,13 @@ from knotsurgery.homcount import (
     evaluate_word,
     peripheral_table,
     slope_count,
+    slope_lattices,
     weighted_homomorphisms,
 )
 from knotsurgery.knots import builtin_monodromy
+from knotsurgery.surgery import MAX_ABS_P, MAX_Q
 
-from conftest import abelian_suite, naive_hom_count
+from conftest import abelian_suite, filter_slope_count, naive_hom_count
 
 # three 3-strand braids whose closures are knots
 BRAIDS = ("1 -2 1 -2 1 -2 1 -2", "1 1 1 2 -1 2", "-2 -2 -2 -2 -1 -1 -2 -1")
@@ -73,7 +77,8 @@ def test_table_count_equals_the_count_on_the_family_member(name, slope):
     (member,) = build_family(knot(name), q, [p]).members
     group = tietze_simplify(member.presentation)
     for target, table in zip(standard_suite(), tables(name)):
-        assert slope_count(table, target, q, p) == count_homomorphisms(group, target), target.name
+        lattices = slope_lattices(table, target)
+        assert slope_count(lattices, q, p) == count_homomorphisms(group, target), target.name
 
 
 @pytest.mark.parametrize("name", ["trefoil", "fig8"])
@@ -83,8 +88,8 @@ def test_table_count_equals_naive_enumeration(name, q, p):
     group, (meridian, longitude) = tietze_simplify_tracked(kp.group, (kp.meridian, kp.longitude))
     surgered = dehn_surgery_group(kp, SurgerySlope(p, q))
     for target in (symmetric(3), dihedral(4), cyclic(6)):
-        table = peripheral_table(group, meridian, longitude, target)
-        assert slope_count(table, target, q, p) == naive_hom_count(surgered, target), target.name
+        lattices = slope_lattices(peripheral_table(group, meridian, longitude, target), target)
+        assert slope_count(lattices, q, p) == naive_hom_count(surgered, target), target.name
 
 
 def test_powers_past_the_element_orders_are_exact():
@@ -93,6 +98,7 @@ def test_powers_past_the_element_orders_are_exact():
     kp = builtin_knot("unknot")
     target = symmetric(4)
     (table,) = validate_peripheral(kp, (target,)).tables
+    lattices = slope_lattices(table, target)
     elements = target.elements
     for q in (1, 2, 3, 4, 6, 12, 999, 1000):
         expected = 0
@@ -103,7 +109,26 @@ def test_powers_past_the_element_orders_are_exact():
             expected += x == tuple(range(4))
         for p in (1, -1, 997, -999):
             if gcd(p, q) == 1:
-                assert slope_count(table, target, q, p) == expected
+                assert slope_count(lattices, q, p) == expected
+
+
+@pytest.mark.parametrize("name", ["trefoil", "fig8", "1 1 1 1 1", "1 2 1 2 1 2 1 2"])
+def test_lattice_counts_equal_the_power_filter_at_every_bundled_target(name):
+    # the braids close to T(2,5) and T(3,4); the 20 bundled targets take in
+    # PSL2_17 and PSL2_19, whose products a memo computes on demand
+    suite = standard_suite() + escalation_suite()
+    assert len(suite) == 20 and {"PSL2_17", "PSL2_19"} <= {t.name for t in suite}
+    slopes = [
+        (q, p)
+        for q in (1, 2, 3, 7, MAX_Q)
+        for p in (0, 1, -1, 6, -6, 139, -139, MAX_ABS_P, -MAX_ABS_P)
+        if gcd(p, q) == 1
+    ]
+    for target, table in zip(suite, validate_peripheral(knot(name), suite).tables):
+        lattices = slope_lattices(table, target)
+        for q, p in slopes:
+            expected = filter_slope_count(table, target, q, p)
+            assert slope_count(lattices, q, p) == expected, (target.name, q, p)
 
 
 def searched_table(group, meridian, longitude, target) -> dict[tuple[int, int], int]:
