@@ -586,10 +586,9 @@ def cmd_verify(config: RunConfig) -> int:
     for slope in _slopes(config):
         routes = [tietze_simplify(build(kp, slope))
                   for build in (dehn_surgery_group, half_complement_group)]
-        # the two routes usually simplify to one presentation: its H1 is
-        # measured once, and the search engine keeps its counts
-        h1 = {g: abelianization(g) for g in dict.fromkeys(routes)}
-        ab_surgery, ab_half = map(h1.get, routes)
+        # the two routes usually simplify to one presentation: the Smith form
+        # cache decomposes it once, and the search engine keeps its counts
+        ab_surgery, ab_half = map(abelianization, routes)
         spec_surgery, spec_half = (hom_spectrum(g, suite) for g in routes)
         ok = ab_surgery == ab_half and (
             spec_surgery == spec_half == _spectrum(config.suite.names, lattices, slope)

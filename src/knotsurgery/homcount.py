@@ -83,8 +83,10 @@ paper's families are homologous by construction, so H1 fixes every abelian
 count, and searching for it is waste.  A knot group's abelian peripheral
 tables are read off its H1 = Z by ``knots.validate_peripheral``, with no
 decomposition of their own.
-``peripheral_table``, ``weighted_homomorphisms`` and ``iter_homomorphisms``
-search every target.
+``peripheral_table`` and ``weighted_homomorphisms`` search every target,
+abelian ones too.  ``iter_homomorphisms``, which only the tests call,
+conjugates each homomorphism the search yields by every element of H and
+drops repeats: every homomorphism is conjugate to one the search yields.
 
 Every surgery on one knot is read off one search.  The group of the q/p
 surgery is the knot group modulo m^q l^p, so Hom(K(q/p), H) is exactly the
@@ -115,7 +117,7 @@ its tables, is kept alive by it.  It is keyed by identity, not by name: a
 target closed afresh is searched afresh, whatever its name.  The hash of the
 presentation is taken once per count, by the ``_plan`` lookup.
 ``weighted_homomorphisms``, ``iter_homomorphisms`` and ``peripheral_table``
-keep nothing.
+keep nothing past their own run.
 """
 
 from __future__ import annotations
@@ -291,41 +293,31 @@ def evaluate_word(
 
 
 def weighted_homomorphisms(
-    p: Presentation,
-    target: FiniteTarget,
-    first: Iterable[tuple[int, int]] | None = None,
-    expand_free: bool = True,
+    p: Presentation, target: FiniteTarget, expand_free: bool = True
 ) -> Iterator[tuple[list[int], int]]:
     """The one homomorphism search: yield ``(images, weight)`` pairs.
 
-    The first searched generator takes the ``(image, weight)`` pairs in
-    ``first``.  By default these are the target's conjugacy classes as
-    (representative, class size), and then the second searched generator
-    ranges over ``target.centralizer_orbits`` of the class of the first
-    image c, its representative, each weighted by orbit size.  A generator
-    that the relators link to an earlier one (``_SearchPlan.links``) ranges
-    over the class of its anchor's image, or of that image's inverse: over
-    the C_H(c)-orbits of that class in the second place, and over its
-    members elsewhere.  A generator that a relator solves for
-    (``_SearchPlan.solve``) ranges over the solutions of that relator
-    instead, past the second place or, when ``first`` is given, past the
-    first; a linked one over those in its class.  Every other generator, and
-    the second one when ``first`` is given, ranges over all of H.  Each pair
-    stands for ``weight`` homomorphisms, so with the default ``first`` the
-    weights sum to |Hom(G, H)|.  ``images`` is the live assignment, valid
+    The first searched generator ranges over the target's conjugacy classes,
+    each as (representative, class size), and the second over
+    ``target.centralizer_orbits`` of the class of the first image c, its
+    representative, each weighted by orbit size.  A generator that the
+    relators link to an earlier one (``_SearchPlan.links``) ranges over the
+    class of its anchor's image, or of that image's inverse: over the
+    C_H(c)-orbits of that class in the second place, and over its members
+    elsewhere.  A generator that a relator solves for (``_SearchPlan.solve``)
+    ranges over the solutions of that relator instead, past the second
+    place; a linked one over those in its class.  Every other generator
+    ranges over all of H.  Each pair stands for ``weight`` homomorphisms, so
+    the weights sum to |Hom(G, H)|.  ``images`` is the live assignment, valid
     until the next pair is drawn.  Without ``expand_free`` the search stops
     at the plan's ``bound``: the k generators in no relator, which the plan
     orders last, stay unassigned and their factor |H|^k is folded into the
-    weight; if no generator is in a relator, the first is still searched,
-    so that ``first`` applies.
+    weight, so a presentation with no generator in a relator yields one pair.
     """
     plan = _plan(p)
-    sequence = plan.order if expand_free else plan.order[: plan.bound or 1]
+    sequence = plan.order if expand_free else plan.order[: plan.bound]
     steps, links, solve = plan.steps, plan.links, plan.solve
     factor = target.order ** (len(plan.order) - len(sequence))
-    reduce_second = first is None
-    if first is None:
-        first = target.conjugacy_classes
     mult = target.mult
     inv = target.inverse
     class_of, members = target.class_table
@@ -380,7 +372,7 @@ def weighted_homomorphisms(
                 images[g] = h
                 if depth == last:
                     yield images, weight * size
-                elif depth == 0 and reduce_second:
+                elif depth == 0:
                     # the second generator's only possible anchor is the first
                     link = links[1]
                     k = None if link is None else class_of[pair[link[1]]]
@@ -391,7 +383,7 @@ def weighted_homomorphisms(
     if not sequence:
         yield images, factor
         return
-    yield from dfs(0, tuple((h, weight * factor) for h, weight in first), 1)
+    yield from dfs(0, target.conjugacy_classes, factor)
 
 
 def count_homomorphisms(p: Presentation, target: FiniteTarget) -> int:
@@ -435,10 +427,17 @@ def _abelian_count(p: Presentation, target: FiniteTarget) -> int:
 
 
 def iter_homomorphisms(p: Presentation, target: FiniteTarget) -> Iterator[tuple[int, ...]]:
-    """Yield every homomorphism as a tuple of element indices per generator."""
-    every = ((h, 1) for h in range(target.order))
-    for images, _ in weighted_homomorphisms(p, target, every):
-        yield tuple(images)
+    """Yield every homomorphism once, as a tuple of element indices per generator:
+    the H-conjugates of those ``weighted_homomorphisms`` yields, repeats dropped."""
+    mult, inv = target.mult, target.inverse
+    seen: set[tuple[int, ...]] = set()
+    for images, _ in weighted_homomorphisms(p, target):
+        for z in range(target.order):
+            row, z_inv = mult[z], inv[z]
+            hom = tuple(mult[row[h]][z_inv] for h in images)
+            if hom not in seen:
+                seen.add(hom)
+                yield hom
 
 
 def peripheral_table(
@@ -446,10 +445,10 @@ def peripheral_table(
 ) -> dict[tuple[int, int], int]:
     """Weights of Hom(G, H) summed by (meridian image, longitude image).
 
-    One ``weighted_homomorphisms`` search with the default ``first``, so the
-    weights sum to |Hom(G, H)|; each pair carries the weight of the
-    conjugation orbit of its representative homomorphism.  An abelian H is
-    searched too, but ``knots.validate_peripheral`` reads those off H1.
+    One ``weighted_homomorphisms`` search, so the weights sum to |Hom(G, H)|;
+    each pair carries the weight of the conjugation orbit of its
+    representative homomorphism.  An abelian H is searched too, but
+    ``knots.validate_peripheral`` reads those off H1.
     """
     m, l = meridian.letters, longitude.letters
     table: dict[tuple[int, int], int] = {}
@@ -469,8 +468,10 @@ def slope_lattices(
         powers = [0]  # a^0, ..., a^(m-1)
         while x := target.mult[powers[-1]][a]:
             powers.append(x)
+        x = step = target.inverse[b]  # b^-n, for n = 1, 2, ...
         n = 1
-        while (x := target.power(b, -n)) not in powers:
+        while x not in powers:
+            x = target.mult[x][step]
             n += 1
         lattices[len(powers), powers.index(x), n] += weight
     return lattices

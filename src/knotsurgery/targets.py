@@ -164,29 +164,21 @@ class FiniteTarget:
         rows = self.generator_rows
         return all(a[b[0]] == b[a[0]] for i, a in enumerate(rows) for b in rows[:i])
 
-    @cached_property
-    def _cycles(self) -> dict[int, tuple[list[int], int]]:
-        return {}
-
     def power(self, x: int, n: int) -> int:
-        """The index of e_x^n, for any integer n, read off a kept cycle of powers.
+        """The index of e_x^n, for any integer n, by repeated squaring.
 
-        The first power of an element z walks its cycle [1, z, z^2, ...] and
-        files every element on it, z^i as (that cycle, i), so the powers of
-        z^i are read at i * n mod ord(z) from the same list, and a cyclic
-        subgroup is walked once however many of its elements are powered.
+        A negative n powers the inverse, e_x^n = (e_x^-1)^-n, and nothing is
+        kept between calls.
         """
-        entry = self._cycles.get(x)
-        if entry is None:
-            cycle, y, mult = [0], x, self.mult
-            while y:
-                cycle.append(y)
-                y = mult[x][y]
-            for i, y in enumerate(cycle):
-                self._cycles.setdefault(y, (cycle, i))
-            entry = self._cycles[x]
-        cycle, i = entry
-        return cycle[i * n % len(cycle)]
+        mult = self.mult
+        if n < 0:
+            x, n = self.inverse[x], -n
+        result = 0  # the identity
+        while n:
+            if n & 1:
+                result = mult[result][x]
+            x, n = mult[x][x], n >> 1
+        return result
 
     @property
     def conjugacy_classes(self) -> tuple[tuple[int, int], ...]:

@@ -123,23 +123,28 @@ def naive_closure(generators, degree: int) -> list:
     return elements
 
 
-def naive_hom_count(presentation, target: FiniteTarget) -> int:
-    """Count homomorphisms by full enumeration over raw permutations."""
+def naive_homomorphisms(presentation, target: FiniteTarget):
+    """Yield every homomorphism, as a tuple of element indices per generator,
+    by full enumeration over raw permutations."""
     n = len(presentation.generators)
     identity = tuple(range(target.degree))
-    count = 0
-    for assignment in itertools.product(target.elements, repeat=n):
+    for assignment in itertools.product(range(target.order), repeat=n):
+        perms = [target.elements[i] for i in assignment]
         ok = True
         for relator in presentation.relators:
             acc = identity
             for g, e in relator.letters:
-                acc = compose(acc, assignment[g] if e == 1 else invert_perm(assignment[g]))
+                acc = compose(acc, perms[g] if e == 1 else invert_perm(perms[g]))
             if acc != identity:
                 ok = False
                 break
         if ok:
-            count += 1
-    return count
+            yield assignment
+
+
+def naive_hom_count(presentation, target: FiniteTarget) -> int:
+    """Count homomorphisms by full enumeration over raw permutations."""
+    return sum(1 for _ in naive_homomorphisms(presentation, target))
 
 
 def cable_link_group(kp, slope) -> FamilyMember:

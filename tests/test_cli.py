@@ -411,21 +411,28 @@ def test_verify_fails_when_the_table_side_disagrees(capsys, monkeypatch):
 
 
 def test_verify_measures_each_distinct_route_once(capsys, monkeypatch):
+    # H1 is read off the Smith form cache, which builds one relation matrix
+    # per distinct presentation
     argv = ["verify", "--builtin", "trefoil", "--q", "1", "--p", "1"]
     measured = []
+    relation_matrix = smith.relation_matrix
 
-    def abelianization(group):
+    def recording(group):
         measured.append(group)
-        return smith.abelianization(group)
+        return relation_matrix(group)
 
-    monkeypatch.setattr(cli, "abelianization", abelianization)
+    monkeypatch.setattr(smith, "relation_matrix", recording)
+    smith.relation_smith_form.cache_clear()
+    kp = builtin_knot("trefoil")
     assert run(argv, capsys)[0] == 0
-    assert len(measured) == 1  # both routes simplify to one presentation
+    # the knot group, then the one presentation both routes simplify to
+    route = fpgroup.tietze_simplify(surgery.dehn_surgery_group(kp, SurgerySlope(1, 1)))
+    assert measured == [kp.group, route]
     # a route that simplifies to another group is measured and compared on its own
-    other = surgery.dehn_surgery_group(builtin_knot("trefoil"), surgery.SurgerySlope(2, 1))
+    other = surgery.dehn_surgery_group(kp, SurgerySlope(2, 1))
     monkeypatch.setattr(cli, "half_complement_group", lambda kp, slope: other)
     code, out, _ = run(argv, capsys)
-    assert (code, len(measured)) == (1, 3)
+    assert (code, measured[2:]) == (1, [fpgroup.tietze_simplify(other)])
     assert out.endswith(": FAIL\n")
 
 

@@ -48,6 +48,7 @@ from conftest import (
     abelian_suite,
     low_index_hom_count,
     naive_hom_count,
+    naive_homomorphisms,
     pair_hom_count,
     torus_hom_count,
 )
@@ -118,20 +119,6 @@ def test_evaluate_word():
     for i, j in itertools.product(range(6), repeat=2):
         expected = s3.mult[s3.mult[i][j]][s3.inverse[i]]
         assert evaluate_word(word.letters, [i, j], s3) == expected
-
-
-def per_class_total(p, target):
-    """Sum of the independent branches, one per conjugacy class of the first image."""
-    return sum(
-        sum(weight for _, weight in weighted_homomorphisms(p, target, (branch,), False))
-        for branch in target.conjugacy_classes
-    )
-
-
-def test_split_evaluation_matches_sequential():
-    p = pres(["x", "y"], "x y x y^-1 x^-1 y^-1", "x^5 y^-3")
-    for target in (symmetric(3), symmetric(4), cyclic(6)):
-        assert per_class_total(p, target) == count_homomorphisms(p, target)
 
 
 def test_fresh_targets_get_fresh_orbit_caches():
@@ -219,9 +206,8 @@ def test_matches_naive_enumeration(p, name):
     target = ORACLE_TARGETS[name]
     count = count_homomorphisms(p, target)
     assert count == naive_hom_count(p, target)
-    # the reduced weights, the full enumeration and the per-class branches
-    # all account for the same homomorphisms, and every yielded assignment
-    # satisfies every relator
+    # the reduced weights and the full enumeration account for the same
+    # homomorphisms, and every yielded assignment satisfies every relator
     def satisfied(images):
         return all(
             evaluate_word(r.letters, images, target) == 0 for r in p.relators
@@ -237,7 +223,51 @@ def test_matches_naive_enumeration(p, name):
         assert satisfied(images)
         enumerated += 1
     assert enumerated == count
-    assert per_class_total(p, target) == count
+
+
+@st.composite
+def presentations_with_a_free_generator(draw):
+    """1-3 generators, a drawn one of them in no relator.
+
+    The others are in up to three random relators, and maybe in one relator
+    U x^e U^-1 y^d that links them.
+    """
+    n_gens = draw(st.integers(min_value=1, max_value=3))
+    free = draw(st.integers(min_value=0, max_value=n_gens - 1))
+    used = [g for g in range(n_gens) if g != free]
+    relators = []
+    if used:
+        letters = st.tuples(st.sampled_from(used), st.sampled_from((1, -1)))
+        relators = draw(st.lists(st.lists(letters, max_size=8), max_size=3))
+        if draw(st.booleans()):
+            u = draw(st.lists(letters, max_size=4))
+            relators.append(u + [draw(letters)] + inverse_of(u) + [draw(letters)])
+    return Presentation(
+        [f"g{i}" for i in range(n_gens)], [Word(tuple(r)) for r in relators]
+    )
+
+
+@settings(derandomize=True, max_examples=80)
+@given(presentations_with_a_free_generator(), st.sampled_from(["S3", "A4", "D4", "C6"]))
+def test_iter_homomorphisms_yields_every_homomorphism_once(p, name):
+    # the H-conjugates of the search's representatives, repeats dropped, are
+    # exactly the homomorphisms that naive enumeration finds
+    target = ORACLE_TARGETS[name]
+    homs = list(iter_homomorphisms(p, target))
+    expected = set(naive_homomorphisms(p, target))
+    assert set(homs) == expected
+    assert len(homs) == len(expected)
+
+
+@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("name", ("S4", "PSL2_13"))
+def test_generators_in_no_relator_fold_into_one_pair(n, name):
+    # with expand_free=False the search assigns no generator in no relator, so
+    # a relator-less presentation is one pair standing for all |H|^n
+    target = {t.name: t for t in standard_suite() + escalation_suite()}[name]
+    p = Presentation([f"g{i}" for i in range(n)])
+    homs = weighted_homomorphisms(p, target, expand_free=False)
+    assert [(list(images), weight) for images, weight in homs] == [([0] * n, target.order**n)]
 
 
 # C2..C6 and the non-cyclic V4 and C2 x C4

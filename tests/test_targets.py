@@ -334,12 +334,17 @@ def test_the_class_pass_gives_conjugators_and_centralizers_of_random_groups(gene
 
 
 def perm_power(perm: tuple, n: int) -> tuple:
-    """perm^n by repeated composition, for any integer n."""
-    base = perm if n >= 0 else invert_perm(perm)
+    """perm^n by repeated composition, for n >= 0."""
     out = tuple(range(len(perm)))
-    for _ in range(abs(n)):
-        out = compose(out, base)
+    for _ in range(n):
+        out = compose(out, perm)
     return out
+
+
+def power_exponents(order: int) -> tuple[int, ...]:
+    """Exponents around 0 and the order, and far past both."""
+    near = (-order - 1, -7, -2, -1, 0, 1, 2, 3, 7, order, 2 * order + 1)
+    return near + (10**6, -(10**6), 2**40 + 1, -(2**40 + 1))
 
 
 @given(
@@ -364,8 +369,8 @@ def test_powers_conjugators_and_commutativity_of_random_groups(generators, pick)
             compose(a, b) == compose(b, a) for a in elements for b in elements
         )
     x = pick % order
-    for n in (-order - 1, -7, -2, -1, 0, 1, 2, 3, 7, order, 2 * order + 1):
-        assert elements[target.power(x, n)] == perm_power(elements[x], n)
+    for n in power_exponents(order):
+        assert elements[target.power(x, n)] == perm_power(elements[x], n % order)
     # every g with g x g^-1 = y, for y a drawn conjugate of x and a drawn element
     z = elements[(pick // order) % order]
     conjugate = target.elements.index(compose(compose(z, elements[x]), invert_perm(z)))
@@ -375,6 +380,20 @@ def test_powers_conjugators_and_commutativity_of_random_groups(generators, pick)
             if compose(compose(perm, elements[x]), invert_perm(perm)) == elements[y]
         ]
         assert sorted(target.conjugators(x, y)) == brute
+
+
+def test_powers_in_a_memo_target_are_raw_permutation_powers():
+    # PSL2_17 keeps a ProductMemo, not a table; each reference is read off
+    # the cycle of raw powers 1, x, x^2, ... of the element's permutation
+    target = {t.name: t for t in escalation_suite()}["PSL2_17"]
+    assert isinstance(target.mult, ProductMemo)
+    elements, identity = target.elements, target.elements[0]
+    for x in range(0, target.order, target.order // 20)[:20]:
+        cycle = [identity]
+        while (y := compose(cycle[-1], elements[x])) != identity:
+            cycle.append(y)
+        for n in power_exponents(target.order):
+            assert elements[target.power(x, n)] == cycle[n % len(cycle)]
 
 
 def test_the_bundled_abelian_targets_are_the_cyclic_ones():
