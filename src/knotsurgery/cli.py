@@ -214,7 +214,9 @@ def read_suite(spec: str) -> SuiteSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a command needs; built from parsed arguments."""
+    """Everything a command needs; built from parsed arguments.  A braid
+    source is kept as outputs and cache keys spell it: its parsed letters
+    joined by single spaces."""
 
     source_kind: str  # "braid" | "builtin" | "monodromy"
     source: str
@@ -224,6 +226,11 @@ class RunConfig:
     out_dir: Path | None = None
     cache: bool = True
     construction: str = "surgery"
+
+    def __post_init__(self) -> None:
+        if self.source_kind == "braid":
+            spelling = " ".join(map(str, parse_braid(self.source).letters))
+            object.__setattr__(self, "source", spelling)
 
     @functools.cached_property
     def suite(self) -> SuiteSpec:
@@ -276,13 +283,6 @@ def _knot_source(args: argparse.Namespace) -> tuple[str, str]:
     return chosen[0]
 
 
-def _spelling(config: RunConfig) -> str:
-    """The source as outputs and cache keys spell it: a braid as its parsed
-    letters joined by single spaces, a builtin name or monodromy path as given."""
-    braid = config.source_kind == "braid"
-    return " ".join(map(str, parse_braid(config.source).letters)) if braid else config.source
-
-
 def load_knot(config: RunConfig) -> tuple[KnotPresentation, str]:
     """The knot and the fingerprint of its source for the cache key.
 
@@ -291,8 +291,7 @@ def load_knot(config: RunConfig) -> tuple[KnotPresentation, str]:
     monodromy file is read once.
     """
     if config.source_kind == "braid":
-        spelling = _spelling(config)
-        return wirtinger_from_braid(parse_braid(spelling)), f"braid:{spelling}"
+        return wirtinger_from_braid(parse_braid(config.source)), f"braid:{config.source}"
     if config.source_kind == "builtin":
         try:
             return builtin_knot(config.source), f"builtin:{config.source}"
@@ -439,7 +438,7 @@ def _manifest_chunks(config: RunConfig, family: FamilyResult) -> Iterator[str]:
     """
     header = {
         "schema_version": SCHEMA_VERSION,
-        "source": {"kind": config.source_kind, "value": _spelling(config)},
+        "source": {"kind": config.source_kind, "value": config.source},
         "q": config.q,
         "skipped_p": list(family.skipped),
     }
@@ -505,7 +504,7 @@ def _slopes(config: RunConfig) -> Iterator[SurgerySlope]:
 def cmd_knot(config: RunConfig) -> int:
     kp, _ = load_knot(config)
     suite = config.suite.close()
-    print(f"knot: {config.source_kind} {_spelling(config)}")
+    print(f"knot: {config.source_kind} {config.source}")
     print(f"group: {kp.group}")
     print(f"meridian: {kp.group.word_str(kp.meridian)}")
     print(f"longitude: {kp.group.word_str(kp.longitude)}")
@@ -524,7 +523,7 @@ def cmd_knot(config: RunConfig) -> int:
         names = kp.group.generators
         document = {
             "schema_version": SCHEMA_VERSION,
-            "source": {"kind": config.source_kind, "value": _spelling(config)},
+            "source": {"kind": config.source_kind, "value": config.source},
             "presentation": presentation_to_json(kp.group),
             "meridian": word_to_json(kp.meridian, names),
             "longitude": word_to_json(kp.longitude, names),

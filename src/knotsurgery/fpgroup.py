@@ -4,7 +4,7 @@ Words are immutable sequences of (generator index, exponent) letters with
 exponent +1 or -1, kept freely reduced at all times.  A presentation pairs a
 tuple of generator names with cyclically reduced relator words.  Everything
 here is a pure function over immutable data, so values can be shared between
-threads or worker processes without synchronization.
+threads without synchronization.
 
 A word built from outside input (``Word(letters)``, ``parse_word``,
 ``word_from_json`` and so ``presentation_from_json``) is checked and reduced.

@@ -69,52 +69,6 @@ def dehn_surgery_group(kp: KnotPresentation, slope: SurgerySlope) -> Presentatio
     return quotient_by_relators(kp.group, [relator])
 
 
-class _CableLinks:
-    """The doubled-complement halves of one knot for one q, built around their shared part.
-
-    A half is the cable-link group (the knot group plus a commuting pair mu,
-    lam, the knot's peripheral pair inside the complement of the knot and
-    its (p, q)-cable, with the cable meridian^q longitude^p identified with
-    mu^q lam^p) with mu and lam killed.  Everything but the filling relator
-    depends only on (knot, q) and is built once: the fresh generators mu,
-    lam and their commutator, the labels, meridian^q and mu^-q.  Each p then
-    adds its filling relator meridian^q longitude^p lam^-p mu^-q, mu and lam
-    in one presentation.
-    """
-
-    def __init__(self, kp: KnotPresentation, q: int) -> None:
-        base = kp.group
-        n = len(base.generators)
-        mu_name = fresh_name("mu", base.generators)
-        lam_name = fresh_name("lam", base.generators + (mu_name,))
-        self.mu, self.lam = Word.generator(n), Word.generator(n + 1)
-        self.labels = {
-            MERIDIAN: self.mu,
-            LONGITUDE: self.lam,
-            CABLE_MERIDIAN: kp.meridian,
-            CABLE_LONGITUDE: kp.longitude,
-        }
-        self.linked = base.extended((commutator(self.mu, self.lam),), (mu_name, lam_name))
-        self.longitude = kp.longitude
-        self.meridian_q = word_power(kp.meridian, q)
-        self.mu_inverse_q = word_power(self.mu, -q)
-
-    def half(self, p: int) -> Presentation:
-        """The cable-link group of slope (p, q) with the knot's peripheral pair mu, lam killed."""
-        filling = (
-            self.meridian_q * word_power(self.longitude, p) * word_power(self.lam, -p)
-            * self.mu_inverse_q
-        )
-        # as in quotient_by_relators, a repeat is dropped: mu, where an empty
-        # meridian makes the filling relator mu^-1 at p = 0, q = 1; nothing
-        # is checked, since the relators are over the checked peripheral
-        # words and mu, lam
-        added = _normalize_relators(w.letters for w in (filling, self.mu, self.lam))
-        return Presentation._of(
-            self.linked.generators, self.linked.relators + tuple(map(Word._of, added))
-        )
-
-
 def half_complement_group(kp: KnotPresentation, slope: SurgerySlope) -> Presentation:
     """Group of one half of the doubled construction.
 
@@ -123,7 +77,7 @@ def half_complement_group(kp: KnotPresentation, slope: SurgerySlope) -> Presenta
     Dehn surgery quotient, and the test suite checks that the two routes have
     identical abelianizations and hom-spectra.
     """
-    return _CableLinks(kp, slope.q).half(slope.p)
+    return build_family(kp, slope.q, (slope.p,)).members[0].presentation
 
 
 def double_complement_group(kp: KnotPresentation, slope: SurgerySlope) -> Presentation:
@@ -147,21 +101,50 @@ class FamilyResult:
 def build_family(kp: KnotPresentation, q: int, p_values: Sequence[int]) -> FamilyResult:
     """One double-complement group per p coprime to q, in input order.
 
-    Non-coprime p values are skipped and reported, never fatal.  The part
-    of the groups that does not depend on p is built once, at the first
-    member, so a family with no member builds nothing.
+    Each group is one half: the cable-link group (the knot group plus a
+    commuting pair mu, lam, the knot's peripheral pair inside the complement
+    of the knot and its (p, q)-cable, with the cable meridian^q longitude^p
+    identified with mu^q lam^p) with mu and lam killed.  Non-coprime p
+    values are skipped and reported, never fatal.  Every kept slope is
+    checked before anything is built, and a family with no member builds
+    nothing.  Everything but the filling relator depends only on (knot, q)
+    and is built once: the fresh generators mu, lam and their commutator,
+    the labels, meridian^q and mu^-q.  Each p then adds its filling relator
+    meridian^q longitude^p lam^-p mu^-q, mu and lam in one presentation.
     """
     if q < 1:
         raise InvalidSlopeError(f"q must be >= 1, got {q}")
+    slopes = [SurgerySlope(p, q) for p in p_values if gcd(p, q) == 1]
+    skipped = tuple(p for p in p_values if gcd(p, q) != 1)
+    if not slopes:
+        return FamilyResult((), skipped)
+    base = kp.group
+    n = len(base.generators)
+    mu_name = fresh_name("mu", base.generators)
+    lam_name = fresh_name("lam", base.generators + (mu_name,))
+    mu, lam = Word.generator(n), Word.generator(n + 1)
+    labels = {
+        MERIDIAN: mu,
+        LONGITUDE: lam,
+        CABLE_MERIDIAN: kp.meridian,
+        CABLE_LONGITUDE: kp.longitude,
+    }
+    linked = base.extended((commutator(mu, lam),), (mu_name, lam_name))
+    meridian_q = word_power(kp.meridian, q)
+    mu_inverse_q = word_power(mu, -q)
     members = []
-    skipped = []
-    links = None
-    for p in p_values:
-        if gcd(p, q) != 1:
-            skipped.append(p)
-            continue
-        slope = SurgerySlope(p, q)
-        if links is None:
-            links = _CableLinks(kp, q)
-        members.append(FamilyMember(slope, links.half(p), links.labels))
-    return FamilyResult(tuple(members), tuple(skipped))
+    for slope in slopes:
+        filling = (
+            meridian_q * word_power(kp.longitude, slope.p) * word_power(lam, -slope.p)
+            * mu_inverse_q
+        )
+        # as in quotient_by_relators, a repeat is dropped: mu, where an empty
+        # meridian makes the filling relator mu^-1 at p = 0, q = 1; nothing
+        # is checked, since the relators are over the checked peripheral
+        # words and mu, lam
+        added = _normalize_relators(w.letters for w in (filling, mu, lam))
+        presentation = Presentation._of(
+            linked.generators, linked.relators + tuple(map(Word._of, added))
+        )
+        members.append(FamilyMember(slope, presentation, labels))
+    return FamilyResult(tuple(members), skipped)

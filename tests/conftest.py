@@ -14,6 +14,8 @@ all, seifert_alexander expands a determinant by permutation sums over
 dict-polynomials, det_oracle is a cofactor expansion, min_rotation_oracle
 builds every rotation, and row_lattice_oracle compares invariant factors
 instead of reading the column transform.  Tests freeze values computed by these.
+q1_identity_failures states identities that counts into targets of any size
+must hold.
 """
 
 from __future__ import annotations
@@ -313,6 +315,49 @@ def filter_slope_count(table, target: FiniteTarget, q: int, p: int) -> int:
         return cycle[k % len(cycle)]
 
     return sum(weight for (a, b), weight in table.items() if power(a, q) == power(b, -p))
+
+
+# ---------------------------------------------------------------- identities
+# Exact identities of group theory and knot theory, which check counts at
+# targets of any size, where enumeration cannot.
+
+# the solvable targets of the standard suite, and (S_n, A_n) pairs of the
+# standard and escalation suites
+SOLVABLE_TARGETS = ("C2", "C3", "C4", "C5", "C6", "S3", "S4", "A4", "D4", "D5")
+SYMMETRIC_ALTERNATING = (("S5", "A5"), ("S6", "A6"))
+
+
+def mirror_braid(letters) -> tuple:
+    """The letters of the mirror's braid: every letter negated."""
+    return tuple(-k for k in letters)
+
+
+def q1_identity_failures(spectra, mirrored) -> list[str]:
+    """How the q = 1 spectra of a knot and of its mirror break two identities.
+
+    spectra and mirrored map each p, for the knot and for its mirror, to its
+    counts by target name; mirrored holds -p for every p of spectra.
+
+    - Perfect members.  Every q = 1 surgery is a homology sphere, so its
+      group G is perfect and each homomorphism lands in the last term of the
+      target's derived series: a solvable target reads 1, and since
+      [S_n, S_n] = A_n, |Hom(G, S_n)| = |Hom(G, A_n)|.
+    - Mirror.  The mirror's surgery along p is the knot's along -p, so the
+      mirror's counts at -p are the knot's at p.
+
+    A target that the counts do not name is not checked.
+    """
+    failures = []
+    for p, counts in spectra.items():
+        for name in SOLVABLE_TARGETS:
+            if counts.get(name, 1) != 1:
+                failures.append(f"p={p}: {name} reads {counts[name]}, not 1")
+        for sym, alt in SYMMETRIC_ALTERNATING:
+            if sym in counts and alt in counts and counts[sym] != counts[alt]:
+                failures.append(f"p={p}: {sym} reads {counts[sym]}, {alt} {counts[alt]}")
+        if mirrored[-p] != counts:
+            failures.append(f"p={p}: {counts} but the mirror reads {mirrored[-p]} at p={-p}")
+    return failures
 
 
 def _poly_mul(a: dict, b: dict) -> dict:

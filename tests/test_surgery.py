@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -5,14 +6,18 @@ import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from knotsurgery import (
+    BraidWord,
     InvalidSlopeError,
     KnotPresentation,
+    NotAKnotError,
     Presentation,
     SurgerySlope,
     Word,
     abelianization,
+    alternating,
     build_family,
     builtin_knot,
     builtin_monodromy,
@@ -23,10 +28,13 @@ from knotsurgery import (
     parse_braid,
     quotient_by_relators,
     standard_suite,
+    surgery,
     symmetric,
     tietze_simplify,
+    validate_peripheral,
     wirtinger_from_braid,
 )
+from knotsurgery.homcount import slope_count, slope_lattices
 from knotsurgery.surgery import (
     CABLE_LONGITUDE,
     CABLE_MERIDIAN,
@@ -37,7 +45,7 @@ from knotsurgery.surgery import (
     double_complement_group,
 )
 
-from conftest import cable_link_group, naive_hom_count
+from conftest import cable_link_group, mirror_braid, naive_hom_count, q1_identity_failures
 
 
 def test_slope_validation():
@@ -156,6 +164,43 @@ def test_mirror_braid_flips_slope_sign(trefoil, suite_full, p, q):
         ), target.name
 
 
+def _closes_to_a_knot(letters) -> bool:
+    try:
+        BraidWord(3, tuple(letters))
+    except NotAKnotError:
+        return False
+    return True
+
+
+three_strand_knot_braids = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=8).filter(
+    _closes_to_a_knot
+)
+
+
+@functools.cache
+def identity_suite() -> tuple:
+    """The standard suite, A6 and S6, closed once."""
+    return standard_suite() + (alternating(6), symmetric(6))
+
+
+def q1_spectra(letters) -> dict[int, dict[str, int]]:
+    """The 3-braid closure's q = 1 counts into identity_suite, by p in -4..4,
+    read off its slope lattices as ``family`` reads them."""
+    suite = identity_suite()
+    report = validate_peripheral(wirtinger_from_braid(BraidWord(3, tuple(letters))), suite)
+    lattices = [slope_lattices(table, t) for table, t in zip(report.tables, suite)]
+    return {
+        p: {t.name: slope_count(lattice, 1, p) for t, lattice in zip(suite, lattices)}
+        for p in range(-4, 5)
+    }
+
+
+# the suite is no argument, so a failing example's report names only the letters
+@given(three_strand_knot_braids)
+def test_q1_spectra_of_braid_knots_hold_the_perfect_member_and_mirror_identities(letters):
+    assert q1_identity_failures(q1_spectra(letters), q1_spectra(mirror_braid(letters))) == []
+
+
 def test_half_complement_unknot(unknot):
     group = half_complement_group(unknot, SurgerySlope(1, 3))
     invariants = abelianization(group)
@@ -204,6 +249,31 @@ def test_build_family_filters_and_reports(fig8):
     result = build_family(fig8, 2, [1, 2, 3])
     assert [m.slope.p for m in result.members] == [1, 3]
     assert result.skipped == (2,)
+
+
+def _count_fresh_names(monkeypatch) -> list:
+    """The calls of surgery.fresh_name from now on, made through a counting wrapper."""
+    calls = []
+    fresh_name = surgery.fresh_name
+    monkeypatch.setattr(surgery, "fresh_name", lambda *args: calls.append(args) or fresh_name(*args))
+    return calls
+
+
+def test_build_family_checks_every_slope_before_it_builds(fig8, monkeypatch):
+    calls = _count_fresh_names(monkeypatch)
+    with pytest.raises(InvalidSlopeError):
+        build_family(fig8, 1, [1, MAX_ABS_P + 1])
+    assert calls == []
+
+
+def test_build_family_builds_the_shared_part_once_and_only_for_a_member(fig8, monkeypatch):
+    calls = _count_fresh_names(monkeypatch)
+    assert len(build_family(fig8, 1, range(-6, 7)).members) == 13
+    assert len(calls) == 2  # mu and lam
+    calls.clear()
+    result = build_family(fig8, 2, [-4, 0, 2])
+    assert result.members == () and result.skipped == (-4, 0, 2)
+    assert calls == []
 
 
 def test_build_family_order_independence(trefoil):
