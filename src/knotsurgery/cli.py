@@ -16,7 +16,8 @@ slope lattices of the knot group, off which every slope's spectrum is read.
 This is the only module that touches files: every input file is read by
 ``_read_json``, at its size, and every output is written by ``_write``,
 which first reads back the old output (up to the new text's length + 1
-bytes), leaves an unchanged one alone and writes a changed one whole.
+bytes), leaves an unchanged one alone and rewrites a changed one in place,
+cut to its new length.
 """
 
 from __future__ import annotations
@@ -75,7 +76,6 @@ from .surgery import (
     SurgerySlope,
     build_family,
     dehn_surgery_group,
-    half_complement_group,
 )
 from .targets import (
     ESCALATION,
@@ -143,9 +143,13 @@ def _write(path: Path, text: str | Callable[[], Iterable[str]], atomic: bool = F
 
     Any other write first reads back the regular file at path, at most the
     new text's length + 1 bytes, and leaves it alone (mtime kept) if it
-    already holds the text.  A changed or missing output is written whole: a
-    str by Path.write_text, chunks from a second call of text.  A path that
-    is not a regular file is written without being read.
+    already holds the text.  A changed or missing output is rewritten in
+    place from a second call of text, then cut to the written length if it
+    is a regular file: on ext4, truncating to zero and writing again costs
+    several times the write.  A rewrite cut short leaves the new text over
+    the old text's tail; no output is read as input, only compared, and
+    cache entries stay atomic.  A path that is not a regular file is
+    written without being read.
     """
     chunks = (lambda: (text,)) if isinstance(text, str) else text
     if not atomic:
@@ -158,11 +162,11 @@ def _write(path: Path, text: str | Callable[[], Iterable[str]], atomic: bool = F
     target = path.with_name(f"{path.name}.{os.getpid()}.tmp") if atomic else path
 
     def put() -> None:
-        if isinstance(text, str):
-            target.write_text(text, encoding="utf-8")
-        else:
-            with target.open("w", encoding="utf-8") as handle:
-                handle.writelines(text())
+        fd = os.open(target, os.O_WRONLY | os.O_CREAT, 0o666)
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks())
+            if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                handle.truncate()
 
     try:
         try:
@@ -320,22 +324,22 @@ def _read_cache_entry(path: Path, names: tuple[str, ...]) -> tuple[dict, ...] | 
     try:
         data, _ = _read_json(path, MAX_CACHE_ENTRY_BYTES, "cache entry", KnotSurgeryError)
         version, targets = data["schema_version"], data["lattices"]
-        rows = [[tuple(row) for row in target_rows] for _, target_rows in targets]
-        lattices = tuple({(m, c, n): w for m, c, n, w in target} for target in rows)
+        if type(version) is not int or version != SCHEMA_VERSION or len(targets) != len(names):
+            return None
+        lattices = []
+        for (name, rows), expected in zip(targets, names):
+            if name != expected:
+                return None
+            lattice = {}
+            for m, c, n, w in rows:
+                if not (type(m) is type(c) is type(n) is type(w) is int
+                        and 0 <= c < m and n >= 1 and w >= 1) or (m, c, n) in lattice:
+                    return None
+                lattice[m, c, n] = w
+            lattices.append(lattice)
     except (KnotSurgeryError, OSError, ValueError, KeyError, TypeError):
         return None
-    valid = (
-        type(version) is int
-        and version == SCHEMA_VERSION
-        and tuple(name for name, _ in targets) == names
-        and list(map(len, lattices)) == list(map(len, rows))
-        and all(
-            all(type(v) is int for v in (m, c, n, w)) and 0 <= c < m and min(n, w) >= 1
-            for lattice in lattices
-            for (m, c, n), w in lattice.items()
-        )
-    )
-    return lattices if valid else None
+    return tuple(lattices)
 
 
 # Never called; bench/run.py's --trace 1 wraps it.
@@ -434,7 +438,8 @@ def _manifest_chunks(config: RunConfig, family: FamilyResult) -> Iterator[str]:
     The text is json.dumps(indent=2) of {schema_version, source, q, skipped_p,
     members} and a newline, with members the {p, q, presentation, labels}
     record of each member of the family, which has at least one.  Each word's
-    text joins the texts of its letters, made once per generator tuple.
+    text joins the texts of its letters and is made once per (generator
+    tuple, word, indent): members share all words but their filling relator.
     """
     header = {
         "schema_version": SCHEMA_VERSION,
@@ -442,25 +447,26 @@ def _manifest_chunks(config: RunConfig, family: FamilyResult) -> Iterator[str]:
         "q": config.q,
         "skipped_p": list(family.skipped),
     }
-    letter_texts = functools.cache(_letter_texts)
+
+    @functools.cache
+    def word_texts(names: tuple[str, ...], indent: str) -> Callable[[Word], str]:
+        letters = _letter_texts(names, indent + "  ")
+        return functools.cache(lambda word: _word_text(word, letters, indent))
+
     # the header's text ends with "\n}"; members is its last key
     yield json.dumps(header, indent=2)[:-2] + ',\n  "members": ['
     separator = "\n" + _MEMBER_INDENT
     for member in family.members:
         names = member.presentation.generators
-        relator_letters = letter_texts(names, _RELATOR_INDENT + "  ")
-        label_letters = letter_texts(names, _LABEL_INDENT + "  ")
-        relators = [
-            _word_text(r, relator_letters, _RELATOR_INDENT) for r in member.presentation.relators
-        ]
+        relators = list(map(word_texts(names, _RELATOR_INDENT), member.presentation.relators))
+        label_text = word_texts(names, _LABEL_INDENT)
         presentation = [
             '"generators": '
             + _enclosed("[", list(map(encode_basestring_ascii, names)), "]", _LABEL_INDENT),
             '"relators": ' + _enclosed("[", relators, "]", _LABEL_INDENT),
         ]
         labels = [
-            f"{encode_basestring_ascii(role)}: {_word_text(w, label_letters, _LABEL_INDENT)}"
-            for role, w in member.labels.items()
+            f"{encode_basestring_ascii(role)}: {label_text(w)}" for role, w in member.labels.items()
         ]
         record = [
             f'"p": {member.slope.p}',
@@ -580,11 +586,12 @@ def cmd_verify(config: RunConfig) -> int:
     suite = config.suite.close()
     # the third side: each slope's spectrum read off the knot group's slope lattices
     lattices = _slope_lattices(kp, suite)
+    halves = build_family(kp, config.q, config.p_values).members
     lines = []
     all_ok = True
-    for slope in _slopes(config):
-        routes = [tietze_simplify(build(kp, slope))
-                  for build in (dehn_surgery_group, half_complement_group)]
+    # _slopes prints each skip line as zip reaches it, the last ones too
+    for slope, half in zip(_slopes(config), halves):
+        routes = [tietze_simplify(g) for g in (dehn_surgery_group(kp, slope), half.presentation)]
         # the two routes usually simplify to one presentation: the Smith form
         # cache decomposes it once, and the search engine keeps its counts
         ab_surgery, ab_half = map(abelianization, routes)
@@ -620,13 +627,12 @@ def cmd_export(config: RunConfig) -> int:
             f"the slopes' longitude powers would total {letters} letters,"
             f" past the export limit {MAX_EXPORT_LETTERS}"
         )
-    builder = {
-        "surgery": dehn_surgery_group,
-        "half": half_complement_group,
-        "double": half_complement_group,  # the double is presented as one half
-    }[config.construction]
-    for slope in _slopes(config):
-        presentation = builder(kp, slope)
+    if config.construction == "surgery":
+        groups = ((slope, dehn_surgery_group(kp, slope)) for slope in _slopes(config))
+    else:  # "half" or "double": the double is presented as one half
+        halves = build_family(kp, config.q, config.p_values).members
+        groups = ((slope, half.presentation) for slope, half in zip(_slopes(config), halves))
+    for slope, presentation in groups:
         path = config.out_dir / f"{config.construction}_q{config.q}_p{slope.p}.g"
         _write(path, to_free_group_script(presentation))
         print(f"wrote {path}")

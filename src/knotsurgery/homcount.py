@@ -480,7 +480,11 @@ def slope_lattices(
 def slope_count(lattices: Mapping[tuple[int, int, int], int], q: int, p: int) -> int:
     """|Hom(K(q/p), H)|: the summed weight of the knot group's ``slope_lattices``
     into H that hold (q, p), those with n | p and q = c·(p/n) mod m."""
-    return sum(w for (m, c, n), w in lattices.items() if p % n == 0 and (q - c * p // n) % m == 0)
+    total = 0
+    for (m, c, n), w in lattices.items():
+        if p % n == 0 and (q - c * p // n) % m == 0:
+            total += w
+    return total
 
 
 @dataclass(frozen=True)

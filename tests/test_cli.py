@@ -430,7 +430,9 @@ def test_verify_measures_each_distinct_route_once(capsys, monkeypatch):
     assert measured == [kp.group, route]
     # a route that simplifies to another group is measured and compared on its own
     other = surgery.dehn_surgery_group(kp, SurgerySlope(2, 1))
-    monkeypatch.setattr(cli, "half_complement_group", lambda kp, slope: other)
+    # the half comes from the family cli builds; its member is given the other group
+    family = FamilyResult((FamilyMember(SurgerySlope(1, 1), other, {}),), ())
+    monkeypatch.setattr(cli, "build_family", lambda kp, q, p_values: family)
     code, out, _ = run(argv, capsys)
     assert (code, measured[2:]) == (1, [fpgroup.tietze_simplify(other)])
     assert out.endswith(": FAIL\n")
@@ -776,6 +778,39 @@ def test_a_rerun_whose_p_range_grows_writes_the_manifest_a_clean_run_writes(caps
         assert (out / name).read_bytes() == (clean_dir / name).read_bytes(), name
 
 
+def test_a_rerun_whose_outputs_shrink_leaves_nothing_of_the_longer_ones(capsys, tmp_path):
+    # a changed output is rewritten in place, so each must be cut to its new length
+    clean_dir, out = tmp_path / "clean", tmp_path / "out"
+    argv = ["family", "--builtin", "fig8", "--q", "1", "--out"]
+    run([*argv, str(out), "--p=-6..6"], capsys)
+    code = run([*argv, str(out), "--p=1..3"], capsys)[0]
+    assert run([*argv, str(clean_dir), "--p=1..3"], capsys)[0] == code
+    for name in _OUTPUTS:
+        assert (out / name).read_bytes() == (clean_dir / name).read_bytes(), name
+    meta = out / "run_meta.json"
+    meta.write_text(meta.read_text() + "x" * 4096)
+    assert run([*argv, str(out), "--p=1..3"], capsys)[0] == code
+    assert json.loads(meta.read_text())["cache_hits"] == 3
+
+
+def test_the_manifest_makes_each_distinct_word_text_once(monkeypatch):
+    config = cli.RunConfig(source_kind="builtin", source="fig8", q=1)
+    family = build_family(builtin_knot("fig8"), 1, range(-6, 7))
+    assert len(family.members) == 13
+    made = []
+    word_text = cli._word_text
+
+    def counting(word, letters, indent):
+        made.append((word, indent))
+        return word_text(word, letters, indent)
+
+    monkeypatch.setattr(cli, "_word_text", counting)
+    "".join(cli._manifest_chunks(config, family))
+    placed = {(r, cli._RELATOR_INDENT) for m in family.members for r in m.presentation.relators}
+    placed |= {(w, cli._LABEL_INDENT) for m in family.members for w in m.labels.values()}
+    assert sorted(map(repr, made)) == sorted(map(repr, placed))
+
+
 @pytest.mark.parametrize("name", [*_OUTPUTS, "run_meta.json"])
 def test_an_output_path_that_is_a_directory_exits_2(capsys, tmp_path, name):
     out = tmp_path / "out"
@@ -1086,12 +1121,14 @@ _LATTICE_FIELDS = ("m", "c", "n", "count")  # a lattice's count is its weight
     + [("c", v) for v in (-1, "m", False, 0.0)]
     + [("n", v) for v in (0, -1, True, 1.0)]
     + [("name", "C7")]
-    + [("targets", v) for v in ("drop", "extra", "swap")],
+    + [("targets", v) for v in ("drop", "extra", "swap")]
+    + [("row", "repeat")],
 )
 def test_cache_entry_of_the_wrong_types_is_a_miss(capsys, tmp_path, field, value):
     # slope_lattices makes only int fields with m >= 1, 0 <= c < m, n >= 1 and
     # count >= 1, one entry per suite target in suite order, so no entry off
-    # by one field was written by family; "m" puts c at m, just past its range
+    # by one field was written by family; "m" puts c at m, just past its range,
+    # and "repeat" gives the last lattice (m, c, n) a second row
     argv = ["family", "--builtin", "trefoil", "--p", "1..3", "--out", str(tmp_path)]
     code = run(argv, capsys)[0]
     spectra = (tmp_path / "spectra.csv").read_bytes()
@@ -1106,6 +1143,8 @@ def test_cache_entry_of_the_wrong_types_is_a_miss(capsys, tmp_path, field, value
     elif field == "targets":
         {"drop": lattices.pop, "extra": lambda: lattices.append(["C7", [[1, 0, 1, 1]]]),
          "swap": lambda: lattices.insert(0, lattices.pop(1))}[value]()
+    elif field == "row":
+        lattices[-1][1].append(lattices[-1][1][-1][:3] + [1])
     else:
         row = lattices[-1][1][-1]
         row[_LATTICE_FIELDS.index(field)] = row[0] if value == "m" else value
@@ -1412,7 +1451,7 @@ def test_a_slope_past_the_word_limit_is_refused_before_anything_is_built(
     capsys, tmp_path, monkeypatch, argv, power
 ):
     calls = []
-    for name in ("build_family", "validate_peripheral", "dehn_surgery_group", "half_complement_group"):
+    for name in ("build_family", "validate_peripheral", "dehn_surgery_group"):
         monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
     out = tmp_path / "out"
     code, stdout, err = run([*argv, "--braid", LONG_LONGITUDE_BRAID, "--out", str(out)], capsys)
@@ -1437,7 +1476,7 @@ def test_export_refuses_slopes_whose_longitude_powers_total_past_its_limit(
     # each p in 1..140 is under the word limit, but together they come to
     # 9870 * 7134 letters, about 310 MB of scripts
     calls = []
-    for name in ("dehn_surgery_group", "half_complement_group"):
+    for name in ("dehn_surgery_group", "build_family"):
         monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
     out = tmp_path / "out"
     argv = ["export", "--braid", LONG_LONGITUDE_BRAID, "--construction", construction]
