@@ -12,8 +12,7 @@ column with the least nonzero |e_j|, gives Delta.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import NotAKnotGroupError
 from .fpgroup import Presentation, Word
@@ -21,18 +20,28 @@ from .knots import KnotPresentation
 from .smith import relation_smith_form
 
 
-@dataclass(frozen=True)
 class LaurentPolynomial:
     """Integer Laurent polynomial; terms are (exponent, coefficient), no zeros."""
 
-    terms: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("terms",)
 
-    def __post_init__(self) -> None:
-        cleaned = tuple(sorted((int(e), int(c)) for e, c in self.terms if c))
+    def __init__(self, terms: Iterable[tuple[int, int]] = ()) -> None:
+        cleaned = tuple(sorted((int(e), int(c)) for e, c in terms if c))
         exponents = [e for e, _ in cleaned]
         if len(set(exponents)) != len(exponents):
             raise ValueError("repeated exponents in Laurent polynomial terms")
-        object.__setattr__(self, "terms", cleaned)
+        self.terms = cleaned
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.terms,))
+
+    def __repr__(self) -> str:
+        return f"LaurentPolynomial(terms={self.terms!r})"
 
     @classmethod
     def from_dict(cls, coeffs: Mapping[int, int]) -> "LaurentPolynomial":

@@ -22,7 +22,6 @@ construction; the peripheral validation checks catch any drift here.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import BraidSyntaxError, IndexOutOfRangeError, NotAKnotError
 from .fpgroup import Presentation, Word, word_power, _inverse_letters, _reduced
@@ -37,41 +36,48 @@ _LETTER = re.compile(r"-?[1-9][0-9]*")
 MAX_BRAID_LENGTH = 16
 
 
-@dataclass(frozen=True)
 class BraidWord:
     """A braid whose closure is a knot (single cycle on the strands)."""
 
-    strands: int
-    letters: tuple[int, ...]
+    __slots__ = ("strands", "letters")
 
-    def __post_init__(self) -> None:
-        if self.strands < 1:
-            raise BraidSyntaxError(f"strand count must be >= 1, got {self.strands}")
-        if len(self.letters) > MAX_BRAID_LENGTH or self.strands > MAX_BRAID_LENGTH + 1:
+    def __init__(self, strands: int, letters: tuple[int, ...]) -> None:
+        if strands < 1:
+            raise BraidSyntaxError(f"strand count must be >= 1, got {strands}")
+        if len(letters) > MAX_BRAID_LENGTH or strands > MAX_BRAID_LENGTH + 1:
             raise BraidSyntaxError(
-                f"braid of {len(self.letters)} letters on {self.strands} strands is past"
+                f"braid of {len(letters)} letters on {strands} strands is past"
                 f" the limits of {MAX_BRAID_LENGTH} letters and {MAX_BRAID_LENGTH + 1} strands"
             )
-        for k in self.letters:
+        for k in letters:
             if k == 0:
                 raise BraidSyntaxError("braid letters must be nonzero")
-            if abs(k) > self.strands - 1:
-                raise IndexOutOfRangeError(
-                    f"letter {k} out of range for {self.strands} strands"
-                )
+            if abs(k) > strands - 1:
+                raise IndexOutOfRangeError(f"letter {k} out of range for {strands} strands")
         # walk the closure's cycle through position 0 (bottom to top, which
         # has the same length as top to bottom); a knot's visits every strand
-        position = list(range(self.strands))
-        for k in self.letters:
+        position = list(range(strands))
+        for k in letters:
             i = abs(k) - 1
             position[i], position[i + 1] = position[i + 1], position[i]
         visited, x = 1, position[0]
         while x != 0:
             visited, x = visited + 1, position[x]
-        if visited != self.strands:
-            raise NotAKnotError(
-                f"closure has {self.strands - visited + 1} components, expected a knot"
-            )
+        if visited != strands:
+            raise NotAKnotError(f"closure has {strands - visited + 1} components, expected a knot")
+        self.strands = strands
+        self.letters = letters
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.strands == other.strands and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.strands, self.letters))
+
+    def __repr__(self) -> str:
+        return f"BraidWord(strands={self.strands!r}, letters={self.letters!r})"
 
     @property
     def writhe(self) -> int:

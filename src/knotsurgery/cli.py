@@ -32,12 +32,11 @@ import stat
 import sys
 import textwrap
 import time
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import __version__
 from .alexander import fox_alexander
@@ -76,6 +75,7 @@ from .surgery import (
     SurgerySlope,
     build_family,
     dehn_surgery_group,
+    family_members,
 )
 from .targets import (
     ESCALATION,
@@ -183,8 +183,7 @@ def _write(path: Path, text: str | Callable[[], Iterable[str]], atomic: bool = F
         raise
 
 
-@dataclass(frozen=True)
-class SuiteSpec:
+class SuiteSpec(NamedTuple):
     """A CLI suite spec, read once.
 
     ``fingerprint`` names the suite in cache keys, ``names`` lists its targets
@@ -216,25 +215,32 @@ def read_suite(spec: str) -> SuiteSpec:
     )
 
 
-@dataclass(frozen=True)
 class RunConfig:
     """Everything a command needs; built from parsed arguments.  A braid
     source is kept as outputs and cache keys spell it: its parsed letters
     joined by single spaces."""
 
-    source_kind: str  # "braid" | "builtin" | "monodromy"
-    source: str
-    q: int = 1
-    p_values: tuple[int, ...] = ()
-    targets: str = "standard"
-    out_dir: Path | None = None
-    cache: bool = True
-    construction: str = "surgery"
-
-    def __post_init__(self) -> None:
-        if self.source_kind == "braid":
-            spelling = " ".join(map(str, parse_braid(self.source).letters))
-            object.__setattr__(self, "source", spelling)
+    def __init__(
+        self,
+        source_kind: str,  # "braid" | "builtin" | "monodromy"
+        source: str,
+        q: int = 1,
+        p_values: tuple[int, ...] = (),
+        targets: str = "standard",
+        out_dir: Path | None = None,
+        cache: bool = True,
+        construction: str = "surgery",
+    ) -> None:
+        if source_kind == "braid":
+            source = " ".join(map(str, parse_braid(source).letters))
+        self.source_kind = source_kind
+        self.source = source
+        self.q = q
+        self.p_values = p_values
+        self.targets = targets
+        self.out_dir = out_dir
+        self.cache = cache
+        self.construction = construction
 
     @functools.cached_property
     def suite(self) -> SuiteSpec:
@@ -586,7 +592,7 @@ def cmd_verify(config: RunConfig) -> int:
     suite = config.suite.close()
     # the third side: each slope's spectrum read off the knot group's slope lattices
     lattices = _slope_lattices(kp, suite)
-    halves = build_family(kp, config.q, config.p_values).members
+    halves = family_members(kp, config.q, config.p_values)
     lines = []
     all_ok = True
     # _slopes prints each skip line as zip reaches it, the last ones too
@@ -630,7 +636,7 @@ def cmd_export(config: RunConfig) -> int:
     if config.construction == "surgery":
         groups = ((slope, dehn_surgery_group(kp, slope)) for slope in _slopes(config))
     else:  # "half" or "double": the double is presented as one half
-        halves = build_family(kp, config.q, config.p_values).members
+        halves = family_members(kp, config.q, config.p_values)
         groups = ((slope, half.presentation) for slope, half in zip(_slopes(config), halves))
     for slope, presentation in groups:
         path = config.out_dir / f"{config.construction}_q{config.q}_p{slope.p}.g"

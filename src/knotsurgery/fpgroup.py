@@ -39,7 +39,6 @@ longitudes, ...) keep their meaning across constructions.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DuplicateGeneratorError, KnotSurgeryError, UnknownGeneratorError
@@ -84,21 +83,31 @@ def _cyclic_reduced(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
     return letters if hi - lo == len(letters) else letters[lo:hi]
 
 
-@dataclass(frozen=True)
 class Word:
     """A freely reduced word; the empty word is the identity."""
 
-    letters: tuple[Letter, ...] = ()
+    __slots__ = ("letters",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "letters", _reduced(self.letters))
+    def __init__(self, letters: Iterable[Letter] = ()) -> None:
+        self.letters = _reduced(letters)
 
     @classmethod
     def _of(cls, letters: tuple[Letter, ...]) -> "Word":
         """A word on letters that are freely reduced by construction; no check."""
         w = object.__new__(cls)
-        object.__setattr__(w, "letters", letters)
+        w.letters = letters
         return w
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.letters,))
+
+    def __repr__(self) -> str:
+        return f"Word(letters={self.letters!r})"
 
     @classmethod
     def generator(cls, index: int) -> "Word":
@@ -258,35 +267,41 @@ def _checked_relators(relators: Iterable[Word], n: int) -> tuple[Word, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
 class Presentation:
     """Named generators plus relators; relators are kept cyclically reduced.
 
     A relator letter (g, e) refers to generators[g].
     """
 
-    generators: tuple[str, ...]
-    relators: tuple[Word, ...] = ()
+    __slots__ = ("generators", "relators", "_hash")
 
-    def __post_init__(self) -> None:
-        gens = _checked_names(self.generators)
-        object.__setattr__(self, "generators", gens)
-        object.__setattr__(self, "relators", _checked_relators(self.relators, len(gens)))
+    def __init__(self, generators: Iterable[str], relators: Iterable[Word] = ()) -> None:
+        gens = _checked_names(generators)
+        self.generators = gens
+        self.relators = _checked_relators(relators, len(gens))
+        self._hash = None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.generators == other.generators and self.relators == other.relators
 
     # The search plan and the Smith form are cached by presentation, so a
     # presentation is hashed on every count; its hash is taken once and kept.
-    # String hashes differ between processes, so the kept hash is left out of
-    # pickled and copied state and taken afresh on the other side.
+    # String hashes differ between processes, so a pickle or a copy carries
+    # only the generators and relators (``__reduce__`` rebuilds through
+    # ``_of``), and the hash is taken afresh on the other side.
     def __hash__(self) -> int:
-        h = self.__dict__.get("_hash")
+        h = self._hash
         if h is None:
-            h = self.__dict__["_hash"] = hash((self.generators, self.relators))
+            h = self._hash = hash((self.generators, self.relators))
         return h
 
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        state.pop("_hash", None)
-        return state
+    def __reduce__(self) -> tuple:
+        return self._of, (self.generators, self.relators)
+
+    def __repr__(self) -> str:
+        return f"Presentation(generators={self.generators!r}, relators={self.relators!r})"
 
     def extended(self, relators: Iterable[Word], generators: Sequence[str] = ()) -> "Presentation":
         """This presentation with ``generators`` appended and ``relators`` after its own.
@@ -302,8 +317,9 @@ class Presentation:
         """A presentation on distinct nonempty names and on nonempty, cyclically
         reduced relators over them, all by construction; no check."""
         out = object.__new__(cls)
-        object.__setattr__(out, "generators", generators)
-        object.__setattr__(out, "relators", relators)
+        out.generators = generators
+        out.relators = relators
+        out._hash = None
         return out
 
     def word_str(self, w: Word, sep: str = " ") -> str:

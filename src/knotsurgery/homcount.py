@@ -123,10 +123,9 @@ keep nothing past their own run.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from weakref import WeakKeyDictionary
 
 from .errors import MismatchedTargetsError
@@ -141,8 +140,7 @@ from .targets import FiniteTarget
 _Step = tuple[int, tuple[Letter, ...]]
 
 
-@dataclass(frozen=True)
-class _SearchPlan:
+class _SearchPlan(NamedTuple):
     # every generator: those that some relator reads, then the others
     order: tuple[int, ...]
     # how many generators some relator reads: the others, past this position
@@ -158,24 +156,23 @@ class _SearchPlan:
     solve: tuple[int | None, ...]
     # |Hom(G, H)| per target counted so far, by target identity; see
     # count_homomorphisms
-    counts: WeakKeyDictionary[FiniteTarget, int] = field(
-        default_factory=WeakKeyDictionary, compare=False, repr=False
-    )
+    counts: WeakKeyDictionary[FiniteTarget, int]
 
 
 def _steps(letters: tuple[Letter, ...], g: int) -> tuple[_Step, ...]:
     """Rotate a relator to start at a letter g^±1 and cut it before every g^±1.
 
     A cyclic rotation is a conjugate, so it is the identity exactly when the
-    relator is.
+    relator is.  The words hold the relator's own letter objects, so a
+    cached plan adds no letter of its own to its presentation's.
     """
     start = next(i for i, (gen, _) in enumerate(letters) if gen == g)
     steps: list[tuple[int, list[Letter]]] = []
-    for gen, e in letters[start:] + letters[:start]:
-        if gen == g:
-            steps.append((0 if e == 1 else 1, []))
+    for letter in letters[start:] + letters[:start]:
+        if letter[0] == g:
+            steps.append((0 if letter[1] == 1 else 1, []))
         else:
-            steps[-1][1].append((gen, e))
+            steps[-1][1].append(letter)
     return tuple((sign, tuple(u)) for sign, u in steps)
 
 
@@ -275,7 +272,12 @@ def _plan(p: Presentation) -> _SearchPlan:
         for checks in steps
     )
     return _SearchPlan(
-        tuple(order), bound, tuple(tuple(s) for s in steps), _links(p.relators, order), solve
+        tuple(order),
+        bound,
+        tuple(tuple(s) for s in steps),
+        _links(p.relators, order),
+        solve,
+        WeakKeyDictionary(),
     )
 
 
@@ -487,8 +489,7 @@ def slope_count(lattices: Mapping[tuple[int, int, int], int], q: int, p: int) ->
     return total
 
 
-@dataclass(frozen=True)
-class HomSpectrum:
+class HomSpectrum(NamedTuple):
     """Counts |Hom(G, H)| in the requested target order."""
 
     entries: tuple[tuple[str, int], ...]
@@ -506,8 +507,7 @@ def hom_spectrum(p: Presentation, targets: Sequence[FiniteTarget]) -> HomSpectru
     return HomSpectrum(tuple((t.name, count_homomorphisms(p, t)) for t in targets))
 
 
-@dataclass(frozen=True)
-class DistinguishReport:
+class DistinguishReport(NamedTuple):
     """Pairwise spectrum comparison; UNRESOLVED never asserts isomorphism.
 
     ``counts[i]`` is item i's spectrum over ``target_names``.  Each entry of

@@ -12,8 +12,7 @@ CLI reads a monodromy file and hands its parsed JSON to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InvalidMonodromyError, UnknownGeneratorError
 from .fpgroup import (
@@ -34,23 +33,24 @@ from .targets import FiniteTarget
 MAX_GENUS = 100
 
 
-@dataclass(frozen=True)
 class KnotPresentation:
     """A knot group with its peripheral pair (meridian, 0-framed longitude)."""
 
-    group: Presentation
-    meridian: Word
-    longitude: Word
-    genus_hint: int | None = None
+    __slots__ = ("group", "meridian", "longitude", "genus_hint")
 
-    def __post_init__(self) -> None:
-        n = len(self.group.generators)
-        for label, w in (("meridian", self.meridian), ("longitude", self.longitude)):
+    def __init__(
+        self, group: Presentation, meridian: Word, longitude: Word, genus_hint: int | None = None
+    ) -> None:
+        n = len(group.generators)
+        for label, w in (("meridian", meridian), ("longitude", longitude)):
             if w.max_index() >= n:
                 raise UnknownGeneratorError(f"{label} uses out-of-range generator index")
+        self.group = group
+        self.meridian = meridian
+        self.longitude = longitude
+        self.genus_hint = genus_hint
 
 
-@dataclass(frozen=True)
 class FiberedKnotData:
     """A genus-g surface automorphism given by generator images both ways.
 
@@ -59,22 +59,39 @@ class FiberedKnotData:
     under the surface automorphism, ``backward`` under the inverse.
     """
 
-    genus: int
-    forward: tuple[Word, ...]
-    backward: tuple[Word, ...]
+    __slots__ = ("genus", "forward", "backward")
 
-    def __post_init__(self) -> None:
-        if self.genus < 1:
+    def __init__(self, genus: int, forward: tuple[Word, ...], backward: tuple[Word, ...]) -> None:
+        if genus < 1:
             raise InvalidMonodromyError("fibered data needs genus >= 1")
-        n = 2 * self.genus
-        if len(self.forward) != n or len(self.backward) != n:
+        n = 2 * genus
+        if len(forward) != n or len(backward) != n:
             raise InvalidMonodromyError(
                 f"expected {n} forward and backward images, got "
-                f"{len(self.forward)} and {len(self.backward)}"
+                f"{len(forward)} and {len(backward)}"
             )
-        for w in self.forward + self.backward:
+        for w in forward + backward:
             if w.max_index() >= n:
                 raise UnknownGeneratorError("monodromy image uses out-of-range generator")
+        self.genus = genus
+        self.forward = forward
+        self.backward = backward
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.genus, self.forward, self.backward) == (
+            other.genus, other.forward, other.backward
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.genus, self.forward, self.backward))
+
+    def __repr__(self) -> str:
+        return (
+            f"FiberedKnotData(genus={self.genus!r}, forward={self.forward!r},"
+            f" backward={self.backward!r})"
+        )
 
 
 def fiber_generator_names(genus: int) -> tuple[str, ...]:
@@ -238,15 +255,13 @@ def builtin_monodromy(name: str) -> FiberedKnotData:
     return table[name]
 
 
-@dataclass(frozen=True)
-class PeripheralCheck:
+class PeripheralCheck(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class PeripheralReport:
+class PeripheralReport(NamedTuple):
     """The checks, check 1's H1, and one peripheral table per target (none if check 1 fails)."""
 
     checks: tuple[PeripheralCheck, ...]

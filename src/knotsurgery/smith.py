@@ -20,10 +20,9 @@ random 12x12 matrix over {0, 0, 1, -1, 2} (``random.Random(1)``) runs past
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .fpgroup import Presentation
 
@@ -97,8 +96,7 @@ def _divisibility_chain(diagonal: list[int]) -> list[int]:
     return d
 
 
-@dataclass(frozen=True)
-class SmithNormalForm:
+class SmithNormalForm(NamedTuple):
     """One decomposition U·M·V = D of an integer matrix M with n columns.
 
     ``factors`` are the invariant factors d_1 | d_2 | ... | d_r.
@@ -157,8 +155,7 @@ def smith_normal_form(matrix: IntMatrix, n_cols: int | None = None) -> SmithNorm
     return SmithNormalForm(factors, tuple(diagonal), tuple(map(tuple, v)))
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(NamedTuple):
     """H_1 data: torsion coefficients d_1 | ... | d_k (each > 1) plus free rank."""
 
     torsion: tuple[int, ...]

@@ -9,9 +9,8 @@ relabel the family by p -> -p; one convention is fixed throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidSlopeError
 from .fpgroup import (
@@ -36,26 +35,28 @@ MAX_ABS_P = 1000
 MAX_Q = 1000
 
 
-@dataclass(frozen=True)
 class SurgerySlope:
     """A q/p filling slope: q >= 1 and p coprime to q."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if self.q < 1:
-            raise InvalidSlopeError(f"q must be >= 1, got {self.q}")
-        if self.q > MAX_Q or abs(self.p) > MAX_ABS_P:
+    def __init__(self, p: int, q: int) -> None:
+        if q < 1:
+            raise InvalidSlopeError(f"q must be >= 1, got {q}")
+        if q > MAX_Q or abs(p) > MAX_ABS_P:
             raise InvalidSlopeError(
-                f"slope p={self.p}, q={self.q} is past the limits |p| <= {MAX_ABS_P}, q <= {MAX_Q}"
+                f"slope p={p}, q={q} is past the limits |p| <= {MAX_ABS_P}, q <= {MAX_Q}"
             )
-        if gcd(self.p, self.q) != 1:
-            raise InvalidSlopeError(f"gcd(p, q) must be 1, got p={self.p}, q={self.q}")
+        if gcd(p, q) != 1:
+            raise InvalidSlopeError(f"gcd(p, q) must be 1, got p={p}, q={q}")
+        self.p = p
+        self.q = q
+
+    def __repr__(self) -> str:
+        return f"SurgerySlope(p={self.p!r}, q={self.q!r})"
 
 
-@dataclass(frozen=True)
-class FamilyMember:
+class FamilyMember(NamedTuple):
     """A group of one slope, with role-labelled words over its generators."""
 
     slope: SurgerySlope
@@ -77,7 +78,7 @@ def half_complement_group(kp: KnotPresentation, slope: SurgerySlope) -> Presenta
     Dehn surgery quotient, and the test suite checks that the two routes have
     identical abelianizations and hom-spectra.
     """
-    return build_family(kp, slope.q, (slope.p,)).members[0].presentation
+    return next(family_members(kp, slope.q, (slope.p,))).presentation
 
 
 def double_complement_group(kp: KnotPresentation, slope: SurgerySlope) -> Presentation:
@@ -92,32 +93,32 @@ def double_complement_group(kp: KnotPresentation, slope: SurgerySlope) -> Presen
     return half_complement_group(kp, slope)
 
 
-@dataclass(frozen=True)
-class FamilyResult:
+class FamilyResult(NamedTuple):
     members: tuple[FamilyMember, ...]
     skipped: tuple[int, ...]
 
 
-def build_family(kp: KnotPresentation, q: int, p_values: Sequence[int]) -> FamilyResult:
-    """One double-complement group per p coprime to q, in input order.
+def family_members(kp: KnotPresentation, q: int, p_values: Sequence[int]) -> Iterator[FamilyMember]:
+    """One double-complement group per p coprime to q, in input order, one at a time.
 
     Each group is one half: the cable-link group (the knot group plus a
     commuting pair mu, lam, the knot's peripheral pair inside the complement
     of the knot and its (p, q)-cable, with the cable meridian^q longitude^p
     identified with mu^q lam^p) with mu and lam killed.  Non-coprime p
-    values are skipped and reported, never fatal.  Every kept slope is
-    checked before anything is built, and a family with no member builds
-    nothing.  Everything but the filling relator depends only on (knot, q)
-    and is built once: the fresh generators mu, lam and their commutator,
-    the labels, meridian^q and mu^-q.  Each p then adds its filling relator
-    meridian^q longitude^p lam^-p mu^-q, mu and lam in one presentation.
+    values are left out (``build_family`` reports them).  On the first draw
+    every kept slope is checked before anything is built, and a family with
+    no member builds nothing.  Everything but the filling relator depends
+    only on (knot, q) and is built once: the fresh generators mu, lam and
+    their commutator, the labels, meridian^q and mu^-q.  Each p then adds its
+    filling relator meridian^q longitude^p lam^-p mu^-q, mu and lam in one
+    presentation.  A member is built when it is drawn, so a caller that
+    drops each member before drawing the next holds one at a time.
     """
     if q < 1:
         raise InvalidSlopeError(f"q must be >= 1, got {q}")
     slopes = [SurgerySlope(p, q) for p in p_values if gcd(p, q) == 1]
-    skipped = tuple(p for p in p_values if gcd(p, q) != 1)
     if not slopes:
-        return FamilyResult((), skipped)
+        return
     base = kp.group
     n = len(base.generators)
     mu_name = fresh_name("mu", base.generators)
@@ -132,7 +133,6 @@ def build_family(kp: KnotPresentation, q: int, p_values: Sequence[int]) -> Famil
     linked = base.extended((commutator(mu, lam),), (mu_name, lam_name))
     meridian_q = word_power(kp.meridian, q)
     mu_inverse_q = word_power(mu, -q)
-    members = []
     for slope in slopes:
         filling = (
             meridian_q * word_power(kp.longitude, slope.p) * word_power(lam, -slope.p)
@@ -146,5 +146,11 @@ def build_family(kp: KnotPresentation, q: int, p_values: Sequence[int]) -> Famil
         presentation = Presentation._of(
             linked.generators, linked.relators + tuple(map(Word._of, added))
         )
-        members.append(FamilyMember(slope, presentation, labels))
-    return FamilyResult(tuple(members), skipped)
+        yield FamilyMember(slope, presentation, labels)
+
+
+def build_family(kp: KnotPresentation, q: int, p_values: Sequence[int]) -> FamilyResult:
+    """Every member of ``family_members`` at once, and the p values it skips
+    (those not coprime to q), in input order; skipping is never fatal."""
+    members = tuple(family_members(kp, q, p_values))
+    return FamilyResult(members, tuple(p for p in p_values if gcd(p, q) != 1))

@@ -26,7 +26,6 @@ over its parsed entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache, partial
 from math import isqrt
 from operator import itemgetter
@@ -138,21 +137,31 @@ class ProductMemo(dict):
         return row
 
 
-# eq=False: a target is equal only to itself.  The generated __eq__ and
-# __hash__ would compare and hash every product of a full table, and a
-# ProductMemo's stored products are a cache, which equality must not read.
-@dataclass(frozen=True, eq=False)
+# A target is equal only to itself: it has no __eq__ or __hash__ of its own.
+# Comparing by value would compare and hash every product of a full table,
+# and a ProductMemo's stored products are a cache, which equality must not
+# read.  It keeps a __dict__, where its cached properties are stored.
 class FiniteTarget:
     """A finite permutation group with enumerated elements and lookup tables."""
 
-    name: str
-    degree: int
-    generators: tuple[Perm, ...]
-    elements: tuple[Perm, ...]
-    mult: tuple[tuple[int, ...], ...] | ProductMemo
-    inverse: tuple[int, ...]
-    # generator_rows[h][k] is the index of g_h * e_k (no rows at degree 1)
-    generator_rows: tuple[Sequence[int], ...]
+    def __init__(
+        self,
+        name: str,
+        degree: int,
+        generators: tuple[Perm, ...],
+        elements: tuple[Perm, ...],
+        mult: tuple[tuple[int, ...], ...] | ProductMemo,
+        inverse: tuple[int, ...],
+        generator_rows: tuple[Sequence[int], ...],
+    ) -> None:
+        self.name = name
+        self.degree = degree
+        self.generators = generators
+        self.elements = elements
+        self.mult = mult
+        self.inverse = inverse
+        # generator_rows[h][k] is the index of g_h * e_k (no rows at degree 1)
+        self.generator_rows = generator_rows
 
     @property
     def order(self) -> int:

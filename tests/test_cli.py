@@ -430,9 +430,9 @@ def test_verify_measures_each_distinct_route_once(capsys, monkeypatch):
     assert measured == [kp.group, route]
     # a route that simplifies to another group is measured and compared on its own
     other = surgery.dehn_surgery_group(kp, SurgerySlope(2, 1))
-    # the half comes from the family cli builds; its member is given the other group
-    family = FamilyResult((FamilyMember(SurgerySlope(1, 1), other, {}),), ())
-    monkeypatch.setattr(cli, "build_family", lambda kp, q, p_values: family)
+    # the half comes from the family members cli draws; its member is given the other group
+    member = FamilyMember(SurgerySlope(1, 1), other, {})
+    monkeypatch.setattr(cli, "family_members", lambda kp, q, p_values: iter((member,)))
     code, out, _ = run(argv, capsys)
     assert (code, measured[2:]) == (1, [fpgroup.tietze_simplify(other)])
     assert out.endswith(": FAIL\n")
@@ -1451,7 +1451,7 @@ def test_a_slope_past_the_word_limit_is_refused_before_anything_is_built(
     capsys, tmp_path, monkeypatch, argv, power
 ):
     calls = []
-    for name in ("build_family", "validate_peripheral", "dehn_surgery_group"):
+    for name in ("build_family", "family_members", "validate_peripheral", "dehn_surgery_group"):
         monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
     out = tmp_path / "out"
     code, stdout, err = run([*argv, "--braid", LONG_LONGITUDE_BRAID, "--out", str(out)], capsys)
@@ -1476,7 +1476,7 @@ def test_export_refuses_slopes_whose_longitude_powers_total_past_its_limit(
     # each p in 1..140 is under the word limit, but together they come to
     # 9870 * 7134 letters, about 310 MB of scripts
     calls = []
-    for name in ("dehn_surgery_group", "build_family"):
+    for name in ("dehn_surgery_group", "build_family", "family_members"):
         monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
     out = tmp_path / "out"
     argv = ["export", "--braid", LONG_LONGITUDE_BRAID, "--construction", construction]

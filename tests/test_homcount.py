@@ -491,6 +491,18 @@ def test_the_genus_2_mapping_torus_solves_for_its_third_generator():
     assert count_homomorphisms(group, target) == torus_hom_count(2, 5, target)
 
 
+def test_a_plan_holds_its_relators_own_letter_objects():
+    # a cached plan keeps its presentation alive, so the words of its steps
+    # reuse the relators' letters rather than hold copies of them; the plan
+    # is made afresh, past the cache, which may hold an equal presentation's
+    group = tietze_simplify(wirtinger_from_braid(parse_braid("1 -2 1 -2 1 1")).group)
+    plan = _plan.__wrapped__(group)
+    own = {id(letter): letter for r in group.relators for letter in r.letters}
+    letters = [letter for checks in plan.steps for steps in checks for _, u in steps for letter in u]
+    assert letters
+    assert all(own.get(id(letter)) is letter for letter in letters)
+
+
 @settings(max_examples=30)
 @given(small_presentations, st.randoms(use_true_random=False))
 def test_invariant_under_relator_reordering(p, rng):

@@ -276,6 +276,18 @@ def test_build_family_builds_the_shared_part_once_and_only_for_a_member(fig8, mo
     assert calls == []
 
 
+def test_family_members_are_built_one_at_a_time_on_one_shared_part(fig8, monkeypatch):
+    calls = _count_fresh_names(monkeypatch)
+    members = surgery.family_members(fig8, 2, range(-6, 7))
+    assert calls == []  # nothing is built before the first draw
+    assert next(members).slope.p == -5
+    assert len(calls) == 2  # mu and lam, once for every member
+    rest = [(m.slope.p, m.presentation) for m in members]
+    assert len(calls) == 2
+    expected = build_family(fig8, 2, range(-6, 7)).members[1:]
+    assert rest == [(m.slope.p, m.presentation) for m in expected]
+
+
 def test_build_family_order_independence(trefoil):
     forward = build_family(trefoil, 3, [1, 2, 4])
     backward = build_family(trefoil, 3, [4, 2, 1])
