@@ -12,9 +12,13 @@ Primary outputs are byte-deterministic for a fixed config; wall-clock
 metadata goes to a run_meta.json sidecar.  family caches one entry per
 (package version, knot source, suite) under <out>/.cache: each target's
 slope lattices of the knot group, off which every slope's spectrum is read.
+family, verify and export draw the halves of the double one at a time from
+surgery.family_members, so each holds one member's words at a time; no
+command builds a whole family.
 
 This is the only module that touches files: every input file is read by
-``_read_json``, at its size, and every output is written by ``_write``,
+``_read_json``, at its size and to a fixed nesting depth, and every output
+is written by ``_write``,
 which first reads back the old output (up to the new text's length + 1
 bytes), leaves an unchanged one alone and rewrites a changed one in place,
 cut to its new length.
@@ -28,11 +32,13 @@ import functools
 import hashlib
 import json
 import os
+import re
 import stat
 import sys
 import textwrap
 import time
 from datetime import datetime, timezone
+from itertools import accumulate
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from pathlib import Path
@@ -58,7 +64,14 @@ from .fpgroup import (
     to_free_group_script,
     word_to_json,
 )
-from .homcount import HomSpectrum, distinguish_report, hom_spectrum, slope_count, slope_lattices
+from .homcount import (
+    HomSpectrum,
+    distinguish_report,
+    hom_spectrum,
+    slope_count,
+    slope_counts,
+    slope_lattices,
+)
 from .knots import (
     KnotPresentation,
     builtin_knot,
@@ -71,9 +84,7 @@ from .smith import abelianization
 from .surgery import (
     MAX_ABS_P,
     MAX_Q,
-    FamilyResult,
     SurgerySlope,
-    build_family,
     dehn_surgery_group,
     family_members,
 )
@@ -104,10 +115,32 @@ MAX_SUITE_BYTES = 65_536
 # bounded by the suite file's size, but the largest bundled case measured,
 # "1 -2 1 -2 1 -2 1 -2 1 -2" over extended (126 lattices), takes 1804 bytes.
 MAX_CACHE_ENTRY_BYTES = 4 * MAX_SUITE_BYTES
-# export refuses a slope set whose filling relators' longitude powers would
-# total more letters: sum over the kept p of |p| * |longitude|.  Ten times the
-# one-word limit still lets the largest single slope through.
+# family and export refuse a slope set whose filling relators' longitude
+# powers would total more letters: sum over the kept p of |p| * |longitude|.
+# Ten times the one-word limit still lets the largest single slope through.
 MAX_EXPORT_LETTERS = 10 * MAX_WORD_LENGTH
+# Input files nested deeper than this are refused before they are decoded.  A
+# valid suite nests 3 deep, a monodromy file 4 and a cache entry 5; the bound
+# leaves room for fields that the readers ignore, and keeps the decoder's
+# recursion far from any interpreter's limit.
+MAX_JSON_DEPTH = 16
+# _json_depth cuts each escape, then every byte but brackets and double quotes.
+_ESCAPE = re.compile(rb"\\.", re.DOTALL)
+_NOT_BRACKET_OR_QUOTE = bytes(c for c in range(256) if c not in b'[]{}"')
+_DEPTH_STEPS = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1}
+
+
+def _json_depth(content: bytes) -> int:
+    """The deepest bracket nesting of a JSON document outside its strings.
+
+    Its escapes are cut, then every byte but brackets and double quotes, then
+    each run between two quotes (a string, to the end of the document if it
+    is not closed); no Python code runs per byte.  UTF-8 puts no ASCII byte
+    inside a character, so the bytes need not be decoded first.
+    """
+    kept = _ESCAPE.sub(b"", content).translate(None, _NOT_BRACKET_OR_QUOTE)
+    brackets = b"".join(kept.split(b'"')[::2])
+    return max(accumulate(map(_DEPTH_STEPS.__getitem__, brackets)), default=0)
 
 
 def _read_json(path: str | Path, limit: int, what: str, error: type) -> tuple[object, bytes]:
@@ -115,9 +148,9 @@ def _read_json(path: str | Path, limit: int, what: str, error: type) -> tuple[ob
 
     A regular file is read in one read of its size + 1 bytes.  A file that
     yields more than its size (a device, or one growing while it is read) is
-    read on, to at most limit + 1 bytes in all.  A file past limit bytes or
-    nested deeper than the decoder recurses raises error; one that is not
-    UTF-8 JSON, ValueError.
+    read on, to at most limit + 1 bytes in all.  A file past limit bytes, or
+    nested past MAX_JSON_DEPTH, raises error before it is decoded, on every
+    interpreter alike; one that is not UTF-8 JSON raises ValueError.
     """
     with open(path, "rb") as handle:
         size = os.fstat(handle.fileno()).st_size
@@ -126,10 +159,9 @@ def _read_json(path: str | Path, limit: int, what: str, error: type) -> tuple[ob
             content += handle.read(limit + 1 - len(content))
     if len(content) > limit:
         raise error(f"{what} file {path!r} is past the limit {limit} bytes")
-    try:
-        return json.loads(content.decode("utf-8")), content
-    except RecursionError:
-        raise error(f"{what} file {path!r} is nested too deeply") from None
+    if _json_depth(content) > MAX_JSON_DEPTH:
+        raise error(f"{what} file {path!r} is nested too deeply")
+    return json.loads(content.decode("utf-8")), content
 
 
 def _write(path: Path, text: str | Callable[[], Iterable[str]], atomic: bool = False) -> None:
@@ -405,16 +437,26 @@ def compute_spectra(
             payload = {"schema_version": SCHEMA_VERSION, "lattices": rows}
             with contextlib.suppress(OSError):
                 _write(path, json.dumps(payload, separators=(",", ":")) + "\n", atomic=True)
-    return [_spectrum(names, lattices, slope) for slope in slopes], hits
+    # one pass over each target's lattices counts every slope
+    pairs = [(slope.q, slope.p) for slope in slopes]
+    columns = [slope_counts(lattice, pairs) for lattice in lattices]
+    by_slope = zip(*columns) if columns else [()] * len(slopes)
+    return [HomSpectrum(tuple(zip(names, counts))) for counts in by_slope], hits
 
 
 def _enclosed(opening: str, items: list[str], closing: str, indent: str) -> str:
     """The items' texts between brackets, one item a line, as
-    json.dumps(indent=2) lays out a container placed at indent."""
+    json.dumps(indent=2) lays out a container placed at indent.
+
+    The brackets go into the first and the last item, which items keeps, so
+    that the text is made by one join: a long word's text is allocated once.
+    """
     if not items:
         return opening + closing
     inner = indent + "  "
-    return opening + "\n" + inner + (",\n" + inner).join(items) + "\n" + indent + closing
+    items[0] = opening + "\n" + inner + items[0]
+    items[-1] += "\n" + indent + closing
+    return (",\n" + inner).join(items)
 
 
 # In family_manifest.json a member record is placed at indent 4, its fields at
@@ -432,55 +474,77 @@ def _letter_texts(names: tuple[str, ...], indent: str) -> dict[Letter, str]:
     }
 
 
-def _word_text(word: Word, letters: dict[Letter, str], indent: str) -> str:
-    """The text of word_to_json(word, names) placed at indent, from the texts
-    of its letters at two spaces deeper; no Python code runs per letter."""
-    return _enclosed("[", list(map(letters.__getitem__, word.letters)), "]", indent)
+def _word_text(word: Word, letters: dict[Letter, str], indent: str, lead: str = "") -> str:
+    """The text of word_to_json(word, names) placed at indent, after lead,
+    from the texts of its letters at two spaces deeper; no Python code runs
+    per letter."""
+    return _enclosed(lead + "[", list(map(letters.__getitem__, word.letters)), "]", indent)
 
 
-def _manifest_chunks(config: RunConfig, family: FamilyResult) -> Iterator[str]:
-    """The text of family_manifest.json, one chunk per member.
+def _manifest_chunks(config: RunConfig, kp: KnotPresentation) -> Iterator[str]:
+    """The text of family_manifest.json, drawing the members of
+    family_members(kp, config.q, config.p_values) one at a time.
 
     The text is json.dumps(indent=2) of {schema_version, source, q, skipped_p,
-    members} and a newline, with members the {p, q, presentation, labels}
-    record of each member of the family, which has at least one.  Each word's
-    text joins the texts of its letters and is made once per (generator
-    tuple, word, indent): members share all words but their filling relator.
+    members} and a newline: skipped_p the p not coprime to q, and members the
+    {p, q, presentation, labels} record of each member, of which there is at
+    least one.  Each word's text joins the texts of its letters.  Members share
+    their generators, their labels and their first len(kp.group.relators) + 1
+    relators (the knot group's and [mu, lam]): the text of these is made once
+    per family and yielded as chunks of their own.  A member's other relators
+    (its filling relator, mu and lam) are made as they are written and then
+    dropped, so one member's text is held at a time.  A member that does not
+    share these with the one before has their text made again, so any
+    members are written right.
     """
     header = {
         "schema_version": SCHEMA_VERSION,
         "source": {"kind": config.source_kind, "value": config.source},
         "q": config.q,
-        "skipped_p": list(family.skipped),
+        "skipped_p": [p for p in config.p_values if gcd(p, config.q) != 1],
     }
-
-    @functools.cache
-    def word_texts(names: tuple[str, ...], indent: str) -> Callable[[Word], str]:
-        letters = _letter_texts(names, indent + "  ")
-        return functools.cache(lambda word: _word_text(word, letters, indent))
-
     # the header's text ends with "\n}"; members is its last key
     yield json.dumps(header, indent=2)[:-2] + ',\n  "members": ['
+    inner = ",\n" + _RELATOR_INDENT
+    shared_count = len(kp.group.relators) + 1
+    shared = None
     separator = "\n" + _MEMBER_INDENT
-    for member in family.members:
-        names = member.presentation.generators
-        relators = list(map(word_texts(names, _RELATOR_INDENT), member.presentation.relators))
-        label_text = word_texts(names, _LABEL_INDENT)
-        presentation = [
-            '"generators": '
-            + _enclosed("[", list(map(encode_basestring_ascii, names)), "]", _LABEL_INDENT),
-            '"relators": ' + _enclosed("[", relators, "]", _LABEL_INDENT),
-        ]
-        labels = [
-            f"{encode_basestring_ascii(role)}: {label_text(w)}" for role, w in member.labels.items()
-        ]
-        record = [
-            f'"p": {member.slope.p}',
-            f'"q": {member.slope.q}',
-            '"presentation": ' + _enclosed("{", presentation, "}", _FIELD_INDENT),
-            '"labels": ' + _enclosed("{", labels, "}", _FIELD_INDENT),
-        ]
-        yield separator + _enclosed("{", record, "}", _MEMBER_INDENT)
+    for member in family_members(kp, config.q, config.p_values):
+        names, relators = member.presentation.generators, member.presentation.relators
+        common_words, label_items = relators[:shared_count], tuple(member.labels.items())
+        if (names, common_words, label_items) != shared:
+            shared = names, common_words, label_items
+            letters = _letter_texts(names, _RELATOR_INDENT + "  ")
+            label_letters = _letter_texts(names, _LABEL_INDENT + "  ")
+            common = [_word_text(w, letters, _RELATOR_INDENT) for w in common_words]
+            # the presentation's fields up to the end of its shared relators
+            opening = (
+                f',\n{_FIELD_INDENT}"presentation": {{\n{_LABEL_INDENT}"generators": '
+                + _enclosed("[", list(map(encode_basestring_ascii, names)), "]", _LABEL_INDENT)
+                + f',\n{_LABEL_INDENT}"relators": ['
+                + (f"\n{_RELATOR_INDENT}" + inner.join(common) if common else "")
+            )
+            labels = [
+                f"{encode_basestring_ascii(role)}: {_word_text(w, label_letters, _LABEL_INDENT)}"
+                for role, w in label_items
+            ]
+            # the end of the relators (a member has its own relators only
+            # past shared ones), of the presentation, the labels and the record
+            closing = (
+                (f"\n{_LABEL_INDENT}]" if common else "]") + f"\n{_FIELD_INDENT}}},\n"
+                + f'{_FIELD_INDENT}"labels": ' + _enclosed("{", labels, "}", _FIELD_INDENT)
+                + f"\n{_MEMBER_INDENT}}}"
+            )
+        yield (
+            f'{separator}{{\n{_FIELD_INDENT}"p": {member.slope.p},'
+            f'\n{_FIELD_INDENT}"q": {member.slope.q}'
+        )
+        yield opening
+        # each of the member's own relators is a chunk of its own, led by its
+        # separator, so a long filling relator's text is made in one join
+        for word in relators[shared_count:]:
+            yield _word_text(word, letters, _RELATOR_INDENT, inner)
+        yield closing
         separator = ",\n" + _MEMBER_INDENT
     yield "\n  ]\n}\n"
 
@@ -502,6 +566,18 @@ def _refuse_long_slope(config: RunConfig, kp: KnotPresentation) -> None:
     for p in config.p_values:
         if gcd(p, config.q) == 1:
             refuse_long_power(len(kp.longitude), p)
+
+
+def _refuse_long_output(config: RunConfig, kp: KnotPresentation, command: str) -> None:
+    """Raises if the kept p's filling relators would put more than
+    MAX_EXPORT_LETTERS longitude letters into command's output: the sum over
+    the kept p of |p| * |longitude|."""
+    letters = len(kp.longitude) * sum(abs(p) for p in config.p_values if gcd(p, config.q) == 1)
+    if letters > MAX_EXPORT_LETTERS:
+        raise KnotSurgeryError(
+            f"the slopes' longitude powers would total {letters} letters,"
+            f" past the {command} limit {MAX_EXPORT_LETTERS}"
+        )
 
 
 def _slopes(config: RunConfig) -> Iterator[SurgerySlope]:
@@ -555,15 +631,13 @@ def cmd_family(config: RunConfig) -> int:
     _refuse_no_slope(config)
     kp, source = load_knot(config)
     _refuse_long_slope(config, kp)
-    family = build_family(kp, config.q, config.p_values)
-    for p in family.skipped:
-        _skip(p, config.q)
-
-    labels = [f"p={m.slope.p}" for m in family.members]
-    slopes = [m.slope for m in family.members]
+    _refuse_long_output(config, kp, "family")
+    slopes = list(_slopes(config))
+    labels = [f"p={slope.p}" for slope in slopes]
     spectra, hits = compute_spectra(slopes, config, source, kp)
 
-    manifest = functools.partial(_manifest_chunks, config, family)
+    # the manifest draws the members one at a time; the spectra need none
+    manifest = functools.partial(_manifest_chunks, config, kp)
     _write(config.out_dir / "family_manifest.json", manifest)
 
     csv_lines = ["label," + ",".join(spectra[0].target_names)]
@@ -627,12 +701,7 @@ def cmd_export(config: RunConfig) -> int:
         print(f"wrote {path}")
         return 0
     _refuse_long_slope(config, kp)
-    letters = len(kp.longitude) * sum(abs(p) for p in config.p_values if gcd(p, config.q) == 1)
-    if letters > MAX_EXPORT_LETTERS:
-        raise KnotSurgeryError(
-            f"the slopes' longitude powers would total {letters} letters,"
-            f" past the export limit {MAX_EXPORT_LETTERS}"
-        )
+    _refuse_long_output(config, kp, "export")
     if config.construction == "surgery":
         groups = ((slope, dehn_surgery_group(kp, slope)) for slope in _slopes(config))
     else:  # "half" or "double": the double is presented as one half

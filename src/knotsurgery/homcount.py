@@ -479,14 +479,23 @@ def slope_lattices(
     return lattices
 
 
-def slope_count(lattices: Mapping[tuple[int, int, int], int], q: int, p: int) -> int:
-    """|Hom(K(q/p), H)|: the summed weight of the knot group's ``slope_lattices``
-    into H that hold (q, p), those with n | p and q = c·(p/n) mod m."""
-    total = 0
+def slope_counts(
+    lattices: Mapping[tuple[int, int, int], int], slopes: Sequence[tuple[int, int]]
+) -> list[int]:
+    """|Hom(K(q/p), H)| for each (q, p) in slopes, in one pass over the knot
+    group's ``slope_lattices`` into H: the summed weight of those that hold
+    (q, p), the ones with n | p and q = c·(p/n) mod m."""
+    totals = [0] * len(slopes)
     for (m, c, n), w in lattices.items():
-        if p % n == 0 and (q - c * p // n) % m == 0:
-            total += w
-    return total
+        for i, (q, p) in enumerate(slopes):
+            if p % n == 0 and (q - c * p // n) % m == 0:
+                totals[i] += w
+    return totals
+
+
+def slope_count(lattices: Mapping[tuple[int, int, int], int], q: int, p: int) -> int:
+    """|Hom(K(q/p), H)| for one slope: see ``slope_counts``."""
+    return slope_counts(lattices, ((q, p),))[0]
 
 
 class HomSpectrum(NamedTuple):

@@ -109,10 +109,12 @@ def family_members(kp: KnotPresentation, q: int, p_values: Sequence[int]) -> Ite
     every kept slope is checked before anything is built, and a family with
     no member builds nothing.  Everything but the filling relator depends
     only on (knot, q) and is built once: the fresh generators mu, lam and
-    their commutator, the labels, meridian^q and mu^-q.  Each p then adds its
-    filling relator meridian^q longitude^p lam^-p mu^-q, mu and lam in one
-    presentation.  A member is built when it is drawn, so a caller that
-    drops each member before drawing the next holds one at a time.
+    their commutator, the labels, meridian^q and mu^-q, and the relators mu
+    and lam.  Each p then adds its filling relator meridian^q longitude^p
+    lam^-p mu^-q, mu and lam in one presentation, whose relators start with
+    the knot group's and [mu, lam], the same words for every member.  A
+    member is built when it is drawn, so a caller that drops each member
+    before drawing the next (as every command does) holds one at a time.
     """
     if q < 1:
         raise InvalidSlopeError(f"q must be >= 1, got {q}")
@@ -132,25 +134,38 @@ def family_members(kp: KnotPresentation, q: int, p_values: Sequence[int]) -> Ite
     }
     linked = base.extended((commutator(mu, lam),), (mu_name, lam_name))
     meridian_q = word_power(kp.meridian, q)
-    mu_inverse_q = word_power(mu, -q)
+    mu_inverse_q = word_power(mu, -q).letters
+    lam_inverse, lam_letter = lam.inverse().letters, lam.letters
+    # as in quotient_by_relators, a repeat is dropped; nothing is checked,
+    # since the relators are over the checked peripheral words and mu, lam.
+    # The filling relator ends in mu^-q, so it is never empty, and it can
+    # repeat mu or lam only at their length: mu^-1, where an empty meridian
+    # makes it so at p = 0, q = 1, which is kept and drops mu.
+    tail = _normalize_relators(w.letters for w in (mu, lam))
+    tail_lengths = {len(r) for r in tail}
+    tail_words = tuple(map(Word._of, tail))
     for slope in slopes:
-        filling = (
-            meridian_q * word_power(kp.longitude, slope.p) * word_power(lam, -slope.p)
-            * mu_inverse_q
-        )
-        # as in quotient_by_relators, a repeat is dropped: mu, where an empty
-        # meridian makes the filling relator mu^-1 at p = 0, q = 1; nothing
-        # is checked, since the relators are over the checked peripheral
-        # words and mu, lam
-        added = _normalize_relators(w.letters for w in (filling, mu, lam))
-        presentation = Presentation._of(
-            linked.generators, linked.relators + tuple(map(Word._of, added))
-        )
+        p = slope.p
+        # lam^-p mu^-q shares no generator with meridian^q longitude^p, so
+        # nothing cancels where they meet, and no letter cancels mu^-1 at
+        # the end, so the relator is cyclically reduced as it stands
+        head = (meridian_q * word_power(kp.longitude, p)).letters
+        filling = Word._of(head + (lam_inverse if p > 0 else lam_letter) * abs(p) + mu_inverse_q)
+        if len(filling) in tail_lengths:
+            added = tuple(map(Word._of, _normalize_relators([filling.letters, *tail])))
+        else:
+            added = (filling, *tail_words)
+        presentation = Presentation._of(linked.generators, linked.relators + added)
         yield FamilyMember(slope, presentation, labels)
 
 
 def build_family(kp: KnotPresentation, q: int, p_values: Sequence[int]) -> FamilyResult:
     """Every member of ``family_members`` at once, and the p values it skips
-    (those not coprime to q), in input order; skipping is never fatal."""
+    (those not coprime to q), in input order; skipping is never fatal.
+
+    It holds the whole family, so no command calls it: the commands draw
+    ``family_members`` one member at a time.  The demo script, the benchmark
+    and the tests read this tuple.
+    """
     members = tuple(family_members(kp, q, p_values))
     return FamilyResult(members, tuple(p for p in p_values if gcd(p, q) != 1))

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from math import gcd
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -331,25 +332,34 @@ def families(draw):
         presentation = Presentation(names, tuple(draw(st.lists(words, max_size=3))))
         labels = draw(st.dictionaries(_names, words, max_size=4))
         members.append(FamilyMember(SurgerySlope(p, q), presentation, labels))
-    skipped = tuple(draw(st.lists(st.integers(-MAX_ABS_P, MAX_ABS_P), max_size=3)))
+    # the skipped p are those not coprime to q, which q = 1 has none of
+    skipped_p = st.integers(-MAX_ABS_P, MAX_ABS_P).filter(lambda p: gcd(p, q) != 1)
+    skipped = tuple(draw(st.lists(skipped_p, max_size=3 if q > 1 else 0, unique=True)))
     kind = draw(st.sampled_from(["braid", "builtin", "monodromy"]))
     # a braid reaches the manifest only once it parses
     source = draw(spaced_knot_braids())[1] if kind == "braid" else draw(_names)
-    config = cli.RunConfig(source_kind=kind, source=source, q=q)
+    config = cli.RunConfig(source_kind=kind, source=source, q=q, p_values=(*ps, *skipped))
     return config, FamilyResult(tuple(members), skipped)
 
 
-@given(families())
-@example((
-    cli.RunConfig(source_kind="monodromy", source='d\\"é.json', q=2),
-    FamilyResult(
-        (FamilyMember(SurgerySlope(1, 2), Presentation(('"', "é")), {}),
-         FamilyMember(SurgerySlope(-3, 2), Presentation(('"', "é")), {"\\": Word(((1, -1),))})),
-        (2, 4),
+@given(families(), st.sampled_from(["unknot", "trefoil", "fig8"]))
+@example(
+    (
+        cli.RunConfig(source_kind="monodromy", source='d\\"é.json', q=2, p_values=(1, -3, 2, 4)),
+        FamilyResult(
+            (FamilyMember(SurgerySlope(1, 2), Presentation(('"', "é")), {}),
+             FamilyMember(SurgerySlope(-3, 2), Presentation(('"', "é")), {"\\": Word(((1, -1),))})),
+            (2, 4),
+        ),
     ),
-))
-def test_streamed_manifest_matches_json_dumps_of_the_records(drawn):
+    "trefoil",
+)
+def test_streamed_manifest_matches_json_dumps_of_the_records(drawn, knot):
+    # the manifest draws its members from cli.family_members; here they are
+    # the drawn ones, and the knot sets how many leading relators the
+    # manifest takes to be shared (0, 1 or 2 knot group relators, and one more)
     config, family = drawn
+    kp = builtin_knot(knot)
     value = config.source
     if config.source_kind == "braid":
         value = " ".join(map(str, braids.parse_braid(value).letters))
@@ -360,7 +370,13 @@ def test_streamed_manifest_matches_json_dumps_of_the_records(drawn):
         "skipped_p": list(family.skipped),
         "members": old_family_manifest(family),
     }
-    streamed = "".join(cli._manifest_chunks(config, family))
+
+    def drawn_members(knot_group, q, p_values):
+        assert (knot_group, q, p_values) == (kp, config.q, config.p_values)
+        return iter(family.members)
+
+    with mock.patch.object(cli, "family_members", drawn_members):
+        streamed = "".join(cli._manifest_chunks(config, kp))
     assert streamed == json.dumps(document, indent=2) + "\n"
 
 
@@ -793,22 +809,63 @@ def test_a_rerun_whose_outputs_shrink_leaves_nothing_of_the_longer_ones(capsys, 
     assert json.loads(meta.read_text())["cache_hits"] == 3
 
 
-def test_the_manifest_makes_each_distinct_word_text_once(monkeypatch):
-    config = cli.RunConfig(source_kind="builtin", source="fig8", q=1)
-    family = build_family(builtin_knot("fig8"), 1, range(-6, 7))
-    assert len(family.members) == 13
+def test_the_manifest_makes_each_shared_word_text_once_a_family(monkeypatch):
+    # the words every member shares (the knot group's relators, [mu, lam] and
+    # the labels) are made once per family; the member's own relators
+    # (filling, mu, lam) once per member, as they are written
+    kp = builtin_knot("fig8")
+    config = cli.RunConfig(source_kind="builtin", source="fig8", q=1, p_values=tuple(range(-6, 7)))
+    members = build_family(kp, 1, config.p_values).members
+    assert len(members) == 13
     made = []
     word_text = cli._word_text
 
-    def counting(word, letters, indent):
+    def counting(word, letters, indent, *lead):
         made.append((word, indent))
-        return word_text(word, letters, indent)
+        return word_text(word, letters, indent, *lead)
 
     monkeypatch.setattr(cli, "_word_text", counting)
-    "".join(cli._manifest_chunks(config, family))
-    placed = {(r, cli._RELATOR_INDENT) for m in family.members for r in m.presentation.relators}
-    placed |= {(w, cli._LABEL_INDENT) for m in family.members for w in m.labels.values()}
-    assert sorted(map(repr, made)) == sorted(map(repr, placed))
+    "".join(cli._manifest_chunks(config, kp))
+    shared = len(kp.group.relators) + 1
+    expected = [(r, cli._RELATOR_INDENT) for r in members[0].presentation.relators[:shared]]
+    expected += [(w, cli._LABEL_INDENT) for w in members[0].labels.values()]
+    for member in members:
+        assert member.presentation.relators[:shared] == members[0].presentation.relators[:shared]
+        expected += [(r, cli._RELATOR_INDENT) for r in member.presentation.relators[shared:]]
+    assert len(made) == shared + 4 + 13 * 3
+    assert sorted(map(repr, made)) == sorted(map(repr, expected))
+
+
+def test_family_writes_each_member_before_it_draws_the_next(capsys, tmp_path, monkeypatch):
+    # cmd_family never holds the whole family: the manifest draws a member
+    # from family_members, writes its text, then draws the next
+    def whole_family(*args):
+        raise AssertionError("build_family called")
+
+    monkeypatch.setattr(surgery, "build_family", whole_family)
+    monkeypatch.setattr(cli, "build_family", whole_family, raising=False)
+    events = []
+    family_members, manifest_chunks = cli.family_members, cli._manifest_chunks
+
+    def drawing(kp, q, p_values):
+        for member in family_members(kp, q, p_values):
+            events.append(("draw", member.slope.p))
+            yield member
+
+    def writing(*args):
+        for chunk in manifest_chunks(*args):
+            events.append(("chunk", None))
+            yield chunk
+
+    monkeypatch.setattr(cli, "family_members", drawing)
+    monkeypatch.setattr(cli, "_manifest_chunks", writing)
+    argv = ["family", "--builtin", "fig8", "--q", "2", "--p=-6..6", "--out", str(tmp_path)]
+    assert run(argv, capsys)[0] in (0, 3)
+    kept = [p for p in range(-6, 7) if p % 2]
+    assert [p for kind, p in events if kind == "draw"] == kept
+    # each draw comes after the previous member's chunks and before its own
+    runs = [kind for kind, _ in itertools.groupby(kind for kind, _ in events)]
+    assert runs == ["chunk", "draw"] * len(kept) + ["chunk"]
 
 
 @pytest.mark.parametrize("name", [*_OUTPUTS, "run_meta.json"])
@@ -1067,7 +1124,8 @@ def test_malformed_suite_files_exit_2(capsys, tmp_path):
 
 
 def _deeply_nested(path):
-    # 16000 bytes, under MAX_MONODROMY_BYTES, but deeper than the JSON decoder recurses
+    # 16000 bytes, under MAX_MONODROMY_BYTES, but nested far past MAX_JSON_DEPTH,
+    # and deeper than the JSON decoder recurses on CPython 3.11 and 3.12
     path.write_text("[" * 8000 + "]" * 8000)
     return path
 
@@ -1107,6 +1165,63 @@ def test_deeply_nested_cache_entry_is_a_miss(capsys, tmp_path):
     assert (tmp_path / "spectra.csv").read_bytes() == spectra
     assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 0
     assert entry.read_bytes() == written
+
+
+def test_a_suite_file_is_refused_just_past_the_nesting_limit(capsys, tmp_path):
+    # a suite nests 3 deep, and a field that the reader ignores may nest
+    # deeper, up to the limit: the suite list, the entry object, then lists
+    def suite(depth):
+        note = 0
+        for _ in range(depth - 2):
+            note = [note]
+        return [{"name": "C2", "degree": 2, "generators": ["(1 2)"], "note": note}]
+
+    path = tmp_path / "suite.json"
+    argv = ["knot", "--builtin", "fig8", "--targets", str(path)]
+    path.write_text(json.dumps(suite(cli.MAX_JSON_DEPTH)))
+    assert run(argv, capsys)[0] == 0
+    path.write_text(json.dumps(suite(cli.MAX_JSON_DEPTH + 1)))
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: target-suite file {str(path)!r} is nested too deeply\n"
+
+
+@pytest.mark.parametrize(
+    "text, depth",
+    [
+        ("1", 0),
+        ('{"a": [1, {"b": []}]}', 4),
+        ('["[[[[", "]]}"]', 1),  # brackets in a string do not nest
+        ('["\\"[[", [["\\\\"]]]', 3),  # nor after an escaped quote; \\ escapes no quote
+        ('["é[", ["😀{"]]', 2),  # UTF-8 puts no ASCII byte inside a character
+        ('["[[[', 1),  # a string left open runs to the end
+        ("[" * 8000 + "]" * 8000, 8000),
+    ],
+)
+def test_json_depth_counts_brackets_outside_strings(text, depth):
+    assert cli._json_depth(text.encode()) == depth
+
+
+_json_strings = st.text(st.characters(codec="utf-8"), max_size=4) | st.sampled_from(
+    ["[", "]{", '"[', "\\", '\\"]', "\\["]
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | _json_strings,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_json_strings, inner, max_size=3),
+    max_leaves=12,
+)
+
+
+def _nesting(value):
+    if isinstance(value, (list, dict)):
+        items = value.values() if isinstance(value, dict) else value
+        return 1 + max(map(_nesting, items), default=0)
+    return 0
+
+
+@given(_json_values, st.booleans())
+def test_json_depth_is_the_nesting_of_the_encoded_value(value, ascii):
+    assert cli._json_depth(json.dumps(value, ensure_ascii=ascii).encode()) == _nesting(value)
 
 
 _LATTICE_FIELDS = ("m", "c", "n", "count")  # a lattice's count is its weight
@@ -1451,7 +1566,7 @@ def test_a_slope_past_the_word_limit_is_refused_before_anything_is_built(
     capsys, tmp_path, monkeypatch, argv, power
 ):
     calls = []
-    for name in ("build_family", "family_members", "validate_peripheral", "dehn_surgery_group"):
+    for name in ("family_members", "validate_peripheral", "dehn_surgery_group"):
         monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
     out = tmp_path / "out"
     code, stdout, err = run([*argv, "--braid", LONG_LONGITUDE_BRAID, "--out", str(out)], capsys)
@@ -1476,7 +1591,7 @@ def test_export_refuses_slopes_whose_longitude_powers_total_past_its_limit(
     # each p in 1..140 is under the word limit, but together they come to
     # 9870 * 7134 letters, about 310 MB of scripts
     calls = []
-    for name in ("dehn_surgery_group", "build_family", "family_members"):
+    for name in ("dehn_surgery_group", "family_members"):
         monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
     out = tmp_path / "out"
     argv = ["export", "--braid", LONG_LONGITUDE_BRAID, "--construction", construction]
@@ -1491,6 +1606,55 @@ def test_export_refuses_slopes_whose_longitude_powers_total_past_its_limit(
     # the gcd filter runs first: at q = 2 only the odd p count
     code, _, err = run([*argv, "--q=2", "--p=1..140", "--out", str(out)], capsys)
     assert code == 2 and "total 34956600 letters" in err
+
+
+def test_family_refuses_slopes_whose_longitude_powers_total_past_the_export_limit(
+    capsys, tmp_path, monkeypatch
+):
+    # each p in 1..140 is under the word limit, but the manifest would hold
+    # 9870 * 7134 longitude letters, about 5 GB of JSON; nothing is searched,
+    # built or written
+    calls = []
+    for name in ("family_members", "validate_peripheral", "compute_spectra"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: calls.append(name))
+    out = tmp_path / "out"
+    argv = ["family", "--braid", LONG_LONGITUDE_BRAID, "--no-cache", "--out", str(out)]
+    code, stdout, err = run([*argv, "--p=1..140"], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == (
+        "error: the slopes' longitude powers would total 70412580 letters,"
+        " past the family limit 10000000\n"
+    )
+    assert not out.exists()
+    assert calls == []
+    # the gcd filter runs first: at q = 2 only the odd p count, and prints no
+    # skip line before the refusal
+    code, stdout, err = run([*argv, "--q=2", "--p=1..140"], capsys)
+    assert (code, stdout) == (2, "") and "total 34956600 letters" in err
+    assert not out.exists()
+
+
+def test_family_output_limit_counts_only_the_kept_slopes(capsys, tmp_path, monkeypatch):
+    # p = 1..52 comes to 1378 * 7134 = 9830652 letters, under the limit, and
+    # 1..53 to 1431 * 7134, past it; at q = 2 the even p are skipped, so 1..53
+    # keeps 27 slopes of 729 * 7134 letters
+    class Reached(Exception):
+        pass
+
+    kept = []
+
+    def spectra(slopes, *args):
+        kept.append(len(slopes))
+        raise Reached
+
+    monkeypatch.setattr(cli, "compute_spectra", spectra)
+    argv = ["family", "--braid", LONG_LONGITUDE_BRAID, "--no-cache", "--out", str(tmp_path / "out")]
+    code, _, err = run([*argv, "--p=1..53"], capsys)
+    assert code == 2 and "total 10208754 letters" in err and kept == []
+    for p_spec in ("--q=2", "--p=1..53"), ("--p=1..52",):
+        with pytest.raises(Reached):
+            main([*argv, *p_spec])
+    assert kept == [27, 52]
 
 
 def test_option_strings_of_each_subcommand():
