@@ -68,7 +68,6 @@ from .homcount import (
     HomSpectrum,
     distinguish_report,
     hom_spectrum,
-    slope_count,
     slope_counts,
     slope_lattices,
 )
@@ -128,6 +127,7 @@ MAX_JSON_DEPTH = 16
 _ESCAPE = re.compile(rb"\\.", re.DOTALL)
 _NOT_BRACKET_OR_QUOTE = bytes(c for c in range(256) if c not in b'[]{}"')
 _DEPTH_STEPS = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1}
+_SLICE = 1 << 20  # the characters of a chunk that _write compares or writes at a time
 
 
 def _json_depth(content: bytes) -> int:
@@ -168,10 +168,10 @@ def _write(path: Path, text: str | Callable[[], Iterable[str]], atomic: bool = F
     """Write text, or the chunks that a call of text returns, to path as
     UTF-8, making path's directory if it is missing.
 
-    Chunks go to the file one at a time, so a large document need not be held
-    in memory whole.  Only cache entries are atomic (a temporary file, then a
-    rename), so that a reader never sees a partial entry.  A failed atomic
-    write removes its temporary file.
+    Chunks go to the file one at a time, a long one _SLICE characters at a
+    time, so no document is held whole and no long chunk held again encoded
+    or read back.  Cache entries alone are atomic (a temporary file, then a
+    rename, removed if the write fails), so a reader never sees a partial one.
 
     Any other write first reads back the regular file at path, at most the
     new text's length + 1 bytes, and leaves it alone (mtime kept) if it
@@ -183,12 +183,19 @@ def _write(path: Path, text: str | Callable[[], Iterable[str]], atomic: bool = F
     cache entries stay atomic.  A path that is not a regular file is
     written without being read.
     """
-    chunks = (lambda: (text,)) if isinstance(text, str) else text
+
+    def chunks() -> Iterator[str]:
+        for part in (text,) if isinstance(text, str) else text():
+            if len(part) > _SLICE:
+                yield from (part[i : i + _SLICE] for i in range(0, len(part), _SLICE))
+            else:
+                yield part
+
     if not atomic:
         with contextlib.suppress(OSError):
             if stat.S_ISREG(os.stat(path).st_mode):
                 with open(path, "rb") as old:
-                    new = (chunk.encode("utf-8") for chunk in chunks())
+                    new = map(str.encode, chunks())  # UTF-8
                     if all(old.read(len(chunk)) == chunk for chunk in new) and not old.read(1):
                         return
     target = path.with_name(f"{path.name}.{os.getpid()}.tmp") if atomic else path
@@ -397,11 +404,15 @@ def _slope_lattices(kp: KnotPresentation, suite: Sequence[FiniteTarget]) -> tupl
     return tuple(map(slope_lattices, report.tables, suite))
 
 
-def _spectrum(names: Sequence[str], lattices: Sequence[dict], slope: SurgerySlope) -> HomSpectrum:
-    """The slope's spectrum read off the knot group's slope lattices into the named targets."""
-    return HomSpectrum(tuple(
-        (name, slope_count(lattice, slope.q, slope.p)) for name, lattice in zip(names, lattices)
-    ))
+def _spectra(
+    names: Sequence[str], lattices: Sequence[dict], slopes: Sequence[SurgerySlope]
+) -> list[HomSpectrum]:
+    """Each slope's spectrum read off the knot group's slope lattices into the
+    named targets, in one pass over each target's lattices."""
+    pairs = [(slope.q, slope.p) for slope in slopes]
+    columns = [slope_counts(lattice, pairs) for lattice in lattices]
+    by_slope = zip(*columns) if columns else [()] * len(slopes)
+    return [HomSpectrum(tuple(zip(names, counts))) for counts in by_slope]
 
 
 def compute_spectra(
@@ -437,11 +448,7 @@ def compute_spectra(
             payload = {"schema_version": SCHEMA_VERSION, "lattices": rows}
             with contextlib.suppress(OSError):
                 _write(path, json.dumps(payload, separators=(",", ":")) + "\n", atomic=True)
-    # one pass over each target's lattices counts every slope
-    pairs = [(slope.q, slope.p) for slope in slopes]
-    columns = [slope_counts(lattice, pairs) for lattice in lattices]
-    by_slope = zip(*columns) if columns else [()] * len(slopes)
-    return [HomSpectrum(tuple(zip(names, counts))) for counts in by_slope], hits
+    return _spectra(names, lattices, slopes), hits
 
 
 def _enclosed(opening: str, items: list[str], closing: str, indent: str) -> str:
@@ -672,12 +679,11 @@ def cmd_verify(config: RunConfig) -> int:
     # _slopes prints each skip line as zip reaches it, the last ones too
     for slope, half in zip(_slopes(config), halves):
         routes = [tietze_simplify(g) for g in (dehn_surgery_group(kp, slope), half.presentation)]
-        # the two routes usually simplify to one presentation: the Smith form
-        # cache decomposes it once, and the search engine keeps its counts
+        # the two routes usually simplify to one presentation, decomposed and searched once
         ab_surgery, ab_half = map(abelianization, routes)
         spec_surgery, spec_half = (hom_spectrum(g, suite) for g in routes)
         ok = ab_surgery == ab_half and (
-            spec_surgery == spec_half == _spectrum(config.suite.names, lattices, slope)
+            spec_surgery == spec_half == _spectra(config.suite.names, lattices, (slope,))[0]
         )
         all_ok = all_ok and ok
         status = "PASS" if ok else "FAIL"

@@ -273,7 +273,7 @@ class Presentation:
     A relator letter (g, e) refers to generators[g].
     """
 
-    __slots__ = ("generators", "relators", "_hash")
+    __slots__ = ("generators", "relators", "_hash", "__weakref__")
 
     def __init__(self, generators: Iterable[str], relators: Iterable[Word] = ()) -> None:
         gens = _checked_names(generators)
@@ -286,8 +286,8 @@ class Presentation:
             return NotImplemented
         return self.generators == other.generators and self.relators == other.relators
 
-    # The search plan and the Smith form are cached by presentation, so a
-    # presentation is hashed on every count; its hash is taken once and kept.
+    # The search plan and the Smith form are kept in memos weakly keyed by it, so
+    # a presentation is hashed on every count; its hash is taken once and kept.
     # String hashes differ between processes, so a pickle or a copy carries
     # only the generators and relators (``__reduce__`` rebuilds through
     # ``_of``), and the hash is taken afresh on the other side.

@@ -2,7 +2,7 @@
 
 Counts into an abelian target are solved for from H1 (below).  Everything
 else goes through one depth-first search, ``weighted_homomorphisms`` on the
-presentation's cached plan, which assigns generator images one generator at
+presentation's kept plan, which assigns generator images one generator at
 a time.  Generators are ordered so that relators acquire full support as
 early as possible (relators with the smallest support are scheduled first),
 and a branch is pruned the moment any fully assigned relator fails to
@@ -98,32 +98,31 @@ search of the knot group into H and sums the weights by (φ(m), φ(l)).
 (x, y) with a^x = b^-y form a subgroup of Z^2 (powers of one element
 commute), spanned by (m, 0) and (c, n), where m is the order of a, n the
 least y > 0 with b^-y in <a>, and a^c = b^-n with 0 <= c < m.
-``slope_count`` sums the weights of the lattices holding (q, p), n | p and
-q = c·(p/n) mod m: integer arithmetic with no target.  The weighted count
-is exact although each weight stands for a whole conjugation orbit of
-homomorphisms that the table files under one representative's pair:
-conjugating φ by z conjugates both images by z, which keeps their lattice.
+``slope_counts`` sums, per slope (q, p), the weights of the lattices holding
+it, n | p and q = c·(p/n) mod m: integer arithmetic with no target.  The
+weighted count is exact although each weight stands for a whole conjugation
+orbit of homomorphisms that the table files under one representative's
+pair: conjugating φ by z conjugates both images by z, which keeps their
+lattice.
 
-Counts are kept.  ``count_homomorphisms`` files each |Hom(G, H)| in
-``_SearchPlan.counts``, on the plan that ``_plan`` caches for the
-presentation (the 64 most recently used, keyed by presentation equality),
-under the identity of the target.  Counting a group into a target again then
-costs a dictionary read, and two equal presentations built by different
-routes share one count: the surgery quotient and the half of the double,
-which Tietze takes to one presentation in every op of the benchmark's knot
-census, are searched once.  The memo is a ``WeakKeyDictionary``, so a count
-lasts while its plan stays cached and its target lives, and no target, nor
-its tables, is kept alive by it.  It is keyed by identity, not by name: a
-target closed afresh is searched afresh, whatever its name.  The hash of the
-presentation is taken once per count, by the ``_plan`` lookup.
-``weighted_homomorphisms``, ``iter_homomorphisms`` and ``peripheral_table``
-keep nothing past their own run.
+Counts are kept while their presentation lives.  ``_plan`` keeps each plan
+in ``_PLANS``, a ``WeakKeyDictionary`` that looks a presentation up by
+equality and drops the entry with the presentation it was made for, so an
+equal one that outlives it makes its plan again; no plan refers to its
+presentation, as its steps hold the relators' letters.
+``count_homomorphisms`` files each |Hom(G, H)| in the plan's ``counts``,
+weakly keyed by the target's identity, not its name, so a count keeps no
+target alive and a target closed afresh is searched afresh.  Counting a
+group into a target again costs a dictionary read, and equal live
+presentations share one plan: the surgery quotient and the half of the
+double, which Tietze takes to one presentation in every op of the
+benchmark's knot census, are searched once.  ``weighted_homomorphisms``,
+``iter_homomorphisms`` and ``peripheral_table`` keep nothing past their run.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from weakref import WeakKeyDictionary
@@ -163,8 +162,8 @@ def _steps(letters: tuple[Letter, ...], g: int) -> tuple[_Step, ...]:
     """Rotate a relator to start at a letter g^±1 and cut it before every g^±1.
 
     A cyclic rotation is a conjugate, so it is the identity exactly when the
-    relator is.  The words hold the relator's own letter objects, so a
-    cached plan adds no letter of its own to its presentation's.
+    relator is.  The words hold the relator's own letter objects, so a kept
+    plan adds no letter of its own to its presentation's.
     """
     start = next(i for i, (gen, _) in enumerate(letters) if gen == g)
     steps: list[tuple[int, list[Letter]]] = []
@@ -242,8 +241,12 @@ def _links(relators: Sequence[Word], order: Sequence[int]) -> tuple[tuple[int, b
 
 # hom_spectrum and validate_peripheral search one presentation into each
 # target of a suite in turn; the plan depends on the presentation alone.
-@lru_cache(maxsize=64)
+_PLANS: WeakKeyDictionary[Presentation, _SearchPlan] = WeakKeyDictionary()
+
+
 def _plan(p: Presentation) -> _SearchPlan:
+    if (plan := _PLANS.get(p)) is not None:
+        return plan
     # within a relator, the generator that occurs least often is placed last,
     # where each candidate image costs one step per occurrence
     supports = []
@@ -271,14 +274,14 @@ def _plan(p: Presentation) -> _SearchPlan:
         next((i for i, s in enumerate(checks) if len(s) == 2 and s[0][0] != s[1][0]), None)
         for checks in steps
     )
-    return _SearchPlan(
+    return _PLANS.setdefault(p, _SearchPlan(
         tuple(order),
         bound,
         tuple(tuple(s) for s in steps),
         _links(p.relators, order),
         solve,
         WeakKeyDictionary(),
-    )
+    ))
 
 
 def evaluate_word(
@@ -392,14 +395,14 @@ def count_homomorphisms(p: Presentation, target: FiniteTarget) -> int:
     """Exact |Hom(G, H)| for the presented group G and finite target H.
 
     An abelian H is counted from G's Smith form, any other by the search.
-    The count is kept in ``_SearchPlan.counts`` of the presentation's cached
-    plan, so counting a group into a target again costs a dictionary read.
-    Plans are cached by presentation equality: the surgery and half-double
-    routes, which Tietze usually takes to one presentation, share an entry.
-    The target is held by a weak reference and the memo is keyed by its
-    identity, not its name, so a count lives as long as both its target and
-    the plan's place in the cache, keeps no target alive, and a target closed
-    afresh is searched afresh.
+    The count is kept in ``_SearchPlan.counts`` of the presentation's plan,
+    so counting a group into a target again costs a dictionary read.  Plans
+    are looked up by presentation equality and kept while the presentation
+    they were made for lives: the surgery and half-double routes, which
+    Tietze usually takes to one presentation, share one.  The memo is keyed
+    by the target's identity, not its name, through a weak reference, so a
+    count lives while its target and its plan do, keeps no target alive, and
+    a target closed afresh is searched afresh.
     """
     plan = _plan(p)
     count = plan.counts.get(target)
@@ -491,11 +494,6 @@ def slope_counts(
             if p % n == 0 and (q - c * p // n) % m == 0:
                 totals[i] += w
     return totals
-
-
-def slope_count(lattices: Mapping[tuple[int, int, int], int], q: int, p: int) -> int:
-    """|Hom(K(q/p), H)| for one slope: see ``slope_counts``."""
-    return slope_counts(lattices, ((q, p),))[0]
 
 
 class HomSpectrum(NamedTuple):

@@ -7,9 +7,9 @@ That one decomposition gives the cokernel Z^n / (row lattice of M) from D,
 the right kernel {u : M u = 0} as the columns of V past the rank, and row
 lattice membership: r = x·M for an integer x exactly when (r·V)_k is a
 multiple of D_k below the rank and 0 past it.  ``relation_smith_form``
-keeps the decomposition of each presentation's relation matrix, so H1, the
-peripheral checks, the Alexander polynomial's abelianization map and the
-counts into abelian targets decompose a presentation once between them.
+keeps the decomposition of each presentation's relation matrix while the
+presentation lives, so H1, the peripheral checks, the Alexander polynomial's
+abelianization map and the counts into abelian targets decompose it once.
 
 Pivots are chosen as the smallest nonzero absolute value, ties broken
 row-major.  The rule is deterministic but does not bound entry growth:
@@ -20,9 +20,9 @@ random 12x12 matrix over {0, 0, 1, -1, 2} (``random.Random(1)``) runs past
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd
 from typing import NamedTuple, Sequence
+from weakref import WeakKeyDictionary
 
 from .fpgroup import Presentation
 
@@ -185,14 +185,18 @@ def relation_matrix(p: Presentation) -> list[list[int]]:
     return [list(r.exponent_vector(n)) for r in p.relators]
 
 
-@lru_cache(maxsize=64)
-def relation_smith_form(p: Presentation) -> SmithNormalForm:
-    """The Smith normal form of p's relation matrix, kept per presentation.
+_FORMS: WeakKeyDictionary[Presentation, SmithNormalForm] = WeakKeyDictionary()
 
-    Kept for the 64 most recently used presentations, keyed by equality, so
-    two equal presentations built by different routes share one entry.
+
+def relation_smith_form(p: Presentation) -> SmithNormalForm:
+    """The Smith normal form of p's relation matrix, kept while p lives.
+
+    Looked up by equality, so equal presentations built by different routes
+    share one form; an equal one that outlives p decomposes again.
     """
-    return smith_normal_form(relation_matrix(p), len(p.generators))
+    if (snf := _FORMS.get(p)) is not None:
+        return snf
+    return _FORMS.setdefault(p, smith_normal_form(relation_matrix(p), len(p.generators)))
 
 
 def abelianization(p: Presentation) -> AbelianInvariants:

@@ -162,6 +162,8 @@ class FiniteTarget:
         self.inverse = inverse
         # generator_rows[h][k] is the index of g_h * e_k (no rows at degree 1)
         self.generator_rows = generator_rows
+        self._centralizers: dict[int, list[int]] = {}
+        self._orbit_cache: dict[tuple[int, int | None], tuple[tuple[int, int], ...]] = {}
 
     @property
     def order(self) -> int:
@@ -228,10 +230,6 @@ class FiniteTarget:
             members.append(tuple(sorted(orbit)))
         return class_of, members, conjugator
 
-    @cached_property
-    def _centralizers(self) -> dict[int, list[int]]:
-        return {}
-
     def _centralizer(self, j: int) -> list[int]:
         """C_H(rep), with rep class j's representative; kept per class.
 
@@ -243,8 +241,7 @@ class FiniteTarget:
         subgroup is closed under left multiplication by their rows until
         it has |H| / |class| elements.
         """
-        group = self._centralizers.get(j)
-        if group is not None:
+        if (group := self._centralizers.get(j)) is not None:
             return group
         mult, inverse = self.mult, self.inverse
         _, members, conjugator = self._classes
@@ -283,10 +280,6 @@ class FiniteTarget:
         left, back = mult[conjugator[y]], self.inverse[conjugator[x]]
         return [left[mult[c][back]] for c in self._centralizer(j)]
 
-    @cached_property
-    def _orbit_cache(self) -> dict[tuple[int, int | None], tuple[tuple[int, int], ...]]:
-        return {}
-
     def centralizer_orbits(self, j: int, k: int | None = None) -> tuple[tuple[int, int], ...]:
         """(representative, orbit size) per orbit under conjugation by C_H(c),
         with c the representative of the j-th conjugacy class.
@@ -307,9 +300,8 @@ class FiniteTarget:
         Burnside's lemma.  The result is cached on this target, per (j, k),
         on first use.
         """
-        cache = self._orbit_cache
-        if (j, k) in cache:
-            return cache[j, k]
+        if (orbits := self._orbit_cache.get((j, k))) is not None:
+            return orbits
         _, members, _ = self._classes
         if len(members[j]) == 1:
             found = [(m[0], len(m)) for m in (members if k is None else members[k : k + 1])]
@@ -326,8 +318,7 @@ class FiniteTarget:
                 for y in orbit:
                     seen[y] = 1
                 found.append((rep, len(orbit)))
-        orbits = cache[j, k] = tuple(found)
-        return orbits
+        return self._orbit_cache.setdefault((j, k), tuple(found))
 
     def __repr__(self) -> str:
         return f"FiniteTarget({self.name}, order={self.order})"

@@ -35,7 +35,16 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from knotsurgery import Word, builtin_knot, cli, commutator, smith_normal_form, standard_suite
+from knotsurgery import (
+    KnotPresentation,
+    Presentation,
+    Word,
+    builtin_knot,
+    cli,
+    commutator,
+    smith_normal_form,
+    standard_suite,
+)
 from knotsurgery.fpgroup import fresh_name
 from knotsurgery.surgery import (
     CABLE_LONGITUDE,
@@ -65,6 +74,17 @@ REFUSED_BRAIDS = {
     "1,-2": "1,-2",
     "\u0661 -2 1 -2": "\u0661",
 }
+
+
+def relabelled(kp: KnotPresentation, tag: str) -> KnotPresentation:
+    """kp with tag appended to each generator name of its group.
+
+    Names take part in presentation equality, so the copy, and every group
+    built from it, shares no search plan, count or Smith form with a
+    presentation that another test keeps alive: each is made afresh.
+    """
+    group = Presentation([name + tag for name in kp.group.generators], kp.group.relators)
+    return KnotPresentation(group, kp.meridian, kp.longitude, kp.genus_hint)
 
 
 # ---------------------------------------------------------------- oracles

@@ -1,4 +1,5 @@
 import ast
+import gc
 import importlib.util
 import itertools
 import json
@@ -6,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from math import gcd
 from pathlib import Path
 from unittest import mock
@@ -46,7 +48,7 @@ from knotsurgery.surgery import (
 )
 from knotsurgery.targets import DEFAULT_CLOSURE_CAP, MAX_TARGET_DEGREE
 
-from conftest import REFUSED_BRAIDS, cycle_string
+from conftest import REFUSED_BRAIDS, cycle_string, relabelled
 
 
 def run(argv, capsys):
@@ -420,15 +422,21 @@ def test_verify_checks_the_fig8_family_over_the_extended_suite(capsys):
 def test_verify_fails_when_the_table_side_disagrees(capsys, monkeypatch):
     argv = ["verify", "--builtin", "trefoil", "--q", "1", "--p", "1,2"]
     expected = run(argv, capsys)[1]
-    monkeypatch.setattr(cli, "slope_count", lambda lattices, q, p: -1)
+    monkeypatch.setattr(cli, "slope_counts", lambda lattices, slopes: [-1] * len(slopes))
     code, out, _ = run(argv, capsys)
     assert code == 1
     assert out == expected.replace("PASS", "FAIL")
 
 
+def fresh_trefoil(config):
+    """load_knot's result for trefoil under generator names of its own, so
+    that no presentation another test keeps alive shares its Smith forms."""
+    return relabelled(builtin_knot("trefoil"), "'verify"), "builtin:trefoil"
+
+
 def test_verify_measures_each_distinct_route_once(capsys, monkeypatch):
-    # H1 is read off the Smith form cache, which builds one relation matrix
-    # per distinct presentation
+    # H1 is read off the Smith form kept for each live presentation, which
+    # builds one relation matrix per distinct presentation
     argv = ["verify", "--builtin", "trefoil", "--q", "1", "--p", "1"]
     measured = []
     relation_matrix = smith.relation_matrix
@@ -438,8 +446,8 @@ def test_verify_measures_each_distinct_route_once(capsys, monkeypatch):
         return relation_matrix(group)
 
     monkeypatch.setattr(smith, "relation_matrix", recording)
-    smith.relation_smith_form.cache_clear()
-    kp = builtin_knot("trefoil")
+    monkeypatch.setattr(cli, "load_knot", fresh_trefoil)
+    kp = fresh_trefoil(None)[0]
     assert run(argv, capsys)[0] == 0
     # the knot group, then the one presentation both routes simplify to
     route = fpgroup.tietze_simplify(surgery.dehn_surgery_group(kp, SurgerySlope(1, 1)))
@@ -450,8 +458,24 @@ def test_verify_measures_each_distinct_route_once(capsys, monkeypatch):
     member = FamilyMember(SurgerySlope(1, 1), other, {})
     monkeypatch.setattr(cli, "family_members", lambda kp, q, p_values: iter((member,)))
     code, out, _ = run(argv, capsys)
+    # measured keeps the first run's groups alive, so the knot group and the
+    # surgery route are read, and only the other group is measured
     assert (code, measured[2:]) == (1, [fpgroup.tietze_simplify(other)])
     assert out.endswith(": FAIL\n")
+
+
+def test_verify_leaves_no_route_in_either_memo(capsys, monkeypatch):
+    # the plans and Smith forms of a command's groups go with the groups
+    monkeypatch.setattr(cli, "load_knot", fresh_trefoil)
+    assert run(["verify", "--builtin", "trefoil", "--q", "1", "--p=1..3"], capsys)[0] == 0
+    gc.collect()
+    kp = fresh_trefoil(None)[0]
+    groups = [kp.group, fpgroup.tietze_simplify(kp.group)]
+    for member in surgery.family_members(kp, 1, (1, 2, 3)):
+        routes = (surgery.dehn_surgery_group(kp, member.slope), member.presentation)
+        groups += map(fpgroup.tietze_simplify, routes)
+    for group in groups:
+        assert group not in homcount._PLANS and group not in smith._FORMS
 
 
 def test_verify_rejects_broken_monodromy(capsys, tmp_path):
@@ -782,6 +806,22 @@ def test_an_output_far_larger_than_its_text_is_replaced_reading_little(capsys, t
         expected = (clean_dir / name).read_bytes()
         assert (out / name).read_bytes() == expected, name
         assert 0 < read[name] <= len(expected) + 1, name
+
+
+def test_a_long_chunk_is_compared_and_written_a_slice_at_a_time(tmp_path):
+    # a rewrite holds a long chunk once, not a second time encoded nor a
+    # third time read back
+    path = tmp_path / "long.txt"
+    text = "0123456789abcdef" * (1 << 19)  # 8 MiB, 8 slices
+    changed = text[:-1] + "!"
+    cli._write(path, text)
+    for new in (text, changed):  # unchanged, then changed in its last character
+        tracemalloc.start()
+        cli._write(path, lambda: iter((new,)))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < len(text)
+        assert path.read_text() == new
 
 
 def test_a_rerun_whose_p_range_grows_writes_the_manifest_a_clean_run_writes(capsys, tmp_path):

@@ -12,6 +12,7 @@ from knotsurgery import (
     Presentation,
     SurgerySlope,
     Word,
+    abelianization,
     alternating,
     build_family,
     builtin_knot,
@@ -29,6 +30,7 @@ from knotsurgery import (
     mapping_torus_presentation,
     parse_braid,
     parse_word,
+    smith,
     standard_suite,
     symmetric,
     tietze_simplify,
@@ -50,6 +52,7 @@ from conftest import (
     naive_hom_count,
     naive_homomorphisms,
     pair_hom_count,
+    relabelled,
     torus_hom_count,
 )
 
@@ -492,11 +495,13 @@ def test_the_genus_2_mapping_torus_solves_for_its_third_generator():
 
 
 def test_a_plan_holds_its_relators_own_letter_objects():
-    # a cached plan keeps its presentation alive, so the words of its steps
-    # reuse the relators' letters rather than hold copies of them; the plan
-    # is made afresh, past the cache, which may hold an equal presentation's
-    group = tietze_simplify(wirtinger_from_braid(parse_braid("1 -2 1 -2 1 1")).group)
-    plan = _plan.__wrapped__(group)
+    # a plan is kept while its presentation lives, so the words of its steps
+    # reuse the relators' letters rather than hold copies of them; the group's
+    # own generator names make the plan here, for it, not for an equal
+    # presentation that another test keeps alive
+    kp = relabelled(wirtinger_from_braid(parse_braid("1 -2 1 -2 1 1")), "'letters")
+    group = tietze_simplify(kp.group)
+    plan = _plan(group)
     own = {id(letter): letter for r in group.relators for letter in r.letters}
     letters = [letter for checks in plan.steps for steps in checks for _, u in steps for letter in u]
     assert letters
@@ -589,15 +594,39 @@ def test_the_memo_keeps_no_target_alive():
     assert ref() is None
 
 
-def test_a_plan_pushed_out_of_the_cache_is_searched_again(searches):
-    p = pres(["x", "y"], "x y x y^-1 x^-1 y^-1")
+def test_a_presentation_whose_equals_are_all_gone_is_searched_again(searches):
     s3 = symmetric(3)
-    expected = count_homomorphisms(p, s3)
-    others = [pres(["a"], f"a^{n}") for n in range(100, 100 + _plan.cache_info().maxsize)]
-    for other in others:
-        count_homomorphisms(other, s3)
-    assert count_homomorphisms(p, s3) == expected
-    assert len(searches) == len(others) + 2
+    relators = pres(["x", "y"], "x y x y^-1 x^-1 y^-1").relators
+    names = ("x'gone", "y'gone")  # equal to no presentation another test keeps
+    first, again = Presentation(names, relators), Presentation(names, relators)
+    expected = count_homomorphisms(first, s3)
+    assert count_homomorphisms(again, s3) == expected  # read off first's plan
+    ref = weakref.ref(first)
+    del first
+    gc.collect()
+    assert ref() is None and again not in homcount._PLANS
+    # the plan went with the presentation it was made for, though an equal
+    # one lives: again builds its own and searches
+    assert count_homomorphisms(again, s3) == expected
+    assert count_homomorphisms(Presentation(again.generators, again.relators), s3) == expected
+    assert searches == [s3, s3]
+
+
+def test_a_counted_and_abelianized_presentation_can_be_collected():
+    relators = pres(["x", "y"], "x y x y^-1 x^-1 y^-1").relators
+    names = ("x'kept", "y'kept")  # equal to no presentation another test keeps
+    p, copy = Presentation(names, relators), Presentation(names, relators)
+    for target in (symmetric(3), cyclic(4)):  # searched, and counted off H1
+        count_homomorphisms(p, target)
+    assert abelianization(p).free_rank == 1
+    sizes = len(homcount._PLANS), len(smith._FORMS)
+    assert copy in homcount._PLANS and copy in smith._FORMS
+    ref = weakref.ref(p)
+    del p
+    gc.collect()
+    assert ref() is None
+    assert copy not in homcount._PLANS and copy not in smith._FORMS
+    assert len(homcount._PLANS) < sizes[0] and len(smith._FORMS) < sizes[1]
 
 
 @settings(derandomize=True, max_examples=60)

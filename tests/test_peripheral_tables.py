@@ -1,7 +1,7 @@
 """Surgery counts read off the knot group's peripheral tables.
 
 Hom(K(q/p), H) is the set of homomorphisms of the knot group whose meridian
-image a and longitude image b satisfy a^q b^p = 1, so ``slope_count`` over
+image a and longitude image b satisfy a^q b^p = 1, so ``slope_counts`` over
 the ``slope_lattices`` of a ``peripheral_table`` must equal a direct count on
 the surgered group, and the filter a^q = b^-p over the table itself.  The CLI
 reads the tables off ``validate_peripheral``'s report, as most tests here do.
@@ -37,7 +37,7 @@ from knotsurgery.fpgroup import tietze_simplify_tracked
 from knotsurgery.homcount import (
     evaluate_word,
     peripheral_table,
-    slope_count,
+    slope_counts,
     slope_lattices,
     weighted_homomorphisms,
 )
@@ -78,7 +78,7 @@ def test_table_count_equals_the_count_on_the_family_member(name, slope):
     group = tietze_simplify(member.presentation)
     for target, table in zip(standard_suite(), tables(name)):
         lattices = slope_lattices(table, target)
-        assert slope_count(lattices, q, p) == count_homomorphisms(group, target), target.name
+        assert slope_counts(lattices, [(q, p)]) == [count_homomorphisms(group, target)], target.name
 
 
 @pytest.mark.parametrize("name", ["trefoil", "fig8"])
@@ -89,7 +89,7 @@ def test_table_count_equals_naive_enumeration(name, q, p):
     surgered = dehn_surgery_group(kp, SurgerySlope(p, q))
     for target in (symmetric(3), dihedral(4), cyclic(6)):
         lattices = slope_lattices(peripheral_table(group, meridian, longitude, target), target)
-        assert slope_count(lattices, q, p) == naive_hom_count(surgered, target), target.name
+        assert slope_counts(lattices, [(q, p)]) == [naive_hom_count(surgered, target)], target.name
 
 
 def test_powers_past_the_element_orders_are_exact():
@@ -107,9 +107,8 @@ def test_powers_past_the_element_orders_are_exact():
             for _ in range(q):
                 x = tuple(perm[i] for i in x)
             expected += x == tuple(range(4))
-        for p in (1, -1, 997, -999):
-            if gcd(p, q) == 1:
-                assert slope_count(lattices, q, p) == expected
+        kept = [(q, p) for p in (1, -1, 997, -999) if gcd(p, q) == 1]
+        assert slope_counts(lattices, kept) == [expected] * len(kept)
 
 
 @pytest.mark.parametrize("name", ["trefoil", "fig8", "1 1 1 1 1", "1 2 1 2 1 2 1 2"])
@@ -126,9 +125,8 @@ def test_lattice_counts_equal_the_power_filter_at_every_bundled_target(name):
     ]
     for target, table in zip(suite, validate_peripheral(knot(name), suite).tables):
         lattices = slope_lattices(table, target)
-        for q, p in slopes:
-            expected = filter_slope_count(table, target, q, p)
-            assert slope_count(lattices, q, p) == expected, (target.name, q, p)
+        expected = [filter_slope_count(table, target, q, p) for q, p in slopes]
+        assert slope_counts(lattices, slopes) == expected, target.name
 
 
 def searched_table(group, meridian, longitude, target) -> dict[tuple[int, int], int]:

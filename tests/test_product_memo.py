@@ -23,7 +23,7 @@ from knotsurgery import (
     wirtinger_from_braid,
 )
 from knotsurgery.fpgroup import Presentation, Word, tietze_simplify_tracked
-from knotsurgery.homcount import peripheral_table, slope_count, slope_lattices
+from knotsurgery.homcount import peripheral_table, slope_counts, slope_lattices
 from knotsurgery.targets import DEFAULT_CLOSURE_CAP, ProductMemo
 
 from conftest import compose, naive_hom_count
@@ -90,8 +90,8 @@ def test_memo_peripheral_tables_and_slope_counts_equal_full_ones(name):
         table = peripheral_table(group, meridian, longitude, memo)
         assert table == peripheral_table(group, meridian, longitude, full)
         memo_lattices, full_lattices = slope_lattices(table, memo), slope_lattices(table, full)
-        for p in range(1, 13):
-            assert slope_count(memo_lattices, 1, p) == slope_count(full_lattices, 1, p)
+        slopes = [(1, p) for p in range(1, 13)]
+        assert slope_counts(memo_lattices, slopes) == slope_counts(full_lattices, slopes)
 
 
 @pytest.mark.parametrize("name", ["S3", "D4", "C6"])

@@ -6,11 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from knotsurgery import (
     Presentation,
+    SurgerySlope,
     Word,
     abelianization,
     builtin_knot,
     builtin_monodromy,
+    dehn_surgery_group,
     fox_alexander,
+    half_complement_group,
     hom_spectrum,
     mapping_torus_presentation,
     parse_braid,
@@ -21,9 +24,9 @@ from knotsurgery import (
     validate_peripheral,
     wirtinger_from_braid,
 )
-from knotsurgery.smith import relation_matrix
+from knotsurgery.smith import relation_matrix, relation_smith_form
 
-from conftest import det_oracle, row_lattice_oracle
+from conftest import det_oracle, relabelled, row_lattice_oracle
 
 
 def test_identity_matrix():
@@ -180,8 +183,9 @@ def test_one_decomposition_per_presentation(kp, monkeypatch):
     # H1, the peripheral checks, the Alexander polynomial and the counts into
     # abelian targets (C2 and C3 here) all read one decomposition per
     # presentation: the knot group's, and that of the simplified group the
-    # counts are made on
-    smith.relation_smith_form.cache_clear()
+    # counts are made on; the generator names of its own make every group
+    # here equal to none that another test keeps alive
+    kp = relabelled(kp, "'once")
     calls = _count_diagonalizations(monkeypatch)
     suite = standard_suite()[:2]
     # the peripheral tables into abelian targets are read off the knot
@@ -195,6 +199,21 @@ def test_one_decomposition_per_presentation(kp, monkeypatch):
         fox_alexander(kp)
         hom_spectrum(simplified, suite)
     assert len(calls) == len({kp.group, simplified})
+
+
+def test_two_equal_live_presentations_share_one_smith_form(monkeypatch):
+    # however many other presentations are decomposed in between
+    kp = relabelled(builtin_knot("trefoil"), "'shared")
+    slope = SurgerySlope(2, 1)
+    surgery = tietze_simplify(dehn_surgery_group(kp, slope))
+    half = tietze_simplify(half_complement_group(kp, slope))
+    assert surgery == half and surgery is not half
+    calls = _count_diagonalizations(monkeypatch)
+    form = relation_smith_form(surgery)
+    others = [Presentation(["a'shared"], [Word.generator(0) ** n]) for n in range(2, 202)]
+    assert [relation_smith_form(p).factors for p in others] == [(n,) for n in range(2, 202)]
+    assert relation_smith_form(half) is form
+    assert len(calls) == 1 + len(others)
 
 
 def test_abelianization_examples():

@@ -34,7 +34,7 @@ from knotsurgery import (
     validate_peripheral,
     wirtinger_from_braid,
 )
-from knotsurgery.homcount import slope_count, slope_lattices
+from knotsurgery.homcount import slope_counts, slope_lattices
 from knotsurgery.surgery import (
     CABLE_LONGITUDE,
     CABLE_MERIDIAN,
@@ -190,7 +190,7 @@ def q1_spectra(letters) -> dict[int, dict[str, int]]:
     report = validate_peripheral(wirtinger_from_braid(BraidWord(3, tuple(letters))), suite)
     lattices = [slope_lattices(table, t) for table, t in zip(report.tables, suite)]
     return {
-        p: {t.name: slope_count(lattice, 1, p) for t, lattice in zip(suite, lattices)}
+        p: {t.name: slope_counts(lattice, [(1, p)])[0] for t, lattice in zip(suite, lattices)}
         for p in range(-4, 5)
     }
 
