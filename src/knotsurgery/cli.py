@@ -11,17 +11,19 @@ Exit codes: 0 success / all pairs distinguished, 1 verification failure,
 Primary outputs are byte-deterministic for a fixed config; wall-clock
 metadata goes to a run_meta.json sidecar.  family caches one entry per
 (package version, knot source, suite) under <out>/.cache: each target's
-slope lattices of the knot group, off which every slope's spectrum is read.
-family, verify and export draw the halves of the double one at a time from
-surgery.family_members, so each holds one member's words at a time; no
-command builds a whole family.
+slope lattices of the knot group, off which every slope's spectrum is read,
+and a record of the manifest family last wrote next to it.  A warm family
+call whose manifest still has the recorded size and CRC-32 builds no member.
+Otherwise family, verify and export draw the halves of the double one at a
+time from surgery.family_members, so each holds one member's words at a
+time; no command builds a whole family.
 
 This is the only module that touches files: every input file is read by
 ``_read_json``, at its size and to a fixed nesting depth, and every output
 is written by ``_write``,
-which first reads back the old output (up to the new text's length + 1
-bytes), leaves an unchanged one alone and rewrites a changed one in place,
-cut to its new length.
+which first checks the old output against a record, or reads it back (up
+to the new text's length + 1 bytes), leaves an unchanged one alone and
+rewrites a changed one in place, cut to its new length.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ import stat
 import sys
 import textwrap
 import time
+import zlib
 from datetime import datetime, timezone
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
@@ -97,6 +100,9 @@ from .targets import (
     suite_from_json,
 )
 
+# Cache entries are named by this and the package version, so a change to the
+# manifest's bytes must bump one of them, or an old record would pass the old
+# text; tests/test_cli.py pins one manifest's sha256 to each SCHEMA_VERSION.
 SCHEMA_VERSION = 1
 WORKERS_ENV = "KNOTSURGERY_WORKERS"  # no longer read; bench/workloads.py still sets it
 # A placeholder that bench/run.py --trace 1 replaces with a timed pool class;
@@ -128,6 +134,7 @@ _ESCAPE = re.compile(rb"\\.", re.DOTALL)
 _NOT_BRACKET_OR_QUOTE = bytes(c for c in range(256) if c not in b'[]{}"')
 _DEPTH_STEPS = {ord("["): 1, ord("{"): 1, ord("]"): -1, ord("}"): -1}
 _SLICE = 1 << 20  # the characters of a chunk that _write compares or writes at a time
+_BLOCK = 1 << 16  # the bytes of an output that _write reads at a time to check its record
 
 
 def _json_depth(content: bytes) -> int:
@@ -164,46 +171,73 @@ def _read_json(path: str | Path, limit: int, what: str, error: type) -> tuple[ob
     return json.loads(content.decode("utf-8")), content
 
 
-def _write(path: Path, text: str | Callable[[], Iterable[str]], atomic: bool = False) -> None:
+def _write(
+    path: Path,
+    text: str | Callable[[], Iterable[str]],
+    atomic: bool = False,
+    recorded: tuple[int, int] | None = None,
+) -> tuple[int, int]:
     """Write text, or the chunks that a call of text returns, to path as
-    UTF-8, making path's directory if it is missing.
+    UTF-8, making path's directory if it is missing; return the size and
+    CRC-32 of the bytes that path then holds.
 
-    Chunks go to the file one at a time, a long one _SLICE characters at a
-    time, so no document is held whole and no long chunk held again encoded
-    or read back.  Cache entries alone are atomic (a temporary file, then a
-    rename, removed if the write fails), so a reader never sees a partial one.
+    Chunks are encoded and go to the file one at a time, a long one _SLICE
+    characters at a time, so no document is held whole and no long chunk
+    held again encoded or read back; the size and CRC-32 are taken from
+    those bytes as they are compared or written.  Cache entries alone are
+    atomic (a temporary file, then a rename, removed if the write fails), so
+    a reader never sees a partial one.
 
-    Any other write first reads back the regular file at path, at most the
-    new text's length + 1 bytes, and leaves it alone (mtime kept) if it
-    already holds the text.  A changed or missing output is rewritten in
-    place from a second call of text, then cut to the written length if it
-    is a regular file: on ext4, truncating to zero and writing again costs
-    several times the write.  A rewrite cut short leaves the new text over
-    the old text's tail; no output is read as input, only compared, and
-    cache entries stay atomic.  A path that is not a regular file is
-    written without being read.
+    Given recorded, the size and CRC-32 that an earlier write of the same
+    text returned, a regular file at path that still has that size (from
+    fstat) and CRC-32 (read _BLOCK bytes at a time) is left alone (mtime
+    kept) and text is not called; one that has not is known to differ, and
+    is rewritten without being compared.  Any other write first reads back
+    the regular file at path, at most the new text's length + 1 bytes, and
+    leaves it alone if it already holds the text.  A changed or missing
+    output is rewritten in place (from a second call of text if it was
+    compared), then cut to the written length if it is a regular file: on
+    ext4, truncating to zero and writing again costs several times the
+    write.  A rewrite cut short leaves the new text over the old text's
+    tail; no output is read as input, only compared or checked, and cache
+    entries stay atomic.  A path that is not a regular file is written
+    without being read.
     """
+    size = crc = 0
 
-    def chunks() -> Iterator[str]:
+    def encoded() -> Iterator[bytes]:
+        nonlocal size, crc
+        size = crc = 0
         for part in (text,) if isinstance(text, str) else text():
             if len(part) > _SLICE:
-                yield from (part[i : i + _SLICE] for i in range(0, len(part), _SLICE))
+                pieces = (part[i : i + _SLICE] for i in range(0, len(part), _SLICE))
             else:
-                yield part
+                pieces = (part,)
+            for piece in pieces:
+                data = piece.encode()  # UTF-8
+                size += len(data)
+                crc = zlib.crc32(data, crc)
+                yield data
 
     if not atomic:
         with contextlib.suppress(OSError):
             if stat.S_ISREG(os.stat(path).st_mode):
                 with open(path, "rb") as old:
-                    new = map(str.encode, chunks())  # UTF-8
-                    if all(old.read(len(chunk)) == chunk for chunk in new) and not old.read(1):
-                        return
+                    if recorded is None:
+                        if all(old.read(len(data)) == data for data in encoded()) and not old.read(1):
+                            return size, crc
+                    elif os.fstat(old.fileno()).st_size == recorded[0]:
+                        check = 0
+                        for block in iter(functools.partial(old.read, _BLOCK), b""):
+                            check = zlib.crc32(block, check)
+                        if check == recorded[1]:
+                            return recorded
     target = path.with_name(f"{path.name}.{os.getpid()}.tmp") if atomic else path
 
     def put() -> None:
         fd = os.open(target, os.O_WRONLY | os.O_CREAT, 0o666)
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks())
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines(encoded())
             if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
                 handle.truncate()
 
@@ -220,6 +254,7 @@ def _write(path: Path, text: str | Callable[[], Iterable[str]], atomic: bool = F
             with contextlib.suppress(OSError):
                 target.unlink()
         raise
+    return size, crc
 
 
 class SuiteSpec(NamedTuple):
@@ -356,21 +391,32 @@ def load_knot(config: RunConfig) -> tuple[KnotPresentation, str]:
     raise ValueError(f"unknown source kind {config.source_kind!r}")
 
 
-def _read_cache_entry(path: Path, names: tuple[str, ...]) -> tuple[dict, ...] | None:
-    """Each named target's slope lattices in the cached entry, or None (a miss)
-    if the entry is absent, unreadable, past MAX_CACHE_ENTRY_BYTES, stale or of
-    the wrong shape.
+def _read_cache_entry(
+    path: Path, names: tuple[str, ...]
+) -> tuple[tuple[dict, ...], list | None] | None:
+    """Each named target's slope lattices in the cached entry and the
+    entry's manifest record (None if it has none), or None (a miss) if the
+    entry is absent, unreadable, past MAX_CACHE_ENTRY_BYTES, stale or of the
+    wrong shape.
 
-    Nothing is coerced: a schema version or lattice field of another type
-    (true, 1.0, "1") is a miss, as is a lattice (m, c, n) of weight w that
-    ``slope_lattices`` does not make: m < 1, n < 1, c outside 0..m-1, w < 1,
-    or one given twice.  A decoded name equal to a str is one.
+    Nothing is coerced: a schema version, lattice or record field of another
+    type (true, 1.0, "1") is a miss, as is a lattice (m, c, n) of weight w
+    that ``slope_lattices`` does not make: m < 1, n < 1, c outside 0..m-1,
+    w < 1, or one given twice, and a record that is not [key, size, crc32]
+    with key a string, size >= 0 and 0 <= crc32 < 2**32.  A decoded name
+    equal to a str is one.
     """
     try:
         data, _ = _read_json(path, MAX_CACHE_ENTRY_BYTES, "cache entry", KnotSurgeryError)
         version, targets = data["schema_version"], data["lattices"]
         if type(version) is not int or version != SCHEMA_VERSION or len(targets) != len(names):
             return None
+        record = data.get("manifest")
+        if "manifest" in data:  # a record of null is a miss too
+            key, size, crc = record
+            if not (type(key) is str and type(size) is type(crc) is int
+                    and size >= 0 and 0 <= crc < 1 << 32):
+                return None
         lattices = []
         for (name, rows), expected in zip(targets, names):
             if name != expected:
@@ -384,7 +430,7 @@ def _read_cache_entry(path: Path, names: tuple[str, ...]) -> tuple[dict, ...] | 
             lattices.append(lattice)
     except (KnotSurgeryError, OSError, ValueError, KeyError, TypeError):
         return None
-    return tuple(lattices)
+    return tuple(lattices), record
 
 
 # Never called; bench/run.py's --trace 1 wraps it.
@@ -422,33 +468,41 @@ def compute_spectra(
     kp: KnotPresentation,
 ) -> tuple[list[HomSpectrum], int]:
     """Spectra of kp's surgeries in slope order, and how many of them were
-    read off the file cache under out_dir (all or none).
+    read off the file cache under out_dir (all or none); writes the family
+    manifest under out_dir.
 
     The cache keeps one entry per (package version, knot source, suite): each
-    target's slope lattices of the knot group.  A miss (see _read_cache_entry)
-    is filled from the tables of kp's peripheral report, one search per
-    target, which raises before anything is written if it fails; an entry
-    that cannot be written stays a miss.  Hit or miss, every slope is counted
-    off the lattices.
+    target's slope lattices of the knot group and the record of the manifest
+    last written next to it.  A miss (see _read_cache_entry) is filled from
+    the tables of kp's peripheral report, one search per target, which raises
+    before anything is written if it fails.  Hit or miss, every slope is
+    counted off the lattices, and then the manifest is written, or checked
+    against the entry's record (see _write_manifest).  The entry is written
+    once, after the manifest, if it missed or its record changed; an entry
+    that cannot be written stays a miss, and a failed manifest write leaves
+    the entry as it was.
     """
     names = config.suite.names
-    lattices = None
+    found = None
     if config.cache:
         fields = [SCHEMA_VERSION, __version__, source, config.suite.fingerprint]
         digest = hashlib.sha256(json.dumps(fields).encode()).hexdigest()
         # a missing directory reads as a miss; _write makes it
         path = config.out_dir / ".cache" / f"{digest}.json"
-        lattices = _read_cache_entry(path, names)
-    hits = 0 if lattices is None else len(slopes)
-    if lattices is None:
+        found = _read_cache_entry(path, names)
+    lattices, record = found or (None, None)
+    hits = 0 if found is None else len(slopes)
+    if found is None:
         lattices = _slope_lattices(kp, config.suite.close())
-        if config.cache:
-            rows = [[name, [[m, c, n, w] for (m, c, n), w in lattice.items()]]
-                    for name, lattice in zip(names, lattices)]
-            payload = {"schema_version": SCHEMA_VERSION, "lattices": rows}
-            with contextlib.suppress(OSError):
-                _write(path, json.dumps(payload, separators=(",", ":")) + "\n", atomic=True)
-    return _spectra(names, lattices, slopes), hits
+    spectra = _spectra(names, lattices, slopes)
+    written = _write_manifest(config, kp, record)
+    if config.cache and (found is None or written != record):
+        rows = [[name, [[m, c, n, w] for (m, c, n), w in lattice.items()]]
+                for name, lattice in zip(names, lattices)]
+        payload = {"schema_version": SCHEMA_VERSION, "lattices": rows, "manifest": written}
+        with contextlib.suppress(OSError):
+            _write(path, json.dumps(payload, separators=(",", ":")) + "\n", atomic=True)
+    return spectra, hits
 
 
 def _enclosed(opening: str, items: list[str], closing: str, indent: str) -> str:
@@ -556,6 +610,27 @@ def _manifest_chunks(config: RunConfig, kp: KnotPresentation) -> Iterator[str]:
     yield "\n  ]\n}\n"
 
 
+def _write_manifest(config: RunConfig, kp: KnotPresentation, record: list | None) -> list:
+    """Write family_manifest.json and return its record [key, size, crc32].
+
+    key is the sha256 of the manifest's inputs that the cache entry's name
+    does not fix (source kind, source, q, p values), and size and crc32 are
+    those of the manifest's bytes.  Given a record of the same key, a
+    manifest that still has its size and CRC-32 is left alone, with no
+    member built, and any other is rewritten, each member built once.  The
+    entry's name fixes the rest of the manifest's text through the schema
+    and package versions, so a change to that text must bump SCHEMA_VERSION
+    or the package version; the tests pin one manifest's digest to each
+    SCHEMA_VERSION.
+    """
+    inputs = [config.source_kind, config.source, config.q, config.p_values]
+    key = hashlib.sha256(json.dumps(inputs).encode()).hexdigest()
+    recorded = tuple(record[1:]) if record is not None and record[0] == key else None
+    # the manifest draws the members one at a time; the spectra need none
+    chunks = functools.partial(_manifest_chunks, config, kp)
+    return [key, *_write(config.out_dir / "family_manifest.json", chunks, recorded=recorded)]
+
+
 def _skip(p: int, q: int) -> None:
     print(f"skip p={p}: gcd(p, {q}) != 1")
 
@@ -642,10 +717,6 @@ def cmd_family(config: RunConfig) -> int:
     slopes = list(_slopes(config))
     labels = [f"p={slope.p}" for slope in slopes]
     spectra, hits = compute_spectra(slopes, config, source, kp)
-
-    # the manifest draws the members one at a time; the spectra need none
-    manifest = functools.partial(_manifest_chunks, config, kp)
-    _write(config.out_dir / "family_manifest.json", manifest)
 
     csv_lines = ["label," + ",".join(spectra[0].target_names)]
     for label, spectrum in zip(labels, spectra):

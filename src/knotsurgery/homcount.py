@@ -319,7 +319,13 @@ def weighted_homomorphisms(
     orders last, stay unassigned and their factor |H|^k is folded into the
     weight, so a presentation with no generator in a relator yields one pair.
     """
-    plan = _plan(p)
+    return _weighted(_plan(p), target, expand_free)
+
+
+def _weighted(
+    plan: _SearchPlan, target: FiniteTarget, expand_free: bool
+) -> Iterator[tuple[list[int], int]]:
+    """weighted_homomorphisms of the presentation whose plan is given."""
     sequence = plan.order if expand_free else plan.order[: plan.bound]
     steps, links, solve = plan.steps, plan.links, plan.solve
     factor = target.order ** (len(plan.order) - len(sequence))
@@ -410,7 +416,7 @@ def count_homomorphisms(p: Presentation, target: FiniteTarget) -> int:
         if target.is_abelian:
             count = _abelian_count(p, target)
         else:
-            homs = weighted_homomorphisms(p, target, expand_free=False)
+            homs = _weighted(plan, target, expand_free=False)
             count = sum(weight for _, weight in homs)
         plan.counts[target] = count
     return count

@@ -12,6 +12,7 @@ CLI reads a monodromy file and hands its parsed JSON to
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InvalidMonodromyError, UnknownGeneratorError
@@ -34,7 +35,9 @@ MAX_GENUS = 100
 
 
 class KnotPresentation:
-    """A knot group with its peripheral pair (meridian, 0-framed longitude)."""
+    """A knot group with its peripheral pair (meridian, 0-framed longitude).
+
+    Read-only: builtin_knot hands one instance to every caller."""
 
     __slots__ = ("group", "meridian", "longitude", "genus_hint")
 
@@ -45,10 +48,18 @@ class KnotPresentation:
         for label, w in (("meridian", meridian), ("longitude", longitude)):
             if w.max_index() >= n:
                 raise UnknownGeneratorError(f"{label} uses out-of-range generator index")
-        self.group = group
-        self.meridian = meridian
-        self.longitude = longitude
-        self.genus_hint = genus_hint
+        for name, value in zip(self.__slots__, (group, meridian, longitude, genus_hint)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"KnotPresentation is read-only; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"KnotPresentation is read-only; cannot delete {name!r}")
+
+    def __reduce__(self) -> tuple:
+        # a pickle or a copy is built again through __init__
+        return KnotPresentation, (self.group, self.meridian, self.longitude, self.genus_hint)
 
 
 class FiberedKnotData:
@@ -237,8 +248,11 @@ def _check_builtin(name: str) -> None:
         raise KeyError(f"unknown builtin knot {name!r}; available: {sorted(BUILTIN_BRAIDS)}")
 
 
+@cache
 def builtin_knot(name: str) -> KnotPresentation:
-    """Wirtinger-route presentation of a builtin knot."""
+    """Wirtinger-route presentation of a builtin knot, built once per process
+    and then kept (a KnotPresentation is read-only).  An unknown name raises,
+    and is not kept."""
     from .braids import parse_braid, wirtinger_from_braid  # local import avoids a cycle
 
     _check_builtin(name)

@@ -1,13 +1,17 @@
 import ast
+import copy
 import gc
+import hashlib
 import importlib.util
 import itertools
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
 import tracemalloc
+import zlib
 from math import gcd
 from pathlib import Path
 from unittest import mock
@@ -515,7 +519,7 @@ def test_family_fails_closed_on_a_non_knot_group(capsys, tmp_path, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("searched a group that is no knot group")
 
-    monkeypatch.setattr(homcount, "weighted_homomorphisms", refuse)
+    monkeypatch.setattr(homcount, "_weighted", refuse)
     path = tmp_path / "identity3.json"
     path.write_text(json.dumps(identity_monodromy(3)))
     out = tmp_path / "out"
@@ -550,6 +554,36 @@ def test_each_command_searches_the_knot_group_once_per_target(capsys, tmp_path, 
         validations.clear()
         assert run(family, capsys)[0] == 3
         assert (len(searches), len(validations)) == (expected * n, expected)
+
+
+def test_a_builtin_knot_is_built_once_per_process(capsys, tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(braids, "wirtinger_from_braid", counting(built, braids.wirtinger_from_braid))
+    knots.builtin_knot.cache_clear()
+    try:
+        for q in (1, 2):
+            argv = ["--builtin", "fig8", "--q", str(q), "--p=-3..3"]
+            assert run(["family", *argv, "--out", str(tmp_path / f"q{q}")], capsys)[0] == 3
+            assert run(["verify", *argv], capsys)[0] == 0
+        assert len(built) == 1
+        # an unknown name raises each time and is not kept
+        for _ in range(2):
+            with pytest.raises(KeyError, match="unknown builtin knot"):
+                builtin_knot("fig9")
+        assert knots.builtin_knot.cache_info().currsize == 1
+        # every caller gets the one instance, so none can change it
+        kp = builtin_knot("fig8")
+        with pytest.raises(AttributeError, match="read-only"):
+            kp.longitude = Word()
+        with pytest.raises(AttributeError, match="read-only"):
+            del kp.group
+        for twin in (copy.copy(kp), copy.deepcopy(kp), pickle.loads(pickle.dumps(kp))):
+            assert (twin.group, twin.meridian, twin.longitude, twin.genus_hint) == (
+                kp.group, kp.meridian, kp.longitude, kp.genus_hint
+            )
+        assert len(built) == 1
+    finally:
+        knots.builtin_knot.cache_clear()
 
 
 def test_a_new_slope_range_on_a_cached_knot_searches_and_closes_nothing(
@@ -730,9 +764,39 @@ def test_a_file_that_yields_more_than_its_size_is_read_on_to_the_limit(tmp_path,
 _OUTPUTS = ("family_manifest.json", "spectra.csv", "distinguish_report.txt")
 
 
-def test_a_warm_family_call_leaves_unchanged_outputs_alone(capsys, tmp_path):
+def _drawing(draws: list, monkeypatch):
+    """Record each call of surgery.family_members by cli (as "call"), then
+    the p of each member it draws."""
+    family_members = cli.family_members
+
+    def members(kp, q, p_values):
+        for member in family_members(kp, q, p_values):
+            draws.append(member.slope.p)
+            yield member
+
+    def drawing(kp, q, p_values):
+        draws.append("call")
+        return members(kp, q, p_values)
+
+    monkeypatch.setattr(cli, "family_members", drawing)
+
+
+def _record(out: Path) -> list:
+    (entry,) = (out / ".cache").glob("*.json")
+    return json.loads(entry.read_text())["manifest"]
+
+
+def test_a_warm_family_call_leaves_unchanged_outputs_alone(capsys, tmp_path, monkeypatch):
+    # the manifest still has the size and CRC-32 that the entry records, so
+    # no member is built for it
+    draws = []
+    _drawing(draws, monkeypatch)
     argv = ["family", "--builtin", "fig8", "--q", "1", "--p=-3..3", "--out", str(tmp_path)]
     assert run(argv, capsys)[0] == 3
+    assert draws == ["call", *range(-3, 4)]
+    data = (tmp_path / "family_manifest.json").read_bytes()
+    assert _record(tmp_path)[1:] == [len(data), zlib.crc32(data)]
+    draws.clear()
     written = [tmp_path / name for name in (*_OUTPUTS, "run_meta.json")]
     # an mtime no call can give, so that a rewrite shows however coarse the clock
     for path in written:
@@ -745,6 +809,106 @@ def test_a_warm_family_call_leaves_unchanged_outputs_alone(capsys, tmp_path):
         assert after[name].st_mtime_ns == before[name].st_mtime_ns, name
     assert after["run_meta.json"].st_mtime_ns != before["run_meta.json"].st_mtime_ns
     assert json.loads((tmp_path / "run_meta.json").read_text())["cache_hits"] == 7
+    assert draws == []
+
+
+# The sha256 of fig8's manifest at q = 1, p = -3..3 under each SCHEMA_VERSION.
+# A warm family call keeps a manifest that has the size and CRC-32 its cache
+# entry records, and only SCHEMA_VERSION and the package version name the
+# entry, so a change to the manifest's bytes fails this until SCHEMA_VERSION
+# is bumped and the new version's line added.  A line here never changes.
+_MANIFEST_SHA256 = {
+    1: "197ca273c920e11426fa52fac2a812d088e0cb46de2c8ae5ed01f752bf33bf4e",
+}
+
+
+def test_a_changed_manifest_text_needs_a_new_schema_version(capsys, tmp_path):
+    argv = ["family", "--builtin", "fig8", "--q", "1", "--p=-3..3", "--out", str(tmp_path)]
+    assert run(argv, capsys)[0] == 3
+    digest = hashlib.sha256((tmp_path / "family_manifest.json").read_bytes()).hexdigest()
+    assert digest == _MANIFEST_SHA256[cli.SCHEMA_VERSION]
+
+
+def test_a_new_manifest_on_a_cached_knot_is_made_again_with_no_search(
+    capsys, tmp_path, monkeypatch
+):
+    # the record's key names the source as given, q and the p values, so a
+    # new p range or another spelling of one monodromy path (one cache
+    # entry) makes the manifest again, and the entry takes the new record
+    (tmp_path / "fig8.json").write_text(json.dumps(fibered_knot_to_json(builtin_monodromy("fig8"))))
+    monkeypatch.chdir(tmp_path)
+    first = ["--monodromy", "fig8.json", "--q", "1", "--p=-3..3"]
+    later = [
+        ["--monodromy", "fig8.json", "--q", "1", "--p=-3..4"],
+        ["--monodromy", "./fig8.json", "--q", "1", "--p=-3..4"],
+    ]
+    assert run(["family", *first, "--out", "out"], capsys)[0] == 3
+    records = [_record(tmp_path / "out")]
+    searches = []
+    monkeypatch.setattr(knots, "peripheral_table", counting(searches, knots.peripheral_table))
+    monkeypatch.setattr(cli, "validate_peripheral", counting(searches, cli.validate_peripheral))
+    for i, argv in enumerate(later):
+        assert run(["family", *argv, "--out", "out"], capsys)[0] == 3
+        assert json.loads(Path("out/run_meta.json").read_text())["cache_hits"] == 8
+        assert searches == []
+        records.append(_record(tmp_path / "out"))
+        assert run(["family", *argv, "--out", f"clean-{i}", "--no-cache"], capsys)[0] == 3
+        searches.clear()
+        for name in _OUTPUTS:
+            assert Path("out", name).read_bytes() == Path(f"clean-{i}", name).read_bytes(), name
+    assert len({record[0] for record in records}) == 3
+    assert len(list(Path("out/.cache").iterdir())) == 1
+
+
+def test_a_cold_call_writes_its_entry_once_after_the_manifest(capsys, tmp_path, monkeypatch):
+    writes = []
+    write = cli._write
+
+    def recording(path, *args, **kwargs):
+        writes.append((path.name, kwargs.get("atomic", False)))
+        return write(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "_write", recording)
+    argv = ["family", "--builtin", "trefoil", "--q", "1", "--p=1..3", "--out", str(tmp_path)]
+    assert run(argv, capsys)[0] == 3
+    atomic = [i for i, (_, is_atomic) in enumerate(writes) if is_atomic]
+    assert len(atomic) == 1
+    assert writes[atomic[0] - 1][0] == "family_manifest.json"
+    writes.clear()
+    assert run(argv, capsys)[0] == 3
+    assert writes and not any(is_atomic for _, is_atomic in writes)
+
+
+def test_a_failed_manifest_write_leaves_no_entry(capsys, tmp_path):
+    # the entry is written after the manifest, so a record never outlives a
+    # manifest that was not written
+    out = tmp_path / "out"
+    (out / "family_manifest.json").mkdir(parents=True)
+    argv = ["family", "--builtin", "trefoil", "--p", "1..3", "--out", str(out)]
+    assert run(argv, capsys)[0] == 2
+    assert not (out / ".cache").exists()
+    (out / "family_manifest.json").rmdir()
+    assert run(argv, capsys)[0] == 3
+    data = (out / "family_manifest.json").read_bytes()
+    assert _record(out)[1:] == [len(data), zlib.crc32(data)]
+
+
+def test_checking_a_long_output_against_its_record_holds_little(tmp_path):
+    path = tmp_path / "long.txt"
+    text = "0123456789abcdef" * (1 << 18)  # 4 MiB
+    record = cli._write(path, text)
+    assert record == (len(text), zlib.crc32(text.encode()))
+    cli.os.utime(path, ns=(10**9, 10**9))
+
+    def refuse():
+        raise AssertionError("made the text of an output that holds its record")
+
+    tracemalloc.start()
+    assert cli._write(path, refuse, recorded=record) == record
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 256 * 1024
+    assert path.stat().st_mtime_ns == 10**9
 
 
 def _flip_middle(data: bytes) -> bytes:
@@ -765,23 +929,40 @@ def _flip_middle(data: bytes) -> bytes:
         ("distinguish_report.txt", lambda data: b""),
     ],
 )
-def test_a_damaged_output_comes_back_as_a_clean_run_writes_it(capsys, tmp_path, name, damage):
+def test_a_damaged_output_comes_back_as_a_clean_run_writes_it(
+    capsys, tmp_path, monkeypatch, name, damage
+):
+    # a damaged manifest fails the entry's record (a flipped byte its CRC-32,
+    # any other damage its size), so it is rewritten without being compared,
+    # each member drawn once
     clean_dir, damaged_dir = tmp_path / "clean", tmp_path / "damaged"
     argv = ["family", "--builtin", "fig8", "--q", "1", "--p=-3..3", "--out"]
     code = run(argv + [str(clean_dir)], capsys)[0]
     assert run(argv + [str(damaged_dir)], capsys)[0] == code
+    record = _record(damaged_dir)
     path = damaged_dir / name
     path.write_bytes(damage(path.read_bytes()))
+    draws = []
+    _drawing(draws, monkeypatch)
     assert run(argv + [str(damaged_dir)], capsys)[0] == code
     for output in _OUTPUTS:
         assert (damaged_dir / output).read_bytes() == (clean_dir / output).read_bytes(), output
+    assert draws == (["call", *range(-3, 4)] if name == "family_manifest.json" else [])
+    assert _record(damaged_dir) == record
+    draws.clear()
+    assert run(argv + [str(damaged_dir)], capsys)[0] == code
+    assert draws == []
 
 
-def test_an_output_far_larger_than_its_text_is_replaced_reading_little(capsys, tmp_path, monkeypatch):
+def _replace_sparse_outputs(capsys, tmp_path, monkeypatch, warm):
+    """Blow each output up to a sparse 1 GiB, run family again (with a cache
+    entry when warm) and check each is replaced reading little of it."""
     clean_dir, out = tmp_path / "clean", tmp_path / "out"
     argv = ["family", "--builtin", "fig8", "--q", "1", "--p=-3..3", "--out"]
     code = run(argv + [str(clean_dir)], capsys)[0]
-    out.mkdir()
+    if warm:
+        assert run(argv + [str(out)], capsys)[0] == code
+    out.mkdir(exist_ok=True)
     for name in _OUTPUTS:
         (out / name).touch()
         cli.os.truncate(out / name, 2**30)  # sparse: no disk block holds the zeros
@@ -805,7 +986,22 @@ def test_an_output_far_larger_than_its_text_is_replaced_reading_little(capsys, t
     for name in _OUTPUTS:
         expected = (clean_dir / name).read_bytes()
         assert (out / name).read_bytes() == expected, name
-        assert 0 < read[name] <= len(expected) + 1, name
+        if warm and name == "family_manifest.json":
+            assert read[name] == 0
+        else:
+            assert 0 < read[name] <= len(expected) + 1, name
+
+
+def test_an_output_far_larger_than_its_text_is_replaced_reading_little(capsys, tmp_path, monkeypatch):
+    _replace_sparse_outputs(capsys, tmp_path, monkeypatch, warm=False)
+
+
+def test_a_far_larger_output_on_a_warm_call_is_replaced_reading_little(
+    capsys, tmp_path, monkeypatch
+):
+    # the entry records the manifest's size, which is compared first, so a
+    # sparse 1 GiB manifest is rewritten without a read
+    _replace_sparse_outputs(capsys, tmp_path, monkeypatch, warm=True)
 
 
 def test_a_long_chunk_is_compared_and_written_a_slice_at_a_time(tmp_path):
@@ -1265,6 +1461,7 @@ def test_json_depth_is_the_nesting_of_the_encoded_value(value, ascii):
 
 
 _LATTICE_FIELDS = ("m", "c", "n", "count")  # a lattice's count is its weight
+_RECORD_FIELDS = ("key", "size", "crc")  # of the manifest record
 
 
 @pytest.mark.parametrize(
@@ -1277,13 +1474,19 @@ _LATTICE_FIELDS = ("m", "c", "n", "count")  # a lattice's count is its weight
     + [("n", v) for v in (0, -1, True, 1.0)]
     + [("name", "C7")]
     + [("targets", v) for v in ("drop", "extra", "swap")]
-    + [("row", "repeat")],
+    + [("row", "repeat")]
+    + [("manifest", v) for v in (None, "key", [], {"key": "k", "size": 0, "crc": 0}, "short", "long")]
+    + [("key", v) for v in (None, 1, ["k"])]
+    + [("size", v) for v in (-1, 1.0, True, "1", None)]
+    + [("crc", v) for v in (-1, 2**32, 1.0, False, "0")],
 )
 def test_cache_entry_of_the_wrong_types_is_a_miss(capsys, tmp_path, field, value):
     # slope_lattices makes only int fields with m >= 1, 0 <= c < m, n >= 1 and
     # count >= 1, one entry per suite target in suite order, so no entry off
     # by one field was written by family; "m" puts c at m, just past its range,
-    # and "repeat" gives the last lattice (m, c, n) a second row
+    # and "repeat" gives the last lattice (m, c, n) a second row.  Nor did it
+    # write a manifest record other than [key, size, crc32] with key a string,
+    # size >= 0 and 0 <= crc32 < 2**32; "short" and "long" drop and add a field
     argv = ["family", "--builtin", "trefoil", "--p", "1..3", "--out", str(tmp_path)]
     code = run(argv, capsys)[0]
     spectra = (tmp_path / "spectra.csv").read_bytes()
@@ -1300,6 +1503,11 @@ def test_cache_entry_of_the_wrong_types_is_a_miss(capsys, tmp_path, field, value
          "swap": lambda: lattices.insert(0, lattices.pop(1))}[value]()
     elif field == "row":
         lattices[-1][1].append(lattices[-1][1][-1][:3] + [1])
+    elif field == "manifest":
+        record = data[field]
+        data[field] = record[:2] if value == "short" else record + [0] if value == "long" else value
+    elif field in _RECORD_FIELDS:
+        data["manifest"][_RECORD_FIELDS.index(field)] = value
     else:
         row = lattices[-1][1][-1]
         row[_LATTICE_FIELDS.index(field)] = row[0] if value == "m" else value
@@ -1327,7 +1535,8 @@ json_values = st.recursive(
 
 
 # a cache entry of the trefoil's standard slope lattices: one field, name,
-# lattice or target away from it
+# lattice, target or manifest record field away from it.  An entry with no
+# record is a hit, so "manifest" may be damaged but not dropped.
 _ENTRY_FIELDS = ("schema_version", "lattices")
 _WRONG_SCALARS = st.sampled_from([True, False, None, 0, -1, 1.0, 1.9, "1", "C2", [], {}])
 
@@ -1343,7 +1552,7 @@ def near_miss_entries(draw, entry: dict):
     rows = targets[i][1]
     j = draw(st.integers(0, len(rows) - 1))
     if edit == "field":
-        damaged[draw(st.sampled_from(_ENTRY_FIELDS))] = draw(_WRONG_SCALARS)
+        damaged[draw(st.sampled_from(_ENTRY_FIELDS + ("manifest",)))] = draw(_WRONG_SCALARS)
     elif edit == "drop":
         del damaged[draw(st.sampled_from(_ENTRY_FIELDS))]
     elif edit == "value":
@@ -1363,6 +1572,20 @@ def near_miss_entries(draw, entry: dict):
     return damaged
 
 
+@st.composite
+def near_miss_records(draw, entry: dict):
+    damaged = json.loads(json.dumps(entry))
+    record = damaged["manifest"]
+    if draw(st.booleans()):
+        k, value = draw(st.integers(0, 2)), draw(_WRONG_SCALARS)
+        # a string key, or a size or CRC-32 that is an int from 0 up, is a record
+        assume(type(value) is not str if k == 0 else type(value) is not int or value < 0)
+        record[k] = value
+    else:
+        damaged["manifest"] = draw(st.sampled_from([record[:2], record + [0], record[::-1]]))
+    return damaged
+
+
 def test_damaged_cache_entry_reads_as_a_miss(capsys, tmp_path):
     argv = ["family", "--builtin", "trefoil", "--p", "1..3", "--out", str(tmp_path)]
     code = run(argv, capsys)[0]
@@ -1370,7 +1593,11 @@ def test_damaged_cache_entry_reads_as_a_miss(capsys, tmp_path):
     (entry,) = (tmp_path / ".cache").glob("*.json")
     written = json.loads(entry.read_text())
     damaged_values = st.one_of(
-        json_values, near_miss_entries(written), st.binary(max_size=64), st.just(b"")
+        json_values,
+        near_miss_entries(written),
+        near_miss_records(written),
+        st.binary(max_size=64),
+        st.just(b""),
     )
 
     @settings(max_examples=60, derandomize=True, database=None)

@@ -544,15 +544,16 @@ def test_invariant_under_tietze(p):
 
 @pytest.fixture
 def searches(monkeypatch):
-    """The target of each search run while the test runs."""
+    """The target of each search run while the test runs: weighted_homomorphisms
+    and count_homomorphisms both search through homcount._weighted."""
     calls = []
-    search = homcount.weighted_homomorphisms
+    search = homcount._weighted
 
-    def counting(p, target, *args, **kwargs):
+    def counting(plan, target, *args, **kwargs):
         calls.append(target)
-        return search(p, target, *args, **kwargs)
+        return search(plan, target, *args, **kwargs)
 
-    monkeypatch.setattr(homcount, "weighted_homomorphisms", counting)
+    monkeypatch.setattr(homcount, "_weighted", counting)
     return calls
 
 
@@ -562,6 +563,23 @@ def test_a_repeated_count_runs_no_second_search(searches):
     counts = [count_homomorphisms(p, s4) for _ in range(3)]
     assert counts == [naive_hom_count(p, s4)] * 3
     assert searches == [s4]
+
+
+def test_a_counted_search_looks_its_plan_up_once(searches, monkeypatch):
+    # count_homomorphisms hands the plan it looked up to the search
+    looked_up = []
+    plan = homcount._plan
+
+    def counting(p):
+        looked_up.append(p)
+        return plan(p)
+
+    monkeypatch.setattr(homcount, "_plan", counting)
+    names = ("x'plan", "y'plan")  # equal to no presentation another test keeps
+    p = Presentation(names, pres(["x", "y"], "x y x y^-1 x^-1 y^-1", "x^5 y^-3").relators)
+    s4 = symmetric(4)
+    assert count_homomorphisms(p, s4) == naive_hom_count(p, s4)
+    assert (searches, looked_up) == ([s4], [p])
 
 
 def test_equal_presentations_built_separately_share_one_entry(searches):
