@@ -18,7 +18,6 @@ from .fpgroup import (
     Word,
     apply_mapping,
     commutator,
-    parse_word,
     presentation_from_json,
     presentation_to_json,
     quotient_by_relators,

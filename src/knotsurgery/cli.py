@@ -8,6 +8,16 @@ export (write presentations as computational-algebra scripts).
 Exit codes: 0 success / all pairs distinguished, 1 verification failure,
 2 input error, 3 unresolved pairs remain, 4 resource cap exceeded.
 
+Slopes: family, verify and export keep the slope q/p of each p coprime to
+q, in input order (RunConfig.kept_p), and print a skip line for every other
+p.  Once its arguments parse, a command refuses, with exit 2, in this
+order: a missing --out (family and export); a p set with none kept, after
+a skip line for each p, before the knot loads; then, once it has loaded,
+the first kept p whose longitude power word_power would refuse (all but
+export --construction knot); then kept p whose longitude powers would total
+more than MAX_EXPORT_LETTERS letters (family, and export with a slope
+construction).  Nothing is built, searched or written before these pass.
+
 Primary outputs are byte-deterministic for a fixed config; wall-clock
 metadata goes to a run_meta.json sidecar.  family caches one entry per
 (package version, knot source, suite) under <out>/.cache: each target's
@@ -321,6 +331,13 @@ class RunConfig:
         """The suite that targets names, read on first use and then kept."""
         return read_suite(self.targets)
 
+    @functools.cached_property
+    def kept_p(self) -> dict[int, None]:
+        """The p coprime to q, in input order, worked out on first use and then
+        kept: the one place the slope rule is decided.  A dict, so that each
+        of up to MAX_P_VALUES p is looked up in O(1)."""
+        return dict.fromkeys(p for p in self.p_values if gcd(p, self.q) == 1)
+
 
 def parse_p_spec(spec: str) -> tuple[int, ...]:
     """Comma list of integers and inclusive a..b ranges, e.g. "1..4,7,-2".
@@ -562,7 +579,7 @@ def _manifest_chunks(config: RunConfig, kp: KnotPresentation) -> Iterator[str]:
         "schema_version": SCHEMA_VERSION,
         "source": {"kind": config.source_kind, "value": config.source},
         "q": config.q,
-        "skipped_p": [p for p in config.p_values if gcd(p, config.q) != 1],
+        "skipped_p": [p for p in config.p_values if p not in config.kept_p],
     }
     # the header's text ends with "\n}"; members is its last key
     yield json.dumps(header, indent=2)[:-2] + ',\n  "members": ['
@@ -631,30 +648,17 @@ def _write_manifest(config: RunConfig, kp: KnotPresentation, record: list | None
     return [key, *_write(config.out_dir / "family_manifest.json", chunks, recorded=recorded)]
 
 
-def _skip(p: int, q: int) -> None:
-    print(f"skip p={p}: gcd(p, {q}) != 1")
-
-
-def _refuse_no_slope(config: RunConfig) -> None:
-    """Raises ValueError, after a skip line for each p, if no p is coprime to q."""
-    if all(gcd(p, config.q) != 1 for p in config.p_values):
-        for p in config.p_values:
-            _skip(p, config.q)
-        raise ValueError("no slope left after gcd filter")
-
-
 def _refuse_long_slope(config: RunConfig, kp: KnotPresentation) -> None:
     """Raises at the first kept p whose power of kp's longitude word_power refuses."""
-    for p in config.p_values:
-        if gcd(p, config.q) == 1:
-            refuse_long_power(len(kp.longitude), p)
+    for p in config.kept_p:
+        refuse_long_power(len(kp.longitude), p)
 
 
 def _refuse_long_output(config: RunConfig, kp: KnotPresentation, command: str) -> None:
     """Raises if the kept p's filling relators would put more than
     MAX_EXPORT_LETTERS longitude letters into command's output: the sum over
     the kept p of |p| * |longitude|."""
-    letters = len(kp.longitude) * sum(abs(p) for p in config.p_values if gcd(p, config.q) == 1)
+    letters = len(kp.longitude) * sum(map(abs, config.kept_p))
     if letters > MAX_EXPORT_LETTERS:
         raise KnotSurgeryError(
             f"the slopes' longitude powers would total {letters} letters,"
@@ -663,12 +667,25 @@ def _refuse_long_output(config: RunConfig, kp: KnotPresentation, command: str) -
 
 
 def _slopes(config: RunConfig) -> Iterator[SurgerySlope]:
-    """The config's slopes in order; prints a skip line for each p not coprime to q."""
-    for p in config.p_values:
-        if gcd(p, config.q) == 1:
-            yield SurgerySlope(p, config.q)
-        else:
-            _skip(p, config.q)
+    """The command's slopes, settled before its knot loads: the slope q/p of
+    each kept p (RunConfig.kept_p) in input order, drawn one at a time, with
+    a skip line printed for each other p as the draws reach it.
+
+    With no p kept, every skip line is printed and ValueError raised at once,
+    so nothing is loaded, searched or written.
+    """
+
+    def drawn() -> Iterator[SurgerySlope]:
+        for p in config.p_values:
+            if p in config.kept_p:
+                yield SurgerySlope(p, config.q)
+            else:
+                print(f"skip p={p}: gcd(p, {config.q}) != 1")
+
+    if not config.kept_p:
+        list(drawn())  # a skip line for each p
+        raise ValueError("no slope left after gcd filter")
+    return drawn()
 
 
 def cmd_knot(config: RunConfig) -> int:
@@ -710,11 +727,11 @@ def cmd_family(config: RunConfig) -> int:
     started = time.perf_counter()
     if config.out_dir is None:
         raise ValueError("family requires --out")
-    _refuse_no_slope(config)
+    pending = _slopes(config)
     kp, source = load_knot(config)
     _refuse_long_slope(config, kp)
     _refuse_long_output(config, kp, "family")
-    slopes = list(_slopes(config))
+    slopes = list(pending)  # prints the skip lines
     labels = [f"p={slope.p}" for slope in slopes]
     spectra, hits = compute_spectra(slopes, config, source, kp)
 
@@ -738,7 +755,7 @@ def cmd_family(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    _refuse_no_slope(config)
+    slopes = _slopes(config)
     kp, _ = load_knot(config)
     _refuse_long_slope(config, kp)
     suite = config.suite.close()
@@ -747,8 +764,8 @@ def cmd_verify(config: RunConfig) -> int:
     halves = family_members(kp, config.q, config.p_values)
     lines = []
     all_ok = True
-    # _slopes prints each skip line as zip reaches it, the last ones too
-    for slope, half in zip(_slopes(config), halves):
+    # each skip line is printed as zip reaches it, the last ones too
+    for slope, half in zip(slopes, halves):
         routes = [tietze_simplify(g) for g in (dehn_surgery_group(kp, slope), half.presentation)]
         # the two routes usually simplify to one presentation, decomposed and searched once
         ab_surgery, ab_half = map(abelianization, routes)
@@ -770,7 +787,7 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_export(config: RunConfig) -> int:
     if config.out_dir is None:
         raise ValueError("export requires --out")
-    _refuse_no_slope(config)  # the knot group reads no slope, but is refused alike
+    slopes = _slopes(config)  # the knot group reads no slope, but is refused alike
     kp, _ = load_knot(config)
     if config.construction == "knot":
         path = config.out_dir / "knot_group.g"
@@ -780,10 +797,10 @@ def cmd_export(config: RunConfig) -> int:
     _refuse_long_slope(config, kp)
     _refuse_long_output(config, kp, "export")
     if config.construction == "surgery":
-        groups = ((slope, dehn_surgery_group(kp, slope)) for slope in _slopes(config))
+        groups = ((slope, dehn_surgery_group(kp, slope)) for slope in slopes)
     else:  # "half" or "double": the double is presented as one half
         halves = family_members(kp, config.q, config.p_values)
-        groups = ((slope, half.presentation) for slope, half in zip(_slopes(config), halves))
+        groups = ((slope, half.presentation) for slope, half in zip(slopes, halves))
     for slope, presentation in groups:
         path = config.out_dir / f"{config.construction}_q{config.q}_p{slope.p}.g"
         _write(path, to_free_group_script(presentation))

@@ -6,8 +6,8 @@ tuple of generator names with cyclically reduced relator words.  Everything
 here is a pure function over immutable data, so values can be shared between
 threads without synchronization.
 
-A word built from outside input (``Word(letters)``, ``parse_word``,
-``word_from_json`` and so ``presentation_from_json``) is checked and reduced.
+A word built from outside input (``Word(letters)``, ``word_from_json`` and
+so ``presentation_from_json``) is checked and reduced.
 Operations whose result is reduced by construction skip that second pass:
 
 - ``w * v`` cancels only at the junction, since w and v are each reduced;
@@ -45,8 +45,8 @@ from .errors import DuplicateGeneratorError, KnotSurgeryError, UnknownGeneratorE
 
 Letter = tuple[int, int]
 
-# word_power (and so parse_word) refuses to build a word longer than this
-# many letters; refuse_long_power says which powers that is.
+# word_power refuses to build a word longer than this many letters;
+# refuse_long_power says which powers that is.
 MAX_WORD_LENGTH = 1_000_000
 
 
@@ -211,29 +211,6 @@ def cyclic_key(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
     if len(letters) == 1:  # g^±1: the least of g and g^-1
         return ((letters[0][0], -1),)
     return min(_min_rotation(letters), _min_rotation(_inverse_letters(letters)))
-
-
-def parse_word(text: str, names: Sequence[str]) -> Word:
-    """Parse a word like ``"a b^-1 a^2"`` over the given generator names.
-
-    Tokens are separated by whitespace or ``*``; each token is a generator
-    name with an optional integer exponent after ``^``, or ``1`` for the
-    identity.
-    """
-    index = {name: i for i, name in enumerate(names)}
-    letters: list[Letter] = []
-    for token in text.replace("*", " ").split():
-        if token == "1":
-            continue
-        name, _, exp_text = token.partition("^")
-        if name not in index:
-            raise UnknownGeneratorError(f"unknown generator {name!r} in word {text!r}")
-        try:
-            exp = int(exp_text) if exp_text else 1
-        except ValueError:
-            raise UnknownGeneratorError(f"bad exponent {exp_text!r} in word {text!r}") from None
-        letters.extend(word_power(Word.generator(index[name]), exp).letters)
-    return Word(tuple(letters))
 
 
 def _checked_names(generators: Iterable[str]) -> tuple[str, ...]:

@@ -84,9 +84,10 @@ count, and searching for it is waste.  A knot group's abelian peripheral
 tables are read off its H1 = Z by ``knots.validate_peripheral``, with no
 decomposition of their own.
 ``peripheral_table`` and ``weighted_homomorphisms`` search every target,
-abelian ones too.  ``iter_homomorphisms``, which only the tests call,
-conjugates each homomorphism the search yields by every element of H and
-drops repeats: every homomorphism is conjugate to one the search yields.
+abelian ones too.  ``iter_homomorphisms``, which only the tests call and
+the benchmark's trace binds, conjugates each homomorphism the search
+yields by every element of H and drops repeats: every homomorphism is
+conjugate to one the search yields.
 
 Every surgery on one knot is read off one search.  The group of the q/p
 surgery is the knot group modulo m^q l^p, so Hom(K(q/p), H) is exactly the
@@ -297,9 +298,7 @@ def evaluate_word(
     return x
 
 
-def weighted_homomorphisms(
-    p: Presentation, target: FiniteTarget, expand_free: bool = True
-) -> Iterator[tuple[list[int], int]]:
+def weighted_homomorphisms(p: Presentation, target: FiniteTarget) -> Iterator[tuple[list[int], int]]:
     """The one homomorphism search: yield ``(images, weight)`` pairs.
 
     The first searched generator ranges over the target's conjugacy classes,
@@ -314,18 +313,22 @@ def weighted_homomorphisms(
     place; a linked one over those in its class.  Every other generator
     ranges over all of H.  Each pair stands for ``weight`` homomorphisms, so
     the weights sum to |Hom(G, H)|.  ``images`` is the live assignment, valid
-    until the next pair is drawn.  Without ``expand_free`` the search stops
-    at the plan's ``bound``: the k generators in no relator, which the plan
-    orders last, stay unassigned and their factor |H|^k is folded into the
-    weight, so a presentation with no generator in a relator yields one pair.
+    until the next pair is drawn.
     """
-    return _weighted(_plan(p), target, expand_free)
+    return _weighted(_plan(p), target, expand_free=True)
 
 
 def _weighted(
     plan: _SearchPlan, target: FiniteTarget, expand_free: bool
 ) -> Iterator[tuple[list[int], int]]:
-    """weighted_homomorphisms of the presentation whose plan is given."""
+    """weighted_homomorphisms of the presentation whose plan is given.
+
+    Without ``expand_free`` (as ``count_homomorphisms`` searches) the search
+    stops at the plan's ``bound``: the k generators in no relator, which the
+    plan orders last, stay unassigned and their factor |H|^k is folded into
+    the weight, so a presentation with no generator in a relator yields one
+    pair.
+    """
     sequence = plan.order if expand_free else plan.order[: plan.bound]
     steps, links, solve = plan.steps, plan.links, plan.solve
     factor = target.order ** (len(plan.order) - len(sequence))

@@ -15,7 +15,7 @@ dict-polynomials, det_oracle is a cofactor expansion, min_rotation_oracle
 builds every rotation, and row_lattice_oracle compares invariant factors
 instead of reading the column transform.  Tests freeze values computed by these.
 q1_identity_failures states identities that counts into targets of any size
-must hold.
+must hold.  parse_word reads the words the tests write as text.
 """
 
 from __future__ import annotations
@@ -33,17 +33,21 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from knotsurgery import (
+    BraidWord,
     KnotPresentation,
+    NotAKnotError,
     Presentation,
+    UnknownGeneratorError,
     Word,
     builtin_knot,
     cli,
     commutator,
     smith_normal_form,
     standard_suite,
+    word_power,
 )
 from knotsurgery.fpgroup import fresh_name
 from knotsurgery.surgery import (
@@ -74,6 +78,44 @@ REFUSED_BRAIDS = {
     "1,-2": "1,-2",
     "\u0661 -2 1 -2": "\u0661",
 }
+
+
+def _closes_to_a_knot(letters) -> bool:
+    try:
+        BraidWord(3, tuple(letters))
+    except NotAKnotError:
+        return False
+    return True
+
+
+# 3-strand braids of at most 8 letters whose closures are knots
+three_strand_knot_braids = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=8).filter(
+    _closes_to_a_knot
+)
+
+
+def parse_word(text: str, names) -> Word:
+    """Parse a word like ``"a b^-1 a^2"`` over the given generator names.
+
+    Tokens are separated by whitespace or ``*``; each token is a generator
+    name with an optional integer exponent after ``^``, or ``1`` for the
+    identity.  The pipeline reads words as JSON only; the tests write them
+    in this form.
+    """
+    index = {name: i for i, name in enumerate(names)}
+    letters = []
+    for token in text.replace("*", " ").split():
+        if token == "1":
+            continue
+        name, _, exp_text = token.partition("^")
+        if name not in index:
+            raise UnknownGeneratorError(f"unknown generator {name!r} in word {text!r}")
+        try:
+            exp = int(exp_text) if exp_text else 1
+        except ValueError:
+            raise UnknownGeneratorError(f"bad exponent {exp_text!r} in word {text!r}") from None
+        letters.extend(word_power(Word.generator(index[name]), exp).letters)
+    return Word(tuple(letters))
 
 
 def relabelled(kp: KnotPresentation, tag: str) -> KnotPresentation:

@@ -23,10 +23,9 @@ from knotsurgery.alexander import (
     fox_derivative,
     laurent_det,
 )
-from knotsurgery.fpgroup import parse_word
 from knotsurgery.knots import KnotPresentation
 
-from conftest import laurent_terms, seifert_alexander
+from conftest import laurent_terms, parse_word, seifert_alexander
 
 TREFOIL_SEIFERT = [[-1, 1], [0, -1]]
 FIG8_SEIFERT = [[1, 1], [0, -1]]

@@ -1736,9 +1736,7 @@ def test_the_program_keeps_no_unused_import_or_private_name():
 
 def test_the_package_exports_only_what_the_pipeline_calls():
     # every name the package's __init__ exports is referenced by one of its
-    # other modules or named in a script or the benchmark; the one exception
-    # is parse_word, the library's word parser, which tests build
-    # presentations with
+    # other modules or named in a script or the benchmark
     package = Path(knotsurgery.__file__).parent
     root = package.parents[1]
     exported = set()
@@ -1763,7 +1761,7 @@ def test_the_package_exports_only_what_the_pipeline_calls():
     named = set()
     for source in [*(root / "scripts").glob("*.py"), *(root / "bench").glob("*.py")]:
         named.update(re.findall(r"\w+", source.read_text(encoding="utf-8")))
-    assert exported - referenced - named == {"parse_word"}
+    assert exported - referenced - named == set()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import functools
 import gc
 import itertools
 import json
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from knotsurgery import (
+    BraidWord,
+    FiniteTarget,
     MismatchedTargetsError,
     Presentation,
     SurgerySlope,
@@ -29,7 +32,6 @@ from knotsurgery import (
     homcount,
     mapping_torus_presentation,
     parse_braid,
-    parse_word,
     smith,
     standard_suite,
     symmetric,
@@ -45,6 +47,7 @@ from knotsurgery.homcount import (
     weighted_homomorphisms,
 )
 from knotsurgery.knots import fibered_knot_from_json
+from knotsurgery.targets import psl2
 
 from conftest import (
     abelian_suite,
@@ -52,7 +55,9 @@ from conftest import (
     naive_hom_count,
     naive_homomorphisms,
     pair_hom_count,
+    parse_word,
     relabelled,
+    three_strand_knot_braids,
     torus_hom_count,
 )
 
@@ -265,11 +270,12 @@ def test_iter_homomorphisms_yields_every_homomorphism_once(p, name):
 @pytest.mark.parametrize("n", (2, 3))
 @pytest.mark.parametrize("name", ("S4", "PSL2_13"))
 def test_generators_in_no_relator_fold_into_one_pair(n, name):
-    # with expand_free=False the search assigns no generator in no relator, so
-    # a relator-less presentation is one pair standing for all |H|^n
+    # without expand_free, as count_homomorphisms searches, no generator in
+    # no relator is assigned, so a relator-less presentation is one pair
+    # standing for all |H|^n
     target = {t.name: t for t in standard_suite() + escalation_suite()}[name]
     p = Presentation([f"g{i}" for i in range(n)])
-    homs = weighted_homomorphisms(p, target, expand_free=False)
+    homs = homcount._weighted(_plan(p), target, expand_free=False)
     assert [(list(images), weight) for images, weight in homs] == [([0] * n, target.order**n)]
 
 
@@ -508,31 +514,61 @@ def test_a_plan_holds_its_relators_own_letter_objects():
     assert all(own.get(id(letter)) is letter for letter in letters)
 
 
-@settings(max_examples=30)
-@given(small_presentations, st.randoms(use_true_random=False))
-def test_invariant_under_relator_reordering(p, rng):
-    relators = list(p.relators)
+@functools.cache
+def invariance_targets() -> dict[str, FiniteTarget]:
+    return {t.name: t for t in (symmetric(3), psl2(7), psl2(13))}
+
+
+# small presentations counted into S3, and knot groups of 3-braid closures
+# counted into PSL2_7 and PSL2_13, where naive enumeration cannot check them;
+# PSL2_7 has classes that are not their own inverses, so a link's parity
+# matters there
+invariance_inputs = st.one_of(
+    st.tuples(small_presentations, st.just(("S3",))),
+    st.tuples(
+        three_strand_knot_braids.map(lambda ls: wirtinger_from_braid(BraidWord(3, tuple(ls))).group),
+        st.just(("PSL2_7", "PSL2_13")),
+    ),
+)
+
+
+def same_counts(p: Presentation, other: Presentation, names) -> bool:
+    targets = invariance_targets()
+    return all(count_homomorphisms(p, targets[n]) == count_homomorphisms(other, targets[n]) for n in names)
+
+
+@settings(max_examples=45)
+@given(invariance_inputs, st.randoms(use_true_random=False))
+def test_invariant_under_relator_reordering(drawn, rng):
+    # relators shuffled, each rotated (a conjugate) and some inverted
+    p, names = drawn
+    relators = []
+    for r in p.relators:
+        k = rng.randrange(len(r.letters) or 1)
+        rotated = Word(r.letters[k:] + r.letters[:k])
+        relators.append(rotated.inverse() if rng.random() < 0.5 else rotated)
     rng.shuffle(relators)
-    shuffled = Presentation(p.generators, tuple(relators))
-    s3 = symmetric(3)
-    assert count_homomorphisms(shuffled, s3) == count_homomorphisms(p, s3)
+    assert same_counts(Presentation(p.generators, tuple(relators)), p, names)
 
 
-@settings(max_examples=30)
-@given(small_presentations, st.randoms(use_true_random=False))
-def test_invariant_under_generator_permutation(p, rng):
+@settings(max_examples=45)
+@given(invariance_inputs, st.randoms(use_true_random=False))
+def test_invariant_under_generator_permutation(drawn, rng):
+    # generators permuted and some replaced by their inverses, which turns
+    # some links of a knot group to the inverse's class
+    p, names = drawn
     n = len(p.generators)
     perm = list(range(n))
     rng.shuffle(perm)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
     renamed = Presentation(
         [p.generators[perm[i]] for i in range(n)],
         [
-            Word(tuple((perm.index(g), e) for g, e in r.letters))
+            Word(tuple((perm.index(g), e * signs[g]) for g, e in r.letters))
             for r in p.relators
         ],
     )
-    s3 = symmetric(3)
-    assert count_homomorphisms(renamed, s3) == count_homomorphisms(p, s3)
+    assert same_counts(renamed, p, names)
 
 
 @settings(max_examples=25)

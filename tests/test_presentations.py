@@ -31,7 +31,6 @@ from knotsurgery import (
     half_complement_group,
     mapping_torus_presentation,
     parse_braid,
-    parse_word,
     presentation_from_json,
     presentation_to_json,
     quotient_by_relators,
@@ -44,7 +43,7 @@ from knotsurgery import (
 )
 from knotsurgery.fpgroup import fresh_name
 
-from conftest import naive_hom_count
+from conftest import naive_hom_count, parse_word
 
 
 def pres(names, *relator_texts):
@@ -266,10 +265,11 @@ def test_a_kept_hash_does_not_travel_with_a_pickle_or_a_copy():
     assert hash(copy.copy(p)) == hash(copy.deepcopy(p)) == hash(p)
     code = (
         "import pickle, sys\n"
-        "from knotsurgery import Presentation, parse_word\n"
+        "from knotsurgery import Presentation, Word\n"
         "p = pickle.loads(sys.stdin.buffer.read())\n"
         "names = ['a', 'b']\n"
-        "fresh = Presentation(names, [parse_word(t, names) for t in ('a b a^-1 b^-1', 'a^3 b^-2')])\n"
+        "fresh = Presentation(names, [Word(((0, 1), (1, 1), (0, -1), (1, -1))),"
+        " Word(((0, 1),) * 3 + ((1, -1),) * 2)])\n"
         "print(p == fresh, hash(p) == hash(fresh))\n"
     )
     src = Path(fpgroup.__file__).resolve().parents[1]

@@ -6,13 +6,12 @@ import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from knotsurgery import (
     BraidWord,
     InvalidSlopeError,
     KnotPresentation,
-    NotAKnotError,
     Presentation,
     SurgerySlope,
     Word,
@@ -44,8 +43,15 @@ from knotsurgery.surgery import (
     MERIDIAN,
     double_complement_group,
 )
+from knotsurgery.targets import psl2
 
-from conftest import cable_link_group, mirror_braid, naive_hom_count, q1_identity_failures
+from conftest import (
+    cable_link_group,
+    mirror_braid,
+    naive_hom_count,
+    q1_identity_failures,
+    three_strand_knot_braids,
+)
 
 
 def test_slope_validation():
@@ -164,23 +170,11 @@ def test_mirror_braid_flips_slope_sign(trefoil, suite_full, p, q):
         ), target.name
 
 
-def _closes_to_a_knot(letters) -> bool:
-    try:
-        BraidWord(3, tuple(letters))
-    except NotAKnotError:
-        return False
-    return True
-
-
-three_strand_knot_braids = st.lists(st.sampled_from((1, -1, 2, -2)), max_size=8).filter(
-    _closes_to_a_knot
-)
-
-
 @functools.cache
 def identity_suite() -> tuple:
-    """The standard suite, A6 and S6, closed once."""
-    return standard_suite() + (alternating(6), symmetric(6))
+    """The standard suite, A6, S6 and PSL2_13, closed once; PSL2_13 is past
+    what enumeration reaches, so only the mirror identity checks it."""
+    return standard_suite() + (alternating(6), symmetric(6), psl2(13))
 
 
 def q1_spectra(letters) -> dict[int, dict[str, int]]:

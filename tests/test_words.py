@@ -7,7 +7,6 @@ from knotsurgery import (
     Word,
     apply_mapping,
     commutator,
-    parse_word,
     quotient_by_relators,
     word_power,
 )
@@ -20,7 +19,7 @@ from knotsurgery.fpgroup import (
     word_from_json,
 )
 
-from conftest import min_rotation_oracle
+from conftest import min_rotation_oracle, parse_word
 
 a = Word.generator(0)
 b = Word.generator(1)
