@@ -7,7 +7,12 @@ t^e_j).  The presentation must have one fewer relator than generators
 (Wirtinger and mapping-torus presentations both do).  By Fox's fundamental
 formula, deleting column j leaves a minor equal to
 Delta * (t^e_j - 1) / (t - 1) up to a unit +-t^k, so one determinant, for the
-column with the least nonzero |e_j|, gives Delta.
+column with the least nonzero |e_j|, gives Delta: the minor itself when
+|e_j| = 1, as for every Wirtinger generator and the mapping torus's m.
+
+The determinant and the division by t^k - 1 run on {exponent: coefficient}
+dicts and build one ``LaurentPolynomial`` each at the end, not one per
+product and sum.
 """
 
 from __future__ import annotations
@@ -138,9 +143,9 @@ def laurent_det(rows: Sequence[Sequence[LaurentPolynomial]]) -> LaurentPolynomia
     for row in rows:
         if len(row) != n:
             raise ValueError("determinant requires a square matrix")
-    states: dict[int, LaurentPolynomial] = {0: LaurentPolynomial.one()}
+    states: dict[int, dict[int, int]] = {0: {0: 1}}
     for k in range(n):
-        next_states: dict[int, LaurentPolynomial] = {}
+        next_states: dict[int, dict[int, int]] = {}
         row = rows[k]
         row_sign = -1 if k % 2 else 1  # expansion along the last row: (-1)^(k + pos)
         for mask, value in states.items():
@@ -150,19 +155,21 @@ def laurent_det(rows: Sequence[Sequence[LaurentPolynomial]]) -> LaurentPolynomia
                 if mask & bit:
                     sign = -sign
                     continue
-                entry = row[j]
-                if entry.is_zero:
+                entry = row[j].terms
+                if not entry:
                     continue
-                term = entry * value
-                if sign < 0:
-                    term = -term
-                new_mask = mask | bit
-                acc = next_states.get(new_mask)
-                next_states[new_mask] = term if acc is None else acc + term
-        states = {m: v for m, v in next_states.items() if not v.is_zero}
+                acc = next_states.setdefault(mask | bit, {})
+                for e1, c1 in entry:
+                    c1 *= sign
+                    for e2, c2 in value.items():
+                        acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+        states = {}
+        for m, v in next_states.items():
+            if v := {e: c for e, c in v.items() if c}:
+                states[m] = v
         if not states:
             return LaurentPolynomial.zero()
-    return states.get((1 << n) - 1, LaurentPolynomial.zero())
+    return LaurentPolynomial.from_dict(states.get((1 << n) - 1, {}))
 
 
 def fox_derivative(w: Word, index: int, exponents: Sequence[int]) -> LaurentPolynomial:
@@ -199,15 +206,18 @@ def abelianization_exponents(p: Presentation) -> tuple[int, ...]:
 def _divided_by_t_power_minus_one(p: LaurentPolynomial, k: int) -> LaurentPolynomial:
     """p / (t^k - 1) for k >= 1; raises ArithmeticError if it leaves a remainder."""
     quotient: dict[int, int] = {}
-    if not p.is_zero:
+    coeffs = dict(p.terms)
+    if coeffs:
         # p = q t^k - q, so q_e = q_(e-k) - p_e from the lowest exponent up
-        coeffs = dict(p.terms)
         for e in range(p.min_exponent(), p.max_exponent() - k + 1):
             quotient[e] = quotient.get(e - k, 0) - coeffs.get(e, 0)
-    q = LaurentPolynomial.from_dict(quotient)
-    if q * LaurentPolynomial(((0, -1), (k, 1))) != p:
+    # the remainder: p less q t^k - q, term by term
+    for e, c in quotient.items():
+        coeffs[e + k] = coeffs.get(e + k, 0) - c
+        coeffs[e] = coeffs.get(e, 0) + c
+    if any(coeffs.values()):
         raise ArithmeticError(f"t^{k} - 1 does not divide {p}")
-    return q
+    return LaurentPolynomial.from_dict(quotient)
 
 
 def fox_alexander(kp: KnotPresentation) -> LaurentPolynomial:
@@ -226,5 +236,7 @@ def fox_alexander(kp: KnotPresentation) -> LaurentPolynomial:
         )
     j = min((i for i in range(n) if exponents[i]), key=lambda i: abs(exponents[i]))
     minor = [[fox_derivative(r, c, exponents) for c in range(n) if c != j] for r in p.relators]
-    scaled = laurent_det(minor) * LaurentPolynomial(((0, -1), (1, 1)))  # times t - 1
-    return _divided_by_t_power_minus_one(scaled, abs(exponents[j])).normalized()
+    det, k = laurent_det(minor), abs(exponents[j])
+    if k > 1:  # at k = 1, as for every meridian generator, the factors cancel
+        det = _divided_by_t_power_minus_one(det * LaurentPolynomial(((0, -1), (1, 1))), k)
+    return det.normalized()

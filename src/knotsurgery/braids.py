@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 
 from .errors import BraidSyntaxError, IndexOutOfRangeError, NotAKnotError
-from .fpgroup import Presentation, Word, word_power, _inverse_letters, _reduced
+from .fpgroup import Presentation, Word, word_power, _inverse_letters, _join
 from .knots import KnotPresentation
 
 _LETTER = re.compile(r"-?[1-9][0-9]*")
@@ -115,16 +115,16 @@ def wirtinger_from_braid(braid: BraidWord) -> KnotPresentation:
         u_i, u_j = labels[i], labels[i + 1]
         if k > 0:
             overs.append(u_i)
-            labels[i] = _reduced(u_i + u_j + _inverse_letters(u_i))
+            labels[i] = _join(_join(u_i, u_j), _inverse_letters(u_i))
             labels[i + 1] = u_i
         else:
             overs.append(_inverse_letters(u_j))
             labels[i] = u_j
-            labels[i + 1] = _reduced(overs[-1] + u_i + u_j)
+            labels[i + 1] = _join(_join(overs[-1], u_i), u_j)
 
     relators = []
     for j in range(n):
-        relators.append(Word(_reduced(((j, -1),) + labels[j])))
+        relators.append(Word._of(_join(((j, -1),), labels[j])))
     relators.pop()  # one relator is a consequence of the rest
 
     acc: tuple = ()
@@ -135,11 +135,11 @@ def wirtinger_from_braid(braid: BraidWord) -> KnotPresentation:
             if position not in (i, i + 1):
                 continue
             if position != (i if k > 0 else i + 1):  # the walk passes under
-                acc = _reduced(overs[t] + acc)
+                acc = _join(overs[t], acc)
             position = 2 * i + 1 - position
         if position == 0:
             break
-    longitude = Word(acc) * word_power(Word.generator(0), -braid.writhe)
+    longitude = Word._of(acc) * word_power(Word.generator(0), -braid.writhe)
 
     gens = tuple(f"x{i + 1}" for i in range(n))
     group = Presentation(gens, tuple(relators))

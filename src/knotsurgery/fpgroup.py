@@ -10,7 +10,9 @@ A word built from outside input (``Word(letters)``, ``word_from_json`` and
 so ``presentation_from_json``) is checked and reduced.
 Operations whose result is reduced by construction skip that second pass:
 
-- ``w * v`` cancels only at the junction, since w and v are each reduced;
+- ``w * v`` cancels only at the junction (``_join``), since w and v are
+  each reduced; ``braids.wirtinger_from_braid`` builds its labels, relators
+  and longitude through ``_join`` the same way;
 - ``w.inverse()`` reverses a reduced word, which stays reduced;
 - ``w.cyclically_reduced()`` is a subword of w (w itself if nothing is
   trimmed), and a subword of a reduced word is reduced;
@@ -23,8 +25,8 @@ Operations whose result is reduced by construction skip that second pass:
   checked ones;
 - a Tietze elimination rewrites each relator and tracked word in one pass
   (the image of the eliminated generator, renumbered, is a rotation of the
-  cyclically reduced relator less one letter, or its inverse) followed by one
-  ``_reduced``;
+  cyclically reduced relator less one letter, or its inverse) that cancels
+  pairs as it writes them, with no second pass over the letters it built;
 - ``Presentation.extended`` checks only the relators it adds, since the
   relators already there stay valid over more generators;
 - ``Presentation._of`` checks nothing; the doubled-complement halves of
@@ -67,6 +69,14 @@ def _reduced(letters: Iterable[Letter]) -> tuple[Letter, ...]:
 
 def _inverse_letters(letters: Sequence[Letter]) -> tuple[Letter, ...]:
     return tuple((g, -e) for g, e in reversed(letters))
+
+
+def _join(a: tuple[Letter, ...], b: tuple[Letter, ...]) -> tuple[Letter, ...]:
+    """The free reduction of a b for freely reduced a and b: only the junction cancels."""
+    k, n = 0, min(len(a), len(b))
+    while k < n and a[-1 - k][0] == b[k][0] and a[-1 - k][1] == -b[k][1]:
+        k += 1
+    return a[: len(a) - k] + b[k:]
 
 
 def _cyclic_reduced(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
@@ -115,11 +125,7 @@ class Word:
         return cls(((index, 1),))
 
     def __mul__(self, other: "Word") -> "Word":
-        a, b = self.letters, other.letters
-        k, n = 0, min(len(a), len(b))
-        while k < n and a[-1 - k][0] == b[k][0] and a[-1 - k][1] == -b[k][1]:
-            k += 1
-        return Word._of(a[: len(a) - k] + b[k:])
+        return Word._of(_join(self.letters, other.letters))
 
     def __pow__(self, n: int) -> "Word":
         return word_power(self, n)
@@ -411,13 +417,23 @@ def tietze_simplify_tracked(
         inverse = _inverse_letters(image)
 
         def rewrite(letters: tuple[Letter, ...]) -> tuple[Letter, ...]:
+            # a stack that cancels as it goes, as _reduced does, with no
+            # check of letters built here
             out: list[Letter] = []
             for h, e in letters:
                 if h == g:
-                    out.extend(image if e == 1 else inverse)
+                    for letter in image if e == 1 else inverse:
+                        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
+                            out.pop()
+                        else:
+                            out.append(letter)
                 else:
-                    out.append((h - (h > g), e))
-            return _reduced(out)
+                    h -= h > g
+                    if out and out[-1][0] == h and out[-1][1] == -e:
+                        out.pop()
+                    else:
+                        out.append((h, e))
+            return tuple(out)
 
         rels = _normalize_relators(map(rewrite, rels))
         tracked_letters = list(map(rewrite, tracked_letters))

@@ -6,7 +6,7 @@ presentation's kept plan, which assigns generator images one generator at
 a time.  Generators are ordered so that relators acquire full support as
 early as possible (relators with the smallest support are scheduled first),
 and a branch is pruned the moment any fully assigned relator fails to
-evaluate to the identity.  Four exact reductions keep the search small:
+evaluate to the identity.  Five exact reductions keep the search small:
 
 * Segments.  Each relator is checked at the depth of its last generator g.
   It is rotated to start at g (a rotation is a conjugate, so it is trivial
@@ -58,6 +58,21 @@ evaluate to the identity.  Four exact reductions keep the search small:
   (``tests/torus_2_5_monodromy.json``) three generators that no relator
   links, and the third is solved for.  Two generators leave nothing to
   solve: the second keeps its C_H(c)-orbits.
+* Perfect groups.  A group with trivial H1 is perfect, and so is every
+  image of it.  The plan reads this off the Smith form's factors, all n of
+  them 1 for n generators, and takes the form only when there are at least
+  n relators: with fewer, H1 has a free part, so a knot group never pays
+  for it.  A perfect subgroup of a solvable group is trivial, and a target
+  whose order has at most two prime divisors is solvable (Burnside's
+  p^a q^b theorem, 1904), so there the search yields the trivial
+  assignment alone, with weight 1.  In any other target a homomorphism
+  followed by the sign map has an abelian and perfect image, so it is
+  trivial: every image is an even permutation, and the first searched
+  generator ranges over the classes with an even representative alone
+  (``FiniteTarget.even_classes``, all of them when every generator of the
+  target is even).  Every q = 1 surgery of the paper's families is a
+  homology sphere, so both of its routes take this path; the knot groups
+  whose peripheral tables ``family`` reads never do.
 
 Every other generator ranges over all of H.  Every relator is still checked,
 so the weighted total equals naive enumeration over all |H|^n assignments.
@@ -154,6 +169,8 @@ class _SearchPlan(NamedTuple):
     # per search position: the index in its steps of a relator g^±1 u1 g^∓1 u2
     # that solves for its generator g, or None
     solve: tuple[int | None, ...]
+    # whether H1 is trivial, so that the group is perfect; see _weighted
+    perfect: bool
     # |Hom(G, H)| per target counted so far, by target identity; see
     # count_homomorphisms
     counts: WeakKeyDictionary[FiniteTarget, int]
@@ -275,12 +292,16 @@ def _plan(p: Presentation) -> _SearchPlan:
         next((i for i, s in enumerate(checks) if len(s) == 2 and s[0][0] != s[1][0]), None)
         for checks in steps
     )
+    # with fewer relators than generators H1 has a free part: no Smith form
+    n = len(p.generators)
+    perfect = len(p.relators) >= n and relation_smith_form(p).factors == (1,) * n
     return _PLANS.setdefault(p, _SearchPlan(
         tuple(order),
         bound,
         tuple(tuple(s) for s in steps),
         _links(p.relators, order),
         solve,
+        perfect,
         WeakKeyDictionary(),
     ))
 
@@ -311,9 +332,12 @@ def weighted_homomorphisms(p: Presentation, target: FiniteTarget) -> Iterator[tu
     elsewhere.  A generator that a relator solves for (``_SearchPlan.solve``)
     ranges over the solutions of that relator instead, past the second
     place; a linked one over those in its class.  Every other generator
-    ranges over all of H.  Each pair stands for ``weight`` homomorphisms, so
-    the weights sum to |Hom(G, H)|.  ``images`` is the live assignment, valid
-    until the next pair is drawn.
+    ranges over all of H.  A perfect group (``_SearchPlan.perfect``) yields
+    the trivial assignment alone into a target whose order has at most two
+    prime divisors, and elsewhere its first generator ranges over the classes
+    of even permutations only.  Each pair stands for ``weight``
+    homomorphisms, so the weights sum to |Hom(G, H)|.  ``images`` is the
+    live assignment, valid until the next pair is drawn.
     """
     return _weighted(_plan(p), target, expand_free=True)
 
@@ -329,6 +353,11 @@ def _weighted(
     the weight, so a presentation with no generator in a relator yields one
     pair.
     """
+    if plan.perfect and target.solvable_by_order:
+        # the image is trivial (module docstring), and a perfect group has no
+        # generator outside the relators for expand_free to weigh
+        yield [0] * len(plan.order), 1
+        return
     sequence = plan.order if expand_free else plan.order[: plan.bound]
     steps, links, solve = plan.steps, plan.links, plan.solve
     factor = target.order ** (len(plan.order) - len(sequence))
@@ -397,7 +426,8 @@ def _weighted(
     if not sequence:
         yield images, factor
         return
-    yield from dfs(0, target.conjugacy_classes, factor)
+    # a perfect group's images are even (module docstring)
+    yield from dfs(0, target.even_classes if plan.perfect else target.conjugacy_classes, factor)
 
 
 def count_homomorphisms(p: Presentation, target: FiniteTarget) -> int:

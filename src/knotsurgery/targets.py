@@ -91,6 +91,18 @@ def parse_cycles(text: str, degree: int) -> Perm:
     return tuple(mapping)
 
 
+def _is_even(p: Perm) -> bool:
+    """Whether p is an even permutation: its degree less its cycle count is even."""
+    seen, cycles = set(), 0
+    for x in p:
+        if x not in seen:
+            cycles += 1
+            while x not in seen:
+                seen.add(x)
+                x = p[x]
+    return (len(p) - cycles) % 2 == 0
+
+
 class _ProductRow(dict):
     """Row x of a ProductMemo: y -> the index of e_x * e_y, composed on first read."""
 
@@ -174,6 +186,28 @@ class FiniteTarget:
         """Whether the generators commute, so that the whole group does."""
         rows = self.generator_rows
         return all(a[b[0]] == b[a[0]] for i, a in enumerate(rows) for b in rows[:i])
+
+    @cached_property
+    def solvable_by_order(self) -> bool:
+        """Whether |H| has at most two prime divisors, which makes H solvable
+        (Burnside's p^a q^b theorem, 1904); a solvable H of another order
+        reads False."""
+        n, primes, d = self.order, 0, 2
+        while d * d <= n:
+            if n % d == 0:
+                primes += 1
+                while n % d == 0:
+                    n //= d
+            d += 1
+        return primes + (n > 1) <= 2
+
+    @cached_property
+    def even_classes(self) -> tuple[tuple[int, int], ...]:
+        """The ``conjugacy_classes`` whose representative is an even
+        permutation: all of them when every generator is even."""
+        if all(map(_is_even, self.generators)):
+            return self.conjugacy_classes
+        return tuple(c for c in self.conjugacy_classes if _is_even(self.elements[c[0]]))
 
     def power(self, x: int, n: int) -> int:
         """The index of e_x^n, for any integer n, by repeated squaring.

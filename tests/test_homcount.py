@@ -629,6 +629,76 @@ def test_equal_presentations_built_separately_share_one_entry(searches):
     assert searches == [s4]
 
 
+def q1_surgery(letters, p: int) -> Presentation:
+    kp = wirtinger_from_braid(BraidWord(3, tuple(letters)))
+    return tietze_simplify(dehn_surgery_group(kp, SurgerySlope(p, 1)))
+
+
+@functools.cache
+def s6_and_a6() -> tuple[FiniteTarget, FiniteTarget]:
+    return symmetric(6), alternating(6)
+
+
+# q = 1 surgeries are homology spheres, so every count here takes the
+# perfect-group path.  Naive enumeration checks each standard target within
+# about 120^2 assignments; S6, past that, must read as A6, whose generators
+# are all even, so that its search starts from every class.  The examples
+# map onto A5 (121) and A6 (1441), which a drawn knot may not.
+@settings(max_examples=15)
+@given(three_strand_knot_braids, st.integers(-3, 3))
+@example([1, 1, 1, 2], 1)
+@example([1, -2, 1, -2], 2)
+def test_perfect_surgery_groups_match_naive_enumeration(letters, p):
+    group = q1_surgery(letters, p)
+    assert _plan(group).perfect
+    n = len(group.generators)
+    for target in standard_suite():
+        if target.order**n <= 120**2:
+            assert count_homomorphisms(group, target) == naive_hom_count(group, target), target.name
+    s6, a6 = s6_and_a6()
+    assert count_homomorphisms(group, s6) == count_homomorphisms(group, a6)
+
+
+@pytest.mark.parametrize("p, expected", [(1, 121), (-1, 1)])
+def test_trefoil_q1_surgeries_read_alike_at_a5_and_s5(trefoil, p, expected):
+    # p = +1 is the Poincare homology sphere: its group SL(2,5) maps onto
+    # A5 in |Aut(A5)| = 120 ways, and into S5 only inside A5; p = -1 has
+    # the trivial homomorphism alone at both
+    group = tietze_simplify(dehn_surgery_group(trefoil, SurgerySlope(p, 1)))
+    for target in (alternating(5), symmetric(5)):
+        assert count_homomorphisms(group, target) == naive_hom_count(group, target) == expected
+
+
+def test_only_a_group_with_trivial_h1_is_perfect(trefoil):
+    assert not _plan(trefoil.group).perfect
+    for q in (1, 2, 3):
+        group = tietze_simplify(dehn_surgery_group(trefoil, SurgerySlope(1, q)))
+        assert len(group.relators) >= len(group.generators)
+        assert _plan(group).perfect is (q == 1)
+        for target in (symmetric(3), symmetric(4)):
+            assert count_homomorphisms(group, target) == naive_hom_count(group, target)
+
+
+def test_a_perfect_group_into_a_solvable_target_yields_one_pair(trefoil, searches):
+    group = tietze_simplify(dehn_surgery_group(trefoil, SurgerySlope(1, 1)))
+    s4 = symmetric(4)
+    pairs = [(list(images), weight) for images, weight in weighted_homomorphisms(group, s4)]
+    assert pairs == [([0] * len(group.generators), 1)]
+    assert searches == [s4]
+
+
+def test_a_knot_group_is_searched_from_every_class(trefoil, searches):
+    s3 = symmetric(3)
+    pairs = [(list(images), weight) for images, weight in weighted_homomorphisms(trefoil.group, s3)]
+    assert sum(weight for _, weight in pairs) == naive_hom_count(trefoil.group, s3)
+    # the first searched generator tries the class of transpositions, the
+    # elements of S3 with one fixed point, which no perfect group reaches
+    first = _plan(trefoil.group).order[0]
+    odd = {x for x, perm in enumerate(s3.elements) if sum(i == y for i, y in enumerate(perm)) == 1}
+    assert odd & {images[first] for images, _ in pairs}
+    assert searches == [s3]
+
+
 def test_a_target_closed_again_is_searched_again(searches):
     p = pres(["x", "y"], "x y x y^-1 x^-1 y^-1")
     first = symmetric(4)
