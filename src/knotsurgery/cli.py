@@ -2,21 +2,22 @@
 
 Subcommands: knot (inspect a knot presentation), family (build a surgery
 family and distinguish it), verify (cross-check the two surgery routes and
-the knot group's peripheral tables),
-export (write presentations as computational-algebra scripts).
+the knot group's peripheral tables), export (write presentations as
+computational-algebra scripts).
 
 Exit codes: 0 success / all pairs distinguished, 1 verification failure,
 2 input error, 3 unresolved pairs remain, 4 resource cap exceeded.
 
 Slopes: family, verify and export keep the slope q/p of each p coprime to
-q, in input order (RunConfig.kept_p), and print a skip line for every other
-p.  Once its arguments parse, a command refuses, with exit 2, in this
-order: a missing --out (family and export); a p set with none kept, after
-a skip line for each p, before the knot loads; then, once it has loaded,
-the first kept p whose longitude power word_power would refuse (all but
-export --construction knot); then kept p whose longitude powers would total
-more than MAX_EXPORT_LETTERS letters (family, and export with a slope
-construction).  Nothing is built, searched or written before these pass.
+q (surgery.coprime), in input order (RunConfig.kept_p), and print a skip
+line for every other p.  Once its arguments parse, a command refuses, with
+exit 2, in this order: a missing --out (family and export); a p set with
+none kept, after a skip line for each p, before the knot loads; then, once
+it has loaded, the first kept p whose longitude power word_power would
+refuse (all but export --construction knot); then kept p whose longitude
+powers would total more than MAX_EXPORT_LETTERS letters (family, and export
+with a slope construction).  Nothing is built, searched or written before
+these pass.
 
 Primary outputs are byte-deterministic for a fixed config; wall-clock
 metadata goes to a run_meta.json sidecar.  family caches one entry per
@@ -24,16 +25,16 @@ metadata goes to a run_meta.json sidecar.  family caches one entry per
 slope lattices of the knot group, off which every slope's spectrum is read,
 and a record of the manifest family last wrote next to it.  A warm family
 call whose manifest still has the recorded size and CRC-32 builds no member.
-Otherwise family, verify and export draw the halves of the double one at a
-time from surgery.family_members, so each holds one member's words at a
-time; no command builds a whole family.
+Otherwise family, verify and export draw the halves of the double of their
+kept slopes one at a time from surgery.family_members, each member with its
+slope, so each holds one member's words at a time.
 
 This is the only module that touches files: every input file is read by
 ``_read_json``, at its size and to a fixed nesting depth, and every output
-is written by ``_write``,
-which first checks the old output against a record, or reads it back (up
-to the new text's length + 1 bytes), leaves an unchanged one alone and
-rewrites a changed one in place, cut to its new length.
+is written by ``_write``, which first checks the old output against a
+record, or reads it back (up to the new text's length + 1 bytes), leaves an
+unchanged one alone and rewrites a changed one in place, cut to its new
+length.
 """
 
 from __future__ import annotations
@@ -53,7 +54,6 @@ import zlib
 from datetime import datetime, timezone
 from itertools import accumulate
 from json.encoder import encode_basestring_ascii
-from math import gcd
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -97,6 +97,7 @@ from .surgery import (
     MAX_ABS_P,
     MAX_Q,
     SurgerySlope,
+    coprime,
     dehn_surgery_group,
     family_members,
 )
@@ -333,10 +334,10 @@ class RunConfig:
 
     @functools.cached_property
     def kept_p(self) -> dict[int, None]:
-        """The p coprime to q, in input order, worked out on first use and then
-        kept: the one place the slope rule is decided.  A dict, so that each
-        of up to MAX_P_VALUES p is looked up in O(1)."""
-        return dict.fromkeys(p for p in self.p_values if gcd(p, self.q) == 1)
+        """The p coprime to q (surgery.coprime), in input order, worked out on
+        first use and then kept: the one place a command settles its slopes.
+        A dict, so that each of up to MAX_P_VALUES p is looked up in O(1)."""
+        return dict.fromkeys(p for p in self.p_values if coprime(p, self.q))
 
 
 def parse_p_spec(spec: str) -> tuple[int, ...]:
@@ -479,10 +480,7 @@ def _spectra(
 
 
 def compute_spectra(
-    slopes: Sequence[SurgerySlope],
-    config: RunConfig,
-    source: str,
-    kp: KnotPresentation,
+    slopes: Sequence[SurgerySlope], config: RunConfig, source: str, kp: KnotPresentation
 ) -> tuple[list[HomSpectrum], int]:
     """Spectra of kp's surgeries in slope order, and how many of them were
     read off the file cache under out_dir (all or none); writes the family
@@ -493,11 +491,18 @@ def compute_spectra(
     last written next to it.  A miss (see _read_cache_entry) is filled from
     the tables of kp's peripheral report, one search per target, which raises
     before anything is written if it fails.  Hit or miss, every slope is
-    counted off the lattices, and then the manifest is written, or checked
-    against the entry's record (see _write_manifest).  The entry is written
-    once, after the manifest, if it missed or its record changed; an entry
-    that cannot be written stays a miss, and a failed manifest write leaves
-    the entry as it was.
+    counted off the lattices, and then the manifest of the slopes is written.
+    Its record is [key, size, crc32]: key the sha256 of the manifest's inputs
+    that the entry's name does not fix (source kind, source, q, p values),
+    and size and crc32 those of its bytes.  Given a record of the same key, a
+    manifest that still has its size and CRC-32 is left alone, with no member
+    built, and any other is rewritten, each member built once.  The entry's
+    name fixes the rest of the manifest's text through the schema and package
+    versions, so a change to that text must bump SCHEMA_VERSION or the
+    package version; the tests pin one manifest's digest to each
+    SCHEMA_VERSION.  The entry is written once, after the manifest, if it
+    missed or its record changed; an entry that cannot be written stays a
+    miss, and a failed manifest write leaves the entry as it was.
     """
     names = config.suite.names
     found = None
@@ -512,7 +517,12 @@ def compute_spectra(
     if found is None:
         lattices = _slope_lattices(kp, config.suite.close())
     spectra = _spectra(names, lattices, slopes)
-    written = _write_manifest(config, kp, record)
+    inputs = [config.source_kind, config.source, config.q, config.p_values]
+    key = hashlib.sha256(json.dumps(inputs).encode()).hexdigest()
+    recorded = tuple(record[1:]) if record is not None and record[0] == key else None
+    # the manifest draws the members one at a time; the spectra need none
+    chunks = functools.partial(_manifest_chunks, config, kp, slopes)
+    written = [key, *_write(config.out_dir / "family_manifest.json", chunks, recorded=recorded)]
     if config.cache and (found is None or written != record):
         rows = [[name, [[m, c, n, w] for (m, c, n), w in lattice.items()]]
                 for name, lattice in zip(names, lattices)]
@@ -559,21 +569,22 @@ def _word_text(word: Word, letters: dict[Letter, str], indent: str, lead: str = 
     return _enclosed(lead + "[", list(map(letters.__getitem__, word.letters)), "]", indent)
 
 
-def _manifest_chunks(config: RunConfig, kp: KnotPresentation) -> Iterator[str]:
+def _manifest_chunks(
+    config: RunConfig, kp: KnotPresentation, slopes: Sequence[SurgerySlope]
+) -> Iterator[str]:
     """The text of family_manifest.json, drawing the members of
-    family_members(kp, config.q, config.p_values) one at a time.
+    family_members(kp, slopes) one at a time.
 
     The text is json.dumps(indent=2) of {schema_version, source, q, skipped_p,
     members} and a newline: skipped_p the p not coprime to q, and members the
     {p, q, presentation, labels} record of each member, of which there is at
-    least one.  Each word's text joins the texts of its letters.  Members share
-    their generators, their labels and their first len(kp.group.relators) + 1
-    relators (the knot group's and [mu, lam]): the text of these is made once
-    per family and yielded as chunks of their own.  A member's other relators
-    (its filling relator, mu and lam) are made as they are written and then
-    dropped, so one member's text is held at a time.  A member that does not
-    share these with the one before has their text made again, so any
-    members are written right.
+    least one.  Each word's text joins the texts of its letters.  The members
+    of one q share their generators, their labels and their first
+    len(kp.group.relators) + 1 relators (the knot group's and [mu, lam]): the
+    text of these is made once, from the first member, and yielded as chunks
+    of their own.  A member's other relators (its filling relator, mu and
+    lam) are made as they are written and then dropped, so one member's text
+    is held at a time.
     """
     header = {
         "schema_version": SCHEMA_VERSION,
@@ -585,16 +596,14 @@ def _manifest_chunks(config: RunConfig, kp: KnotPresentation) -> Iterator[str]:
     yield json.dumps(header, indent=2)[:-2] + ',\n  "members": ['
     inner = ",\n" + _RELATOR_INDENT
     shared_count = len(kp.group.relators) + 1
-    shared = None
+    opening = None
     separator = "\n" + _MEMBER_INDENT
-    for member in family_members(kp, config.q, config.p_values):
+    for member in family_members(kp, slopes):
         names, relators = member.presentation.generators, member.presentation.relators
-        common_words, label_items = relators[:shared_count], tuple(member.labels.items())
-        if (names, common_words, label_items) != shared:
-            shared = names, common_words, label_items
+        if opening is None:
             letters = _letter_texts(names, _RELATOR_INDENT + "  ")
             label_letters = _letter_texts(names, _LABEL_INDENT + "  ")
-            common = [_word_text(w, letters, _RELATOR_INDENT) for w in common_words]
+            common = [_word_text(w, letters, _RELATOR_INDENT) for w in relators[:shared_count]]
             # the presentation's fields up to the end of its shared relators
             opening = (
                 f',\n{_FIELD_INDENT}"presentation": {{\n{_LABEL_INDENT}"generators": '
@@ -604,7 +613,7 @@ def _manifest_chunks(config: RunConfig, kp: KnotPresentation) -> Iterator[str]:
             )
             labels = [
                 f"{encode_basestring_ascii(role)}: {_word_text(w, label_letters, _LABEL_INDENT)}"
-                for role, w in label_items
+                for role, w in member.labels.items()
             ]
             # the end of the relators (a member has its own relators only
             # past shared ones), of the presentation, the labels and the record
@@ -625,27 +634,6 @@ def _manifest_chunks(config: RunConfig, kp: KnotPresentation) -> Iterator[str]:
         yield closing
         separator = ",\n" + _MEMBER_INDENT
     yield "\n  ]\n}\n"
-
-
-def _write_manifest(config: RunConfig, kp: KnotPresentation, record: list | None) -> list:
-    """Write family_manifest.json and return its record [key, size, crc32].
-
-    key is the sha256 of the manifest's inputs that the cache entry's name
-    does not fix (source kind, source, q, p values), and size and crc32 are
-    those of the manifest's bytes.  Given a record of the same key, a
-    manifest that still has its size and CRC-32 is left alone, with no
-    member built, and any other is rewritten, each member built once.  The
-    entry's name fixes the rest of the manifest's text through the schema
-    and package versions, so a change to that text must bump SCHEMA_VERSION
-    or the package version; the tests pin one manifest's digest to each
-    SCHEMA_VERSION.
-    """
-    inputs = [config.source_kind, config.source, config.q, config.p_values]
-    key = hashlib.sha256(json.dumps(inputs).encode()).hexdigest()
-    recorded = tuple(record[1:]) if record is not None and record[0] == key else None
-    # the manifest draws the members one at a time; the spectra need none
-    chunks = functools.partial(_manifest_chunks, config, kp)
-    return [key, *_write(config.out_dir / "family_manifest.json", chunks, recorded=recorded)]
 
 
 def _refuse_long_slope(config: RunConfig, kp: KnotPresentation) -> None:
@@ -761,22 +749,21 @@ def cmd_verify(config: RunConfig) -> int:
     suite = config.suite.close()
     # the third side: each slope's spectrum read off the knot group's slope lattices
     lattices = _slope_lattices(kp, suite)
-    halves = family_members(kp, config.q, config.p_values)
     lines = []
     all_ok = True
-    # each skip line is printed as zip reaches it, the last ones too
-    for slope, half in zip(slopes, halves):
-        routes = [tietze_simplify(g) for g in (dehn_surgery_group(kp, slope), half.presentation)]
+    # each skip line is printed as the draws reach it, the last ones too
+    for half in family_members(kp, slopes):
+        routes = [tietze_simplify(g) for g in (dehn_surgery_group(kp, half.slope), half.presentation)]
         # the two routes usually simplify to one presentation, decomposed and searched once
         ab_surgery, ab_half = map(abelianization, routes)
         spec_surgery, spec_half = (hom_spectrum(g, suite) for g in routes)
         ok = ab_surgery == ab_half and (
-            spec_surgery == spec_half == _spectra(config.suite.names, lattices, (slope,))[0]
+            spec_surgery == spec_half == _spectra(config.suite.names, lattices, (half.slope,))[0]
         )
         all_ok = all_ok and ok
         status = "PASS" if ok else "FAIL"
         detail = f"H1 {ab_surgery} vs {ab_half}, spectra over {len(suite)} targets"
-        line = f"p={slope.p} q={config.q}: {detail}: {status}"
+        line = f"p={half.slope.p} q={config.q}: {detail}: {status}"
         lines.append(line)
         print(line)
     if config.out_dir is not None:
@@ -799,8 +786,7 @@ def cmd_export(config: RunConfig) -> int:
     if config.construction == "surgery":
         groups = ((slope, dehn_surgery_group(kp, slope)) for slope in slopes)
     else:  # "half" or "double": the double is presented as one half
-        halves = family_members(kp, config.q, config.p_values)
-        groups = ((slope, half.presentation) for slope, half in zip(slopes, halves))
+        groups = ((half.slope, half.presentation) for half in family_members(kp, slopes))
     for slope, presentation in groups:
         path = config.out_dir / f"{config.construction}_q{config.q}_p{slope.p}.g"
         _write(path, to_free_group_script(presentation))

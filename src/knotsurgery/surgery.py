@@ -1,16 +1,18 @@
 """Surgery quotients and the doubled-complement groups built from cable links.
 
 The slope convention: filling along meridian^q * longitude^p, q >= 1 and
-gcd(p, q) = 1.  Note that much of the literature writes the same filling with
-the roles of p and q transposed; the argument order here is (p, q) and the
-relator is always meridian^q longitude^p.  A global orientation flip would
-relabel the family by p -> -p; one convention is fixed throughout.
+gcd(p, q) = 1, which ``coprime`` alone decides.  Much of the literature
+transposes p and q; here the argument order is (p, q) and the relator is
+always meridian^q longitude^p.  A global orientation flip would relabel the
+family by p -> -p; one convention is fixed throughout.  ``family_members``
+builds the halves of exactly the slopes it is given, each with its slope.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidSlopeError
 from .fpgroup import (
@@ -35,6 +37,11 @@ MAX_ABS_P = 1000
 MAX_Q = 1000
 
 
+def coprime(p: int, q: int) -> bool:
+    """Whether gcd(p, q) = 1: the one place the slope rule is decided."""
+    return gcd(p, q) == 1
+
+
 class SurgerySlope:
     """A q/p filling slope: q >= 1 and p coprime to q."""
 
@@ -47,7 +54,7 @@ class SurgerySlope:
             raise InvalidSlopeError(
                 f"slope p={p}, q={q} is past the limits |p| <= {MAX_ABS_P}, q <= {MAX_Q}"
             )
-        if gcd(p, q) != 1:
+        if not coprime(p, q):
             raise InvalidSlopeError(f"gcd(p, q) must be 1, got p={p}, q={q}")
         self.p = p
         self.q = q
@@ -78,7 +85,7 @@ def half_complement_group(kp: KnotPresentation, slope: SurgerySlope) -> Presenta
     Dehn surgery quotient, and the test suite checks that the two routes have
     identical abelianizations and hom-spectra.
     """
-    return next(family_members(kp, slope.q, (slope.p,))).presentation
+    return next(family_members(kp, (slope,))).presentation
 
 
 def double_complement_group(kp: KnotPresentation, slope: SurgerySlope) -> Presentation:
@@ -98,29 +105,29 @@ class FamilyResult(NamedTuple):
     skipped: tuple[int, ...]
 
 
-def family_members(kp: KnotPresentation, q: int, p_values: Sequence[int]) -> Iterator[FamilyMember]:
-    """One double-complement group per p coprime to q, in input order, one at a time.
+def family_members(kp: KnotPresentation, slopes: Iterable[SurgerySlope]) -> Iterator[FamilyMember]:
+    """The double-complement group of each given slope, in order, one at a time.
 
     Each group is one half: the cable-link group (the knot group plus a
     commuting pair mu, lam, the knot's peripheral pair inside the complement
     of the knot and its (p, q)-cable, with the cable meridian^q longitude^p
-    identified with mu^q lam^p) with mu and lam killed.  Non-coprime p
-    values are left out (``build_family`` reports them).  On the first draw
-    every kept slope is checked before anything is built, and a family with
-    no member builds nothing.  Everything but the filling relator depends
-    only on (knot, q) and is built once: the fresh generators mu, lam and
-    their commutator, the labels, meridian^q and mu^-q, and the relators mu
-    and lam.  Each p then adds its filling relator meridian^q longitude^p
-    lam^-p mu^-q, mu and lam in one presentation, whose relators start with
-    the knot group's and [mu, lam], the same words for every member.  A
-    member is built when it is drawn, so a caller that drops each member
-    before drawing the next (as every command does) holds one at a time.
+    identified with mu^q lam^p) with mu and lam killed.  The slopes, settled
+    by the caller, are drawn as the members are; none is left out, and each
+    member carries its own.  They share one q: another raises when drawn.
+    Everything but the filling relator depends only on (knot, q) and is built
+    once, at the first draw: the fresh generators mu, lam and their
+    commutator, the labels, meridian^q and mu^-q, and the relators mu and
+    lam.  Each p then adds its filling relator meridian^q longitude^p lam^-p
+    mu^-q, mu and lam in one presentation, whose relators start with the
+    knot group's and [mu, lam], the same words for every member.  A caller
+    that drops each member before drawing the next (as every command does)
+    holds one at a time.
     """
-    if q < 1:
-        raise InvalidSlopeError(f"q must be >= 1, got {q}")
-    slopes = [SurgerySlope(p, q) for p in p_values if gcd(p, q) == 1]
-    if not slopes:
+    slopes = iter(slopes)
+    first = next(slopes, None)
+    if first is None:
         return
+    q = first.q
     base = kp.group
     n = len(base.generators)
     mu_name = fresh_name("mu", base.generators)
@@ -144,7 +151,9 @@ def family_members(kp: KnotPresentation, q: int, p_values: Sequence[int]) -> Ite
     tail = _normalize_relators(w.letters for w in (mu, lam))
     tail_lengths = {len(r) for r in tail}
     tail_words = tuple(map(Word._of, tail))
-    for slope in slopes:
+    for slope in chain((first,), slopes):
+        if slope.q != q:
+            raise InvalidSlopeError(f"a family has one q: got q={slope.q} after q={q}")
         p = slope.p
         # lam^-p mu^-q shares no generator with meridian^q longitude^p, so
         # nothing cancels where they meet, and no letter cancels mu^-1 at
@@ -160,12 +169,16 @@ def family_members(kp: KnotPresentation, q: int, p_values: Sequence[int]) -> Ite
 
 
 def build_family(kp: KnotPresentation, q: int, p_values: Sequence[int]) -> FamilyResult:
-    """Every member of ``family_members`` at once, and the p values it skips
-    (those not coprime to q), in input order; skipping is never fatal.
+    """Every member of the slopes q/p with p coprime to q at once, and the
+    other p, skipped (never fatal), in input order; every slope is checked
+    before anything is built.
 
     It holds the whole family, so no command calls it: the commands draw
     ``family_members`` one member at a time.  The demo script, the benchmark
     and the tests read this tuple.
     """
-    members = tuple(family_members(kp, q, p_values))
-    return FamilyResult(members, tuple(p for p in p_values if gcd(p, q) != 1))
+    if q < 1:
+        raise InvalidSlopeError(f"q must be >= 1, got {q}")
+    slopes = [SurgerySlope(p, q) for p in p_values if coprime(p, q)]
+    skipped = tuple(p for p in p_values if not coprime(p, q))
+    return FamilyResult(tuple(family_members(kp, slopes)), skipped)

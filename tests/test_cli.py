@@ -52,7 +52,7 @@ from knotsurgery.surgery import (
 )
 from knotsurgery.targets import DEFAULT_CLOSURE_CAP, MAX_TARGET_DEGREE
 
-from conftest import REFUSED_BRAIDS, cycle_string, relabelled
+from conftest import REFUSED_BRAIDS, cable_link_group, cycle_string, relabelled
 
 
 def run(argv, capsys):
@@ -323,20 +323,26 @@ _names = st.text(st.characters(codec="utf-8"), min_size=1, max_size=4) | st.samp
 
 @st.composite
 def families(draw):
-    """A config and a family of random presentations, some without relators."""
+    """A config and a family of random presentations, some without relators.
+
+    As the members of one q do, they share their generators, their labels
+    and their first relators, as many as a manifest takes to be shared (up
+    to three); only a member past three shared relators has its own.
+    """
     q = draw(st.integers(1, 6))
     ps = draw(st.lists(
         st.integers(-MAX_ABS_P, MAX_ABS_P).filter(lambda p: gcd(p, q) == 1),
         min_size=1, max_size=5, unique=True,
     ))
-    name_sets = draw(st.lists(st.lists(_names, min_size=1, max_size=4, unique=True), min_size=1, max_size=2))
+    names = tuple(draw(st.lists(_names, min_size=1, max_size=4, unique=True)))
+    letters = st.tuples(st.integers(0, len(names) - 1), st.sampled_from([1, -1]))
+    words = st.lists(letters, max_size=8).map(lambda ls: Word(tuple(ls)))
+    labels = draw(st.dictionaries(_names, words, max_size=4))
+    shared = Presentation(names, tuple(draw(st.lists(words, max_size=3)))).relators
     members = []
     for p in ps:
-        names = tuple(draw(st.sampled_from(name_sets)))
-        letters = st.tuples(st.integers(0, len(names) - 1), st.sampled_from([1, -1]))
-        words = st.lists(letters, max_size=8).map(lambda ls: Word(tuple(ls)))
-        presentation = Presentation(names, tuple(draw(st.lists(words, max_size=3))))
-        labels = draw(st.dictionaries(_names, words, max_size=4))
+        own = tuple(draw(st.lists(words, max_size=3))) if len(shared) == 3 else ()
+        presentation = Presentation(names, shared + own)
         members.append(FamilyMember(SurgerySlope(p, q), presentation, labels))
     # the skipped p are those not coprime to q, which q = 1 has none of
     skipped_p = st.integers(-MAX_ABS_P, MAX_ABS_P).filter(lambda p: gcd(p, q) != 1)
@@ -353,7 +359,7 @@ def families(draw):
     (
         cli.RunConfig(source_kind="monodromy", source='d\\"é.json', q=2, p_values=(1, -3, 2, 4)),
         FamilyResult(
-            (FamilyMember(SurgerySlope(1, 2), Presentation(('"', "é")), {}),
+            (FamilyMember(SurgerySlope(1, 2), Presentation(('"', "é")), {"\\": Word(((1, -1),))}),
              FamilyMember(SurgerySlope(-3, 2), Presentation(('"', "é")), {"\\": Word(((1, -1),))})),
             (2, 4),
         ),
@@ -361,9 +367,10 @@ def families(draw):
     "trefoil",
 )
 def test_streamed_manifest_matches_json_dumps_of_the_records(drawn, knot):
-    # the manifest draws its members from cli.family_members; here they are
-    # the drawn ones, and the knot sets how many leading relators the
-    # manifest takes to be shared (0, 1 or 2 knot group relators, and one more)
+    # the manifest draws the members of its slopes from cli.family_members;
+    # here they are the drawn ones, and the knot sets how many leading
+    # relators the manifest takes to be shared (0, 1 or 2 knot group
+    # relators, and one more)
     config, family = drawn
     kp = builtin_knot(knot)
     value = config.source
@@ -377,12 +384,14 @@ def test_streamed_manifest_matches_json_dumps_of_the_records(drawn, knot):
         "members": old_family_manifest(family),
     }
 
-    def drawn_members(knot_group, q, p_values):
-        assert (knot_group, q, p_values) == (kp, config.q, config.p_values)
+    slopes = [member.slope for member in family.members]
+
+    def drawn_members(knot_group, given):
+        assert (knot_group, given) == (kp, slopes)
         return iter(family.members)
 
     with mock.patch.object(cli, "family_members", drawn_members):
-        streamed = "".join(cli._manifest_chunks(config, kp))
+        streamed = "".join(cli._manifest_chunks(config, kp, slopes))
     assert streamed == json.dumps(document, indent=2) + "\n"
 
 
@@ -410,6 +419,50 @@ def test_verify_trefoil_multiple_slopes(capsys):
     code, out, _ = run(["verify", "--builtin", "trefoil", "--q", "1", "--p", "1,2,3"], capsys)
     assert code == 0
     assert out.count("PASS") == 3
+
+
+def test_the_members_of_the_kept_slopes_print_the_skip_lines_as_they_are_drawn(capsys):
+    config = cli.RunConfig("builtin", "fig8", q=2, p_values=(-4, -3, -2, 1, 2, 4, 5, 6))
+    members = surgery.family_members(builtin_knot("fig8"), cli._slopes(config))
+    assert capsys.readouterr().out == ""
+    drawn = [(member.slope.p, capsys.readouterr().out) for member in members]
+    assert drawn + [(None, capsys.readouterr().out)] == [
+        (-3, "skip p=-4: gcd(p, 2) != 1\n"),
+        (1, "skip p=-2: gcd(p, 2) != 1\n"),
+        (5, "skip p=2: gcd(p, 2) != 1\nskip p=4: gcd(p, 2) != 1\n"),
+        (None, "skip p=6: gcd(p, 2) != 1\n"),
+    ]
+
+
+def test_verify_and_export_pair_each_slope_with_its_own_half(capsys, tmp_path, monkeypatch):
+    # each PASS line compares the surgery of its p with the half of its p,
+    # and each exported file holds the half of the p in its name
+    kp = builtin_knot("fig8")
+    kept = (-3, -1, 1, 3)
+
+    def half(p):
+        cable = cable_link_group(kp, SurgerySlope(p, 2))
+        killed = [cable.labels[surgery.MERIDIAN], cable.labels[surgery.LONGITUDE]]
+        return fpgroup.quotient_by_relators(cable.presentation, killed)
+
+    def lines(kept_line):
+        return [kept_line(p) if p in kept else f"skip p={p}: gcd(p, 2) != 1" for p in range(-4, 5)]
+
+    routes = []
+    simplify = cli.tietze_simplify
+    monkeypatch.setattr(cli, "tietze_simplify", lambda g: routes.append(g) or simplify(g))
+    code, out, _ = run(["verify", "--builtin", "fig8", "--q", "2", "--p=-4..4"], capsys)
+    assert code == 0
+    passed = "q=2: H1 Z/2 vs Z/2, spectra over 12 targets: PASS"
+    assert out.splitlines() == lines(lambda p: f"p={p} {passed}")
+    slopes = [SurgerySlope(p, 2) for p in kept]
+    assert routes == [g for s in slopes for g in (surgery.dehn_surgery_group(kp, s), half(s.p))]
+    argv = ["export", "--builtin", "fig8", "--construction", "half", "--q", "2", "--p=-4..4"]
+    code, out, _ = run([*argv, "--out", str(tmp_path)], capsys)
+    assert code == 0
+    assert out.splitlines() == lines(lambda p: f"wrote {tmp_path / f'half_q2_p{p}.g'}")
+    for p in kept:
+        assert (tmp_path / f"half_q2_p{p}.g").read_text() == fpgroup.to_free_group_script(half(p))
 
 
 def test_verify_checks_the_fig8_family_over_the_extended_suite(capsys):
@@ -460,7 +513,7 @@ def test_verify_measures_each_distinct_route_once(capsys, monkeypatch):
     other = surgery.dehn_surgery_group(kp, SurgerySlope(2, 1))
     # the half comes from the family members cli draws; its member is given the other group
     member = FamilyMember(SurgerySlope(1, 1), other, {})
-    monkeypatch.setattr(cli, "family_members", lambda kp, q, p_values: iter((member,)))
+    monkeypatch.setattr(cli, "family_members", lambda kp, slopes: iter((member,)))
     code, out, _ = run(argv, capsys)
     # measured keeps the first run's groups alive, so the knot group and the
     # surgery route are read, and only the other group is measured
@@ -475,7 +528,7 @@ def test_verify_leaves_no_route_in_either_memo(capsys, monkeypatch):
     gc.collect()
     kp = fresh_trefoil(None)[0]
     groups = [kp.group, fpgroup.tietze_simplify(kp.group)]
-    for member in surgery.family_members(kp, 1, (1, 2, 3)):
+    for member in surgery.family_members(kp, [SurgerySlope(p, 1) for p in (1, 2, 3)]):
         routes = (surgery.dehn_surgery_group(kp, member.slope), member.presentation)
         groups += map(fpgroup.tietze_simplify, routes)
     for group in groups:
@@ -769,14 +822,14 @@ def _drawing(draws: list, monkeypatch):
     the p of each member it draws."""
     family_members = cli.family_members
 
-    def members(kp, q, p_values):
-        for member in family_members(kp, q, p_values):
+    def members(kp, slopes):
+        for member in family_members(kp, slopes):
             draws.append(member.slope.p)
             yield member
 
-    def drawing(kp, q, p_values):
+    def drawing(kp, slopes):
         draws.append("call")
-        return members(kp, q, p_values)
+        return members(kp, slopes)
 
     monkeypatch.setattr(cli, "family_members", drawing)
 
@@ -1061,7 +1114,7 @@ def test_the_manifest_makes_each_shared_word_text_once_a_family(monkeypatch):
         return word_text(word, letters, indent, *lead)
 
     monkeypatch.setattr(cli, "_word_text", counting)
-    "".join(cli._manifest_chunks(config, kp))
+    "".join(cli._manifest_chunks(config, kp, [member.slope for member in members]))
     shared = len(kp.group.relators) + 1
     expected = [(r, cli._RELATOR_INDENT) for r in members[0].presentation.relators[:shared]]
     expected += [(w, cli._LABEL_INDENT) for w in members[0].labels.values()]
@@ -1083,8 +1136,8 @@ def test_family_writes_each_member_before_it_draws_the_next(capsys, tmp_path, mo
     events = []
     family_members, manifest_chunks = cli.family_members, cli._manifest_chunks
 
-    def drawing(kp, q, p_values):
-        for member in family_members(kp, q, p_values):
+    def drawing(kp, slopes):
+        for member in family_members(kp, slopes):
             events.append(("draw", member.slope.p))
             yield member
 

@@ -519,14 +519,34 @@ def invariance_targets() -> dict[str, FiniteTarget]:
     return {t.name: t for t in (symmetric(3), psl2(7), psl2(13))}
 
 
+def surgery_route(letters, q: int, p: int, half: bool) -> Presentation:
+    """The group of the q/p surgery on a 3-braid closure, as the surgery
+    quotient or as the half of the double builds it, Tietze-simplified as
+    the commands count it."""
+    kp = wirtinger_from_braid(BraidWord(3, tuple(letters)))
+    build = half_complement_group if half else dehn_surgery_group
+    return tietze_simplify(build(kp, SurgerySlope(p, q)))
+
+
 # small presentations counted into S3, and knot groups of 3-braid closures
-# counted into PSL2_7 and PSL2_13, where naive enumeration cannot check them;
-# PSL2_7 has classes that are not their own inverses, so a link's parity
-# matters there
+# and both routes of their q = 1 and q = 2 surgeries counted into PSL2_7 and
+# PSL2_13, where naive enumeration cannot check them; PSL2_7 has classes that
+# are not their own inverses, so a link's parity matters there, and a q = 1
+# surgery is perfect, so it is searched from the even classes
 invariance_inputs = st.one_of(
     st.tuples(small_presentations, st.just(("S3",))),
     st.tuples(
         three_strand_knot_braids.map(lambda ls: wirtinger_from_braid(BraidWord(3, tuple(ls))).group),
+        st.just(("PSL2_7", "PSL2_13")),
+    ),
+    st.tuples(
+        st.builds(
+            surgery_route,
+            three_strand_knot_braids,
+            st.sampled_from((1, 2)),
+            st.sampled_from((-3, -1, 1, 3)),
+            st.booleans(),
+        ),
         st.just(("PSL2_7", "PSL2_13")),
     ),
 )
@@ -537,7 +557,7 @@ def same_counts(p: Presentation, other: Presentation, names) -> bool:
     return all(count_homomorphisms(p, targets[n]) == count_homomorphisms(other, targets[n]) for n in names)
 
 
-@settings(max_examples=45)
+@settings(max_examples=90)
 @given(invariance_inputs, st.randoms(use_true_random=False))
 def test_invariant_under_relator_reordering(drawn, rng):
     # relators shuffled, each rotated (a conjugate) and some inverted
@@ -551,7 +571,7 @@ def test_invariant_under_relator_reordering(drawn, rng):
     assert same_counts(Presentation(p.generators, tuple(relators)), p, names)
 
 
-@settings(max_examples=45)
+@settings(max_examples=90)
 @given(invariance_inputs, st.randoms(use_true_random=False))
 def test_invariant_under_generator_permutation(drawn, rng):
     # generators permuted and some replaced by their inverses, which turns

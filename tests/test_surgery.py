@@ -245,6 +245,13 @@ def test_build_family_filters_and_reports(fig8):
     assert result.skipped == (2,)
 
 
+@pytest.mark.parametrize("q,p_values", [(0, [2]), (-2, [2]), (0, [])])
+def test_build_family_refuses_q_below_one_when_it_keeps_no_slope(fig8, q, p_values):
+    # no p here is kept, so no SurgerySlope is made to refuse q itself
+    with pytest.raises(InvalidSlopeError, match="q must be >= 1"):
+        build_family(fig8, q, p_values)
+
+
 def _count_fresh_names(monkeypatch) -> list:
     """The calls of surgery.fresh_name from now on, made through a counting wrapper."""
     calls = []
@@ -272,7 +279,7 @@ def test_build_family_builds_the_shared_part_once_and_only_for_a_member(fig8, mo
 
 def test_family_members_are_built_one_at_a_time_on_one_shared_part(fig8, monkeypatch):
     calls = _count_fresh_names(monkeypatch)
-    members = surgery.family_members(fig8, 2, range(-6, 7))
+    members = surgery.family_members(fig8, [SurgerySlope(p, 2) for p in range(-5, 7, 2)])
     assert calls == []  # nothing is built before the first draw
     assert next(members).slope.p == -5
     assert len(calls) == 2  # mu and lam, once for every member
@@ -280,6 +287,45 @@ def test_family_members_are_built_one_at_a_time_on_one_shared_part(fig8, monkeyp
     assert len(calls) == 2
     expected = build_family(fig8, 2, range(-6, 7)).members[1:]
     assert rest == [(m.slope.p, m.presentation) for m in expected]
+
+
+def _cable_half(kp: KnotPresentation, slope: SurgerySlope) -> Presentation:
+    """The half of the double of one slope, from the tests' own cable-link group."""
+    cable = cable_link_group(kp, slope)
+    return quotient_by_relators(cable.presentation, [cable.labels[MERIDIAN], cable.labels[LONGITUDE]])
+
+
+def test_family_members_builds_exactly_the_given_slopes_in_order(fig8):
+    # the caller settles the slopes: each is built, in the order given, none
+    # is left out, and each member carries its own, whatever holds them
+    slopes = [SurgerySlope(p, 3) for p in (4, -1, 2, 1, -5)]
+    members = list(surgery.family_members(fig8, slopes))
+    assert [m.slope for m in members] == slopes
+    assert [m.presentation for m in members] == [_cable_half(fig8, s) for s in slopes]
+    (member,) = surgery.family_members(fig8, (slopes[2],))
+    assert (member.slope, member.presentation) == (slopes[2], _cable_half(fig8, slopes[2]))
+    # a generator gives up one slope per member, as the member is drawn
+    drawn = []
+
+    def lazily():
+        for slope in slopes:
+            drawn.append(slope)
+            yield slope
+
+    members = surgery.family_members(fig8, lazily())
+    assert drawn == []
+    for k, slope in enumerate(slopes, 1):
+        member = next(members)
+        assert (member.slope, drawn) == (slope, slopes[:k])
+        assert member.presentation == _cable_half(fig8, slope)
+    assert next(members, None) is None
+
+
+def test_family_members_refuses_a_second_q_when_it_is_drawn(fig8):
+    members = surgery.family_members(fig8, [SurgerySlope(1, 2), SurgerySlope(3, 2), SurgerySlope(1, 3)])
+    assert [next(members).slope.p for _ in range(2)] == [1, 3]
+    with pytest.raises(InvalidSlopeError, match="a family has one q: got q=3 after q=2"):
+        next(members)
 
 
 def test_build_family_order_independence(trefoil):
@@ -382,8 +428,5 @@ def test_half_complement_group_kills_the_peripheral_pair_as_a_quotient():
             for p in range(-3, 4):
                 if math.gcd(p, q) == 1:
                     s = SurgerySlope(p, q)
-                    cable = cable_link_group(kp, s)
-                    killed = [cable.labels[MERIDIAN], cable.labels[LONGITUDE]]
-                    expected = quotient_by_relators(cable.presentation, killed)
-                    assert half_complement_group(kp, s) == expected, (kp, s)
+                    assert half_complement_group(kp, s) == _cable_half(kp, s), (kp, s)
     assert len(half_complement_group(empty, SurgerySlope(0, 1)).relators) == 3
